@@ -76,11 +76,6 @@ struct CompileOptions {
   CompileOptions() = default;
   explicit CompileOptions(obs::ObsContext Obs) : Obs(Obs) {}
   explicit CompileOptions(TimeTrace *Trace) { Obs.Trace = Trace; }
-
-  /// Convenience factory for the common "just give me a breakdown" case.
-  static CompileOptions traced(TimeTrace *Trace) {
-    return CompileOptions(Trace);
-  }
 };
 
 /// The result of compiling a module: callable entry points per function.

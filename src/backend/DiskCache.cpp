@@ -8,6 +8,7 @@
 #include "support/ByteIo.h"
 #include "support/TimeTrace.h"
 #include "support/XxHash.h"
+#include "x64/ExecArena.h"
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -167,7 +168,8 @@ DiskCodeCache::DiskCodeCache(std::string Dir, uint64_t BudgetBytes,
       StoreSkips(resolveRegistry(Reg).counter("cache.disk.store_skips")),
       Evictions(resolveRegistry(Reg).counter("cache.disk.evictions")),
       EvictedBytes(resolveRegistry(Reg).counter("cache.disk.evicted_bytes")),
-      LoadNs(resolveRegistry(Reg).histogram("cache.disk.load_ns")) {
+      LoadNs(resolveRegistry(Reg).histogram("cache.disk.load_ns")),
+      ArenaBytes(resolveRegistry(Reg).gauge("code.arena.bytes")) {
   createDirectories(this->Dir);
 }
 
@@ -280,6 +282,8 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
     ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
 
   Hits.inc();
+  ArenaBytes.set(
+      static_cast<int64_t>(x64::ExecArena::global().bytesAllocated()));
   uint64_t Dur = nowNs() - Start;
   LoadNs.observe(Dur);
   if (obs::TraceSink *Sink = Opts.Obs.Sink)

@@ -63,12 +63,15 @@ class DiskCodeCache {
 public:
   /// On-disk envelope format version. Bump on any change to the envelope
   /// or to a back-end payload format; stale-version blobs are rejected
-  /// and unlinked on load.
-  static constexpr uint32_t FormatVersion = 2;
+  /// and unlinked on load. Version 3: the native back-ends share the
+  /// x64::CodeImage section layout (DirectEmit's CFI moved after it).
+  static constexpr uint32_t FormatVersion = 3;
 
   /// \p Dir is created (with parents) if missing. \p BudgetBytes bounds
   /// the directory's total blob size, 0 = unbounded. \p Reg receives the
-  /// cache.disk.* counters (null = process-wide registry).
+  /// cache.disk.* counters and the code.arena.bytes gauge, which each
+  /// warm install refreshes from x64::ExecArena (null = process-wide
+  /// registry).
   explicit DiskCodeCache(std::string Dir, uint64_t BudgetBytes = 0,
                          obs::MetricsRegistry *Reg = nullptr);
 
@@ -146,6 +149,7 @@ private:
   obs::Counter &Evictions;
   obs::Counter &EvictedBytes;
   obs::Histogram &LoadNs;
+  obs::Gauge &ArenaBytes;
 
   /// Serializes this process's GC scans (cross-process safety comes from
   /// atomic unlink/rename, not this lock).

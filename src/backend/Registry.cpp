@@ -126,6 +126,8 @@ CompileTicket AdaptiveModule::requestPromotion(CompileService *Svc) {
   if (isPromoted())
     return CompileTicket();
   std::lock_guard<std::mutex> Lock(Mutex);
+  if (isPromoted())
+    return CompileTicket();
   if (HasPending.load(std::memory_order_acquire))
     return PendingTicket;
   CompileService *Target = Service ? Service : Svc;
@@ -159,6 +161,15 @@ bool AdaptiveModule::noteExecution(const std::string &Name) {
     return pollPromotion();
 
   std::unique_lock<std::mutex> Lock(Mutex);
+  // Another thread may have crossed the threshold while this one waited
+  // for the lock. Submitting again would replace OptBackend (which its
+  // queued or running job still references) and PendingTicket.
+  if (isPromoted())
+    return false;
+  if (HasPending.load(std::memory_order_acquire)) {
+    Lock.unlock();
+    return pollPromotion();
+  }
   for (auto &[N, Count] : RunCounts) {
     if (N != Name)
       continue;

@@ -11,10 +11,8 @@
 #include "craneline/Translate.h"
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
-#include "support/ByteIo.h"
 #include "support/Compiler.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cstring>
 
 using namespace qcf;
@@ -146,13 +144,6 @@ void runIrPasses(const CFunction &CF, CirAnalyses *Out, MemPool &Pool) {
 
 } // namespace
 
-void *CranelineModule::entry(const std::string &Name) {
-  for (auto &[N, Off] : Fns)
-    if (N == Name)
-      return const_cast<uint8_t *>(codeBase()) + Off;
-  return nullptr;
-}
-
 std::unique_ptr<backend::CompiledModule>
 CranelineBackend::compile(const qir::Module &M,
                           const backend::CompileOptions &COpts) {
@@ -226,34 +217,23 @@ CranelineBackend::compile(const qir::Module &M,
 
   // Link: copy into executable memory and apply the absolute relocations
   // (fast: "only needs to apply a small number of relocations", §VI-C5).
+  // Each target address is also mapped back to its runtime-symbol name so
+  // the persistent cache can re-resolve it in another process.
+  std::vector<x64::CodeImage::Piece> Pieces;
   {
     TimeTraceScope Scope(Trace, "craneline.link");
-    size_t Total = 0;
-    for (const FnOut &O : Outs)
-      Total = ((Total + 15) & ~size_t(15)) + O.Emitted.Code.size();
-    Result->Mem.allocate(Total ? Total : 1);
-    size_t Off = 0;
     for (FnOut &O : Outs) {
-      Off = (Off + 15) & ~size_t(15);
-      uint8_t *Dst = Result->Mem.base() + Off;
-      std::memcpy(Dst, O.Emitted.Code.data(), O.Emitted.Code.size());
+      x64::CodeImage::Piece P{std::move(O.Name), std::move(O.Emitted.Code),
+                              {}};
       for (const AbsReloc &R : O.Emitted.Relocs) {
-        std::memcpy(Dst + R.Offset, &R.Target, 8);
-        // Keep a by-name record for the persistent cache; a target that
-        // is not a registered runtime symbol makes the module
-        // non-serializable (its address is meaningless elsewhere).
-        if (const char *Sym = rt::runtimeSymbolName(
-                reinterpret_cast<const void *>(R.Target)))
-          Result->Relocs.push_back({Off + R.Offset, Sym});
-        else
-          Result->Serializable = false;
+        std::memcpy(P.Code.data() + R.Offset, &R.Target, 8);
+        const char *Sym =
+            rt::runtimeSymbolName(reinterpret_cast<const void *>(R.Target));
+        P.Relocs.push_back({R.Offset, Sym ? Sym : ""});
       }
-      Result->Fns.emplace_back(O.Name, Off);
-      Result->FnSizes.push_back(O.Emitted.Code.size());
-      Off += O.Emitted.Code.size();
+      Pieces.push_back(std::move(P));
     }
-    Result->CodeBytes = Off;
-    Result->Mem.makeExecutable();
+    Result->image().link(Pieces);
   }
 
   if (COpts.Obs.Metrics) {
@@ -279,127 +259,9 @@ CranelineBackend::compile(const qir::Module &M,
   return Result;
 }
 
-std::vector<tv::TvFunction> CranelineModule::tvFunctions() const {
-  std::vector<tv::TvFunction> Out;
-  for (size_t I = 0; I != Fns.size(); ++I) {
-    const auto &[Name, Off] = Fns[I];
-    tv::TvFunction TF;
-    TF.Name = Name;
-    TF.Code = codeBase() + Off;
-    TF.Size = I < FnSizes.size() ? FnSizes[I] : 0;
-    for (const RtReloc &R : Relocs)
-      if (R.Offset >= Off && R.Offset < Off + TF.Size)
-        TF.Relocs.push_back({R.Offset - Off, 8, R.Symbol});
-    Out.push_back(std::move(TF));
-  }
-  return Out;
-}
-
-// --- Persistent-cache serialization --------------------------------------------
-
-bool CranelineModule::serialize(std::vector<uint8_t> &Out) const {
-  if (!Serializable)
-    return false;
-  ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
-  W.u64(Fns.size());
-  for (size_t I = 0; I != Fns.size(); ++I) {
-    W.str(Fns[I].first);
-    W.u64(Fns[I].second);
-    W.u64(I < FnSizes.size() ? FnSizes[I] : 0);
-  }
-  W.u64(Relocs.size());
-  for (const RtReloc &R : Relocs) {
-    W.u64(R.Offset);
-    W.str(R.Symbol);
-  }
-  Out = W.take();
-  return true;
-}
-
-namespace qcf::craneline {
-
-/// Shared logic of the two deserialize paths; a friend of
-/// CranelineModule so both can fill its private tables.
-struct PayloadCodec {
-  static bool parse(const uint8_t *Data, size_t Len, CranelineModule &Result,
-                    const uint8_t **CodeOut, size_t *CodeLenOut);
-  static void patch(const CranelineModule &M, uint8_t *PatchBase);
-};
-
-/// Parses a serialized CranelineModule payload into \p Result (function
-/// table, relocation records), returning the borrowed code-byte view.
-/// Returns false on any malformed field or unknown symbol.
-bool PayloadCodec::parse(const uint8_t *Data, size_t Len,
-                         CranelineModule &Result, const uint8_t **CodeOut,
-                         size_t *CodeLenOut) {
-  ByteReader R(Data, Len);
-  auto [Code, CodeLen] = R.bytes();
-  uint64_t NumFns = R.u64();
-  if (!R.ok() || NumFns > Len)
-    return false;
-  for (uint64_t I = 0; I != NumFns; ++I) {
-    std::string Name = R.str();
-    uint64_t Off = R.u64();
-    uint64_t Size = R.u64();
-    if (!R.ok() || Off > CodeLen || Off + Size > CodeLen)
-      return false;
-    Result.Fns.emplace_back(std::move(Name), Off);
-    Result.FnSizes.push_back(Size);
-  }
-  uint64_t NumRelocs = R.u64();
-  if (!R.ok() || NumRelocs > Len)
-    return false;
-  for (uint64_t I = 0; I != NumRelocs; ++I) {
-    CranelineModule::RtReloc Rel;
-    Rel.Offset = R.u64();
-    Rel.Symbol = R.str();
-    if (!R.ok() || Rel.Offset + 8 > CodeLen)
-      return false;
-    if (!rt::runtimeSymbolAddress(Rel.Symbol))
-      return false; // Unknown symbol: treat as a cache miss.
-    Result.Relocs.push_back(std::move(Rel));
-  }
-  if (!R.ok())
-    return false;
-  *CodeOut = Code;
-  *CodeLenOut = CodeLen;
-  return true;
-}
-
-/// Writes each recorded runtime address over its movabs imm64.
-void PayloadCodec::patch(const CranelineModule &M, uint8_t *PatchBase) {
-  for (const CranelineModule::RtReloc &Rel : M.Relocs) {
-    uint64_t Target =
-        reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Rel.Symbol));
-    std::memcpy(PatchBase + Rel.Offset, &Target, 8);
-  }
-}
-
-} // namespace qcf::craneline
-
 std::unique_ptr<backend::CompiledModule>
 CranelineBackend::deserialize(const uint8_t *Data, size_t Len) {
-  auto Result = std::make_unique<CranelineModule>();
-  const uint8_t *Code = nullptr;
-  size_t CodeLen = 0;
-  if (!PayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
-    return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Dual-view code arena first — no mmap/mprotect per install (see
-  // x64/ExecArena.h and the DirectEmit equivalent).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    PayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
-  }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  PayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
-  return Result;
+  return backend::installImage<CranelineModule>(Data, Len);
 }
 
 std::string CranelineBackend::cacheConfig() const {

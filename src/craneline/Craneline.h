@@ -17,16 +17,15 @@
 ///   -> RegAlloc (live ranges, bundle merging, linear scan with one
 ///      B-tree per physical register)
 ///   -> Emit (clobber pre-pass, veneer-size estimation, encoding)
-///   -> Link (apply hard-wired-address relocations, copy to memory)
+///   -> Link (apply hard-wired-address relocations, copy to memory; the
+///      x64::CodeImage shared with DirectEmit and Stencil)
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_CRANELINE_CRANELINE_H
 #define QCF_CRANELINE_CRANELINE_H
 
-#include "backend/Backend.h"
-#include "x64/ExecMemory.h"
-#include <vector>
+#include "backend/ImageModule.h"
 
 namespace qcf::craneline {
 
@@ -38,53 +37,9 @@ struct CranelineOptions {
   bool NativeMulFull = true;      ///< full 64x64->128 multiply.
 };
 
-/// Compiled output.
-class CranelineModule : public backend::CompiledModule {
-public:
-  void *entry(const std::string &Name) override;
-
-  /// Persists code bytes, the function table, and named runtime-call
-  /// relocation records (see DiskCodeCache). Returns false when a
-  /// hard-wired address could not be mapped back to a runtime symbol
-  /// name at link time.
-  bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off codeBase(), so
-  /// cache-loaded modules expose their re-patched arena bytes.
-  std::vector<tv::TvFunction> tvFunctions() const override;
-
-private:
-  friend class CranelineBackend;
-  friend struct PayloadCodec;
-  x64::ExecMemory Mem;
-  /// Where the code actually lives. Compiled modules own a private W^X
-  /// mapping (Mem) with code at its base; cache-loaded modules sit in
-  /// the shared dual-view code arena, and CodeBase is their RX view
-  /// (readable too, so serialize() works off either).
-  const uint8_t *codeBase() const { return CodeBase ? CodeBase : Mem.base(); }
-  const uint8_t *CodeBase = nullptr;
-  /// Bytes of code starting at codeBase() (ExecMemory page-rounds).
-  size_t CodeBytes = 0;
-  std::vector<std::pair<std::string, size_t>> Fns;
-  /// Code bytes of each function, parallel to Fns. The inter-function
-  /// gaps are 16-byte alignment padding, which is not decodable code, so
-  /// tv needs the real extent. Serialized with the function table
-  /// (DiskCodeCache::FormatVersion 2).
-  std::vector<size_t> FnSizes;
-  /// Absolute relocations by runtime-symbol name: the imm64 at module
-  /// offset Offset holds the named symbol's address. Mirrors the
-  /// link stage's AbsRelocs, with the address turned back into a name so
-  /// a later process can re-resolve it.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
-  /// False when some relocation target was not a registered rt_* symbol;
-  /// such a module cannot be persisted.
-  bool Serializable = true;
-};
+/// Compiled output. A module whose absolute relocation targets are not
+/// all registered runtime symbols links fine but is not persistable.
+class CranelineModule final : public backend::ImageModule {};
 
 /// The back-end.
 class CranelineBackend : public backend::Backend {

@@ -178,17 +178,6 @@ ExecResult executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
                         const Catalog &Cat, rt::OutputBuffer *Out,
                         const ExecOptions &Opts = ExecOptions());
 
-/// Deprecated entry point from before ObsContext: forwards with
-/// \p CompileTrace attached to the options' observability context.
-[[deprecated("pass the trace via ExecOptions::Obs")]] inline ExecResult
-executeQuery(const CompiledPlan &Plan, backend::Backend &BE, const Catalog &Cat,
-             rt::OutputBuffer *Out, const ExecOptions &Opts,
-             TimeTrace *CompileTrace) {
-  ExecOptions Traced = Opts;
-  Traced.Obs.Trace = CompileTrace;
-  return executeQuery(Plan, BE, Cat, Out, Traced);
-}
-
 } // namespace qcf::db
 
 #endif // QCF_DB_EXECUTOR_H

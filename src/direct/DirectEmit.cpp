@@ -28,7 +28,6 @@
 #include "support/Compiler.h"
 #include "x64/Asm.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cstring>
 #include <map>
 #include <optional>
@@ -120,7 +119,7 @@ public:
   /// Runtime-call sites in this function's code: the movabs imm64 at
   /// Offset holds the address of the named rt_* symbol. The module
   /// driver rebases these to module offsets for serialization.
-  std::vector<std::pair<size_t, std::string>> RtRelocs;
+  std::vector<x64::CodeImage::Reloc> RtRelocs;
 
 private:
   // --- Analysis -----------------------------------------------------------
@@ -461,7 +460,7 @@ private:
       A.movRI32(Reg::RDI, static_cast<uint32_t>(Codes[Idx]));
       A.movAbsRI(Reg::R10, reinterpret_cast<uint64_t>(
                                rt::runtimeSymbolAddress("rt_trap")));
-      RtRelocs.emplace_back(A.size() - 8, "rt_trap");
+      RtRelocs.push_back({A.size() - 8, "rt_trap"});
       A.callReg(Reg::R10);
       A.ud2();
     }
@@ -1119,7 +1118,7 @@ private:
       A.movRM(Width::W64, Reg::RCX, memOf(Bv, 1));
     A.movAbsRI(Reg::R10,
                reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Name)));
-    RtRelocs.emplace_back(A.size() - 8, Name);
+    RtRelocs.push_back({A.size() - 8, Name});
     A.callReg(Reg::R10);
     Cfi.atCall(A.size() - FuncStart);
     attachGp(Reg::RAX, Id, 0);
@@ -1408,7 +1407,7 @@ private:
       }
     }
     A.movAbsRI(Reg::R10, reinterpret_cast<uint64_t>(Sig.Address));
-    RtRelocs.emplace_back(A.size() - 8, Sig.Name);
+    RtRelocs.push_back({A.size() - 8, Sig.Name});
     A.callReg(Reg::R10);
     Cfi.atCall(A.size() - FuncStart);
     if (I.Ty != Type::Void) {
@@ -1536,25 +1535,9 @@ private:
 
 // --- Module-level driver -----------------------------------------------------
 
-void *DirectModule::entry(const std::string &Name) {
-  for (const FnInfo &Fn : Fns)
-    if (Fn.Name == Name)
-      return const_cast<uint8_t *>(codeBase()) + Fn.Offset;
-  return nullptr;
-}
-
 size_t DirectModule::cfiRecordOffset(const std::string &Name) const {
-  for (const FnInfo &Fn : Fns)
-    if (Fn.Name == Name)
-      return Fn.CfiOffset;
-  return SIZE_MAX;
-}
-
-size_t DirectModule::codeSize(const std::string &Name) const {
-  for (const FnInfo &Fn : Fns)
-    if (Fn.Name == Name)
-      return Fn.Size;
-  return 0;
+  size_t I = Image.indexOf(Name);
+  return I == SIZE_MAX ? SIZE_MAX : CfiOffsets[I];
 }
 
 std::unique_ptr<backend::CompiledModule>
@@ -1572,22 +1555,19 @@ DirectBackend::compile(const qir::Module &M,
     }
   }
 
-  std::vector<std::vector<uint8_t>> Codes;
-  std::vector<std::vector<std::pair<size_t, std::string>>> FnRelocs;
+  std::vector<x64::CodeImage::Piece> Pieces;
   for (const auto &F : M.functions()) {
     Assembler A;
     size_t CfiOff = Cfi.beginFunction(0);
     FunctionCompiler FC(*F, A, Cfi, Trace);
     FC.compile();
     Cfi.endFunction(CfiOff, A.size());
-    Result->Fns.push_back({F->name(), 0, A.size(), CfiOff});
-    Codes.push_back(A.code());
-    FnRelocs.push_back(std::move(FC.RtRelocs));
+    Result->CfiOffsets.push_back(CfiOff);
+    Pieces.push_back({F->name(), A.code(), std::move(FC.RtRelocs)});
     if (Opts.Verify.Mc) {
       // DirectEmit calls through registers, so the bytes are final here:
       // no relocations to exempt.
-      std::string Err =
-          x64::lintFunction(Codes.back().data(), Codes.back().size());
+      std::string Err = x64::lintFunction(A.code().data(), A.size());
       if (!Err.empty()) {
         fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                 F->name().c_str());
@@ -1597,21 +1577,7 @@ DirectBackend::compile(const qir::Module &M,
   }
 
   TimeTraceScope Scope(Trace, "direct.link");
-  size_t Total = 0;
-  for (const auto &C : Codes)
-    Total = ((Total + 15) & ~size_t(15)) + C.size();
-  Result->Mem.allocate(Total ? Total : 1);
-  size_t Off = 0;
-  for (size_t I = 0; I != Codes.size(); ++I) {
-    Off = (Off + 15) & ~size_t(15);
-    std::memcpy(Result->Mem.base() + Off, Codes[I].data(), Codes[I].size());
-    Result->Fns[I].Offset = Off;
-    for (auto &[RelOff, Sym] : FnRelocs[I])
-      Result->Relocs.push_back({Off + RelOff, std::move(Sym)});
-    Off += Codes[I].size();
-  }
-  Result->CodeBytes = Total;
-  Result->Mem.makeExecutable();
+  Result->image().link(Pieces);
 
   if (Opts.Verify.Tv) {
     std::string Err = tv::validateModule(M, Result->tvFunctions(),
@@ -1625,137 +1591,38 @@ DirectBackend::compile(const qir::Module &M,
   return Result;
 }
 
-std::vector<tv::TvFunction> DirectModule::tvFunctions() const {
-  std::vector<tv::TvFunction> Out;
-  for (const FnInfo &Fn : Fns) {
-    tv::TvFunction TF;
-    TF.Name = Fn.Name;
-    TF.Code = codeBase() + Fn.Offset;
-    TF.Size = Fn.Size;
-    for (const RtReloc &R : Relocs)
-      if (R.Offset >= Fn.Offset && R.Offset < Fn.Offset + Fn.Size)
-        TF.Relocs.push_back({R.Offset - Fn.Offset, 8, R.Symbol});
-    Out.push_back(std::move(TF));
-  }
-  return Out;
-}
-
 // --- Persistent-cache serialization --------------------------------------------
 
 bool DirectModule::serialize(std::vector<uint8_t> &Out) const {
-  // Refuse to persist a module whose call targets cannot be re-resolved
-  // by name in another process; storing it would only produce blobs that
-  // every warm load rejects.
-  for (const RtReloc &R : Relocs)
-    if (!rt::runtimeSymbolAddress(R.Symbol))
-      return false;
-
   ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
-  W.u64(Fns.size());
-  for (const FnInfo &Fn : Fns) {
-    W.str(Fn.Name);
-    W.u64(Fn.Offset);
-    W.u64(Fn.Size);
-    W.u64(Fn.CfiOffset);
-  }
+  if (!Image.serialize(W))
+    return false;
   W.bytes(Cfi.data(), Cfi.size());
-  W.u64(Relocs.size());
-  for (const RtReloc &R : Relocs) {
-    W.u64(R.Offset);
-    W.str(R.Symbol);
-  }
+  for (uint64_t Off : CfiOffsets)
+    W.u64(Off);
   Out = W.take();
   return true;
 }
 
-namespace qcf::direct {
-
-/// Shared decode/patch steps of the two deserialization paths.
-struct PayloadCodec {
-  static bool parse(const uint8_t *Data, size_t Len, DirectModule &Result,
-                    const uint8_t **CodeOut, size_t *CodeLenOut);
-  static void patch(const DirectModule &M, uint8_t *PatchBase);
-};
-
-/// Parses a serialized DirectModule payload into \p Result (function
-/// table, CFI, relocation records), returning the borrowed code-byte
-/// view. Returns false on any malformed field or unknown symbol.
-bool PayloadCodec::parse(const uint8_t *Data, size_t Len, DirectModule &Result,
-                         const uint8_t **CodeOut, size_t *CodeLenOut) {
-  ByteReader R(Data, Len);
-  auto [Code, CodeLen] = R.bytes();
-  uint64_t NumFns = R.u64();
-  if (!R.ok() || NumFns > Len)
-    return false;
-  for (uint64_t I = 0; I != NumFns; ++I) {
-    DirectModule::FnInfo Fn;
-    Fn.Name = R.str();
-    Fn.Offset = R.u64();
-    Fn.Size = R.u64();
-    Fn.CfiOffset = R.u64();
-    if (!R.ok() || Fn.Offset + Fn.Size > CodeLen)
-      return false;
-    Result.Fns.push_back(std::move(Fn));
-  }
-  auto [CfiData, CfiLen] = R.bytes();
-  uint64_t NumRelocs = R.u64();
-  if (!R.ok() || NumRelocs > Len)
-    return false;
-  Result.Cfi.assign(CfiData, CfiData + CfiLen);
-  for (uint64_t I = 0; I != NumRelocs; ++I) {
-    DirectModule::RtReloc Rel;
-    Rel.Offset = R.u64();
-    Rel.Symbol = R.str();
-    if (!R.ok() || Rel.Offset + 8 > CodeLen)
-      return false;
-    if (!rt::runtimeSymbolAddress(Rel.Symbol))
-      return false; // Unknown symbol: treat as a cache miss.
-    Result.Relocs.push_back(std::move(Rel));
-  }
-  if (!R.ok())
-    return false;
-  *CodeOut = Code;
-  *CodeLenOut = CodeLen;
-  return true;
-}
-
-/// Writes each recorded runtime address over its movabs imm64. \p
-/// PatchBase is the write view of the module's code (private mapping or
-/// arena RW view).
-void PayloadCodec::patch(const DirectModule &M, uint8_t *PatchBase) {
-  for (const DirectModule::RtReloc &Rel : M.Relocs) {
-    uint64_t Target =
-        reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Rel.Symbol));
-    std::memcpy(PatchBase + Rel.Offset, &Target, 8);
-  }
-}
-
-} // namespace qcf::direct
-
 std::unique_ptr<backend::CompiledModule>
 DirectBackend::deserialize(const uint8_t *Data, size_t Len) {
-  auto Result = std::make_unique<DirectModule>();
-  const uint8_t *Code = nullptr;
-  size_t CodeLen = 0;
-  if (!PayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
+  ByteReader R(Data, Len);
+  x64::CodeImage::Payload P;
+  if (!P.decode(R))
     return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Install into the dual-view code arena: copy + patch through the RW
-  // view, run through the RX view — no mmap or mprotect per module,
-  // which is what lets a warm cache hit beat even the cheapest compile
-  // by an order of magnitude (see x64/ExecArena.h).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    PayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
+  auto Result = std::make_unique<DirectModule>();
+  auto [CfiData, CfiLen] = R.bytes();
+  for (size_t I = 0; I != P.Fns.size(); ++I) {
+    // Every record starts with an 8-byte header (code offset, length).
+    uint64_t Off = R.u64();
+    if (!R.ok() || CfiLen < 8 || Off > CfiLen - 8)
+      return nullptr;
+    Result->CfiOffsets.push_back(Off);
   }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  PayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
+  if (!R.ok() || R.remaining())
+    return nullptr;
+  Result->Cfi.assign(CfiData, CfiData + CfiLen);
+  Result->image().install(std::move(P));
   return Result;
 }
 
@@ -1763,7 +1630,7 @@ DirectBackend::deserialize(const uint8_t *Data, size_t Len) {
 
 bool direct::validateCfi(const std::vector<uint8_t> &Buf, size_t FuncOff,
                          uint64_t CodeSize) {
-  if (FuncOff + 8 > Buf.size())
+  if (FuncOff > Buf.size() || Buf.size() - FuncOff < 8)
     return false;
   uint32_t Len = 0;
   for (int I = 0; I != 4; ++I)

@@ -19,60 +19,25 @@
 #ifndef QCF_DIRECT_DIRECTEMIT_H
 #define QCF_DIRECT_DIRECTEMIT_H
 
-#include "backend/Backend.h"
-#include "x64/ExecMemory.h"
-#include <vector>
+#include "backend/ImageModule.h"
 
 namespace qcf::direct {
 
-/// Machine code produced by DirectEmit.
-class DirectModule : public backend::CompiledModule {
+/// Machine code produced by DirectEmit, plus its CFI side table.
+class DirectModule final : public backend::ImageModule {
 public:
-  void *entry(const std::string &Name) override;
-
   /// The CFI side table (one record per function); exposed for tests.
   const std::vector<uint8_t> &cfiBytes() const { return Cfi; }
   size_t cfiRecordOffset(const std::string &Name) const;
-  size_t codeSize(const std::string &Name) const;
 
-  /// Persists code bytes, the function table, CFI, and the named
-  /// runtime-call relocation records (see DiskCodeCache).
+  /// Persists the image section, then the CFI section: the table as a
+  /// length-prefixed byte string and one u64 record offset per function.
   bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off codeBase(), so
-  /// cache-loaded modules expose their re-patched arena bytes.
-  std::vector<tv::TvFunction> tvFunctions() const override;
 
 private:
   friend class DirectBackend;
-  friend struct PayloadCodec;
-  x64::ExecMemory Mem;
-  /// Where the code actually lives. Compiled modules own a private W^X
-  /// mapping (Mem) with code at its base; cache-loaded modules sit in
-  /// the shared dual-view code arena, and CodeBase is their RX view
-  /// (readable too, so serialize() works off either).
-  const uint8_t *codeBase() const { return CodeBase ? CodeBase : Mem.base(); }
-  const uint8_t *CodeBase = nullptr;
-  /// Bytes of code starting at codeBase() (ExecMemory page-rounds).
-  size_t CodeBytes = 0;
-  struct FnInfo {
-    std::string Name;
-    size_t Offset;
-    size_t Size;
-    size_t CfiOffset;
-  };
-  std::vector<FnInfo> Fns;
   std::vector<uint8_t> Cfi;
-  /// Runtime-call sites: the imm64 of a movabs at module offset Offset
-  /// holds the address of runtime symbol Symbol. Recorded so a
-  /// serialized module can be re-patched in a process with a different
-  /// address-space layout.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
+  std::vector<uint64_t> CfiOffsets; ///< Parallel to image().functions().
 };
 
 /// The DirectEmit back-end.

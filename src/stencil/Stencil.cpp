@@ -27,11 +27,9 @@
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
 #include "stencil/Stencils.h"
-#include "support/ByteIo.h"
 #include "support/Compiler.h"
 #include "support/Int128.h"
 #include "x64/EncodingLint.h"
-#include "x64/ExecArena.h"
 #include <cassert>
 #include <cstring>
 
@@ -68,7 +66,7 @@ unsigned lanesOf(Type Ty) { return qir::isTwoLane(Ty) ? 2 : 1; }
 class FnCompiler {
 public:
   std::vector<uint8_t> Out;
-  std::vector<std::pair<size_t, std::string>> RtRelocs;
+  std::vector<x64::CodeImage::Reloc> RtRelocs;
 
   explicit FnCompiler(const qir::Function &F)
       : F(F), T(StencilTable::get()) {}
@@ -337,7 +335,7 @@ private:
     size_t Pos = emit(T.CallR10);
     size_t Field = Pos + T.CallR10.Patches[0].Off;
     patch64(Field, reinterpret_cast<uint64_t>(Addr));
-    RtRelocs.emplace_back(Field, Sym);
+    RtRelocs.push_back({Field, Sym});
     killChain();
   }
 
@@ -547,7 +545,7 @@ private:
       size_t Field = Pos + T.TrapStub[Idx].Patches[0].Off;
       patch64(Field, reinterpret_cast<uint64_t>(
                          rt::runtimeSymbolAddress("rt_trap")));
-      RtRelocs.emplace_back(Field, "rt_trap");
+      RtRelocs.push_back({Field, "rt_trap"});
     }
     for (const TrapFix &Fix : TrapFixes)
       patchRel32(Fix.Pos, StubPos[Fix.Stub]);
@@ -926,37 +924,6 @@ private:
 
 } // namespace
 
-// --- Module ---------------------------------------------------------------
-
-void *StencilModule::entry(const std::string &Name) {
-  for (const FnInfo &Fn : Fns)
-    if (Fn.Name == Name)
-      return const_cast<uint8_t *>(codeBase()) + Fn.Offset;
-  return nullptr;
-}
-
-size_t StencilModule::codeSize(const std::string &Name) const {
-  for (const FnInfo &Fn : Fns)
-    if (Fn.Name == Name)
-      return Fn.Size;
-  return 0;
-}
-
-std::vector<tv::TvFunction> StencilModule::tvFunctions() const {
-  std::vector<tv::TvFunction> Out;
-  for (const FnInfo &Fn : Fns) {
-    tv::TvFunction TF;
-    TF.Name = Fn.Name;
-    TF.Code = codeBase() + Fn.Offset;
-    TF.Size = Fn.Size;
-    for (const RtReloc &R : Relocs)
-      if (R.Offset >= Fn.Offset && R.Offset < Fn.Offset + Fn.Size)
-        TF.Relocs.push_back({R.Offset - Fn.Offset, 8, R.Symbol});
-    Out.push_back(std::move(TF));
-  }
-  return Out;
-}
-
 // --- Compile driver -------------------------------------------------------
 
 std::unique_ptr<backend::CompiledModule>
@@ -973,23 +940,20 @@ StencilBackend::compile(const qir::Module &M,
     }
   }
 
-  std::vector<std::vector<uint8_t>> Codes;
-  std::vector<std::vector<std::pair<size_t, std::string>>> FnRelocs;
+  std::vector<x64::CodeImage::Piece> Pieces;
   uint64_t FrameBytes = 0;
   {
     TimeTraceScope Scope(Trace, "stencil.codegen");
     for (const auto &F : M.functions()) {
       FnCompiler FC(*F);
       FC.compile();
-      Result->Fns.push_back({F->name(), 0, FC.Out.size()});
       FrameBytes += FC.frameSize();
-      Codes.push_back(std::move(FC.Out));
-      FnRelocs.push_back(std::move(FC.RtRelocs));
+      Pieces.push_back({F->name(), std::move(FC.Out), std::move(FC.RtRelocs)});
       if (Opts.Verify.Mc) {
         // The stencil compiler patches every field before this point, so
         // the bytes are final: no relocations to exempt.
-        std::string Err =
-            x64::lintFunction(Codes.back().data(), Codes.back().size());
+        const std::vector<uint8_t> &Code = Pieces.back().Code;
+        std::string Err = x64::lintFunction(Code.data(), Code.size());
         if (!Err.empty()) {
           fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                   F->name().c_str());
@@ -1001,27 +965,12 @@ StencilBackend::compile(const qir::Module &M,
 
   {
     TimeTraceScope Scope(Trace, "stencil.link");
-    size_t Total = 0;
-    for (const auto &C : Codes)
-      Total = ((Total + 15) & ~size_t(15)) + C.size();
-    Result->Mem.allocate(Total ? Total : 1);
-    size_t Off = 0;
-    for (size_t I = 0; I != Codes.size(); ++I) {
-      Off = (Off + 15) & ~size_t(15);
-      std::memcpy(Result->Mem.base() + Off, Codes[I].data(),
-                  Codes[I].size());
-      Result->Fns[I].Offset = Off;
-      for (auto &[RelOff, Sym] : FnRelocs[I])
-        Result->Relocs.push_back({Off + RelOff, std::move(Sym)});
-      Off += Codes[I].size();
-    }
-    Result->CodeBytes = Total;
-    Result->Mem.makeExecutable();
+    Result->image().link(Pieces);
   }
 
   if (Opts.Obs.Metrics) {
     obs::MetricsRegistry &Reg = *Opts.Obs.Metrics;
-    Reg.counter("mem.stencil.code.bytes").add(Result->CodeBytes);
+    Reg.counter("mem.stencil.code.bytes").add(Result->image().codeBytes());
     Reg.counter("mem.stencil.frame.bytes").add(FrameBytes);
     Reg.counter("mem.stencil.compiles").inc();
   }
@@ -1038,110 +987,7 @@ StencilBackend::compile(const qir::Module &M,
   return Result;
 }
 
-// --- Persistent-cache serialization ---------------------------------------
-
-bool StencilModule::serialize(std::vector<uint8_t> &Out) const {
-  // Refuse to persist a module whose call targets cannot be re-resolved
-  // by name in another process.
-  for (const RtReloc &R : Relocs)
-    if (!rt::runtimeSymbolAddress(R.Symbol))
-      return false;
-
-  ByteWriter W;
-  W.bytes(codeBase(), CodeBytes);
-  W.u64(Fns.size());
-  for (const FnInfo &Fn : Fns) {
-    W.str(Fn.Name);
-    W.u64(Fn.Offset);
-    W.u64(Fn.Size);
-  }
-  W.u64(Relocs.size());
-  for (const RtReloc &R : Relocs) {
-    W.u64(R.Offset);
-    W.str(R.Symbol);
-  }
-  Out = W.take();
-  return true;
-}
-
-namespace qcf::stencil {
-
-/// Shared decode/patch steps of the two deserialization paths.
-struct StencilPayloadCodec {
-  static bool parse(const uint8_t *Data, size_t Len, StencilModule &Result,
-                    const uint8_t **CodeOut, size_t *CodeLenOut);
-  static void patch(const StencilModule &M, uint8_t *PatchBase);
-};
-
-bool StencilPayloadCodec::parse(const uint8_t *Data, size_t Len,
-                                StencilModule &Result,
-                                const uint8_t **CodeOut,
-                                size_t *CodeLenOut) {
-  ByteReader R(Data, Len);
-  auto [Code, CodeLen] = R.bytes();
-  uint64_t NumFns = R.u64();
-  if (!R.ok() || NumFns > Len)
-    return false;
-  for (uint64_t I = 0; I != NumFns; ++I) {
-    StencilModule::FnInfo Fn;
-    Fn.Name = R.str();
-    Fn.Offset = R.u64();
-    Fn.Size = R.u64();
-    if (!R.ok() || Fn.Offset + Fn.Size > CodeLen)
-      return false;
-    Result.Fns.push_back(std::move(Fn));
-  }
-  uint64_t NumRelocs = R.u64();
-  if (!R.ok() || NumRelocs > Len)
-    return false;
-  for (uint64_t I = 0; I != NumRelocs; ++I) {
-    StencilModule::RtReloc Rel;
-    Rel.Offset = R.u64();
-    Rel.Symbol = R.str();
-    if (!R.ok() || Rel.Offset + 8 > CodeLen)
-      return false;
-    if (!rt::runtimeSymbolAddress(Rel.Symbol))
-      return false; // Unknown symbol: treat as a cache miss.
-    Result.Relocs.push_back(std::move(Rel));
-  }
-  if (!R.ok())
-    return false;
-  *CodeOut = Code;
-  *CodeLenOut = CodeLen;
-  return true;
-}
-
-/// Writes each recorded runtime address over its movabs imm64.
-void StencilPayloadCodec::patch(const StencilModule &M, uint8_t *PatchBase) {
-  for (const StencilModule::RtReloc &Rel : M.Relocs) {
-    uint64_t Target =
-        reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Rel.Symbol));
-    std::memcpy(PatchBase + Rel.Offset, &Target, 8);
-  }
-}
-
-} // namespace qcf::stencil
-
 std::unique_ptr<backend::CompiledModule>
 StencilBackend::deserialize(const uint8_t *Data, size_t Len) {
-  auto Result = std::make_unique<StencilModule>();
-  const uint8_t *Code = nullptr;
-  size_t CodeLen = 0;
-  if (!StencilPayloadCodec::parse(Data, Len, *Result, &Code, &CodeLen))
-    return nullptr;
-  Result->CodeBytes = CodeLen;
-  // Install into the dual-view code arena: copy + patch through the RW
-  // view, run through the RX view (see x64/ExecArena.h).
-  if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(CodeLen)) {
-    std::memcpy(Blk.Rw, Code, CodeLen);
-    StencilPayloadCodec::patch(*Result, Blk.Rw);
-    Result->CodeBase = Blk.Rx;
-    return Result;
-  }
-  // Arena unavailable (no memfd) or empty module: private W^X mapping.
-  Result->Mem.allocate(CodeLen ? CodeLen : 1);
-  std::memcpy(Result->Mem.base(), Code, CodeLen);
-  StencilPayloadCodec::patch(*Result, Result->Mem.base());
-  Result->Mem.makeExecutable();
-  return Result;
+  return backend::installImage<StencilModule>(Data, Len);
 }

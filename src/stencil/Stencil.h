@@ -22,52 +22,12 @@
 #ifndef QCF_STENCIL_STENCIL_H
 #define QCF_STENCIL_STENCIL_H
 
-#include "backend/Backend.h"
-#include "x64/ExecMemory.h"
-#include <vector>
+#include "backend/ImageModule.h"
 
 namespace qcf::stencil {
 
 /// Machine code produced by the stencil back-end.
-class StencilModule : public backend::CompiledModule {
-public:
-  void *entry(const std::string &Name) override;
-
-  size_t codeSize(const std::string &Name) const;
-
-  /// Persists code bytes, the entry-symbol table, and the named
-  /// runtime-call relocation records (see DiskCodeCache).
-  bool serialize(std::vector<uint8_t> &Out) const override;
-
-  /// Per-function code views with imm64 runtime-call relocations, for
-  /// translation validation (QCF_VERIFY=tv). Works off codeBase(), so
-  /// cache-loaded modules expose their re-patched arena bytes.
-  std::vector<tv::TvFunction> tvFunctions() const override;
-
-private:
-  friend class StencilBackend;
-  friend struct StencilPayloadCodec;
-  x64::ExecMemory Mem;
-  /// Where the code actually lives: compiled modules own a private W^X
-  /// mapping (Mem); cache-loaded modules sit in the shared dual-view
-  /// code arena and CodeBase is their RX view.
-  const uint8_t *codeBase() const { return CodeBase ? CodeBase : Mem.base(); }
-  const uint8_t *CodeBase = nullptr;
-  size_t CodeBytes = 0;
-  struct FnInfo {
-    std::string Name;
-    size_t Offset;
-    size_t Size;
-  };
-  std::vector<FnInfo> Fns;
-  /// Runtime-call sites: the imm64 of a movabs at module offset Offset
-  /// holds the address of runtime symbol Symbol.
-  struct RtReloc {
-    size_t Offset;
-    std::string Symbol;
-  };
-  std::vector<RtReloc> Relocs;
-};
+class StencilModule final : public backend::ImageModule {};
 
 /// The copy-and-patch back-end.
 class StencilBackend : public backend::Backend {

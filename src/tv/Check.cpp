@@ -22,6 +22,7 @@
 #include "obs/Metrics.h"
 #include "tv/Sim.h"
 #include "tv/Tv.h"
+#include "x64/CodeImage.h"
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -454,4 +455,19 @@ std::string tv::validateModule(const qir::Module &M,
     Metrics->histogram("tv_ns").observe(St.Ns);
   }
   return FirstErr;
+}
+
+std::vector<TvFunction> tv::imageFunctions(const x64::CodeImage &Img) {
+  std::vector<TvFunction> Out;
+  for (const x64::CodeImage::Function &Fn : Img.functions()) {
+    TvFunction TF;
+    TF.Name = Fn.Name;
+    TF.Code = Img.base() + Fn.Offset;
+    TF.Size = Fn.Size;
+    for (const x64::CodeImage::Reloc &R : Img.relocs())
+      if (R.Offset >= Fn.Offset && R.Offset - Fn.Offset < Fn.Size)
+        TF.Relocs.push_back({R.Offset - Fn.Offset, 8, R.Symbol});
+    Out.push_back(std::move(TF));
+  }
+  return Out;
 }

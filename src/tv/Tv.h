@@ -44,6 +44,9 @@
 namespace qcf::obs {
 class MetricsRegistry;
 }
+namespace qcf::x64 {
+class CodeImage;
+}
 
 namespace qcf::tv {
 
@@ -97,6 +100,12 @@ std::string validateModule(const qir::Module &M,
                            const std::vector<TvFunction> &Fns,
                            const TvOptions &Opts,
                            obs::MetricsRegistry *Metrics = nullptr);
+
+/// Per-function views of a linked or installed native image, with its
+/// imm64 runtime relocations made function-relative. Pointers reference
+/// the image's executable memory, so a warm image exposes its re-patched
+/// bytes.
+std::vector<TvFunction> imageFunctions(const x64::CodeImage &Img);
 
 } // namespace qcf::tv
 

@@ -20,11 +20,14 @@
 /// single mprotect (TLB shootdown) can cost as much as the entire parse +
 /// checksum + relocation re-patch. Compile-path modules keep using
 /// ExecMemory: a compile is hundreds of microseconds anyway, and its
-/// private mapping is reclaimed on module destruction.
+/// private mapping is reclaimed on module destruction. Both routes are
+/// taken in one place, x64::CodeImage (link() and install()).
 ///
-/// The arena is append-only: blocks are never returned. Only disk-cache
-/// installs allocate here, and a block is exactly the module's code bytes,
-/// so growth is bounded by the total code ever warm-loaded by the process.
+/// The arena is append-only: blocks are never returned. Only warm installs
+/// (CodeImage::install, and mlvm's cached ELF link) allocate here, and a
+/// block is exactly the module's code bytes, so growth is bounded by the
+/// total code ever warm-loaded by the process. DiskCodeCache publishes
+/// bytesAllocated() as the code.arena.bytes gauge.
 ///
 //===----------------------------------------------------------------------===//
 

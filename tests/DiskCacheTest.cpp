@@ -20,6 +20,7 @@
 #include "craneline/Craneline.h"
 #include "qir/Builder.h"
 #include "runtime/Runtime.h"
+#include "x64/ExecArena.h"
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -202,6 +203,8 @@ void roundTrip(const char *BackendName) {
   ASSERT_NE(Warm, nullptr);
   EXPECT_EQ(Cache.stats().Hits, 1u);
   checkRelocModule(*Warm);
+  EXPECT_EQ(Reg.snapshot().gauge("code.arena.bytes"),
+            static_cast<int64_t>(x64::ExecArena::global().bytesAllocated()));
 
   // The warm module must serialize back to byte-identical payload — the
   // differential half of the warm-restart acceptance criterion.

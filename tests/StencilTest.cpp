@@ -21,9 +21,9 @@
 #include "runtime/Runtime.h"
 #include "stencil/Stencil.h"
 #include "stencil/Stencils.h"
-#include "support/ByteIo.h"
 #include "tests/Corpus.h"
 #include "tests/DiffHarness.h"
+#include "tests/ImagePayload.h"
 #include "tv/Tv.h"
 #include "x64/EncodingLint.h"
 #include <algorithm>
@@ -280,63 +280,6 @@ TEST(Stencil, DiskCacheRoundTrip) {
 // Mutation tests: corrupted patch records must not pass verification
 //===----------------------------------------------------------------------===//
 
-/// The stencil payload, decomposed for surgical corruption. Mirrors
-/// StencilModule::serialize (see stencil/Stencil.cpp).
-struct Payload {
-  std::vector<uint8_t> Code;
-  struct Fn {
-    std::string Name;
-    uint64_t Offset, Size;
-  };
-  std::vector<Fn> Fns;
-  struct Reloc {
-    uint64_t Offset;
-    std::string Symbol;
-  };
-  std::vector<Reloc> Relocs;
-
-  static Payload parse(const std::vector<uint8_t> &Blob) {
-    Payload P;
-    ByteReader R(Blob.data(), Blob.size());
-    auto [Code, CodeLen] = R.bytes();
-    P.Code.assign(Code, Code + CodeLen);
-    uint64_t NumFns = R.u64();
-    for (uint64_t I = 0; I != NumFns; ++I) {
-      Fn F;
-      F.Name = R.str();
-      F.Offset = R.u64();
-      F.Size = R.u64();
-      P.Fns.push_back(std::move(F));
-    }
-    uint64_t NumRelocs = R.u64();
-    for (uint64_t I = 0; I != NumRelocs; ++I) {
-      Reloc Rel;
-      Rel.Offset = R.u64();
-      Rel.Symbol = R.str();
-      P.Relocs.push_back(std::move(Rel));
-    }
-    EXPECT_TRUE(R.ok()) << "stencil payload failed to parse";
-    return P;
-  }
-
-  std::vector<uint8_t> build() const {
-    ByteWriter W;
-    W.bytes(Code.data(), Code.size());
-    W.u64(Fns.size());
-    for (const Fn &F : Fns) {
-      W.str(F.Name);
-      W.u64(F.Offset);
-      W.u64(F.Size);
-    }
-    W.u64(Relocs.size());
-    for (const Reloc &R : Relocs) {
-      W.u64(R.Offset);
-      W.str(R.Symbol);
-    }
-    return W.take();
-  }
-};
-
 /// Deserializes \p Blob and translation-validates it against \p M,
 /// returning the tv diagnostic ("" = passed).
 std::string tvAfterDeserialize(const qir::Module &M,
@@ -356,12 +299,12 @@ TEST(StencilMutation, RelocWithWrongOffsetIsCaught) {
   std::vector<uint8_t> Blob;
   ASSERT_TRUE(Fresh->serialize(Blob));
 
-  Payload P = Payload::parse(Blob);
-  ASSERT_FALSE(P.Relocs.empty());
+  ImagePayload P = ImagePayload::parse(Blob);
+  ASSERT_FALSE(P.Image.Relocs.empty());
   // Shift the first relocation by one byte: deserialize patches the
   // runtime address one byte off inside the movabs, garbling both the
   // immediate and the byte after it.
-  P.Relocs[0].Offset += 1;
+  P.Image.Relocs[0].Offset += 1;
   std::vector<uint8_t> Bad = P.build();
   EXPECT_NE(tvAfterDeserialize(M, Bad), "")
       << "shifted relocation offset must not validate";
@@ -392,14 +335,14 @@ TEST(StencilMutation, StaleImm64WithDroppedRelocIsCaught) {
   std::vector<uint8_t> Blob;
   ASSERT_TRUE(Fresh->serialize(Blob));
 
-  Payload P = Payload::parse(Blob);
-  ASSERT_FALSE(P.Relocs.empty());
+  ImagePayload P = ImagePayload::parse(Blob);
+  ASSERT_FALSE(P.Image.Relocs.empty());
   // Drop the record for one call-target imm64 and plant a stale address
   // in the code bytes — the shape a warm restart would see if a blob
   // from a previous process leaked its raw pointers. Deserialize leaves
   // the bytes unpatched; tv must refuse the unknown call target.
-  Payload::Reloc Dropped = P.Relocs.back();
-  P.Relocs.pop_back();
+  x64::CodeImage::Reloc Dropped = P.Image.Relocs.back();
+  P.Image.Relocs.pop_back();
   ASSERT_LE(Dropped.Offset + 8, P.Code.size());
   uint64_t Stale = 0x4242424242424242ull;
   std::memcpy(P.Code.data() + Dropped.Offset, &Stale, 8);
@@ -415,7 +358,7 @@ TEST(StencilMutation, CorruptedContinuationJumpIsCaught) {
   std::vector<uint8_t> Blob;
   ASSERT_TRUE(Fresh->serialize(Blob));
 
-  Payload P = Payload::parse(Blob);
+  ImagePayload P = ImagePayload::parse(Blob);
   // Locate the conditional continuation jump the compiler patched: the
   // TestJnz fragment is `test rax, rax; jnz rel32`.
   const stencil::Fragment &TJ = stencil::StencilTable::get().TestJnz;
@@ -470,9 +413,9 @@ TEST(StencilMutation, UnknownRelocSymbolDegradesToCacheMiss) {
   auto Fresh = BE.compile(M);
   std::vector<uint8_t> Blob;
   ASSERT_TRUE(Fresh->serialize(Blob));
-  Payload P = Payload::parse(Blob);
-  ASSERT_FALSE(P.Relocs.empty());
-  P.Relocs[0].Symbol = "rt_no_such_helper";
+  ImagePayload P = ImagePayload::parse(Blob);
+  ASSERT_FALSE(P.Image.Relocs.empty());
+  P.Image.Relocs[0].Symbol = "rt_no_such_helper";
   auto Bad = P.build();
   EXPECT_EQ(BE.deserialize(Bad.data(), Bad.size()), nullptr);
 }

@@ -8,7 +8,6 @@
 #include "support/Bitset.h"
 #include "support/MemContext.h"
 #include "support/Hash.h"
-#include "support/InlineVector.h"
 #include "support/Int128.h"
 #include "support/Rng.h"
 #include "support/TimeTrace.h"
@@ -185,59 +184,6 @@ TEST(MemPool, CountersDriveMemContextPhaseDeltas) {
 TEST(MemPool, AllocModeFromEnvParses) {
   EXPECT_STREQ(allocModeName(AllocMode::Heap), "heap");
   EXPECT_STREQ(allocModeName(AllocMode::Arena), "arena");
-}
-
-// --- InlineVector -----------------------------------------------------------
-
-TEST(InlineVector, StaysInlineForSmallSizes) {
-  InlineVector<int, 4> V;
-  for (int I = 0; I != 4; ++I)
-    V.push_back(I);
-  EXPECT_EQ(V.size(), 4u);
-  for (int I = 0; I != 4; ++I)
-    EXPECT_EQ(V[I], I);
-}
-
-TEST(InlineVector, SpillsToHeap) {
-  InlineVector<int, 2> V;
-  for (int I = 0; I != 100; ++I)
-    V.push_back(I);
-  EXPECT_EQ(V.size(), 100u);
-  for (int I = 0; I != 100; ++I)
-    EXPECT_EQ(V[I], I);
-}
-
-TEST(InlineVector, CopyAndMove) {
-  InlineVector<std::string, 2> V;
-  V.push_back("a");
-  V.push_back("b");
-  V.push_back("c"); // spills
-  InlineVector<std::string, 2> C = V;
-  EXPECT_EQ(C.size(), 3u);
-  EXPECT_EQ(C[2], "c");
-  InlineVector<std::string, 2> M = std::move(V);
-  EXPECT_EQ(M.size(), 3u);
-  EXPECT_EQ(M[0], "a");
-  EXPECT_EQ(V.size(), 0u);
-}
-
-TEST(InlineVector, ResizeAndClear) {
-  InlineVector<int, 2> V;
-  V.resize(10);
-  EXPECT_EQ(V.size(), 10u);
-  EXPECT_EQ(V[9], 0);
-  V.resize(1);
-  EXPECT_EQ(V.size(), 1u);
-  V.clear();
-  EXPECT_TRUE(V.empty());
-}
-
-TEST(InlineVector, EmplaceAndPop) {
-  InlineVector<std::pair<int, int>, 2> V;
-  V.emplace_back(1, 2);
-  EXPECT_EQ(V.back().second, 2);
-  V.pop_back();
-  EXPECT_TRUE(V.empty());
 }
 
 // --- Rng --------------------------------------------------------------------
