@@ -112,8 +112,8 @@ inline std::pair<double, double> suiteRunSec(Suite &S,
     db::ExecResult R = db::executeQuery(P, BE, S.Cat, &Out);
     if (R.Trapped)
       reportFatalError("benchmark query trapped");
-    Compile += R.CompileSec;
-    Exec += R.ExecSec;
+    Compile += 1e-9 * R.Stats.CompileNs;
+    Exec += 1e-9 * R.Stats.ExecNs;
   }
   return {Compile, Exec};
 }

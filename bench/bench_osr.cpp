@@ -76,7 +76,7 @@ void forcedRun(db::CompiledPlan &Plan, backend::Backend &Fast,
   db::ExecResult Res = db::executeQuery(Plan, Opt, Cat, &Out, O);
   if (Res.Trapped)
     reportFatalError("benchmark query trapped");
-  double Sec = Res.CompileSec + Res.ExecSec;
+  double Sec = 1e-9 * (Res.Stats.CompileNs + Res.Stats.ExecNs);
   if (Sec < Best.Sec) {
     Best.Sec = Sec;
     Best.Swaps = Res.Stats.OsrSwaps;

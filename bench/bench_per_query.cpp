@@ -26,8 +26,8 @@ int main() {
       auto BE = backend::createBackend(N);
       rt::OutputBuffer Out;
       db::ExecResult R = db::executeQuery(S.Plans[Q], *BE, S.Cat, &Out);
-      std::printf(" %5.1f+%6.2f",
-                  R.CompileSec * 1e3, R.ExecSec * 1e3);
+      std::printf(" %5.1f+%6.2f", R.Stats.CompileNs * 1e-6,
+                  R.Stats.ExecNs * 1e-6);
     }
     std::printf("\n");
   }

@@ -70,7 +70,8 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("backend=%s compile=%.2fms exec=%.2fms\n\n",
-              BE->name().c_str(), R.CompileSec * 1e3, R.ExecSec * 1e3);
+              BE->name().c_str(), R.Stats.CompileNs * 1e-6,
+              R.Stats.ExecNs * 1e-6);
   std::printf("year|category|sales\n%s", Out.toText().c_str());
   return 0;
 }

@@ -74,7 +74,7 @@ int main() {
   std::printf("query '%s': %zu pipelines, stalled %.3f ms on compilation, "
               "ran %.3f ms\n",
               Plan.QueryName.c_str(), Plan.Pipelines.size(),
-              R.CompileSec * 1e3, R.ExecSec * 1e3);
+              R.Stats.AsyncStallNs * 1e-6, R.Stats.ExecNs * 1e-6);
 
   backend::CompileServiceStats S = Svc.stats();
   std::printf("service: %llu jobs queued, %llu completed, queue high-water "

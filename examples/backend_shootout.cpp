@@ -37,7 +37,8 @@ int main() {
     rt::OutputBuffer Out;
     db::ExecResult R = db::executeQuery(Plan, *BE, Cat, &Out);
     std::printf("%-12s %12.2f %12.2f %8zu\n", Name.c_str(),
-                R.CompileSec * 1e3, R.ExecSec * 1e3, Out.numRows());
+                R.Stats.CompileNs * 1e-6, R.Stats.ExecNs * 1e-6,
+                Out.numRows());
   }
   return 0;
 }

@@ -31,7 +31,7 @@ int main(int argc, char **argv) {
   // regenerated from scratch each time — the cache keys on the IR, so
   // regeneration still hits.
   for (int Refresh = 0; Refresh != 3; ++Refresh) {
-    double CompileSec = 0, ExecSec = 0;
+    uint64_t CompileNs = 0, ExecNs = 0;
     size_t Rows = 0;
     for (db::Query &Q : db::tpcdsQueries()) {
       db::CompiledPlan Plan = db::compileQuery(Q, Cat);
@@ -41,14 +41,14 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "%s trapped\n", Q.Name.c_str());
         return 1;
       }
-      CompileSec += R.CompileSec;
-      ExecSec += R.ExecSec;
+      CompileNs += R.Stats.CompileNs;
+      ExecNs += R.Stats.ExecNs;
       Rows += Out.numRows();
     }
     backend::CacheStats St = BE.stats();
     std::printf("refresh %d: compile %7.3f ms, execute %7.3f ms, "
                 "%zu rows  (cache: %llu hits, %llu misses)\n",
-                Refresh, CompileSec * 1e3, ExecSec * 1e3, Rows,
+                Refresh, CompileNs * 1e-6, ExecNs * 1e-6, Rows,
                 static_cast<unsigned long long>(St.Hits),
                 static_cast<unsigned long long>(St.Misses));
   }

@@ -261,21 +261,9 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     // blocking it behind the storm.
     SubmitOutcome SO =
         Svc->submit(M, *Inner, CompilePriority::Foreground, Opts);
-    if (const qcf::CancelToken *Ct = Opts.Cancel) {
-      while (SO.Ticket.valid() && !SO.Ticket.waitFor(1'000'000)) {
-        if (Ct->stopped()) {
-          // Cancel-before-run. If the job already started, the worker
-          // holds a reference to M — wait it out (bounded by one compile
-          // latency) instead of returning while M is still in use.
-          if (!SO.Ticket.cancel())
-            SO.Ticket.wait();
-          break;
-        }
-      }
-      Compiled = SO.Ticket.poll();
-    } else {
-      Compiled = SO.Ticket.wait(); // Null if the service shut down mid-job.
-    }
+    // Null if the token fired while the job was queued, or the service
+    // shut down mid-job.
+    Compiled = SO.Ticket.wait(Opts.Cancel);
   }
   if (!Compiled && Opts.Cancel && Opts.Cancel->stopped()) {
     // Cancelled while waiting (or before falling back): retire the

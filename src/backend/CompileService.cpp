@@ -35,9 +35,16 @@ std::shared_ptr<CompiledModule> CompileTicket::poll() const {
   return Job->St == CompileJob::State::Done ? Job->Result : nullptr;
 }
 
-std::shared_ptr<CompiledModule> CompileTicket::wait() const {
+std::shared_ptr<CompiledModule>
+CompileTicket::wait(const qcf::CancelToken *Cancel) {
   if (!Job)
     return nullptr;
+  if (Cancel)
+    while (!waitFor(1'000'000))
+      if (Cancel->stopped()) {
+        cancel();
+        break;
+      }
   std::unique_lock<std::mutex> Lock(Job->Mutex);
   Job->Cv.wait(Lock, [&] {
     return Job->St == CompileJob::State::Done ||
@@ -47,8 +54,6 @@ std::shared_ptr<CompiledModule> CompileTicket::wait() const {
 }
 
 bool CompileTicket::waitFor(uint64_t Ns) const {
-  if (!Job)
-    return true; // Invalid tickets are trivially terminal.
   std::unique_lock<std::mutex> Lock(Job->Mutex);
   return Job->Cv.wait_for(Lock, std::chrono::nanoseconds(Ns), [&] {
     return Job->St == CompileJob::State::Done ||

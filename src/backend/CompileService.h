@@ -106,16 +106,15 @@ public:
   /// cancelled. Never blocks.
   std::shared_ptr<CompiledModule> poll() const;
 
-  /// Blocks until the job reaches a terminal state. \returns the compiled
-  /// module, or null if the job was cancelled.
-  std::shared_ptr<CompiledModule> wait() const;
-
-  /// Waits up to \p Ns nanoseconds for a terminal state. \returns true
-  /// once the job is terminal (poll() then yields the result, if any);
-  /// false on timeout. Invalid tickets are trivially terminal. The
-  /// building block for cancellable waits: tick, check the caller's
-  /// CancelToken, repeat.
-  bool waitFor(uint64_t Ns) const;
+  /// Blocks until the job reaches a terminal state. With \p Cancel the
+  /// wait checks the token every millisecond; once it fires, a
+  /// still-queued job is cancelled (cancel-before-run, so an abandoned
+  /// compile holds no service slot), and a job already running is waited
+  /// out, because its worker still reads the submitted module. The
+  /// ticket is terminal on return. \returns the compiled module, or null
+  /// if the job was cancelled.
+  std::shared_ptr<CompiledModule>
+  wait(const qcf::CancelToken *Cancel = nullptr);
 
   /// Cancels the job if it has not started running. \returns true on
   /// success; false if it already ran (or is running), in which case the
@@ -126,6 +125,10 @@ private:
   friend class CompileService;
   explicit CompileTicket(std::shared_ptr<detail::CompileJob> Job)
       : Job(std::move(Job)) {}
+
+  /// Waits up to \p Ns nanoseconds for a terminal state. \returns true
+  /// once the job is terminal.
+  bool waitFor(uint64_t Ns) const;
 
   std::shared_ptr<detail::CompileJob> Job;
 };

@@ -52,123 +52,45 @@ AdaptiveModule::AdaptiveModule(const qir::Module &M,
     RunCounts.emplace_back(F->name(), 0);
 }
 
-AdaptiveModule::~AdaptiveModule() {
-  // A pending optimizing compile references our module; it must not
-  // outlive us. Cancel it if it has not started, otherwise wait it out.
-  if (HasPending.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!PendingTicket.cancel())
-      PendingTicket.wait();
-  }
-}
-
 void *AdaptiveModule::entry(const std::string &Name) {
   // Lock-free fast path: after the swap, reads go straight to the
   // optimized tier.
-  if (CompiledModule *P = Promoted.load(std::memory_order_acquire)) {
+  CompiledModule *P = Opt.installed();
+  if (!P && promoted(Opt.poll()))
+    P = Opt.installed();
+  if (P)
     if (void *E = P->entry(Name))
       return E;
-    return Fast->entry(Name);
-  }
-  if (HasPending.load(std::memory_order_acquire)) {
-    pollPromotion();
-    if (CompiledModule *P = Promoted.load(std::memory_order_acquire))
-      if (void *E = P->entry(Name))
-        return E;
-  }
   return Fast->entry(Name);
 }
 
-bool AdaptiveModule::installPromotedLocked(
-    std::shared_ptr<CompiledModule> Opt) {
-  if (!Opt)
-    return false;
-  PromotedKeeper = std::move(Opt);
-  // Entry-pointer swap: publish after ownership is pinned; entry()'s
-  // acquire load pairs with this release store.
-  Promoted.store(PromotedKeeper.get(), std::memory_order_release);
-  HasPending.store(false, std::memory_order_release);
-  PendingTicket = CompileTicket();
+bool AdaptiveModule::promoted(bool ByThisCall) {
   // Promotion observability: how often tiers swap, and how long a
   // function stays on the fast tier after the heuristic fires.
-  Reg->counter("adaptive.promotions").inc();
-  if (PromoteSubmitNs)
+  // PromoteSubmitNs was written before the TierUp started (or installed),
+  // which happens-before this install.
+  if (ByThisCall) {
+    Reg->counter("adaptive.promotions").inc();
     Reg->histogram("adaptive.promote.ns").observe(nowNs() - PromoteSubmitNs);
-  PromoteSubmitNs = 0;
-  return true;
-}
-
-bool AdaptiveModule::pollPromotion() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return false;
-  if (std::shared_ptr<CompiledModule> Opt = PendingTicket.poll())
-    return installPromotedLocked(std::move(Opt));
-  if (PendingTicket.done()) {
-    // Cancelled (service shut down): give up on this promotion.
-    HasPending.store(false, std::memory_order_release);
-    PendingTicket = CompileTicket();
   }
-  return false;
-}
-
-void AdaptiveModule::waitForPromotion() {
-  if (!HasPending.load(std::memory_order_acquire))
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return;
-  installPromotedLocked(PendingTicket.wait());
-  HasPending.store(false, std::memory_order_release);
-}
-
-CompileTicket AdaptiveModule::requestPromotion(CompileService *Svc) {
-  if (isPromoted())
-    return CompileTicket();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (isPromoted())
-    return CompileTicket();
-  if (HasPending.load(std::memory_order_acquire))
-    return PendingTicket;
-  CompileService *Target = Service ? Service : Svc;
-  if (!Target)
-    return CompileTicket();
-  OptBackend = std::make_unique<mlvm::MlvmBackend>(mlvm::MlvmOptions::opt());
-  PromoteSubmitNs = nowNs();
-  PendingTicket =
-      Target->submit(M, *OptBackend, CompilePriority::Background).Ticket;
-  if (!PendingTicket.valid()) {
-    // Rejected (bounded queue full): promotion stays speculative — drop
-    // the attempt; a later noteExecution() threshold crossing retries.
-    OptBackend.reset();
-    return CompileTicket();
-  }
-  HasPending.store(true, std::memory_order_release);
-  return PendingTicket;
-}
-
-CompileTicket AdaptiveModule::promotionTicket() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HasPending.load(std::memory_order_acquire))
-    return CompileTicket();
-  return PendingTicket;
+  return ByThisCall;
 }
 
 bool AdaptiveModule::noteExecution(const std::string &Name) {
   if (isPromoted())
     return false;
-  if (HasPending.load(std::memory_order_acquire))
-    return pollPromotion();
+  if (promotionPending())
+    return promoted(Opt.poll());
 
   std::unique_lock<std::mutex> Lock(Mutex);
   // Another thread may have crossed the threshold while this one waited
-  // for the lock. Submitting again would replace OptBackend (which its
-  // queued or running job still references) and PendingTicket.
+  // for the lock. Submitting again would replace OptBackend, which its
+  // queued or running job still references.
   if (isPromoted())
     return false;
-  if (HasPending.load(std::memory_order_acquire)) {
+  if (promotionPending()) {
     Lock.unlock();
-    return pollPromotion();
+    return promoted(Opt.poll());
   }
   for (auto &[N, Count] : RunCounts) {
     if (N != Name)
@@ -179,29 +101,25 @@ bool AdaptiveModule::noteExecution(const std::string &Name) {
     const qir::Function *F = M.functionByName(Name);
     if (!F || F->sizeHeuristic() < SizeThreshold)
       return false;
-    if (Service) {
-      // Non-blocking promotion: the optimizing compile runs on a service
-      // worker; callers keep executing the fast tier until the ticket
-      // completes and entry() swaps tiers.
-      OptBackend = std::make_unique<mlvm::MlvmBackend>(mlvm::MlvmOptions::opt());
-      PromoteSubmitNs = nowNs();
-      PendingTicket =
-          Service->submit(M, *OptBackend, CompilePriority::Background).Ticket;
-      if (!PendingTicket.valid()) {
-        // Rejected (bounded queue full): drop the speculative promotion;
-        // a later threshold crossing retries.
-        OptBackend.reset();
-        return false;
-      }
-      HasPending.store(true, std::memory_order_release);
-      Lock.unlock();
-      // The degraded (post-shutdown) service completes synchronously; in
-      // that case install right away instead of waiting for a poll.
-      return pollPromotion();
-    }
-    mlvm::MlvmBackend Opt(mlvm::MlvmOptions::opt());
+    OptBackend = std::make_unique<mlvm::MlvmBackend>(mlvm::MlvmOptions::opt());
     PromoteSubmitNs = nowNs();
-    return installPromotedLocked(Opt.compile(M));
+    if (!Service)
+      return promoted(Opt.install(OptBackend->compile(M)));
+    // Non-blocking promotion: the optimizing compile runs on a service
+    // worker; callers keep executing the fast tier until it lands.
+    CompileTicket T =
+        Service->submit(M, *OptBackend, CompilePriority::Background).Ticket;
+    if (!T.valid()) {
+      // Rejected (bounded queue full): drop the speculative promotion;
+      // a later threshold crossing retries.
+      OptBackend.reset();
+      return false;
+    }
+    Opt.start(std::move(T));
+    Lock.unlock();
+    // The degraded (post-shutdown) service completes synchronously; in
+    // that case install right away instead of waiting for a poll.
+    return promoted(Opt.poll());
   }
   return false;
 }

@@ -11,8 +11,8 @@
 /// whether to recompile with MLVM-optimized, after which subsequent
 /// executions use the optimized code. With a CompileService attached, the
 /// optimizing recompile runs on a service worker at Background priority
-/// and the module atomically swaps entry pointers when it completes —
-/// callers never stall on MLVM.
+/// and the module's TierUp (backend/TierUp.h) installs it when it
+/// completes — callers never stall on MLVM.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +21,7 @@
 
 #include "backend/Backend.h"
 #include "backend/CompileService.h"
-#include <atomic>
-#include <functional>
+#include "backend/TierUp.h"
 #include <mutex>
 #include <vector>
 
@@ -37,8 +36,8 @@ std::unique_ptr<Backend> createBackend(const std::string &Name);
 std::vector<std::string> allBackendNames();
 
 /// The adaptive back-end. compile() uses DirectEmit; callers then invoke
-/// maybePromote() after executions, which recompiles with MLVM-opt when
-/// the size heuristic deems optimization beneficial.
+/// AdaptiveModule::noteExecution() after executions, which recompiles
+/// with MLVM-opt when the size heuristic deems optimization beneficial.
 class AdaptiveBackend : public Backend {
 public:
   AdaptiveBackend() = default;
@@ -61,9 +60,10 @@ public:
 };
 
 /// The module wrapper the adaptive back-end hands out; entry() returns the
-/// current tier's code. Thread-safe: entry() is a lock-free atomic read of
-/// the promoted tier with a fallback to the fast tier, and the tier swap
-/// is a single release store once the optimized compile lands.
+/// current tier's code. It keeps only the promotion policy (run count and
+/// code size); the pending recompile and the tier swap are a TierUp, so
+/// entry() is a lock-free read of the installed tier with a fallback to
+/// the fast tier.
 class AdaptiveModule : public CompiledModule {
 public:
   /// \p Reg receives promotion metrics (count + submit-to-install
@@ -72,7 +72,6 @@ public:
                  uint32_t SizeThreshold, uint32_t RunsThreshold,
                  CompileService *Service = nullptr,
                  obs::MetricsRegistry *Reg = nullptr);
-  ~AdaptiveModule();
 
   void *entry(const std::string &Name) override;
 
@@ -83,58 +82,29 @@ public:
   /// optimized tier was installed by this call.
   bool noteExecution(const std::string &Name);
 
-  bool isPromoted() const {
-    return Promoted.load(std::memory_order_acquire) != nullptr;
-  }
+  bool isPromoted() const { return Opt.installed() != nullptr; }
   /// True while an optimizing recompile is queued or running.
-  bool promotionPending() const {
-    return HasPending.load(std::memory_order_acquire);
-  }
+  bool promotionPending() const { return Opt.pending(); }
   /// Blocks until an in-flight promotion (if any) has been installed.
-  void waitForPromotion();
-
-  /// Executor-facing promotion hook (ExecOptions::AdaptiveExec): submits
-  /// the optimizing recompile immediately, bypassing the run-count
-  /// heuristic, and exposes the in-flight ticket so morsel pickups can
-  /// poll it without taking this module's lock. Uses the back-end's
-  /// service when one was attached, else \p Svc. Idempotent: a promotion
-  /// already in flight returns its existing ticket. \returns an invalid
-  /// ticket when already promoted or no service is available.
-  CompileTicket requestPromotion(CompileService *Svc = nullptr);
-
-  /// The in-flight promotion ticket, if any (invalid otherwise). All
-  /// copies observe the same job.
-  CompileTicket promotionTicket();
-
-  /// Installs the promoted tier if the pending recompile has completed;
-  /// never blocks. The executor calls this after driving a swap through
-  /// the ticket so the module's own entry() agrees with the published
-  /// tier. \returns true if this call performed the install.
-  bool installIfReady() { return pollPromotion(); }
+  void waitForPromotion() { promoted(Opt.wait()); }
 
 private:
-  /// Installs the promoted tier if the pending ticket has completed.
-  /// \returns true if this call performed the install.
-  bool pollPromotion();
-  bool installPromotedLocked(std::shared_ptr<CompiledModule> Opt);
+  /// Records the promotion metrics when \p ByThisCall. \returns it.
+  bool promoted(bool ByThisCall);
 
   const qir::Module &M;
   std::unique_ptr<CompiledModule> Fast;
   uint32_t SizeThreshold, RunsThreshold;
   CompileService *Service;
   obs::MetricsRegistry *Reg;
+
+  std::mutex Mutex; ///< Guards the promotion decision and the state below.
   uint64_t PromoteSubmitNs = 0; ///< nowNs() when the recompile was queued.
-
-  /// The swap target read by entry(). Owned by PromotedKeeper, which is
-  /// written (under Mutex) strictly before the release store here.
-  std::atomic<CompiledModule *> Promoted{nullptr};
-  std::atomic<bool> HasPending{false};
-
-  std::mutex Mutex; ///< Guards everything below.
-  std::shared_ptr<CompiledModule> PromotedKeeper;
   std::unique_ptr<Backend> OptBackend; ///< Alive while a job may run.
-  CompileTicket PendingTicket;
   std::vector<std::pair<std::string, uint32_t>> RunCounts;
+  /// Declared last: its destructor cancels or waits out the pending job,
+  /// which references M and OptBackend.
+  TierUp Opt;
 };
 
 } // namespace qcf::backend

@@ -1,0 +1,62 @@
+//===- backend/TierUp.cpp - One pending tier promotion ---------------------===//
+//
+// Part of the QCF project.
+//
+//===----------------------------------------------------------------------===//
+
+#include "backend/TierUp.h"
+#include <cassert>
+
+using namespace qcf;
+using namespace qcf::backend;
+
+TierUp::~TierUp() {
+  if (!Ticket.cancel())
+    Ticket.wait();
+}
+
+void TierUp::start(CompileTicket T) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  assert(!pending() && !installed() && "tier-up already started");
+  Ticket = std::move(T);
+  Pending.store(Ticket.valid(), std::memory_order_release);
+}
+
+bool TierUp::install(std::shared_ptr<CompiledModule> M) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  assert(!pending() && "install over a pending compile");
+  return !installed() && settleLocked(std::move(M));
+}
+
+bool TierUp::poll() {
+  if (!pending())
+    return false;
+  std::unique_lock<std::mutex> Lock(Mutex, std::try_to_lock);
+  if (!Lock.owns_lock() || !pending())
+    return false;
+  if (std::shared_ptr<CompiledModule> M = Ticket.poll())
+    return settleLocked(std::move(M));
+  if (Ticket.done()) // Cancelled: shed by the service, or shut down.
+    settleLocked(nullptr);
+  return false;
+}
+
+bool TierUp::wait(const qcf::CancelToken *Cancel) {
+  if (!pending())
+    return false;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (!pending())
+    return false;
+  return settleLocked(Ticket.wait(Cancel));
+}
+
+bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
+  bool Installs = M != nullptr;
+  if (Installs) {
+    Keeper = std::move(M);
+    Installed.store(Keeper.get(), std::memory_order_release);
+  }
+  Ticket = CompileTicket();
+  Pending.store(false, std::memory_order_release);
+  return Installs;
+}

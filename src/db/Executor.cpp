@@ -6,13 +6,11 @@
 
 #include "db/Executor.h"
 #include "backend/Registry.h"
+#include "backend/TierUp.h"
 #include "qir/Clone.h"
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <thread>
 
@@ -41,113 +39,75 @@ struct WorkerAcct {
   uint64_t TierNs[2] = {0, 0};
 };
 
-/// Drives one pipeline's tier swap: owns the optimized-tier ticket, the
-/// swap decision, and the publication into the TierCell. atPickup is
-/// called by every worker at every morsel pickup; it is a single relaxed
-/// flag check in steady state (before the compile lands and after the
-/// terminal decision), and exactly one worker at a time probes the
-/// ticket in between.
+/// The publish policy of one pipeline's tier-up under AdaptiveExec: the
+/// optimized compile is a backend::TierUp, and this driver decides when
+/// its installed code is published into the pipeline's TierCell. atPickup
+/// runs at every morsel pickup of every worker; once the decision is
+/// terminal it is one acquire flag check. Policy-driven mode polls and
+/// never blocks; with OsrForceSwapMorsel the first worker to reach that
+/// morsel blocks in the cancellable ticket wait while the others poll.
 struct OsrDriver {
-  OsrDriver(TierCell &Cell, backend::CompileTicket Ticket, std::string FnName,
+  OsrDriver(TierCell &Cell, backend::TierUp &Up, std::string FnName,
             uint64_t Contract, const ExecOptions &Opts)
-      : Cell(Cell), Ticket(std::move(Ticket)), FnName(std::move(FnName)),
-        Contract(Contract), ForceMorsel(Opts.OsrForceSwapMorsel),
-        MinRowsRemaining(Opts.OsrMinRowsRemaining),
-        MorselSize(Opts.MorselSize) {
-    // No ticket (e.g. the Adaptive module is already on its optimized
-    // tier): nothing to drive, and nothing to count at finalize.
-    Inert = !this->Ticket.valid();
-    if (Inert)
-      Done.store(true, std::memory_order_relaxed);
+      : Cell(Cell), Up(Up), FnName(std::move(FnName)), Contract(Contract),
+        ForceMorsel(Opts.OsrForceSwapMorsel), Ctl(Opts.Control),
+        Inert(!Up.pending()) {
+    // Nothing pending (a rejected submit): nothing to drive, and nothing
+    // to count at finalize.
+    Done.store(Inert, std::memory_order_relaxed);
   }
 
-  /// Worker-side hook, invoked before executing global morsel \p Idx of
-  /// a pipeline over \p Rows source rows.
-  void atPickup(uint64_t Idx, uint64_t Rows) {
+  /// Worker-side hook, invoked before executing global morsel \p Idx.
+  void atPickup(uint64_t Idx) {
     if (Done.load(std::memory_order_acquire))
       return;
     if (ForceMorsel >= 0 && static_cast<int64_t>(Idx) < ForceMorsel)
       return;
-    bool Expected = false;
-    if (!Claim.compare_exchange_strong(Expected, true,
-                                       std::memory_order_acq_rel))
-      return; // another worker holds the probe
-    if (Done.load(std::memory_order_acquire)) {
-      Claim.store(false, std::memory_order_release);
-      return;
-    }
-    if (ForceMorsel >= 0) {
+    bool Landed;
+    if (ForceMorsel >= 0 && !Forced.exchange(true, std::memory_order_acq_rel)) {
       // Deterministic cutover: block on the compile so morsel ForceMorsel
       // is the first to run optimized code (exact when single-threaded;
       // parallel workers keep draining fast-tier morsels meanwhile).
       uint64_t W0 = nowNs();
-      std::shared_ptr<backend::CompiledModule> Opt = Ticket.wait();
-      WaitNs.fetch_add(nowNs() - W0, std::memory_order_relaxed);
-      finishAttempt(std::move(Opt), Idx, Rows);
-      return; // Claim stays held: the decision is terminal.
+      Landed = Up.wait(Ctl);
+      WaitNs.store(nowNs() - W0, std::memory_order_relaxed);
+    } else {
+      Landed = Up.poll();
     }
-    std::shared_ptr<backend::CompiledModule> Opt = Ticket.poll();
-    if (!Opt && !Ticket.done()) {
-      Claim.store(false, std::memory_order_release); // probe again later
-      return;
-    }
-    finishAttempt(std::move(Opt), Idx, Rows);
-  }
-
-  TierCell &Cell;
-  backend::CompileTicket Ticket;
-  const std::string FnName;
-  const uint64_t Contract;
-  const int64_t ForceMorsel;
-  const uint64_t MinRowsRemaining;
-  const uint64_t MorselSize;
-  bool Inert = false;
-
-  /// Swap target. Written by the publishing worker strictly before the
-  /// release store in Cell.publish(); owned here so the code outlives
-  /// every worker still executing it.
-  TierEntry OptEntry;
-  std::shared_ptr<backend::CompiledModule> OptKeeper;
-
-  std::atomic<bool> Done{false};  ///< Terminal decision reached.
-  std::atomic<bool> Claim{false}; ///< Probe mutual exclusion.
-  std::atomic<bool> Installed{false};
-  std::atomic<bool> SkippedPolicy{false};
-  std::atomic<bool> Mismatch{false};
-  std::atomic<int64_t> SwapMorsel{-1};
-  std::atomic<uint64_t> SwapNs{0};
-  std::atomic<uint64_t> WaitNs{0};
-
-private:
-  /// Terminal transition: install the optimized tier, or record why not.
-  void finishAttempt(std::shared_ptr<backend::CompiledModule> Opt,
-                     uint64_t Idx, uint64_t Rows) {
-    if (Opt) {
-      // Rows-remaining policy: rows at or after this morsel. The swap
-      // itself is one atomic store, so the default threshold of 1
-      // publishes whenever any work remains.
-      uint64_t Claimed = std::min(Rows, Idx * MorselSize);
-      if (Rows - Claimed < MinRowsRemaining) {
-        SkippedPolicy.store(true, std::memory_order_relaxed);
-      } else if (void *E = Opt->entry(FnName)) {
-        OptKeeper = std::move(Opt);
-        OptEntry.Fn = reinterpret_cast<PipeFn>(E);
-        OptEntry.Tier = OsrTierOpt;
-        OptEntry.Contract = Contract;
-        if (Cell.publish(&OptEntry)) {
-          SwapMorsel.store(static_cast<int64_t>(Idx),
-                           std::memory_order_relaxed);
-          SwapNs.store(nowNs(), std::memory_order_relaxed);
-          Installed.store(true, std::memory_order_release);
-        } else {
-          Mismatch.store(true, std::memory_order_relaxed);
-        }
+    if (Landed) {
+      // Only the installing worker gets here, and it fills OptEntry
+      // strictly before the release store in Cell.publish().
+      OptEntry.Fn = reinterpret_cast<PipeFn>(Up.installed()->entry(FnName));
+      OptEntry.Tier = OsrTierOpt;
+      OptEntry.Contract = Contract;
+      if (Cell.publish(&OptEntry)) {
+        SwapMorsel.store(static_cast<int64_t>(Idx), std::memory_order_relaxed);
+        SwapNs.store(nowNs(), std::memory_order_relaxed);
+        Installed.store(true, std::memory_order_release);
       } else {
         Mismatch.store(true, std::memory_order_relaxed);
       }
     }
-    Done.store(true, std::memory_order_release);
+    if (!Up.pending())
+      Done.store(true, std::memory_order_release);
   }
+
+  TierCell &Cell;
+  backend::TierUp &Up; ///< Owns the optimized code every worker may run.
+  const std::string FnName;
+  const uint64_t Contract;
+  const int64_t ForceMorsel;
+  ExecControl *const Ctl;
+  const bool Inert;
+
+  TierEntry OptEntry; ///< Swap target; immutable once published.
+  std::atomic<bool> Done{false};   ///< Terminal decision reached.
+  std::atomic<bool> Forced{false}; ///< The forced cutover wait is claimed.
+  std::atomic<bool> Installed{false};
+  std::atomic<bool> Mismatch{false};
+  std::atomic<int64_t> SwapMorsel{-1};
+  std::atomic<uint64_t> SwapNs{0};
+  std::atomic<uint64_t> WaitNs{0};
 };
 
 /// Runs one pipeline over [0, Rows), morsel-parallel when allowed. With
@@ -191,14 +151,13 @@ PipelineRunInfo runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
     WorkerAcct &A = Acct[T];
     uint64_t Begin = static_cast<uint64_t>(T) * Opts.MorselSize;
     while (Begin < Rows) {
-      uint64_t Idx = Begin / Opts.MorselSize;
-      // Cancellation check at the same morsel-pickup boundary the OSR
-      // hook uses: unclaimed morsels stay unclaimed, claimed ones are
-      // never torn.
+      // Cancellation check at the morsel pickup, after the OSR hook
+      // (whose forced cutover wait the token may have cut short):
+      // unclaimed morsels stay unclaimed, claimed ones are never torn.
+      if (Osr)
+        Osr->atPickup(Begin / Opts.MorselSize);
       if (Ctl && Ctl->stopped())
         break;
-      if (Osr)
-        Osr->atPickup(Idx, Rows);
       // Re-read the entry at every pickup — including the statically
       // pre-assigned first morsel, so a swap landing between spawn and
       // first pickup is honored rather than missed (the entry is never
@@ -251,8 +210,8 @@ struct ResolvedCode {
   backend::CompiledModule *Module = nullptr;
 };
 
-/// Per-query runtime state shared by the blocking, async, and adaptive
-/// paths.
+/// Per-query runtime state: context slots, runtime objects, and the
+/// pipeline loop.
 struct QueryRuntime {
   QueryRuntime(const CompiledPlan &Plan, const Catalog &Cat,
                rt::OutputBuffer *Out)
@@ -311,7 +270,7 @@ struct QueryRuntime {
   /// time, and morsel/tier accounting, and emits one timeline slice per
   /// pipeline when a sink is attached.
   template <typename ResolveFn>
-  rt::TrapCode runAllImpl(const ExecOptions &Opts, ResolveFn Resolve) {
+  rt::TrapCode runAll(const ExecOptions &Opts, ResolveFn Resolve) {
     PipeStats.resize(Plan.Pipelines.size());
     ExecControl *Ctl = Opts.Control;
     return rt::runWithTrapGuard([&] {
@@ -344,7 +303,7 @@ struct QueryRuntime {
           const RuntimeObject &Obj = Plan.Objects[P.SortObject];
           void *Cmp = nullptr;
           if (RC.Osr && RC.Osr->Installed.load(std::memory_order_acquire))
-            Cmp = RC.Osr->OptKeeper->entry(Obj.CmpFnName);
+            Cmp = RC.Osr->Up.installed()->entry(Obj.CmpFnName);
           if (!Cmp)
             Cmp = RC.Module->entry(Obj.CmpFnName);
           assert(Cmp && "missing comparator entry point");
@@ -380,26 +339,6 @@ struct QueryRuntime {
     });
   }
 
-  /// Module-per-pipeline form used by the blocking and async paths: one
-  /// static entry per pipeline, no swap driver. \p ModuleFor returning
-  /// null stops the query (cancelled while waiting on that compile).
-  rt::TrapCode
-  runAll(const ExecOptions &Opts,
-         const std::function<backend::CompiledModule *(size_t)> &ModuleFor) {
-    return runAllImpl(Opts, [&](size_t PI) -> ResolvedCode {
-      const PipelineDesc &P = Plan.Pipelines[PI];
-      backend::CompiledModule *CM = ModuleFor(PI);
-      if (!CM)
-        return ResolvedCode{};
-      auto *Fn = reinterpret_cast<PipeFn>(CM->entry(P.FnName));
-      assert(Fn && "missing pipeline entry point");
-      StaticEntries.push_back(
-          TierEntry{Fn, OsrTierFast, osrContract(P.FnName, Plan.NumCtxSlots)});
-      StaticCells.emplace_back(&StaticEntries.back());
-      return ResolvedCode{&StaticCells.back(), nullptr, CM};
-    });
-  }
-
   const CompiledPlan &Plan;
   const Catalog &Cat;
   std::vector<uint64_t> Ctx;
@@ -412,26 +351,24 @@ struct QueryRuntime {
   bool CancelObserved = false;
   /// Stable storage for per-pipeline entries/cells (deques: growth never
   /// moves elements a running pipeline still reads).
-  std::deque<TierEntry> StaticEntries;
-  std::deque<TierCell> StaticCells;
+  std::deque<TierEntry> Entries;
+  std::deque<TierCell> Cells;
   std::vector<WorkerAcct> AcctScratch;
 };
 
 /// Publishes the always-on structural query metrics and the spanning
-/// timeline slice, and mirrors QueryStats into the legacy seconds fields.
-void finishQuery(const ExecOptions &Opts, ExecResult &Result,
+/// timeline slice. \p Async: the query ran on per-pipeline tickets.
+void finishQuery(const ExecOptions &Opts, bool Async, ExecResult &Result,
                  rt::OutputBuffer *Out, uint64_t RowsBefore,
                  uint64_t QueryStartNs) {
   QueryStats &S = Result.Stats;
   S.RowsOut = Out ? Out->numRows() - RowsBefore : 0;
-  Result.CompileSec = 1e-9 * (Opts.AsyncCompile ? S.AsyncStallNs : S.CompileNs);
-  Result.ExecSec = 1e-9 * S.ExecNs;
 
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
   Reg.counter("db.queries").inc();
   Reg.counter("db.query.rows").add(S.RowsOut);
   Reg.histogram("db.query.exec_ns").observe(S.ExecNs);
-  if (Opts.AsyncCompile)
+  if (Async)
     Reg.histogram("db.query.async_stall_ns").observe(S.AsyncStallNs);
   else
     Reg.histogram("db.query.compile_ns").observe(S.CompileNs);
@@ -479,200 +416,114 @@ slicePlanModules(const CompiledPlan &Plan) {
   return Units;
 }
 
-ExecResult executeQueryAsync(const CompiledPlan &Plan, backend::Backend &BE,
-                             const Catalog &Cat, rt::OutputBuffer *Out,
-                             const ExecOptions &Opts) {
-  std::vector<std::unique_ptr<qir::Module>> Units = slicePlanModules(Plan);
-  if (Units.empty()) {
-    // Unsliceable plan: degrade to the blocking path.
-    ExecOptions Sync = Opts;
-    Sync.AsyncCompile = false;
-    return executeQuery(Plan, BE, Cat, Out, Sync);
-  }
+} // namespace
 
+ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
+                            const Catalog &Cat, rt::OutputBuffer *Out,
+                            const ExecOptions &Opts) {
   uint64_t QueryStartNs = nowNs();
   uint64_t RowsBefore = Out ? Out->numRows() : 0;
-  backend::CompileOptions CO{Opts.Obs};
-  CO.Cancel = Opts.Control;
-  CO.Mem = Opts.CompileMem;
-  CO.FairnessKey = Opts.CompileFairnessKey;
-
-  // Units must outlive the service (running jobs reference them), so the
-  // transient service is declared after them.
-  std::optional<backend::CompileService> Local;
-  backend::CompileService *Svc = Opts.Service;
-  if (!Svc) {
-    Local.emplace(Opts.AsyncCompileWorkers ? Opts.AsyncCompileWorkers : 1);
-    Svc = &*Local;
-  }
-
-  // Submit everything up front, in execution order: workers compile ahead
-  // while earlier pipelines execute. A Rejected submission (shared
-  // bounded service under a storm) leaves an invalid ticket; that unit
-  // falls back to an inline compile when its pipeline starts.
-  std::vector<backend::CompileTicket> Tickets;
-  Tickets.reserve(Units.size());
-  for (auto &U : Units)
-    Tickets.push_back(
-        Svc->submit(*U, BE, backend::CompilePriority::Foreground, CO).Ticket);
-
-  ExecResult Result;
-  QueryRuntime RT(Plan, Cat, Out);
-  std::vector<std::shared_ptr<backend::CompiledModule>> Compiled(Units.size());
-
   ExecControl *Ctl = Opts.Control;
-  std::vector<uint64_t> StallNs(Units.size(), 0);
-  uint64_t ExecStartNs = nowNs();
-  rt::TrapCode Code = RT.runAll(Opts, [&](size_t PI) -> backend::CompiledModule * {
-    uint64_t WaitStartNs = nowNs();
-    if (Tickets[PI].valid()) {
-      if (Ctl) {
-        // Cancellable stall: tick the ticket, check the token. A fired
-        // token tries cancel-before-run so an abandoned compile does not
-        // hold a service slot; if the job is already running it finishes
-        // on the worker and is discarded.
-        while (!Tickets[PI].waitFor(1'000'000)) {
-          if (Ctl->stopped()) {
-            Tickets[PI].cancel();
-            break;
-          }
-        }
-        Compiled[PI] = Tickets[PI].poll();
-      } else {
-        Compiled[PI] = Tickets[PI].wait();
-      }
+  ExecResult Result;
+
+  // AdaptiveExec starts on the fast tier and swaps to BE.
+  std::unique_ptr<backend::Backend> OwnedFast;
+  backend::Backend *Fast = nullptr;
+  if (Opts.AdaptiveExec) {
+    Fast = Opts.FastBackend;
+    if (!Fast) {
+      OwnedFast = backend::createBackend("DirectEmit");
+      Fast = OwnedFast.get();
     }
-    if (!Compiled[PI] && Ctl && Ctl->stopped())
-      return nullptr; // Cancelled: stop the query, skip the fallback.
-    if (!Compiled[PI]) // Rejected submit, or service shut down mid-query.
-      Compiled[PI] = BE.compile(*Units[PI], CO);
-    StallNs[PI] = nowNs() - WaitStartNs;
-    if (obs::TraceSink *Sink = Opts.Obs.Sink)
-      Sink->completeEvent("db.compile_stall", "exec", WaitStartNs,
-                          StallNs[PI]);
-    return Compiled[PI].get();
-  });
-  Result.Stats.ExecNs = nowNs() - ExecStartNs;
-  if (Code != rt::TrapCode::None) {
-    Result.Trapped = true;
-    Result.Trap = Code;
   }
-  Result.Cancelled = RT.CancelObserved;
-  Result.Stats.Pipelines = std::move(RT.PipeStats);
-  for (size_t PI = 0; PI != Units.size(); ++PI) {
-    if (PI < Result.Stats.Pipelines.size())
-      Result.Stats.Pipelines[PI].StallNs = StallNs[PI];
-    Result.Stats.AsyncStallNs += StallNs[PI];
+  // Async and adaptive execution compile one unit per pipeline. A plan
+  // that does not slice runs blocking instead — on the fast tier under
+  // AdaptiveExec, whose contract is to start right away.
+  std::vector<std::unique_ptr<qir::Module>> Units;
+  if (Opts.AdaptiveExec || Opts.AsyncCompile)
+    Units = slicePlanModules(Plan);
+  const bool Async = !Units.empty() && !Fast;
+
+  if (Ctl && Ctl->stopped()) {
+    // Cancelled before anything compiled (e.g. an already-expired
+    // deadline): report it without paying for a compile or a submit.
+    Result.Cancelled = true;
+    finishQuery(Opts, Async, Result, Out, RowsBefore, QueryStartNs);
+    return Result;
   }
 
-  // A trap aborts the pipeline loop with tickets still outstanding; they
-  // reference Units, which die with this frame. Cancel what has not
-  // started and wait out what has — no worker may outlive the query.
-  for (backend::CompileTicket &T : Tickets)
-    if (!T.cancel())
-      T.wait();
-  finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
-  return Result;
-}
-
-/// Mid-query adaptive recompilation (DESIGN.md "Mid-query tier swap"):
-/// execution starts on the cheap tier immediately, the optimized tier
-/// compiles on the service, and each pipeline publishes the optimized
-/// entry at a morsel boundary once it lands.
-ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
-                                const Catalog &Cat, rt::OutputBuffer *Out,
-                                const ExecOptions &Opts) {
-  std::vector<std::unique_ptr<qir::Module>> Units = slicePlanModules(Plan);
-  if (Units.empty()) {
-    // Unsliceable plan: degrade to the blocking path on the fast tier
-    // (starting immediately is the mode's contract; the optimized tier
-    // would have nothing to swap into mid-pipeline anyway).
-    ExecOptions Sync = Opts;
-    Sync.AdaptiveExec = false;
-    Sync.AsyncCompile = false;
-    if (Opts.FastBackend)
-      return executeQuery(Plan, *Opts.FastBackend, Cat, Out, Sync);
-    return executeQuery(Plan, BE, Cat, Out, Sync);
-  }
-
-  uint64_t QueryStartNs = nowNs();
-  uint64_t RowsBefore = Out ? Out->numRows() : 0;
   backend::CompileOptions CO{Opts.Obs};
-  CO.Cancel = Opts.Control;
+  CO.Cancel = Ctl;
   CO.Mem = Opts.CompileMem;
   CO.FairnessKey = Opts.CompileFairnessKey;
 
-  const bool BeIsAdaptive = BE.name() == "Adaptive";
-  std::unique_ptr<backend::Backend> OwnedFast;
-  backend::Backend *Fast = Opts.FastBackend;
-  if (!Fast && !BeIsAdaptive) {
-    // QCF_FAST_TIER selects the back-end that bridges the optimized
-    // tier's compile latency (default DirectEmit; "Stencil" drops one
-    // rung further down the ladder).
-    const char *FastName = std::getenv("QCF_FAST_TIER");
-    OwnedFast = backend::createBackend(FastName && *FastName ? FastName
-                                                             : "DirectEmit");
-    if (!OwnedFast)
-      OwnedFast = backend::createBackend("DirectEmit");
-    Fast = OwnedFast.get();
-  }
-
-  // Units must outlive the service (running jobs reference them), so the
-  // transient service is declared after them.
+  // Each pipeline's code comes from a ready module (the whole-module
+  // compile, or the unit's fast tier), a pending compile (the unit's own
+  // code under AsyncCompile, its optimized tier under AdaptiveExec), or
+  // both. Units must outlive the service and every module (running jobs
+  // and interpreted code reference them), so those are declared after.
   std::optional<backend::CompileService> Local;
-  backend::CompileService *Svc = Opts.Service;
-  if (!Svc) {
-    Local.emplace(Opts.AsyncCompileWorkers ? Opts.AsyncCompileWorkers : 1);
-    Svc = &*Local;
-  }
-
-  ExecResult Result;
-  // The optimized tier is queued first (Background priority: it is
-  // speculative until a pipeline decides to swap), then the fast tier
-  // compiles synchronously so execution starts right away.
-  uint64_t CompileStartNs = nowNs();
-  std::vector<std::unique_ptr<backend::CompiledModule>> FastMods(Units.size());
-  std::vector<backend::CompileTicket> Tickets(Units.size());
-  if (BeIsAdaptive) {
-    // Promotion-hook path: the Adaptive back-end compiles its own fast
-    // tier, and AdaptiveModule exposes the in-flight optimizing ticket
-    // for the executor to poll at morsel boundaries.
-    for (size_t PI = 0; PI != Units.size(); ++PI) {
-      FastMods[PI] = BE.compile(*Units[PI], CO);
-      auto *AM = static_cast<backend::AdaptiveModule *>(FastMods[PI].get());
-      Tickets[PI] = AM->requestPromotion(Svc);
-    }
-  } else {
-    // A Rejected optimized-tier submit (bounded shared service under
-    // load) simply leaves the ticket invalid: the pipeline runs the fast
-    // tier to completion — speculative work is exactly what the service
-    // sheds first.
+  std::unique_ptr<backend::TierUp[]> Pending;
+  std::vector<std::unique_ptr<backend::CompiledModule>> Ready;
+  if (!Units.empty()) {
+    backend::CompileService *Svc = Opts.Service;
+    if (!Svc)
+      Svc = &Local.emplace(2);
+    // Submit everything up front, in execution order, so workers compile
+    // ahead of the pipelines that need the code. The optimized tier is
+    // speculative until a pipeline swaps, so it queues at Background
+    // priority. A Rejected submit leaves nothing pending: an async unit
+    // then compiles inline when its pipeline starts, and an adaptive
+    // pipeline stays on the fast tier.
+    backend::CompilePriority Prio = Fast ? backend::CompilePriority::Background
+                                         : backend::CompilePriority::Foreground;
+    Pending = std::make_unique<backend::TierUp[]>(Units.size());
     for (size_t PI = 0; PI != Units.size(); ++PI)
-      Tickets[PI] =
-          Svc->submit(*Units[PI], BE, backend::CompilePriority::Background, CO)
-              .Ticket;
-    for (size_t PI = 0; PI != Units.size(); ++PI)
-      FastMods[PI] = Fast->compile(*Units[PI], CO);
+      Pending[PI].start(Svc->submit(*Units[PI], BE, Prio, CO).Ticket);
   }
-  Result.Stats.CompileNs = nowNs() - CompileStartNs;
+  if (!Async) {
+    uint64_t CompileStartNs = nowNs();
+    if (Units.empty())
+      Ready.push_back((Fast ? *Fast : BE).compile(*Plan.Module, CO));
+    for (auto &U : Units)
+      Ready.push_back(Fast->compile(*U, CO));
+    Result.Stats.CompileNs = nowNs() - CompileStartNs;
+  }
 
   QueryRuntime RT(Plan, Cat, Out);
-  std::deque<TierEntry> FastEntries;
-  std::deque<TierCell> Cells;
-  std::deque<OsrDriver> Drivers;
-
+  std::vector<std::unique_ptr<OsrDriver>> Drivers;
   uint64_t ExecStartNs = nowNs();
-  rt::TrapCode Code = RT.runAllImpl(Opts, [&](size_t PI) -> ResolvedCode {
+  rt::TrapCode Code = RT.runAll(Opts, [&](size_t PI) -> ResolvedCode {
     const PipelineDesc &P = Plan.Pipelines[PI];
-    if (!FastMods[PI]) // Cancelled fast-tier compile (caching fast tier).
+    backend::CompiledModule *M =
+        Ready.empty() ? nullptr : Ready[Units.empty() ? 0 : PI].get();
+    backend::TierUp *Up = Pending ? &Pending[PI] : nullptr;
+    if (Async) {
+      // The pipeline's own unit; an inline compile stands in for a
+      // rejected submit or a service shut down mid-query.
+      uint64_t WaitStartNs = nowNs();
+      Up->wait(Ctl);
+      if (!Up->installed() && !(Ctl && Ctl->stopped()))
+        Up->install(BE.compile(*Units[PI], CO));
+      M = Up->installed();
+      Up = nullptr;
+      uint64_t StallNs = RT.PipeStats[PI].StallNs = nowNs() - WaitStartNs;
+      if (obs::TraceSink *Sink = Opts.Obs.Sink)
+        Sink->completeEvent("db.compile_stall", "exec", WaitStartNs, StallNs);
+    }
+    // No module: only a fired token stops a compile (a caching back-end's
+    // wait, or a cancelled ticket).
+    if (!M)
       return ResolvedCode{};
     uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
-    auto *Fn = reinterpret_cast<PipeFn>(FastMods[PI]->entry(P.FnName));
+    auto *Fn = reinterpret_cast<PipeFn>(M->entry(P.FnName));
     assert(Fn && "missing pipeline entry point");
-    FastEntries.push_back(TierEntry{Fn, OsrTierFast, Contract});
-    Cells.emplace_back(&FastEntries.back());
-    Drivers.emplace_back(Cells.back(), Tickets[PI], P.FnName, Contract, Opts);
-    return ResolvedCode{&Cells.back(), &Drivers.back(), FastMods[PI].get()};
+    RT.Entries.push_back(TierEntry{Fn, OsrTierFast, Contract});
+    TierCell &Cell = RT.Cells.emplace_back(&RT.Entries.back());
+    if (Up)
+      Drivers.push_back(
+          std::make_unique<OsrDriver>(Cell, *Up, P.FnName, Contract, Opts));
+    return ResolvedCode{&Cell, Up ? Drivers.back().get() : nullptr, M};
   });
   Result.Stats.ExecNs = nowNs() - ExecStartNs;
   if (Code != rt::TrapCode::None) {
@@ -681,19 +532,19 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
   }
   Result.Cancelled = RT.CancelObserved;
   Result.Stats.Pipelines = std::move(RT.PipeStats);
+  for (const PipelineStats &PS : Result.Stats.Pipelines)
+    Result.Stats.AsyncStallNs += PS.StallNs;
 
   // Swap outcomes: stats, exec.osr.* metrics, timeline markers. (A trap
-  // leaves later pipelines without drivers; their tickets are cleaned up
-  // below without counting as "too late".)
+  // or a cancel leaves later pipelines without drivers; their compiles
+  // are torn down below without counting as "too late".)
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
   for (size_t PI = 0; PI != Drivers.size(); ++PI) {
-    OsrDriver &D = Drivers[PI];
+    OsrDriver &D = *Drivers[PI];
     uint64_t Stall = D.WaitNs.load(std::memory_order_relaxed);
     int64_t Swap = D.SwapMorsel.load(std::memory_order_relaxed);
-    if (PI < Result.Stats.Pipelines.size()) {
-      Result.Stats.Pipelines[PI].SwapMorsel = Swap;
-      Result.Stats.Pipelines[PI].OsrStallNs = Stall;
-    }
+    Result.Stats.Pipelines[PI].SwapMorsel = Swap;
+    Result.Stats.Pipelines[PI].OsrStallNs = Stall;
     Result.Stats.OsrStallNs += Stall;
     if (Stall)
       Reg.histogram("exec.osr.stall_ns").observe(Stall);
@@ -710,81 +561,15 @@ ExecResult executeQueryAdaptive(const CompiledPlan &Plan, backend::Backend &BE,
                            D.SwapNs.load(std::memory_order_relaxed));
     } else if (D.Mismatch.load(std::memory_order_relaxed)) {
       Reg.counter("exec.osr.contract_mismatch").inc();
-    } else if (D.SkippedPolicy.load(std::memory_order_relaxed)) {
-      Reg.counter("exec.osr.skipped").inc();
     } else {
       // Compile never landed while the pipeline ran.
       Reg.counter("exec.osr.too_late").inc();
     }
   }
 
-  // Outstanding optimized compiles reference Units, which die with this
-  // frame. Adaptive modules own their pending tickets (installIfReady
-  // syncs a landed promotion into the module; the destructor cancels or
-  // waits out the rest); generic tickets are cancelled or waited here.
-  if (BeIsAdaptive) {
-    for (auto &FM : FastMods)
-      static_cast<backend::AdaptiveModule *>(FM.get())->installIfReady();
-  } else {
-    for (backend::CompileTicket &T : Tickets)
-      if (T.valid() && !T.cancel())
-        T.wait();
-  }
-  finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
-  return Result;
-}
-
-} // namespace
-
-ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
-                            const Catalog &Cat, rt::OutputBuffer *Out,
-                            const ExecOptions &Opts) {
-  if (Opts.AdaptiveExec) {
-    ExecOptions Adaptive = Opts;
-    Adaptive.AsyncCompile = false; // AdaptiveExec subsumes async compilation.
-    return executeQueryAdaptive(Plan, BE, Cat, Out, Adaptive);
-  }
-  if (Opts.AsyncCompile)
-    return executeQueryAsync(Plan, BE, Cat, Out, Opts);
-
-  uint64_t QueryStartNs = nowNs();
-  uint64_t RowsBefore = Out ? Out->numRows() : 0;
-
-  ExecResult Result;
-  if (Opts.Control && Opts.Control->stopped()) {
-    // Cancelled before compilation started (e.g. an already-expired
-    // deadline): report it without paying for the compile.
-    Result.Cancelled = true;
-    finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
-    return Result;
-  }
-
-  backend::CompileOptions CO{Opts.Obs};
-  CO.Cancel = Opts.Control;
-  CO.Mem = Opts.CompileMem;
-  CO.FairnessKey = Opts.CompileFairnessKey;
-  uint64_t CompileStartNs = nowNs();
-  auto Compiled = BE.compile(*Plan.Module, CO);
-  Result.Stats.CompileNs = nowNs() - CompileStartNs;
-  if (!Compiled) {
-    // Only a caching back-end with Opts.Control attached returns null:
-    // the token fired during its compile wait.
-    Result.Cancelled = true;
-    finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
-    return Result;
-  }
-
-  QueryRuntime RT(Plan, Cat, Out);
-  uint64_t ExecStartNs = nowNs();
-  rt::TrapCode Code = RT.runAll(
-      Opts, [&](size_t) -> backend::CompiledModule * { return Compiled.get(); });
-  Result.Stats.ExecNs = nowNs() - ExecStartNs;
-  if (Code != rt::TrapCode::None) {
-    Result.Trapped = true;
-    Result.Trap = Code;
-  }
-  Result.Cancelled = RT.CancelObserved;
-  Result.Stats.Pipelines = std::move(RT.PipeStats);
-  finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
+  // Teardown: cancel every compile that has not started and wait out the
+  // running ones — no worker may outlive the query's units.
+  Pending.reset();
+  finishQuery(Opts, Async, Result, Out, RowsBefore, QueryStartNs);
   return Result;
 }

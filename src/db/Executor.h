@@ -11,6 +11,13 @@
 /// parallelism") — parallel-safe pipelines fan morsels out to worker
 /// threads. Traps (overflow, division by zero) abort the query cleanly.
 ///
+/// One driver serves every mode. Each pipeline takes its code from a
+/// ready module (blocking: the one whole-module compile), a pending
+/// per-pipeline compile waited on when the pipeline starts (AsyncCompile),
+/// or a ready fast-tier module plus a pending optimized tier swapped in at
+/// a morsel boundary (AdaptiveExec). Pending compiles are
+/// backend::TierUp objects.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_DB_EXECUTOR_H
@@ -63,10 +70,8 @@ struct ExecOptions {
   /// 0..N-1. Results are bit-identical to blocking mode.
   bool AsyncCompile = false;
   /// Service for AsyncCompile and AdaptiveExec; when null, a transient
-  /// service with \ref AsyncCompileWorkers workers lives for the
-  /// duration of the call.
+  /// two-worker service lives for the duration of the call.
   backend::CompileService *Service = nullptr;
-  unsigned AsyncCompileWorkers = 2;
 
   /// Mid-query adaptive recompilation (morsel-boundary OSR; DESIGN.md
   /// "Mid-query tier swap"): execution starts immediately on a cheap
@@ -76,29 +81,21 @@ struct ExecOptions {
   /// every morsel pickup; once the optimized compile lands it is
   /// published at the next morsel boundary, so the static tier choice of
   /// the paper's Figure 7 becomes a dynamic one with bounded regret.
-  /// When \p BE is the Adaptive back-end, its own promotion machinery is
-  /// driven through AdaptiveModule's promotion-ticket hook instead of a
-  /// direct service submit. Results are bit-identical to either tier
-  /// alone. Takes precedence over AsyncCompile.
+  /// Results are bit-identical to either tier alone. Takes precedence
+  /// over AsyncCompile.
   bool AdaptiveExec = false;
   /// The tier execution starts on in AdaptiveExec mode; null means an
   /// internally created DirectEmit. Must outlive the call.
   backend::Backend *FastBackend = nullptr;
-  /// Swap policy: a landed optimized compile is published only while at
-  /// least this many source rows have not yet been claimed. The swap
-  /// itself costs one atomic store, so the default publishes whenever
-  /// any morsel remains; raise it to keep short pipeline tails on the
-  /// warm fast tier (observed per-tier throughput lands in
-  /// PipelineStats, so callers can tune this from QueryStats).
-  uint64_t OsrMinRowsRemaining = 1;
   /// Deterministic cutover for tests and regret measurement: with a
   /// value >= 0, the optimized tier is force-published exactly when
   /// global morsel index \p OsrForceSwapMorsel is picked up — the worker
-  /// claiming it blocks on the compile ticket, so morsels [0, N) run the
-  /// fast tier and [N, end) the optimized tier (exact in single-thread
-  /// execution; under parallel workers, other workers keep draining
-  /// morsels on the fast tier while the claimant waits). -1 = swap is
-  /// policy-driven (publish when the compile lands).
+  /// claiming it blocks on the compile ticket (cancellably, like every
+  /// compile wait), so morsels [0, N) run the fast tier and [N, end) the
+  /// optimized tier (exact in single-thread execution; under parallel
+  /// workers, other workers keep draining morsels on the fast tier while
+  /// the claimant waits). -1 = swap is policy-driven (publish when the
+  /// compile lands).
   int64_t OsrForceSwapMorsel = -1;
 
   /// Observability consumers for this query: the compile trace, metrics
@@ -130,8 +127,8 @@ struct PipelineStats {
   uint64_t MorselsFast = 0; ///< Morsels run on the initial (fast) tier.
   uint64_t MorselsOpt = 0;  ///< Morsels run on the swapped-in tier.
 
-  // Per-tier observed throughput (AdaptiveExec only; feeds the
-  // rows-remaining swap policy and the E15 regret analysis).
+  // Per-tier observed throughput (AdaptiveExec only; feeds the E15
+  // regret analysis).
   uint64_t RowsFast = 0, RowsOpt = 0; ///< Source rows per tier.
   uint64_t NsFast = 0, NsOpt = 0;     ///< Summed morsel wall time per tier.
 
@@ -165,8 +162,6 @@ struct ExecResult {
   /// partial; discard them. Counted as "db.query.cancelled".
   bool Cancelled = false;
   rt::TrapCode Trap = rt::TrapCode::None;
-  double CompileSec = 0; ///< Async mode: time actually *stalled* on compiles.
-  double ExecSec = 0;
   QueryStats Stats;
 };
 

@@ -207,42 +207,6 @@ TEST(AdaptiveAsync, NoteExecutionDoesNotBlockOnService) {
   ASSERT_EQ(S.PerBackend.count("MLVM-opt"), 1u);
 }
 
-/// The executor-facing promotion hook (ExecOptions::AdaptiveExec):
-/// requestPromotion submits immediately — no run-count warmup — hands
-/// out the in-flight ticket, stays idempotent while pending, and
-/// installIfReady syncs the module once the ticket lands.
-TEST(AdaptiveAsync, RequestPromotionExposesTicket) {
-  qir::Module M;
-  buildRandomModule(M, 21);
-
-  CompileService Svc(1);
-  AdaptiveBackend BE; // Deliberately no service on the back-end:
-  BE.PromoteAfterRuns = 1000; // the hook must bypass the heuristic too.
-  BE.PromoteSizeThreshold = 1000;
-  auto Compiled = BE.compile(M);
-  auto *AM = static_cast<AdaptiveModule *>(Compiled.get());
-
-  EXPECT_FALSE(AM->promotionTicket().valid()) << "no promotion requested yet";
-  CompileTicket T = AM->requestPromotion(&Svc);
-  ASSERT_TRUE(T.valid());
-  EXPECT_TRUE(AM->promotionPending());
-  // Idempotent: a second request observes the same in-flight job.
-  CompileTicket Again = AM->requestPromotion(&Svc);
-  ASSERT_TRUE(Again.valid());
-
-  // The executor's side of the protocol: wait on the ticket, then sync
-  // the module.
-  ASSERT_NE(T.wait(), nullptr);
-  EXPECT_TRUE(AM->installIfReady() || AM->isPromoted());
-  EXPECT_TRUE(AM->isPromoted());
-  EXPECT_FALSE(AM->promotionPending());
-  EXPECT_NE(AM->entry("rand0"), nullptr);
-
-  // Promoted modules have nothing in flight to expose.
-  EXPECT_FALSE(AM->requestPromotion(&Svc).valid());
-  EXPECT_FALSE(AM->promotionTicket().valid());
-}
-
 /// Destroying a module with a promotion still pending must cancel or wait
 /// the job out — the worker may not touch the dead module afterwards.
 TEST(AdaptiveAsync, DestroyWithPendingPromotionIsClean) {

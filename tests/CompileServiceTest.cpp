@@ -15,16 +15,18 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/Registry.h"
+#include "backend/TierUp.h"
 #include "qir/Builder.h"
+#include "tests/GateBackend.h"
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <gtest/gtest.h>
 #include <thread>
 
 using namespace qcf;
 using namespace qcf::qir;
 using namespace qcf::backend;
+using qcf::test::GateBackend;
 
 namespace {
 
@@ -62,48 +64,6 @@ public:
 private:
   std::unique_ptr<Backend> Inner;
   std::chrono::milliseconds Delay;
-};
-
-/// A back-end whose compile blocks until release() — deterministic way to
-/// keep a single-worker service busy.
-class GateBackend : public Backend {
-public:
-  explicit GateBackend(std::unique_ptr<Backend> Inner)
-      : Inner(std::move(Inner)) {}
-
-  std::string name() const override { return "gated"; }
-
-  using Backend::compile;
-
-  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
-                                          const CompileOptions &Opts) override {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Started = true;
-    }
-    Cv.notify_all();
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock, [&] { return Released; });
-    return Inner->compile(M, Opts);
-  }
-
-  void waitStarted() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock, [&] { return Started; });
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Released = true;
-    }
-    Cv.notify_all();
-  }
-
-private:
-  std::unique_ptr<Backend> Inner;
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  bool Started = false, Released = false;
 };
 
 } // namespace
@@ -152,6 +112,39 @@ TEST(CompileService, StatsAccounting) {
   EXPECT_LE(L.MinSec, L.meanSec());
   EXPECT_LE(L.meanSec(), L.MaxSec);
   EXPECT_GT(L.MaxSec, 0.0);
+}
+
+/// backend::TierUp, the one tier-up primitive: destruction cancels a job
+/// that has not started, and a landed compile installs exactly once.
+TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
+  GateBackend Gate(createBackend("DirectEmit"));
+  auto BE = createBackend("DirectEmit");
+  CompileService Svc(1);
+  qir::Module M1, M2;
+  buildAffine(M1, 1);
+  buildAffine(M2, 2);
+  CompileTicket Pin = Svc.submit(M1, Gate).Ticket;
+  Gate.waitStarted();
+  {
+    TierUp Abandoned;
+    Abandoned.start(Svc.submit(M2, *BE).Ticket);
+    EXPECT_TRUE(Abandoned.pending());
+    EXPECT_FALSE(Abandoned.poll()) << "queued behind the pin";
+  } // Destroyed while queued: cancel-before-run, no wait.
+
+  TierUp Up;
+  Up.start(Svc.submit(M2, *BE).Ticket);
+  Gate.release();
+  EXPECT_TRUE(Up.wait());
+  EXPECT_FALSE(Up.pending());
+  ASSERT_NE(Up.installed(), nullptr);
+  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  EXPECT_FALSE(Up.poll());
+  EXPECT_FALSE(Up.wait());
+  EXPECT_FALSE(Up.install(BE->compile(M1))) << "installs exactly once";
+  EXPECT_NE(Pin.wait(), nullptr);
+  Svc.drain();
+  EXPECT_EQ(Svc.stats().JobsCancelled, 1u);
 }
 
 TEST(CompileService, CancelBeforeStart) {

@@ -531,6 +531,38 @@ TEST(DbExec, AsyncCompileTrapAbortsCleanly) {
   }
 }
 
+TEST(DbExec, PreFiredTokenCompilesNothingInAnyMode) {
+  // A token that fired before the call (an expired deadline, a session
+  // closed while the query waited for admission) must stop blocking,
+  // async and adaptive execution alike before anything compiles or is
+  // submitted to the service.
+  Catalog &C = tpchCatalog();
+  CompiledPlan Plan = compileQuery(tpchQueries().front(), C);
+  auto Fast = backend::createBackend("DirectEmit");
+  auto Opt = backend::createBackend("Craneline");
+  backend::CompileService Svc(1);
+  qcf::CancelToken Ctl;
+  Ctl.cancel();
+  const char *Modes[] = {"blocking", "async", "adaptive"};
+  for (int Mode = 0; Mode != 3; ++Mode) {
+    SCOPED_TRACE(Modes[Mode]);
+    obs::MetricsRegistry Reg;
+    ExecOptions O;
+    O.Control = &Ctl;
+    O.Service = &Svc;
+    O.Obs.Metrics = &Reg;
+    O.AsyncCompile = Mode == 1;
+    O.AdaptiveExec = Mode == 2;
+    O.FastBackend = Fast.get();
+    uint64_t Queued = Svc.stats().JobsQueued;
+    rt::OutputBuffer Out;
+    ExecResult R = executeQuery(Plan, Mode == 2 ? *Opt : *Fast, C, &Out, O);
+    EXPECT_TRUE(R.Cancelled);
+    EXPECT_EQ(Reg.snapshot().counter("compile.DirectEmit.count"), 0u);
+    EXPECT_EQ(Svc.stats().JobsQueued, Queued);
+  }
+}
+
 TEST(DbExec, DecimalOverflowTrapsOnEveryBackend) {
   // Failure injection: a query whose decimal arithmetic overflows i128
   // must report Trapped on every back-end (the generated code uses

@@ -51,7 +51,12 @@ std::string writeCorpusObject() {
   mlvm::MlvmBackend BE(mlvm::MlvmOptions::cheap());
   std::vector<uint8_t> Object = BE.compileToObject(*C.M, nullptr);
   EXPECT_GT(Object.size(), 512u);
-  std::string Path = ::testing::TempDir() + "qcf_elf_test.o";
+  // One file per test: ctest -j runs the Elf tests as concurrent
+  // processes, and a shared path let one test read another's half-written
+  // object.
+  std::string Path =
+      ::testing::TempDir() + "qcf_elf_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".o";
   std::ofstream Out(Path, std::ios::binary);
   Out.write(reinterpret_cast<const char *>(Object.data()),
             static_cast<std::streamsize>(Object.size()));

@@ -1,0 +1,71 @@
+//===- tests/GateBackend.h - A back-end whose compile waits on a gate -----===//
+//
+// Part of the QCF project.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// GateBackend: compile() blocks until release(). Submitting one gated job
+/// to a single-worker CompileService pins that worker deterministically,
+/// so later jobs provably sit in the queue (cancel-before-run, shedding,
+/// fairness and cancellable-wait tests).
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef QCF_TESTS_GATEBACKEND_H
+#define QCF_TESTS_GATEBACKEND_H
+
+#include "backend/Backend.h"
+#include <condition_variable>
+#include <mutex>
+
+namespace qcf::test {
+
+class GateBackend : public backend::Backend {
+public:
+  explicit GateBackend(std::unique_ptr<backend::Backend> Inner)
+      : Inner(std::move(Inner)) {}
+
+  std::string name() const override { return Inner->name(); }
+
+  using backend::Backend::compile;
+
+  std::unique_ptr<backend::CompiledModule>
+  compile(const qir::Module &M, const backend::CompileOptions &Opts) override {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Started = true;
+    }
+    Cv.notify_all();
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Cv.wait(Lock, [&] { return Released; });
+    Lock.unlock();
+    return Inner->compile(M, Opts);
+  }
+
+  void waitStarted() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Cv.wait(Lock, [&] { return Started; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Released = true;
+    }
+    Cv.notify_all();
+  }
+  bool released() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Released;
+  }
+
+private:
+  std::unique_ptr<backend::Backend> Inner;
+  std::mutex Mutex;
+  std::condition_variable Cv;
+  bool Started = false, Released = false;
+};
+
+} // namespace qcf::test
+
+#endif // QCF_TESTS_GATEBACKEND_H

@@ -25,12 +25,17 @@
 #include "backend/Cache.h"
 #include "backend/Registry.h"
 #include "db/Executor.h"
+#include "qir/Builder.h"
+#include "tests/GateBackend.h"
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__SANITIZE_THREAD__)
@@ -327,31 +332,6 @@ TEST(OsrProtocol, ContractRejectsIncompatibleEntries) {
   EXPECT_EQ(Cell.load(), &OptE);
 }
 
-/// AdaptiveExec with the Adaptive back-end drives the swap through the
-/// module's promotion-ticket hook (requestPromotion), and the module's
-/// own entry() agrees with the published tier afterwards.
-TEST(OsrAdaptiveBackend, PromotionHookDrivesSwap) {
-  QuerySuite &S = queryCorpus().front();
-  const Query &Q = S.Queries.front();
-  const CompiledPlan &Plan = planFor(S, Q);
-  backend::Backend &Fast = fastTier();
-  rt::OutputBuffer Base = baselineRun(Plan, Fast, *S.Cat);
-
-  backend::CompileService Svc(2);
-  backend::AdaptiveBackend BE(&Svc);
-  rt::OutputBuffer Out;
-  ExecOptions O;
-  O.NumThreads = 1;
-  O.MorselSize = 257;
-  O.AdaptiveExec = true;
-  O.Service = &Svc;
-  O.OsrForceSwapMorsel = 1; // Block on the promotion: swap must happen.
-  ExecResult R = executeQuery(Plan, BE, *S.Cat, &Out, O);
-  ASSERT_FALSE(R.Trapped);
-  EXPECT_TRUE(Base.equals(Out));
-  EXPECT_GE(R.Stats.OsrSwaps, 1u);
-}
-
 /// The observability surface: exec.osr.* metrics and the per-pipeline
 /// timeline swap marker.
 TEST(OsrObs, SwapMetricsAndTimelineMarker) {
@@ -388,37 +368,74 @@ TEST(OsrObs, SwapMetricsAndTimelineMarker) {
       << "missing timeline swap marker";
 }
 
-/// Policy knob: with OsrMinRowsRemaining above the pipeline's row count,
-/// a landed compile is never published (the tail stays on the warm fast
-/// tier) and the run still matches the baseline.
-TEST(OsrPolicy, MinRowsRemainingSuppressesLateSwap) {
+/// The forced cutover wait is a compile wait like any other, so a cancel
+/// must cut it short. A gated job pins the service's only worker, so the
+/// optimized compile the cutover at morsel 0 waits for sits in the
+/// queue. Cancelling the query must cancel that job before it runs and
+/// return while the gate is still closed. A watchdog opens the gate
+/// after 2 s, so a wait that ignores the token fails on time instead of
+/// hanging.
+TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
   QuerySuite &S = queryCorpus().front();
-  const Query &Q = S.Queries.front();
-  const CompiledPlan &Plan = planFor(S, Q);
-  backend::Backend &Fast = fastTier();
-  backend::Backend &Opt = cachedBackend("MLVM-opt");
-  std::vector<uint64_t> PipeRows;
-  rt::OutputBuffer Base = baselineRun(Plan, Fast, *S.Cat, &PipeRows);
-  uint64_t MaxRows = *std::max_element(PipeRows.begin(), PipeRows.end());
+  const CompiledPlan &Plan = planFor(S, S.Queries.front());
+  auto Fast = backend::createBackend("DirectEmit");
+  auto Opt = backend::createBackend("MLVM-opt");
 
+  backend::CompileService Svc(1);
+  test::GateBackend Gate(backend::createBackend("DirectEmit"));
+  qir::Module Dummy;
+  {
+    qir::Function *F =
+        Dummy.createFunction("f", {qir::Type::I64}, qir::Type::I64);
+    qir::Builder B(F);
+    B.ret(F->paramValue(0));
+  }
+  backend::SubmitOutcome Pin = Svc.submit(Dummy, Gate);
+  ASSERT_TRUE(Pin.Ticket.valid());
+  Gate.waitStarted();
+
+  std::atomic<bool> QueryDone{false};
+  std::thread Watchdog([&] {
+    for (int I = 0; I != 2000 && !QueryDone.load(); ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Gate.release();
+  });
+
+  // Cancel once every fast-tier unit has compiled, i.e. once the query
+  // is in (or about to enter) the cutover wait at morsel 0.
   obs::MetricsRegistry Reg;
+  qcf::CancelToken Ctl;
+  std::thread Canceller([&] {
+    for (int I = 0; I != 5000 && Reg.snapshot().counter(
+                                      "compile.DirectEmit.count") <
+                                     Plan.Pipelines.size();
+         ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Ctl.cancel();
+  });
+
   rt::OutputBuffer Out;
   ExecOptions O;
   O.NumThreads = 1;
   O.MorselSize = 257;
   O.AdaptiveExec = true;
-  O.FastBackend = &Fast;
-  O.Service = &sharedService();
-  O.OsrForceSwapMorsel = 1;
-  O.OsrMinRowsRemaining = MaxRows * 2; // Can never be satisfied.
+  O.FastBackend = Fast.get();
+  O.Service = &Svc;
+  O.OsrForceSwapMorsel = 0;
+  O.Control = &Ctl;
   O.Obs.Metrics = &Reg;
-  ExecResult R = executeQuery(Plan, Opt, *S.Cat, &Out, O);
-  ASSERT_FALSE(R.Trapped);
-  EXPECT_TRUE(Base.equals(Out));
+  ExecResult R = executeQuery(Plan, *Opt, *S.Cat, &Out, O);
+  bool GateWasClosed = !Gate.released();
+  QueryDone.store(true);
+  Canceller.join();
+  Watchdog.join();
+
+  EXPECT_TRUE(R.Cancelled);
+  EXPECT_TRUE(GateWasClosed)
+      << "the cutover wait outlived the cancel until the gate opened";
   EXPECT_EQ(R.Stats.OsrSwaps, 0u);
-  for (const PipelineStats &P : R.Stats.Pipelines) {
-    EXPECT_EQ(P.SwapMorsel, -1);
-    EXPECT_EQ(P.MorselsOpt, 0u);
-  }
-  EXPECT_GE(Reg.snapshot().counter("exec.osr.skipped"), 1u);
+  Pin.Ticket.wait();
+  Svc.shutdown();
+  EXPECT_GE(Svc.stats().JobsCancelled, 1u);
 }

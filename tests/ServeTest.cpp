@@ -30,6 +30,7 @@
 #include "runtime/Trap.h"
 #include "serve/Server.h"
 #include "support/TimeTrace.h"
+#include "tests/GateBackend.h"
 #include "tests/RandomQir.h"
 #include <atomic>
 #include <chrono>
@@ -41,6 +42,7 @@
 
 using namespace qcf;
 using namespace qcf::serve;
+using qcf::test::GateBackend;
 
 namespace {
 
@@ -433,43 +435,6 @@ public:
 
 private:
   std::unique_ptr<backend::Backend> Inner;
-};
-
-/// compile() blocks until release() — pins the service's single worker.
-class GateBackend : public backend::Backend {
-public:
-  explicit GateBackend(std::unique_ptr<backend::Backend> Inner)
-      : Inner(std::move(Inner)) {}
-  std::string name() const override { return Inner->name(); }
-  using backend::Backend::compile;
-  std::unique_ptr<backend::CompiledModule>
-  compile(const qir::Module &M, const backend::CompileOptions &Opts) override {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Started = true;
-    }
-    Cv.notify_all();
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock, [&] { return Released; });
-    return Inner->compile(M, Opts);
-  }
-  void waitStarted() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Cv.wait(Lock, [&] { return Started; });
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Released = true;
-    }
-    Cv.notify_all();
-  }
-
-private:
-  std::unique_ptr<backend::Backend> Inner;
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  bool Started = false, Released = false;
 };
 
 } // namespace
