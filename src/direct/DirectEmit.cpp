@@ -85,21 +85,6 @@ Cond condForPred(qir::CmpPred P) {
   QCF_UNREACHABLE("invalid predicate");
 }
 
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
 /// Compiles one function into an Assembler.
 class FunctionCompiler {
 public:
@@ -595,7 +580,7 @@ private:
 
     case Opcode::ConstInt: {
       Reg R = defGp(Id, 0);
-      A.movRI(R, I.Imm & maskFor(I.Ty));
+      A.movRI(R, I.Imm & qir::typeMask(I.Ty));
       finishDef(Id);
       return;
     }
@@ -756,7 +741,7 @@ private:
       }
       if (I.Ty != Type::I128 && I.Ty != Type::I64) {
         // Re-canonicalize to the (wider but still <64-bit) target width.
-        A.movRI(Reg::R11, maskFor(I.Ty));
+        A.movRI(Reg::R11, qir::typeMask(I.Ty));
         A.aluRR(Assembler::Alu::And, Width::W64, Lo, Reg::R11);
       }
       if (I.Ty == Type::I128) {
@@ -772,7 +757,7 @@ private:
       Reg D = defGp(Id, 0);
       A.movRR(Width::W64, D, Ar);
       if (I.Ty != Type::I64) {
-        A.movRI(Reg::R11, maskFor(I.Ty));
+        A.movRI(Reg::R11, qir::typeMask(I.Ty));
         A.aluRR(Assembler::Alu::And, Width::W64, D, Reg::R11);
       }
       finishDef(Id);
@@ -797,7 +782,7 @@ private:
       Reg D = defGp(Id, 0);
       A.cvttsd2si(D, Ar);
       if (I.Ty != Type::I64) {
-        A.movRI(Reg::R11, maskFor(I.Ty));
+        A.movRI(Reg::R11, qir::typeMask(I.Ty));
         A.aluRR(Assembler::Alu::And, Width::W64, D, Reg::R11);
       }
       finishDef(Id);

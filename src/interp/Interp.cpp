@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
-#include "runtime/Trap.h"
-#include "support/Hash.h"
-#include "support/Int128.h"
+#include "qir/Semantics.h"
 #include <alloca.h>
 #include <cstring>
 
@@ -16,67 +14,10 @@ using namespace qcf::interp;
 using qir::Opcode;
 using qir::Type;
 
-// --- Value helpers ----------------------------------------------------------
-
 namespace {
-
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
-unsigned bitsFor(Type Ty) { return qir::intBits(Ty); }
-
-int64_t sext(uint64_t V, Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return (V & 1) ? -1 : 0;
-  case Type::I8:
-    return static_cast<int8_t>(V);
-  case Type::I16:
-    return static_cast<int16_t>(V);
-  case Type::I32:
-    return static_cast<int32_t>(V);
-  default:
-    return static_cast<int64_t>(V);
-  }
-}
-
-Int128 toI128(const Slot &S) { return makeInt128(S.Lo, S.Hi); }
-
-Slot fromI128(Int128 V) { return {lo64(V), hi64(V)}; }
-
-double toF64(const Slot &S) {
-  double D;
-  std::memcpy(&D, &S.Lo, 8);
-  return D;
-}
-
-Slot fromF64(double D) {
-  Slot S;
-  std::memcpy(&S.Lo, &D, 8);
-  return S;
-}
 
 [[noreturn]] void trap(rt::TrapCode Code) {
   rt_trap(static_cast<uint64_t>(Code));
-}
-
-/// x86 cvttsd2si semantics: NaN / out of range produce INT64_MIN.
-int64_t f64ToI64Trunc(double D) {
-  if (!(D >= -9.2233720368547758e18 && D < 9.2233720368547758e18))
-    return INT64_MIN;
-  return static_cast<int64_t>(D);
 }
 
 struct PairRet {
@@ -164,6 +105,10 @@ void InterpFunction::translate() {
       T.Op = Ins.Op;
       T.Ty = Ins.Ty;
       T.Flags = Ins.Flags;
+      // The evaluations that read operand A's type.
+      if (Ins.Op == Opcode::ICmp || Ins.Op == Opcode::SExt ||
+          Ins.Op == Opcode::SIToFP)
+        T.SrcTy = F->valueType(Ins.A);
       T.Dst = I;
       T.A = Ins.A;
       T.B = Ins.B;
@@ -306,91 +251,6 @@ uint64_t dispatchCall(void *Addr, const uint64_t *S, unsigned N,
   }
 }
 
-bool evalICmp(qir::CmpPred P, const Slot &A, const Slot &B, Type OpTy) {
-  if (OpTy == Type::I128) {
-    Int128 X = toI128(A), Y = toI128(B);
-    UInt128 UX = static_cast<UInt128>(X), UY = static_cast<UInt128>(Y);
-    switch (P) {
-    case qir::CmpPred::Eq:
-      return X == Y;
-    case qir::CmpPred::Ne:
-      return X != Y;
-    case qir::CmpPred::SLt:
-      return X < Y;
-    case qir::CmpPred::SLe:
-      return X <= Y;
-    case qir::CmpPred::SGt:
-      return X > Y;
-    case qir::CmpPred::SGe:
-      return X >= Y;
-    case qir::CmpPred::ULt:
-      return UX < UY;
-    case qir::CmpPred::ULe:
-      return UX <= UY;
-    case qir::CmpPred::UGt:
-      return UX > UY;
-    case qir::CmpPred::UGe:
-      return UX >= UY;
-    }
-    QCF_UNREACHABLE("invalid predicate");
-  }
-  // i1 values compare as unsigned 0/1 regardless of predicate signedness.
-  int64_t SX, SY;
-  if (OpTy == Type::I1) {
-    SX = static_cast<int64_t>(A.Lo & 1);
-    SY = static_cast<int64_t>(B.Lo & 1);
-  } else {
-    SX = sext(A.Lo, OpTy);
-    SY = sext(B.Lo, OpTy);
-  }
-  uint64_t UX = A.Lo, UY = B.Lo;
-  switch (P) {
-  case qir::CmpPred::Eq:
-    return UX == UY;
-  case qir::CmpPred::Ne:
-    return UX != UY;
-  case qir::CmpPred::SLt:
-    return SX < SY;
-  case qir::CmpPred::SLe:
-    return SX <= SY;
-  case qir::CmpPred::SGt:
-    return SX > SY;
-  case qir::CmpPred::SGe:
-    return SX >= SY;
-  case qir::CmpPred::ULt:
-    return UX < UY;
-  case qir::CmpPred::ULe:
-    return UX <= UY;
-  case qir::CmpPred::UGt:
-    return UX > UY;
-  case qir::CmpPred::UGe:
-    return UX >= UY;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
-
-bool evalFCmp(qir::CmpPred P, double A, double B) {
-  switch (P) {
-  case qir::CmpPred::Eq:
-    return A == B;
-  case qir::CmpPred::Ne:
-    return A != B;
-  case qir::CmpPred::SLt:
-  case qir::CmpPred::ULt:
-    return A < B;
-  case qir::CmpPred::SLe:
-  case qir::CmpPred::ULe:
-    return A <= B;
-  case qir::CmpPred::SGt:
-  case qir::CmpPred::UGt:
-    return A > B;
-  case qir::CmpPred::SGe:
-  case qir::CmpPred::UGe:
-    return A >= B;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
-
 } // namespace
 
 Slot InterpFunction::run(const uint64_t *ArgLanes, unsigned NumLanes) const {
@@ -433,10 +293,10 @@ Slot InterpFunction::run(const uint64_t *ArgLanes, unsigned NumLanes) const {
     const TInst &I = CodePtr[Pc];
     switch (I.Op) {
     case Opcode::ConstInt:
-      Regs[I.Dst].Lo = I.Imm & maskFor(I.Ty);
+      Regs[I.Dst].Lo = I.Imm & qir::typeMask(I.Ty);
       break;
     case Opcode::ConstI128:
-      Regs[I.Dst] = fromI128(F->I128Pool[I.A]);
+      Regs[I.Dst] = qir::fromI128(F->I128Pool[I.A]);
       break;
     case Opcode::ConstF64:
     case Opcode::ConstPtr:
@@ -446,285 +306,33 @@ Slot InterpFunction::run(const uint64_t *ArgLanes, unsigned NumLanes) const {
       Regs[I.Dst].Lo = reinterpret_cast<uint64_t>(Frame + I.Imm);
       break;
 
-    case Opcode::Add:
-      if (I.Ty == Type::I128)
-        // Wrapping semantics: compute unsigned (signed overflow is UB).
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            static_cast<UInt128>(toI128(Regs[I.A])) +
-            static_cast<UInt128>(toI128(Regs[I.B]))));
-      else
-        Regs[I.Dst].Lo = (Regs[I.A].Lo + Regs[I.B].Lo) & maskFor(I.Ty);
-      break;
-    case Opcode::Sub:
-      if (I.Ty == Type::I128)
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            static_cast<UInt128>(toI128(Regs[I.A])) -
-            static_cast<UInt128>(toI128(Regs[I.B]))));
-      else
-        Regs[I.Dst].Lo = (Regs[I.A].Lo - Regs[I.B].Lo) & maskFor(I.Ty);
-      break;
-    case Opcode::Mul:
-      if (I.Ty == Type::I128)
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            static_cast<UInt128>(toI128(Regs[I.A])) *
-            static_cast<UInt128>(toI128(Regs[I.B]))));
-      else
-        Regs[I.Dst].Lo = (Regs[I.A].Lo * Regs[I.B].Lo) & maskFor(I.Ty);
-      break;
-    case Opcode::SDiv: {
-      if (I.Ty == Type::I128) {
-        Int128 X = toI128(Regs[I.A]), Y = toI128(Regs[I.B]), R;
-        if (divOverflow128(X, Y, &R))
-          trap(Y == 0 ? rt::TrapCode::DivByZero : rt::TrapCode::Overflow);
-        Regs[I.Dst] = fromI128(R);
-        break;
-      }
-      int64_t X = sext(Regs[I.A].Lo, I.Ty), Y = sext(Regs[I.B].Lo, I.Ty);
-      if (Y == 0)
-        trap(rt::TrapCode::DivByZero);
-      if (Y == -1 && X == -(sext(maskFor(I.Ty) >> 1, I.Ty)) - 1)
-        trap(rt::TrapCode::Overflow);
-      Regs[I.Dst].Lo = static_cast<uint64_t>(X / Y) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::UDiv: {
-      if (I.Ty == Type::I128) {
-        UInt128 X = static_cast<UInt128>(toI128(Regs[I.A]));
-        UInt128 Y = static_cast<UInt128>(toI128(Regs[I.B]));
-        if (Y == 0)
-          trap(rt::TrapCode::DivByZero);
-        Regs[I.Dst] = fromI128(static_cast<Int128>(X / Y));
-        break;
-      }
-      uint64_t Y = Regs[I.B].Lo;
-      if (Y == 0)
-        trap(rt::TrapCode::DivByZero);
-      Regs[I.Dst].Lo = Regs[I.A].Lo / Y;
-      break;
-    }
-    case Opcode::SRem: {
-      if (I.Ty == Type::I128) {
-        Int128 X = toI128(Regs[I.A]), Y = toI128(Regs[I.B]);
-        if (Y == 0)
-          trap(rt::TrapCode::DivByZero);
-        if (Y == -1)
-          Regs[I.Dst] = fromI128(0);
-        else
-          Regs[I.Dst] = fromI128(X % Y);
-        break;
-      }
-      int64_t X = sext(Regs[I.A].Lo, I.Ty), Y = sext(Regs[I.B].Lo, I.Ty);
-      if (Y == 0)
-        trap(rt::TrapCode::DivByZero);
-      if (Y == -1)
-        Regs[I.Dst].Lo = 0;
-      else
-        Regs[I.Dst].Lo = static_cast<uint64_t>(X % Y) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::And:
-      Regs[I.Dst].Lo = Regs[I.A].Lo & Regs[I.B].Lo;
-      Regs[I.Dst].Hi = Regs[I.A].Hi & Regs[I.B].Hi;
-      break;
-    case Opcode::Or:
-      Regs[I.Dst].Lo = Regs[I.A].Lo | Regs[I.B].Lo;
-      Regs[I.Dst].Hi = Regs[I.A].Hi | Regs[I.B].Hi;
-      break;
-    case Opcode::Xor:
-      Regs[I.Dst].Lo = Regs[I.A].Lo ^ Regs[I.B].Lo;
-      Regs[I.Dst].Hi = Regs[I.A].Hi ^ Regs[I.B].Hi;
-      break;
-    case Opcode::Shl: {
-      if (I.Ty == Type::I128) {
-        unsigned S = Regs[I.B].Lo & 127;
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            static_cast<UInt128>(toI128(Regs[I.A])) << S));
-        break;
-      }
-      unsigned S = Regs[I.B].Lo & (bitsFor(I.Ty) - 1);
-      Regs[I.Dst].Lo = (Regs[I.A].Lo << S) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::LShr: {
-      if (I.Ty == Type::I128) {
-        unsigned S = Regs[I.B].Lo & 127;
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            static_cast<UInt128>(toI128(Regs[I.A])) >> S));
-        break;
-      }
-      unsigned S = Regs[I.B].Lo & (bitsFor(I.Ty) - 1);
-      Regs[I.Dst].Lo = Regs[I.A].Lo >> S;
-      break;
-    }
-    case Opcode::AShr: {
-      if (I.Ty == Type::I128) {
-        unsigned S = Regs[I.B].Lo & 127;
-        Regs[I.Dst] = fromI128(toI128(Regs[I.A]) >> S);
-        break;
-      }
-      unsigned S = Regs[I.B].Lo & (bitsFor(I.Ty) - 1);
-      Regs[I.Dst].Lo =
-          static_cast<uint64_t>(sext(Regs[I.A].Lo, I.Ty) >> S) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::RotR: {
-      unsigned W = bitsFor(I.Ty);
-      unsigned S = Regs[I.B].Lo & (W - 1);
-      uint64_t V = Regs[I.A].Lo;
-      Regs[I.Dst].Lo =
-          S == 0 ? V : ((V >> S) | (V << (W - S))) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::Neg:
-      if (I.Ty == Type::I128)
-        Regs[I.Dst] = fromI128(static_cast<Int128>(
-            0 - static_cast<UInt128>(toI128(Regs[I.A]))));
-      else
-        Regs[I.Dst].Lo = (0 - Regs[I.A].Lo) & maskFor(I.Ty);
-      break;
-    case Opcode::Not:
-      Regs[I.Dst].Lo = ~Regs[I.A].Lo & maskFor(I.Ty);
-      Regs[I.Dst].Hi = I.Ty == Type::I128 ? ~Regs[I.A].Hi : 0;
-      break;
-
-    case Opcode::SAddTrap: {
-      if (I.Ty == Type::I128) {
-        Int128 R;
-        if (addOverflow128(toI128(Regs[I.A]), toI128(Regs[I.B]), &R))
-          trap(rt::TrapCode::Overflow);
-        Regs[I.Dst] = fromI128(R);
-        break;
-      }
-      int64_t X = sext(Regs[I.A].Lo, I.Ty), Y = sext(Regs[I.B].Lo, I.Ty);
-      int64_t R;
-      bool Ovf = I.Ty == Type::I32
-                     ? __builtin_add_overflow(static_cast<int32_t>(X),
-                                              static_cast<int32_t>(Y),
-                                              reinterpret_cast<int32_t *>(&R))
-                     : __builtin_add_overflow(X, Y, &R);
-      if (Ovf)
-        trap(rt::TrapCode::Overflow);
-      Regs[I.Dst].Lo = static_cast<uint64_t>(R) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::SSubTrap: {
-      if (I.Ty == Type::I128) {
-        Int128 R;
-        if (subOverflow128(toI128(Regs[I.A]), toI128(Regs[I.B]), &R))
-          trap(rt::TrapCode::Overflow);
-        Regs[I.Dst] = fromI128(R);
-        break;
-      }
-      int64_t X = sext(Regs[I.A].Lo, I.Ty), Y = sext(Regs[I.B].Lo, I.Ty);
-      int64_t R;
-      bool Ovf = I.Ty == Type::I32
-                     ? __builtin_sub_overflow(static_cast<int32_t>(X),
-                                              static_cast<int32_t>(Y),
-                                              reinterpret_cast<int32_t *>(&R))
-                     : __builtin_sub_overflow(X, Y, &R);
-      if (Ovf)
-        trap(rt::TrapCode::Overflow);
-      Regs[I.Dst].Lo = static_cast<uint64_t>(R) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::SMulTrap: {
-      if (I.Ty == Type::I128) {
-        Int128 R;
-        if (mulOverflow128(toI128(Regs[I.A]), toI128(Regs[I.B]), &R))
-          trap(rt::TrapCode::Overflow);
-        Regs[I.Dst] = fromI128(R);
-        break;
-      }
-      int64_t X = sext(Regs[I.A].Lo, I.Ty), Y = sext(Regs[I.B].Lo, I.Ty);
-      int64_t R;
-      bool Ovf = I.Ty == Type::I32
-                     ? __builtin_mul_overflow(static_cast<int32_t>(X),
-                                              static_cast<int32_t>(Y),
-                                              reinterpret_cast<int32_t *>(&R))
-                     : __builtin_mul_overflow(X, Y, &R);
-      if (Ovf)
-        trap(rt::TrapCode::Overflow);
-      Regs[I.Dst].Lo = static_cast<uint64_t>(R) & maskFor(I.Ty);
-      break;
-    }
-
-    case Opcode::Crc32:
-      Regs[I.Dst].Lo = crc32u64(Regs[I.A].Lo, Regs[I.B].Lo);
-      break;
-    case Opcode::LongMulFold:
-      Regs[I.Dst].Lo = longMulFold(Regs[I.A].Lo, Regs[I.B].Lo);
-      break;
-
-    case Opcode::FAdd:
-      Regs[I.Dst] = fromF64(toF64(Regs[I.A]) + toF64(Regs[I.B]));
-      break;
-    case Opcode::FSub:
-      Regs[I.Dst] = fromF64(toF64(Regs[I.A]) - toF64(Regs[I.B]));
-      break;
-    case Opcode::FMul:
-      Regs[I.Dst] = fromF64(toF64(Regs[I.A]) * toF64(Regs[I.B]));
-      break;
-    case Opcode::FDiv:
-      Regs[I.Dst] = fromF64(toF64(Regs[I.A]) / toF64(Regs[I.B]));
-      break;
-    case Opcode::FNeg:
-      Regs[I.Dst] = fromF64(-toF64(Regs[I.A]));
-      break;
-
+    // Every scalar opcode evaluates through qir/Semantics.h; each case
+    // instantiates the entry for its constant opcode.
+#define QCF_BINARY_CASE(OP)                                                   \
+  case Opcode::OP:                                                            \
+    if (rt::TrapCode TC = qir::evalBinary<Opcode::OP>(I.Ty, Regs[I.A],        \
+                                                      Regs[I.B], Regs[I.Dst]); \
+        QCF_UNLIKELY(TC != rt::TrapCode::None))                               \
+      trap(TC);                                                               \
+    break;
+    QIR_SCALAR_BINARY_OPS(QCF_BINARY_CASE)
+#undef QCF_BINARY_CASE
+#define QCF_UNARY_CASE(OP)                                                    \
+  case Opcode::OP:                                                            \
+    Regs[I.Dst] = qir::evalUnary<Opcode::OP>(I.Ty, I.SrcTy, Regs[I.A]);       \
+    break;
+    QIR_SCALAR_UNARY_OPS(QCF_UNARY_CASE)
+#undef QCF_UNARY_CASE
     case Opcode::ICmp:
-      Regs[I.Dst].Lo = evalICmp(static_cast<qir::CmpPred>(I.Flags), Regs[I.A],
-                                Regs[I.B], F->valueType(I.A));
+      Regs[I.Dst] = {qir::icmp(I.cmpPred(), I.SrcTy, Regs[I.A], Regs[I.B]), 0};
       break;
     case Opcode::FCmp:
-      Regs[I.Dst].Lo = evalFCmp(static_cast<qir::CmpPred>(I.Flags),
-                                toF64(Regs[I.A]), toF64(Regs[I.B]));
+      Regs[I.Dst] = {qir::fcmp(I.cmpPred(), qir::toF64(Regs[I.A]),
+                               qir::toF64(Regs[I.B])),
+                     0};
       break;
     case Opcode::Select:
       Regs[I.Dst] = Regs[I.A].Lo & 1 ? Regs[I.B] : Regs[I.C];
-      break;
-
-    case Opcode::ZExt:
-      Regs[I.Dst].Lo = Regs[I.A].Lo; // Canonical zero-extension invariant.
-      Regs[I.Dst].Hi = 0;
-      break;
-    case Opcode::SExt: {
-      int64_t V = sext(Regs[I.A].Lo, F->valueType(I.A));
-      if (I.Ty == Type::I128)
-        Regs[I.Dst] = fromI128(V);
-      else
-        Regs[I.Dst].Lo = static_cast<uint64_t>(V) & maskFor(I.Ty);
-      break;
-    }
-    case Opcode::Trunc:
-      Regs[I.Dst].Lo = Regs[I.A].Lo & maskFor(I.Ty);
-      Regs[I.Dst].Hi = 0;
-      break;
-    case Opcode::SIToFP:
-      Regs[I.Dst] = fromF64(
-          static_cast<double>(sext(Regs[I.A].Lo, F->valueType(I.A))));
-      break;
-    case Opcode::FPToSI:
-      Regs[I.Dst].Lo =
-          static_cast<uint64_t>(f64ToI64Trunc(toF64(Regs[I.A]))) &
-          maskFor(I.Ty);
-      break;
-    case Opcode::Bitcast:
-      Regs[I.Dst].Lo = Regs[I.A].Lo;
-      Regs[I.Dst].Hi = 0;
-      break;
-
-    case Opcode::PackD128:
-    case Opcode::PackI128:
-      Regs[I.Dst].Lo = Regs[I.A].Lo;
-      Regs[I.Dst].Hi = Regs[I.B].Lo;
-      break;
-    case Opcode::ExtractLo:
-      Regs[I.Dst].Lo = Regs[I.A].Lo;
-      Regs[I.Dst].Hi = 0;
-      break;
-    case Opcode::ExtractHi:
-      Regs[I.Dst].Lo = Regs[I.A].Hi;
-      Regs[I.Dst].Hi = 0;
       break;
 
     case Opcode::Load: {

@@ -18,29 +18,30 @@
 
 #include "backend/Backend.h"
 #include "qir/Function.h"
+#include "qir/Semantics.h"
 #include "x64/CallbackThunk.h"
 #include <memory>
 #include <vector>
 
 namespace qcf::interp {
 
-/// A 16-byte value slot (two 64-bit lanes). Small integers live
-/// zero-extended in Lo; f64 as bits in Lo; i128/d128 use both lanes.
-struct Slot {
-  uint64_t Lo = 0;
-  uint64_t Hi = 0;
-};
+/// A 16-byte value slot: one value in the canonical two-lane form of
+/// qir/Semantics.h.
+using Slot = qir::Lanes;
 
 /// One translated bytecode instruction.
 struct TInst {
   qir::Opcode Op;
   qir::Type Ty;
   uint8_t Flags;
+  qir::Type SrcTy; ///< Type of operand A for icmp, sext and sitofp.
   uint32_t Dst; ///< Destination register (== original value id).
   uint32_t A;
   uint32_t B;
   uint32_t C;
   uint64_t Imm;
+
+  qir::CmpPred cmpPred() const { return static_cast<qir::CmpPred>(Flags); }
 };
 
 /// A translated function.

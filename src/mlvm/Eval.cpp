@@ -5,146 +5,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "mlvm/Eval.h"
-#include "mlvm/KnownBits.h"
-#include "runtime/Trap.h"
-#include "support/Hash.h"
-#include "support/Int128.h"
+#include "qir/Semantics.h"
 #include <cstring>
 #include <unordered_map>
 #include <vector>
 
 using namespace qcf;
 using namespace qcf::mlvm;
-using qir::CmpPred;
 
 namespace {
 
-struct Pair {
-  uint64_t Lo = 0, Hi = 0;
-};
-
-unsigned bitsFor(Type Ty) { return qir::intBits(Ty); }
-
-int64_t sext(uint64_t V, Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return (V & 1) ? -1 : 0;
-  case Type::I8:
-    return static_cast<int8_t>(V);
-  case Type::I16:
-    return static_cast<int16_t>(V);
-  case Type::I32:
-    return static_cast<int32_t>(V);
-  default:
-    return static_cast<int64_t>(V);
-  }
-}
-
-Int128 toI128(Pair S) { return makeInt128(S.Lo, S.Hi); }
-Pair fromI128(Int128 V) { return {lo64(V), hi64(V)}; }
-
-double toF64(Pair S) {
-  double D;
-  std::memcpy(&D, &S.Lo, 8);
-  return D;
-}
-
-Pair fromF64(double D) {
-  Pair S;
-  std::memcpy(&S.Lo, &D, 8);
-  return S;
-}
-
-/// x86 cvttsd2si semantics: NaN / out of range produce INT64_MIN.
-int64_t f64ToI64Trunc(double D) {
-  if (!(D >= -9.2233720368547758e18 && D < 9.2233720368547758e18))
-    return INT64_MIN;
-  return static_cast<int64_t>(D);
-}
-
-bool evalICmp(CmpPred P, Pair A, Pair B, Type OpTy) {
-  if (OpTy == Type::I128) {
-    Int128 X = toI128(A), Y = toI128(B);
-    UInt128 UX = static_cast<UInt128>(X), UY = static_cast<UInt128>(Y);
-    switch (P) {
-    case CmpPred::Eq:
-      return X == Y;
-    case CmpPred::Ne:
-      return X != Y;
-    case CmpPred::SLt:
-      return X < Y;
-    case CmpPred::SLe:
-      return X <= Y;
-    case CmpPred::SGt:
-      return X > Y;
-    case CmpPred::SGe:
-      return X >= Y;
-    case CmpPred::ULt:
-      return UX < UY;
-    case CmpPred::ULe:
-      return UX <= UY;
-    case CmpPred::UGt:
-      return UX > UY;
-    case CmpPred::UGe:
-      return UX >= UY;
-    }
-    QCF_UNREACHABLE("invalid predicate");
-  }
-  int64_t SX, SY;
-  if (OpTy == Type::I1) {
-    SX = static_cast<int64_t>(A.Lo & 1);
-    SY = static_cast<int64_t>(B.Lo & 1);
-  } else {
-    SX = sext(A.Lo, OpTy);
-    SY = sext(B.Lo, OpTy);
-  }
-  uint64_t UX = A.Lo, UY = B.Lo;
-  switch (P) {
-  case CmpPred::Eq:
-    return UX == UY;
-  case CmpPred::Ne:
-    return UX != UY;
-  case CmpPred::SLt:
-    return SX < SY;
-  case CmpPred::SLe:
-    return SX <= SY;
-  case CmpPred::SGt:
-    return SX > SY;
-  case CmpPred::SGe:
-    return SX >= SY;
-  case CmpPred::ULt:
-    return UX < UY;
-  case CmpPred::ULe:
-    return UX <= UY;
-  case CmpPred::UGt:
-    return UX > UY;
-  case CmpPred::UGe:
-    return UX >= UY;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
-
-bool evalFCmp(CmpPred P, double A, double B) {
-  switch (P) {
-  case CmpPred::Eq:
-    return A == B;
-  case CmpPred::Ne:
-    return A != B;
-  case CmpPred::SLt:
-  case CmpPred::ULt:
-    return A < B;
-  case CmpPred::SLe:
-  case CmpPred::ULe:
-    return A <= B;
-  case CmpPred::SGt:
-  case CmpPred::UGt:
-    return A > B;
-  case CmpPred::SGe:
-  case CmpPred::UGe:
-    return A >= B;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
+using qir::Lanes;
 
 struct PairRet {
   uint64_t Lo, Hi;
@@ -212,7 +83,7 @@ public:
   EvalResult run(const uint64_t *ArgLanes, size_t NumArgLanes) {
     size_t Lane = 0;
     for (Argument *A : F.Args) {
-      Pair P;
+      Lanes P;
       P.Lo = Lane < NumArgLanes ? ArgLanes[Lane++] : 0;
       if (qir::isTwoLane(A->type()))
         P.Hi = Lane < NumArgLanes ? ArgLanes[Lane++] : 0;
@@ -257,14 +128,14 @@ private:
     R.TrapCode = static_cast<uint64_t>(Code);
   }
 
-  Pair value(const Value *V) {
+  Lanes value(const Value *V) {
     switch (V->kind()) {
     case Value::Kind::ConstInt: {
       auto *C = static_cast<const ConstantInt *>(V);
-      return {C->Val & maskFor(C->type()), 0};
+      return {C->Val & qir::typeMask(C->type()), 0};
     }
     case Value::Kind::ConstI128:
-      return fromI128(static_cast<const ConstantI128 *>(V)->Val);
+      return qir::fromI128(static_cast<const ConstantI128 *>(V)->Val);
     case Value::Kind::ConstF64:
       return {static_cast<const ConstantF64 *>(V)->Bits, 0};
     case Value::Kind::ConstPtr:
@@ -292,7 +163,7 @@ private:
   /// Parallel phi semantics: read every incoming value for the edge
   /// before committing any of them.
   void transferPhis(const BasicBlock *From, const BasicBlock *To) {
-    std::vector<std::pair<const Instruction *, Pair>> Staged;
+    std::vector<std::pair<const Instruction *, Lanes>> Staged;
     for (const Instruction *I : To->Insts) {
       if (I->Op != IROp::Phi)
         break;
@@ -312,7 +183,7 @@ private:
       setValue(I, V);
   }
 
-  void setValue(const Instruction *I, Pair V) {
+  void setValue(const Instruction *I, Lanes V) {
     Env[I] = V;
     if (Opts.KnownZero && R.Error.empty()) {
       uint64_t Claimed = Opts.KnownZero(I);
@@ -336,7 +207,7 @@ private:
     case IROp::Ret:
       Done = true;
       if (I->numOperands() >= 1) {
-        Pair V = value(I->operand(0));
+        Lanes V = value(I->operand(0));
         R.Lo = V.Lo;
         R.Hi = V.Hi;
       }
@@ -354,7 +225,7 @@ private:
     Type Ty = I->type();
     auto A = [&] { return value(I->operand(0)); };
     auto B = [&] { return value(I->operand(1)); };
-    Pair D;
+    Lanes D;
     switch (I->Op) {
     case IROp::StackSlot: {
       auto It = Slots.find(I);
@@ -364,251 +235,9 @@ private:
       break;
     }
 
-    case IROp::Add:
-      if (Ty == Type::I128)
-        D = fromI128(static_cast<Int128>(static_cast<UInt128>(toI128(A())) +
-                                         static_cast<UInt128>(toI128(B()))));
-      else
-        D.Lo = (A().Lo + B().Lo) & maskFor(Ty);
-      break;
-    case IROp::Sub:
-      if (Ty == Type::I128)
-        D = fromI128(static_cast<Int128>(static_cast<UInt128>(toI128(A())) -
-                                         static_cast<UInt128>(toI128(B()))));
-      else
-        D.Lo = (A().Lo - B().Lo) & maskFor(Ty);
-      break;
-    case IROp::Mul:
-      if (Ty == Type::I128)
-        D = fromI128(static_cast<Int128>(static_cast<UInt128>(toI128(A())) *
-                                         static_cast<UInt128>(toI128(B()))));
-      else
-        D.Lo = (A().Lo * B().Lo) & maskFor(Ty);
-      break;
-    case IROp::SDiv: {
-      if (Ty == Type::I128) {
-        Int128 X = toI128(A()), Y = toI128(B()), Q;
-        if (divOverflow128(X, Y, &Q))
-          return trap(Y == 0 ? rt::TrapCode::DivByZero
-                             : rt::TrapCode::Overflow);
-        D = fromI128(Q);
-        break;
-      }
-      int64_t X = sext(A().Lo, Ty), Y = sext(B().Lo, Ty);
-      if (Y == 0)
-        return trap(rt::TrapCode::DivByZero);
-      if (Y == -1 && X == -(sext(maskFor(Ty) >> 1, Ty)) - 1)
-        return trap(rt::TrapCode::Overflow);
-      D.Lo = static_cast<uint64_t>(X / Y) & maskFor(Ty);
-      break;
-    }
-    case IROp::UDiv: {
-      if (Ty == Type::I128) {
-        UInt128 X = static_cast<UInt128>(toI128(A()));
-        UInt128 Y = static_cast<UInt128>(toI128(B()));
-        if (Y == 0)
-          return trap(rt::TrapCode::DivByZero);
-        D = fromI128(static_cast<Int128>(X / Y));
-        break;
-      }
-      uint64_t Y = B().Lo;
-      if (Y == 0)
-        return trap(rt::TrapCode::DivByZero);
-      D.Lo = A().Lo / Y;
-      break;
-    }
-    case IROp::SRem: {
-      if (Ty == Type::I128) {
-        Int128 X = toI128(A()), Y = toI128(B());
-        if (Y == 0)
-          return trap(rt::TrapCode::DivByZero);
-        D = Y == -1 ? fromI128(0) : fromI128(X % Y);
-        break;
-      }
-      int64_t X = sext(A().Lo, Ty), Y = sext(B().Lo, Ty);
-      if (Y == 0)
-        return trap(rt::TrapCode::DivByZero);
-      D.Lo = Y == -1 ? 0 : static_cast<uint64_t>(X % Y) & maskFor(Ty);
-      break;
-    }
-    case IROp::And: {
-      Pair X = A(), Y = B();
-      D = {X.Lo & Y.Lo, X.Hi & Y.Hi};
-      break;
-    }
-    case IROp::Or: {
-      Pair X = A(), Y = B();
-      D = {X.Lo | Y.Lo, X.Hi | Y.Hi};
-      break;
-    }
-    case IROp::Xor: {
-      Pair X = A(), Y = B();
-      D = {X.Lo ^ Y.Lo, X.Hi ^ Y.Hi};
-      break;
-    }
-    case IROp::Shl: {
-      if (Ty == Type::I128) {
-        unsigned S = B().Lo & 127;
-        D = fromI128(
-            static_cast<Int128>(static_cast<UInt128>(toI128(A())) << S));
-        break;
-      }
-      unsigned S = B().Lo & (bitsFor(Ty) - 1);
-      D.Lo = (A().Lo << S) & maskFor(Ty);
-      break;
-    }
-    case IROp::LShr: {
-      if (Ty == Type::I128) {
-        unsigned S = B().Lo & 127;
-        D = fromI128(
-            static_cast<Int128>(static_cast<UInt128>(toI128(A())) >> S));
-        break;
-      }
-      unsigned S = B().Lo & (bitsFor(Ty) - 1);
-      D.Lo = A().Lo >> S;
-      break;
-    }
-    case IROp::AShr: {
-      if (Ty == Type::I128) {
-        unsigned S = B().Lo & 127;
-        D = fromI128(toI128(A()) >> S);
-        break;
-      }
-      unsigned S = B().Lo & (bitsFor(Ty) - 1);
-      D.Lo = static_cast<uint64_t>(sext(A().Lo, Ty) >> S) & maskFor(Ty);
-      break;
-    }
-    case IROp::RotR: {
-      if (Ty == Type::I128) {
-        err("rotr has no i128 semantics");
-        return;
-      }
-      unsigned W = bitsFor(Ty);
-      unsigned S = B().Lo & (W - 1);
-      uint64_t V = A().Lo;
-      D.Lo = S == 0 ? V : ((V >> S) | (V << (W - S))) & maskFor(Ty);
-      break;
-    }
-    case IROp::Neg:
-      if (Ty == Type::I128)
-        D = fromI128(
-            static_cast<Int128>(0 - static_cast<UInt128>(toI128(A()))));
-      else
-        D.Lo = (0 - A().Lo) & maskFor(Ty);
-      break;
-    case IROp::Not: {
-      Pair X = A();
-      D.Lo = ~X.Lo & maskFor(Ty);
-      D.Hi = Ty == Type::I128 ? ~X.Hi : 0;
-      break;
-    }
-
-    case IROp::SAddTrap:
-    case IROp::SSubTrap:
-    case IROp::SMulTrap: {
-      if (Ty == Type::I128) {
-        Int128 Q;
-        bool Ovf = I->Op == IROp::SAddTrap
-                       ? addOverflow128(toI128(A()), toI128(B()), &Q)
-                   : I->Op == IROp::SSubTrap
-                       ? subOverflow128(toI128(A()), toI128(B()), &Q)
-                       : mulOverflow128(toI128(A()), toI128(B()), &Q);
-        if (Ovf)
-          return trap(rt::TrapCode::Overflow);
-        D = fromI128(Q);
-        break;
-      }
-      int64_t X = sext(A().Lo, Ty), Y = sext(B().Lo, Ty);
-      int64_t Q;
-      bool Ovf;
-      if (Ty == Type::I32) {
-        auto *Q32 = reinterpret_cast<int32_t *>(&Q);
-        int32_t X32 = static_cast<int32_t>(X), Y32 = static_cast<int32_t>(Y);
-        Ovf = I->Op == IROp::SAddTrap
-                  ? __builtin_add_overflow(X32, Y32, Q32)
-              : I->Op == IROp::SSubTrap
-                  ? __builtin_sub_overflow(X32, Y32, Q32)
-                  : __builtin_mul_overflow(X32, Y32, Q32);
-      } else {
-        Ovf = I->Op == IROp::SAddTrap ? __builtin_add_overflow(X, Y, &Q)
-              : I->Op == IROp::SSubTrap
-                  ? __builtin_sub_overflow(X, Y, &Q)
-                  : __builtin_mul_overflow(X, Y, &Q);
-      }
-      if (Ovf)
-        return trap(rt::TrapCode::Overflow);
-      D.Lo = static_cast<uint64_t>(Q) & maskFor(Ty);
-      break;
-    }
-
-    case IROp::Crc32:
-      D.Lo = crc32u64(A().Lo, B().Lo);
-      break;
-    case IROp::LongMulFold:
-      D.Lo = longMulFold(A().Lo, B().Lo);
-      break;
-
-    case IROp::FAdd:
-      D = fromF64(toF64(A()) + toF64(B()));
-      break;
-    case IROp::FSub:
-      D = fromF64(toF64(A()) - toF64(B()));
-      break;
-    case IROp::FMul:
-      D = fromF64(toF64(A()) * toF64(B()));
-      break;
-    case IROp::FDiv:
-      D = fromF64(toF64(A()) / toF64(B()));
-      break;
-    case IROp::FNeg:
-      D = fromF64(-toF64(A()));
-      break;
-
-    case IROp::ICmp:
-      D.Lo = evalICmp(I->cmpPred(), A(), B(), I->operand(0)->type());
-      break;
-    case IROp::FCmp:
-      D.Lo = evalFCmp(I->cmpPred(), toF64(A()), toF64(B()));
-      break;
     case IROp::Select:
       D = value(I->operand(0)).Lo & 1 ? value(I->operand(1))
                                       : value(I->operand(2));
-      break;
-
-    case IROp::ZExt:
-      D.Lo = A().Lo; // Canonical zero-extension invariant.
-      break;
-    case IROp::SExt: {
-      int64_t V = sext(A().Lo, I->operand(0)->type());
-      if (Ty == Type::I128)
-        D = fromI128(V);
-      else
-        D.Lo = static_cast<uint64_t>(V) & maskFor(Ty);
-      break;
-    }
-    case IROp::Trunc:
-      D.Lo = A().Lo & maskFor(Ty);
-      break;
-    case IROp::SIToFP:
-      D = fromF64(
-          static_cast<double>(sext(A().Lo, I->operand(0)->type())));
-      break;
-    case IROp::FPToSI:
-      D.Lo = static_cast<uint64_t>(f64ToI64Trunc(toF64(A()))) & maskFor(Ty);
-      break;
-    case IROp::Bitcast:
-      D.Lo = A().Lo;
-      break;
-
-    case IROp::PackD128:
-    case IROp::PackI128:
-      D = {A().Lo, B().Lo};
-      break;
-    case IROp::ExtractLo:
-      D.Lo = A().Lo;
-      break;
-    case IROp::ExtractHi:
-      D.Lo = A().Hi;
       break;
 
     case IROp::Load: {
@@ -618,7 +247,7 @@ private:
     }
     case IROp::Store: {
       void *P = reinterpret_cast<void *>(A().Lo);
-      Pair V = B();
+      Lanes V = B();
       std::memcpy(P, &V, qir::typeSize(I->operand(1)->type()));
       return; // no value
     }
@@ -650,7 +279,7 @@ private:
       uint64_t Slots6[6];
       unsigned N = 0;
       for (unsigned K = 0; K != I->numOperands(); ++K) {
-        Pair V = value(I->operand(K));
+        Lanes V = value(I->operand(K));
         if (N >= 6) {
           err("call exceeds the 6-slot runtime ABI");
           return;
@@ -679,6 +308,18 @@ private:
       D = A();
       break;
 
+    default: {
+      // Every scalar opcode evaluates through qir/Semantics.h.
+      Lanes X = A();
+      Lanes Y = I->numOperands() > 1 ? B() : Lanes{};
+      rt::TrapCode TC = qir::evalScalar(qirOpFor(I->Op), Ty,
+                                        I->operand(0)->type(), I->cmpPred(),
+                                        X, Y, D);
+      if (TC != rt::TrapCode::None)
+        return trap(TC);
+      break;
+    }
+
     case IROp::ConstInt:
     case IROp::ConstI128:
     case IROp::ConstF64:
@@ -699,7 +340,7 @@ private:
 
   const MFunction &F;
   const EvalOptions &Opts;
-  std::unordered_map<const Value *, Pair> Env;
+  std::unordered_map<const Value *, Lanes> Env;
   std::unordered_map<const Instruction *, std::vector<uint8_t>> Slots;
   EvalResult R;
   uint64_t Fuel = 0;

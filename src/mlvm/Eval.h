@@ -6,10 +6,12 @@
 ///
 /// \file
 /// A direct interpreter for MLVM-IR, used by the expensive-checks build as
-/// a differential oracle: it mirrors the QIR interpreter's semantics
-/// (canonical zero-extension, trap conditions, x86 conversion edge cases)
-/// so compiled code and the analyses feeding code generation can be
-/// cross-checked on concrete inputs.
+/// a differential oracle. MLVM-IR opcodes share QIR's numbering, so every
+/// scalar instruction evaluates through qir/Semantics.h — the definition
+/// the QIR interpreter uses too (canonical zero-extension, trap
+/// conditions, x86 conversion edge cases) — and compiled code and the
+/// analyses feeding code generation can be cross-checked on concrete
+/// inputs.
 ///
 /// The known-bits oracle: when EvalOptions::KnownZero is set, every
 /// evaluated instruction's low lane is checked against the claimed

@@ -53,8 +53,6 @@ Cond condForPred(qir::CmpPred P) {
   QCF_UNREACHABLE("invalid predicate");
 }
 
-// maskFor lives in mlvm/KnownBits.h (shared with the known-bits oracle).
-
 /// Register-level machine code builder: the shared expansion library that
 /// all three selectors bottom out in. Maintains the canonical
 /// zero-extension invariant for narrow values; two-lane values are vreg
@@ -669,7 +667,7 @@ public:
         N->addOperand(MOperand::use(T));
         if (DstTy != Type::I64 && DstTy != Type::I128) {
           MReg M = fresh();
-          movRI(M, maskFor(DstTy));
+          movRI(M, qir::typeMask(DstTy));
           alu3(AluOp::And, Width::W64, DLo, DLo, M);
         }
         if (DstTy == Type::I128) {
@@ -688,7 +686,7 @@ public:
         movsx2(widthFor(SrcTy), DLo, ALo);
       if (DstTy != Type::I64 && DstTy != Type::I128) {
         MReg M = fresh();
-        movRI(M, maskFor(DstTy));
+        movRI(M, qir::typeMask(DstTy));
         alu3(AluOp::And, Width::W64, DLo, DLo, M);
       }
       if (DstTy == Type::I128) {
@@ -731,7 +729,7 @@ public:
       C->addOperand(MOperand::use(ALo));
       if (DstTy != Type::I64) {
         MReg M = fresh();
-        movRI(M, maskFor(DstTy));
+        movRI(M, qir::typeMask(DstTy));
         alu3(AluOp::And, Width::W64, DLo, T, M);
       }
       return;
@@ -902,7 +900,7 @@ public:
     case Value::Kind::ConstInt: {
       MReg R = B.fresh();
       B.movRI(R, static_cast<ConstantInt *>(V)->Val &
-                     maskFor(V->type()));
+                     qir::typeMask(V->type()));
       return R;
     }
     case Value::Kind::ConstI128: {
@@ -943,7 +941,7 @@ public:
     if (V->kind() != Value::Kind::ConstInt)
       return false;
     auto *C = static_cast<ConstantInt *>(V);
-    int64_t Val = static_cast<int64_t>(C->Val & maskFor(C->type()));
+    int64_t Val = static_cast<int64_t>(C->Val & qir::typeMask(C->type()));
     if (C->type() == Type::I64 &&
         (static_cast<int64_t>(C->Val) < INT32_MIN ||
          static_cast<int64_t>(C->Val) > INT32_MAX))

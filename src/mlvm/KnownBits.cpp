@@ -9,28 +9,13 @@
 using namespace qcf;
 using namespace qcf::mlvm;
 
-uint64_t mlvm::maskFor(qir::Type Ty) {
-  switch (Ty) {
-  case qir::Type::I1:
-    return 1;
-  case qir::Type::I8:
-    return 0xff;
-  case qir::Type::I16:
-    return 0xffff;
-  case qir::Type::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
 uint64_t mlvm::knownZeroBits(const Value *V, unsigned Depth,
                              uint64_t *QueryCount) {
   if (QueryCount)
     ++*QueryCount;
   if (Depth > 6)
     return 0;
-  uint64_t TypeZeros = ~maskFor(V->type());
+  uint64_t TypeZeros = ~qir::typeMask(V->type());
   if (V->kind() == Value::Kind::ConstInt)
     return ~static_cast<const ConstantInt *>(V)->Val | TypeZeros;
   if (V->kind() != Value::Kind::Inst)
@@ -50,7 +35,7 @@ uint64_t mlvm::knownZeroBits(const Value *V, unsigned Depth,
     return TypeZeros |
            (I->Op == IROp::ZExt
                 ? (knownZeroBits(I->operand(0), Depth + 1, QueryCount) |
-                   ~maskFor(I->operand(0)->type()))
+                   ~qir::typeMask(I->operand(0)->type()))
                 : ~1ull);
   case IROp::LShr:
     return TypeZeros;

@@ -20,11 +20,6 @@
 
 namespace qcf::mlvm {
 
-/// Bits outside a type's canonical value range. Narrow values keep the
-/// zero-extension invariant, so these bits are always zero; I128/F64
-/// lanes use the full word.
-uint64_t maskFor(qir::Type Ty);
-
 /// Returns a mask of bits of \p V's low 64-bit lane that are provably
 /// zero (like LLVM's computeKnownBits, recursion capped at depth 6).
 /// Every recursive query increments \p *QueryCount when non-null, which

@@ -119,6 +119,41 @@ inline unsigned intBits(Type Ty) {
   }
 }
 
+/// Mask of the bits a value of this type occupies in its low 64-bit lane.
+/// Narrow integers are kept zero-extended (the canonical form), so the
+/// bits outside the mask are zero; every other type uses the whole lane.
+inline uint64_t typeMask(Type Ty) {
+  switch (Ty) {
+  case Type::I1:
+    return 1;
+  case Type::I8:
+    return 0xff;
+  case Type::I16:
+    return 0xffff;
+  case Type::I32:
+    return 0xffffffffull;
+  default:
+    return ~0ull;
+  }
+}
+
+/// Sign-extends the low lane \p V of a value of type \p Ty to 64 bits
+/// (i64 and wider reinterpret the lane).
+inline int64_t sext(uint64_t V, Type Ty) {
+  switch (Ty) {
+  case Type::I1:
+    return (V & 1) ? -1 : 0;
+  case Type::I8:
+    return static_cast<int8_t>(V);
+  case Type::I16:
+    return static_cast<int16_t>(V);
+  case Type::I32:
+    return static_cast<int32_t>(V);
+  default:
+    return static_cast<int64_t>(V);
+  }
+}
+
 /// True for types that occupy two 64-bit lanes (two machine registers).
 inline bool isTwoLane(Type Ty) {
   return Ty == Type::I128 || Ty == Type::D128;

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Runtime.h"
-#include "support/Hash.h"
+#include "qir/Semantics.h"
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -268,122 +268,94 @@ extern "C" void rt_sort(void *Base, uint64_t Count, uint64_t ElemSize,
   std::memcpy(Bytes, Tmp.data(), Count * ElemSize);
 }
 
-// --- 128-bit multiplication helper ------------------------------------------
+// --- Checked arithmetic helpers -----------------------------------------------
+//
+// Back-ends lower trapping and 128-bit QIR arithmetic to these calls; each
+// evaluates the QIR opcode it stands for through qir/Semantics.h.
+
+namespace {
+
+template <qir::Opcode Op>
+qir::Lanes evalOrTrap(Type Ty, qir::Lanes A, qir::Lanes B) {
+  qir::Lanes R;
+  TrapCode Code = qir::evalBinary<Op>(Ty, A, B, R);
+  if (Code != TrapCode::None)
+    rt_trap(static_cast<uint64_t>(Code));
+  return R;
+}
+
+template <qir::Opcode Op> __int128 eval128(__int128 A, qir::Lanes B) {
+  return qir::toI128(evalOrTrap<Op>(Type::I128, qir::fromI128(A), B));
+}
+
+template <qir::Opcode Op> uint64_t eval64(Type Ty, uint64_t A, uint64_t B) {
+  return evalOrTrap<Op>(Ty, {A, 0}, {B, 0}).Lo;
+}
+
+} // namespace
 
 extern "C" __int128 rt_mul128_ovf(__int128 A, __int128 B) {
-  Int128 R;
-  if (mulOverflow128(A, B, &R))
-    rt_trap(static_cast<uint64_t>(TrapCode::Overflow));
-  return R;
+  return eval128<qir::Opcode::SMulTrap>(A, qir::fromI128(B));
 }
 
 extern "C" __int128 rt_sdiv128(__int128 A, __int128 B) {
-  Int128 R;
-  if (divOverflow128(A, B, &R))
-    rt_trap(static_cast<uint64_t>(B == 0 ? TrapCode::DivByZero
-                                         : TrapCode::Overflow));
-  return R;
+  return eval128<qir::Opcode::SDiv>(A, qir::fromI128(B));
 }
 
 extern "C" __int128 rt_udiv128(__int128 A, __int128 B) {
-  if (B == 0)
-    rt_trap(static_cast<uint64_t>(TrapCode::DivByZero));
-  return static_cast<Int128>(static_cast<UInt128>(A) /
-                             static_cast<UInt128>(B));
+  return eval128<qir::Opcode::UDiv>(A, qir::fromI128(B));
 }
 
 extern "C" __int128 rt_srem128(__int128 A, __int128 B) {
-  if (B == 0)
-    rt_trap(static_cast<uint64_t>(TrapCode::DivByZero));
-  if (B == -1)
-    return 0;
-  return A % B;
+  return eval128<qir::Opcode::SRem>(A, qir::fromI128(B));
 }
 
 extern "C" __int128 rt_shl128(__int128 A, uint64_t Amount) {
-  return static_cast<Int128>(static_cast<UInt128>(A) << (Amount & 127));
+  return eval128<qir::Opcode::Shl>(A, {Amount, 0});
 }
 
 extern "C" __int128 rt_lshr128(__int128 A, uint64_t Amount) {
-  return static_cast<Int128>(static_cast<UInt128>(A) >> (Amount & 127));
+  return eval128<qir::Opcode::LShr>(A, {Amount, 0});
 }
 
 extern "C" __int128 rt_ashr128(__int128 A, uint64_t Amount) {
-  return A >> (Amount & 127);
+  return eval128<qir::Opcode::AShr>(A, {Amount, 0});
 }
 
 extern "C" uint64_t rt_crc32(uint64_t Seed, uint64_t Value) {
   return crc32u64(Seed, Value);
 }
 
-namespace {
-
-[[noreturn]] void trapOverflow() {
-  rt_trap(static_cast<uint64_t>(TrapCode::Overflow));
-}
-
-} // namespace
-
 extern "C" uint64_t rt_sadd32_ovf(uint64_t A, uint64_t B) {
-  int32_t R;
-  if (__builtin_add_overflow(static_cast<int32_t>(A),
-                             static_cast<int32_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint32_t>(R);
+  return eval64<qir::Opcode::SAddTrap>(Type::I32, A, B);
 }
 
 extern "C" uint64_t rt_ssub32_ovf(uint64_t A, uint64_t B) {
-  int32_t R;
-  if (__builtin_sub_overflow(static_cast<int32_t>(A),
-                             static_cast<int32_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint32_t>(R);
+  return eval64<qir::Opcode::SSubTrap>(Type::I32, A, B);
 }
 
 extern "C" uint64_t rt_smul32_ovf(uint64_t A, uint64_t B) {
-  int32_t R;
-  if (__builtin_mul_overflow(static_cast<int32_t>(A),
-                             static_cast<int32_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint32_t>(R);
+  return eval64<qir::Opcode::SMulTrap>(Type::I32, A, B);
 }
 
 extern "C" uint64_t rt_sadd64_ovf(uint64_t A, uint64_t B) {
-  int64_t R;
-  if (__builtin_add_overflow(static_cast<int64_t>(A),
-                             static_cast<int64_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint64_t>(R);
+  return eval64<qir::Opcode::SAddTrap>(Type::I64, A, B);
 }
 
 extern "C" uint64_t rt_ssub64_ovf(uint64_t A, uint64_t B) {
-  int64_t R;
-  if (__builtin_sub_overflow(static_cast<int64_t>(A),
-                             static_cast<int64_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint64_t>(R);
+  return eval64<qir::Opcode::SSubTrap>(Type::I64, A, B);
 }
 
 extern "C" uint64_t rt_smul64_ovf(uint64_t A, uint64_t B) {
-  int64_t R;
-  if (__builtin_mul_overflow(static_cast<int64_t>(A),
-                             static_cast<int64_t>(B), &R))
-    trapOverflow();
-  return static_cast<uint64_t>(R);
+  return eval64<qir::Opcode::SMulTrap>(Type::I64, A, B);
 }
 
 extern "C" __int128 rt_add128_ovf(__int128 A, __int128 B) {
-  Int128 R;
-  if (addOverflow128(A, B, &R))
-    trapOverflow();
-  return R;
+  return eval128<qir::Opcode::SAddTrap>(A, qir::fromI128(B));
 }
 
 extern "C" __int128 rt_sub128_ovf(__int128 A, __int128 B) {
-  Int128 R;
-  if (subOverflow128(A, B, &R))
-    trapOverflow();
-  return R;
+  return eval128<qir::Opcode::SSubTrap>(A, qir::fromI128(B));
 }
 
 // --- OutputBuffer --------------------------------------------------------------

@@ -45,21 +45,6 @@ namespace {
 
 constexpr int32_t NO_SLOT = INT32_MAX;
 
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
 unsigned lanesOf(Type Ty) { return qir::isTwoLane(Ty) ? 2 : 1; }
 
 /// Compiles one function by fragment concatenation; see file comment.
@@ -584,7 +569,7 @@ private:
       return;
 
     case Opcode::ConstInt:
-      emitI64(T.ConstA, I.Imm & maskFor(I.Ty));
+      emitI64(T.ConstA, I.Imm & qir::typeMask(I.Ty));
       defGp1(Id);
       return;
     case Opcode::ConstI128: {

@@ -43,21 +43,6 @@ Width aluWidth(Type Ty) {
   return Ty == Type::I64 || Ty == Type::Ptr ? Width::W64 : Width::W32;
 }
 
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
 Cond condForPred(qir::CmpPred P) {
   switch (P) {
   case qir::CmpPred::Eq:
@@ -677,7 +662,7 @@ StencilTable::StencilTable() {
         B.A.movsxRR(widthOf(From), Reg::RAX, Reg::RAX);
       }
       if (To != Type::I128 && To != Type::I64) {
-        B.A.movRI(Reg::R11, maskFor(To));
+        B.A.movRI(Reg::R11, qir::typeMask(To));
         B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
       }
       if (To == Type::I128) {
@@ -690,7 +675,7 @@ StencilTable::StencilTable() {
   }
   for (Type To : {Type::I1, Type::I8, Type::I16, Type::I32}) {
     FB B;
-    B.A.movRI(Reg::R11, maskFor(To));
+    B.A.movRI(Reg::R11, qir::typeMask(To));
     B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
     add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take());
   }
@@ -705,7 +690,7 @@ StencilTable::StencilTable() {
     FB B;
     B.A.cvttsd2si(Reg::RAX, Xmm::XMM0);
     if (To != Type::I64) {
-      B.A.movRI(Reg::R11, maskFor(To));
+      B.A.movRI(Reg::R11, qir::typeMask(To));
       B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
     }
     add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take());

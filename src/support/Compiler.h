@@ -42,9 +42,11 @@ namespace qcf {
 #if defined(__GNUC__)
 #define QCF_LIKELY(x) __builtin_expect(!!(x), 1)
 #define QCF_UNLIKELY(x) __builtin_expect(!!(x), 0)
+#define QCF_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define QCF_LIKELY(x) (x)
 #define QCF_UNLIKELY(x) (x)
+#define QCF_ALWAYS_INLINE inline
 #endif
 
 #endif // QCF_SUPPORT_COMPILER_H

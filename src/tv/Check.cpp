@@ -40,21 +40,6 @@ uint64_t hashStr(const std::string &S) {
   return H;
 }
 
-uint64_t maskForTy(Type T) {
-  switch (T) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffff;
-  default:
-    return ~0ull;
-  }
-}
-
 uint8_t retKindOf(Type T) {
   switch (T) {
   case Type::Void:
@@ -217,7 +202,7 @@ std::string cmpTraces(const qir::Function &F, unsigned Round, const Trace &QT,
                          valueLine("qir hi:    ", Q.RetHi, Q.RetHiT, TA) +
                          valueLine("machine hi:", Mv.RetHi, Mv.RetHiT, TA));
       } else if (RT != Type::Void) {
-        uint64_t Msk = maskForTy(RT);
+        uint64_t Msk = qir::typeMask(RT);
         if ((Q.RetLo ^ Mv.RetLo) & Msk)
           return rep(I, "return value differs",
                      valueLine("qir value:    ", Q.RetLo & Msk, Q.RetLoT, TA) +
@@ -300,7 +285,7 @@ void genArgs(const qir::Function &F, const RoundCtx &RC, TermArena &TA,
       IsF64.push_back(0);
       break;
     default:
-      Lanes.push_back(intLane(K, maskForTy(Ty)));
+      Lanes.push_back(intLane(K, qir::typeMask(Ty)));
       Terms.push_back(TA.param(K));
       IsF64.push_back(0);
       break;

@@ -15,158 +15,88 @@
 /// opaque calls would desynchronize the event streams: the QIR side sees an
 /// arithmetic instruction, the machine side a call.
 ///
-/// Semantics mirror runtime/Runtime.cpp byte for byte via the same
-/// support/Int128.h helpers.
+/// Both this file and runtime/Runtime.cpp evaluate each helper as the QIR
+/// opcode it implements, through qir/Semantics.h, so the helper and its
+/// model cannot drift apart.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Trap.h"
-#include "support/Hash.h"
-#include "support/Int128.h"
+#include "qir/Semantics.h"
 #include "tv/Sim.h"
 
 using namespace qcf;
 using namespace qcf::tv;
+using qir::Opcode;
+using qir::Type;
+
+namespace {
+
+/// A runtime helper and the QIR opcode it evaluates.
+struct Helper {
+  const char *Name;
+  Opcode Op;
+  Type Ty;
+};
+
+constexpr Helper Helpers[] = {
+    {"rt_sdiv128", Opcode::SDiv, Type::I128},
+    {"rt_udiv128", Opcode::UDiv, Type::I128},
+    {"rt_srem128", Opcode::SRem, Type::I128},
+    {"rt_shl128", Opcode::Shl, Type::I128},
+    {"rt_lshr128", Opcode::LShr, Type::I128},
+    {"rt_ashr128", Opcode::AShr, Type::I128},
+    {"rt_mul128_ovf", Opcode::SMulTrap, Type::I128},
+    {"rt_add128_ovf", Opcode::SAddTrap, Type::I128},
+    {"rt_sub128_ovf", Opcode::SSubTrap, Type::I128},
+    {"rt_crc32", Opcode::Crc32, Type::I64},
+    {"rt_sadd32_ovf", Opcode::SAddTrap, Type::I32},
+    {"rt_ssub32_ovf", Opcode::SSubTrap, Type::I32},
+    {"rt_smul32_ovf", Opcode::SMulTrap, Type::I32},
+    {"rt_sadd64_ovf", Opcode::SAddTrap, Type::I64},
+    {"rt_ssub64_ovf", Opcode::SSubTrap, Type::I64},
+    {"rt_smul64_ovf", Opcode::SMulTrap, Type::I64},
+};
+
+const Helper *findHelper(const std::string &Name) {
+  for (const Helper &H : Helpers)
+    if (Name == H.Name)
+      return &H;
+  return nullptr;
+}
+
+} // namespace
 
 bool tv::stepIntrinsic(const std::string &Name, const uint64_t *Args,
                        uint64_t &Lo, uint64_t &Hi, int &TrapCode) {
   TrapCode = static_cast<int>(rt::TrapCode::None);
   Lo = Hi = 0;
-
-  auto a128 = [&] { return makeInt128(Args[0], Args[1]); };
-  auto b128 = [&] { return makeInt128(Args[2], Args[3]); };
-  auto pack = [&](Int128 V) {
-    Lo = lo64(V);
-    Hi = hi64(V);
-  };
-  auto trap = [&](rt::TrapCode C) { TrapCode = static_cast<int>(C); };
-
-  if (Name == "rt_sdiv128") {
-    Int128 Q;
-    if (divOverflow128(a128(), b128(), &Q))
-      trap(b128() == 0 ? rt::TrapCode::DivByZero : rt::TrapCode::Overflow);
-    else
-      pack(Q);
+  const Helper *H = findHelper(Name);
+  if (!H)
+    return false;
+  // Two-lane operands take two argument slots each; an i128 shift's
+  // amount is the third slot, which is all its B operand's low lane holds.
+  qir::Lanes A{Args[0]}, B{Args[1]};
+  if (qir::isTwoLane(H->Ty)) {
+    A = {Args[0], Args[1]};
+    B = {Args[2], Args[3]};
+  }
+  qir::Lanes R;
+  rt::TrapCode TC =
+      qir::evalScalar(H->Op, H->Ty, H->Ty, qir::CmpPred::Eq, A, B, R);
+  if (TC != rt::TrapCode::None) {
+    TrapCode = static_cast<int>(TC);
     return true;
   }
-  if (Name == "rt_udiv128") {
-    UInt128 B = static_cast<UInt128>(b128());
-    if (B == 0)
-      trap(rt::TrapCode::DivByZero);
-    else
-      pack(static_cast<Int128>(static_cast<UInt128>(a128()) / B));
-    return true;
-  }
-  if (Name == "rt_srem128") {
-    Int128 B = b128();
-    if (B == 0)
-      trap(rt::TrapCode::DivByZero);
-    else if (B == -1)
-      pack(0);
-    else
-      pack(a128() % B);
-    return true;
-  }
-  if (Name == "rt_shl128" || Name == "rt_lshr128" || Name == "rt_ashr128") {
-    unsigned S = static_cast<unsigned>(Args[2]) & 127;
-    Int128 A = a128();
-    if (Name == "rt_shl128")
-      pack(static_cast<Int128>(static_cast<UInt128>(A) << S));
-    else if (Name == "rt_lshr128")
-      pack(static_cast<Int128>(static_cast<UInt128>(A) >> S));
-    else
-      pack(A >> S);
-    return true;
-  }
-  if (Name == "rt_mul128_ovf") {
-    Int128 P;
-    if (mulOverflow128(a128(), b128(), &P))
-      trap(rt::TrapCode::Overflow);
-    else
-      pack(P);
-    return true;
-  }
-  if (Name == "rt_add128_ovf") {
-    Int128 R;
-    if (addOverflow128(a128(), b128(), &R))
-      trap(rt::TrapCode::Overflow);
-    else
-      pack(R);
-    return true;
-  }
-  if (Name == "rt_sub128_ovf") {
-    Int128 R;
-    if (subOverflow128(a128(), b128(), &R))
-      trap(rt::TrapCode::Overflow);
-    else
-      pack(R);
-    return true;
-  }
-  if (Name == "rt_crc32") {
-    Lo = crc32u64(Args[0], Args[1]);
-    return true;
-  }
-
-  auto ovf32 = [&](auto Fn) {
-    int32_t R;
-    if (Fn(static_cast<int32_t>(Args[0]), static_cast<int32_t>(Args[1]), &R))
-      trap(rt::TrapCode::Overflow);
-    else
-      Lo = static_cast<uint32_t>(R);
-    return true;
-  };
-  auto ovf64 = [&](auto Fn) {
-    int64_t R;
-    if (Fn(static_cast<int64_t>(Args[0]), static_cast<int64_t>(Args[1]), &R))
-      trap(rt::TrapCode::Overflow);
-    else
-      Lo = static_cast<uint64_t>(R);
-    return true;
-  };
-
-  if (Name == "rt_sadd32_ovf")
-    return ovf32([](int32_t A, int32_t B, int32_t *R) {
-      return __builtin_add_overflow(A, B, R);
-    });
-  if (Name == "rt_ssub32_ovf")
-    return ovf32([](int32_t A, int32_t B, int32_t *R) {
-      return __builtin_sub_overflow(A, B, R);
-    });
-  if (Name == "rt_smul32_ovf")
-    return ovf32([](int32_t A, int32_t B, int32_t *R) {
-      return __builtin_mul_overflow(A, B, R);
-    });
-  if (Name == "rt_sadd64_ovf")
-    return ovf64([](int64_t A, int64_t B, int64_t *R) {
-      return __builtin_add_overflow(A, B, R);
-    });
-  if (Name == "rt_ssub64_ovf")
-    return ovf64([](int64_t A, int64_t B, int64_t *R) {
-      return __builtin_sub_overflow(A, B, R);
-    });
-  if (Name == "rt_smul64_ovf")
-    return ovf64([](int64_t A, int64_t B, int64_t *R) {
-      return __builtin_mul_overflow(A, B, R);
-    });
-
-  return false;
+  Lo = R.Lo;
+  Hi = R.Hi;
+  return true;
 }
 
 TermRef tv::intrinsicResultTerm(TermArena &TA, const std::string &Name,
                                 const TermRef *ArgT) {
-  if (Name == "rt_crc32")
-    return TA.binary(TermOp::Crc32, ArgT[0], ArgT[1], 64);
-  if (Name == "rt_sadd32_ovf")
-    return TA.binary(TermOp::Add, ArgT[0], ArgT[1], 32);
-  if (Name == "rt_ssub32_ovf")
-    return TA.binary(TermOp::Sub, ArgT[0], ArgT[1], 32);
-  if (Name == "rt_smul32_ovf")
-    return TA.binary(TermOp::Mul, ArgT[0], ArgT[1], 32);
-  if (Name == "rt_sadd64_ovf")
-    return TA.binary(TermOp::Add, ArgT[0], ArgT[1], 64);
-  if (Name == "rt_ssub64_ovf")
-    return TA.binary(TermOp::Sub, ArgT[0], ArgT[1], 64);
-  if (Name == "rt_smul64_ovf")
-    return TA.binary(TermOp::Mul, ArgT[0], ArgT[1], 64);
-  return NO_TERM;
+  const Helper *H = findHelper(Name);
+  TermOp TO;
+  if (!H || H->Ty == Type::I128 || !termOpFor(H->Op, qir::CmpPred::Eq, TO))
+    return NO_TERM;
+  return TA.binary(TO, ArgT[0], ArgT[1], qir::intBits(H->Ty));
 }

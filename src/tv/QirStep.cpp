@@ -5,22 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The QIR side of the co-simulation: a reference stepper that mirrors
-/// interp/Interp.cpp's evaluation semantics operation for operation —
-/// masking at every narrow width, the exact trap conditions, i1 comparison
-/// as unsigned 0/1, cvttsd2si saturation — but runs against the synthetic
+/// The QIR side of the co-simulation: a reference stepper that evaluates
+/// every scalar opcode through qir/Semantics.h — the definition the
+/// interpreter evaluates by, so masking at every narrow width, the exact
+/// trap conditions, i1 comparison as unsigned 0/1 and cvttsd2si saturation
+/// are the interpreter's by construction — but runs against the synthetic
 /// memory model of tv/Sim.h instead of real memory, and maintains a
 /// symbolic term next to every concrete lane for counterexample reports.
-/// Any divergence between this file and the interpreter is a validator
-/// bug; when in doubt, Interp.cpp is the authority.
+/// The machine side (MachStep.cpp) models x86 independently, so tv stays
+/// an oracle for the back-ends rather than a copy of them.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Trap.h"
-#include "support/Int128.h"
+#include "qir/Semantics.h"
 #include "tv/Sim.h"
 #include <cstdio>
-#include <cstring>
 
 using namespace qcf;
 using namespace qcf::tv;
@@ -34,147 +33,11 @@ struct Val {
   TermRef LoT = NO_TERM, HiT = NO_TERM;
 };
 
-uint64_t maskFor(Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return 1;
-  case Type::I8:
-    return 0xff;
-  case Type::I16:
-    return 0xffff;
-  case Type::I32:
-    return 0xffffffff;
-  default:
-    return ~0ull;
-  }
-}
-
-int64_t sextT(uint64_t V, Type Ty) {
-  switch (Ty) {
-  case Type::I1:
-    return (V & 1) ? -1 : 0;
-  case Type::I8:
-    return static_cast<int8_t>(V);
-  case Type::I16:
-    return static_cast<int16_t>(V);
-  case Type::I32:
-    return static_cast<int32_t>(V);
-  default:
-    return static_cast<int64_t>(V);
-  }
-}
-
-unsigned bitsOf(Type Ty) {
-  return qir::isIntType(Ty) ? qir::intBits(Ty) : 64;
-}
-
-Int128 toI128(const Val &V) { return makeInt128(V.Lo, V.Hi); }
-
-void fromI128(Val &D, Int128 V) {
-  D.Lo = lo64(V);
-  D.Hi = hi64(V);
-  D.LoT = D.HiT = NO_TERM;
-}
-
-double asF64(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
-uint64_t f64Bits(double D) {
-  uint64_t B;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
-
-int64_t f64ToI64Trunc(double D) {
-  if (!(D >= -9.2233720368547758e18 && D < 9.2233720368547758e18))
-    return INT64_MIN;
-  return static_cast<int64_t>(D);
-}
-
-bool evalICmp(qir::CmpPred P, const Val &A, const Val &B, Type OpTy) {
-  if (OpTy == Type::I128) {
-    Int128 X = toI128(A), Y = toI128(B);
-    UInt128 UX = static_cast<UInt128>(X), UY = static_cast<UInt128>(Y);
-    switch (P) {
-    case qir::CmpPred::Eq: return X == Y;
-    case qir::CmpPred::Ne: return X != Y;
-    case qir::CmpPred::SLt: return X < Y;
-    case qir::CmpPred::SLe: return X <= Y;
-    case qir::CmpPred::SGt: return X > Y;
-    case qir::CmpPred::SGe: return X >= Y;
-    case qir::CmpPred::ULt: return UX < UY;
-    case qir::CmpPred::ULe: return UX <= UY;
-    case qir::CmpPred::UGt: return UX > UY;
-    case qir::CmpPred::UGe: return UX >= UY;
-    }
-    return false;
-  }
-  // i1 values compare as unsigned 0/1 regardless of predicate signedness.
-  int64_t SX, SY;
-  if (OpTy == Type::I1) {
-    SX = static_cast<int64_t>(A.Lo & 1);
-    SY = static_cast<int64_t>(B.Lo & 1);
-  } else {
-    SX = sextT(A.Lo, OpTy);
-    SY = sextT(B.Lo, OpTy);
-  }
-  uint64_t UX = A.Lo, UY = B.Lo;
-  switch (P) {
-  case qir::CmpPred::Eq: return UX == UY;
-  case qir::CmpPred::Ne: return UX != UY;
-  case qir::CmpPred::SLt: return SX < SY;
-  case qir::CmpPred::SLe: return SX <= SY;
-  case qir::CmpPred::SGt: return SX > SY;
-  case qir::CmpPred::SGe: return SX >= SY;
-  case qir::CmpPred::ULt: return UX < UY;
-  case qir::CmpPred::ULe: return UX <= UY;
-  case qir::CmpPred::UGt: return UX > UY;
-  case qir::CmpPred::UGe: return UX >= UY;
-  }
-  return false;
-}
-
-bool evalFCmp(qir::CmpPred P, double A, double B) {
-  switch (P) {
-  case qir::CmpPred::Eq: return A == B;
-  case qir::CmpPred::Ne: return A != B;
-  case qir::CmpPred::SLt: case qir::CmpPred::ULt: return A < B;
-  case qir::CmpPred::SLe: case qir::CmpPred::ULe: return A <= B;
-  case qir::CmpPred::SGt: case qir::CmpPred::UGt: return A > B;
-  case qir::CmpPred::SGe: case qir::CmpPred::UGe: return A >= B;
-  }
-  return false;
-}
-
-TermOp icmpTermOp(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq: return TermOp::CmpEq;
-  case qir::CmpPred::Ne: return TermOp::CmpNe;
-  case qir::CmpPred::SLt: return TermOp::CmpSLt;
-  case qir::CmpPred::SLe: return TermOp::CmpSLe;
-  case qir::CmpPred::SGt: return TermOp::CmpSGt;
-  case qir::CmpPred::SGe: return TermOp::CmpSGe;
-  case qir::CmpPred::ULt: return TermOp::CmpULt;
-  case qir::CmpPred::ULe: return TermOp::CmpULe;
-  case qir::CmpPred::UGt: return TermOp::CmpUGt;
-  case qir::CmpPred::UGe: return TermOp::CmpUGe;
-  }
-  return TermOp::CmpEq;
-}
-
-TermOp fcmpTermOp(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq: return TermOp::FCmpEq;
-  case qir::CmpPred::Ne: return TermOp::FCmpNe;
-  case qir::CmpPred::SLt: case qir::CmpPred::ULt: return TermOp::FCmpLt;
-  case qir::CmpPred::SLe: case qir::CmpPred::ULe: return TermOp::FCmpLe;
-  case qir::CmpPred::SGt: case qir::CmpPred::UGt: return TermOp::FCmpGt;
-  case qir::CmpPred::SGe: case qir::CmpPred::UGe: return TermOp::FCmpGe;
-  }
-  return TermOp::FCmpEq;
+/// Width of the term recording a lane of a value of type \p Ty: the
+/// integer width, else the whole 64-bit lane (i128 arithmetic itself
+/// records no terms).
+unsigned termBits(Type Ty) {
+  return qir::isIntType(Ty) && Ty != Type::I128 ? qir::intBits(Ty) : 64;
 }
 
 } // namespace
@@ -287,10 +150,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
     }
     const qir::Inst &I = F.Insts[Idx];
     Val &D = Regs[Idx];
-    uint64_t Mask = maskFor(I.Ty);
-    unsigned W = qir::isIntType(I.Ty) && I.Ty != Type::I128
-                     ? qir::intBits(I.Ty)
-                     : 64;
+    unsigned W = termBits(I.Ty);
     const Val &A = I.A < Regs.size() ? Regs[I.A] : Regs[0];
     const Val &B = I.B < Regs.size() ? Regs[I.B] : Regs[0];
 
@@ -300,7 +160,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       break; // Pre-assigned / applied on edges.
 
     case Opcode::ConstInt:
-      D.Lo = I.Imm & Mask;
+      D.Lo = I.Imm & qir::typeMask(I.Ty);
       D.Hi = 0;
       D.LoT = TA.constant(D.Lo, W);
       break;
@@ -324,283 +184,6 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       break;
     }
 
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul: {
-      if (I.Ty == Type::I128) {
-        UInt128 X = static_cast<UInt128>(toI128(A));
-        UInt128 Y = static_cast<UInt128>(toI128(B));
-        UInt128 R = I.Op == Opcode::Add   ? X + Y
-                    : I.Op == Opcode::Sub ? X - Y
-                                          : X * Y;
-        fromI128(D, static_cast<Int128>(R));
-        break;
-      }
-      uint64_t R = I.Op == Opcode::Add   ? A.Lo + B.Lo
-                   : I.Op == Opcode::Sub ? A.Lo - B.Lo
-                                         : A.Lo * B.Lo;
-      D.Lo = R & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::Add   ? TermOp::Add
-                  : I.Op == Opcode::Sub ? TermOp::Sub
-                                        : TermOp::Mul;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::SDiv: {
-      if (I.Ty == Type::I128) {
-        Int128 Q;
-        if (divOverflow128(toI128(A), toI128(B), &Q)) {
-          emitTrap(static_cast<int>(toI128(B) == 0 ? rt::TrapCode::DivByZero
-                                                   : rt::TrapCode::Overflow),
-                   Idx);
-          return TR;
-        }
-        fromI128(D, Q);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      if (Y == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      int64_t Min = -sextT(maskFor(I.Ty) >> 1, I.Ty) - 1;
-      if (Y == -1 && X == Min) {
-        emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-        return TR;
-      }
-      D.Lo = static_cast<uint64_t>(X / Y) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::SDiv, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::UDiv: {
-      if (I.Ty == Type::I128) {
-        UInt128 Y = static_cast<UInt128>(toI128(B));
-        if (Y == 0) {
-          emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-          return TR;
-        }
-        fromI128(D, static_cast<Int128>(static_cast<UInt128>(toI128(A)) / Y));
-        break;
-      }
-      if ((B.Lo & Mask) == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      D.Lo = ((A.Lo & Mask) / (B.Lo & Mask)) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::UDiv, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::SRem: {
-      if (I.Ty == Type::I128) {
-        Int128 Y = toI128(B);
-        if (Y == 0) {
-          emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-          return TR;
-        }
-        fromI128(D, Y == -1 ? 0 : toI128(A) % Y);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      if (Y == 0) {
-        emitTrap(static_cast<int>(rt::TrapCode::DivByZero), Idx);
-        return TR;
-      }
-      D.Lo = Y == -1 ? 0 : static_cast<uint64_t>(X % Y) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::SRem, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor: {
-      uint64_t RL = I.Op == Opcode::And  ? A.Lo & B.Lo
-                    : I.Op == Opcode::Or ? A.Lo | B.Lo
-                                         : A.Lo ^ B.Lo;
-      uint64_t RH = I.Op == Opcode::And  ? A.Hi & B.Hi
-                    : I.Op == Opcode::Or ? A.Hi | B.Hi
-                                         : A.Hi ^ B.Hi;
-      D.Lo = RL & Mask;
-      D.Hi = I.Ty == Type::I128 ? RH : 0;
-      TermOp TO = I.Op == Opcode::And  ? TermOp::And
-                  : I.Op == Opcode::Or ? TermOp::Or
-                                       : TermOp::Xor;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Shl:
-    case Opcode::LShr:
-    case Opcode::AShr: {
-      if (I.Ty == Type::I128) {
-        unsigned S = static_cast<unsigned>(B.Lo) & 127;
-        Int128 X = toI128(A);
-        Int128 R = I.Op == Opcode::Shl
-                       ? static_cast<Int128>(static_cast<UInt128>(X) << S)
-                   : I.Op == Opcode::LShr
-                       ? static_cast<Int128>(static_cast<UInt128>(X) >> S)
-                       : X >> S;
-        fromI128(D, R);
-        break;
-      }
-      unsigned S = static_cast<unsigned>(B.Lo) & (W - 1);
-      uint64_t R;
-      if (I.Op == Opcode::Shl)
-        R = A.Lo << S;
-      else if (I.Op == Opcode::LShr)
-        R = (A.Lo & Mask) >> S;
-      else
-        R = static_cast<uint64_t>(sextT(A.Lo, I.Ty) >> S);
-      D.Lo = R & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::Shl    ? TermOp::Shl
-                  : I.Op == Opcode::LShr ? TermOp::LShr
-                                         : TermOp::AShr;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-    case Opcode::RotR: {
-      if (I.Ty == Type::I128) {
-        unsigned S = static_cast<unsigned>(B.Lo) & 127;
-        UInt128 X = static_cast<UInt128>(toI128(A));
-        UInt128 R = S == 0 ? X : (X >> S) | (X << (128 - S));
-        fromI128(D, static_cast<Int128>(R));
-        break;
-      }
-      unsigned S = static_cast<unsigned>(B.Lo) & (W - 1);
-      uint64_t V = A.Lo & Mask;
-      D.Lo = S == 0 ? V : ((V >> S) | (V << (W - S))) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::RotR, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Neg:
-      if (I.Ty == Type::I128) {
-        fromI128(D, static_cast<Int128>(0 - static_cast<UInt128>(toI128(A))));
-      } else {
-        D.Lo = (0 - A.Lo) & Mask;
-        D.Hi = 0;
-        D.LoT = TA.unary(TermOp::Neg, A.LoT, W);
-      }
-      break;
-    case Opcode::Not:
-      D.Lo = ~A.Lo & Mask;
-      D.Hi = I.Ty == Type::I128 ? ~A.Hi : 0;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.unary(TermOp::Not, A.LoT, W);
-      break;
-
-    case Opcode::SAddTrap:
-    case Opcode::SSubTrap:
-    case Opcode::SMulTrap: {
-      if (I.Ty == Type::I128) {
-        Int128 R = 0;
-        bool Ovf;
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = addOverflow128(toI128(A), toI128(B), &R);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = subOverflow128(toI128(A), toI128(B), &R);
-        else
-          Ovf = mulOverflow128(toI128(A), toI128(B), &R);
-        if (Ovf) {
-          emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-          return TR;
-        }
-        fromI128(D, R);
-        break;
-      }
-      int64_t X = sextT(A.Lo, I.Ty), Y = sextT(B.Lo, I.Ty);
-      int64_t R = 0;
-      bool Ovf;
-      if (I.Ty == Type::I32) {
-        int32_t R32 = 0;
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = __builtin_add_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = __builtin_sub_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        else
-          Ovf = __builtin_mul_overflow(static_cast<int32_t>(X),
-                                       static_cast<int32_t>(Y), &R32);
-        R = R32;
-      } else {
-        if (I.Op == Opcode::SAddTrap)
-          Ovf = __builtin_add_overflow(X, Y, &R);
-        else if (I.Op == Opcode::SSubTrap)
-          Ovf = __builtin_sub_overflow(X, Y, &R);
-        else
-          Ovf = __builtin_mul_overflow(X, Y, &R);
-      }
-      if (Ovf) {
-        emitTrap(static_cast<int>(rt::TrapCode::Overflow), Idx);
-        return TR;
-      }
-      D.Lo = static_cast<uint64_t>(R) & Mask;
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::SAddTrap   ? TermOp::Add
-                  : I.Op == Opcode::SSubTrap ? TermOp::Sub
-                                             : TermOp::Mul;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, W);
-      break;
-    }
-
-    case Opcode::Crc32:
-      D.Lo = crc32u64(A.Lo, B.Lo);
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::Crc32, A.LoT, B.LoT, 64);
-      break;
-    case Opcode::LongMulFold:
-      D.Lo = longMulFold(A.Lo, B.Lo);
-      D.Hi = 0;
-      D.LoT = TA.binary(TermOp::LMulFold, A.LoT, B.LoT, 64);
-      break;
-
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv: {
-      double X = asF64(A.Lo), Y = asF64(B.Lo);
-      double R = I.Op == Opcode::FAdd   ? X + Y
-                 : I.Op == Opcode::FSub ? X - Y
-                 : I.Op == Opcode::FMul ? X * Y
-                                        : X / Y;
-      D.Lo = f64Bits(R);
-      D.Hi = 0;
-      TermOp TO = I.Op == Opcode::FAdd   ? TermOp::FAdd
-                  : I.Op == Opcode::FSub ? TermOp::FSub
-                  : I.Op == Opcode::FMul ? TermOp::FMul
-                                         : TermOp::FDiv;
-      D.LoT = TA.binary(TO, A.LoT, B.LoT, 64);
-      break;
-    }
-    case Opcode::FNeg:
-      D.Lo = f64Bits(-asF64(A.Lo));
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::FNeg, A.LoT, 64);
-      break;
-
-    case Opcode::ICmp: {
-      Type OpTy = F.valueType(I.A);
-      D.Lo = evalICmp(I.cmpPred(), A, B, OpTy);
-      D.Hi = 0;
-      if (OpTy != Type::I128)
-        D.LoT = TA.binary(icmpTermOp(I.cmpPred()), A.LoT, B.LoT,
-                          bitsOf(OpTy));
-      break;
-    }
-    case Opcode::FCmp:
-      D.Lo = evalFCmp(I.cmpPred(), asF64(A.Lo), asF64(B.Lo));
-      D.Hi = 0;
-      D.LoT = TA.binary(fcmpTermOp(I.cmpPred()), A.LoT, B.LoT, 64);
-      break;
-
     case Opcode::Select: {
       const Val &C = Regs[I.C];
       const Val &Src = (A.Lo & 1) ? B : C;
@@ -610,67 +193,6 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       D.HiT = Src.HiT;
       break;
     }
-
-    case Opcode::ZExt:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = I.Ty == Type::I128
-                  ? A.LoT
-                  : TA.unary(TermOp::ZExt, A.LoT, W);
-      break;
-    case Opcode::SExt: {
-      Type SrcTy = F.valueType(I.A);
-      int64_t S = sextT(A.Lo, SrcTy);
-      D.Lo = static_cast<uint64_t>(S) & Mask;
-      D.Hi = I.Ty == Type::I128 ? static_cast<uint64_t>(S >> 63) : 0;
-      if (I.Ty != Type::I128)
-        D.LoT = TA.unary(TermOp::SExt, A.LoT, W);
-      break;
-    }
-    case Opcode::Trunc:
-      D.Lo = A.Lo & Mask;
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::Trunc, A.LoT, W);
-      break;
-    case Opcode::SIToFP: {
-      Type SrcTy = F.valueType(I.A);
-      double R = SrcTy == Type::I128
-                     ? static_cast<double>(toI128(A))
-                     : static_cast<double>(sextT(A.Lo, SrcTy));
-      D.Lo = f64Bits(R);
-      D.Hi = 0;
-      if (SrcTy != Type::I128)
-        D.LoT = TA.unary(TermOp::SIToFP, A.LoT, 64);
-      break;
-    }
-    case Opcode::FPToSI:
-      D.Lo = static_cast<uint64_t>(f64ToI64Trunc(asF64(A.Lo))) & Mask;
-      D.Hi = 0;
-      D.LoT = TA.unary(TermOp::FPToSI, A.LoT, W);
-      break;
-    case Opcode::Bitcast:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = A.LoT;
-      break;
-
-    case Opcode::PackD128:
-    case Opcode::PackI128:
-      D.Lo = A.Lo;
-      D.Hi = B.Lo;
-      D.LoT = A.LoT;
-      D.HiT = B.LoT;
-      break;
-    case Opcode::ExtractLo:
-      D.Lo = A.Lo;
-      D.Hi = 0;
-      D.LoT = A.LoT;
-      break;
-    case Opcode::ExtractHi:
-      D.Lo = A.Hi;
-      D.Hi = 0;
-      D.LoT = A.HiT;
-      break;
 
     case Opcode::Load: {
       uint64_t Addr = A.Lo;
@@ -721,7 +243,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       uint64_t Addr = A.Lo;
       unsigned Sz = I.Ty == Type::I32 ? 4 : 8;
       uint64_t Old = Mem.load(Addr, Sz);
-      Mem.store(Addr, (Old + B.Lo) & maskFor(I.Ty), Sz);
+      Mem.store(Addr, (Old + B.Lo) & qir::typeMask(I.Ty), Sz);
       ST.store(Addr, Sz, NO_TERM);
       D.Lo = Old;
       D.Hi = 0;
@@ -746,7 +268,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
         }
         SV[NS] = S.Lo;
         STm[NS] = S.LoT;
-        SB[NS] = static_cast<uint8_t>(bitsOf(Ty) == 128 ? 64 : bitsOf(Ty));
+        SB[NS] = static_cast<uint8_t>(termBits(Ty));
         ++NS;
         if (qir::isTwoLane(Ty)) {
           if (NS >= 6) {
@@ -778,7 +300,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
           return TR;
         }
         if (Sig.RetType != Type::Void) {
-          D.Lo = Lo & maskFor(Sig.RetType);
+          D.Lo = Lo & qir::typeMask(Sig.RetType);
           D.Hi = qir::isTwoLane(Sig.RetType) ? Hi : 0;
           D.LoT = intrinsicResultTerm(TA, Sig.Name, STm);
           D.HiT = NO_TERM;
@@ -811,7 +333,7 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       TR.Events.push_back(std::move(E));
 
       if (Sig.RetType != Type::Void) {
-        D.Lo = RC.callRet(EvCall, 0) & maskFor(Sig.RetType);
+        D.Lo = RC.callRet(EvCall, 0) & qir::typeMask(Sig.RetType);
         D.LoT = TA.callRet(EvCall, 0);
         if (qir::isTwoLane(Sig.RetType)) {
           D.Hi = RC.callRet(EvCall, 1);
@@ -850,6 +372,39 @@ Trace tv::runQirRound(const qir::Function &F, const qir::Module &M,
       E.Where = where(Idx);
       TR.Events.push_back(std::move(E));
       return TR;
+    }
+
+    default: {
+      // Every scalar opcode: qir/Semantics.h computes the value, the
+      // stepper only records how (its term).
+      Type SrcTy = F.valueType(I.A);
+      qir::Lanes Out;
+      rt::TrapCode TC = qir::evalScalar(I.Op, I.Ty, SrcTy, I.cmpPred(),
+                                        {A.Lo, A.Hi}, {B.Lo, B.Hi}, Out);
+      if (TC != rt::TrapCode::None) {
+        emitTrap(static_cast<int>(TC), Idx);
+        return TR;
+      }
+      D.Lo = Out.Lo;
+      D.Hi = Out.Hi;
+      D.LoT = D.HiT = NO_TERM;
+      Type TermTy = qir::opcodeKind(I.Op) == qir::OpKind::Cmp ? SrcTy : I.Ty;
+      TermOp TO;
+      if (I.Op == Opcode::PackD128 || I.Op == Opcode::PackI128) {
+        D.LoT = A.LoT;
+        D.HiT = B.LoT;
+      } else if (I.Op == Opcode::ExtractHi) {
+        D.LoT = A.HiT;
+      } else if (I.Op == Opcode::Bitcast || I.Op == Opcode::ExtractLo ||
+                 (I.Op == Opcode::ZExt && I.Ty == Type::I128)) {
+        D.LoT = A.LoT;
+      } else if (TermTy != Type::I128 &&
+                 termOpFor(I.Op, I.cmpPred(), TO)) {
+        D.LoT = qir::numValueOperands(I.Op) == 1
+                    ? TA.unary(TO, A.LoT, termBits(TermTy))
+                    : TA.binary(TO, A.LoT, B.LoT, termBits(TermTy));
+      }
+      break;
     }
     }
     ++Idx;

@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "tv/Term.h"
-#include "support/Hash.h"
-#include <cstring>
+#include "qir/Semantics.h"
 #include <algorithm>
 
 using namespace qcf;
@@ -18,117 +17,110 @@ uint64_t maskBits(unsigned Bits) {
   return Bits >= 64 ? ~0ull : (1ull << Bits) - 1;
 }
 
-int64_t sextBits(uint64_t V, unsigned Bits) {
-  if (Bits >= 64)
-    return static_cast<int64_t>(V);
-  uint64_t Sign = 1ull << (Bits - 1);
-  return static_cast<int64_t>(((V & maskBits(Bits)) ^ Sign) - Sign);
-}
+struct TermOpDef {
+  TermOp T;
+  qir::Opcode Op;
+  qir::CmpPred Pred = qir::CmpPred::Eq;
+};
 
-double asF64(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
+// Lookups take the first match, so each operator's own opcode precedes
+// the opcodes recorded as it: fcmp's unsigned predicates (the same ordered
+// compares) and the trapping arithmetic.
+constexpr TermOpDef TermOpDefs[] = {
+    {TermOp::Add, qir::Opcode::Add},
+    {TermOp::Sub, qir::Opcode::Sub},
+    {TermOp::Mul, qir::Opcode::Mul},
+    {TermOp::UDiv, qir::Opcode::UDiv},
+    {TermOp::SDiv, qir::Opcode::SDiv},
+    {TermOp::SRem, qir::Opcode::SRem},
+    {TermOp::And, qir::Opcode::And},
+    {TermOp::Or, qir::Opcode::Or},
+    {TermOp::Xor, qir::Opcode::Xor},
+    {TermOp::Shl, qir::Opcode::Shl},
+    {TermOp::LShr, qir::Opcode::LShr},
+    {TermOp::AShr, qir::Opcode::AShr},
+    {TermOp::RotR, qir::Opcode::RotR},
+    {TermOp::Not, qir::Opcode::Not},
+    {TermOp::Neg, qir::Opcode::Neg},
+    {TermOp::CmpEq, qir::Opcode::ICmp, qir::CmpPred::Eq},
+    {TermOp::CmpNe, qir::Opcode::ICmp, qir::CmpPred::Ne},
+    {TermOp::CmpSLt, qir::Opcode::ICmp, qir::CmpPred::SLt},
+    {TermOp::CmpSLe, qir::Opcode::ICmp, qir::CmpPred::SLe},
+    {TermOp::CmpSGt, qir::Opcode::ICmp, qir::CmpPred::SGt},
+    {TermOp::CmpSGe, qir::Opcode::ICmp, qir::CmpPred::SGe},
+    {TermOp::CmpULt, qir::Opcode::ICmp, qir::CmpPred::ULt},
+    {TermOp::CmpULe, qir::Opcode::ICmp, qir::CmpPred::ULe},
+    {TermOp::CmpUGt, qir::Opcode::ICmp, qir::CmpPred::UGt},
+    {TermOp::CmpUGe, qir::Opcode::ICmp, qir::CmpPred::UGe},
+    {TermOp::ZExt, qir::Opcode::ZExt},
+    {TermOp::SExt, qir::Opcode::SExt},
+    {TermOp::Trunc, qir::Opcode::Trunc},
+    {TermOp::Crc32, qir::Opcode::Crc32},
+    {TermOp::LMulFold, qir::Opcode::LongMulFold},
+    {TermOp::FAdd, qir::Opcode::FAdd},
+    {TermOp::FSub, qir::Opcode::FSub},
+    {TermOp::FMul, qir::Opcode::FMul},
+    {TermOp::FDiv, qir::Opcode::FDiv},
+    {TermOp::FNeg, qir::Opcode::FNeg},
+    {TermOp::FCmpEq, qir::Opcode::FCmp, qir::CmpPred::Eq},
+    {TermOp::FCmpNe, qir::Opcode::FCmp, qir::CmpPred::Ne},
+    {TermOp::FCmpLt, qir::Opcode::FCmp, qir::CmpPred::SLt},
+    {TermOp::FCmpLe, qir::Opcode::FCmp, qir::CmpPred::SLe},
+    {TermOp::FCmpGt, qir::Opcode::FCmp, qir::CmpPred::SGt},
+    {TermOp::FCmpGe, qir::Opcode::FCmp, qir::CmpPred::SGe},
+    {TermOp::SIToFP, qir::Opcode::SIToFP},
+    {TermOp::FPToSI, qir::Opcode::FPToSI},
+    // Recorded as operators listed above.
+    {TermOp::FCmpLt, qir::Opcode::FCmp, qir::CmpPred::ULt},
+    {TermOp::FCmpLe, qir::Opcode::FCmp, qir::CmpPred::ULe},
+    {TermOp::FCmpGt, qir::Opcode::FCmp, qir::CmpPred::UGt},
+    {TermOp::FCmpGe, qir::Opcode::FCmp, qir::CmpPred::UGe},
+    {TermOp::Add, qir::Opcode::SAddTrap},
+    {TermOp::Sub, qir::Opcode::SSubTrap},
+    {TermOp::Mul, qir::Opcode::SMulTrap},
+};
 
-uint64_t f64Bits(double D) {
-  uint64_t B;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
-
-/// Mirrors interp's f64ToI64Trunc: out-of-range / NaN saturates to
-/// INT64_MIN like cvttsd2si.
-int64_t f64ToI64(double D) {
-  if (!(D >= -9.2233720368547758e18 && D < 9.2233720368547758e18))
-    return INT64_MIN;
-  return static_cast<int64_t>(D);
-}
-
-bool foldBinary(TermOp Op, uint64_t A, uint64_t B, unsigned Bits,
-                uint64_t &Out) {
-  uint64_t M = maskBits(Bits);
-  int64_t SA = sextBits(A, Bits), SB = sextBits(B, Bits);
-  switch (Op) {
-  case TermOp::Add: Out = (A + B) & M; return true;
-  case TermOp::Sub: Out = (A - B) & M; return true;
-  case TermOp::Mul: Out = (A * B) & M; return true;
-  case TermOp::UDiv:
-    if ((B & M) == 0)
-      return false; // Trapping path; never folded.
-    Out = ((A & M) / (B & M)) & M;
+/// The integer type of a term width; false for widths QIR has none for.
+bool typeOfBits(unsigned Bits, qir::Type &Ty) {
+  switch (Bits) {
+  case 1:
+    Ty = qir::Type::I1;
     return true;
-  case TermOp::SDiv:
-    if (SB == 0 || (SB == -1 && SA == sextBits(1ull << (Bits - 1), Bits)))
-      return false;
-    Out = static_cast<uint64_t>(SA / SB) & M;
+  case 8:
+    Ty = qir::Type::I8;
     return true;
-  case TermOp::SRem:
-    if (SB == 0)
-      return false;
-    Out = SB == -1 ? 0 : static_cast<uint64_t>(SA % SB) & M;
+  case 16:
+    Ty = qir::Type::I16;
     return true;
-  case TermOp::And: Out = A & B & M; return true;
-  case TermOp::Or: Out = (A | B) & M; return true;
-  case TermOp::Xor: Out = (A ^ B) & M; return true;
-  case TermOp::Shl: Out = (A << (B & (Bits - 1))) & M; return true;
-  case TermOp::LShr: Out = ((A & M) >> (B & (Bits - 1))) & M; return true;
-  case TermOp::AShr:
-    Out = static_cast<uint64_t>(SA >> (B & (Bits - 1))) & M;
+  case 32:
+    Ty = qir::Type::I32;
     return true;
-  case TermOp::RotR: {
-    unsigned S = static_cast<unsigned>(B) & (Bits - 1);
-    Out = S == 0 ? (A & M) : (((A & M) >> S) | (A << (Bits - S))) & M;
+  case 64:
+    Ty = qir::Type::I64;
     return true;
-  }
-  case TermOp::CmpEq: Out = (A & M) == (B & M); return true;
-  case TermOp::CmpNe: Out = (A & M) != (B & M); return true;
-  case TermOp::CmpSLt: Out = SA < SB; return true;
-  case TermOp::CmpSLe: Out = SA <= SB; return true;
-  case TermOp::CmpSGt: Out = SA > SB; return true;
-  case TermOp::CmpSGe: Out = SA >= SB; return true;
-  case TermOp::CmpULt: Out = (A & M) < (B & M); return true;
-  case TermOp::CmpULe: Out = (A & M) <= (B & M); return true;
-  case TermOp::CmpUGt: Out = (A & M) > (B & M); return true;
-  case TermOp::CmpUGe: Out = (A & M) >= (B & M); return true;
-  case TermOp::Crc32: Out = crc32u64(A, B); return true;
-  case TermOp::LMulFold: Out = longMulFold(A, B); return true;
-  case TermOp::FAdd: Out = f64Bits(asF64(A) + asF64(B)); return true;
-  case TermOp::FSub: Out = f64Bits(asF64(A) - asF64(B)); return true;
-  case TermOp::FMul: Out = f64Bits(asF64(A) * asF64(B)); return true;
-  case TermOp::FDiv: Out = f64Bits(asF64(A) / asF64(B)); return true;
-  case TermOp::FCmpEq: Out = asF64(A) == asF64(B); return true;
-  case TermOp::FCmpNe: Out = asF64(A) != asF64(B); return true;
-  case TermOp::FCmpLt: Out = asF64(A) < asF64(B); return true;
-  case TermOp::FCmpLe: Out = asF64(A) <= asF64(B); return true;
-  case TermOp::FCmpGt: Out = asF64(A) > asF64(B); return true;
-  case TermOp::FCmpGe: Out = asF64(A) >= asF64(B); return true;
   default:
     return false;
   }
 }
 
-bool foldUnary(TermOp Op, uint64_t A, unsigned SrcBits, unsigned DstBits,
-               uint64_t &Out) {
-  uint64_t M = maskBits(DstBits);
-  switch (Op) {
-  case TermOp::Not: Out = ~A & M; return true;
-  case TermOp::Neg: Out = (0 - A) & M; return true;
-  case TermOp::ZExt: Out = A & maskBits(SrcBits); return true;
-  case TermOp::SExt:
-    Out = static_cast<uint64_t>(sextBits(A, SrcBits)) & M;
-    return true;
-  case TermOp::Trunc: Out = A & M; return true;
-  case TermOp::FNeg: Out = f64Bits(-asF64(A)); return true;
-  case TermOp::SIToFP:
-    Out = f64Bits(static_cast<double>(sextBits(A, SrcBits)));
-    return true;
-  case TermOp::FPToSI:
-    Out = static_cast<uint64_t>(f64ToI64(asF64(A))) & M;
-    return true;
-  default:
+/// Folds \p Op over constant operands through qir/Semantics.h: \p A has
+/// width \p SrcBits, \p B and the result width \p Bits (a compare's
+/// operand width). An operation that would trap is not folded.
+bool fold(TermOp Op, uint64_t A, uint64_t B, unsigned SrcBits, unsigned Bits,
+          uint64_t &Out) {
+  qir::Opcode QOp;
+  qir::CmpPred Pred;
+  qir::Type Ty, SrcTy;
+  if (!termOpSemantics(Op, QOp, Pred) || !typeOfBits(Bits, Ty) ||
+      !typeOfBits(SrcBits, SrcTy))
     return false;
-  }
+  qir::Lanes R;
+  if (qir::evalScalar(QOp, Ty, SrcTy, Pred, {A & qir::typeMask(SrcTy), 0},
+                      {B & qir::typeMask(Ty), 0},
+                      R) != rt::TrapCode::None)
+    return false;
+  Out = R.Lo;
+  return true;
 }
 
 uint64_t hashNode(const TermNode &N) {
@@ -200,6 +192,26 @@ const char *tv::termOpName(TermOp Op) {
   return "?";
 }
 
+bool tv::termOpSemantics(TermOp Op, qir::Opcode &QOp, qir::CmpPred &Pred) {
+  for (const TermOpDef &D : TermOpDefs)
+    if (D.T == Op) {
+      QOp = D.Op;
+      Pred = D.Pred;
+      return true;
+    }
+  return false;
+}
+
+bool tv::termOpFor(qir::Opcode Op, qir::CmpPred Pred, TermOp &Out) {
+  bool IsCmp = qir::opcodeKind(Op) == qir::OpKind::Cmp;
+  for (const TermOpDef &D : TermOpDefs)
+    if (D.Op == Op && (!IsCmp || D.Pred == Pred)) {
+      Out = D.T;
+      return true;
+    }
+  return false;
+}
+
 TermRef TermArena::intern(const TermNode &N) {
   if (Saturated)
     return NO_TERM;
@@ -256,7 +268,7 @@ TermRef TermArena::unary(TermOp Op, TermRef A, unsigned Bits) {
     return NO_TERM;
   if (NA->Op == TermOp::Const) {
     uint64_t Out;
-    if (foldUnary(Op, NA->Imm, NA->Bits, Bits, Out))
+    if (fold(Op, NA->Imm, 0, NA->Bits, Bits, Out))
       return constant(Out, Bits);
   }
   // zext/trunc of a same-width value is the value itself.
@@ -276,7 +288,7 @@ TermRef TermArena::binary(TermOp Op, TermRef A, TermRef B, unsigned Bits) {
     return NO_TERM;
   if (NA->Op == TermOp::Const && NB->Op == TermOp::Const) {
     uint64_t Out;
-    if (foldBinary(Op, NA->Imm, NB->Imm, Bits, Out)) {
+    if (fold(Op, NA->Imm, NB->Imm, Bits, Bits, Out)) {
       bool IsCmp = (Op >= TermOp::CmpEq && Op <= TermOp::CmpUGe) ||
                    (Op >= TermOp::FCmpEq && Op <= TermOp::FCmpGe);
       return constant(Out, IsCmp ? 1 : Bits);

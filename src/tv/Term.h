@@ -17,7 +17,8 @@
 /// result of the N-th uninterpreted runtime call) and OracleLoad (a read of
 /// unwritten global memory, which both sides model with the same
 /// deterministic oracle). Every node carries its result width in bits; all
-/// values are kept masked to that width, mirroring the interpreter.
+/// values are kept masked to that width. Constant operands fold through
+/// qir/Semantics.h, the definition the interpreter evaluates by.
 ///
 /// The arena is capped (QCF_TV_MAX_TERMS): once saturated, constructors
 /// return NO_TERM and reports degrade to concrete witnesses only. NO_TERM
@@ -29,6 +30,7 @@
 #ifndef QCF_TV_TERM_H
 #define QCF_TV_TERM_H
 
+#include "qir/Opcode.h"
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -65,6 +67,17 @@ enum class TermOp : uint8_t {
 };
 
 const char *termOpName(TermOp Op);
+
+/// The QIR opcode term operator \p Op stands for and, for a compare, its
+/// predicate; the folder evaluates through qir/Semantics.h with them.
+/// \returns false for the leaves and Select.
+bool termOpSemantics(TermOp Op, qir::Opcode &QOp, qir::CmpPred &Pred);
+
+/// The term operator recording QIR opcode \p Op (with predicate \p Pred
+/// for a compare). Trapping arithmetic records its wrapping form: the
+/// trap is an event, not part of the value. \returns false for opcodes
+/// without one.
+bool termOpFor(qir::Opcode Op, qir::CmpPred Pred, TermOp &Out);
 
 struct TermNode {
   TermOp Op;

@@ -14,8 +14,8 @@
 ///
 /// Method: the bytes are lifted through x64::decodeFunction into an
 /// operand-accurate CFG, then a machine-level stepper and a QIR reference
-/// stepper (mirroring interp semantics exactly) co-simulate the function
-/// over several seeded rounds. Each side runs independently against the
+/// stepper (evaluating through qir/Semantics.h, as the interpreter does)
+/// co-simulate the function over several seeded rounds. Each side runs independently against the
 /// same deterministic memory oracle and the same uninterpreted model of
 /// runtime calls, producing an ordered trace of observables — runtime calls
 /// (callee, argument slots, global-store digest, stack-argument snapshots),

@@ -85,9 +85,8 @@ TEST(Backend, ConcurrentCompilationIsThreadSafe) {
   // from concurrent threads (MLVM's TargetMachine is cached per thread
   // for exactly this, §V-A2). Compile and run the corpus from several
   // threads at once on every in-process back-end.
-  for (const char *Name :
-       {"Interpreter", "DirectEmit", "Craneline", "MLVM-cheap",
-        "MLVM-opt"}) {
+  for (const char *Name : {"Interpreter", "Stencil", "DirectEmit",
+                           "Craneline", "MLVM-cheap", "MLVM-opt"}) {
     std::atomic<int> Bad{0};
     std::vector<std::thread> Threads;
     for (int T = 0; T != 4; ++T)
@@ -167,57 +166,194 @@ TEST(Backend, SremSdivIntMinEdgeCases) {
   // srem x, -1 == 0 for every x (including INT_MIN, where a naive idiv
   // faults); sdiv INT_MIN, -1 traps as overflow. Check every width on
   // every back-end — regression for a SIGFPE where the 32-bit INT_MIN
-  // guard compared at the wrong width.
-  struct Case {
-    qir::Type Ty;
-    uint64_t Min;
+  // guard compared at the wrong width. The rest of the table covers the
+  // other edges qir/Semantics.h defines (DESIGN.md "Defined arithmetic
+  // edge cases"), each written out by hand rather than computed.
+  struct Row {
+    std::string Fn;
+    std::vector<uint64_t> Args;
+    bool Traps;
+    uint64_t Lo = 0;
+    uint64_t Hi = 0; ///< Checked for i128 results only.
   };
-  const Case Cases[] = {{qir::Type::I8, 0x80},
-                        {qir::Type::I16, 0x8000},
-                        {qir::Type::I32, 0x80000000ull},
-                        {qir::Type::I64, 0x8000000000000000ull}};
-  for (const Case &C : Cases) {
-    qir::Module M;
-    for (const char *Name : {"rem", "div"}) {
-      qir::Function *F = M.createFunction(
-          Name, {qir::Type::I64, qir::Type::I64}, qir::Type::I64);
-      qir::Builder B(F);
-      qir::ValueId A = C.Ty == qir::Type::I64
-                           ? F->paramValue(0)
-                           : B.trunc(C.Ty, F->paramValue(0));
-      qir::ValueId D = C.Ty == qir::Type::I64
-                           ? F->paramValue(1)
-                           : B.trunc(C.Ty, F->paramValue(1));
-      qir::ValueId R = Name[0] == 'r' ? B.srem(A, D) : B.sdiv(A, D);
-      B.ret(C.Ty == qir::Type::I64 ? R : B.zext(qir::Type::I64, R));
-    }
-    ASSERT_EQ(qir::verify(M), std::nullopt);
+  using qir::Type;
+  qir::Module M;
+  std::vector<Row> Rows;
 
-    for (const char *Name :
-         {"Interpreter", "DirectEmit", "Craneline", "MLVM-cheap",
-          "MLVM-opt"}) {
-      auto BE = backend::createBackend(Name);
-      auto Compiled = BE->compile(M);
-      // srem INT_MIN % -1 == 0, no trap.
-      CaseOutcome Rem =
-          invokeEntry(Compiled->entry("rem"), {C.Min, ~0ull});
-      EXPECT_FALSE(Rem.Trapped)
-          << Name << " srem " << qir::typeName(C.Ty);
-      EXPECT_EQ(Rem.Lo, 0u) << Name << " srem " << qir::typeName(C.Ty);
-      // srem x % -1 == 0 for a normal x too.
-      CaseOutcome Rem2 =
-          invokeEntry(Compiled->entry("rem"), {12345, ~0ull});
-      EXPECT_FALSE(Rem2.Trapped) << Name;
-      EXPECT_EQ(Rem2.Lo, 0u) << Name;
-      // sdiv INT_MIN / -1 traps as overflow.
-      CaseOutcome Div =
-          invokeEntry(Compiled->entry("div"), {C.Min, ~0ull});
-      EXPECT_TRUE(Div.Trapped)
-          << Name << " sdiv " << qir::typeName(C.Ty);
-      // Plain division still works.
-      CaseOutcome Div2 =
-          invokeEntry(Compiled->entry("div"), {100, ~0ull & 0xffffffffull});
-      (void)Div2; // Value checked implicitly by other differential tests.
+  // Fn(i64 x, i64 y) -> i64: Body(x, y) at type Ty, zero-extended back.
+  // An i1 operand is the low bit of its parameter, taken by a compare:
+  // Craneline's trunc to i1 keeps bits 1-7 (an open ROADMAP item).
+  auto Narrow = [](qir::Builder &B, qir::Function *F, unsigned P, Type Ty) {
+    qir::ValueId V = F->paramValue(P);
+    if (Ty == Type::I1)
+      return B.icmp(qir::CmpPred::Ne, B.and_(V, B.constInt(Type::I64, 1)),
+                    B.constInt(Type::I64, 0));
+    return Ty == Type::I64 ? V : B.trunc(Ty, V);
+  };
+  auto Define = [&](const std::string &Fn, Type Ty, auto Body) {
+    qir::Function *F =
+        M.createFunction(Fn, {Type::I64, Type::I64}, Type::I64);
+    qir::Builder B(F);
+    qir::ValueId R = Body(B, Narrow(B, F, 0, Ty), Narrow(B, F, 1, Ty));
+    B.ret(F->valueType(R) == Type::I64 ? R : B.zext(Type::I64, R));
+  };
+  // Fn(lanes...) -> i128: Body over the i128 values packed from pairs of
+  // i64 parameters (a trailing odd parameter is passed through as i64).
+  auto DefineWide = [&](const std::string &Fn, unsigned NumParams,
+                        auto Body) {
+    qir::Function *F = M.createFunction(
+        Fn, std::vector<Type>(NumParams, Type::I64), Type::I128);
+    qir::Builder B(F);
+    qir::ValueId A = B.packI128(F->paramValue(0), F->paramValue(1));
+    qir::ValueId Other =
+        NumParams == 4 ? B.packI128(F->paramValue(2), F->paramValue(3))
+                       : F->paramValue(2);
+    B.ret(Body(B, A, Other));
+  };
+
+  const uint64_t Ones = ~0ull, Pattern = 0xa5a5a5a5a5a5a5a5ull;
+  for (Type Ty : {Type::I8, Type::I16, Type::I32, Type::I64}) {
+    unsigned W = qir::intBits(Ty);
+    uint64_t Mask = qir::typeMask(Ty), Min = 1ull << (W - 1);
+    std::string T = qir::typeName(Ty);
+    Define("rem." + T, Ty, [](qir::Builder &B, auto X, auto Y) {
+      return B.srem(X, Y);
+    });
+    Define("div." + T, Ty, [](qir::Builder &B, auto X, auto Y) {
+      return B.sdiv(X, Y);
+    });
+    // Shift amounts are masked into range: larger ones are undefined in
+    // QIR, and translation validation (QCF_VERIFY=tv) runs every compiled
+    // function on random inputs.
+    for (qir::Opcode Op : {qir::Opcode::Shl, qir::Opcode::LShr,
+                           qir::Opcode::AShr, qir::Opcode::RotR})
+      Define(std::string(qir::opcodeName(Op)) + "." + T, Ty,
+             [&](qir::Builder &B, auto X, auto Y) {
+               return B.binary(Op, X, B.and_(Y, B.constInt(Ty, W - 1)));
+             });
+    Rows.push_back({"rem." + T, {Min, Ones}, false, 0});
+    Rows.push_back({"rem." + T, {12345, Ones}, false, 0});
+    Rows.push_back({"div." + T, {Min, Ones}, true});
+    // 0xffffffff is -1 below i64 and a large positive divisor at i64.
+    Rows.push_back({"div." + T,
+                    {100, 0xffffffffull},
+                    false,
+                    Ty == Type::I64 ? 0 : static_cast<uint64_t>(-100) & Mask});
+    Rows.push_back({"shl." + T, {1, W - 1}, false, Min});
+    Rows.push_back({"lshr." + T, {Min, W - 1}, false, 1});
+    Rows.push_back({"ashr." + T, {Min, W - 1}, false, Mask});
+    Rows.push_back({"rotr." + T, {Pattern, 0}, false, Pattern & Mask});
+  }
+
+  // i128 shifts by 127 (an i64 amount).
+  for (qir::Opcode Op :
+       {qir::Opcode::Shl, qir::Opcode::LShr, qir::Opcode::AShr})
+    DefineWide(std::string(qir::opcodeName(Op)) + ".i128", 3,
+               [&](qir::Builder &B, auto X, auto S) {
+                 return B.binary(Op, X,
+                                 B.and_(S, B.constInt(Type::I64, 127)));
+               });
+  const uint64_t Sign = 1ull << 63;
+  Rows.push_back({"shl.i128", {1, 0, 127}, false, 0, Sign});
+  Rows.push_back({"lshr.i128", {0, Sign, 127}, false, 1, 0});
+  Rows.push_back({"ashr.i128", {0, Sign, 127}, false, Ones, Ones});
+
+  // i1 compares as unsigned 0/1 whatever the predicate's signedness.
+  for (qir::CmpPred P : {qir::CmpPred::SLt, qir::CmpPred::SGt}) {
+    Define(std::string("icmp.") + qir::cmpPredName(P) + ".i1", Type::I1,
+           [P](qir::Builder &B, auto X, auto Y) { return B.icmp(P, X, Y); });
+  }
+  Rows.push_back({"icmp.slt.i1", {1, 0}, false, 0});
+  Rows.push_back({"icmp.slt.i1", {0, 1}, false, 1});
+  Rows.push_back({"icmp.sgt.i1", {1, 0}, false, 1});
+
+  // fptosi is cvttsd2si: NaN, +-inf and 2^63 all give INT64_MIN.
+  Define("fptosi", Type::I64, [](qir::Builder &B, auto X, auto) {
+    return B.fptosi(Type::I64, B.bitcast(Type::F64, X));
+  });
+  for (uint64_t Bits : {0x7ff8000000000000ull, 0x7ff0000000000000ull,
+                        0xfff0000000000000ull, 0x43e0000000000000ull,
+                        0xc3e0000000000000ull})
+    Rows.push_back({"fptosi", {Bits, 0}, false, Sign});
+
+  // sext from i1.
+  Define("sext.i1.i64", Type::I1, [](qir::Builder &B, auto X, auto) {
+    return B.sext(Type::I64, X);
+  });
+  Define("sext.i1.i32", Type::I1, [](qir::Builder &B, auto X, auto) {
+    return B.sext(Type::I32, X);
+  });
+  Rows.push_back({"sext.i1.i64", {1, 0}, false, Ones});
+  Rows.push_back({"sext.i1.i64", {0, 0}, false, 0});
+  Rows.push_back({"sext.i1.i32", {1, 0}, false, 0xffffffffull});
+
+  // Trapping arithmetic at the i32/i64 limits.
+  for (Type Ty : {Type::I32, Type::I64}) {
+    std::string T = qir::typeName(Ty);
+    uint64_t Mask = qir::typeMask(Ty);
+    uint64_t Min = 1ull << (qir::intBits(Ty) - 1), Max = Min - 1;
+    uint64_t Half = 1ull << (qir::intBits(Ty) / 2); // Half * Half/2 == Min.
+    Define("saddtrap." + T, Ty, [](qir::Builder &B, auto X, auto Y) {
+      return B.saddTrap(X, Y);
+    });
+    Define("ssubtrap." + T, Ty, [](qir::Builder &B, auto X, auto Y) {
+      return B.ssubTrap(X, Y);
+    });
+    Define("smultrap." + T, Ty, [](qir::Builder &B, auto X, auto Y) {
+      return B.smulTrap(X, Y);
+    });
+    Rows.push_back({"saddtrap." + T, {Max, 1}, true});
+    Rows.push_back({"saddtrap." + T, {Min, Mask}, true});
+    Rows.push_back({"saddtrap." + T, {Max, 0}, false, Max});
+    Rows.push_back({"saddtrap." + T, {Min, Max}, false, Mask});
+    Rows.push_back({"ssubtrap." + T, {Min, 1}, true});
+    Rows.push_back({"ssubtrap." + T, {Max, Mask}, true});
+    Rows.push_back({"ssubtrap." + T, {Min, 0}, false, Min});
+    Rows.push_back({"ssubtrap." + T, {0, Max}, false, Min + 1});
+    Rows.push_back({"smultrap." + T, {Min, Mask}, true});
+    Rows.push_back({"smultrap." + T, {Half, Half / 2}, true});
+    Rows.push_back({"smultrap." + T, {Half, Half / 2 - 1}, false,
+                    Min - Half});
+    Rows.push_back({"smultrap." + T, {Max, 1}, false, Max});
+  }
+
+  // Trapping arithmetic at the i128 limits (lo, hi lane pairs).
+  DefineWide("saddtrap.i128", 4, [](qir::Builder &B, auto X, auto Y) {
+    return B.saddTrap(X, Y);
+  });
+  DefineWide("ssubtrap.i128", 4, [](qir::Builder &B, auto X, auto Y) {
+    return B.ssubTrap(X, Y);
+  });
+  DefineWide("smultrap.i128", 4, [](qir::Builder &B, auto X, auto Y) {
+    return B.smulTrap(X, Y);
+  });
+  const uint64_t MaxHi = Sign - 1;
+  Rows.push_back({"saddtrap.i128", {Ones, MaxHi, 1, 0}, true});
+  Rows.push_back({"saddtrap.i128", {0, Sign, Ones, Ones}, true});
+  Rows.push_back({"saddtrap.i128", {Ones, MaxHi, 0, 0}, false, Ones, MaxHi});
+  Rows.push_back({"ssubtrap.i128", {0, Sign, 1, 0}, true});
+  Rows.push_back({"ssubtrap.i128", {Ones, MaxHi, Ones, Ones}, true});
+  Rows.push_back({"ssubtrap.i128", {0, Sign, 0, 0}, false, 0, Sign});
+  Rows.push_back({"smultrap.i128", {0, Sign, Ones, Ones}, true});
+  Rows.push_back({"smultrap.i128", {0, 1, Sign, 0}, true}); // 2^64 * 2^63
+  Rows.push_back({"smultrap.i128", {0, 1, Sign >> 1, 0}, false, 0, Sign >> 1});
+  Rows.push_back({"smultrap.i128", {Ones, MaxHi, 1, 0}, false, Ones, MaxHi});
+  ASSERT_EQ(qir::verify(M), std::nullopt);
+
+  for (const char *Name : {"Interpreter", "Stencil", "DirectEmit",
+                           "Craneline", "MLVM-cheap", "MLVM-opt"}) {
+    auto BE = backend::createBackend(Name);
+    auto Compiled = BE->compile(M);
+    for (const Row &R : Rows) {
+      SCOPED_TRACE(std::string(Name) + " " + R.Fn);
+      CaseOutcome Got = invokeEntry(Compiled->entry(R.Fn), R.Args);
+      ASSERT_EQ(Got.Trapped, R.Traps);
+      if (R.Traps)
+        continue;
+      EXPECT_EQ(Got.Lo, R.Lo);
+      if (M.functionByName(R.Fn)->returnType() == Type::I128) {
+        EXPECT_EQ(Got.Hi, R.Hi);
+      }
     }
   }
 }

@@ -29,12 +29,16 @@
 #include "mlvm/Mlvm.h"
 #include "qir/Builder.h"
 #include "qir/Verify.h"
+#include "qir/Semantics.h"
 #include "stencil/Stencil.h"
 #include "runtime/Runtime.h"
 #include "tests/Corpus.h"
+#include "tv/Term.h"
 #include "tv/Tv.h"
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <optional>
 #include <gtest/gtest.h>
 
 namespace {
@@ -570,6 +574,129 @@ TEST(TvBlob, MispatchedMlvmRelocationIsRejectedOnLoad) {
   ASSERT_TRUE(Corrupted) << "no RELA section in the mlvm payload";
 
   EXPECT_EQ(BE.deserialize(Blob.data(), Blob.size()), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Term folding: constant terms fold by qir/Semantics.h
+//===----------------------------------------------------------------------===//
+
+/// The value of a folded term, or nullopt when the arena built a node.
+std::optional<uint64_t> folded(const tv::TermArena &TA, tv::TermRef R) {
+  const tv::TermNode *N = TA.node(R);
+  if (!N || N->Op != tv::TermOp::Const)
+    return std::nullopt;
+  return N->Imm;
+}
+
+TEST(TvTerm, I1SignedCompareFoldsAsUnsigned) {
+  // i1 compares as unsigned 0/1 whatever the predicate, so slt 1, 0 is
+  // false, as it is in every evaluator.
+  tv::TermArena TA(64);
+  tv::TermRef R = TA.binary(tv::TermOp::CmpSLt, TA.constant(1, 1),
+                            TA.constant(0, 1), 1);
+  EXPECT_EQ(folded(TA, R), std::optional<uint64_t>(0));
+}
+
+TEST(TvTerm, FoldingAgreesWithQirSemanticsOnEdgeValues) {
+  // Written out here rather than taken from Term.cpp, so a wrong mapping
+  // there shows up as a disagreement.
+  struct Def {
+    tv::TermOp T;
+    qir::Opcode Op;
+    CmpPred Pred = CmpPred::Eq;
+  };
+  using tv::TermOp;
+  using qir::Opcode;
+  const Def Binary[] = {
+      {TermOp::Add, Opcode::Add},       {TermOp::Sub, Opcode::Sub},
+      {TermOp::Mul, Opcode::Mul},       {TermOp::UDiv, Opcode::UDiv},
+      {TermOp::SDiv, Opcode::SDiv},     {TermOp::SRem, Opcode::SRem},
+      {TermOp::And, Opcode::And},       {TermOp::Or, Opcode::Or},
+      {TermOp::Xor, Opcode::Xor},       {TermOp::Shl, Opcode::Shl},
+      {TermOp::LShr, Opcode::LShr},     {TermOp::AShr, Opcode::AShr},
+      {TermOp::RotR, Opcode::RotR},     {TermOp::Crc32, Opcode::Crc32},
+      {TermOp::LMulFold, Opcode::LongMulFold},
+      {TermOp::FAdd, Opcode::FAdd},     {TermOp::FSub, Opcode::FSub},
+      {TermOp::FMul, Opcode::FMul},     {TermOp::FDiv, Opcode::FDiv},
+      {TermOp::CmpEq, Opcode::ICmp, CmpPred::Eq},
+      {TermOp::CmpNe, Opcode::ICmp, CmpPred::Ne},
+      {TermOp::CmpSLt, Opcode::ICmp, CmpPred::SLt},
+      {TermOp::CmpSLe, Opcode::ICmp, CmpPred::SLe},
+      {TermOp::CmpSGt, Opcode::ICmp, CmpPred::SGt},
+      {TermOp::CmpSGe, Opcode::ICmp, CmpPred::SGe},
+      {TermOp::CmpULt, Opcode::ICmp, CmpPred::ULt},
+      {TermOp::CmpULe, Opcode::ICmp, CmpPred::ULe},
+      {TermOp::CmpUGt, Opcode::ICmp, CmpPred::UGt},
+      {TermOp::CmpUGe, Opcode::ICmp, CmpPred::UGe},
+      {TermOp::FCmpEq, Opcode::FCmp, CmpPred::Eq},
+      {TermOp::FCmpNe, Opcode::FCmp, CmpPred::Ne},
+      {TermOp::FCmpLt, Opcode::FCmp, CmpPred::SLt},
+      {TermOp::FCmpLe, Opcode::FCmp, CmpPred::SLe},
+      {TermOp::FCmpGt, Opcode::FCmp, CmpPred::SGt},
+      {TermOp::FCmpGe, Opcode::FCmp, CmpPred::SGe},
+  };
+  const Def Unary[] = {
+      {TermOp::Not, Opcode::Not},       {TermOp::Neg, Opcode::Neg},
+      {TermOp::ZExt, Opcode::ZExt},     {TermOp::SExt, Opcode::SExt},
+      {TermOp::Trunc, Opcode::Trunc},   {TermOp::FNeg, Opcode::FNeg},
+      {TermOp::SIToFP, Opcode::SIToFP}, {TermOp::FPToSI, Opcode::FPToSI},
+  };
+  const std::pair<unsigned, Type> Widths[] = {{1, Type::I1},
+                                              {8, Type::I8},
+                                              {16, Type::I16},
+                                              {32, Type::I32},
+                                              {64, Type::I64}};
+  // The edge values of a width, plus doubles for the f64 operators.
+  auto edges = [](unsigned W) {
+    uint64_t Mask = W == 64 ? ~0ull : (1ull << W) - 1;
+    uint64_t Sign = 1ull << (W - 1);
+    std::vector<uint64_t> V = {0,        1,        2,
+                               W - 1,    Sign - 1, Sign,
+                               Mask,     Mask - 1, 0x5a5a5a5a5a5a5a5aull};
+    for (double D : {-0.0, 1.5, -2.5, 9.2233720368547758e18,
+                     -9.2233720368547758e18, 1e300})
+      V.push_back(std::bit_cast<uint64_t>(D));
+    for (uint64_t Bits : {0x7ff8000000000000ull, 0x7ff0000000000000ull,
+                          0xfff0000000000000ull})
+      V.push_back(Bits);
+    for (uint64_t &X : V)
+      X &= Mask;
+    return V;
+  };
+  auto expected = [](qir::Opcode Op, CmpPred Pred, Type Ty, Type SrcTy,
+                     uint64_t A, uint64_t B) -> std::optional<uint64_t> {
+    qir::Lanes R;
+    if (qir::evalScalar(Op, Ty, SrcTy, Pred, {A}, {B}, R) !=
+        rt::TrapCode::None)
+      return std::nullopt;
+    bool IsCmp = Op == qir::Opcode::ICmp || Op == qir::Opcode::FCmp;
+    return R.Lo & qir::typeMask(IsCmp ? Type::I1 : Ty);
+  };
+
+  tv::TermArena TA(1u << 22);
+  unsigned Checked = 0;
+  for (const Def &D : Binary)
+    for (auto [W, Ty] : Widths)
+      for (uint64_t A : edges(W))
+        for (uint64_t B : edges(W)) {
+          tv::TermRef R =
+              TA.binary(D.T, TA.constant(A, W), TA.constant(B, W), W);
+          ASSERT_EQ(folded(TA, R), expected(D.Op, D.Pred, Ty, Ty, A, B))
+              << tv::termOpName(D.T) << " i" << W << " " << A << ", " << B;
+          ++Checked;
+        }
+  for (const Def &D : Unary)
+    for (auto [SrcW, SrcTy] : Widths)
+      for (auto [W, Ty] : Widths)
+        for (uint64_t A : edges(SrcW)) {
+          tv::TermRef R = TA.unary(D.T, TA.constant(A, SrcW), W);
+          ASSERT_EQ(folded(TA, R), expected(D.Op, D.Pred, Ty, SrcTy, A, 0))
+              << tv::termOpName(D.T) << " i" << SrcW << " -> i" << W << " "
+              << A;
+          ++Checked;
+        }
+  EXPECT_FALSE(TA.saturated());
+  EXPECT_GT(Checked, 10000u);
 }
 
 } // namespace
