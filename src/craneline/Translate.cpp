@@ -214,6 +214,17 @@ private:
     VMap[V] = {Lo, Hi};
   }
 
+  /// i1 shares i8's CIR type, so a result whose bits 1-7 may be set (a
+  /// truncation, or arithmetic that can carry out of bit 0) is masked back
+  /// to one bit.
+  CValue maskI1(qir::Type Ty, CValue V) {
+    if (Ty != qir::Type::I1)
+      return V;
+    return emit(COp::Band, CType::I8, V,
+                emit(COp::Iconst, CType::I8, C_INVALID, C_INVALID, C_INVALID,
+                     1));
+  }
+
   CValue iconst64(uint64_t V) {
     return emit(COp::Iconst, CType::I64, C_INVALID, C_INVALID, C_INVALID, V);
   }
@@ -293,14 +304,16 @@ private:
                : I.Op == Opcode::And ? COp::Band
                : I.Op == Opcode::Or  ? COp::Bor
                                      : COp::Bxor;
-      map(Id, emit(Op, ctypeFor(I.Ty), lo(I.A), lo(I.B)));
+      CValue R = emit(Op, ctypeFor(I.Ty), lo(I.A), lo(I.B));
+      bool Bitwise = Op == COp::Band || Op == COp::Bor || Op == COp::Bxor;
+      map(Id, Bitwise ? R : maskI1(I.Ty, R));
       return;
     }
     case Opcode::Neg:
-      map(Id, emit(COp::Ineg, ctypeFor(I.Ty), lo(I.A)));
+      map(Id, maskI1(I.Ty, emit(COp::Ineg, ctypeFor(I.Ty), lo(I.A))));
       return;
     case Opcode::Not:
-      map(Id, emit(COp::Bnot, ctypeFor(I.Ty), lo(I.A)));
+      map(Id, maskI1(I.Ty, emit(COp::Bnot, ctypeFor(I.Ty), lo(I.A))));
       return;
 
     case Opcode::Shl:
@@ -462,7 +475,7 @@ private:
       return;
     }
     case Opcode::Trunc:
-      map(Id, emit(COp::Ireduce, ctypeFor(I.Ty), lo(I.A)));
+      map(Id, maskI1(I.Ty, emit(COp::Ireduce, ctypeFor(I.Ty), lo(I.A))));
       return;
     case Opcode::SIToFP: {
       CValue Wide = toI64(lo(I.A), /*Signed=*/true);
@@ -473,7 +486,7 @@ private:
       CValue AsI64 = emit(COp::FcvtToSint, CType::I64, lo(I.A));
       map(Id, I.Ty == qir::Type::I64
                   ? AsI64
-                  : emit(COp::Ireduce, ctypeFor(I.Ty), AsI64));
+                  : maskI1(I.Ty, emit(COp::Ireduce, ctypeFor(I.Ty), AsI64)));
       return;
     }
     case Opcode::Bitcast: {

@@ -6,14 +6,15 @@
 //
 // Value placement model
 // ---------------------
-// Every SSA value is canonically zero-extended to its 64-bit lane(s); small
-// integer operations re-canonicalize their results. Values that live across
-// a basic-block boundary ("globals": parameters, phis, phi incomings, and
-// anything in a block's live-out set) get a fixed rbp-relative home slot and
-// are stored there once at their definition. Block-local values stay in
-// scratch registers and are lazily spilled under pressure. Register state
-// dies at block boundaries; phi updates happen as parallel move sequences
-// on the edges.
+// Every SSA value is in the canonical form x64/QirLower.h defines, and the
+// scalar opcodes are emitted through that lowering, the one the stencil
+// table builds its cores with. Values that live across a basic-block
+// boundary ("globals": parameters, phis, phi incomings, and anything in a
+// block's live-out set) get a fixed rbp-relative home slot and are stored
+// there once at their definition. Block-local values stay in scratch
+// registers and are lazily spilled under pressure; R10 and R11 stay out of
+// the pool as the lowering's scratch. Register state dies at block
+// boundaries; phi updates happen as parallel move sequences on the edges.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +27,8 @@
 #include "support/Bitset.h"
 #include "support/ByteIo.h"
 #include "support/Compiler.h"
-#include "x64/Asm.h"
 #include "x64/EncodingLint.h"
+#include "x64/QirLower.h"
 #include <cstring>
 #include <map>
 #include <optional>
@@ -50,40 +51,6 @@ constexpr Reg GpPool[] = {Reg::RAX, Reg::RCX, Reg::RDX, Reg::RSI,
                           Reg::RDI, Reg::R8,  Reg::R9};
 constexpr unsigned NumGpPool = 7;
 constexpr unsigned NumXmmPool = 8; // XMM0..XMM7
-
-Width widthOf(Type Ty) { return widthForBytes(qir::typeSize(Ty)); }
-
-/// Width used for ALU ops on one-lane integers (8/16-bit ops run at 32 bits
-/// and re-canonicalize afterwards).
-Width aluWidth(Type Ty) {
-  return Ty == Type::I64 || Ty == Type::Ptr ? Width::W64 : Width::W32;
-}
-
-Cond condForPred(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq:
-    return Cond::E;
-  case qir::CmpPred::Ne:
-    return Cond::NE;
-  case qir::CmpPred::SLt:
-    return Cond::L;
-  case qir::CmpPred::SLe:
-    return Cond::LE;
-  case qir::CmpPred::SGt:
-    return Cond::G;
-  case qir::CmpPred::SGe:
-    return Cond::GE;
-  case qir::CmpPred::ULt:
-    return Cond::B;
-  case qir::CmpPred::ULe:
-    return Cond::BE;
-  case qir::CmpPred::UGt:
-    return Cond::A;
-  case qir::CmpPred::UGe:
-    return Cond::AE;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
 
 /// Compiles one function into an Assembler.
 class FunctionCompiler {
@@ -381,6 +348,21 @@ private:
     return R;
   }
 
+  /// useGp/defGp over every lane of a GP value, low lane first.
+  Lanes useLanes(ValueId Val) {
+    Lanes L{useGp(Val, 0)};
+    if (qir::isTwoLane(F.valueType(Val)))
+      L.Hi = useGp(Val, 1);
+    return L;
+  }
+
+  Lanes defLanes(ValueId Val) {
+    Lanes L{defGp(Val, 0)};
+    if (qir::isTwoLane(F.valueType(Val)))
+      L.Hi = defGp(Val, 1);
+    return L;
+  }
+
   /// Copies a value lane into a caller-chosen scratch register without
   /// changing the value's tracked location.
   void copyToScratch(ValueId Val, unsigned Lane, Reg Scratch) {
@@ -426,28 +408,16 @@ private:
 
   // --- Trap stubs -------------------------------------------------------------
 
-  Label trapLabel(rt::TrapCode Code) {
-    unsigned Idx = Code == rt::TrapCode::Overflow ? 0 : 1;
-    if (!TrapUsed[Idx]) {
-      TrapLabels[Idx] = A.newLabel();
-      TrapUsed[Idx] = true;
-    }
-    return TrapLabels[Idx];
-  }
-
   void emitTrapStubs() {
-    static const rt::TrapCode Codes[2] = {rt::TrapCode::Overflow,
-                                          rt::TrapCode::DivByZero};
-    for (unsigned Idx = 0; Idx != 2; ++Idx) {
-      if (!TrapUsed[Idx])
+    for (auto [L, Code] : {std::pair{Sink.Ovf, rt::TrapCode::Overflow},
+                           std::pair{Sink.Div, rt::TrapCode::DivByZero}}) {
+      if (L == LowerSink::NoLabel)
         continue;
-      A.bind(TrapLabels[Idx]);
-      A.movRI32(Reg::RDI, static_cast<uint32_t>(Codes[Idx]));
-      A.movAbsRI(Reg::R10, reinterpret_cast<uint64_t>(
-                               rt::runtimeSymbolAddress("rt_trap")));
-      RtRelocs.push_back({A.size() - 8, "rt_trap"});
-      A.callReg(Reg::R10);
-      A.ud2();
+      A.bind(L);
+      size_t Field = lowerTrapStub(
+          A, Code,
+          reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress("rt_trap")));
+      RtRelocs.push_back({Field, "rt_trap"});
     }
   }
 
@@ -573,6 +543,12 @@ private:
   // --- Instruction emission ----------------------------------------------------
 
   void emitInst(BlockId B, ValueId Id, const Inst &I) {
+    if (I.Ty == Type::I128)
+      if (const char *Helper = runtimeHelper128(I.Op)) {
+        ValueId Args[] = {I.A, I.B};
+        emitCall(Id, Args, 2, Helper, rt::runtimeSymbolAddress(Helper));
+        return;
+      }
     switch (I.Op) {
     case Opcode::Param:
     case Opcode::Phi:
@@ -615,176 +591,163 @@ private:
       return;
     }
 
+    case Opcode::Mul:
+      if (I.Ty == Type::I128) {
+        // Fixed registers (a.lo in rax), so flush the register state first.
+        flushAllRegs();
+        A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
+        A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
+        A.movRM(Width::W64, Reg::R9, memOf(I.B, 1));
+        A.movRM(Width::W64, Reg::RCX, memOf(I.A, 1));
+        lowerMul128(A, {Reg::RSI, Reg::RDI}, {Reg::RAX, Reg::RCX},
+                    {Reg::R8, Reg::R9});
+        attachGp(Reg::RSI, Id, 0);
+        attachGp(Reg::RDI, Id, 1);
+        finishDef(Id);
+        return;
+      }
+      [[fallthrough]];
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::And:
     case Opcode::Or:
     case Opcode::Xor:
-      emitAddLike(Id, I);
+    case Opcode::SAddTrap:
+    case Opcode::SSubTrap:
+    case Opcode::SMulTrap: {
+      Lanes Ar = useLanes(I.A), Br = useLanes(I.B), D = defLanes(Id);
+      lowerArith(A, I.Op, I.Ty, D, Ar, Br, Sink);
+      finishDef(Id);
       return;
-    case Opcode::Mul:
-      emitMul(Id, I);
-      return;
+    }
     case Opcode::SDiv:
     case Opcode::UDiv:
-    case Opcode::SRem:
-      emitDiv(Id, I);
+    case Opcode::SRem: {
+      // Dividend in RAX, divisor in R8; RDX is the high half / remainder.
+      flushAllRegs();
+      A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
+      A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
+      Reg R = I.Op == Opcode::SRem ? Reg::RDX : Reg::RAX;
+      lowerDivRem(A, I.Op, I.Ty, Reg::R8, R, Sink);
+      attachGp(R, Id, 0);
+      finishDef(Id);
       return;
+    }
     case Opcode::Shl:
     case Opcode::LShr:
     case Opcode::AShr:
-    case Opcode::RotR:
-      emitShift(Id, I);
+    case Opcode::RotR: {
+      // The amount goes through CL.
+      evictGp(Reg::RCX);
+      pin(Reg::RCX);
+      copyToScratch(I.B, 0, Reg::RCX);
+      Reg Ar = useGp(I.A, 0), D = defGp(Id, 0);
+      lowerShift(A, I.Op, I.Ty, D, Ar);
+      finishDef(Id);
       return;
+    }
     case Opcode::Neg:
-      emitNegNot(Id, I, /*IsNeg=*/true);
+    case Opcode::Not: {
+      Lanes Ar = useLanes(I.A), D = defLanes(Id);
+      lowerNegNot(A, I.Op, I.Ty, D, Ar);
+      finishDef(Id);
       return;
-    case Opcode::Not:
-      emitNegNot(Id, I, /*IsNeg=*/false);
-      return;
-    case Opcode::SAddTrap:
-    case Opcode::SSubTrap:
-      emitAddSubTrap(Id, I);
-      return;
-    case Opcode::SMulTrap:
-      emitMulTrap(Id, I);
-      return;
+    }
 
     case Opcode::Crc32: {
-      Reg Ar = useGp(I.A, 0);
-      Reg Br = useGp(I.B, 0);
-      Reg D = defGp(Id, 0);
-      A.movRR(Width::W64, D, Ar);
-      A.crc32RR(D, Br);
+      Reg Ar = useGp(I.A, 0), Br = useGp(I.B, 0), D = defGp(Id, 0);
+      lowerCrc32(A, D, Ar, Br);
       finishDef(Id);
       return;
     }
     case Opcode::LongMulFold:
-      emitLongMulFold(Id, I);
+      flushAllRegs();
+      A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
+      A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
+      lowerLongMulFold(A, Reg::R8);
+      attachGp(Reg::RAX, Id, 0);
+      finishDef(Id);
       return;
 
     case Opcode::FAdd:
     case Opcode::FSub:
     case Opcode::FMul:
     case Opcode::FDiv: {
-      Xmm Ar = useXmm(I.A);
-      Xmm Br = useXmm(I.B);
-      Xmm D = defXmm(Id);
-      A.movsdXX(D, Ar);
-      switch (I.Op) {
-      case Opcode::FAdd:
-        A.addsd(D, Br);
-        break;
-      case Opcode::FSub:
-        A.subsd(D, Br);
-        break;
-      case Opcode::FMul:
-        A.mulsd(D, Br);
-        break;
-      default:
-        A.divsd(D, Br);
-        break;
-      }
+      Xmm Ar = useXmm(I.A), Br = useXmm(I.B), D = defXmm(Id);
+      lowerFArith(A, I.Op, D, Ar, Br);
       finishDef(Id);
       return;
     }
     case Opcode::FNeg: {
-      // -x == (bitcast) x ^ sign bit.
       Xmm Ar = useXmm(I.A);
       Reg Tmp = allocGp();
       pin(Tmp);
-      A.movqRX(Tmp, Ar);
-      Reg SignR = allocGp();
-      pin(SignR);
-      A.movRI(SignR, 0x8000000000000000ull);
-      A.aluRR(Assembler::Alu::Xor, Width::W64, Tmp, SignR);
-      Xmm D = defXmm(Id);
-      A.movqXR(D, Tmp);
+      lowerFNeg(A, defXmm(Id), Ar, Tmp);
       finishDef(Id);
       return;
     }
 
-    case Opcode::ICmp:
-      emitICmp(Id, I);
+    case Opcode::ICmp: {
+      Lanes Ar = useLanes(I.A), Br = useLanes(I.B);
+      lowerICmp(A, I.cmpPred(), F.valueType(I.A), defGp(Id, 0), Ar, Br);
+      finishDef(Id);
       return;
-    case Opcode::FCmp:
-      emitFCmp(Id, I);
+    }
+    case Opcode::FCmp: {
+      Xmm Ar = useXmm(I.A), Br = useXmm(I.B);
+      lowerFCmp(A, I.cmpPred(), defGp(Id, 0), Ar, Br);
+      finishDef(Id);
       return;
-    case Opcode::Select:
-      emitSelect(Id, I);
+    }
+    case Opcode::Select: {
+      Reg C = useGp(I.A, 0);
+      if (I.Ty == Type::F64) {
+        Xmm Tv = useXmm(I.B), Fv = useXmm(I.C);
+        lowerSelectF64(A, C, defXmm(Id), Tv, Fv);
+      } else {
+        // Allocated per lane (true, false, destination), so each lane's
+        // registers are chosen together.
+        Lanes Tv{useGp(I.B, 0)}, Fv{useGp(I.C, 0)}, D{defGp(Id, 0)};
+        if (qir::isTwoLane(I.Ty)) {
+          Tv.Hi = useGp(I.B, 1);
+          Fv.Hi = useGp(I.C, 1);
+          D.Hi = defGp(Id, 1);
+        }
+        lowerSelect(A, I.Ty, C, D, Tv, Fv);
+      }
+      finishDef(Id);
       return;
+    }
 
     case Opcode::ZExt: {
-      // Canonical form: already zero-extended; i128 adds a zero hi lane.
       Reg Ar = useGp(I.A, 0);
-      Reg Lo = defGp(Id, 0);
-      A.movRR(Width::W64, Lo, Ar);
-      if (I.Ty == Type::I128) {
-        Reg Hi = defGp(Id, 1);
-        A.movRI32(Hi, 0);
-      }
+      lowerZExt(A, I.Ty, defLanes(Id), Ar);
       finishDef(Id);
       return;
     }
     case Opcode::SExt: {
-      Type From = F.valueType(I.A);
       Reg Ar = useGp(I.A, 0);
-      Reg Lo = defGp(Id, 0);
-      if (From == Type::I64) {
-        A.movRR(Width::W64, Lo, Ar);
-      } else if (From == Type::I1) {
-        // i1 sign extension: 0 -> 0, 1 -> -1.
-        A.movRR(Width::W64, Lo, Ar);
-        A.negR(Width::W64, Lo);
-      } else {
-        A.movsxRR(widthOf(From), Lo, Ar);
-      }
-      if (I.Ty != Type::I128 && I.Ty != Type::I64) {
-        // Re-canonicalize to the (wider but still <64-bit) target width.
-        A.movRI(Reg::R11, qir::typeMask(I.Ty));
-        A.aluRR(Assembler::Alu::And, Width::W64, Lo, Reg::R11);
-      }
-      if (I.Ty == Type::I128) {
-        Reg Hi = defGp(Id, 1);
-        A.movRR(Width::W64, Hi, Lo);
-        A.shiftRI(Assembler::Shift::Sar, Width::W64, Hi, 63);
-      }
+      lowerSExt(A, F.valueType(I.A), I.Ty, defLanes(Id), Ar);
       finishDef(Id);
       return;
     }
     case Opcode::Trunc: {
       Reg Ar = useGp(I.A, 0); // lo lane of i128 or the single lane
-      Reg D = defGp(Id, 0);
-      A.movRR(Width::W64, D, Ar);
-      if (I.Ty != Type::I64) {
-        A.movRI(Reg::R11, qir::typeMask(I.Ty));
-        A.aluRR(Assembler::Alu::And, Width::W64, D, Reg::R11);
-      }
+      lowerTrunc(A, I.Ty, defGp(Id, 0), Ar);
       finishDef(Id);
       return;
     }
     case Opcode::SIToFP: {
-      Type From = F.valueType(I.A);
       Reg Ar = useGp(I.A, 0);
       Reg Tmp = allocGp();
       pin(Tmp);
-      if (From == Type::I64)
-        A.movRR(Width::W64, Tmp, Ar);
-      else
-        A.movsxRR(widthOf(From), Tmp, Ar);
-      Xmm D = defXmm(Id);
-      A.cvtsi2sd(D, Tmp);
+      lowerSIToFP(A, F.valueType(I.A), defXmm(Id), Tmp, Ar);
       finishDef(Id);
       return;
     }
     case Opcode::FPToSI: {
       Xmm Ar = useXmm(I.A);
-      Reg D = defGp(Id, 0);
-      A.cvttsd2si(D, Ar);
-      if (I.Ty != Type::I64) {
-        A.movRI(Reg::R11, qir::typeMask(I.Ty));
-        A.aluRR(Assembler::Alu::And, Width::W64, D, Reg::R11);
-      }
+      lowerFPToSI(A, I.Ty, defGp(Id, 0), Ar);
       finishDef(Id);
       return;
     }
@@ -829,56 +792,27 @@ private:
 
     case Opcode::Load: {
       Reg P = useGp(I.A, 0);
-      if (I.Ty == Type::F64) {
-        Xmm D = defXmm(Id);
-        A.movsdXM(D, Mem::base(P));
-      } else if (qir::isTwoLane(I.Ty)) {
-        Reg Lo = defGp(Id, 0);
-        A.movRM(Width::W64, Lo, Mem::base(P));
-        Reg Hi = defGp(Id, 1);
-        A.movRM(Width::W64, Hi, Mem::base(P, 8));
-      } else {
-        Reg D = defGp(Id, 0);
-        A.movzxRM(widthOf(I.Ty), D, Mem::base(P));
-      }
+      if (I.Ty == Type::F64)
+        A.movsdXM(defXmm(Id), Mem::base(P));
+      else
+        lowerLoad(A, I.Ty, defLanes(Id), P);
       finishDef(Id);
       return;
     }
     case Opcode::Store: {
       Reg P = useGp(I.A, 0);
-      if (I.Ty == Type::F64) {
-        Xmm S = useXmm(I.B);
-        A.movsdMX(Mem::base(P), S);
-      } else if (qir::isTwoLane(I.Ty)) {
-        Reg Lo = useGp(I.B, 0);
-        A.movMR(Width::W64, Mem::base(P), Lo);
-        Reg Hi = useGp(I.B, 1);
-        A.movMR(Width::W64, Mem::base(P, 8), Hi);
-      } else {
-        Reg S = useGp(I.B, 0);
-        A.movMR(widthOf(I.Ty), Mem::base(P), S);
-      }
+      if (I.Ty == Type::F64)
+        A.movsdMX(Mem::base(P), useXmm(I.B));
+      else
+        lowerStore(A, I.Ty, P, useLanes(I.B));
       unpinAll();
       return;
     }
     case Opcode::Gep: {
-      Reg Base = useGp(I.A, 0);
-      int32_t Disp = static_cast<int32_t>(static_cast<int64_t>(I.Imm));
-      Reg D = defGp(Id, 0);
-      if (I.B == qir::INVALID_VALUE) {
-        A.lea(D, Mem::base(Base, Disp));
-      } else {
-        Reg Idx = useGp(I.B, 0);
-        uint32_t Scale = I.C;
-        if (Scale == 1 || Scale == 2 || Scale == 4 || Scale == 8) {
-          A.lea(D, Mem::baseIndex(Base, Idx, static_cast<uint8_t>(Scale),
-                                  Disp));
-        } else {
-          A.imulRRI(Width::W64, Reg::R11, Idx,
-                    static_cast<int32_t>(Scale));
-          A.lea(D, Mem::baseIndex(Base, Reg::R11, 1, Disp));
-        }
-      }
+      Reg Base = useGp(I.A, 0), D = defGp(Id, 0);
+      Reg Idx = I.B == qir::INVALID_VALUE ? Reg::NoReg : useGp(I.B, 0);
+      lowerGep(A, D, Base, Idx, static_cast<int32_t>(I.C),
+               static_cast<int32_t>(static_cast<int64_t>(I.Imm)), Sink);
       finishDef(Id);
       return;
     }
@@ -894,9 +828,12 @@ private:
       return;
     }
 
-    case Opcode::Call:
-      emitCall(Id, I);
+    case Opcode::Call: {
+      const qir::RuntimeSig &Sig = F.parent()->symbol(F.callee(I));
+      assert(Sig.Address && "unbound runtime symbol");
+      emitCall(Id, F.callArgs(I), F.numCallArgs(I), Sig.Name, Sig.Address);
       return;
+    }
 
     case Opcode::Br: {
       applyEdgeMoves(edgeMoves(B, I.A));
@@ -917,487 +854,26 @@ private:
     QCF_UNREACHABLE("unhandled opcode in DirectEmit");
   }
 
-  void emitAddLike(ValueId Id, const Inst &I) {
-    if (I.Ty == Type::I128) {
-      Reg ALo = useGp(I.A, 0), AHi = useGp(I.A, 1);
-      Reg BLo = useGp(I.B, 0), BHi = useGp(I.B, 1);
-      Reg DLo = defGp(Id, 0), DHi = defGp(Id, 1);
-      A.movRR(Width::W64, DLo, ALo);
-      A.movRR(Width::W64, DHi, AHi);
-      switch (I.Op) {
-      case Opcode::Add:
-        A.aluRR(Assembler::Alu::Add, Width::W64, DLo, BLo);
-        A.aluRR(Assembler::Alu::Adc, Width::W64, DHi, BHi);
-        break;
-      case Opcode::Sub:
-        A.aluRR(Assembler::Alu::Sub, Width::W64, DLo, BLo);
-        A.aluRR(Assembler::Alu::Sbb, Width::W64, DHi, BHi);
-        break;
-      case Opcode::And:
-        A.aluRR(Assembler::Alu::And, Width::W64, DLo, BLo);
-        A.aluRR(Assembler::Alu::And, Width::W64, DHi, BHi);
-        break;
-      case Opcode::Or:
-        A.aluRR(Assembler::Alu::Or, Width::W64, DLo, BLo);
-        A.aluRR(Assembler::Alu::Or, Width::W64, DHi, BHi);
-        break;
-      default:
-        A.aluRR(Assembler::Alu::Xor, Width::W64, DLo, BLo);
-        A.aluRR(Assembler::Alu::Xor, Width::W64, DHi, BHi);
-        break;
-      }
-      finishDef(Id);
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg Br = useGp(I.B, 0);
-    Reg D = defGp(Id, 0);
-    A.movRR(Width::W64, D, Ar);
-    Assembler::Alu Op;
-    switch (I.Op) {
-    case Opcode::Add:
-      Op = Assembler::Alu::Add;
-      break;
-    case Opcode::Sub:
-      Op = Assembler::Alu::Sub;
-      break;
-    case Opcode::And:
-      Op = Assembler::Alu::And;
-      break;
-    case Opcode::Or:
-      Op = Assembler::Alu::Or;
-      break;
-    default:
-      Op = Assembler::Alu::Xor;
-      break;
-    }
-    A.aluRR(Op, aluWidth(I.Ty), D, Br);
-    recanonicalize(D, I.Ty);
-    finishDef(Id);
-  }
-
-  /// Re-zero-extends narrow results computed with 32-bit operations.
-  void recanonicalize(Reg R, Type Ty) {
-    if (Ty == Type::I1)
-      A.aluRI(Assembler::Alu::And, Width::W32, R, 1);
-    else if (Ty == Type::I8)
-      A.movzxRR(Width::W8, R, R);
-    else if (Ty == Type::I16)
-      A.movzxRR(Width::W16, R, R);
-  }
-
-  void emitMul(ValueId Id, const Inst &I) {
-    if (I.Ty == Type::I128) {
-      emitMul128(Id, I);
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg Br = useGp(I.B, 0);
-    Reg D = defGp(Id, 0);
-    A.movRR(Width::W64, D, Ar);
-    A.imulRR(aluWidth(I.Ty), D, Br);
-    recanonicalize(D, I.Ty);
-    finishDef(Id);
-  }
-
-  /// Wrapping 128-bit multiply via three 64-bit multiplies; uses the fixed
-  /// RAX/RDX sequence after flushing the register state.
-  void emitMul128(ValueId Id, const Inst &I) {
-    flushAllRegs();
-    // rax = a.lo; r8 = b.lo; r9 = b.hi; rcx = a.hi
-    A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
-    A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
-    A.movRM(Width::W64, Reg::R9, memOf(I.B, 1));
-    A.movRM(Width::W64, Reg::RCX, memOf(I.A, 1));
-    A.movRR(Width::W64, Reg::R11, Reg::RAX); // save a.lo
-    A.mulR(Width::W64, Reg::R8);             // rdx:rax = a.lo * b.lo
-    A.movRR(Width::W64, Reg::RSI, Reg::RAX); // lo
-    A.movRR(Width::W64, Reg::RDI, Reg::RDX); // hi
-    A.imulRR(Width::W64, Reg::RCX, Reg::R8); // a.hi * b.lo
-    A.aluRR(Assembler::Alu::Add, Width::W64, Reg::RDI, Reg::RCX);
-    A.imulRR(Width::W64, Reg::R11, Reg::R9); // a.lo * b.hi
-    A.aluRR(Assembler::Alu::Add, Width::W64, Reg::RDI, Reg::R11);
-    attachGp(Reg::RSI, Id, 0);
-    attachGp(Reg::RDI, Id, 1);
-    finishDef(Id);
-  }
-
-  void emitDiv(ValueId Id, const Inst &I) {
-    if (I.Ty == Type::I128) {
-      const char *Helper = I.Op == Opcode::SDiv   ? "rt_sdiv128"
-                           : I.Op == Opcode::UDiv ? "rt_udiv128"
-                                                  : "rt_srem128";
-      emitHelperCall128(Id, I.A, I.B, Helper);
-      return;
-    }
-    bool Signed = I.Op != Opcode::UDiv;
-    Type Ty = I.Ty;
-    flushAllRegs();
-    // Dividend in RAX (sign- or zero-extended to the ALU width), divisor
-    // in R8; RDX is the high half / remainder.
-    if (Signed && (Ty == Type::I8 || Ty == Type::I16))
-      A.movsxRM(widthOf(Ty), Reg::RAX, memOf(I.A, 0));
-    else
-      A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
-    if (Signed && (Ty == Type::I8 || Ty == Type::I16))
-      A.movsxRM(widthOf(Ty), Reg::R8, memOf(I.B, 0));
-    else
-      A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
-
-    Width W = aluWidth(Ty);
-    // Divide-by-zero check.
-    A.testRR(W, Reg::R8, Reg::R8);
-    A.jcc(Cond::E, trapLabel(rt::TrapCode::DivByZero));
-
-    if (Signed) {
-      Label Ok = A.newLabel();
-      A.aluRI(Assembler::Alu::Cmp, W, Reg::R8, -1);
-      if (I.Op == Opcode::SRem) {
-        // srem x, -1 == 0 for every x (see Opcode.h); rewrite the
-        // divisor to 1 — same remainder for all inputs — so idiv cannot
-        // fault on INT_MIN.
-        A.jcc(Cond::NE, Ok);
-        A.movRI32(Reg::R8, 1);
-      } else {
-        // sdiv INT_MIN / -1 overflows: trap.
-        A.jcc(Cond::NE, Ok);
-        if (Ty == Type::I64) {
-          A.movRI(Reg::R11, 0x8000000000000000ull);
-          A.aluRR(Assembler::Alu::Cmp, Width::W64, Reg::RAX, Reg::R11);
-        } else {
-          int32_t Min = Ty == Type::I32   ? INT32_MIN
-                        : Ty == Type::I16 ? -32768
-                                          : -128;
-          A.aluRI(Assembler::Alu::Cmp, W, Reg::RAX, Min);
-        }
-        A.jcc(Cond::E, trapLabel(rt::TrapCode::Overflow));
-      }
-      A.bind(Ok);
-      if (W == Width::W64)
-        A.cqo();
-      else
-        A.cdq();
-      A.idivR(W, Reg::R8);
-    } else {
-      A.movRI32(Reg::RDX, 0);
-      A.divR(W, Reg::R8);
-    }
-
-    // 32-bit divides leave eax/edx zero-extended; 8/16-bit results were
-    // computed at 32 bits and must be re-canonicalized.
-    Reg ResultReg = I.Op == Opcode::SRem ? Reg::RDX : Reg::RAX;
-    attachGp(ResultReg, Id, 0);
-    recanonicalize(ResultReg, Ty);
-    finishDef(Id);
-  }
-
-  /// Calls a two-i128-argument runtime helper (the "libcall" pattern).
-  void emitHelperCall128(ValueId Id, ValueId Av, ValueId Bv,
-                         const char *Name) {
-    flushAllRegs();
-    A.movRM(Width::W64, Reg::RDI, memOf(Av, 0));
-    A.movRM(Width::W64, Reg::RSI, memOf(Av, 1));
-    A.movRM(Width::W64, Reg::RDX, memOf(Bv, 0));
-    bool SecondIsTwoLane = qir::isTwoLane(F.valueType(Bv));
-    if (SecondIsTwoLane)
-      A.movRM(Width::W64, Reg::RCX, memOf(Bv, 1));
-    A.movAbsRI(Reg::R10,
-               reinterpret_cast<uint64_t>(rt::runtimeSymbolAddress(Name)));
-    RtRelocs.push_back({A.size() - 8, Name});
-    A.callReg(Reg::R10);
-    Cfi.atCall(A.size() - FuncStart);
-    attachGp(Reg::RAX, Id, 0);
-    attachGp(Reg::RDX, Id, 1);
-    finishDef(Id);
-  }
-
-  void emitShift(ValueId Id, const Inst &I) {
-    if (I.Ty == Type::I128) {
-      const char *Helper = I.Op == Opcode::Shl    ? "rt_shl128"
-                           : I.Op == Opcode::LShr ? "rt_lshr128"
-                                                  : "rt_ashr128";
-      assert(I.Op != Opcode::RotR && "128-bit rotate is not supported");
-      emitHelperCall128(Id, I.A, I.B, Helper);
-      return;
-    }
-    // Shift amount goes through CL.
-    evictGp(Reg::RCX);
-    pin(Reg::RCX);
-    copyToScratch(I.B, 0, Reg::RCX);
-    unsigned Bits = qir::intBits(I.Ty);
-    if (Bits < 32 && I.Op != Opcode::RotR)
-      A.aluRI(Assembler::Alu::And, Width::W32, Reg::RCX,
-              static_cast<int32_t>(Bits - 1));
-
-    Reg Ar = useGp(I.A, 0);
-    Reg D = defGp(Id, 0);
-    switch (I.Op) {
-    case Opcode::Shl:
-      A.movRR(Width::W64, D, Ar);
-      A.shiftRC(Assembler::Shift::Shl, aluWidth(I.Ty), D);
-      recanonicalize(D, I.Ty);
-      break;
-    case Opcode::LShr:
-      A.movRR(Width::W64, D, Ar);
-      A.shiftRC(Assembler::Shift::Shr, aluWidth(I.Ty), D);
-      // Canonical input means the 32-bit shift result is canonical.
-      recanonicalize(D, I.Ty);
-      break;
-    case Opcode::AShr:
-      if (I.Ty == Type::I8 || I.Ty == Type::I16)
-        A.movsxRR(widthOf(I.Ty), D, Ar);
-      else
-        A.movRR(Width::W64, D, Ar);
-      A.shiftRC(Assembler::Shift::Sar, aluWidth(I.Ty), D);
-      recanonicalize(D, I.Ty);
-      break;
-    case Opcode::RotR:
-      A.movRR(Width::W64, D, Ar);
-      A.shiftRC(Assembler::Shift::Ror, widthOf(I.Ty), D);
-      break;
-    default:
-      QCF_UNREACHABLE("not a shift");
-    }
-    finishDef(Id);
-  }
-
-  void emitNegNot(ValueId Id, const Inst &I, bool IsNeg) {
-    if (I.Ty == Type::I128) {
-      Reg ALo = useGp(I.A, 0), AHi = useGp(I.A, 1);
-      Reg DLo = defGp(Id, 0), DHi = defGp(Id, 1);
-      if (IsNeg) {
-        A.movRI32(DLo, 0);
-        A.movRI32(DHi, 0);
-        A.aluRR(Assembler::Alu::Sub, Width::W64, DLo, ALo);
-        A.aluRR(Assembler::Alu::Sbb, Width::W64, DHi, AHi);
-      } else {
-        A.movRR(Width::W64, DLo, ALo);
-        A.notR(Width::W64, DLo);
-        A.movRR(Width::W64, DHi, AHi);
-        A.notR(Width::W64, DHi);
-      }
-      finishDef(Id);
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg D = defGp(Id, 0);
-    A.movRR(Width::W64, D, Ar);
-    if (IsNeg)
-      A.negR(aluWidth(I.Ty), D);
-    else
-      A.notR(aluWidth(I.Ty), D);
-    recanonicalize(D, I.Ty);
-    finishDef(Id);
-  }
-
-  void emitAddSubTrap(ValueId Id, const Inst &I) {
-    bool IsAdd = I.Op == Opcode::SAddTrap;
-    if (I.Ty == Type::I128) {
-      Reg ALo = useGp(I.A, 0), AHi = useGp(I.A, 1);
-      Reg BLo = useGp(I.B, 0), BHi = useGp(I.B, 1);
-      Reg DLo = defGp(Id, 0), DHi = defGp(Id, 1);
-      A.movRR(Width::W64, DLo, ALo);
-      A.movRR(Width::W64, DHi, AHi);
-      A.aluRR(IsAdd ? Assembler::Alu::Add : Assembler::Alu::Sub, Width::W64,
-              DLo, BLo);
-      A.aluRR(IsAdd ? Assembler::Alu::Adc : Assembler::Alu::Sbb, Width::W64,
-              DHi, BHi);
-      A.jcc(Cond::O, trapLabel(rt::TrapCode::Overflow));
-      finishDef(Id);
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg Br = useGp(I.B, 0);
-    Reg D = defGp(Id, 0);
-    A.movRR(Width::W64, D, Ar);
-    A.aluRR(IsAdd ? Assembler::Alu::Add : Assembler::Alu::Sub,
-            aluWidth(I.Ty), D, Br);
-    A.jcc(Cond::O, trapLabel(rt::TrapCode::Overflow));
-    recanonicalize(D, I.Ty);
-    finishDef(Id);
-  }
-
-  void emitMulTrap(ValueId Id, const Inst &I) {
-    if (I.Ty == Type::I128) {
-      // Umbra-style: call the hand-optimized checked multiplication
-      // (§V-A1); the helper traps on overflow itself.
-      emitHelperCall128(Id, I.A, I.B, "rt_mul128_ovf");
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg Br = useGp(I.B, 0);
-    Reg D = defGp(Id, 0);
-    A.movRR(Width::W64, D, Ar);
-    A.imulRR(aluWidth(I.Ty), D, Br);
-    A.jcc(Cond::O, trapLabel(rt::TrapCode::Overflow));
-    recanonicalize(D, I.Ty);
-    finishDef(Id);
-  }
-
-  void emitLongMulFold(ValueId Id, const Inst &I) {
-    flushAllRegs();
-    A.movRM(Width::W64, Reg::RAX, memOf(I.A, 0));
-    A.movRM(Width::W64, Reg::R8, memOf(I.B, 0));
-    A.mulR(Width::W64, Reg::R8);
-    A.aluRR(Assembler::Alu::Xor, Width::W64, Reg::RAX, Reg::RDX);
-    attachGp(Reg::RAX, Id, 0);
-    finishDef(Id);
-  }
-
-  void emitICmp(ValueId Id, const Inst &I) {
-    Type OpTy = F.valueType(I.A);
-    qir::CmpPred P = I.cmpPred();
-    if (OpTy == Type::I128) {
-      emitICmp128(Id, I, P);
-      return;
-    }
-    Reg Ar = useGp(I.A, 0);
-    Reg Br = useGp(I.B, 0);
-    Reg D = defGp(Id, 0);
-    A.aluRR(Assembler::Alu::Cmp, widthOf(OpTy), Ar, Br);
-    A.setcc(condForPred(P), D);
-    A.movzxRR(Width::W8, D, D);
-    finishDef(Id);
-  }
-
-  void emitICmp128(ValueId Id, const Inst &I, qir::CmpPred P) {
-    Reg ALo = useGp(I.A, 0), AHi = useGp(I.A, 1);
-    Reg BLo = useGp(I.B, 0), BHi = useGp(I.B, 1);
-    Reg D = defGp(Id, 0);
-    if (P == qir::CmpPred::Eq || P == qir::CmpPred::Ne) {
-      A.movRR(Width::W64, Reg::R11, ALo);
-      A.aluRR(Assembler::Alu::Xor, Width::W64, Reg::R11, BLo);
-      A.movRR(Width::W64, Reg::R10, AHi);
-      A.aluRR(Assembler::Alu::Xor, Width::W64, Reg::R10, BHi);
-      A.aluRR(Assembler::Alu::Or, Width::W64, Reg::R11, Reg::R10);
-      A.setcc(P == qir::CmpPred::Eq ? Cond::E : Cond::NE, D);
-      A.movzxRR(Width::W8, D, D);
-      finishDef(Id);
-      return;
-    }
-    // lt(a, b) via cmp/sbb; other predicates are lt with swapped operands
-    // and/or inverted results.
-    bool Swap, Invert, Signed;
-    switch (P) {
-    case qir::CmpPred::SLt:
-      Swap = false; Invert = false; Signed = true; break;
-    case qir::CmpPred::SGt:
-      Swap = true; Invert = false; Signed = true; break;
-    case qir::CmpPred::SLe:
-      Swap = true; Invert = true; Signed = true; break;
-    case qir::CmpPred::SGe:
-      Swap = false; Invert = true; Signed = true; break;
-    case qir::CmpPred::ULt:
-      Swap = false; Invert = false; Signed = false; break;
-    case qir::CmpPred::UGt:
-      Swap = true; Invert = false; Signed = false; break;
-    case qir::CmpPred::ULe:
-      Swap = true; Invert = true; Signed = false; break;
-    default:
-      Swap = false; Invert = true; Signed = false; break;
-    }
-    Reg XLo = Swap ? BLo : ALo, XHi = Swap ? BHi : AHi;
-    Reg YLo = Swap ? ALo : BLo, YHi = Swap ? AHi : BHi;
-    A.movRR(Width::W64, Reg::R11, XHi);
-    A.aluRR(Assembler::Alu::Cmp, Width::W64, XLo, YLo);
-    A.aluRR(Assembler::Alu::Sbb, Width::W64, Reg::R11, YHi);
-    A.setcc(Signed ? Cond::L : Cond::B, D);
-    if (Invert)
-      A.aluRI(Assembler::Alu::Xor, Width::W32, D, 1);
-    A.movzxRR(Width::W8, D, D);
-    finishDef(Id);
-  }
-
-  void emitFCmp(ValueId Id, const Inst &I) {
-    qir::CmpPred P = I.cmpPred();
-    Xmm Ar = useXmm(I.A);
-    Xmm Br = useXmm(I.B);
-    Reg D = defGp(Id, 0);
-    switch (P) {
-    case qir::CmpPred::Eq: // ordered eq: ZF=1 && PF=0
-      A.ucomisd(Ar, Br);
-      A.setcc(Cond::E, D);
-      A.setcc(Cond::NP, Reg::R11);
-      A.aluRR(Assembler::Alu::And, Width::W8, D, Reg::R11);
-      break;
-    case qir::CmpPred::Ne: // unordered ne: ZF=0 || PF=1
-      A.ucomisd(Ar, Br);
-      A.setcc(Cond::NE, D);
-      A.setcc(Cond::P, Reg::R11);
-      A.aluRR(Assembler::Alu::Or, Width::W8, D, Reg::R11);
-      break;
-    case qir::CmpPred::SGt:
-    case qir::CmpPred::UGt:
-      A.ucomisd(Ar, Br);
-      A.setcc(Cond::A, D);
-      break;
-    case qir::CmpPred::SGe:
-    case qir::CmpPred::UGe:
-      A.ucomisd(Ar, Br);
-      A.setcc(Cond::AE, D);
-      break;
-    case qir::CmpPred::SLt:
-    case qir::CmpPred::ULt:
-      A.ucomisd(Br, Ar);
-      A.setcc(Cond::A, D);
-      break;
-    case qir::CmpPred::SLe:
-    case qir::CmpPred::ULe:
-      A.ucomisd(Br, Ar);
-      A.setcc(Cond::AE, D);
-      break;
-    }
-    A.movzxRR(Width::W8, D, D);
-    finishDef(Id);
-  }
-
-  void emitSelect(ValueId Id, const Inst &I) {
-    Reg C = useGp(I.A, 0);
-    if (I.Ty == Type::F64) {
-      Xmm TrueV = useXmm(I.B);
-      Xmm FalseV = useXmm(I.C);
-      Xmm D = defXmm(Id);
-      Label Skip = A.newLabel();
-      A.movsdXX(D, TrueV);
-      A.testRR(Width::W64, C, C);
-      A.jcc(Cond::NE, Skip);
-      A.movsdXX(D, FalseV);
-      A.bind(Skip);
-      finishDef(Id);
-      return;
-    }
-    unsigned Lanes = qir::isTwoLane(I.Ty) ? 2 : 1;
-    A.testRR(Width::W64, C, C);
-    for (unsigned L = 0; L != Lanes; ++L) {
-      Reg TrueV = useGp(I.B, L);
-      Reg FalseV = useGp(I.C, L);
-      Reg D = defGp(Id, L);
-      A.movRR(Width::W64, D, TrueV);
-      A.cmovcc(Cond::E, Width::W64, D, FalseV);
-    }
-    finishDef(Id);
-  }
-
-  void emitCall(ValueId Id, const Inst &I) {
-    const qir::RuntimeSig &Sig = F.parent()->symbol(F.callee(I));
-    assert(Sig.Address && "unbound runtime symbol");
+  /// Calls runtime function \p Name at \p Addr, passing each argument lane
+  /// by lane in the SysV argument registers; a result lands in RAX(/RDX).
+  void emitCall(ValueId Id, const ValueId *Args, unsigned NumArgs,
+                const std::string &Name, const void *Addr) {
     flushAllRegs();
     unsigned Slot = 0;
-    for (unsigned K = 0, E = F.numCallArgs(I); K != E; ++K) {
-      ValueId Arg = F.callArgs(I)[K];
-      unsigned Lanes = qir::isTwoLane(F.valueType(Arg)) ? 2 : 1;
+    for (unsigned K = 0; K != NumArgs; ++K) {
+      unsigned Lanes = qir::isTwoLane(F.valueType(Args[K])) ? 2 : 1;
       for (unsigned L = 0; L != Lanes; ++L) {
         assert(Slot < 6 && "too many call argument slots");
-        A.movRM(Width::W64, GpArgRegs[Slot++], memOf(Arg, L));
+        A.movRM(Width::W64, GpArgRegs[Slot++], memOf(Args[K], L));
       }
     }
-    A.movAbsRI(Reg::R10, reinterpret_cast<uint64_t>(Sig.Address));
-    RtRelocs.push_back({A.size() - 8, Sig.Name});
-    A.callReg(Reg::R10);
+    RtRelocs.push_back(
+        {lowerCallAbs(A, reinterpret_cast<uint64_t>(Addr)), Name});
     Cfi.atCall(A.size() - FuncStart);
-    if (I.Ty != Type::Void) {
+    Type RetTy = F.valueType(Id);
+    if (RetTy != Type::Void) {
       attachGp(Reg::RAX, Id, 0);
-      if (qir::isTwoLane(I.Ty))
+      if (qir::isTwoLane(RetTy))
         attachGp(Reg::RDX, Id, 1);
       finishDef(Id);
     }
@@ -1512,8 +988,7 @@ private:
   uint32_t NextFrame = 16;
   size_t FramePatchPos = 0;
   std::vector<Label> BlockLabels;
-  Label TrapLabels[2] = {};
-  bool TrapUsed[2] = {false, false};
+  LowerSink Sink;
 };
 
 } // namespace

@@ -36,6 +36,13 @@ struct Rela {
   int64_t Addend;
 };
 
+/// Copies a section into its table. An empty section leaves the table
+/// empty, and memcpy must not be handed the null data() of an empty vector.
+void copySection(void *Dst, const uint8_t *Src, size_t Bytes) {
+  if (Bytes)
+    std::memcpy(Dst, Src, Bytes);
+}
+
 } // namespace
 
 void *LinkedImage::lookup(const std::string &Name) const {
@@ -60,7 +67,7 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
   std::memcpy(&ShNum, Base + 0x3c, 2);
 
   PoolVector<Shdr> Sections(ShNum, Shdr{}, SP);
-  std::memcpy(Sections.data(), Base + ShOff, ShNum * sizeof(Shdr));
+  copySection(Sections.data(), Base + ShOff, ShNum * sizeof(Shdr));
 
   const Shdr *Text = nullptr, *RelaSec = nullptr, *Symtab = nullptr,
              *Strtab = nullptr;
@@ -85,7 +92,7 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
 
   size_t NumSyms = Symtab->Size / sizeof(Sym);
   PoolVector<Sym> Syms(NumSyms, Sym{}, SP);
-  std::memcpy(Syms.data(), Base + Symtab->Offset, Symtab->Size);
+  copySection(Syms.data(), Base + Symtab->Offset, Symtab->Size);
   const char *Strs = reinterpret_cast<const char *>(Base + Strtab->Offset);
 
   // Undefined (external) symbols get GOT+PLT entries.
@@ -222,7 +229,7 @@ ElfTables parseElfTables(const std::vector<uint8_t> &Obj) {
   std::memcpy(&ShOff, Base + 0x28, 8);
   std::memcpy(&ShNum, Base + 0x3c, 2);
   T.Sections.resize(ShNum);
-  std::memcpy(T.Sections.data(), Base + ShOff, ShNum * sizeof(Shdr));
+  copySection(T.Sections.data(), Base + ShOff, ShNum * sizeof(Shdr));
   const Shdr *Text = nullptr, *RelaSec = nullptr, *Symtab = nullptr;
   for (const Shdr &S : T.Sections) {
     if (S.Type == 2)
@@ -236,12 +243,12 @@ ElfTables parseElfTables(const std::vector<uint8_t> &Obj) {
     return T;
   T.TextBytes = Text->Size;
   T.Syms.resize(Symtab->Size / sizeof(Sym));
-  std::memcpy(T.Syms.data(), Base + Symtab->Offset, Symtab->Size);
+  copySection(T.Syms.data(), Base + Symtab->Offset, Symtab->Size);
   T.Strs =
       reinterpret_cast<const char *>(Base + T.Sections[Symtab->Link].Offset);
   if (RelaSec) {
     T.Relas.resize(RelaSec->Size / sizeof(Rela));
-    std::memcpy(T.Relas.data(), Base + RelaSec->Offset, RelaSec->Size);
+    copySection(T.Relas.data(), Base + RelaSec->Offset, RelaSec->Size);
   }
   T.Ok = true;
   return T;

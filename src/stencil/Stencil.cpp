@@ -30,6 +30,7 @@
 #include "support/Compiler.h"
 #include "support/Int128.h"
 #include "x64/EncodingLint.h"
+#include "x64/QirLower.h"
 #include <cassert>
 #include <cstring>
 
@@ -316,7 +317,16 @@ private:
     BlockFixes.push_back({Pos + T.Jmp.Patches[0].Off, Target});
   }
 
-  void emitCall(const std::string &Sym, const void *Addr) {
+  /// Calls \p Sym at \p Addr, passing each argument lane by lane in the
+  /// SysV argument registers.
+  void emitCall(const std::string &Sym, const void *Addr, const ValueId *Args,
+                unsigned NumArgs) {
+    unsigned Slot = 0;
+    for (unsigned K = 0; K != NumArgs; ++K)
+      for (unsigned L = 0; L != lanesOf(F.valueType(Args[K])); ++L) {
+        assert(Slot < 6 && "too many call argument lanes");
+        emitD(T.LdArg[Slot++], slotOf(Args[K]) + 8 * static_cast<int32_t>(L));
+      }
     size_t Pos = emit(T.CallR10);
     size_t Field = Pos + T.CallR10.Patches[0].Off;
     patch64(Field, reinterpret_cast<uint64_t>(Addr));
@@ -539,15 +549,6 @@ private:
     patch32(FramePatchPos, frameSize());
   }
 
-  void emitHelper128(ValueId Av, ValueId Bv, const char *Name) {
-    emitD(T.LdArg[0], slotOf(Av));
-    emitD(T.LdArg[1], slotOf(Av) + 8);
-    emitD(T.LdArg[2], slotOf(Bv));
-    if (qir::isTwoLane(F.valueType(Bv)))
-      emitD(T.LdArg[3], slotOf(Bv) + 8);
-    emitCall(Name, rt::runtimeSymbolAddress(Name));
-  }
-
   // --- Per-instruction dispatch --------------------------------------------
 
   void emitInst(BlockId B, ValueId Id, const Inst &I) {
@@ -563,6 +564,13 @@ private:
     // needs the home slot valid, and rax/xmm0 still hold the value here.
     if (PendingVal != qir::INVALID_VALUE && PendingVal != chainCandidate(I))
       flushPending();
+    if (I.Ty == Type::I128)
+      if (const char *Helper = x64::runtimeHelper128(I.Op)) {
+        ValueId Args[] = {I.A, I.B};
+        emitCall(Helper, rt::runtimeSymbolAddress(Helper), Args, 2);
+        defGp2(Id);
+        return;
+      }
     switch (I.Op) {
     case Opcode::Param: // Spilled by the prologue.
     case Opcode::Phi:   // Handled by edge moves + entry commits.
@@ -598,72 +606,26 @@ private:
     case Opcode::And:
     case Opcode::Or:
     case Opcode::Xor:
+    case Opcode::SAddTrap:
+    case Opcode::SSubTrap:
+    case Opcode::SMulTrap:
+    case Opcode::SDiv:
+    case Opcode::UDiv:
+    case Opcode::SRem:
+    case Opcode::Shl: // Shift amounts go through rcx = CL.
+    case Opcode::LShr:
+    case Opcode::AShr:
+    case Opcode::RotR:
       loadB(I.B);
       loadA(I.A);
       emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
       qir::isTwoLane(I.Ty) ? defGp2(Id) : defGp1(Id);
       return;
-
-    case Opcode::SDiv:
-    case Opcode::UDiv:
-    case Opcode::SRem:
-      if (I.Ty == Type::I128) {
-        const char *Helper = I.Op == Opcode::SDiv   ? "rt_sdiv128"
-                             : I.Op == Opcode::UDiv ? "rt_udiv128"
-                                                    : "rt_srem128";
-        emitHelper128(I.A, I.B, Helper);
-        defGp2(Id);
-      } else {
-        loadB(I.B);
-        loadA(I.A);
-        emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
-        defGp1(Id);
-      }
-      return;
-
-    case Opcode::Shl:
-    case Opcode::LShr:
-    case Opcode::AShr:
-    case Opcode::RotR:
-      if (I.Ty == Type::I128) {
-        assert(I.Op != Opcode::RotR && "rotr i128 not supported");
-        const char *Helper = I.Op == Opcode::Shl    ? "rt_shl128"
-                             : I.Op == Opcode::LShr ? "rt_lshr128"
-                                                    : "rt_ashr128";
-        emitHelper128(I.A, I.B, Helper);
-        defGp2(Id);
-      } else {
-        loadB(I.B); // Amount in rcx = CL.
-        loadA(I.A);
-        emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
-        defGp1(Id);
-      }
-      return;
-
     case Opcode::Neg:
     case Opcode::Not:
       loadA(I.A);
       emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
       qir::isTwoLane(I.Ty) ? defGp2(Id) : defGp1(Id);
-      return;
-
-    case Opcode::SAddTrap:
-    case Opcode::SSubTrap:
-      loadB(I.B);
-      loadA(I.A);
-      emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
-      qir::isTwoLane(I.Ty) ? defGp2(Id) : defGp1(Id);
-      return;
-    case Opcode::SMulTrap:
-      if (I.Ty == Type::I128) {
-        emitHelper128(I.A, I.B, "rt_mul128_ovf");
-        defGp2(Id);
-      } else {
-        loadB(I.B);
-        loadA(I.A);
-        emitCore(T.core(I.Op, static_cast<uint8_t>(I.Ty)));
-        defGp1(Id);
-      }
       return;
 
     case Opcode::Crc32:
@@ -836,16 +798,7 @@ private:
 
     case Opcode::Call: {
       const qir::RuntimeSig &Sig = F.parent()->symbol(F.callee(I));
-      unsigned ArgSlot = 0;
-      for (unsigned K = 0; K != F.numCallArgs(I); ++K) {
-        ValueId Arg = F.callArgs(I)[K];
-        for (unsigned L = 0; L != lanesOf(F.valueType(Arg)); ++L) {
-          assert(ArgSlot < 6 && "too many call argument lanes");
-          emitD(T.LdArg[ArgSlot++],
-                slotOf(Arg) + 8 * static_cast<int32_t>(L));
-        }
-      }
-      emitCall(Sig.Name, Sig.Address);
+      emitCall(Sig.Name, Sig.Address, F.callArgs(I), F.numCallArgs(I));
       if (I.Ty != Type::Void)
         // The runtime is integer-class only: results arrive in rax(/rdx)
         // even for f64 (raw bits), matching DirectEmit.

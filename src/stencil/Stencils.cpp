@@ -11,17 +11,17 @@
 // forced into their wide encodings with placeholders (a displacement larger
 // than 127 forces disp32; movAbsRI always emits imm64).
 //
-// The operation cores reproduce DirectEmit's instruction selection on a
-// fixed register convention (see Stencils.h). Keeping the two back-ends
-// semantically byte-for-byte aligned is what makes the shared differential
-// corpus and translation validation meaningful for both.
+// The operation cores are the sequences of x64/QirLower.h, the lowering
+// DirectEmit also emits through, called on a fixed register convention
+// (see Stencils.h). Trap edges come back from the lowering as TrapEdges
+// sites and become TrapOvf/TrapDiv patches.
 //
 //===----------------------------------------------------------------------===//
 
 #include "stencil/Stencils.h"
 #include "runtime/Trap.h"
 #include "support/Compiler.h"
-#include "x64/Asm.h"
+#include "x64/QirLower.h"
 #include <cassert>
 
 using namespace qcf;
@@ -37,38 +37,6 @@ namespace {
 constexpr int32_t DISP_PLACEHOLDER = 0x11223344;
 constexpr uint64_t IMM64_PLACEHOLDER = 0x1122334455667788ull;
 
-Width widthOf(Type Ty) { return widthForBytes(qir::typeSize(Ty)); }
-
-Width aluWidth(Type Ty) {
-  return Ty == Type::I64 || Ty == Type::Ptr ? Width::W64 : Width::W32;
-}
-
-Cond condForPred(qir::CmpPred P) {
-  switch (P) {
-  case qir::CmpPred::Eq:
-    return Cond::E;
-  case qir::CmpPred::Ne:
-    return Cond::NE;
-  case qir::CmpPred::SLt:
-    return Cond::L;
-  case qir::CmpPred::SLe:
-    return Cond::LE;
-  case qir::CmpPred::SGt:
-    return Cond::G;
-  case qir::CmpPred::SGe:
-    return Cond::GE;
-  case qir::CmpPred::ULt:
-    return Cond::B;
-  case qir::CmpPred::ULe:
-    return Cond::BE;
-  case qir::CmpPred::UGt:
-    return Cond::A;
-  case qir::CmpPred::UGe:
-    return Cond::AE;
-  }
-  QCF_UNREACHABLE("invalid predicate");
-}
-
 /// Builds one fragment. Patch records are taken right after emitting the
 /// instruction whose trailing bytes form the field; rel32 fields destined
 /// for the compiler (continuations, trap edges) target a label bound at the
@@ -77,10 +45,17 @@ Cond condForPred(qir::CmpPred P) {
 class FB {
 public:
   Assembler A;
+  LowerSink Sink;
 
+  FB() { Sink.Patches = &Patches; }
+  FB(const FB &) = delete;
+  FB &operator=(const FB &) = delete;
+
+  void markAt(Patch::Kind K, size_t Off) {
+    Patches.push_back({K, static_cast<uint16_t>(Off)});
+  }
   void mark(Patch::Kind K, unsigned FieldBytes = 4) {
-    Patches.push_back(
-        {K, static_cast<uint16_t>(A.size() - FieldBytes)});
+    markAt(K, A.size() - FieldBytes);
   }
 
   void pendingJcc(Patch::Kind K, Cond C) {
@@ -98,6 +73,9 @@ public:
   }
 
   Fragment take() {
+    for (Label L : {Sink.Ovf, Sink.Div})
+      if (L != LowerSink::NoLabel)
+        Pend.push_back(L);
     for (Label L : Pend)
       A.bind(L);
     A.finalize();
@@ -112,20 +90,10 @@ private:
   std::vector<Label> Pend;
 };
 
-using Alu = Assembler::Alu;
-using Sh = Assembler::Shift;
-
-void recanon(FB &B, Type Ty) {
-  if (Ty == Type::I1)
-    B.A.aluRI(Alu::And, Width::W32, Reg::RAX, 1);
-  else if (Ty == Type::I8)
-    B.A.movzxRR(Width::W8, Reg::RAX, Reg::RAX);
-  else if (Ty == Type::I16)
-    B.A.movzxRR(Width::W16, Reg::RAX, Reg::RAX);
-}
-
 constexpr Type OneLaneInts[] = {Type::I1, Type::I8, Type::I16, Type::I32,
                                 Type::I64, Type::Ptr};
+constexpr Type IntTypes[] = {Type::I1,  Type::I8,  Type::I16, Type::I32,
+                             Type::I64, Type::Ptr, Type::I128};
 
 } // namespace
 
@@ -233,7 +201,7 @@ StencilTable::StencilTable() {
     B.A.pushR(Reg::RBP);
     B.A.movRR(Width::W64, Reg::RBP, Reg::RSP);
     // sub rsp, imm32: the placeholder > 127 forces the 0x81 encoding.
-    B.A.aluRI(Alu::Sub, Width::W64, Reg::RSP, 0x01000000);
+    B.A.aluRI(Assembler::Alu::Sub, Width::W64, Reg::RSP, 0x01000000);
     B.mark(Patch::Kind::Imm32);
     Prologue = B.take();
   }
@@ -272,383 +240,111 @@ StencilTable::StencilTable() {
   }
   {
     FB B;
-    B.A.movAbsRI(Reg::R10, IMM64_PLACEHOLDER);
-    B.mark(Patch::Kind::Imm64, 8);
-    B.A.callReg(Reg::R10);
+    B.markAt(Patch::Kind::Imm64, lowerCallAbs(B.A, IMM64_PLACEHOLDER));
     CallR10 = B.take();
   }
   static const rt::TrapCode TrapCodes[2] = {rt::TrapCode::Overflow,
                                             rt::TrapCode::DivByZero};
   for (unsigned Idx = 0; Idx != 2; ++Idx) {
     FB B;
-    B.A.movRI32(Reg::RDI, static_cast<uint32_t>(TrapCodes[Idx]));
-    B.A.movAbsRI(Reg::R10, IMM64_PLACEHOLDER);
-    B.mark(Patch::Kind::Imm64, 8);
-    B.A.callReg(Reg::R10);
-    B.A.ud2();
+    B.markAt(Patch::Kind::Imm64,
+             lowerTrapStub(B.A, TrapCodes[Idx], IMM64_PLACEHOLDER));
     TrapStub[Idx] = B.take();
   }
 
-  // --- Add/Sub/And/Or/Xor -------------------------------------------------
-  struct {
-    Opcode Op;
-    Alu Lo, Hi;
-  } AddLike[] = {{Opcode::Add, Alu::Add, Alu::Adc},
-                 {Opcode::Sub, Alu::Sub, Alu::Sbb},
-                 {Opcode::And, Alu::And, Alu::And},
-                 {Opcode::Or, Alu::Or, Alu::Or},
-                 {Opcode::Xor, Alu::Xor, Alu::Xor}};
-  for (const auto &AL : AddLike) {
+  // --- Operation cores ----------------------------------------------------
+  // Each core is x64/QirLower's sequence on the stencil convention: the
+  // result overwrites operand A. i128 division, shifts and checked
+  // multiplies are runtime helper calls (composed by the compiler).
+  constexpr Lanes SA{Reg::RAX, Reg::RDX}, SB{Reg::RCX, Reg::R8};
+  for (Opcode Op : {Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or,
+                    Opcode::Xor, Opcode::SAddTrap, Opcode::SSubTrap,
+                    Opcode::Mul, Opcode::SMulTrap}) {
     for (Type Ty : OneLaneInts) {
       FB B;
-      B.A.aluRR(AL.Lo, aluWidth(Ty), Reg::RAX, Reg::RCX);
-      recanon(B, Ty);
-      add(AL.Op, static_cast<uint8_t>(Ty), 0, B.take());
+      lowerArith(B.A, Op, Ty, SA, SA, SB, B.Sink);
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
+    if (Op == Opcode::SMulTrap)
+      continue;
     FB B;
-    B.A.aluRR(AL.Lo, Width::W64, Reg::RAX, Reg::RCX);
-    B.A.aluRR(AL.Hi, Width::W64, Reg::RDX, Reg::R8);
-    add(AL.Op, static_cast<uint8_t>(Type::I128), 0, B.take());
+    if (Op == Opcode::Mul)
+      lowerMul128(B.A, SA, SA, SB);
+    else
+      lowerArith(B.A, Op, Type::I128, SA, SA, SB, B.Sink);
+    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take());
   }
-
-  // --- Mul ----------------------------------------------------------------
-  for (Type Ty : OneLaneInts) {
-    FB B;
-    B.A.imulRR(aluWidth(Ty), Reg::RAX, Reg::RCX);
-    recanon(B, Ty);
-    add(Opcode::Mul, static_cast<uint8_t>(Ty), 0, B.take());
+  for (Opcode Op : {Opcode::Neg, Opcode::Not}) {
+    for (Type Ty : IntTypes) {
+      FB B;
+      lowerNegNot(B.A, Op, Ty, SA, SA);
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
+    }
   }
-  {
-    // Wrapping 128-bit multiply via three 64-bit multiplies (a.lo/a.hi in
-    // rax/rdx, b.lo/b.hi in rcx/r8); mirrors DirectEmit's sequence on the
-    // stencil register convention.
-    FB B;
-    B.A.movRR(Width::W64, Reg::R11, Reg::RAX); // save a.lo
-    B.A.movRR(Width::W64, Reg::R9, Reg::RDX);  // a.hi (mul clobbers rdx)
-    B.A.mulR(Width::W64, Reg::RCX);            // rdx:rax = a.lo * b.lo
-    B.A.movRR(Width::W64, Reg::R10, Reg::RDX); // hi accumulator
-    B.A.imulRR(Width::W64, Reg::R9, Reg::RCX); // a.hi * b.lo
-    B.A.aluRR(Alu::Add, Width::W64, Reg::R10, Reg::R9);
-    B.A.imulRR(Width::W64, Reg::R11, Reg::R8); // a.lo * b.hi
-    B.A.aluRR(Alu::Add, Width::W64, Reg::R10, Reg::R11);
-    B.A.movRR(Width::W64, Reg::RDX, Reg::R10);
-    add(Opcode::Mul, static_cast<uint8_t>(Type::I128), 0, B.take());
-  }
-
-  // --- Div / Rem ----------------------------------------------------------
-  // i128 division goes through runtime helpers (composed by the compiler).
   for (Type Ty : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     for (Opcode Op : {Opcode::SDiv, Opcode::UDiv, Opcode::SRem}) {
       FB B;
-      bool Signed = Op != Opcode::UDiv;
-      Width W = aluWidth(Ty);
-      if (Signed && (Ty == Type::I8 || Ty == Type::I16)) {
-        B.A.movsxRR(widthOf(Ty), Reg::RAX, Reg::RAX);
-        B.A.movsxRR(widthOf(Ty), Reg::RCX, Reg::RCX);
-      }
-      B.A.testRR(W, Reg::RCX, Reg::RCX);
-      B.pendingJcc(Patch::Kind::TrapDiv, Cond::E);
-      if (Signed) {
-        Label Ok = B.A.newLabel();
-        B.A.aluRI(Alu::Cmp, W, Reg::RCX, -1);
-        if (Op == Opcode::SRem) {
-          // srem x, -1 == 0 for every x; rewrite the divisor to 1 so idiv
-          // cannot fault on INT_MIN (same rewrite as DirectEmit).
-          B.A.jcc(Cond::NE, Ok);
-          B.A.movRI32(Reg::RCX, 1);
-        } else {
-          B.A.jcc(Cond::NE, Ok);
-          if (Ty == Type::I64) {
-            B.A.movRI(Reg::R11, 0x8000000000000000ull);
-            B.A.aluRR(Alu::Cmp, Width::W64, Reg::RAX, Reg::R11);
-          } else {
-            int32_t Min = Ty == Type::I32   ? INT32_MIN
-                          : Ty == Type::I16 ? -32768
-                                            : -128;
-            B.A.aluRI(Alu::Cmp, W, Reg::RAX, Min);
-          }
-          B.pendingJcc(Patch::Kind::TrapOvf, Cond::E);
-        }
-        B.A.bind(Ok);
-        if (W == Width::W64)
-          B.A.cqo();
-        else
-          B.A.cdq();
-        B.A.idivR(W, Reg::RCX);
-      } else {
-        B.A.movRI32(Reg::RDX, 0);
-        B.A.divR(W, Reg::RCX);
-      }
-      if (Op == Opcode::SRem)
-        B.A.movRR(Width::W64, Reg::RAX, Reg::RDX);
-      recanon(B, Ty);
+      lowerDivRem(B.A, Op, Ty, Reg::RCX, Reg::RAX, B.Sink);
       add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
-  }
-
-  // --- Shifts -------------------------------------------------------------
-  // The amount already sits in RCX (= CL). i128 shifts are helper calls.
-  for (Type Ty : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
+    // The amount already sits in RCX (= CL).
     for (Opcode Op :
          {Opcode::Shl, Opcode::LShr, Opcode::AShr, Opcode::RotR}) {
       FB B;
-      unsigned Bits = qir::intBits(Ty);
-      if (Bits < 32 && Op != Opcode::RotR)
-        B.A.aluRI(Alu::And, Width::W32, Reg::RCX,
-                  static_cast<int32_t>(Bits - 1));
-      switch (Op) {
-      case Opcode::Shl:
-        B.A.shiftRC(Sh::Shl, aluWidth(Ty), Reg::RAX);
-        recanon(B, Ty);
-        break;
-      case Opcode::LShr:
-        B.A.shiftRC(Sh::Shr, aluWidth(Ty), Reg::RAX);
-        recanon(B, Ty);
-        break;
-      case Opcode::AShr:
-        if (Ty == Type::I8 || Ty == Type::I16)
-          B.A.movsxRR(widthOf(Ty), Reg::RAX, Reg::RAX);
-        B.A.shiftRC(Sh::Sar, aluWidth(Ty), Reg::RAX);
-        recanon(B, Ty);
-        break;
-      default: // RotR rotates at the true width; result stays canonical.
-        B.A.shiftRC(Sh::Ror, widthOf(Ty), Reg::RAX);
-        break;
-      }
+      lowerShift(B.A, Op, Ty, Reg::RAX, Reg::RAX);
       add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
   }
-
-  // --- Neg / Not ----------------------------------------------------------
-  for (Type Ty : OneLaneInts) {
-    {
-      FB B;
-      B.A.negR(aluWidth(Ty), Reg::RAX);
-      recanon(B, Ty);
-      add(Opcode::Neg, static_cast<uint8_t>(Ty), 0, B.take());
-    }
-    {
-      FB B;
-      B.A.notR(aluWidth(Ty), Reg::RAX);
-      recanon(B, Ty);
-      add(Opcode::Not, static_cast<uint8_t>(Ty), 0, B.take());
-    }
-  }
   {
     FB B;
-    B.A.movRI32(Reg::R10, 0);
-    B.A.movRI32(Reg::R11, 0);
-    B.A.aluRR(Alu::Sub, Width::W64, Reg::R10, Reg::RAX);
-    B.A.aluRR(Alu::Sbb, Width::W64, Reg::R11, Reg::RDX);
-    B.A.movRR(Width::W64, Reg::RAX, Reg::R10);
-    B.A.movRR(Width::W64, Reg::RDX, Reg::R11);
-    add(Opcode::Neg, static_cast<uint8_t>(Type::I128), 0, B.take());
-  }
-  {
-    FB B;
-    B.A.notR(Width::W64, Reg::RAX);
-    B.A.notR(Width::W64, Reg::RDX);
-    add(Opcode::Not, static_cast<uint8_t>(Type::I128), 0, B.take());
-  }
-
-  // --- Checked arithmetic -------------------------------------------------
-  for (Opcode Op : {Opcode::SAddTrap, Opcode::SSubTrap}) {
-    bool IsAdd = Op == Opcode::SAddTrap;
-    for (Type Ty : OneLaneInts) {
-      FB B;
-      B.A.aluRR(IsAdd ? Alu::Add : Alu::Sub, aluWidth(Ty), Reg::RAX,
-                Reg::RCX);
-      B.pendingJcc(Patch::Kind::TrapOvf, Cond::O);
-      recanon(B, Ty);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
-    }
-    FB B;
-    B.A.aluRR(IsAdd ? Alu::Add : Alu::Sub, Width::W64, Reg::RAX, Reg::RCX);
-    B.A.aluRR(IsAdd ? Alu::Adc : Alu::Sbb, Width::W64, Reg::RDX, Reg::R8);
-    B.pendingJcc(Patch::Kind::TrapOvf, Cond::O);
-    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take());
-  }
-  for (Type Ty : OneLaneInts) {
-    // i128 checked multiply calls rt_mul128_ovf (composed).
-    FB B;
-    B.A.imulRR(aluWidth(Ty), Reg::RAX, Reg::RCX);
-    B.pendingJcc(Patch::Kind::TrapOvf, Cond::O);
-    recanon(B, Ty);
-    add(Opcode::SMulTrap, static_cast<uint8_t>(Ty), 0, B.take());
-  }
-
-  // --- Hash / fold --------------------------------------------------------
-  {
-    FB B;
-    B.A.crc32RR(Reg::RAX, Reg::RCX);
+    lowerCrc32(B.A, Reg::RAX, Reg::RAX, Reg::RCX);
     add(Opcode::Crc32, 0, 0, B.take());
   }
   {
     FB B;
-    B.A.mulR(Width::W64, Reg::RCX);
-    B.A.aluRR(Alu::Xor, Width::W64, Reg::RAX, Reg::RDX);
+    lowerLongMulFold(B.A, Reg::RCX);
     add(Opcode::LongMulFold, 0, 0, B.take());
   }
-
-  // --- Scalar f64 ---------------------------------------------------------
-  {
+  for (Opcode Op : {Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv}) {
     FB B;
-    B.A.addsd(Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FAdd, 0, 0, B.take());
+    lowerFArith(B.A, Op, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
+    add(Op, 0, 0, B.take());
   }
   {
     FB B;
-    B.A.subsd(Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FSub, 0, 0, B.take());
-  }
-  {
-    FB B;
-    B.A.mulsd(Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FMul, 0, 0, B.take());
-  }
-  {
-    FB B;
-    B.A.divsd(Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FDiv, 0, 0, B.take());
-  }
-  {
-    // -x == (bitcast) x ^ sign bit.
-    FB B;
-    B.A.movqRX(Reg::RAX, Xmm::XMM0);
-    B.A.movRI(Reg::R11, 0x8000000000000000ull);
-    B.A.aluRR(Alu::Xor, Width::W64, Reg::RAX, Reg::R11);
-    B.A.movqXR(Xmm::XMM0, Reg::RAX);
+    lowerFNeg(B.A, Xmm::XMM0, Xmm::XMM0, Reg::RAX);
     add(Opcode::FNeg, 0, 0, B.take());
   }
-
-  // --- Integer compares ---------------------------------------------------
-  for (Type OpTy : OneLaneInts) {
-    for (qir::CmpPred P : AllPreds) {
+  for (qir::CmpPred P : AllPreds) {
+    for (Type OpTy : IntTypes) {
       FB B;
-      B.A.aluRR(Alu::Cmp, widthOf(OpTy), Reg::RAX, Reg::RCX);
-      B.A.setcc(condForPred(P), Reg::RAX);
-      B.A.movzxRR(Width::W8, Reg::RAX, Reg::RAX);
-      add(Opcode::ICmp, static_cast<uint8_t>(OpTy),
-          static_cast<uint8_t>(P), B.take());
+      lowerICmp(B.A, P, OpTy, Reg::RAX, SA, SB);
+      add(Opcode::ICmp, static_cast<uint8_t>(OpTy), static_cast<uint8_t>(P),
+          B.take());
     }
-  }
-  for (qir::CmpPred P : AllPreds) {
     FB B;
-    if (P == qir::CmpPred::Eq || P == qir::CmpPred::Ne) {
-      B.A.movRR(Width::W64, Reg::R11, Reg::RAX);
-      B.A.aluRR(Alu::Xor, Width::W64, Reg::R11, Reg::RCX);
-      B.A.movRR(Width::W64, Reg::R10, Reg::RDX);
-      B.A.aluRR(Alu::Xor, Width::W64, Reg::R10, Reg::R8);
-      B.A.aluRR(Alu::Or, Width::W64, Reg::R11, Reg::R10);
-      B.A.setcc(P == qir::CmpPred::Eq ? Cond::E : Cond::NE, Reg::RAX);
-      B.A.movzxRR(Width::W8, Reg::RAX, Reg::RAX);
-    } else {
-      // lt(x, y) via cmp/sbb; the others are lt with swapped operands
-      // and/or an inverted result (same table as DirectEmit).
-      bool Swap, Invert, Signed;
-      switch (P) {
-      case qir::CmpPred::SLt:
-        Swap = false; Invert = false; Signed = true; break;
-      case qir::CmpPred::SGt:
-        Swap = true; Invert = false; Signed = true; break;
-      case qir::CmpPred::SLe:
-        Swap = true; Invert = true; Signed = true; break;
-      case qir::CmpPred::SGe:
-        Swap = false; Invert = true; Signed = true; break;
-      case qir::CmpPred::ULt:
-        Swap = false; Invert = false; Signed = false; break;
-      case qir::CmpPred::UGt:
-        Swap = true; Invert = false; Signed = false; break;
-      case qir::CmpPred::ULe:
-        Swap = true; Invert = true; Signed = false; break;
-      default:
-        Swap = false; Invert = true; Signed = false; break;
-      }
-      Reg XLo = Swap ? Reg::RCX : Reg::RAX, XHi = Swap ? Reg::R8 : Reg::RDX;
-      Reg YLo = Swap ? Reg::RAX : Reg::RCX, YHi = Swap ? Reg::RDX : Reg::R8;
-      B.A.movRR(Width::W64, Reg::R11, XHi);
-      B.A.aluRR(Alu::Cmp, Width::W64, XLo, YLo);
-      B.A.aluRR(Alu::Sbb, Width::W64, Reg::R11, YHi);
-      B.A.setcc(Signed ? Cond::L : Cond::B, Reg::RAX);
-      if (Invert)
-        B.A.aluRI(Alu::Xor, Width::W32, Reg::RAX, 1);
-      B.A.movzxRR(Width::W8, Reg::RAX, Reg::RAX);
-    }
-    add(Opcode::ICmp, static_cast<uint8_t>(Type::I128),
-        static_cast<uint8_t>(P), B.take());
-  }
-
-  // --- Float compares -----------------------------------------------------
-  for (qir::CmpPred P : AllPreds) {
-    FB B;
-    switch (P) {
-    case qir::CmpPred::Eq: // ordered eq: ZF=1 && PF=0
-      B.A.ucomisd(Xmm::XMM0, Xmm::XMM1);
-      B.A.setcc(Cond::E, Reg::RAX);
-      B.A.setcc(Cond::NP, Reg::R11);
-      B.A.aluRR(Alu::And, Width::W8, Reg::RAX, Reg::R11);
-      break;
-    case qir::CmpPred::Ne: // unordered ne: ZF=0 || PF=1
-      B.A.ucomisd(Xmm::XMM0, Xmm::XMM1);
-      B.A.setcc(Cond::NE, Reg::RAX);
-      B.A.setcc(Cond::P, Reg::R11);
-      B.A.aluRR(Alu::Or, Width::W8, Reg::RAX, Reg::R11);
-      break;
-    case qir::CmpPred::SGt:
-    case qir::CmpPred::UGt:
-      B.A.ucomisd(Xmm::XMM0, Xmm::XMM1);
-      B.A.setcc(Cond::A, Reg::RAX);
-      break;
-    case qir::CmpPred::SGe:
-    case qir::CmpPred::UGe:
-      B.A.ucomisd(Xmm::XMM0, Xmm::XMM1);
-      B.A.setcc(Cond::AE, Reg::RAX);
-      break;
-    case qir::CmpPred::SLt:
-    case qir::CmpPred::ULt:
-      B.A.ucomisd(Xmm::XMM1, Xmm::XMM0);
-      B.A.setcc(Cond::A, Reg::RAX);
-      break;
-    default: // SLe / ULe
-      B.A.ucomisd(Xmm::XMM1, Xmm::XMM0);
-      B.A.setcc(Cond::AE, Reg::RAX);
-      break;
-    }
-    B.A.movzxRR(Width::W8, Reg::RAX, Reg::RAX);
+    lowerFCmp(B.A, P, Reg::RAX, Xmm::XMM0, Xmm::XMM1);
     add(Opcode::FCmp, 0, static_cast<uint8_t>(P), B.take());
   }
-
-  // --- Select -------------------------------------------------------------
   // Condition in R9; true value in RAX(/RDX or XMM0), false in RCX(/R8 or
   // XMM1).
-  {
+  for (uint8_t Sel : {SelOneLane, SelTwoLane}) {
     FB B;
-    B.A.testRR(Width::W64, Reg::R9, Reg::R9);
-    B.A.cmovcc(Cond::E, Width::W64, Reg::RAX, Reg::RCX);
-    add(Opcode::Select, SelOneLane, 0, B.take());
+    lowerSelect(B.A, Sel == SelOneLane ? Type::I64 : Type::I128, Reg::R9, SA,
+                SA, SB);
+    add(Opcode::Select, Sel, 0, B.take());
   }
   {
     FB B;
-    B.A.testRR(Width::W64, Reg::R9, Reg::R9);
-    B.A.cmovcc(Cond::E, Width::W64, Reg::RAX, Reg::RCX);
-    B.A.cmovcc(Cond::E, Width::W64, Reg::RDX, Reg::R8);
-    add(Opcode::Select, SelTwoLane, 0, B.take());
-  }
-  {
-    FB B;
-    Label Skip = B.A.newLabel();
-    B.A.testRR(Width::W64, Reg::R9, Reg::R9);
-    B.A.jcc(Cond::NE, Skip);
-    B.A.movsdXX(Xmm::XMM0, Xmm::XMM1);
-    B.A.bind(Skip);
+    lowerSelectF64(B.A, Reg::R9, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
     add(Opcode::Select, SelF64, 0, B.take());
   }
 
   // --- Width changes ------------------------------------------------------
   {
-    // ZExt to i128: the canonical lo lane is already in RAX.
+    // ZExt to a one-lane type is a slot copy; only i128 needs a core.
     FB B;
-    B.A.movRI32(Reg::RDX, 0);
+    lowerZExt(B.A, Type::I128, SA, Reg::RAX);
     add(Opcode::ZExt, static_cast<uint8_t>(Type::I128), 0, B.take());
   }
   for (Type From : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
@@ -656,43 +352,22 @@ StencilTable::StencilTable() {
       if (To != Type::I128 && qir::intBits(To) <= qir::intBits(From))
         continue;
       FB B;
-      if (From == Type::I1) {
-        B.A.negR(Width::W64, Reg::RAX); // i1: 0 -> 0, 1 -> -1
-      } else if (From != Type::I64) {
-        B.A.movsxRR(widthOf(From), Reg::RAX, Reg::RAX);
-      }
-      if (To != Type::I128 && To != Type::I64) {
-        B.A.movRI(Reg::R11, qir::typeMask(To));
-        B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
-      }
-      if (To == Type::I128) {
-        B.A.movRR(Width::W64, Reg::RDX, Reg::RAX);
-        B.A.shiftRI(Sh::Sar, Width::W64, Reg::RDX, 63);
-      }
+      lowerSExt(B.A, From, To, SA, Reg::RAX);
       add(Opcode::SExt, static_cast<uint8_t>(From),
           static_cast<uint8_t>(To), B.take());
     }
-  }
-  for (Type To : {Type::I1, Type::I8, Type::I16, Type::I32}) {
     FB B;
-    B.A.movRI(Reg::R11, qir::typeMask(To));
-    B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
-    add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take());
-  }
-  for (Type From : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
-    FB B;
-    if (From != Type::I64)
-      B.A.movsxRR(widthOf(From), Reg::RAX, Reg::RAX);
-    B.A.cvtsi2sd(Xmm::XMM0, Reg::RAX);
+    lowerSIToFP(B.A, From, Xmm::XMM0, Reg::RAX, Reg::RAX);
     add(Opcode::SIToFP, static_cast<uint8_t>(From), 0, B.take());
   }
   for (Type To : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
-    FB B;
-    B.A.cvttsd2si(Reg::RAX, Xmm::XMM0);
     if (To != Type::I64) {
-      B.A.movRI(Reg::R11, qir::typeMask(To));
-      B.A.aluRR(Alu::And, Width::W64, Reg::RAX, Reg::R11);
+      FB B;
+      lowerTrunc(B.A, To, Reg::RAX, Reg::RAX);
+      add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take());
     }
+    FB B;
+    lowerFPToSI(B.A, To, Reg::RAX, Xmm::XMM0);
     add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take());
   }
 
@@ -701,55 +376,21 @@ StencilTable::StencilTable() {
   // stores. F64 moves raw bits through GP registers (slots hold raw bits).
   for (Type Ty : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64,
                   Type::Ptr, Type::F64, Type::I128, Type::D128}) {
-    {
-      FB B;
-      if (qir::isTwoLane(Ty)) {
-        B.A.movRM(Width::W64, Reg::RDX, Mem::base(Reg::RAX, 8));
-        B.A.movRM(Width::W64, Reg::RAX, Mem::base(Reg::RAX));
-      } else if (Ty == Type::I64 || Ty == Type::Ptr || Ty == Type::F64) {
-        B.A.movRM(Width::W64, Reg::RAX, Mem::base(Reg::RAX));
-      } else {
-        B.A.movzxRM(widthOf(Ty), Reg::RAX, Mem::base(Reg::RAX));
-      }
-      add(Opcode::Load, static_cast<uint8_t>(Ty), 0, B.take());
-    }
-    {
-      FB B;
-      if (qir::isTwoLane(Ty)) {
-        B.A.movMR(Width::W64, Mem::base(Reg::RCX), Reg::RAX);
-        B.A.movMR(Width::W64, Mem::base(Reg::RCX, 8), Reg::RDX);
-      } else if (Ty == Type::F64) {
-        B.A.movMR(Width::W64, Mem::base(Reg::RCX), Reg::RAX);
-      } else {
-        B.A.movMR(widthOf(Ty), Mem::base(Reg::RCX), Reg::RAX);
-      }
-      add(Opcode::Store, static_cast<uint8_t>(Ty), 0, B.take());
-    }
+    FB L, S;
+    lowerLoad(L.A, Ty, SA, Reg::RAX);
+    add(Opcode::Load, static_cast<uint8_t>(Ty), 0, L.take());
+    lowerStore(S.A, Ty, Reg::RCX, SA);
+    add(Opcode::Store, static_cast<uint8_t>(Ty), 0, S.take());
   }
-
-  // --- Gep ----------------------------------------------------------------
-  // Base in RAX, index (if any) in RCX; displacement is a Disp32 patch.
-  {
+  // Base in RAX, index (if any) in RCX; the displacement and a scale other
+  // than 1/2/4/8 are patched.
+  static const uint8_t GepVariants[] = {0, 1, 2, 4, 8, GepGenericScale};
+  for (uint8_t V : GepVariants) {
     FB B;
-    B.A.lea(Reg::RAX, Mem::base(Reg::RAX, DISP_PLACEHOLDER));
-    B.mark(Patch::Kind::Disp32);
-    add(Opcode::Gep, 0, 0, B.take());
-  }
-  for (uint8_t Scale : {1, 2, 4, 8}) {
-    FB B;
-    B.A.lea(Reg::RAX,
-            Mem::baseIndex(Reg::RAX, Reg::RCX, Scale, DISP_PLACEHOLDER));
-    B.mark(Patch::Kind::Disp32);
-    add(Opcode::Gep, Scale, 0, B.take());
-  }
-  {
-    FB B;
-    B.A.imulRRI(Width::W64, Reg::R11, Reg::RCX, DISP_PLACEHOLDER);
-    B.mark(Patch::Kind::Imm32);
-    B.A.lea(Reg::RAX,
-            Mem::baseIndex(Reg::RAX, Reg::R11, 1, DISP_PLACEHOLDER));
-    B.mark(Patch::Kind::Disp32);
-    add(Opcode::Gep, GepGenericScale, 0, B.take());
+    lowerGep(B.A, Reg::RAX, Reg::RAX, V ? Reg::RCX : Reg::NoReg,
+             V == GepGenericScale ? DISP_PLACEHOLDER : V, DISP_PLACEHOLDER,
+             B.Sink);
+    add(Opcode::Gep, V, 0, B.take());
   }
 
   // --- Atomics ------------------------------------------------------------

@@ -20,10 +20,9 @@
 ///    select conditions in R9, f64 operands in XMM0/XMM1; results land in
 ///    RAX(/RDX) or XMM0.
 ///
-/// The cores mirror DirectEmit's canonicalization contract exactly (every
-/// value zero-extended to its 64-bit lane, narrow ALU ops at 32 bits with
-/// re-canonicalization) so the two back-ends are differentially
-/// interchangeable.
+/// Each core is built by calling x64/QirLower.h, the same lowering
+/// DirectEmit emits through, so the two back-ends share one instruction
+/// sequence per opcode and the canonical form that header defines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,27 +31,16 @@
 
 #include "qir/Opcode.h"
 #include "qir/Type.h"
+#include "x64/QirLower.h"
 #include <cstdint>
 #include <map>
 #include <vector>
 
 namespace qcf::stencil {
 
-/// One patchable field inside a fragment. \c Off is the byte offset of the
-/// field relative to the fragment start; the field is 4 bytes wide except
-/// for \c Imm64.
-struct Patch {
-  enum class Kind : uint8_t {
-    Disp32,  ///< rbp-relative frame-slot displacement (or Gep disp).
-    Imm32,   ///< 32-bit immediate (frame size, generic Gep scale).
-    Imm64,   ///< 64-bit immediate (constants, runtime-call targets).
-    Rel32,   ///< continuation jump; the compiler supplies the target.
-    TrapOvf, ///< rel32 to the per-function overflow trap stub.
-    TrapDiv, ///< rel32 to the per-function divide-by-zero trap stub.
-  };
-  Kind K;
-  uint16_t Off;
-};
+/// One patchable field inside a fragment (the record the shared lowering
+/// emits).
+using x64::Patch;
 
 const char *patchKindName(Patch::Kind K);
 

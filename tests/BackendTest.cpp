@@ -181,13 +181,8 @@ TEST(Backend, SremSdivIntMinEdgeCases) {
   std::vector<Row> Rows;
 
   // Fn(i64 x, i64 y) -> i64: Body(x, y) at type Ty, zero-extended back.
-  // An i1 operand is the low bit of its parameter, taken by a compare:
-  // Craneline's trunc to i1 keeps bits 1-7 (an open ROADMAP item).
   auto Narrow = [](qir::Builder &B, qir::Function *F, unsigned P, Type Ty) {
     qir::ValueId V = F->paramValue(P);
-    if (Ty == Type::I1)
-      return B.icmp(qir::CmpPred::Ne, B.and_(V, B.constInt(Type::I64, 1)),
-                    B.constInt(Type::I64, 0));
     return Ty == Type::I64 ? V : B.trunc(Ty, V);
   };
   auto Define = [&](const std::string &Fn, Type Ty, auto Body) {
@@ -266,6 +261,23 @@ TEST(Backend, SremSdivIntMinEdgeCases) {
   Rows.push_back({"icmp.slt.i1", {1, 0}, false, 0});
   Rows.push_back({"icmp.slt.i1", {0, 1}, false, 1});
   Rows.push_back({"icmp.sgt.i1", {1, 0}, false, 1});
+  // Truncation to i1 keeps only bit 0, whatever the bits above it hold.
+  Rows.push_back({"icmp.slt.i1", {2, 1}, false, 1});
+  Rows.push_back({"icmp.slt.i1", {1, 2}, false, 0});
+  // i1 arithmetic wraps at one bit.
+  Define("not.i1", Type::I1,
+         [](qir::Builder &B, auto X, auto) { return B.not_(X); });
+  Define("neg.i1", Type::I1,
+         [](qir::Builder &B, auto X, auto) { return B.neg(X); });
+  Define("add.i1", Type::I1,
+         [](qir::Builder &B, auto X, auto Y) { return B.add(X, Y); });
+  Define("sub.i1", Type::I1,
+         [](qir::Builder &B, auto X, auto Y) { return B.sub(X, Y); });
+  Rows.push_back({"not.i1", {1, 0}, false, 0});
+  Rows.push_back({"not.i1", {2, 0}, false, 1});
+  Rows.push_back({"neg.i1", {1, 0}, false, 1});
+  Rows.push_back({"add.i1", {1, 1}, false, 0});
+  Rows.push_back({"sub.i1", {0, 1}, false, 1});
 
   // fptosi is cvttsd2si: NaN, +-inf and 2^63 all give INT64_MIN.
   Define("fptosi", Type::I64, [](qir::Builder &B, auto X, auto) {
@@ -286,6 +298,9 @@ TEST(Backend, SremSdivIntMinEdgeCases) {
   Rows.push_back({"sext.i1.i64", {1, 0}, false, Ones});
   Rows.push_back({"sext.i1.i64", {0, 0}, false, 0});
   Rows.push_back({"sext.i1.i32", {1, 0}, false, 0xffffffffull});
+  Rows.push_back({"sext.i1.i64", {3, 0}, false, Ones});
+  Rows.push_back({"sext.i1.i64", {2, 0}, false, 0});
+  Rows.push_back({"sext.i1.i32", {0xfe, 0}, false, 0});
 
   // Trapping arithmetic at the i32/i64 limits.
   for (Type Ty : {Type::I32, Type::I64}) {

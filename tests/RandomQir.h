@@ -49,6 +49,8 @@ public:
     addValue(Type::F64, B->sitofp(F->paramValue(1)));
     addValue(Type::I1, B->icmp(CmpPred::SLt, F->paramValue(0),
                                F->paramValue(1)));
+    // A truncation feeds full-width garbage through a narrow type.
+    addValue(Type::I1, B->trunc(Type::I1, F->paramValue(0)));
     for (int I = 0; I != 3; ++I)
       addValue(Type::I64,
                B->constInt(Type::I64, static_cast<int64_t>(R.next())));

@@ -252,6 +252,54 @@ TEST(Stencil, WarmModulePassesTranslationValidation) {
   EXPECT_EQ(tv::validateModule(M, Warm->tvFunctions(), tv::TvOptions()), "");
 }
 
+TEST(Stencil, EveryFragmentLintsClean) {
+  // Every fragment of the table, reached by a compile or not, decodes as
+  // Assembler output, and each patch record covers the immediate or
+  // displacement bytes of one instruction (width 8 for Imm64, else 4). A
+  // ud2 after the fragment stands for the code that follows it, since an
+  // internal branch may target the fragment's end.
+  using stencil::Fragment;
+  using stencil::Patch;
+  const stencil::StencilTable &T = stencil::StencilTable::get();
+  auto Lint = [](const std::string &Name, const Fragment &F) {
+    std::vector<uint8_t> Code = F.Bytes;
+    Code.insert(Code.end(), {0x0f, 0x0b});
+    std::vector<x64::LintReloc> Relocs;
+    for (const Patch &P : F.Patches)
+      Relocs.push_back({P.Off, P.K == Patch::Kind::Imm64 ? 8u : 4u});
+    EXPECT_EQ(x64::lintFunction(Code.data(), Code.size(), Relocs), "")
+        << Name;
+  };
+  const Fragment *Structural[] = {
+      &T.Prologue, &T.Epilogue, &T.Ud2,    &T.Jmp,    &T.TestJnz,
+      &T.CallR10,  &T.LdA,      &T.LdAHi,  &T.LdB,    &T.LdBHi,
+      &T.LdCond,   &T.LdAX,     &T.LdBX,   &T.StA,    &T.StAHi,
+      &T.StAX,     &T.LdTmp,    &T.StTmp,  &T.ConstA, &T.ConstAHi,
+      &T.LeaSlotA};
+  std::vector<const Fragment *> All(std::begin(Structural),
+                                    std::end(Structural));
+  for (const Fragment &F : T.JccPred)
+    All.push_back(&F);
+  for (const Fragment &F : T.TrapStub)
+    All.push_back(&F);
+  for (const Fragment &F : T.LdArg)
+    All.push_back(&F);
+  for (const Fragment &F : T.StParamGp)
+    All.push_back(&F);
+  for (const Fragment &F : T.StParamXmm)
+    All.push_back(&F);
+  for (size_t I = 0; I != All.size(); ++I)
+    Lint("structural fragment #" + std::to_string(I), *All[I]);
+
+  ASSERT_FALSE(T.cores().empty());
+  for (const auto &[Key, F] : T.cores())
+    Lint("core " + std::string(qir::opcodeName(static_cast<qir::Opcode>(
+                       Key >> 16))) +
+             "/" + std::to_string((Key >> 8) & 0xff) + "/" +
+             std::to_string(Key & 0xff),
+         F);
+}
+
 TEST(Stencil, DiskCacheRoundTrip) {
   char Tmpl[] = "/tmp/qcf-stencil-cache-XXXXXX";
   ASSERT_NE(mkdtemp(Tmpl), nullptr);

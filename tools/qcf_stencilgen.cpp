@@ -9,8 +9,9 @@
 // fragments and per-(opcode x type x variant) operation cores — as hex
 // bytes with their patch records. The table itself is encoded once per
 // process through x64::Assembler (see stencil/Stencils.cpp); this tool
-// exists so the generated fragments can be inspected, diffed between
-// revisions, and audited against the DirectEmit sequences they mirror.
+// exists so the generated fragments can be inspected and diffed between
+// revisions. The operation cores are x64/QirLower.h's sequences, the same
+// ones DirectEmit emits, on the stencil register convention.
 //
 //   qcf_stencilgen            # summary: counts and total bytes
 //   qcf_stencilgen --dump     # every fragment, bytes + patch records
