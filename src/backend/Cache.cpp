@@ -234,7 +234,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   // Compile outside the lock. The Pending entry guarantees no other
   // thread compiles this key concurrently. The persistent cache is
   // probed first: a warm hit rehydrates the stored code (relocation
-  // re-patch + mprotect) without invoking the back-end at all.
+  // re-patch) without invoking the back-end at all.
   std::shared_ptr<CompiledModule> Compiled;
   bool FromDisk = false;
   if (DiskCache) {

@@ -435,7 +435,6 @@ InterpretedModule::InterpretedModule(const qir::Module &M) {
   for (auto &[Name, Fn] : Fns)
     Entries.emplace_back(Name,
                          Thunks.createThunk(&interpThunkHandler, Fn.get()));
-  Thunks.finalize();
 }
 
 void *InterpretedModule::entry(const std::string &Name) {

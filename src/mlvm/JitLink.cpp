@@ -7,7 +7,6 @@
 #include "mlvm/JitLink.h"
 #include "runtime/Runtime.h"
 #include "support/Compiler.h"
-#include "x64/ExecArena.h"
 #include <cstdio>
 #include <cstring>
 
@@ -48,13 +47,13 @@ void copySection(void *Dst, const uint8_t *Src, size_t Bytes) {
 void *LinkedImage::lookup(const std::string &Name) const {
   for (const auto &[N, Off] : Entries)
     if (N == Name)
-      return const_cast<uint8_t *>(execBase()) + Off;
+      return const_cast<uint8_t *>(Code.Rx) + Off;
   return nullptr;
 }
 
 std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
                                            TimeTrace *Trace,
-                                           MemPool *Scratch, bool UseArena) {
+                                           MemPool *Scratch) {
   TimeTraceScope Outer(Trace, "mlvm.link");
   MemPool &SP = Scratch ? *Scratch : MemPool::defaultHeap();
   auto Image = std::make_unique<LinkedImage>();
@@ -108,26 +107,11 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
   size_t GotOff = PltOff + PltSize;
   size_t Total = GotOff + GotSize;
 
-  // Two views of the image: bytes are written through WriteBase, but
-  // every address the code will see (symbol addresses, PC-relative
-  // displacements) is computed in the execution view ExecB. For the
-  // private-mapping path the two coincide; for the dual-view arena path
-  // (disk-cache warm loads) they are the RW and RX aliases of the same
-  // pages, so no mprotect is needed before running the code.
-  uint8_t *WriteBase = nullptr;
-  const uint8_t *ExecB = nullptr;
-  if (UseArena && Total) {
-    if (x64::ExecArena::Block Blk = x64::ExecArena::global().allocate(Total)) {
-      WriteBase = Blk.Rw;
-      ExecB = Blk.Rx;
-      Image->ExecBase = Blk.Rx;
-    }
-  }
-  if (!WriteBase) {
-    Image->Mem.allocate(Total ? Total : 1);
-    WriteBase = Image->Mem.base();
-    ExecB = Image->Mem.base();
-  }
+  // Bytes are written through the RW view WriteBase; addresses are
+  // computed in the RX view ExecB (see the file comment).
+  Image->Code = x64::ExecArena::global().allocate(Total);
+  uint8_t *WriteBase = Image->Code.Rw;
+  const uint8_t *ExecB = Image->Code.Rx;
   Image->PltEntries = Externs.size();
 
   // --- Phase 2: assign addresses, resolve externals, build GOT+PLT -------
@@ -191,8 +175,7 @@ std::unique_ptr<LinkedImage> mlvm::jitLink(const std::vector<uint8_t> &Obj,
         }
       }
     }
-    if (!Image->ExecBase)
-      Image->Mem.makeExecutable();
+    Image->Code.seal();
   }
 
   // --- Phase 4: final symbol lookup ---------------------------------------
@@ -296,7 +279,7 @@ std::string mlvm::verifyPltPatches(const std::vector<uint8_t> &Obj,
   for (size_t I = 1; I != T.Syms.size(); ++I)
     if (T.Syms[I].Shndx == 0)
       PltIndex[I] = NumExterns++;
-  const uint8_t *ExecB = Image.execBase();
+  const uint8_t *ExecB = Image.Code.Rx;
   uint64_t PltOff = (T.TextBytes + 15) & ~15ull;
   for (const Rela &R : T.Relas) {
     uint32_t SymIdx = static_cast<uint32_t>(R.Info >> 32);

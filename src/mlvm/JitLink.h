@@ -10,7 +10,10 @@
 /// phases — (1) recover symbols, prune, and allocate memory; (2) assign
 /// addresses and resolve externals (building one GOT+PLT per module:
 /// Small-PIC, §V-A2); (3) apply relocations and copy sections into place;
-/// (4) final symbol lookup.
+/// (4) final symbol lookup. The image lives in one x64::ExecArena block:
+/// phases 2 and 3 write through its RW view, while every address the code
+/// sees (symbol addresses, PC-relative displacements) is computed in its
+/// RX view. Cold compiles and disk-cache warm loads link the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +23,7 @@
 #include "support/MemContext.h"
 #include "support/TimeTrace.h"
 #include "tv/Tv.h"
-#include "x64/ExecMemory.h"
+#include "x64/ExecArena.h"
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,28 +35,17 @@ class LinkedImage {
 public:
   void *lookup(const std::string &Name) const;
 
-  /// Entry addresses live here: the private mapping's base, or the RX
-  /// view of an arena block for cache-loaded images.
-  const uint8_t *execBase() const { return ExecBase ? ExecBase : Mem.base(); }
-
-  x64::ExecMemory Mem;
-  const uint8_t *ExecBase = nullptr; ///< Arena RX view (null: use Mem).
+  x64::ExecArena::Block Code; ///< Entry addresses are Code.Rx + offset.
   std::vector<std::pair<std::string, uint64_t>> Entries; ///< offsets
   uint64_t PltEntries = 0;
-
-private:
 };
 
 /// Links \p Object; resolves undefined symbols via
 /// rt::runtimeSymbolAddress. The linker's scratch tables (section and
 /// symbol copies, extern list) draw from \p Scratch when given.
-/// \p UseArena places the image in the dual-view code arena (no
-/// mmap/mprotect; see x64/ExecArena.h) — meant for the disk-cache warm
-/// path only, since arena blocks are never reclaimed.
 std::unique_ptr<LinkedImage> jitLink(const std::vector<uint8_t> &Object,
                                      TimeTrace *Trace,
-                                     MemPool *Scratch = nullptr,
-                                     bool UseArena = false);
+                                     MemPool *Scratch = nullptr);
 
 /// Per-function code views of a linked image, recovered from the ELF
 /// relocatable object it was linked from: the symbol table supplies each

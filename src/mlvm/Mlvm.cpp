@@ -93,7 +93,7 @@ public:
   /// tables, pointing into the linked image — so the disk-cache warm
   /// path validates the re-linked bytes, not the blob.
   std::vector<tv::TvFunction> tvFunctions() const override {
-    return elfTvFunctions(Object, Image->execBase());
+    return elfTvFunctions(Object, Image->Code.Rx);
   }
 
 private:
@@ -176,8 +176,7 @@ MlvmBackend::compile(const qir::Module &M,
 std::unique_ptr<backend::CompiledModule>
 MlvmBackend::deserialize(const uint8_t *Data, size_t Len) {
   std::vector<uint8_t> Object(Data, Data + Len);
-  std::unique_ptr<LinkedImage> Image =
-      jitLink(Object, nullptr, nullptr, /*UseArena=*/true);
+  std::unique_ptr<LinkedImage> Image = jitLink(Object, nullptr);
   if (!Image)
     return nullptr;
   // The blob crossed a process boundary: audit that every re-patched

@@ -495,25 +495,6 @@ void Assembler::callReg(Reg R) {
   modrm(3, 2, regNum(R));
 }
 
-void Assembler::callRel32(Label L) {
-  emit8(0xe8);
-  emitRel32Fixup(L);
-}
-
-size_t Assembler::jmpRel32Patchable() {
-  emit8(0xe9);
-  size_t Pos = Code.size();
-  emit32(0);
-  return Pos;
-}
-
-size_t Assembler::callRel32Patchable() {
-  emit8(0xe8);
-  size_t Pos = Code.size();
-  emit32(0);
-  return Pos;
-}
-
 void Assembler::ret() { emit8(0xc3); }
 
 void Assembler::ud2() {

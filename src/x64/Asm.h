@@ -243,15 +243,9 @@ public:
   void jcc(Cond C, Label L);
   void jmpReg(Reg R);
   void callReg(Reg R);
-  void callRel32(Label L);
   void ret();
   void ud2();
   void nop();
-
-  /// jmp/call with a rel32 whose target is patched externally (returns the
-  /// offset of the rel32 field). Used by JIT linkers applying relocations.
-  size_t jmpRel32Patchable();
-  size_t callRel32Patchable();
 
   // --- Stack ------------------------------------------------------------------
 
@@ -286,7 +280,6 @@ private:
   void prefixFor(Width W, uint8_t RegField, const Mem &M, bool Force8);
   void prefixForRR(Width W, uint8_t RegField, uint8_t Rm, bool Force8);
   void prefixForExt(Width W, uint8_t Ext, uint8_t Rm, bool Force8);
-  void opWithWidth(Width W, uint8_t Op8, uint8_t OpW);
   void emitRel32Fixup(Label L);
 
   struct Fixup {

@@ -25,23 +25,9 @@ void *ThunkAllocator::createThunk(Handler H, void *Ctx) {
   A.jmpReg(Reg::R10);
   A.finalize();
 
-  size_t Need = (A.size() + 15) & ~size_t(15);
-  if (Pages.empty() || Pages.back()->isExecutable() ||
-      UsedInLast + Need > Pages.back()->size()) {
-    Pages.push_back(std::make_unique<ExecMemory>(4096));
-    UsedInLast = 0;
-  }
-  uint8_t *Dst = Pages.back()->base() + UsedInLast;
-  std::memcpy(Dst, A.code().data(), A.size());
-  UsedInLast += Need;
-  return Dst;
-}
-
-void ThunkAllocator::finalize() {
-  if (!Pages.empty() && !Pages.back()->isExecutable())
-    Pages.back()->makeExecutable();
-  // Earlier pages were sealed when they filled up; seal any stragglers.
-  for (auto &P : Pages)
-    if (!P->isExecutable())
-      P->makeExecutable();
+  ExecArena::Block &B =
+      Thunks.emplace_back(ExecArena::global().allocate(A.size()));
+  std::memcpy(B.Rw, A.code().data(), A.size());
+  B.seal();
+  return const_cast<uint8_t *>(B.Rx);
 }

@@ -16,9 +16,8 @@
 #ifndef QCF_X64_CALLBACKTHUNK_H
 #define QCF_X64_CALLBACKTHUNK_H
 
-#include "x64/ExecMemory.h"
+#include "x64/ExecArena.h"
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace qcf::x64 {
@@ -33,16 +32,12 @@ public:
   using Handler = uint64_t (*)(void *Ctx, uint64_t, uint64_t, uint64_t,
                                uint64_t, uint64_t);
 
-  /// Creates a thunk; the returned pointer stays valid as long as this
-  /// allocator lives.
+  /// Creates a thunk, sealed and callable at once; the returned pointer
+  /// stays valid as long as this allocator lives.
   void *createThunk(Handler H, void *Ctx);
 
-  /// Seals all thunk pages (call after the last createThunk).
-  void finalize();
-
 private:
-  std::vector<std::unique_ptr<ExecMemory>> Pages;
-  size_t UsedInLast = 0;
+  std::vector<ExecArena::Block> Thunks; ///< One code-heap block each.
 };
 
 } // namespace qcf::x64

@@ -81,12 +81,12 @@ void CodeImage::link(std::vector<Piece> &Pieces) {
   size_t Total = 0;
   for (const Piece &P : Pieces)
     Total = alignTo16(Total) + P.Code.size();
-  Mem.allocate(Total ? Total : 1);
+  Mem = ExecArena::global().allocate(Total);
   Img.Fns.reserve(Pieces.size());
   size_t Off = 0;
   for (Piece &P : Pieces) {
     Off = alignTo16(Off);
-    std::memcpy(Mem.base() + Off, P.Code.data(), P.Code.size());
+    std::memcpy(Mem.Rw + Off, P.Code.data(), P.Code.size());
     for (Reloc &Rel : P.Relocs) {
       if (Rel.Symbol.empty())
         AllTargetsNamed = false;
@@ -96,28 +96,17 @@ void CodeImage::link(std::vector<Piece> &Pieces) {
     Img.Fns.push_back({std::move(P.Name), Off, P.Code.size()});
     Off += P.Code.size();
   }
-  Mem.makeExecutable();
-  Img.Code = Mem.base();
+  Mem.seal();
+  Img.Code = Mem.Rx;
   Img.CodeLen = Total;
 }
 
 void CodeImage::install(Payload P) {
-  // Dual-view code arena first: copy and patch through the RW view, run
-  // through the RX view, with no mmap or mprotect per module — which is
-  // what keeps a warm load an order of magnitude under the cheapest
-  // compile (see x64/ExecArena.h).
-  if (ExecArena::Block Blk = ExecArena::global().allocate(P.CodeLen)) {
-    std::memcpy(Blk.Rw, P.Code, P.CodeLen);
-    P.patch(Blk.Rw);
-    P.Code = Blk.Rx;
-  } else {
-    // Arena unavailable (no memfd) or empty image: private W^X mapping.
-    Mem.allocate(P.CodeLen ? P.CodeLen : 1);
-    std::memcpy(Mem.base(), P.Code, P.CodeLen);
-    P.patch(Mem.base());
-    Mem.makeExecutable();
-    P.Code = Mem.base();
-  }
+  Mem = ExecArena::global().allocate(P.CodeLen);
+  std::memcpy(Mem.Rw, P.Code, P.CodeLen);
+  P.patch(Mem.Rw);
+  Mem.seal();
+  P.Code = Mem.Rx;
   Img = std::move(P);
   AllTargetsNamed = true;
 }

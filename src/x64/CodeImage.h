@@ -9,17 +9,17 @@
 /// (DirectEmit, Stencil, Craneline): everything between "the emitter has
 /// final bytes" and "callers get an entry point". A CodeImage holds the
 /// function table, the imm64 runtime relocations by symbol name, and the
-/// memory the code lives in. It is filled one of two ways:
+/// x64::ExecArena block the code lives in, freed with the image. It is
+/// filled one of two ways, both into one block of the code heap:
 ///
 ///   - link(): the cold-compile path. Functions are concatenated at 16-byte
-///     alignment into a private W^X mapping, which is then sealed RX
-///     (cheap: "only needs to apply a small number of relocations",
-///     §VI-C5 — the emitters have already written every target address).
+///     alignment (cheap: "only needs to apply a small number of
+///     relocations", §VI-C5 — the emitters have already written every
+///     target address).
 ///   - install(): the warm path from the persistent code cache. The decoded
-///     payload is copied into the shared dual-view ExecArena and every
-///     relocation is re-patched against the live runtime symbol table, so
-///     the payload may come from another process. Without memfd it falls
-///     back to a private W^X mapping.
+///     payload is copied in and every relocation is re-patched against the
+///     live runtime symbol table, so the payload may come from another
+///     process.
 ///
 /// Payload layout (little-endian; see support/ByteIo.h):
 ///
@@ -41,7 +41,7 @@
 #ifndef QCF_X64_CODEIMAGE_H
 #define QCF_X64_CODEIMAGE_H
 
-#include "x64/ExecMemory.h"
+#include "x64/ExecArena.h"
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -123,8 +123,8 @@ public:
   bool persistable() const;
 
 private:
-  Payload Img;    ///< Img.Code is the executable view.
-  ExecMemory Mem; ///< Owns the code unless it sits in the ExecArena.
+  Payload Img;          ///< Img.Code is Mem.Rx.
+  ExecArena::Block Mem; ///< Owns the code.
   bool AllTargetsNamed = true;
 };
 

@@ -10,110 +10,6 @@
 using namespace qcf;
 using namespace qcf::x64;
 
-const char *x64::decOpName(DecOp Op) {
-  switch (Op) {
-  case DecOp::MovRR:
-    return "mov";
-  case DecOp::MovRM:
-    return "mov(load)";
-  case DecOp::MovMR:
-    return "mov(store)";
-  case DecOp::MovRI:
-    return "mov-imm";
-  case DecOp::MovMI:
-    return "mov-imm(store)";
-  case DecOp::MovZX:
-    return "movzx";
-  case DecOp::MovSX:
-    return "movsx";
-  case DecOp::Lea:
-    return "lea";
-  case DecOp::AluRR:
-    return "alu";
-  case DecOp::AluRM:
-    return "alu(load)";
-  case DecOp::AluRI:
-    return "alu-imm";
-  case DecOp::TestRR:
-    return "test";
-  case DecOp::TestRI:
-    return "test-imm";
-  case DecOp::Neg:
-    return "neg";
-  case DecOp::Not:
-    return "not";
-  case DecOp::ImulRR:
-    return "imul";
-  case DecOp::ImulRRI:
-    return "imul-imm";
-  case DecOp::MulDiv:
-    return "mul/div";
-  case DecOp::Cqo:
-    return "cqo";
-  case DecOp::Cdq:
-    return "cdq";
-  case DecOp::ShiftRI:
-    return "shift-imm";
-  case DecOp::ShiftRC:
-    return "shift-cl";
-  case DecOp::Crc32:
-    return "crc32";
-  case DecOp::Setcc:
-    return "setcc";
-  case DecOp::Cmovcc:
-    return "cmovcc";
-  case DecOp::Jmp:
-    return "jmp";
-  case DecOp::Jcc:
-    return "jcc";
-  case DecOp::JmpReg:
-    return "jmp-reg";
-  case DecOp::CallReg:
-    return "call-reg";
-  case DecOp::CallRel:
-    return "call";
-  case DecOp::Ret:
-    return "ret";
-  case DecOp::Ud2:
-    return "ud2";
-  case DecOp::Nop:
-    return "nop";
-  case DecOp::Push:
-    return "push";
-  case DecOp::Pop:
-    return "pop";
-  case DecOp::Xadd:
-    return "xadd";
-  case DecOp::MovsdXM:
-    return "movsd(load)";
-  case DecOp::MovsdMX:
-    return "movsd(store)";
-  case DecOp::MovsdXX:
-    return "movsd";
-  case DecOp::MovqXR:
-    return "movq(x<-r)";
-  case DecOp::MovqRX:
-    return "movq(r<-x)";
-  case DecOp::Addsd:
-    return "addsd";
-  case DecOp::Subsd:
-    return "subsd";
-  case DecOp::Mulsd:
-    return "mulsd";
-  case DecOp::Divsd:
-    return "divsd";
-  case DecOp::Ucomisd:
-    return "ucomisd";
-  case DecOp::Cvtsi2sd:
-    return "cvtsi2sd";
-  case DecOp::Cvttsd2si:
-    return "cvttsd2si";
-  case DecOp::Xorps:
-    return "xorps";
-  }
-  return "?";
-}
-
 namespace {
 
 uint32_t read32(const uint8_t *Code, size_t P) {
@@ -650,18 +546,6 @@ uint32_t DecodedFunction::instAt(size_t Off) const {
   if (It == StartOffs.end() || *It != Off)
     return ~0u;
   return static_cast<uint32_t>(It - StartOffs.begin());
-}
-
-uint32_t DecodedFunction::blockAt(size_t Off) const {
-  uint32_t I = instAt(Off);
-  if (I == ~0u)
-    return ~0u;
-  auto It = std::lower_bound(
-      Blocks.begin(), Blocks.end(), I,
-      [](const DecodedBlock &B, uint32_t Begin) { return B.Begin < Begin; });
-  if (It == Blocks.end() || It->Begin != I)
-    return ~0u;
-  return static_cast<uint32_t>(It - Blocks.begin());
 }
 
 DecodedFunction x64::decodeFunction(const uint8_t *Code, size_t Size,

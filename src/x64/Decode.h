@@ -95,8 +95,6 @@ enum class DecOp : uint8_t {
   Xorps,    ///< xorps xmm(Reg), xmm(Rm)
 };
 
-const char *decOpName(DecOp Op);
-
 /// One decoded instruction.
 struct DecodedInst {
   uint32_t Off = 0;     ///< Byte offset of the instruction start.
@@ -156,8 +154,6 @@ struct DecodedFunction {
   bool ok() const { return Error.empty(); }
   /// Index of the instruction starting at byte offset \p Off, or ~0u.
   uint32_t instAt(size_t Off) const;
-  /// Id of the block whose first instruction starts at \p Off, or ~0u.
-  uint32_t blockAt(size_t Off) const;
 
   // Offset -> instruction index (sorted by construction).
   std::vector<uint32_t> StartOffs;

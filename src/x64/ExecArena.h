@@ -1,33 +1,35 @@
-//===- x64/ExecArena.h - Dual-view executable code arena --------*- C++ -*-===//
+//===- x64/ExecArena.h - The process-wide JIT code heap ---------*- C++ -*-===//
 //
 // Part of the QCF project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-lifetime bump arena for installing cache-loaded machine code
-/// without per-module mmap/mprotect traffic. Each chunk is an anonymous
-/// memfd mapped twice: a read/write view that code is copied and patched
-/// through, and a read/execute view that entry points live in. Both views
-/// alias the same physical pages, so bytes written through the RW view are
-/// immediately executable through the RX view — the classic dual-mapping
-/// JIT technique (used by e.g. V8 and SpiderMonkey) that preserves "no
-/// page is ever writable *and* executable" while eliminating the
-/// mprotect-per-install of the flip-in-place scheme.
+/// The one place JIT code memory comes from: cold links and warm installs
+/// of the native back-ends (x64::CodeImage), mlvm's ELF link and the
+/// interpreter's callback thunks all take a Block here.
 ///
-/// This matters because installing a warm module from the disk code cache
-/// must beat recompiling it by a wide margin, and on virtualized hosts a
-/// single mprotect (TLB shootdown) can cost as much as the entire parse +
-/// checksum + relocation re-patch. Compile-path modules keep using
-/// ExecMemory: a compile is hundreds of microseconds anyway, and its
-/// private mapping is reclaimed on module destruction. Both routes are
-/// taken in one place, x64::CodeImage (link() and install()).
+/// Each chunk is a memfd mapped twice: a read/write view that code is
+/// copied and patched through, and a read/execute view that entry points
+/// live in. No view is ever writable and executable, yet installing code
+/// needs no mprotect — on virtualized hosts one mprotect (TLB shootdown)
+/// can cost as much as a whole warm install.
 ///
-/// The arena is append-only: blocks are never returned. Only warm installs
-/// (CodeImage::install, and mlvm's cached ELF link) allocate here, and a
-/// block is exactly the module's code bytes, so growth is bounded by the
-/// total code ever warm-loaded by the process. DiskCodeCache publishes
-/// bytesAllocated() as the code.arena.bytes gauge.
+/// Blocks are 64-byte aligned and go back to their chunk when destroyed.
+/// A freed block is filled with int3 through its RW view before it can be
+/// reused, so a stale entry pointer traps instead of running another
+/// module's code. Free ranges coalesce and are reused first-fit. An empty
+/// chunk is unmapped, except for one spare; a request larger than a chunk
+/// gets a chunk of its own.
+///
+/// Fork safety: fork() retires every chunk in parent and child, since both
+/// would otherwise carve the same shared range and write into code the
+/// other runs. A retired chunk is never carved again, its freed blocks are
+/// neither filled nor reused, and it is unmapped once empty.
+///
+/// Without memfd (kernel or seccomp refuses it) each block is a private
+/// mapping of its own with Rw == Rx, which seal() flips to read/execute.
+/// Callers never tell the two apart: write through Rw, seal(), run Rx.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,32 +41,49 @@
 
 namespace qcf::x64 {
 
-/// The process-wide dual-view code arena.
 class ExecArena {
+  struct Impl;
+
 public:
-  /// One allocated block: write code through Rw, run it through Rx.
-  /// `Rx + off` and `Rw + off` address the same byte for any off < Size.
-  struct Block {
+  /// Write code through Rw, seal(), run it through Rx; `Rx + off` and
+  /// `Rw + off` are the same byte for any off < Size. Callers only read
+  /// the fields. Move-only; destruction frees the block.
+  class Block {
+  public:
     uint8_t *Rw = nullptr;
     const uint8_t *Rx = nullptr;
     size_t Size = 0;
-    explicit operator bool() const { return Rw != nullptr; }
+
+    Block() = default;
+    Block(Block &&Other) noexcept { *this = static_cast<Block &&>(Other); }
+    Block &operator=(Block &&Other) noexcept;
+    ~Block();
+
+    explicit operator bool() const { return Rx != nullptr; }
+
+    /// Ends writing: Rx runs afterwards and Rw must not be written again.
+    void seal();
+
+  private:
+    friend struct Impl;
+    void *Owner = nullptr; ///< The chunk; null for a private mapping.
+    size_t Cap = 0;        ///< Bytes taken from the heap.
   };
 
-  /// The singleton arena (thread-safe).
+  /// The singleton heap (thread-safe).
   static ExecArena &global();
 
-  /// Bump-allocates \p Bytes (16-byte aligned). Returns a null block when
-  /// the dual-view mechanism is unavailable (memfd_create denied by
-  /// kernel or seccomp) — callers fall back to a private ExecMemory copy.
+  /// A writable block of at least \p Bytes. Aborts only when no code
+  /// memory can be mapped at all.
   Block allocate(size_t Bytes);
 
-  /// Total bytes handed out, for observability.
+  /// Bytes the heap holds mapped (the code.arena.bytes gauge).
   uint64_t bytesAllocated() const;
+  /// Bytes in blocks not yet freed, alignment padding included.
+  uint64_t liveBytes() const;
 
 private:
   ExecArena() = default;
-  struct Impl;
   static Impl *impl();
 };
 

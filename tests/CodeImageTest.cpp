@@ -16,14 +16,23 @@
 ///   - a sweep over every field (truncation at each field boundary, each
 ///     u64 field set to each wrap value, each symbol made unknown) must be
 ///     refused or yield a module whose every range lies inside its code.
+/// It also checks that images give their code-heap blocks back: 10k cold
+/// compiles and 10k disk-cache warm installs leave the heap as they found
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/Cache.h"
+#include "backend/DiskCache.h"
 #include "backend/Registry.h"
 #include "direct/DirectEmit.h"
+#include "obs/Metrics.h"
 #include "runtime/Runtime.h"
 #include "tests/Corpus.h"
 #include "tests/ImagePayload.h"
+#include "x64/ExecArena.h"
+#include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
 
 using namespace qcf;
@@ -246,6 +255,49 @@ TEST(CodeImage, UnnamedOrUnknownTargetIsNotPersistable) {
     // Unnamed targets stay out of the table; tv still sees named ones.
     EXPECT_EQ(Img.relocs().size(), *Sym ? 1u : 0u);
   }
+}
+
+// Dropping a module returns its block: liveBytes() comes back after every
+// round, and the mapped footprint stops growing once the first rounds
+// have sized the heap. The loop checks the heap, not the verification
+// layers, so it compiles with them off whatever QCF_VERIFY says.
+TEST(CodeImage, CodeHeapStaysBoundedUnderChurn) {
+  constexpr int Rounds = 10000, Warmup = 100;
+  qir::Module M;
+  buildModule(M);
+  std::unique_ptr<backend::Backend> BE = backend::createBackend("DirectEmit");
+  backend::CompileOptions Opts;
+  Opts.Verify = VerifyOptions::none();
+  x64::ExecArena &Heap = x64::ExecArena::global();
+  const uint64_t Live0 = Heap.liveBytes();
+  auto Churn = [&](auto &&Make) {
+    uint64_t Mapped = 0;
+    for (int I = 0; I != Rounds; ++I) {
+      {
+        std::shared_ptr<backend::CompiledModule> Mod = Make();
+        ASSERT_NE(Mod, nullptr);
+        ASSERT_NE(Mod->entry("crc"), nullptr);
+        ASSERT_GT(Heap.liveBytes(), Live0);
+      }
+      ASSERT_EQ(Heap.liveBytes(), Live0) << "round " << I;
+      if (I == Warmup)
+        Mapped = Heap.bytesAllocated();
+    }
+    EXPECT_LE(Heap.bytesAllocated(), Mapped);
+  };
+  Churn([&] { return std::shared_ptr(BE->compile(M, Opts)); });
+
+  char Dir[] = "/tmp/qcf_heap_churn_XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  {
+    obs::MetricsRegistry Reg;
+    backend::DiskCodeCache Cache(Dir, /*BudgetBytes=*/0, &Reg);
+    backend::ModuleFingerprint Key = backend::fingerprintModule(M);
+    ASSERT_TRUE(Cache.store(Key, *BE, *BE->compile(M, Opts), Opts));
+    Churn([&] { return Cache.load(Key, *BE, Opts); });
+    EXPECT_EQ(Cache.stats().Hits, uint64_t(Rounds));
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace

@@ -12,7 +12,8 @@
 /// instead of waiting for a worker), and the restart storm — several
 /// forked processes sharing one $QCF_CODE_CACHE directory, with the
 /// warm wave required to install everything from disk and the blob
-/// population required to stay checksum-valid throughout.
+/// population required to stay checksum-valid throughout. Also the
+/// qcf_serve request-line parser (serve/Protocol.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include "qir/Builder.h"
 #include "qir/Verify.h"
 #include "runtime/Trap.h"
+#include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "support/TimeTrace.h"
 #include "tests/GateBackend.h"
@@ -222,6 +224,52 @@ TEST(AdmissionGate, CloseRejectsWaitersAndFutureEntries) {
   T.join();
   EXPECT_EQ(Outcome.load(), int(Admit::ServerStopped));
   EXPECT_EQ(G.enter().Outcome, Admit::ServerStopped);
+}
+
+//===----------------------------------------------------------------------===//
+// Protocol: qcf_serve request lines
+//===----------------------------------------------------------------------===//
+
+TEST(ServeProtocol, ParsesEveryVerb) {
+  EXPECT_EQ(parseRequest("").K, Request::Empty);
+  EXPECT_EQ(parseRequest("PING\r").K, Request::Ping);
+  EXPECT_EQ(parseRequest("STATS").K, Request::Stats);
+  EXPECT_EQ(parseRequest("SHUTDOWN").K, Request::Shutdown);
+  Request O = parseRequest("OPEN acme");
+  EXPECT_EQ(O.K, Request::Open);
+  EXPECT_EQ(O.Name, "acme");
+  Request C = parseRequest("CLOSE 7");
+  EXPECT_EQ(C.K, Request::Close);
+  EXPECT_EQ(C.Session, 7u);
+  Request E = parseRequest("EXEC 3  q1 250");
+  EXPECT_EQ(E.K, Request::Exec);
+  EXPECT_EQ(E.Session, 3u);
+  EXPECT_EQ(E.Name, "q1");
+  EXPECT_EQ(E.DeadlineNs, 250'000'000u);
+  EXPECT_EQ(parseRequest("EXEC 3 q1").DeadlineNs, 0u);
+  uint64_t MaxMs = UINT64_MAX / 1'000'000;
+  EXPECT_EQ(parseRequest("EXEC 3 q1 " + std::to_string(MaxMs)).DeadlineNs,
+            MaxMs * 1'000'000);
+}
+
+// The three defects of the daemon's old inline parser: an unbounded line,
+// a deadline whose nanoseconds wrapped, and a session id read as 0.
+TEST(ServeProtocol, MalformedRequestsGetTypedErrors) {
+  auto ErrOf = [](const std::string &Line) {
+    Request R = parseRequest(Line);
+    return R.K == Request::Invalid ? std::string(R.Err) : std::string("ok");
+  };
+  EXPECT_EQ(ErrOf(std::string(MaxRequestLine, 'A')), "bad-request");
+  EXPECT_EQ(ErrOf(std::string(MaxRequestLine + 1, 'A')), "line-too-long");
+  EXPECT_EQ(ErrOf("EXEC 1 q1 " + std::to_string(UINT64_MAX / 1'000'000 + 1)),
+            "bad-deadline");
+  EXPECT_EQ(ErrOf("EXEC 1 q1 99999999999999999999999"), "bad-deadline");
+  EXPECT_EQ(ErrOf("EXEC 1 q1 -5"), "bad-deadline");
+  EXPECT_EQ(ErrOf("EXEC abc q1"), "bad-session");
+  EXPECT_EQ(ErrOf("CLOSE 12x"), "bad-session");
+  EXPECT_EQ(ErrOf("EXEC 1"), "bad-request");
+  EXPECT_EQ(ErrOf("OPEN"), "bad-request");
+  EXPECT_EQ(ErrOf("FLY away"), "bad-request");
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,9 @@
 /// Two layers of encoder validation: (1) differential encoding tests
 /// against GNU as, byte for byte; (2) execution tests that run assembled
 /// code in-process, including the SysV two-register conventions for
-/// __int128 / 16-byte struct values that every back-end relies on.
+/// __int128 / 16-byte struct values that every back-end relies on. The
+/// code heap (x64::ExecArena) is tested here too: block ownership, int3
+/// fill and reuse, fork isolation and the no-memfd fallback.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,12 +18,18 @@
 #include "support/Hash.h"
 #include "x64/Asm.h"
 #include "x64/CallbackThunk.h"
-#include "x64/ExecMemory.h"
+#include "x64/ExecArena.h"
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace qcf;
 using namespace qcf::x64;
@@ -317,13 +325,14 @@ TEST(X64Encoder, DifferentialAgainstGnuAs) {
 
 namespace {
 
-/// Copies assembled code into executable memory and returns the entry.
-template <typename FnT> FnT makeCallable(Assembler &A, ExecMemory &Mem) {
+/// Copies assembled code into a code-heap block and returns the entry.
+template <typename FnT>
+FnT makeCallable(Assembler &A, ExecArena::Block &Mem) {
   A.finalize();
-  Mem.allocate(A.size());
-  std::memcpy(Mem.base(), A.code().data(), A.size());
-  Mem.makeExecutable();
-  return reinterpret_cast<FnT>(Mem.base());
+  Mem = ExecArena::global().allocate(A.size());
+  std::memcpy(Mem.Rw, A.code().data(), A.size());
+  Mem.seal();
+  return reinterpret_cast<FnT>(const_cast<uint8_t *>(Mem.Rx));
 }
 
 } // namespace
@@ -333,7 +342,7 @@ TEST(X64Exec, AddFunction) {
   A.movRR(Width::W64, Reg::RAX, Reg::RDI);
   A.aluRR(Assembler::Alu::Add, Width::W64, Reg::RAX, Reg::RSI);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<int64_t (*)(int64_t, int64_t)>(A, Mem);
   EXPECT_EQ(Fn(2, 40), 42);
   EXPECT_EQ(Fn(-7, 7), 0);
@@ -353,7 +362,7 @@ TEST(X64Exec, LoopWithLabels) {
   A.jmp(Head);
   A.bind(Done);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<int64_t (*)(int64_t)>(A, Mem);
   EXPECT_EQ(Fn(10), 45);
   EXPECT_EQ(Fn(0), 0);
@@ -365,7 +374,7 @@ TEST(X64Exec, Crc32MatchesIntrinsic) {
   A.movRR(Width::W64, Reg::RAX, Reg::RDI);
   A.crc32RR(Reg::RAX, Reg::RSI);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<uint64_t (*)(uint64_t, uint64_t)>(A, Mem);
   EXPECT_EQ(Fn(0, 0x1122334455667788ull),
             crc32u64(0, 0x1122334455667788ull));
@@ -381,7 +390,7 @@ TEST(X64Exec, CallHostFunctionViaRegister) {
   A.callReg(Reg::R10);
   A.popR(Reg::RCX);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<int64_t (*)(int64_t, int64_t)>(A, Mem);
   EXPECT_EQ(Fn(6, 7), 43);
 }
@@ -398,7 +407,7 @@ TEST(X64Exec, Int128TwoRegisterAbi) {
   A.callReg(Reg::R10);
   A.popR(Reg::RCX);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   struct Pair {
     uint64_t Lo, Hi;
   };
@@ -420,7 +429,7 @@ TEST(X64Exec, StringValTwoRegisterAbi) {
   A.callReg(Reg::R10);
   A.popR(Reg::RCX);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   struct Pair {
     uint64_t Lo, Hi;
   };
@@ -439,7 +448,7 @@ TEST(X64Exec, FloatArithmetic) {
   A.subsd(Xmm::XMM2, Xmm::XMM0);
   A.movsdXX(Xmm::XMM0, Xmm::XMM2);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<double (*)(double, double)>(A, Mem);
   EXPECT_DOUBLE_EQ(Fn(3.0, 5.0), 12.0);
 }
@@ -449,7 +458,7 @@ TEST(X64Exec, AtomicAddReturnsOldValue) {
   A.movRR(Width::W64, Reg::RAX, Reg::RSI);
   A.lockXaddMR(Width::W64, Mem::base(Reg::RDI), Reg::RAX);
   A.ret();
-  ExecMemory Mem;
+  ExecArena::Block Mem;
   auto *Fn = makeCallable<int64_t (*)(int64_t *, int64_t)>(A, Mem);
   int64_t Cell = 100;
   EXPECT_EQ(Fn(&Cell, 5), 100);
@@ -464,7 +473,6 @@ TEST(X64Thunk, BindsContext) {
     return *static_cast<int *>(C) + A * 10 + B;
   };
   void *Thunk = Thunks.createThunk(Handler, &Ctx);
-  Thunks.finalize();
   auto *Fn = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t)>(Thunk);
   EXPECT_EQ(Fn(5, 6), 1234u + 56u);
 }
@@ -479,20 +487,127 @@ TEST(X64Thunk, ManyThunksSpanPages) {
     Ctxs[I] = I * 3;
     All.push_back({Thunks.createThunk(Handler, &Ctxs[I]), I * 3});
   }
-  Thunks.finalize();
   for (auto &[Thunk, Expected] : All) {
     auto *Fn = reinterpret_cast<uint64_t (*)()>(Thunk);
     EXPECT_EQ(Fn(), Expected);
   }
 }
 
-TEST(X64ExecMemory, MoveSemantics) {
-  ExecMemory A(100);
-  uint8_t *Base = A.base();
-  EXPECT_NE(Base, nullptr);
-  ExecMemory B = std::move(A);
-  EXPECT_EQ(B.base(), Base);
-  EXPECT_EQ(A.base(), nullptr);
+TEST(X64ExecArena, BlockMoveSemantics) {
+  ExecArena &Heap = ExecArena::global();
+  const uint64_t Live0 = Heap.liveBytes();
+  ExecArena::Block A = Heap.allocate(100);
+  const uint8_t *Rx = A.Rx;
+  ASSERT_NE(Rx, nullptr);
+  EXPECT_EQ(A.Size, 100u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Rx) % 64, 0u);
+  ExecArena::Block B = std::move(A);
+  EXPECT_EQ(B.Rx, Rx);
+  EXPECT_FALSE(A);
+  ExecArena::Block C = Heap.allocate(1);
+  C = std::move(B); // Frees C's own block.
+  EXPECT_EQ(C.Rx, Rx);
+  EXPECT_FALSE(B);
+  EXPECT_GT(Heap.liveBytes(), Live0);
+  C = ExecArena::Block();
+  EXPECT_EQ(Heap.liveBytes(), Live0);
+}
+
+TEST(X64ExecArena, FreedBlockTrapsThenIsReused) {
+  ExecArena &Heap = ExecArena::global();
+  ExecArena::Block Pin = Heap.allocate(64); // Keeps the chunk mapped.
+  ExecArena::Block A = Heap.allocate(200);
+  std::memset(A.Rw, 0x90, A.Size);
+  A.seal();
+  const uint8_t *Rx = A.Rx;
+  A = ExecArena::Block();
+  for (size_t I = 0; I != 200; ++I)
+    ASSERT_EQ(Rx[I], 0xcc) << "byte " << I << " of a freed block";
+  ExecArena::Block B = Heap.allocate(200);
+  EXPECT_EQ(B.Rx, Rx);
+}
+
+// Two forked children each allocate, write a distinct pattern, and meet
+// at a pipe barrier before checking their own bytes through Rx: a heap
+// that carves both blocks from a chunk mapped before fork() hands them
+// the same shared memory, and one child reads the other's code.
+TEST(X64ExecArena, ForkedChildrenNeverShareCode) {
+  ExecArena &Heap = ExecArena::global();
+  constexpr size_t N = 256;
+  ExecArena::Block Parent = Heap.allocate(N);
+  std::memset(Parent.Rw, 0x5a, N);
+  Parent.seal();
+  int Ready[2], Go[2];
+  ASSERT_EQ(::pipe(Ready), 0);
+  ASSERT_EQ(::pipe(Go), 0);
+  pid_t Kids[2];
+  for (int K = 0; K != 2; ++K) {
+    Kids[K] = ::fork();
+    ASSERT_GE(Kids[K], 0);
+    if (Kids[K] == 0) {
+      const uint8_t Pattern = uint8_t(0xa0 + K);
+      ExecArena::Block B = Heap.allocate(N);
+      std::memset(B.Rw, Pattern, N);
+      B.seal();
+      char C = 0;
+      bool Ok = ::write(Ready[1], &C, 1) == 1 && ::read(Go[0], &C, 1) == 1;
+      for (size_t I = 0; I != N; ++I)
+        Ok = Ok && B.Rx[I] == Pattern && Parent.Rx[I] == 0x5a;
+      ::_exit(Ok ? 0 : 1);
+    }
+  }
+  char C = 0;
+  for (int K = 0; K != 2; ++K)
+    ASSERT_EQ(::read(Ready[0], &C, 1), 1);
+  ASSERT_EQ(::write(Go[1], "gg", 2), 2);
+  for (pid_t Pid : Kids) {
+    int Status = 0;
+    ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+        << "a child saw bytes it did not write";
+  }
+  for (size_t I = 0; I != N; ++I)
+    ASSERT_EQ(Parent.Rx[I], 0x5a) << "byte " << I << " of the parent block";
+  for (int Fd : {Ready[0], Ready[1], Go[0], Go[1]})
+    ::close(Fd);
+}
+
+// Without memfd every block is a private mapping that seal() flips to
+// read/execute. A child whose RLIMIT_NOFILE sits at its lowest free
+// descriptor cannot create a memfd (EMFILE) and must still get code that
+// runs; every chunk it inherited is retired by the fork.
+TEST(X64ExecArena, PrivateMappingWithoutMemfd) {
+  pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    int Probe = ::open("/dev/null", O_RDONLY);
+    ::close(Probe);
+    rlimit Lim;
+    if (Probe < 0 || ::getrlimit(RLIMIT_NOFILE, &Lim) != 0)
+      ::_exit(2);
+    Lim.rlim_cur = rlim_t(Probe);
+    if (::setrlimit(RLIMIT_NOFILE, &Lim) != 0)
+      ::_exit(3);
+    if (::syscall(SYS_memfd_create, "probe", 0) >= 0 || errno != EMFILE)
+      ::_exit(4);
+    ExecArena &Heap = ExecArena::global();
+    const uint64_t Live0 = Heap.liveBytes();
+    {
+      ExecArena::Block B = Heap.allocate(6);
+      if (B.Rw != B.Rx) // One view: not a memfd chunk.
+        ::_exit(5);
+      const uint8_t MovEax42Ret[] = {0xb8, 42, 0, 0, 0, 0xc3};
+      std::memcpy(B.Rw, MovEax42Ret, sizeof(MovEax42Ret));
+      B.seal();
+      if (reinterpret_cast<int (*)()>(const_cast<uint8_t *>(B.Rx))() != 42)
+        ::_exit(6);
+    }
+    ::_exit(Heap.liveBytes() == Live0 ? 0 : 7);
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
 }
 
 TEST(X64Encoder, LabelFixupsInBothDirections) {

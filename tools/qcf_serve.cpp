@@ -21,6 +21,10 @@
 //   PING                                -> PONG
 //   SHUTDOWN                            -> OK (daemon exits)
 //
+// A malformed request gets "ERR <reason>" (serve/Protocol.h): bad-request,
+// bad-session, bad-deadline, or line-too-long, which also closes the
+// connection.
+//
 // Tuning comes from the QCF_SERVE_* environment (ServerConfig::fromEnv;
 // knobs documented in README.md). Tenants come from QCF_SERVE_TENANTS:
 // "name:max_sessions:max_compile_mb:max_queued[:bg],..." — unset
@@ -31,6 +35,7 @@
 #include "db/Codegen.h"
 #include "db/Datagen.h"
 #include "db/Queries.h"
+#include "serve/Protocol.h"
 #include "serve/Server.h"
 #include <atomic>
 #include <csignal>
@@ -39,6 +44,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -111,14 +117,16 @@ void sendAll(int Fd, const std::string &S) {
   }
 }
 
-/// One connection: read request lines, dispatch, write responses.
+/// One connection: read request lines, dispatch, write responses. A line
+/// longer than serve::MaxRequestLine is refused and ends the connection.
 void serveConnection(int Fd, serve::Server &Srv,
                      const std::map<std::string, const db::Query *> &Queries) {
   std::string Buf;
   char Chunk[4096];
   for (;;) {
     size_t NL;
-    while ((NL = Buf.find('\n')) == std::string::npos) {
+    while ((NL = Buf.find('\n')) == std::string::npos &&
+           Buf.size() <= serve::MaxRequestLine) {
       ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
       if (N <= 0) {
         ::close(Fd);
@@ -126,39 +134,38 @@ void serveConnection(int Fd, serve::Server &Srv,
       }
       Buf.append(Chunk, size_t(N));
     }
-    std::string Line = Buf.substr(0, NL);
-    Buf.erase(0, NL + 1);
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-
-    std::vector<std::string> Tok;
-    size_t P = 0;
-    while (P < Line.size()) {
-      size_t E = Line.find(' ', P);
-      if (E == std::string::npos)
-        E = Line.size();
-      if (E > P)
-        Tok.push_back(Line.substr(P, E - P));
-      P = E + 1;
+    serve::Request Req =
+        serve::parseRequest(std::string_view(Buf).substr(0, NL));
+    if (NL > serve::MaxRequestLine) { // Over-long, or no newline in reach.
+      sendAll(Fd, std::string("ERR ") + Req.Err + "\n");
+      ::close(Fd);
+      return;
     }
-    if (Tok.empty())
-      continue;
+    Buf.erase(0, NL + 1);
 
     char Resp[256];
-    if (Tok[0] == "PING") {
+    switch (Req.K) {
+    case serve::Request::Empty:
+      break;
+    case serve::Request::Invalid:
+      sendAll(Fd, std::string("ERR ") + Req.Err + "\n");
+      break;
+    case serve::Request::Ping:
       sendAll(Fd, "PONG\n");
-    } else if (Tok[0] == "STATS") {
+      break;
+    case serve::Request::Stats:
       sendAll(Fd, Srv.statsText());
       sendAll(Fd, ".\n");
-    } else if (Tok[0] == "SHUTDOWN") {
+      break;
+    case serve::Request::Shutdown:
       sendAll(Fd, "OK\n");
       ShutdownFlag.store(true);
       if (ListenFdForSignal >= 0)
         ::shutdown(ListenFdForSignal, SHUT_RDWR);
       ::close(Fd);
       return;
-    } else if (Tok[0] == "OPEN" && Tok.size() >= 2) {
-      serve::OpenOutcome O = Srv.openSession(Tok[1]);
+    case serve::Request::Open: {
+      serve::OpenOutcome O = Srv.openSession(Req.Name);
       if (O.Outcome == serve::Admit::Ok)
         std::snprintf(Resp, sizeof(Resp), "OK %llu\n",
                       static_cast<unsigned long long>(O.SessionId));
@@ -168,28 +175,27 @@ void serveConnection(int Fd, serve::Server &Srv,
                       static_cast<unsigned long long>(O.RetryAfterNs /
                                                       1'000'000));
       sendAll(Fd, Resp);
-    } else if (Tok[0] == "CLOSE" && Tok.size() >= 2) {
-      serve::Admit A = Srv.closeSession(std::strtoull(Tok[1].c_str(),
-                                                      nullptr, 10));
+      break;
+    }
+    case serve::Request::Close: {
+      serve::Admit A = Srv.closeSession(Req.Session);
       if (A == serve::Admit::Ok)
         sendAll(Fd, "OK\n");
       else {
         std::snprintf(Resp, sizeof(Resp), "ERR %s\n", serve::admitName(A));
         sendAll(Fd, Resp);
       }
-    } else if (Tok[0] == "EXEC" && Tok.size() >= 3) {
-      uint64_t Sid = std::strtoull(Tok[1].c_str(), nullptr, 10);
-      auto QIt = Queries.find(Tok[2]);
+      break;
+    }
+    case serve::Request::Exec: {
+      auto QIt = Queries.find(Req.Name);
       if (QIt == Queries.end()) {
         sendAll(Fd, "ERR unknown-query\n");
-        continue;
+        break;
       }
-      uint64_t DeadlineNs =
-          Tok.size() > 3 ? std::strtoull(Tok[3].c_str(), nullptr, 10) *
-                               1'000'000
-                         : 0;
       rt::OutputBuffer Out;
-      serve::QueryOutcome R = Srv.execute(Sid, *QIt->second, &Out, DeadlineNs);
+      serve::QueryOutcome R =
+          Srv.execute(Req.Session, *QIt->second, &Out, Req.DeadlineNs);
       if (R.Ok)
         std::snprintf(Resp, sizeof(Resp),
                       "OK rows=%llu digest=%llx ms=%.3f\n",
@@ -206,8 +212,8 @@ void serveConnection(int Fd, serve::Server &Srv,
                       static_cast<unsigned long long>(R.RetryAfterNs /
                                                       1'000'000));
       sendAll(Fd, Resp);
-    } else {
-      sendAll(Fd, "ERR bad-request\n");
+      break;
+    }
     }
   }
 }
