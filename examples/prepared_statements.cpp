@@ -54,7 +54,10 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\nAfter the first refresh, %s's compile cost disappears — "
-              "each repeat compile is one 64-bit structural hash.\n",
+              "each repeat compile is one 128-bit two-lane module "
+              "fingerprint plus an LRU lookup.\nPlans are still lowered "
+              "every refresh; serve::Server's plan cache removes that "
+              "too.\n",
               BE.inner().name().c_str());
   return 0;
 }

@@ -38,19 +38,6 @@ Width aluWidthFor(CType Ty) {
   return Ty == CType::I64 ? Width::W64 : Width::W32;
 }
 
-uint64_t maskFor(CType Ty) {
-  switch (Ty) {
-  case CType::I8:
-    return 0xff;
-  case CType::I16:
-    return 0xffff;
-  case CType::I32:
-    return 0xffffffffull;
-  default:
-    return ~0ull;
-  }
-}
-
 Cond condForIntCC(IntCC CC) {
   switch (CC) {
   case IntCC::Eq:

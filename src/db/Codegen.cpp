@@ -29,22 +29,6 @@ using qir::ValueId;
 
 namespace {
 
-Type qirTypeFor(ExprType Ty) {
-  switch (Ty) {
-  case ExprType::I64:
-    return Type::I64;
-  case ExprType::Decimal:
-    return Type::I128;
-  case ExprType::Str:
-    return Type::D128;
-  case ExprType::Bool:
-    return Type::I1;
-  case ExprType::F64:
-    return Type::F64;
-  }
-  QCF_UNREACHABLE("invalid expr type");
-}
-
 unsigned fieldSize(ExprType Ty) {
   switch (Ty) {
   case ExprType::I64:
@@ -298,6 +282,7 @@ private:
   void produceScan(const PlanNode *N, Consumer C) {
     const Table *T = Cat.find(N->TableName);
     assert(T && "unknown table");
+    recordRead(*T);
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::TableScan;
     Desc.SourceTable = N->TableName;
@@ -306,6 +291,19 @@ private:
       bindTableLoaders(*T);
       C();
     });
+  }
+
+  /// Notes \p T in Out.Reads. Every table lowering looks at (schemaOf
+  /// included) is a scan source, so scans are where reads are recorded.
+  void recordRead(const Table &T) {
+    for (const TableRead &R : Out.Reads)
+      if (R.T == &T)
+        return;
+    TableRead R{T.Name, &T, {}};
+    R.Columns.reserve(T.Columns.size());
+    for (const Column &Col : T.Columns)
+      R.Columns.push_back({Col.Name, Col.Ty, &Col, Col.raw()});
+    Out.Reads.push_back(std::move(R));
   }
 
   void bindTableLoaders(const Table &T) {
@@ -1066,4 +1064,117 @@ private:
 
 CompiledPlan db::compileQuery(const Query &Q, const Catalog &Cat) {
   return QueryCompiler(Q, Cat).run();
+}
+
+bool CompiledPlan::matchesCatalog(const Catalog &Cat) const {
+  for (const TableRead &R : Reads) {
+    if (Cat.find(R.TableName) != R.T || R.T->Columns.size() != R.Columns.size())
+      return false;
+    for (size_t I = 0; I != R.Columns.size(); ++I) {
+      const TableRead::ColumnRead &C = R.Columns[I];
+      const Column &Now = R.T->Columns[I];
+      if (&Now != C.Col || Now.Ty != C.Ty || Now.raw() != C.Raw ||
+          Now.Name != C.Name)
+        return false;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+/// The encoder behind encodeQuery. Each node writes its kind tag, then
+/// exactly the fields compileQuery reads for that kind; strings and
+/// lists carry their lengths, so the encoding is injective.
+struct QueryEncoder {
+  std::string &Out;
+
+  template <typename T> void put(T V) {
+    Out.append(reinterpret_cast<const char *>(&V), sizeof(V));
+  }
+  void str(const std::string &S) {
+    put(static_cast<uint32_t>(S.size()));
+    Out.append(S);
+  }
+  void strs(const std::vector<std::string> &V) {
+    put(static_cast<uint32_t>(V.size()));
+    for (const std::string &S : V)
+      str(S);
+  }
+
+  void expr(const Expr &E) {
+    put(E.K);
+    put(E.Ty);
+    switch (E.K) {
+    case Expr::Kind::ColRef:
+      str(E.Name);
+      break;
+    case Expr::Kind::ConstI64:
+      put(E.IntVal);
+      break;
+    case Expr::Kind::ConstDec:
+      put(E.DecVal);
+      break;
+    case Expr::Kind::ConstStr:
+      str(E.StrVal);
+      break;
+    default:
+      break;
+    }
+    exprs(E.Kids);
+  }
+  void exprs(const std::vector<ExprPtr> &V) {
+    put(static_cast<uint32_t>(V.size()));
+    for (const ExprPtr &E : V)
+      expr(*E);
+  }
+
+  void plan(const PlanNode &N) {
+    put(N.K);
+    switch (N.K) {
+    case PlanNode::Kind::Scan:
+      str(N.TableName);
+      return;
+    case PlanNode::Kind::Filter:
+      expr(*N.Pred);
+      break;
+    case PlanNode::Kind::HashJoin:
+      exprs(N.ProbeKeys);
+      exprs(N.BuildKeys);
+      strs(N.BuildPayload);
+      plan(*N.Build);
+      break;
+    case PlanNode::Kind::Aggregate:
+      exprs(N.GroupKeys);
+      strs(N.GroupNames);
+      put(static_cast<uint32_t>(N.Aggs.size()));
+      for (const AggSpec &A : N.Aggs) {
+        put(A.Kind);
+        str(A.Name);
+        put(static_cast<uint8_t>(A.Arg != nullptr));
+        if (A.Arg)
+          expr(*A.Arg);
+      }
+      break;
+    case PlanNode::Kind::Sort:
+      put(static_cast<uint32_t>(N.SortKeys.size()));
+      for (const SortKey &K : N.SortKeys) {
+        str(K.Column);
+        put(static_cast<uint8_t>(K.Descending));
+      }
+      put(N.Limit);
+      break;
+    }
+    plan(*N.Child);
+  }
+};
+
+} // namespace
+
+void db::encodeQuery(const Query &Q, std::string &Out) {
+  Out.clear();
+  QueryEncoder Enc{Out};
+  Enc.str(Q.Name);
+  Enc.plan(*Q.Root);
+  Enc.exprs(Q.Output);
 }

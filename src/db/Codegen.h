@@ -49,6 +49,22 @@ struct PipelineDesc {
   int SortObject = -1; ///< Object to sort after this pipeline completes.
 };
 
+/// One scanned table as lowering saw it. Codegen derives the scan's
+/// schema from the table's column list and bakes each column's base
+/// address into the code, so the plan is only valid while all of this
+/// still holds.
+struct TableRead {
+  struct ColumnRead {
+    std::string Name;
+    ColType Ty;
+    const Column *Col;
+    const void *Raw; ///< Col->raw() at lowering time.
+  };
+  std::string TableName;
+  const Table *T;
+  std::vector<ColumnRead> Columns; ///< Every column, in table order.
+};
+
 /// A compiled query: QIR module plus execution metadata.
 struct CompiledPlan {
   std::unique_ptr<qir::Module> Module;
@@ -57,11 +73,24 @@ struct CompiledPlan {
   std::vector<RuntimeObject> Objects;
   uint32_t NumCtxSlots = 0;
   std::string QueryName;
+  std::vector<TableRead> Reads; ///< What lowering read from the catalog.
+
+  /// True when every table and column in Reads is unchanged in \p Cat:
+  /// same objects, names, types and base addresses. A plan that fails
+  /// this must be lowered again before it runs.
+  bool matchesCatalog(const Catalog &Cat) const;
 };
 
 /// Compiles \p Q against \p Cat. The catalog must outlive execution
 /// (column base addresses are hard-wired into the generated code).
 CompiledPlan compileQuery(const Query &Q, const Catalog &Cat);
+
+/// Writes the canonical byte encoding of \p Q into \p Out (replacing
+/// its contents): every field compileQuery reads, tagged and
+/// length-prefixed, so two queries encode equal exactly when they lower
+/// to the same plan over the same catalog. Reusing \p Out across calls
+/// makes encoding allocation-free once its capacity suffices.
+void encodeQuery(const Query &Q, std::string &Out);
 
 } // namespace qcf::db
 

@@ -9,7 +9,8 @@
 /// operators that the code generator decomposes into linear pipelines
 /// (hash-join builds, aggregations and sorts are pipeline breakers).
 /// Expressions are typed trees over named columns; decimals are 128-bit
-/// with overflow-checked arithmetic.
+/// with overflow-checked arithmetic. A field the code generator reads must
+/// also be written by db::encodeQuery, the serving plan cache's key.
 ///
 //===----------------------------------------------------------------------===//
 

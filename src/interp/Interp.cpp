@@ -28,18 +28,19 @@ struct PairRet {
 
 // --- Translation ---------------------------------------------------------------
 
-InterpFunction::InterpFunction(const qir::Function &F) : F(&F) { translate(); }
+InterpFunction::InterpFunction(const qir::Function &F) { translate(F); }
 
-uint32_t InterpFunction::buildEdgeMoves(qir::BlockId From, qir::BlockId To) {
+uint32_t InterpFunction::buildEdgeMoves(const qir::Function &F,
+                                        qir::BlockId From, qir::BlockId To) {
   // Collect the phi moves for this edge.
   std::vector<Move> Pending;
-  const qir::Block &Blk = F->block(To);
+  const qir::Block &Blk = F.block(To);
   for (uint32_t I = Blk.Begin; I != Blk.End; ++I) {
-    const qir::Inst &Ins = F->Insts[I];
+    const qir::Inst &Ins = F.Insts[I];
     if (Ins.Op != Opcode::Phi)
       break;
-    for (unsigned K = 0, E = F->numPhiIncomings(Ins); K != E; ++K) {
-      const qir::PhiIn &In = F->phiIncomings(Ins)[K];
+    for (unsigned K = 0, E = F.numPhiIncomings(Ins); K != E; ++K) {
+      const qir::PhiIn &In = F.phiIncomings(Ins)[K];
       if (In.Pred == From && In.Val != I)
         Pending.push_back({I, In.Val});
     }
@@ -47,7 +48,7 @@ uint32_t InterpFunction::buildEdgeMoves(qir::BlockId From, qir::BlockId To) {
 
   // Order the parallel moves; break cycles through the temp register.
   uint32_t Off = static_cast<uint32_t>(Moves.size());
-  uint32_t TempReg = F->numInsts(); // One extra slot reserved in run().
+  uint32_t TempReg = F.numInsts(); // One extra slot reserved in run().
   while (!Pending.empty()) {
     bool Emitted = false;
     for (size_t I = 0; I != Pending.size(); ++I) {
@@ -75,12 +76,17 @@ uint32_t InterpFunction::buildEdgeMoves(qir::BlockId From, qir::BlockId To) {
   return Off;
 }
 
-void InterpFunction::translate() {
-  NumRegs = F->numInsts() + 1; // +1 cycle-break temp.
-  for (Type Ty : F->paramTypes())
-    NumParamLanes += qir::isTwoLane(Ty) ? 2 : 1;
+void InterpFunction::translate(const qir::Function &F) {
+  NumRegs = F.numInsts() + 1; // +1 cycle-break temp.
+  NumParams = F.numParams();
+  ArgRegs.reserve(NumParams + F.CallArgs.size());
+  for (unsigned P = 0; P != NumParams; ++P) {
+    uint8_t Lanes = qir::isTwoLane(F.paramTypes()[P]) ? 2 : 1;
+    ArgRegs.push_back({P, Lanes});
+    NumParamLanes += Lanes;
+  }
 
-  BlockPc.resize(F->numBlocks());
+  BlockPc.resize(F.numBlocks());
   uint64_t FrameBytes = 0;
 
   // First pass: lay out non-phi/param instructions and record block PCs.
@@ -93,11 +99,11 @@ void InterpFunction::translate() {
   };
   std::vector<PendingEdge> PendingEdges;
 
-  for (qir::BlockId B = 0; B != F->numBlocks(); ++B) {
+  for (qir::BlockId B = 0; B != F.numBlocks(); ++B) {
     BlockPc[B] = static_cast<uint32_t>(Code.size());
-    const qir::Block &Blk = F->block(B);
+    const qir::Block &Blk = F.block(B);
     for (uint32_t I = Blk.Begin; I != Blk.End; ++I) {
-      const qir::Inst &Ins = F->Insts[I];
+      const qir::Inst &Ins = F.Insts[I];
       if (Ins.Op == Opcode::Param || Ins.Op == Opcode::Phi)
         continue;
 
@@ -108,7 +114,7 @@ void InterpFunction::translate() {
       // The evaluations that read operand A's type.
       if (Ins.Op == Opcode::ICmp || Ins.Op == Opcode::SExt ||
           Ins.Op == Opcode::SIToFP)
-        T.SrcTy = F->valueType(Ins.A);
+        T.SrcTy = F.valueType(Ins.A);
       T.Dst = I;
       T.A = Ins.A;
       T.B = Ins.B;
@@ -116,6 +122,15 @@ void InterpFunction::translate() {
       T.Imm = Ins.Imm;
 
       switch (Ins.Op) {
+      case Opcode::ConstI128: {
+        // The constant moves into the instruction (Imm = low half, B:C =
+        // high half), so run() never reads the function's pool.
+        qir::Lanes V = qir::fromI128(F.I128Pool[Ins.A]);
+        T.Imm = V.Lo;
+        T.B = static_cast<uint32_t>(V.Hi);
+        T.C = static_cast<uint32_t>(V.Hi >> 32);
+        break;
+      }
       case Opcode::StackSlot: {
         FrameBytes = (FrameBytes + 15) & ~uint64_t(15);
         T.Imm = FrameBytes; // Offset within the frame.
@@ -123,16 +138,16 @@ void InterpFunction::translate() {
         break;
       }
       case Opcode::Call: {
-        const qir::RuntimeSig &Sig = F->parent()->symbol(F->callee(Ins));
+        const qir::RuntimeSig &Sig = F.parent()->symbol(F.callee(Ins));
         assert(Sig.Address && "runtime symbol has no address bound");
         CallDesc D{};
         D.Addr = Sig.Address;
         D.ArgOff = static_cast<uint32_t>(ArgRegs.size());
-        D.NumArgs = F->numCallArgs(Ins);
+        D.NumArgs = F.numCallArgs(Ins);
         unsigned Slots = 0;
         for (unsigned K = 0; K != D.NumArgs; ++K) {
-          qir::ValueId Arg = F->callArgs(Ins)[K];
-          uint8_t Lanes = qir::isTwoLane(F->valueType(Arg)) ? 2 : 1;
+          qir::ValueId Arg = F.callArgs(Ins)[K];
+          uint8_t Lanes = qir::isTwoLane(F.valueType(Arg)) ? 2 : 1;
           ArgRegs.push_back({Arg, Lanes});
           Slots += Lanes;
         }
@@ -166,7 +181,7 @@ void InterpFunction::translate() {
   for (const PendingEdge &PE : PendingEdges) {
     Edge E{};
     E.TargetPc = BlockPc[PE.To];
-    E.MoveOff = buildEdgeMoves(PE.From, PE.To);
+    E.MoveOff = buildEdgeMoves(F, PE.From, PE.To);
     E.MoveCount = static_cast<uint32_t>(Moves.size()) - E.MoveOff;
     uint32_t EdgeId = static_cast<uint32_t>(Edges.size());
     Edges.push_back(E);
@@ -179,9 +194,6 @@ void InterpFunction::translate() {
       T.C = EdgeId;
   }
 
-  // Stash the frame size for run(); reuse an unused member via Imm of a
-  // synthetic leading entry would be obscure — keep it in NumRegs' upper
-  // bits instead? No: add it as a field.
   FrameSize = FrameBytes;
 }
 
@@ -277,10 +289,10 @@ Slot InterpFunction::run(const uint64_t *ArgLanes, unsigned NumLanes) const {
   // Bind parameters.
   {
     unsigned Lane = 0;
-    for (unsigned P = 0; P != F->numParams(); ++P) {
-      Slot &S = Regs[P];
+    for (unsigned P = 0; P != NumParams; ++P) {
+      Slot &S = Regs[ArgRegs[P].Reg];
       S.Lo = ArgLanes[Lane++];
-      if (qir::isTwoLane(F->paramTypes()[P]))
+      if (ArgRegs[P].Lanes == 2)
         S.Hi = ArgLanes[Lane++];
     }
   }
@@ -296,7 +308,7 @@ Slot InterpFunction::run(const uint64_t *ArgLanes, unsigned NumLanes) const {
       Regs[I.Dst].Lo = I.Imm & qir::typeMask(I.Ty);
       break;
     case Opcode::ConstI128:
-      Regs[I.Dst] = qir::fromI128(F->I128Pool[I.A]);
+      Regs[I.Dst] = {I.Imm, I.B | static_cast<uint64_t>(I.C) << 32};
       break;
     case Opcode::ConstF64:
     case Opcode::ConstPtr:

@@ -44,7 +44,10 @@ struct TInst {
   qir::CmpPred cmpPred() const { return static_cast<qir::CmpPred>(Flags); }
 };
 
-/// A translated function.
+/// A translated function. It keeps no reference to its qir::Function:
+/// everything run() reads is copied at translate time, so the code stays
+/// valid after the module it came from is freed (a CachingBackend hit
+/// runs code whose source module died with the plan that compiled it).
 class InterpFunction {
 public:
   InterpFunction(const qir::Function &F);
@@ -54,7 +57,6 @@ public:
   /// lanes; Hi is zero for one-lane results).
   Slot run(const uint64_t *ArgLanes, unsigned NumLanes) const;
 
-  const qir::Function &function() const { return *F; }
   unsigned numRegs() const { return NumRegs; }
 
   /// Number of parameter lanes this function expects.
@@ -84,17 +86,19 @@ private:
     uint8_t Lanes;
   };
 
-  void translate();
+  void translate(const qir::Function &F);
   void applyEdge(const Edge &E, Slot *Regs) const;
-  uint32_t buildEdgeMoves(qir::BlockId From, qir::BlockId To);
+  uint32_t buildEdgeMoves(const qir::Function &F, qir::BlockId From,
+                          qir::BlockId To);
 
-  const qir::Function *F;
   std::vector<TInst> Code;
   std::vector<uint32_t> BlockPc;
   std::vector<Edge> Edges;
   std::vector<Move> Moves;
   std::vector<CallDesc> Calls;
+  /// Parameter registers first ([0, NumParams)), then call arguments.
   std::vector<ArgRef> ArgRegs;
+  unsigned NumParams = 0;
   unsigned NumRegs = 0;
   unsigned NumParamLanes = 0;
   uint64_t FrameSize = 0;

@@ -253,6 +253,8 @@ extern "C" void rt_sort(void *Base, uint64_t Count, uint64_t ElemSize,
   // Index sort + permute: keeps the comparator a plain two-pointer call,
   // which is the callback-into-generated-code shape the paper describes
   // for sort operators (§III-A).
+  if (Count == 0)
+    return; // An empty buffer may be null, and memcpy must not see null.
   auto *CmpFn = reinterpret_cast<int64_t (*)(const void *, const void *)>(Cmp);
   char *Bytes = static_cast<char *>(Base);
   std::vector<uint64_t> Index(Count);

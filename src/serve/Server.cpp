@@ -6,7 +6,6 @@
 
 #include "serve/Server.h"
 #include "backend/Registry.h"
-#include "db/Codegen.h"
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -86,7 +85,7 @@ Server::Server(const ServerConfig &Cfg, const db::Catalog &Cat)
       Cache(std::make_unique<backend::CachingBackend>(
           backend::createBackend(Cfg.BackendName), Cfg.CacheCapacity,
           Svc.get(), &Reg, Disk.get())),
-      Gate(Cfg.Admission, &Reg),
+      Plans(PlanCache::ServerMaxBytes, Reg), Gate(Cfg.Admission, &Reg),
       SessionsOpenG(Reg.gauge("serve.sessions.open")),
       SessionsOpened(Reg.counter("serve.sessions.opened")),
       SessionsClosed(Reg.counter("serve.sessions.closed")),
@@ -318,7 +317,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
 
   uint64_t RunStartNs = nowNs();
   {
-    db::CompiledPlan Plan = db::compileQuery(Q, Cat);
+    std::shared_ptr<const db::CompiledPlan> Plan = Plans.get(Q, Cat);
 
     qcf::MemContext CompileMem;
     db::ExecOptions EO;
@@ -331,7 +330,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     rt::OutputBuffer LocalOut;
     rt::OutputBuffer *O = Out ? Out : &LocalOut;
     uint64_t RowsBefore = O->numRows();
-    db::ExecResult ER = db::executeQuery(Plan, *Cache, Cat, O, EO);
+    db::ExecResult ER = db::executeQuery(*Plan, *Cache, Cat, O, EO);
 
     R.CompileBytes = CompileMem.ir().bytesAllocated() +
                      CompileMem.mir().bytesAllocated() +

@@ -8,10 +8,11 @@
 /// The serving front end over the compile/execute stack: sessions,
 /// admission control, and multi-tenant quotas (DESIGN.md "Serving
 /// layer"). One Server owns the shared substrate every session rides —
-/// a bounded CompileService, a CachingBackend (in-memory LRU plus the
-/// $QCF_CODE_CACHE persistent tier, so a fleet of serve processes shares
-/// warm code), an AdmissionGate bounding concurrent execution, and the
-/// MetricsRegistry all "serve.*" instruments land in.
+/// a PlanCache (each query is lowered once), a bounded CompileService, a
+/// CachingBackend (in-memory LRU plus the $QCF_CODE_CACHE persistent
+/// tier, so a fleet of serve processes shares warm code), an
+/// AdmissionGate bounding concurrent execution, and the MetricsRegistry
+/// all "serve.*" instruments land in.
 ///
 /// Quota enforcement points, in request order:
 ///   1. openSession     -> TenantQuota::MaxSessions   (SessionQuota)
@@ -33,6 +34,7 @@
 #include "backend/DiskCache.h"
 #include "db/Executor.h"
 #include "serve/Admission.h"
+#include "serve/PlanCache.h"
 #include "serve/Session.h"
 #include "serve/Tenant.h"
 #include <memory>
@@ -121,9 +123,10 @@ public:
   size_t evictIdleSessions(uint64_t NowNs = 0);
 
   /// Runs \p Q on session \p Sid: claims the session, reserves tenant
-  /// compile bytes, passes admission, then compiles (through the shared
-  /// cache, fairness-keyed by tenant, metered into the byte reservation)
-  /// and executes with the session's token armed. Results append to
+  /// compile bytes, passes admission, takes the lowered plan from the
+  /// plan cache, then compiles (through the shared code cache,
+  /// fairness-keyed by tenant, metered into the byte reservation) and
+  /// executes with the session's token armed. Results append to
   /// \p Out when given; Rows/Digest always cover this query's rows only.
   /// \p DeadlineNs is relative to now (0 = config default).
   QueryOutcome execute(uint64_t Sid, const db::Query &Q,
@@ -141,6 +144,7 @@ public:
   /// it directly to prove cross-process disk-cache safety).
   backend::CachingBackend &cacheBackend() { return *Cache; }
   backend::DiskCodeCache *diskCache() { return Disk.get(); }
+  const PlanCache &planCache() const { return Plans; }
 
   /// renderText() of the registry — the `qcf_stats --serve` payload.
   std::string statsText() const { return Reg.snapshot().renderText(); }
@@ -181,6 +185,7 @@ private:
   std::unique_ptr<backend::DiskCodeCache> Disk; ///< $QCF_CODE_CACHE tier.
   std::unique_ptr<backend::CompileService> Svc;
   std::unique_ptr<backend::CachingBackend> Cache; ///< Shared by sessions.
+  PlanCache Plans;
   AdmissionGate Gate;
 
   mutable std::mutex TenantsMutex;

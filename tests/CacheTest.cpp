@@ -7,7 +7,8 @@
 /// \file
 /// Tests for the content-addressed compiled-module cache: hash stability
 /// and sensitivity, hit/miss accounting, LRU eviction, handle lifetime,
-/// and plan-level reuse from the query compiler.
+/// plan-level reuse from the query compiler, and cached code outliving
+/// the plan whose module it was compiled from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,10 @@
 #include "backend/Registry.h"
 #include "db/Codegen.h"
 #include "db/Datagen.h"
+#include "db/Executor.h"
 #include "db/Queries.h"
 #include "qir/Builder.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -219,4 +222,32 @@ TEST(Cache, RegeneratedQueryPlansHit) {
   BE.compile(*P2.Module);
   EXPECT_EQ(BE.stats().Hits, 1u);
   EXPECT_EQ(BE.stats().Misses, 1u);
+}
+
+TEST(Cache, InterpreterHitOutlivesFirstPlan) {
+  // The L1 entry is compiled from the first plan's module; a later hit
+  // from a re-lowered plan runs that code after the first module is gone.
+  // Interpreted code must not read its source QIR at run time (ASan
+  // reported a use-after-free here when it did).
+  db::Catalog Cat;
+  db::generateTpchLike(Cat, 0.01);
+  std::vector<db::Query> Qs = db::tpchQueries();
+  auto H6 = std::find_if(Qs.begin(), Qs.end(),
+                         [](const db::Query &Q) { return Q.Name == "h6"; });
+  ASSERT_NE(H6, Qs.end());
+  CachingBackend BE(createBackend("Interpreter"));
+
+  uint64_t Ref;
+  {
+    db::CompiledPlan A = db::compileQuery(*H6, Cat);
+    rt::OutputBuffer Out;
+    ASSERT_FALSE(db::executeQuery(A, BE, Cat, &Out).Trapped);
+    ASSERT_GT(Out.numRows(), 0u);
+    Ref = Out.unorderedDigest();
+  }
+  db::CompiledPlan B = db::compileQuery(*H6, Cat);
+  rt::OutputBuffer Out;
+  ASSERT_FALSE(db::executeQuery(B, BE, Cat, &Out).Trapped);
+  EXPECT_EQ(BE.stats().Hits, 1u);
+  EXPECT_EQ(Out.unorderedDigest(), Ref);
 }

@@ -13,7 +13,8 @@
 /// forked processes sharing one $QCF_CODE_CACHE directory, with the
 /// warm wave required to install everything from disk and the blob
 /// population required to stay checksum-valid throughout. Also the
-/// qcf_serve request-line parser (serve/Protocol.h).
+/// qcf_serve request-line parser (serve/Protocol.h) and the plan cache
+/// (keying, catalog re-check, sharing across sessions, LRU ceiling).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -716,4 +717,220 @@ TEST(Serve, RestartStormSharesDiskCache) {
   ::unsetenv("QCF_CODE_CACHE");
   [[maybe_unused]] int Rc =
       std::system(("rm -rf " + Dir).c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Plan cache
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Rows and digest of \p Q lowered fresh and run on the interpreter:
+/// what a served reply must match.
+std::pair<uint64_t, uint64_t> freshRun(const db::Query &Q,
+                                       const db::Catalog &Cat) {
+  interp::InterpBackend Interp;
+  db::CompiledPlan P = db::compileQuery(Q, Cat);
+  rt::OutputBuffer Out;
+  EXPECT_FALSE(db::executeQuery(P, Interp, Cat, &Out).Trapped);
+  return {Out.numRows(), Out.unorderedDigest()};
+}
+
+/// The fields of one small lineitem query that the plan-cache key must
+/// tell apart: a literal, a column name, a sort direction, a limit and
+/// an output expression.
+struct Knobs {
+  int64_t QtyCents = 2400;
+  std::string FilterCol = "l_quantity";
+  bool Descending = false;
+  uint64_t Limit = 10;
+  std::string OutCol = "l_extendedprice";
+};
+
+db::Query knobQuery(const Knobs &K) {
+  db::Query Q;
+  Q.Name = "knobs";
+  db::PlanPtr P = db::filter(db::scan("lineitem"),
+                             db::lt(db::col(K.FilterCol),
+                                    db::litDec(K.QtyCents)));
+  Q.Root = db::sortBy(std::move(P), {{"l_orderkey", K.Descending}}, K.Limit);
+  Q.Output.push_back(db::col("l_orderkey"));
+  Q.Output.push_back(db::col(K.OutCol));
+  return Q;
+}
+
+uint64_t planCounter(obs::MetricsRegistry &Reg, const char *Name) {
+  return Reg.snapshot().counter(std::string("serve.plan_cache.") + Name);
+}
+
+} // namespace
+
+TEST(Serve, PlanCacheKeysEveryQueryField) {
+  std::vector<Knobs> Variants(6);
+  Variants[1].QtyCents = 1000;
+  Variants[2].FilterCol = "l_discount";
+  Variants[3].Descending = true;
+  Variants[4].Limit = 11;
+  Variants[5].OutCol = "l_quantity";
+
+  // Every variant answers differently, so a reply from another variant's
+  // plan could not pass the digest check below.
+  std::vector<std::pair<uint64_t, uint64_t>> Ref;
+  for (const Knobs &K : Variants)
+    Ref.push_back(freshRun(knobQuery(K), corpus().Cat));
+  for (size_t I = 0; I != Ref.size(); ++I)
+    for (size_t J = I + 1; J != Ref.size(); ++J)
+      EXPECT_NE(Ref[I], Ref[J]) << "variants " << I << " and " << J;
+
+  obs::MetricsRegistry Reg;
+  Server Srv(testConfig(&Reg), corpus().Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+  uint64_t Sid = Srv.openSession("acme").SessionId;
+  for (int Round = 0; Round != 2; ++Round)
+    for (size_t I = 0; I != Variants.size(); ++I) {
+      QueryOutcome R = Srv.execute(Sid, knobQuery(Variants[I]));
+      ASSERT_TRUE(R.Ok);
+      EXPECT_EQ(R.Rows, Ref[I].first) << "variant " << I;
+      EXPECT_EQ(R.Digest, Ref[I].second) << "variant " << I;
+    }
+  EXPECT_EQ(Srv.planCache().size(), Variants.size());
+  EXPECT_EQ(planCounter(Reg, "misses"), Variants.size());
+  EXPECT_EQ(planCounter(Reg, "hits"), Variants.size());
+}
+
+TEST(Serve, PlanCacheMissesWhenScannedColumnMoves) {
+  db::Catalog Cat;
+  db::Table &T = Cat.create("t");
+  db::Column &A = T.addColumn("a", db::ColType::I64);
+  db::Column &B = T.addColumn("b", db::ColType::I64);
+  int64_t Rows = 0;
+  auto Append = [&] {
+    A.pushI64(Rows);
+    B.pushI64(Rows * 7 % 13);
+    ++Rows;
+  };
+  while (Rows != 100)
+    Append();
+  auto MakeQuery = [] {
+    db::Query Q;
+    Q.Name = "moved";
+    Q.Root = db::filter(db::scan("t"), db::gt(db::col("b"), db::litI64(5)));
+    Q.Output.push_back(db::col("a"));
+    return Q;
+  };
+
+  obs::MetricsRegistry Reg;
+  Server Srv(testConfig(&Reg), Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+  uint64_t Sid = Srv.openSession("acme").SessionId;
+  QueryOutcome R1 = Srv.execute(Sid, MakeQuery());
+  ASSERT_TRUE(R1.Ok);
+  ASSERT_TRUE(Srv.execute(Sid, MakeQuery()).Ok);
+  EXPECT_EQ(planCounter(Reg, "hits"), 1u);
+
+  // Grow the table until column a's storage reallocates: the cached plan
+  // still points at the old array and must not run again.
+  const void *Old = A.raw();
+  while (A.raw() == Old)
+    Append();
+  std::pair<uint64_t, uint64_t> Ref = freshRun(MakeQuery(), Cat);
+
+  QueryOutcome R2 = Srv.execute(Sid, MakeQuery());
+  ASSERT_TRUE(R2.Ok);
+  EXPECT_EQ(planCounter(Reg, "misses"), 2u);
+  EXPECT_EQ(planCounter(Reg, "hits"), 1u);
+  EXPECT_GT(R2.Rows, R1.Rows);
+  EXPECT_EQ(R2.Rows, Ref.first);
+  EXPECT_EQ(R2.Digest, Ref.second);
+  EXPECT_EQ(Srv.planCache().size(), 1u); // The stale entry was replaced.
+}
+
+TEST(Serve, PlanCacheSharedByConcurrentSessions) {
+  obs::MetricsRegistry Reg;
+  ServerConfig Cfg = testConfig(&Reg);
+  Cfg.Admission.Slots = 2;
+  Server Srv(Cfg, corpus().Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+  const db::Query &Q = corpus().Queries[0];
+  std::pair<uint64_t, uint64_t> Ref = freshRun(Q, corpus().Cat);
+
+  constexpr unsigned Sessions = 2, PerSession = 120;
+  std::atomic<unsigned> Correct{0};
+  std::vector<std::thread> Threads;
+  for (unsigned S = 0; S != Sessions; ++S)
+    Threads.emplace_back([&] {
+      uint64_t Sid = Srv.openSession("acme").SessionId;
+      for (unsigned I = 0; I != PerSession; ++I) {
+        QueryOutcome R = Srv.execute(Sid, Q);
+        if (R.Ok && R.Rows == Ref.first && R.Digest == Ref.second)
+          Correct.fetch_add(1, std::memory_order_relaxed);
+      }
+      Srv.closeSession(Sid);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(Correct.load(), Sessions * PerSession);
+  // Both sessions may miss on their first request; every later one hits.
+  EXPECT_LE(planCounter(Reg, "misses"), uint64_t(Sessions));
+  EXPECT_EQ(planCounter(Reg, "hits") + planCounter(Reg, "misses"),
+            uint64_t(Sessions * PerSession));
+  EXPECT_EQ(Srv.planCache().size(), 1u);
+}
+
+TEST(Serve, PlanCacheEvictsLruWithinByteCeiling) {
+  // Copies of one query under names of one length lower to plans of one
+  // footprint, so a ceiling of three of them holds exactly three.
+  const db::Catalog &Cat = corpus().Cat;
+  std::vector<db::Query> Qs;
+  for (const char *Name : {"qa", "qb", "qc", "qd"}) {
+    std::vector<db::Query> Suite = db::tpchQueries();
+    Suite[0].Name = Name;
+    Qs.push_back(std::move(Suite[0]));
+  }
+  uint64_t One;
+  {
+    obs::MetricsRegistry Reg;
+    PlanCache Probe(~0ull, Reg);
+    Probe.get(Qs[0], Cat);
+    One = Probe.bytes();
+  }
+
+  obs::MetricsRegistry Reg;
+  PlanCache PC(3 * One, Reg);
+  // \returns whether the lookup hit.
+  auto Touch = [&](size_t I) {
+    uint64_t Before = planCounter(Reg, "hits");
+    PC.get(Qs[I], Cat);
+    EXPECT_LE(Reg.snapshot().gauge("serve.plan_cache.bytes"),
+              int64_t(3 * One));
+    return planCounter(Reg, "hits") == Before + 1;
+  };
+  EXPECT_FALSE(Touch(0));
+  EXPECT_FALSE(Touch(1));
+  EXPECT_FALSE(Touch(2)); // LRU order, newest first: c b a
+  EXPECT_TRUE(Touch(0));  // a c b
+  EXPECT_FALSE(Touch(3)); // Evicts b: d a c
+  EXPECT_EQ(planCounter(Reg, "evictions"), 1u);
+  EXPECT_TRUE(Touch(2));  // c d a
+  EXPECT_TRUE(Touch(0));  // a c d
+  EXPECT_FALSE(Touch(1)); // Evicts d: b a c
+  EXPECT_FALSE(Touch(3)); // Evicts c: d b a
+  EXPECT_TRUE(Touch(0));
+  EXPECT_EQ(planCounter(Reg, "evictions"), 3u);
+  EXPECT_EQ(PC.size(), 3u);
+  EXPECT_EQ(PC.bytes(), 3 * One);
+
+  // A server's cache publishes the same gauge under its fixed ceiling.
+  obs::MetricsRegistry SrvReg;
+  Server Srv(testConfig(&SrvReg), Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+  uint64_t Sid = Srv.openSession("acme").SessionId;
+  for (const db::Query &Q : corpus().Queries)
+    ASSERT_TRUE(Srv.execute(Sid, Q).Ok) << Q.Name;
+  int64_t Bytes = SrvReg.snapshot().gauge("serve.plan_cache.bytes");
+  EXPECT_GT(Bytes, 0);
+  EXPECT_EQ(uint64_t(Bytes), Srv.planCache().bytes());
+  EXPECT_LE(uint64_t(Bytes), PlanCache::ServerMaxBytes);
+  EXPECT_EQ(Srv.planCache().size(), corpus().Queries.size());
 }
