@@ -3,12 +3,14 @@
 // Part of the QCF project. google-benchmark micro-benchmarks for the
 // substrates whose costs the paper reasons about: the x86-64 encoder
 // (DirectEmit's branch-minimizing design), the register-allocation B-tree
-// (§VI-C3), the join hash table, and the hash primitives (§III-A).
+// (§VI-C3), the join hash table, string equality, and the hash primitives
+// (§III-A).
 //
 //===----------------------------------------------------------------------===//
 
 #include "craneline/BTree.h"
 #include "runtime/HashTable.h"
+#include "runtime/StringVal.h"
 #include "support/Hash.h"
 #include "support/MemContext.h"
 #include "x64/Asm.h"
@@ -62,6 +64,52 @@ static void BM_HashTableBuildProbe(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 2048);
 }
 BENCHMARK(BM_HashTableBuildProbe);
+
+// Create and destroy an empty table: the directory and chunk-pointer
+// allocation every join and aggregation pays once per query.
+static void BM_HashTableCreate(benchmark::State &State) {
+  uint64_t Expected = static_cast<uint64_t>(State.range(0));
+  for (auto _ : State) {
+    rt::HashTable Ht(Expected, 16);
+    benchmark::DoNotOptimize(Ht.lookup(0));
+  }
+}
+BENCHMARK(BM_HashTableCreate)->Arg(1 << 10)->Arg(96 << 10)->Arg(1 << 20);
+
+// rt::stringEq on 64 pairs per iteration. Case 0: inline, equal. Case 1:
+// inline, different in the last byte. Case 2: long, equal bytes behind
+// distinct pointers.
+static void BM_StringEq(benchmark::State &State) {
+  static const char InlineA[] = "ORDER-PRIO-1", InlineB[] = "ORDER-PRIO-2";
+  static const char LongA[] = "Customer#000012345 furiously",
+                    LongB[] = "Customer#000012345 furiously";
+  rt::StringVal A, B;
+  switch (State.range(0)) {
+  case 0:
+    A = rt::StringVal::makeRef(InlineA, 12);
+    B = rt::StringVal::makeRef(InlineA, 12);
+    break;
+  case 1:
+    A = rt::StringVal::makeRef(InlineA, 12);
+    B = rt::StringVal::makeRef(InlineB, 12);
+    break;
+  default:
+    A = rt::StringVal::makeRef(LongA, sizeof(LongA) - 1);
+    B = rt::StringVal::makeRef(LongB, sizeof(LongB) - 1);
+    break;
+  }
+  for (auto _ : State) {
+    uint64_t Equal = 0;
+    for (int I = 0; I != 64; ++I) {
+      benchmark::DoNotOptimize(A);
+      benchmark::DoNotOptimize(B);
+      Equal += rt::stringEq(A, B);
+    }
+    benchmark::DoNotOptimize(Equal);
+  }
+  State.SetItemsProcessed(State.iterations() * 64);
+}
+BENCHMARK(BM_StringEq)->Arg(0)->Arg(1)->Arg(2);
 
 static void BM_HashPrimitives(benchmark::State &State) {
   uint64_t X = 0x1234567887654321ull;

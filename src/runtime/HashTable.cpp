@@ -5,10 +5,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HashTable.h"
+#include <cstdlib>
 #include <cstring>
 
 using namespace qcf;
 using namespace qcf::rt;
+
+template <typename T> static T *allocZeroed(uint64_t N) {
+  void *P = std::calloc(N, sizeof(T));
+  if (QCF_UNLIKELY(!P))
+    reportFatalError("hash table allocation failed");
+  return static_cast<T *>(P);
+}
 
 static uint64_t roundUpPow2(uint64_t V) {
   if (V < 2)
@@ -21,29 +29,26 @@ HashTable::HashTable(uint64_t ExpectedEntries, uint32_t PayloadBytes)
       EntryBytes((HeaderBytes + PayloadBytes + 7) & ~7u) {
   uint64_t NumBuckets = roundUpPow2(ExpectedEntries * 2 + 64);
   Mask = NumBuckets - 1;
-  Buckets = new std::atomic<EntryHeader *>[NumBuckets];
-  for (uint64_t I = 0; I != NumBuckets; ++I)
-    Buckets[I].store(nullptr, std::memory_order_relaxed);
+  Buckets = allocZeroed<EntryHeader *>(NumBuckets);
 
   // Enough chunk slots for 8x the expectation; chains make overflow
   // gradual rather than fatal, but the slot array itself is fixed.
   MaxChunks = (ExpectedEntries * 8) / ChunkEntries + 16;
-  Chunks = new std::atomic<char *>[MaxChunks];
-  for (uint64_t I = 0; I != MaxChunks; ++I)
-    Chunks[I].store(nullptr, std::memory_order_relaxed);
+  Chunks = allocZeroed<char *>(MaxChunks);
 }
 
 HashTable::~HashTable() {
   for (uint64_t I = 0; I != MaxChunks; ++I)
-    delete[] Chunks[I].load(std::memory_order_relaxed);
-  delete[] Chunks;
-  delete[] Buckets;
+    delete[] Chunks[I];
+  std::free(Chunks);
+  std::free(Buckets);
 }
 
 char *HashTable::entrySlot(uint64_t Index) const {
   uint64_t ChunkIdx = Index / ChunkEntries;
   uint64_t Offset = (Index % ChunkEntries) * EntryBytes;
-  char *Chunk = Chunks[ChunkIdx].load(std::memory_order_acquire);
+  char *Chunk =
+      std::atomic_ref(Chunks[ChunkIdx]).load(std::memory_order_acquire);
   assert(Chunk && "entry chunk not allocated");
   return Chunk + Offset;
 }
@@ -57,11 +62,12 @@ HashTable::EntryHeader *HashTable::allocateEntry(uint64_t Hash, bool Atomic) {
   uint64_t ChunkIdx = Index / ChunkEntries;
   if (QCF_UNLIKELY(ChunkIdx >= MaxChunks))
     reportFatalError("hash table exceeded its chunk capacity");
-  if (!Chunks[ChunkIdx].load(std::memory_order_acquire)) {
+  std::atomic_ref ChunkRef(Chunks[ChunkIdx]);
+  if (!ChunkRef.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> Lock(ChunkLock);
-    if (!Chunks[ChunkIdx].load(std::memory_order_relaxed)) {
+    if (!ChunkRef.load(std::memory_order_relaxed)) {
       char *Chunk = new char[static_cast<size_t>(ChunkEntries) * EntryBytes];
-      Chunks[ChunkIdx].store(Chunk, std::memory_order_release);
+      ChunkRef.store(Chunk, std::memory_order_release);
     }
   }
 
@@ -75,7 +81,7 @@ HashTable::EntryHeader *HashTable::allocateEntry(uint64_t Hash, bool Atomic) {
 
 void *HashTable::insert(uint64_t Hash) {
   EntryHeader *E = allocateEntry(Hash, /*Atomic=*/false);
-  std::atomic<EntryHeader *> &Bucket = Buckets[Hash & Mask];
+  std::atomic_ref Bucket(Buckets[Hash & Mask]);
   E->Next = Bucket.load(std::memory_order_relaxed);
   Bucket.store(E, std::memory_order_relaxed);
   return reinterpret_cast<char *>(E) + HeaderBytes;
@@ -83,7 +89,7 @@ void *HashTable::insert(uint64_t Hash) {
 
 void *HashTable::insertAtomic(uint64_t Hash) {
   EntryHeader *E = allocateEntry(Hash, /*Atomic=*/true);
-  std::atomic<EntryHeader *> &Bucket = Buckets[Hash & Mask];
+  std::atomic_ref Bucket(Buckets[Hash & Mask]);
   EntryHeader *Head = Bucket.load(std::memory_order_acquire);
   do {
     E->Next = Head;
@@ -93,7 +99,8 @@ void *HashTable::insertAtomic(uint64_t Hash) {
 }
 
 void *HashTable::lookup(uint64_t Hash) const {
-  EntryHeader *E = Buckets[Hash & Mask].load(std::memory_order_acquire);
+  EntryHeader *E =
+      std::atomic_ref(Buckets[Hash & Mask]).load(std::memory_order_acquire);
   while (E && E->Hash != Hash)
     E = E->Next;
   return E;

@@ -78,8 +78,11 @@ private:
   uint32_t PayloadBytes;
   uint32_t EntryBytes;
   uint64_t Mask = 0;
-  std::atomic<EntryHeader *> *Buckets = nullptr;
-  std::atomic<char *> *Chunks = nullptr;
+  // Both arrays are calloc'd, so each is zeroed at most once (a block glibc
+  // mmaps comes back from the kernel already zeroed). Concurrent accesses
+  // go through std::atomic_ref.
+  EntryHeader **Buckets = nullptr;
+  char **Chunks = nullptr;
   uint64_t MaxChunks = 0;
   std::atomic<uint64_t> Count{0};
   std::mutex ChunkLock;

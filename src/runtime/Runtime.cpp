@@ -66,7 +66,13 @@ extern "C" uint64_t rt_str_contains(StringVal Hay, StringVal Needle) {
 extern "C" uint64_t rt_str_prefix(StringVal S, StringVal Prefix) {
   if (Prefix.Len > S.Len)
     return 0;
-  return std::memcmp(S.data(), Prefix.data(), Prefix.Len) == 0;
+  // Both values hold their first min(Len, 4) bytes in the prefix word.
+  if (Prefix.Len <= 4) {
+    uint32_t Mask = Prefix.Len ? ~uint32_t(0) >> (8 * (4 - Prefix.Len)) : 0;
+    return ((S.prefixWord() ^ Prefix.prefixWord()) & Mask) == 0;
+  }
+  return S.prefixWord() == Prefix.prefixWord() &&
+         std::memcmp(S.data() + 4, Prefix.data() + 4, Prefix.Len - 4) == 0;
 }
 
 extern "C" uint64_t rt_str_hash(StringVal S) { return stringHash(S); }

@@ -75,7 +75,8 @@ struct StringVal {
   }
 
   /// Builds a StringVal referencing \p Data (which must outlive the value
-  /// if longer than 12 bytes).
+  /// if longer than 12 bytes). An inline value's bytes past \p Len are
+  /// zero; stringEq relies on it (see there).
   static StringVal makeRef(const char *Bytes, uint32_t Len) {
     StringVal S;
     S.Len = Len;
@@ -93,12 +94,19 @@ struct StringVal {
 
 static_assert(sizeof(StringVal) == 16, "StringVal must be 16 bytes");
 
-/// Full comparison helpers (runtime-call implementations live in
-/// StringOps.cpp and are exported with C linkage for compiled code).
+/// Equality contract. makeRef zero-pads an inline string's unused bytes,
+/// and every producer (tables, constants, concat, substr, output copies)
+/// builds its values through makeRef, so two equal inline strings have
+/// equal bytes 0-15. stringEq compares bytes 0-7 (length and prefix) as
+/// one word; for an inline string it then compares bytes 8-15 as a second
+/// word. Only a long string whose first word matches reaches memcmp, on
+/// data bytes 4..Len-1.
 inline bool stringEq(const StringVal &A, const StringVal &B) {
-  if (A.Len != B.Len || A.prefixWord() != B.prefixWord())
+  if (A.lo() != B.lo())
     return false;
-  return std::memcmp(A.data(), B.data(), A.Len) == 0;
+  if (A.isInline())
+    return A.hi() == B.hi();
+  return std::memcmp(A.Data + 4, B.Data + 4, A.Len - 4) == 0;
 }
 
 inline int stringCmp(const StringVal &A, const StringVal &B) {

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace qcf;
 using namespace qcf::rt;
@@ -65,6 +67,56 @@ TEST(StringVal, PrefixEarlyOut) {
   EXPECT_FALSE(stringEq(A, B));
 }
 
+// Every (A, B) pair the equality tests below compare: lengths 0-24, a
+// one-byte difference at each position (prefix bytes, inline rest, the
+// 12/13 boundary, long tails), equal bytes behind distinct pointers, and a
+// shared pointer. Long values point into the strings, which stay alive.
+struct StringPairs {
+  std::vector<std::string> Storage;
+  std::vector<std::pair<size_t, size_t>> Pairs;
+
+  StringPairs() {
+    Storage.reserve(1024); // stable addresses for the long values
+    for (uint32_t Len = 0; Len <= 24; ++Len) {
+      std::string Base;
+      for (uint32_t I = 0; I != Len; ++I)
+        Base.push_back(static_cast<char>('a' + (I * 7) % 26));
+      size_t B = add(Base);
+      Pairs.push_back({B, B});          // shared pointer
+      Pairs.push_back({B, add(Base)});  // equal bytes, distinct pointer
+      for (uint32_t Pos = 0; Pos != Len; ++Pos) {
+        std::string D = Base;
+        D[Pos] = static_cast<char>(D[Pos] ^ 0x20);
+        Pairs.push_back({B, add(D)});
+      }
+      if (Len != 0) // same bytes up to a length difference
+        Pairs.push_back({B, add(Base.substr(0, Len - 1))});
+    }
+  }
+  size_t add(std::string S) {
+    Storage.push_back(std::move(S));
+    return Storage.size() - 1;
+  }
+  StringVal val(size_t I) const {
+    return StringVal::makeRef(Storage[I].data(),
+                              static_cast<uint32_t>(Storage[I].size()));
+  }
+};
+
+TEST(StringVal, EqualityMatchesBytewiseReference) {
+  StringPairs P;
+  ASSERT_LE(P.Storage.size(), 1024u);
+  for (auto [IA, IB] : P.Pairs) {
+    const std::string &SA = P.Storage[IA], &SB = P.Storage[IB];
+    bool Ref = SA.size() == SB.size() &&
+               std::memcmp(SA.data(), SB.data(), SA.size()) == 0;
+    StringVal A = P.val(IA), B = P.val(IB);
+    EXPECT_EQ(stringEq(A, B), Ref) << '"' << SA << "\" vs \"" << SB << '"';
+    EXPECT_EQ(stringEq(B, A), Ref) << '"' << SB << "\" vs \"" << SA << '"';
+    EXPECT_EQ(rt_str_eq(A, B), uint64_t(Ref)) << SA << " vs " << SB;
+  }
+}
+
 TEST(RtString, ContainsAndPrefix) {
   StringVal Hay = StringVal::makeRef("the quick brown fox", 19);
   EXPECT_EQ(rt_str_contains(Hay, StringVal::makeRef("quick", 5)), 1u);
@@ -105,6 +157,28 @@ TEST(RtString, HashConsistentWithHost) {
   StringVal S = StringVal::makeRef("lineitem", 8);
   EXPECT_EQ(rt_str_hash(S), stringHash(S));
   EXPECT_NE(rt_str_hash(S), rt_str_hash(StringVal::makeRef("lineitems", 9)));
+}
+
+TEST(RuntimeCAbi, StrPrefixMatchesReference) {
+  std::string Hay = "abcdefghijklmnopqrstuvwx";
+  Arena Mem;
+  for (uint32_t HayLen = 0; HayLen <= 16; ++HayLen) {
+    StringVal S = StringVal::makeRef(Hay.data(), HayLen);
+    for (uint32_t PLen = 0; PLen <= 16; ++PLen) {
+      // The prefix itself, and the prefix with each byte flipped, from
+      // separate storage so long prefixes never share S's pointer.
+      for (int32_t Flip = -1; Flip < static_cast<int32_t>(PLen); ++Flip) {
+        auto *Bytes = static_cast<char *>(rt_arena_alloc(&Mem, PLen + 1));
+        std::memcpy(Bytes, Hay.data(), PLen);
+        if (Flip >= 0)
+          Bytes[Flip] = static_cast<char>(Bytes[Flip] ^ 0x20);
+        StringVal P = StringVal::makeRef(Bytes, PLen);
+        bool Ref = PLen <= HayLen && std::memcmp(Hay.data(), Bytes, PLen) == 0;
+        EXPECT_EQ(rt_str_prefix(S, P), uint64_t(Ref))
+            << "hay " << HayLen << " prefix " << PLen << " flip " << Flip;
+      }
+    }
+  }
 }
 
 // --- HashTable -----------------------------------------------------------------
@@ -199,6 +273,31 @@ TEST(HashTable, AtomicInsertFromThreads) {
     if (!Found)
       break;
   }
+}
+
+TEST(HashTable, LargeDirectoryStartsEmpty) {
+  // The directory of a large table is never touched before the first
+  // insert; it must still read as empty everywhere.
+  constexpr uint64_t Expected = uint64_t(1) << 20;
+  HashTable Ht(Expected, 8);
+  EXPECT_EQ(Ht.numBuckets(), uint64_t(1) << 22); // roundUpPow2(2E + 64)
+  EXPECT_EQ(Ht.count(), 0u);
+  for (uint64_t K = 0; K != 100000; ++K)
+    ASSERT_EQ(Ht.lookup(hashU64(K)), nullptr) << "key " << K;
+  for (uint64_t B = 0; B < Ht.numBuckets(); B += 4093)
+    ASSERT_EQ(Ht.lookup(B), nullptr) << "bucket " << B;
+  ASSERT_EQ(Ht.lookup(Ht.numBuckets() - 1), nullptr);
+  for (uint64_t K = 0; K != 16; ++K)
+    *static_cast<uint64_t *>(Ht.insert(hashU64(K * 7919))) = K;
+  for (uint64_t K = 0; K != 16; ++K) {
+    bool Found = false;
+    for (void *E = Ht.lookup(hashU64(K * 7919)); E;
+         E = HashTable::nextMatch(E, hashU64(K * 7919)))
+      Found |= *reinterpret_cast<uint64_t *>(static_cast<char *>(E) +
+                                             HashTable::HeaderBytes) == K;
+    EXPECT_TRUE(Found) << "key " << K;
+  }
+  EXPECT_EQ(Ht.lookup(hashU64(1)), nullptr);
 }
 
 // --- Traps ---------------------------------------------------------------------
