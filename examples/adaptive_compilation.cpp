@@ -2,45 +2,53 @@
 //
 // Part of the QCF project.
 //
-// Demonstrates the adaptive back-end of §III-C: compilation starts on the
-// low-latency DirectEmit tier; after a function has run a few times, the
-// size heuristic decides whether to recompile it with the optimizing
-// MLVM tier.
+// Demonstrates adaptive execution (§III-C): TPC-H-like h1 starts right
+// away on the low-latency DirectEmit tier while the optimizing tier
+// compiles in the background, and each pipeline swaps to the optimized
+// code at the first morsel boundary after it lands.
+//
+//   ./adaptive_compilation [optimized-backend]   # default MLVM-opt
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/Registry.h"
-#include "qir/Builder.h"
+#include "db/Datagen.h"
+#include "db/Executor.h"
+#include "db/Queries.h"
 #include <cstdio>
 
 using namespace qcf;
-using qir::Type;
+using namespace qcf::db;
 
-int main() {
-  // A largeish arithmetic kernel (passes the size heuristic).
-  qir::Module M;
-  qir::Function *F = M.createFunction("kernel", {Type::I64}, Type::I64);
-  qir::Builder B(F);
-  qir::ValueId Acc = F->paramValue(0);
-  for (int I = 1; I <= 64; ++I) {
-    Acc = B.xor_(B.add(Acc, B.constInt(Type::I64, I * 2654435761ll)),
-                 B.rotr(Acc, B.constInt(Type::I64, I % 63 + 1)));
+int main(int argc, char **argv) {
+  auto Opt = backend::createBackend(argc > 1 ? argv[1] : "MLVM-opt");
+  if (!Opt) {
+    std::fprintf(stderr, "unknown backend %s\n", argv[1]);
+    return 1;
   }
-  B.ret(Acc);
+  // Large enough that the optimizing compile lands mid-query.
+  Catalog Cat;
+  generateTpchLike(Cat, 50.0);
+  std::vector<Query> Queries = tpchQueries();
+  CompiledPlan Plan = compileQuery(Queries.front(), Cat);
 
-  backend::AdaptiveBackend BE;
-  BE.PromoteAfterRuns = 3;
-  auto Compiled = BE.compile(M);
-  auto *AM = static_cast<backend::AdaptiveModule *>(Compiled.get());
-
-  for (int Run = 1; Run <= 5; ++Run) {
-    auto *Fn = Compiled->entryAs<uint64_t (*)(uint64_t)>("kernel");
-    uint64_t R = Fn(42);
-    bool Promoted = AM->noteExecution("kernel");
-    std::printf("run %d: kernel(42) = %016llx  tier=%s%s\n", Run,
-                (unsigned long long)R,
-                AM->isPromoted() ? "MLVM-opt" : "DirectEmit",
-                Promoted ? "  <- promoted now" : "");
+  ExecOptions Opts;
+  Opts.AdaptiveExec = true; // Fast tier: DirectEmit (Opts.FastBackend).
+  Opts.NumThreads = 2;
+  Opts.MorselSize = 1024;
+  rt::OutputBuffer Out;
+  ExecResult R = executeQuery(Plan, *Opt, Cat, &Out, Opts);
+  if (R.Trapped)
+    return 1;
+  std::printf("%s: DirectEmit -> %s, %llu swaps, exec=%.2fms\n",
+              Queries.front().Name.c_str(), Opt->name().c_str(),
+              (unsigned long long)R.Stats.OsrSwaps, R.Stats.ExecNs * 1e-6);
+  for (size_t PI = 0; PI != R.Stats.Pipelines.size(); ++PI) {
+    const PipelineStats &P = R.Stats.Pipelines[PI];
+    std::printf("  pipeline %zu: %5llu morsels fast, %5llu optimized, "
+                "swap at morsel %lld\n",
+                PI, (unsigned long long)P.MorselsFast,
+                (unsigned long long)P.MorselsOpt, (long long)P.SwapMorsel);
   }
   return 0;
 }

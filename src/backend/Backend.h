@@ -120,8 +120,8 @@ public:
   virtual std::vector<tv::TvFunction> tvFunctions() const { return {}; }
 };
 
-/// A compilation back-end. Implementations: interp, direct, craneline,
-/// mlvm (cheap/opt, 3 instruction selectors), gccjit, adaptive.
+/// A compilation back-end. Implementations: interp, stencil, direct,
+/// craneline, mlvm (cheap/opt, 3 instruction selectors), gccjit.
 class Backend {
 public:
   virtual ~Backend() = default;

@@ -11,10 +11,11 @@
 /// compile cheaper (the back-end study) the systems answer is to take
 /// compilation off the query's critical path entirely. The service is the
 /// substrate for that: `CachingBackend` routes misses through it and uses
-/// its tickets for in-flight deduplication, `AdaptiveBackend` submits
-/// optimizing-tier recompiles at Background priority so promotion never
-/// stalls a caller, and `db::executeQuery`'s AsyncCompile mode overlaps
-/// pipeline compilation with execution of upstream pipelines.
+/// its tickets for in-flight deduplication, and `db::executeQuery`
+/// submits through it in two modes: AsyncCompile overlaps pipeline
+/// compilation with execution of upstream pipelines, and AdaptiveExec
+/// compiles the optimized tier at Background priority while the query
+/// runs on the fast one.
 ///
 /// Submitting yields a `CompileTicket` — a small future-like handle that
 /// can be polled, waited on, or cancelled before the job starts. The

@@ -32,13 +32,12 @@ bool TierUp::poll() {
   if (!pending())
     return false;
   std::unique_lock<std::mutex> Lock(Mutex, std::try_to_lock);
-  if (!Lock.owns_lock() || !pending())
+  if (!Lock.owns_lock() || !pending() || !Ticket.done())
     return false;
-  if (std::shared_ptr<CompiledModule> M = Ticket.poll())
-    return settleLocked(std::move(M));
-  if (Ticket.done()) // Cancelled: shed by the service, or shut down.
-    settleLocked(nullptr);
-  return false;
+  // done() must come first: once the job is terminal, poll() is its result,
+  // or null if it was cancelled (shed by the service, or shut down). A
+  // compile landing between a null poll() and a later done() would be lost.
+  return settleLocked(Ticket.poll());
 }
 
 bool TierUp::wait(const qcf::CancelToken *Cancel) {

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The one tier-up primitive (§III-C's adaptive execution): a pending
-/// optimizing compile and the one-shot install of its result. Both users
-/// keep only their policy on top of it — AdaptiveModule decides *when* to
-/// submit (run count and code size) and reads installed() in entry();
-/// the executor's per-pipeline OSR driver decides *when* to publish the
-/// installed code into its TierCell (poll at every morsel pickup, or
-/// block at a forced cutover morsel).
+/// compile and the one-shot install of its result. Its users are the two
+/// executor code sources in db/Executor.cpp: under AdaptiveExec the
+/// per-pipeline OSR driver decides *when* to publish the installed
+/// optimized code into its TierCell (poll at every morsel pickup, or
+/// block at a forced cutover morsel); under AsyncCompile each pipeline
+/// waits for its own unit's compile when it starts.
 ///
 /// Memory ordering: install pins the module in an owned shared_ptr
 /// strictly before the release store that makes installed() non-null,

@@ -187,9 +187,6 @@ public:
     return Insts[Blk.End - 1];
   }
 
-  /// Estimated code size heuristic used by the adaptive back-end.
-  uint32_t sizeHeuristic() const { return numInsts(); }
-
   // Raw storage; the builder and back-ends access these directly for
   // linear traversal.
   std::vector<Inst> Insts;

@@ -14,12 +14,6 @@ using namespace qcf::serve;
 
 namespace {
 
-/// Whole-token unsigned decimal; false on anything else or on overflow.
-bool parseU64(std::string_view S, uint64_t &V) {
-  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
-  return Ec == std::errc() && End == S.data() + S.size();
-}
-
 Request invalid(const char *Why) {
   Request R;
   R.K = Request::Invalid;
@@ -28,6 +22,11 @@ Request invalid(const char *Why) {
 }
 
 } // namespace
+
+bool serve::parseU64(std::string_view S, uint64_t &V) {
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
+  return Ec == std::errc() && End == S.data() + S.size();
+}
 
 Request serve::parseRequest(std::string_view Line) {
   if (Line.size() > MaxRequestLine)

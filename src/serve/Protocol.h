@@ -43,6 +43,10 @@ struct Request {
   const char *Err = nullptr; ///< Invalid: the ERR reason.
 };
 
+/// Whole-token unsigned decimal into \p V; false on anything else or on
+/// overflow. The QCF_SERVE_* environment is read with it too.
+bool parseU64(std::string_view S, uint64_t &V);
+
 /// Parses one request line (without its newline; a trailing '\r' is
 /// dropped). A blank line is Empty; anything malformed is Invalid.
 Request parseRequest(std::string_view Line);

@@ -6,9 +6,12 @@
 
 #include "serve/Server.h"
 #include "backend/Registry.h"
+#include "serve/Protocol.h"
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 namespace qcf::serve {
 
@@ -18,36 +21,87 @@ obs::MetricsRegistry &resolveRegistry(obs::MetricsRegistry *Reg) {
   return Reg ? *Reg : obs::MetricsRegistry::global();
 }
 
-uint64_t envU64(const char *Name, uint64_t Default) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return Default;
-  return std::strtoull(V, nullptr, 10);
+/// Overrides \p V with the decimal in $\p Name times \p Scale (ms -> ns);
+/// unset or empty keeps \p V. \returns false, with \p Err naming the
+/// variable, for anything but a number in [Min, max of T / Scale].
+template <class T>
+bool readEnv(const char *Name, T &V, std::string &Err, uint64_t Min = 0,
+             uint64_t Scale = 1) {
+  const char *S = std::getenv(Name);
+  if (!S || !*S)
+    return true;
+  uint64_t Max = uint64_t(std::numeric_limits<T>::max()) / Scale, N;
+  if (parseU64(S, N) && N >= Min && N <= Max) {
+    V = T(N * Scale);
+    return true;
+  }
+  Err = std::string(Name) + "=\"" + S + "\": expected an integer in [" +
+        std::to_string(Min) + ", " + std::to_string(Max) + "]";
+  return false;
+}
+
+std::unique_ptr<backend::Backend> createInner(const std::string &Name) {
+  std::unique_ptr<backend::Backend> BE = backend::createBackend(Name);
+  assert(BE && "ServerConfig::BackendName names no back-end");
+  return BE;
 }
 
 } // namespace
 
-ServerConfig ServerConfig::fromEnv() {
+std::optional<ServerConfig> ServerConfig::fromEnv(std::string &Err) {
   ServerConfig C;
-  if (const char *BE = std::getenv("QCF_SERVE_BACKEND"))
-    if (*BE)
-      C.BackendName = BE;
-  C.CompileWorkers =
-      unsigned(envU64("QCF_SERVE_COMPILE_WORKERS", C.CompileWorkers));
-  C.CompileQueueCapacity =
-      size_t(envU64("QCF_SERVE_QUEUE_CAP", C.CompileQueueCapacity));
-  C.CacheCapacity = size_t(envU64("QCF_SERVE_CACHE_CAP", C.CacheCapacity));
-  C.Admission.Slots = unsigned(envU64("QCF_SERVE_SLOTS", C.Admission.Slots));
-  C.Admission.MaxWaiters =
-      unsigned(envU64("QCF_SERVE_MAX_WAITERS", C.Admission.MaxWaiters));
-  C.IdleTimeoutNs =
-      envU64("QCF_SERVE_IDLE_TIMEOUT_MS", C.IdleTimeoutNs / 1'000'000) *
-      1'000'000;
-  C.SweepIntervalNs =
-      envU64("QCF_SERVE_SWEEP_MS", C.SweepIntervalNs / 1'000'000) * 1'000'000;
-  C.DefaultDeadlineNs = envU64("QCF_SERVE_DEADLINE_MS", 0) * 1'000'000;
-  C.ExecThreads = unsigned(envU64("QCF_SERVE_EXEC_THREADS", C.ExecThreads));
-  return C;
+  if (const char *BE = std::getenv("QCF_SERVE_BACKEND"); BE && *BE)
+    C.BackendName = BE;
+  std::vector<std::string> Names = backend::allBackendNames();
+  if (std::find(Names.begin(), Names.end(), C.BackendName) == Names.end()) {
+    Err = "QCF_SERVE_BACKEND=\"" + C.BackendName + "\": not a back-end name";
+    return std::nullopt;
+  }
+  constexpr uint64_t Ms = 1'000'000;
+  if (readEnv("QCF_SERVE_COMPILE_WORKERS", C.CompileWorkers, Err) &&
+      readEnv("QCF_SERVE_QUEUE_CAP", C.CompileQueueCapacity, Err) &&
+      readEnv("QCF_SERVE_CACHE_CAP", C.CacheCapacity, Err) &&
+      readEnv("QCF_SERVE_SLOTS", C.Admission.Slots, Err, 1) &&
+      readEnv("QCF_SERVE_MAX_WAITERS", C.Admission.MaxWaiters, Err) &&
+      readEnv("QCF_SERVE_IDLE_TIMEOUT_MS", C.IdleTimeoutNs, Err, 0, Ms) &&
+      readEnv("QCF_SERVE_SWEEP_MS", C.SweepIntervalNs, Err, 1, Ms) &&
+      readEnv("QCF_SERVE_DEADLINE_MS", C.DefaultDeadlineNs, Err, 0, Ms) &&
+      readEnv("QCF_SERVE_EXEC_THREADS", C.ExecThreads, Err))
+    return C;
+  return std::nullopt;
+}
+
+std::optional<TenantList> tenantsFromEnv(std::string &Err) {
+  const char *Spec = std::getenv("QCF_SERVE_TENANTS");
+  if (!Spec || !*Spec)
+    return TenantList{{"default", TenantQuota{}}};
+  TenantList Out;
+  auto Split = [](std::string_view S, char Sep) {
+    std::vector<std::string_view> Parts;
+    size_t P = 0;
+    for (size_t E; (E = S.find(Sep, P)) != std::string_view::npos; P = E + 1)
+      Parts.push_back(S.substr(P, E - P));
+    Parts.push_back(S.substr(P));
+    return Parts;
+  };
+  for (std::string_view Item : Split(Spec, ',')) {
+    std::vector<std::string_view> F = Split(Item, ':');
+    TenantQuota Q;
+    uint64_t *Num[] = {&Q.MaxSessions, &Q.MaxCompileBytes,
+                       &Q.MaxQueuedCompiles};
+    bool Ok = !F[0].empty() && F.size() <= 5 && (F.size() < 5 || F[4] == "bg");
+    for (size_t I = 1; Ok && I < F.size() && I <= 3; ++I)
+      Ok = parseU64(F[I], *Num[I - 1]);
+    if (!Ok || Q.MaxCompileBytes > (UINT64_MAX >> 20)) {
+      Err = "QCF_SERVE_TENANTS: bad entry \"" + std::string(Item) +
+            "\" (want name:max_sessions:max_compile_mb:max_queued[:bg])";
+      return std::nullopt;
+    }
+    Q.MaxCompileBytes <<= 20;
+    Q.Background = F.size() == 5;
+    Out.emplace_back(F[0], Q);
+  }
+  return Out;
 }
 
 Server::TenantState::TenantState(const std::string &Name, const TenantQuota &Q,
@@ -83,7 +137,7 @@ Server::Server(const ServerConfig &Cfg, const db::Catalog &Cat)
       Svc(std::make_unique<backend::CompileService>(
           Cfg.CompileWorkers, Cfg.CompileQueueCapacity, &Reg)),
       Cache(std::make_unique<backend::CachingBackend>(
-          backend::createBackend(Cfg.BackendName), Cfg.CacheCapacity,
+          createInner(Cfg.BackendName), Cfg.CacheCapacity,
           Svc.get(), &Reg, Disk.get())),
       Plans(PlanCache::ServerMaxBytes, Reg), Gate(Cfg.Admission, &Reg),
       SessionsOpenG(Reg.gauge("serve.sessions.open")),

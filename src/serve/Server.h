@@ -38,13 +38,15 @@
 #include "serve/Session.h"
 #include "serve/Tenant.h"
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
 namespace qcf::serve {
 
 /// Server construction knobs; fromEnv() maps the QCF_SERVE_* environment
-/// (documented in README.md) onto this.
+/// (documented in README.md) onto this, or returns nullopt with \p Err
+/// naming the variable whose value does not parse or is out of range.
 struct ServerConfig {
   /// Inner back-end compiled code comes from ("Craneline" default: the
   /// serving sweet spot of compile time vs. code quality).
@@ -70,8 +72,14 @@ struct ServerConfig {
   bool StartSweeper = true; ///< Tests drive evictIdleSessions() manually.
   obs::MetricsRegistry *Reg = nullptr; ///< null = process-wide registry.
 
-  static ServerConfig fromEnv();
+  static std::optional<ServerConfig> fromEnv(std::string &Err);
 };
+
+/// The tenants in QCF_SERVE_TENANTS, "name:max_sessions:max_compile_mb:
+/// max_queued[:bg],..." (unset: one unlimited tenant named "default"), or
+/// nullopt with \p Err for an entry that does not parse.
+using TenantList = std::vector<std::pair<std::string, TenantQuota>>;
+std::optional<TenantList> tenantsFromEnv(std::string &Err);
 
 struct OpenOutcome {
   Admit Outcome = Admit::Ok;

@@ -1,4 +1,4 @@
-//===- tests/BackendTest.cpp - Registry and adaptive back-end tests --------===//
+//===- tests/BackendTest.cpp - Back-end registry and interface tests ------===//
 //
 // Part of the QCF project.
 //
@@ -21,52 +21,8 @@ TEST(Registry, CreatesEveryTableIIIBackend) {
     EXPECT_EQ(B->name(), Name);
   }
   EXPECT_EQ(backend::createBackend("nonsense"), nullptr);
-}
-
-TEST(Adaptive, StartsFastThenPromotes) {
-  // A function large enough to pass the size heuristic.
-  qir::Module M;
-  qir::Function *F = M.createFunction("hot", {Type::I64}, Type::I64);
-  Builder B(F);
-  ValueId Acc = F->paramValue(0);
-  for (int I = 0; I != 60; ++I)
-    Acc = B.xor_(B.add(Acc, B.constInt(Type::I64, I)), Acc);
-  B.ret(Acc);
-  ASSERT_EQ(qir::verify(M), std::nullopt);
-
-  backend::AdaptiveBackend BE;
-  BE.PromoteAfterRuns = 3;
-  BE.PromoteSizeThreshold = 48;
-  auto Compiled = BE.compile(M);
-  auto *AM = static_cast<backend::AdaptiveModule *>(Compiled.get());
-
-  auto Run = [&] {
-    auto *Fn = Compiled->entryAs<uint64_t (*)(uint64_t)>("hot");
-    return Fn(7);
-  };
-  uint64_t Before = Run();
-  EXPECT_FALSE(AM->isPromoted());
-  AM->noteExecution("hot");
-  AM->noteExecution("hot");
-  EXPECT_FALSE(AM->isPromoted());
-  bool Promoted = AM->noteExecution("hot");
-  EXPECT_TRUE(Promoted);
-  EXPECT_TRUE(AM->isPromoted());
-  // Identical results from the optimized tier.
-  EXPECT_EQ(Run(), Before);
-}
-
-TEST(Adaptive, SmallFunctionsStayOnFastTier) {
-  qir::Module M;
-  qir::Function *F = M.createFunction("tiny", {Type::I64}, Type::I64);
-  Builder B(F);
-  B.ret(B.add(F->paramValue(0), B.constInt(Type::I64, 1)));
-  backend::AdaptiveBackend BE;
-  auto Compiled = BE.compile(M);
-  auto *AM = static_cast<backend::AdaptiveModule *>(Compiled.get());
-  for (int I = 0; I != 10; ++I)
-    AM->noteExecution("tiny");
-  EXPECT_FALSE(AM->isPromoted());
+  // Adaptive execution is ExecOptions::AdaptiveExec, not a back-end.
+  EXPECT_EQ(backend::createBackend("Adaptive"), nullptr);
 }
 
 TEST(AllBackends, CorpusDifferentialMatrix) {

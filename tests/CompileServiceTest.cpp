@@ -147,6 +147,99 @@ TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
   EXPECT_EQ(Svc.stats().JobsCancelled, 1u);
 }
 
+/// A job that is already running cannot be cancelled: destroying its
+/// TierUp blocks until the compile returns, so the worker never touches a
+/// module or back-end its submitter has since freed.
+TEST(TierUp, DestroyWhileRunningWaitsJobOut) {
+  GateBackend Gate(createBackend("DirectEmit"));
+  CompileService Svc(1);
+  qir::Module M;
+  buildAffine(M, 2);
+  auto Up = std::make_unique<TierUp>();
+  Up->start(Svc.submit(M, Gate).Ticket);
+  Gate.waitStarted();
+  std::atomic<bool> Destroyed{false};
+  std::thread Destroyer([&] {
+    Up.reset();
+    Destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Destroyed) << "returned while the job was still running";
+  Gate.release();
+  Destroyer.join();
+  EXPECT_TRUE(Destroyed);
+  CompileServiceStats S = Svc.stats();
+  EXPECT_EQ(S.JobsCompleted, 1u);
+  EXPECT_EQ(S.JobsCancelled, 0u);
+}
+
+/// A shut-down service compiles on the submitting thread and hands back a
+/// ticket that is already complete; the first poll() installs it.
+TEST(TierUp, ShutDownServiceTicketInstallsOnFirstPoll) {
+  auto BE = createBackend("DirectEmit");
+  CompileService Svc(1);
+  Svc.shutdown();
+  qir::Module M;
+  buildAffine(M, 2);
+  TierUp Up;
+  Up.start(Svc.submit(M, *BE).Ticket);
+  EXPECT_TRUE(Up.poll());
+  EXPECT_FALSE(Up.pending());
+  ASSERT_NE(Up.installed(), nullptr);
+  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+}
+
+/// Pollers race the install while readers load installed(): exactly one
+/// poll() installs, and a reader sees either nothing or the finished
+/// module, never a half-published one.
+TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
+  GateBackend Gate(createBackend("DirectEmit"));
+  CompileService Svc(1);
+  qir::Module M;
+  buildAffine(M, 2);
+  TierUp Up;
+  Up.start(Svc.submit(M, Gate).Ticket);
+  Gate.waitStarted();
+
+  constexpr int Pollers = 4, Readers = 4;
+  std::atomic<int> Installs{0}, Bad{0}, Running{0};
+  CompiledModule *Seen[Readers] = {};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Pollers; ++T)
+    Threads.emplace_back([&] {
+      ++Running;
+      while (Up.pending())
+        if (Up.poll())
+          ++Installs;
+    });
+  for (int T = 0; T != Readers; ++T)
+    Threads.emplace_back([&, T] {
+      ++Running;
+      // Pending ends only after the install, so the last pass sees it.
+      for (bool More = true; More;) {
+        More = Up.pending();
+        CompiledModule *P = Up.installed();
+        if (!P)
+          continue;
+        if ((Seen[T] && P != Seen[T]) ||
+            P->entryAs<int64_t (*)(int64_t)>("f")(5) != 17)
+          ++Bad;
+        Seen[T] = P;
+      }
+    });
+  while (Running != Pollers + Readers)
+    std::this_thread::yield();
+  Gate.release();
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(Installs, 1);
+  EXPECT_EQ(Bad, 0);
+  ASSERT_NE(Up.installed(), nullptr);
+  for (CompiledModule *P : Seen)
+    EXPECT_EQ(P, Up.installed());
+}
+
 TEST(CompileService, CancelBeforeStart) {
   GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));

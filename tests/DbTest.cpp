@@ -275,25 +275,6 @@ TEST(DbIntegration, AllBackendsAgreeOnAllQueries) {
   }
 }
 
-TEST(DbIntegration, AdaptiveBackendRunsQueries) {
-  Catalog &C = tpchCatalog();
-  const Query Q = [&] {
-    for (Query &Cand : tpchQueries())
-      if (Cand.Name == "h6")
-        return std::move(Cand);
-    QCF_UNREACHABLE("h6 missing");
-  }();
-  CompiledPlan Plan = compileQuery(Q, C);
-  auto BE = backend::createBackend("Adaptive");
-  rt::OutputBuffer Out;
-  ASSERT_FALSE(executeQuery(Plan, *BE, C, &Out).Trapped);
-  rt::OutputBuffer Ref;
-  auto IB = backend::createBackend("Interpreter");
-  ASSERT_FALSE(executeQuery(Plan, *IB, C, &Ref).Trapped);
-  EXPECT_TRUE(Ref.equals(Out));
-}
-
-
 TEST(DbExec, H10HandChecked) {
   // Recompute h10 (returned items by customer, top-20) in plain C++.
   Catalog &C = tpchCatalog();

@@ -312,26 +312,6 @@ TEST(ObsCompile, CompileServiceStatsAreARegistryView) {
   }
 }
 
-TEST(ObsCompile, AdaptivePromotionRecordsLatency) {
-  obs::MetricsRegistry Reg;
-  backend::AdaptiveBackend BE;
-  BE.PromoteAfterRuns = 1;
-  BE.PromoteSizeThreshold = 0;
-  qir::Module M = makeModule(7);
-  backend::CompileOptions Opts{obs::ObsContext(nullptr, &Reg)};
-  auto Compiled = BE.compile(M, Opts);
-  auto *AM = static_cast<backend::AdaptiveModule *>(Compiled.get());
-  ASSERT_NE(AM, nullptr);
-  while (!AM->isPromoted())
-    AM->noteExecution("f");
-  obs::MetricsSnapshot S = Reg.snapshot();
-  EXPECT_EQ(S.counter("adaptive.promotions"), 1u);
-  const obs::HistogramSnapshot *H = S.histogram("adaptive.promote.ns");
-  ASSERT_NE(H, nullptr);
-  EXPECT_EQ(H->Count, 1u);
-  EXPECT_GT(H->SumNs, 0u);
-}
-
 TEST(ObsCompile, ServiceCarriesObsContextToWorkerThreads) {
   // The sink is bound inside compile() on the worker thread, so slices
   // from service-side compiles land in the submitting query's trace.

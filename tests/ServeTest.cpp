@@ -273,6 +273,54 @@ TEST(ServeProtocol, MalformedRequestsGetTypedErrors) {
   EXPECT_EQ(ErrOf("FLY away"), "bad-request");
 }
 
+// Every QCF_SERVE_* value that does not parse or is out of range is an
+// error naming its variable, never a silent 0, a wrapped product or a
+// null back-end.
+TEST(ServeEnv, MalformedValuesNameTheVariable) {
+  auto ErrOf = [](const char *Name, const char *Value) {
+    ::setenv(Name, Value, 1);
+    std::string Err;
+    bool Ok = std::string(Name) == "QCF_SERVE_TENANTS"
+                  ? tenantsFromEnv(Err).has_value()
+                  : ServerConfig::fromEnv(Err).has_value();
+    ::unsetenv(Name);
+    return Ok ? std::string("ok") : Err;
+  };
+  const std::pair<const char *, const char *> Bad[] = {
+      {"QCF_SERVE_BACKEND", "Bogus"},
+      {"QCF_SERVE_BACKEND", "Adaptive"},
+      {"QCF_SERVE_SLOTS", "abc"},
+      {"QCF_SERVE_SLOTS", "0"},
+      {"QCF_SERVE_SLOTS", "4294967296"},
+      {"QCF_SERVE_SWEEP_MS", "0"},
+      {"QCF_SERVE_QUEUE_CAP", "-1"},
+      {"QCF_SERVE_DEADLINE_MS", "18446744073710"},
+      {"QCF_SERVE_IDLE_TIMEOUT_MS", "99999999999999999999999"},
+      {"QCF_SERVE_TENANTS", "acme:x:64:8"},
+      {"QCF_SERVE_TENANTS", "acme:1:17592186044416:8"},
+      {"QCF_SERVE_TENANTS", "acme:1:2:3:fg"},
+      {"QCF_SERVE_TENANTS", ":1:2:3"},
+      {"QCF_SERVE_TENANTS", "acme:1,,batch:2"},
+  };
+  for (auto [Name, Value] : Bad)
+    EXPECT_NE(ErrOf(Name, Value).find(Name), std::string::npos)
+        << Name << "=" << Value;
+  EXPECT_EQ(ErrOf("QCF_SERVE_DEADLINE_MS", "18446744073709"), "ok");
+  EXPECT_EQ(ErrOf("QCF_SERVE_BACKEND", "MLVM-opt"), "ok");
+
+  ::setenv("QCF_SERVE_TENANTS", "acme:100:64:8,batch:20:16:2:bg", 1);
+  std::string Err;
+  auto Tenants = tenantsFromEnv(Err);
+  ::unsetenv("QCF_SERVE_TENANTS");
+  ASSERT_TRUE(Tenants) << Err;
+  ASSERT_EQ(Tenants->size(), 2u);
+  EXPECT_EQ((*Tenants)[0].second.MaxCompileBytes, 64ull << 20);
+  EXPECT_FALSE((*Tenants)[0].second.Background);
+  EXPECT_EQ((*Tenants)[1].first, "batch");
+  EXPECT_EQ((*Tenants)[1].second.MaxQueuedCompiles, 2u);
+  EXPECT_TRUE((*Tenants)[1].second.Background);
+}
+
 //===----------------------------------------------------------------------===//
 // Server: sessions, quotas, lifecycle
 //===----------------------------------------------------------------------===//

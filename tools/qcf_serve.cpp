@@ -28,7 +28,9 @@
 // Tuning comes from the QCF_SERVE_* environment (ServerConfig::fromEnv;
 // knobs documented in README.md). Tenants come from QCF_SERVE_TENANTS:
 // "name:max_sessions:max_compile_mb:max_queued[:bg],..." — unset
-// registers one unlimited tenant named "default".
+// registers one unlimited tenant named "default". A value that does not
+// parse makes the daemon exit with status 2, naming the variable, before
+// it binds the socket.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,48 +65,6 @@ void onSignal(int) {
   // Unblock accept(); close is async-signal-safe.
   if (ListenFdForSignal >= 0)
     ::close(ListenFdForSignal);
-}
-
-/// "name:max_sessions:max_compile_mb:max_queued[:bg],..." -> quotas.
-std::vector<std::pair<std::string, serve::TenantQuota>> parseTenants() {
-  std::vector<std::pair<std::string, serve::TenantQuota>> Out;
-  const char *Spec = std::getenv("QCF_SERVE_TENANTS");
-  if (!Spec || !*Spec) {
-    Out.emplace_back("default", serve::TenantQuota{});
-    return Out;
-  }
-  std::string S = Spec;
-  size_t Pos = 0;
-  while (Pos < S.size()) {
-    size_t End = S.find(',', Pos);
-    if (End == std::string::npos)
-      End = S.size();
-    std::string Item = S.substr(Pos, End - Pos);
-    Pos = End + 1;
-    std::vector<std::string> Fields;
-    size_t FP = 0;
-    while (FP <= Item.size()) {
-      size_t FE = Item.find(':', FP);
-      if (FE == std::string::npos)
-        FE = Item.size();
-      Fields.push_back(Item.substr(FP, FE - FP));
-      FP = FE + 1;
-    }
-    if (Fields.empty() || Fields[0].empty())
-      continue;
-    serve::TenantQuota Q;
-    if (Fields.size() > 1)
-      Q.MaxSessions = std::strtoull(Fields[1].c_str(), nullptr, 10);
-    if (Fields.size() > 2)
-      Q.MaxCompileBytes =
-          std::strtoull(Fields[2].c_str(), nullptr, 10) << 20;
-    if (Fields.size() > 3)
-      Q.MaxQueuedCompiles = std::strtoull(Fields[3].c_str(), nullptr, 10);
-    if (Fields.size() > 4)
-      Q.Background = Fields[4] == "bg";
-    Out.emplace_back(Fields[0], Q);
-  }
-  return Out;
 }
 
 void sendAll(int Fd, const std::string &S) {
@@ -227,23 +187,35 @@ int main(int argc, char **argv) {
       Sock = argv[++I];
   std::string SockPath = Sock && *Sock ? Sock : "./qcf.sock";
 
+  // A malformed environment stops the daemon before it builds or binds
+  // anything.
+  std::string Err;
+  std::optional<serve::ServerConfig> Cfg = serve::ServerConfig::fromEnv(Err);
+  auto Tenants = Cfg ? serve::tenantsFromEnv(Err) : std::nullopt;
+  double Sf = 0.1;
+  if (const char *E = std::getenv("QCF_SERVE_SF"); E && *E) {
+    char *End = nullptr;
+    Sf = std::strtod(E, &End);
+    if (Err.empty() && (*End || !(Sf > 0)))
+      Err = std::string("QCF_SERVE_SF=\"") + E + "\": expected a number > 0";
+  }
+  if (!Err.empty()) {
+    std::fprintf(stderr, "qcf_serve: %s\n", Err.c_str());
+    return 2;
+  }
+
   // The corpus the daemon serves: TPC-H-like schema and queries. Column
   // addresses are baked into generated code, so the catalog is built
   // once and outlives everything.
   static db::Catalog Cat;
-  double Sf = 0.1;
-  if (const char *E = std::getenv("QCF_SERVE_SF"))
-    if (*E)
-      Sf = std::strtod(E, nullptr);
   db::generateTpchLike(Cat, Sf);
   static std::vector<db::Query> QueryStore = db::tpchQueries();
   std::map<std::string, const db::Query *> Queries;
   for (const db::Query &Q : QueryStore)
     Queries.emplace(Q.Name, &Q);
 
-  serve::ServerConfig Cfg = serve::ServerConfig::fromEnv();
-  serve::Server Srv(Cfg, Cat);
-  for (const auto &[Name, Quota] : parseTenants())
+  serve::Server Srv(*Cfg, Cat);
+  for (const auto &[Name, Quota] : *Tenants)
     Srv.registerTenant(Name, Quota);
 
   ::unlink(SockPath.c_str());
@@ -271,8 +243,8 @@ int main(int argc, char **argv) {
 
   std::printf("qcf_serve: %s backend, %u compile workers, %u slots, "
               "listening on %s\n",
-              Cfg.BackendName.c_str(), Cfg.CompileWorkers,
-              Cfg.Admission.Slots, SockPath.c_str());
+              Cfg->BackendName.c_str(), Cfg->CompileWorkers,
+              Cfg->Admission.Slots, SockPath.c_str());
   std::fflush(stdout);
 
   std::vector<std::thread> Connections;

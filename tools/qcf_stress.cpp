@@ -17,9 +17,8 @@
 //
 // `./qcf_stress --async-compile [rounds]` instead soaks the concurrent
 // compilation stack: each round hammers a service-backed CachingBackend
-// from several threads (asserting exactly-one-compile-per-key) and races
-// AdaptiveBackend tier promotion against execution, differentially
-// against the interpreter.
+// from several threads, asserting exactly-one-compile-per-key and
+// interpreter-identical results.
 //
 // `./qcf_stress --code-cache [rounds]` soaks the persistent disk cache in
 // $QCF_CODE_CACHE: thread storms of store/load over a deterministic
@@ -116,8 +115,8 @@ struct CountingBackend : backend::Backend {
 };
 
 /// One soak round: thread-storm a service-backed cache over K random
-/// modules, then race adaptive promotion against execution. \returns the
-/// number of violations (printed as they are found).
+/// modules. \returns the number of violations (printed as they are
+/// found).
 uint64_t asyncCompileRound(uint64_t Round) {
   constexpr int NumModules = 6, NumThreads = 4, Lookups = 20;
   uint64_t Violations = 0;
@@ -151,7 +150,7 @@ uint64_t asyncCompileRound(uint64_t Round) {
 
   backend::CompileService Svc(2);
 
-  // Phase 1: cache dedup under a thread storm.
+  // Cache dedup under a thread storm.
   {
     auto Counting =
         std::make_unique<CountingBackend>(backend::createBackend("DirectEmit"));
@@ -200,50 +199,11 @@ uint64_t asyncCompileRound(uint64_t Round) {
     }
   }
 
-  // Phase 2: adaptive promotion racing execution, differential.
-  {
-    backend::AdaptiveBackend BE(&Svc);
-    BE.PromoteAfterRuns = 2;
-    BE.PromoteSizeThreshold = 1;
-    int K = static_cast<int>(Round % NumModules);
-    auto Compiled = BE.compile(*Mods[K]);
-    auto *AM = static_cast<backend::AdaptiveModule *>(Compiled.get());
-
-    std::atomic<uint64_t> Bad{0};
-    std::vector<std::thread> Threads;
-    for (int T = 0; T != NumThreads; ++T)
-      Threads.emplace_back([&] {
-        for (int R = 0; R != 10; ++R) {
-          void *E = AM->entry("rand");
-          for (size_t J = 0; J != Inputs.size(); ++J)
-            if (!(invoke(E, Inputs[J].first, Inputs[J].second) ==
-                  Expected[K][J]))
-              ++Bad;
-          AM->noteExecution("rand");
-        }
-      });
-    for (std::thread &T : Threads)
-      T.join();
-    AM->waitForPromotion();
-    for (size_t J = 0; J != Inputs.size(); ++J)
-      if (!(invoke(AM->entry("rand"), Inputs[J].first, Inputs[J].second) ==
-            Expected[K][J]))
-        ++Bad;
-    if (Bad.load()) {
-      std::fprintf(stderr,
-                   "round %llu: %llu mismatches across tier swap (seed %llu)\n",
-                   static_cast<unsigned long long>(Round),
-                   static_cast<unsigned long long>(Bad.load()),
-                   static_cast<unsigned long long>(Round * NumModules + K));
-      Violations += Bad.load();
-    }
-  }
   return Violations;
 }
 
 int runAsyncCompileSoak(uint64_t Rounds) {
-  std::printf("async-compile soak: %llu rounds (cache dedup storm + racing "
-              "adaptive promotion)\n",
+  std::printf("async-compile soak: %llu rounds (cache dedup storm)\n",
               static_cast<unsigned long long>(Rounds));
   uint64_t Violations = 0;
   for (uint64_t Round = 0; Round != Rounds; ++Round) {
