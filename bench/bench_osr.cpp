@@ -13,9 +13,9 @@
 // (OsrForceSwapMorsel) over pre-warmed, cached compiles, so the measured
 // times isolate the cutover mechanism itself (morsel loop, entry reload,
 // swap probe, stall at the forced boundary) from compile-resource
-// contention — on this 1-core VM a concurrent optimizing compile steals
-// cycles from whatever it overlaps with, which bench_async_compile
-// already prices. Per query and boundary K:
+// contention, which is excluded by design: a concurrent optimizing
+// compile steals cycles from whatever it overlaps with on a loaded host.
+// Per query and boundary K:
 //
 //   allFast     = adaptive run forced past the end (never swaps)
 //   allOpt      = adaptive run forced at K=0 (everything optimized)

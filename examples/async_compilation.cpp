@@ -2,23 +2,20 @@
 //
 // Part of the QCF project.
 //
-// Shows the three ways compilation comes off the critical path:
+// Shows two ways compilation comes off the critical path:
 //
 //   1. raw CompileService tickets — submit modules, poll or wait;
 //   2. a service-backed CachingBackend — concurrent misses on one key
-//      deduplicate onto a single in-flight job;
-//   3. db::executeQuery with ExecOptions::AsyncCompile — per-pipeline
-//      compilation overlapped with execution of upstream pipelines.
+//      deduplicate onto a single in-flight job.
+//
+// Queries take compilation off their critical path through
+// ExecOptions::AdaptiveExec; examples/adaptive_compilation.cpp shows it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/Registry.h"
-#include "db/Codegen.h"
-#include "db/Datagen.h"
-#include "db/Executor.h"
-#include "db/Queries.h"
 #include "qir/Builder.h"
 #include <cstdio>
 #include <thread>
@@ -58,23 +55,6 @@ int main() {
               (unsigned long long)CS.Misses,
               (unsigned long long)CS.InFlightWaits,
               (unsigned long long)(CS.Hits - CS.InFlightWaits));
-
-  // --- 3. Async query execution -------------------------------------------
-  db::Catalog Cat;
-  db::generateTpchLike(Cat, 0.1);
-  std::vector<db::Query> Queries = db::tpchQueries();
-  db::CompiledPlan Plan = db::compileQuery(Queries.front(), Cat);
-
-  db::ExecOptions Opts;
-  Opts.AsyncCompile = true;
-  Opts.Service = &Svc;
-  rt::OutputBuffer Out;
-  auto BE = backend::createBackend("MLVM-cheap");
-  db::ExecResult R = db::executeQuery(Plan, *BE, Cat, &Out, Opts);
-  std::printf("query '%s': %zu pipelines, stalled %.3f ms on compilation, "
-              "ran %.3f ms\n",
-              Plan.QueryName.c_str(), Plan.Pipelines.size(),
-              R.Stats.AsyncStallNs * 1e-6, R.Stats.ExecNs * 1e-6);
 
   backend::CompileServiceStats S = Svc.stats();
   std::printf("service: %llu jobs queued, %llu completed, queue high-water "

@@ -11,11 +11,9 @@
 /// compile cheaper (the back-end study) the systems answer is to take
 /// compilation off the query's critical path entirely. The service is the
 /// substrate for that: `CachingBackend` routes misses through it and uses
-/// its tickets for in-flight deduplication, and `db::executeQuery`
-/// submits through it in two modes: AsyncCompile overlaps pipeline
-/// compilation with execution of upstream pipelines, and AdaptiveExec
-/// compiles the optimized tier at Background priority while the query
-/// runs on the fast one.
+/// its tickets for in-flight deduplication, and `db::executeQuery` under
+/// AdaptiveExec compiles the optimized tier through it at Background
+/// priority while the query runs on the fast one.
 ///
 /// Submitting yields a `CompileTicket` — a small future-like handle that
 /// can be polled, waited on, or cancelled before the job starts. The

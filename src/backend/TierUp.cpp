@@ -22,12 +22,6 @@ void TierUp::start(CompileTicket T) {
   Pending.store(Ticket.valid(), std::memory_order_release);
 }
 
-bool TierUp::install(std::shared_ptr<CompiledModule> M) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  assert(!pending() && "install over a pending compile");
-  return !installed() && settleLocked(std::move(M));
-}
-
 bool TierUp::poll() {
   if (!pending())
     return false;

@@ -6,17 +6,16 @@
 ///
 /// \file
 /// The one tier-up primitive (§III-C's adaptive execution): a pending
-/// compile and the one-shot install of its result. Its users are the two
-/// executor code sources in db/Executor.cpp: under AdaptiveExec the
-/// per-pipeline OSR driver decides *when* to publish the installed
-/// optimized code into its TierCell (poll at every morsel pickup, or
-/// block at a forced cutover morsel); under AsyncCompile each pipeline
-/// waits for its own unit's compile when it starts.
+/// compile and the one-shot install of its result. Its one user is the
+/// executor's per-pipeline OsrDriver (db/Executor.cpp, AdaptiveExec),
+/// which decides *when* to publish the installed optimized code into its
+/// TierCell: poll at every morsel pickup, or block at a forced cutover
+/// morsel.
 ///
-/// Memory ordering: install pins the module in an owned shared_ptr
-/// strictly before the release store that makes installed() non-null,
-/// so a reader's acquire load observes a fully owned module that lives
-/// as long as this object. The install happens at most once.
+/// Memory ordering: poll()/wait() pin the landed module in an owned
+/// shared_ptr strictly before the release store that makes installed()
+/// non-null, so a reader's acquire load observes a fully owned module
+/// that lives as long as this object. The install happens at most once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,11 +45,6 @@ public:
   /// submit) leaves nothing pending. Only valid while nothing is pending
   /// or installed.
   void start(CompileTicket Ticket);
-
-  /// Installs \p M directly (a synchronous tier-up) unless a module is
-  /// already installed. Only valid while nothing is pending. \returns
-  /// true if this call installed it.
-  bool install(std::shared_ptr<CompiledModule> M);
 
   /// Installs the pending result if it has landed. Never blocks: while
   /// another thread probes or waits, this returns false at once.

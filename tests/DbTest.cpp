@@ -369,62 +369,6 @@ TEST(DbExec, H19HandChecked) {
   EXPECT_EQ(Row[1].I64V, N);
 }
 
-TEST(DbExec, AsyncCompileMatchesBlocking) {
-  // ExecOptions::AsyncCompile slices the plan into per-pipeline modules
-  // and overlaps their compilation with execution; the produced rows must
-  // be byte-identical to blocking mode on every seed query.
-  struct Suite {
-    Catalog *Cat;
-    std::vector<Query> Queries;
-  };
-  Suite Suites[2] = {{&tpchCatalog(), tpchQueries()},
-                     {&tpcdsCatalog(), tpcdsQueries()}};
-  auto BE = backend::createBackend("DirectEmit");
-
-  for (Suite &S : Suites) {
-    for (const Query &Q : S.Queries) {
-      SCOPED_TRACE(Q.Name);
-      CompiledPlan Plan = compileQuery(Q, *S.Cat);
-
-      rt::OutputBuffer Blocking, Async;
-      ExecOptions Sync;
-      ExecOptions As;
-      As.AsyncCompile = true;
-      ASSERT_FALSE(executeQuery(Plan, *BE, *S.Cat, &Blocking, Sync).Trapped);
-      ASSERT_FALSE(executeQuery(Plan, *BE, *S.Cat, &Async, As).Trapped);
-      EXPECT_TRUE(Blocking.equals(Async))
-          << Q.Name << " async/blocking divergence\nblocking:\n"
-          << Blocking.toText().substr(0, 400) << "\nasync:\n"
-          << Async.toText().substr(0, 400);
-    }
-  }
-}
-
-TEST(DbExec, AsyncCompileSharedServiceAndParallelMorsels) {
-  // One external CompileService shared across queries, combined with
-  // morsel-parallel execution — the full concurrent configuration.
-  Catalog &C = tpchCatalog();
-  backend::CompileService Svc(2);
-  auto BE = backend::createBackend("Craneline");
-
-  for (const Query &Q : tpchQueries()) {
-    SCOPED_TRACE(Q.Name);
-    CompiledPlan Plan = compileQuery(Q, C);
-    rt::OutputBuffer Ref, Out;
-    ExecOptions Sync;
-    ASSERT_FALSE(executeQuery(Plan, *BE, C, &Ref, Sync).Trapped);
-
-    ExecOptions As;
-    As.AsyncCompile = true;
-    As.Service = &Svc;
-    As.NumThreads = 4;
-    As.MorselSize = 256;
-    ASSERT_FALSE(executeQuery(Plan, *BE, C, &Out, As).Trapped);
-    EXPECT_EQ(Ref.unorderedDigest(), Out.unorderedDigest()) << Q.Name;
-  }
-  EXPECT_GT(Svc.stats().JobsCompleted, 0u);
-}
-
 TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
   // Regression pin for the static first-morsel assignment: worker T
   // starts at T * MorselSize without consulting the shared cursor. With
@@ -478,15 +422,15 @@ TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
   }
 }
 
-TEST(DbExec, AsyncCompileTrapAbortsCleanly) {
-  // The trap path under async compilation: an overflow mid-pipeline must
-  // still abort with Trapped set, and the in-flight compile jobs of later
-  // pipelines must be cancelled or finished — never leaked. The query
-  // sorts after aggregation so the plan has multiple pipelines and the
-  // trap fires with tickets still outstanding.
+TEST(DbExec, AdaptiveTrapAbortsCleanly) {
+  // The trap path under adaptive execution: an overflow mid-pipeline must
+  // still abort with Trapped set, and the optimized compiles in flight
+  // must be cancelled or finished, never leaked. The query groups before
+  // its output scan, so the plan has two pipelines and the trap fires
+  // with the second pipeline's compile still outstanding.
   Catalog &C = tpchCatalog();
   Query Q;
-  Q.Name = "overflow_async";
+  Q.Name = "overflow_adaptive";
   std::vector<AggSpec> Aggs;
   AggSpec A;
   A.Kind = AggKind::Sum;
@@ -501,22 +445,35 @@ TEST(DbExec, AsyncCompileTrapAbortsCleanly) {
   Q.Output.push_back(col("boom"));
 
   CompiledPlan Plan = compileQuery(Q, C);
-  auto BE = backend::createBackend("DirectEmit");
-  for (int Round = 0; Round != 3; ++Round) {
-    rt::OutputBuffer Out;
-    ExecOptions As;
-    As.AsyncCompile = true;
-    ExecResult R = executeQuery(Plan, *BE, C, &Out, As);
-    EXPECT_TRUE(R.Trapped) << "overflow must trap in async mode";
-    EXPECT_EQ(R.Trap, rt::TrapCode::Overflow);
+  ASSERT_EQ(Plan.Pipelines.size(), 2u);
+  auto Fast = backend::createBackend("DirectEmit");
+  auto Opt = backend::createBackend("MLVM-opt");
+  backend::CompileService Svc(1);
+  for (int64_t ForceMorsel : {int64_t(-1), int64_t(0)}) {
+    for (int Round = 0; Round != 3; ++Round) {
+      SCOPED_TRACE(testing::Message() << "force " << ForceMorsel << " round "
+                                      << Round);
+      rt::OutputBuffer Out;
+      ExecOptions O;
+      O.AdaptiveExec = true;
+      O.FastBackend = Fast.get();
+      O.Service = &Svc;
+      O.OsrForceSwapMorsel = ForceMorsel;
+      ExecResult R = executeQuery(Plan, *Opt, C, &Out, O);
+      EXPECT_TRUE(R.Trapped) << "overflow must trap in adaptive mode";
+      EXPECT_EQ(R.Trap, rt::TrapCode::Overflow);
+    }
   }
+  Svc.drain();
+  backend::CompileServiceStats S = Svc.stats();
+  EXPECT_EQ(S.JobsQueued, S.JobsCompleted + S.JobsCancelled);
 }
 
 TEST(DbExec, PreFiredTokenCompilesNothingInAnyMode) {
   // A token that fired before the call (an expired deadline, a session
-  // closed while the query waited for admission) must stop blocking,
-  // async and adaptive execution alike before anything compiles or is
-  // submitted to the service.
+  // closed while the query waited for admission) must stop blocking and
+  // adaptive execution alike before anything compiles or is submitted
+  // to the service.
   Catalog &C = tpchCatalog();
   CompiledPlan Plan = compileQuery(tpchQueries().front(), C);
   auto Fast = backend::createBackend("DirectEmit");
@@ -524,20 +481,18 @@ TEST(DbExec, PreFiredTokenCompilesNothingInAnyMode) {
   backend::CompileService Svc(1);
   qcf::CancelToken Ctl;
   Ctl.cancel();
-  const char *Modes[] = {"blocking", "async", "adaptive"};
-  for (int Mode = 0; Mode != 3; ++Mode) {
-    SCOPED_TRACE(Modes[Mode]);
+  for (bool Adaptive : {false, true}) {
+    SCOPED_TRACE(Adaptive ? "adaptive" : "blocking");
     obs::MetricsRegistry Reg;
     ExecOptions O;
     O.Control = &Ctl;
     O.Service = &Svc;
     O.Obs.Metrics = &Reg;
-    O.AsyncCompile = Mode == 1;
-    O.AdaptiveExec = Mode == 2;
+    O.AdaptiveExec = Adaptive;
     O.FastBackend = Fast.get();
     uint64_t Queued = Svc.stats().JobsQueued;
     rt::OutputBuffer Out;
-    ExecResult R = executeQuery(Plan, Mode == 2 ? *Opt : *Fast, C, &Out, O);
+    ExecResult R = executeQuery(Plan, Adaptive ? *Opt : *Fast, C, &Out, O);
     EXPECT_TRUE(R.Cancelled);
     EXPECT_EQ(Reg.snapshot().counter("compile.DirectEmit.count"), 0u);
     EXPECT_EQ(Svc.stats().JobsQueued, Queued);

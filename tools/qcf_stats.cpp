@@ -7,8 +7,8 @@
 // the metrics registry (text or JSON) and, on request, a Perfetto-loadable
 // Chrome trace of the whole run.
 //
-//   qcf_stats [--backend NAME] [--suite tpch|ds] [--sf N] [--async]
-//             [--json] [--trace FILE]
+//   qcf_stats [--backend NAME] [--suite tpch|ds] [--sf N] [--json]
+//             [--trace FILE]
 //   qcf_stats --code-cache [DIR]
 //   qcf_stats --serve [SOCK]
 //
@@ -50,14 +50,14 @@ namespace {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--backend NAME] [--suite tpch|ds] [--sf N] "
-               "[--async] [--json] [--trace FILE]\n"
+               "[--json] [--trace FILE]\n"
                "       %s --code-cache [DIR]\n"
                "       %s --serve [SOCK]\n"
                "backends:",
                Argv0, Argv0, Argv0);
   for (const std::string &N : backend::allBackendNames())
     std::fprintf(stderr, " %s", N.c_str());
-  std::fprintf(stderr, " Adaptive\n");
+  std::fputc('\n', stderr);
   return 1;
 }
 
@@ -155,7 +155,7 @@ int main(int argc, char **argv) {
   std::string SuiteName = "tpch";
   std::string TracePath;
   double Sf = 1.0;
-  bool Json = false, Async = false;
+  bool Json = false;
 
   for (int I = 1; I < argc; ++I) {
     auto next = [&]() -> const char * {
@@ -206,8 +206,6 @@ int main(int argc, char **argv) {
       return queryServeDaemon(SockPath);
     } else if (!std::strcmp(argv[I], "--json")) {
       Json = true;
-    } else if (!std::strcmp(argv[I], "--async")) {
-      Async = true;
     } else {
       return usage(argv[0]);
     }
@@ -237,7 +235,6 @@ int main(int argc, char **argv) {
   obs::TraceSink Sink;
 
   db::ExecOptions Opts;
-  Opts.AsyncCompile = Async;
   Opts.Obs = obs::ObsContext(nullptr, &Reg, TracePath.empty() ? nullptr : &Sink);
 
   for (db::Query &Q : Queries) {

@@ -15,8 +15,8 @@
 // On a mismatch it prints the seed, the inputs, and the offending IR, and
 // exits nonzero — everything needed to turn the failure into a unit test.
 //
-// `./qcf_stress --async-compile [rounds]` instead soaks the concurrent
-// compilation stack: each round hammers a service-backed CachingBackend
+// `./qcf_stress --cache-dedup [rounds]` instead soaks CachingBackend's
+// in-flight dedup: each round hammers a service-backed CachingBackend
 // from several threads, asserting exactly-one-compile-per-key and
 // interpreter-identical results.
 //
@@ -117,7 +117,7 @@ struct CountingBackend : backend::Backend {
 /// One soak round: thread-storm a service-backed cache over K random
 /// modules. \returns the number of violations (printed as they are
 /// found).
-uint64_t asyncCompileRound(uint64_t Round) {
+uint64_t cacheDedupRound(uint64_t Round) {
   constexpr int NumModules = 6, NumThreads = 4, Lookups = 20;
   uint64_t Violations = 0;
 
@@ -150,64 +150,61 @@ uint64_t asyncCompileRound(uint64_t Round) {
 
   backend::CompileService Svc(2);
 
-  // Cache dedup under a thread storm.
-  {
-    auto Counting =
-        std::make_unique<CountingBackend>(backend::createBackend("DirectEmit"));
-    CountingBackend *Counter = Counting.get();
-    backend::CachingBackend Cache(std::move(Counting), /*Capacity=*/0, &Svc);
+  auto Counting =
+      std::make_unique<CountingBackend>(backend::createBackend("DirectEmit"));
+  CountingBackend *Counter = Counting.get();
+  backend::CachingBackend Cache(std::move(Counting), /*Capacity=*/0, &Svc);
 
-    std::atomic<uint64_t> Bad{0};
-    std::vector<std::thread> Threads;
-    for (int T = 0; T != NumThreads; ++T)
-      Threads.emplace_back([&, T] {
-        for (int I = 0; I != Lookups; ++I) {
-          int K = (T * 7 + I * 5) % NumModules;
-          auto C = Cache.compile(*Mods[K]);
-          for (size_t J = 0; J != Inputs.size(); ++J)
-            if (!(invoke(C->entry("rand"), Inputs[J].first,
-                         Inputs[J].second) == Expected[K][J]))
-              ++Bad;
-        }
-      });
-    for (std::thread &T : Threads)
-      T.join();
+  std::atomic<uint64_t> Bad{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (int I = 0; I != Lookups; ++I) {
+        int K = (T * 7 + I * 5) % NumModules;
+        auto C = Cache.compile(*Mods[K]);
+        for (size_t J = 0; J != Inputs.size(); ++J)
+          if (!(invoke(C->entry("rand"), Inputs[J].first,
+                       Inputs[J].second) == Expected[K][J]))
+            ++Bad;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
 
-    backend::CacheStats S = Cache.stats();
-    if (Bad.load()) {
-      std::fprintf(stderr, "round %llu: %llu cached-result mismatches\n",
-                   static_cast<unsigned long long>(Round),
-                   static_cast<unsigned long long>(Bad.load()));
-      Violations += Bad.load();
-    }
-    if (Counter->Compiles.load() != NumModules) {
-      std::fprintf(stderr,
-                   "round %llu: dedup broke: %llu compiles for %d keys\n",
-                   static_cast<unsigned long long>(Round),
-                   static_cast<unsigned long long>(Counter->Compiles.load()),
-                   NumModules);
-      ++Violations;
-    }
-    if (S.Hits + S.Misses != uint64_t(NumThreads) * Lookups) {
-      std::fprintf(stderr, "round %llu: stats drift: %llu hits + %llu misses "
-                           "!= %d lookups\n",
-                   static_cast<unsigned long long>(Round),
-                   static_cast<unsigned long long>(S.Hits),
-                   static_cast<unsigned long long>(S.Misses),
-                   NumThreads * Lookups);
-      ++Violations;
-    }
+  backend::CacheStats S = Cache.stats();
+  if (Bad.load()) {
+    std::fprintf(stderr, "round %llu: %llu cached-result mismatches\n",
+                 static_cast<unsigned long long>(Round),
+                 static_cast<unsigned long long>(Bad.load()));
+    Violations += Bad.load();
+  }
+  if (Counter->Compiles.load() != NumModules) {
+    std::fprintf(stderr,
+                 "round %llu: dedup broke: %llu compiles for %d keys\n",
+                 static_cast<unsigned long long>(Round),
+                 static_cast<unsigned long long>(Counter->Compiles.load()),
+                 NumModules);
+    ++Violations;
+  }
+  if (S.Hits + S.Misses != uint64_t(NumThreads) * Lookups) {
+    std::fprintf(stderr, "round %llu: stats drift: %llu hits + %llu misses "
+                         "!= %d lookups\n",
+                 static_cast<unsigned long long>(Round),
+                 static_cast<unsigned long long>(S.Hits),
+                 static_cast<unsigned long long>(S.Misses),
+                 NumThreads * Lookups);
+    ++Violations;
   }
 
   return Violations;
 }
 
-int runAsyncCompileSoak(uint64_t Rounds) {
-  std::printf("async-compile soak: %llu rounds (cache dedup storm)\n",
+int runCacheDedupSoak(uint64_t Rounds) {
+  std::printf("cache-dedup soak: %llu rounds\n",
               static_cast<unsigned long long>(Rounds));
   uint64_t Violations = 0;
   for (uint64_t Round = 0; Round != Rounds; ++Round) {
-    Violations += asyncCompileRound(Round);
+    Violations += cacheDedupRound(Round);
     if (Violations >= 3) {
       std::fprintf(stderr, "too many violations, stopping\n");
       return 1;
@@ -826,8 +823,8 @@ int runServeSoak(bool Quick) {
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--async-compile") == 0)
-    return runAsyncCompileSoak(
+  if (argc > 1 && std::strcmp(argv[1], "--cache-dedup") == 0)
+    return runCacheDedupSoak(
         argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 50);
   if (argc > 1 && std::strcmp(argv[1], "--code-cache") == 0)
     return runCodeCacheSoak(argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 20);
@@ -835,6 +832,10 @@ int main(int argc, char **argv) {
     return runOsrSoak(argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 40);
   if (argc > 1 && std::strcmp(argv[1], "--serve") == 0)
     return runServeSoak(argc > 2 && std::strcmp(argv[2], "--quick") == 0);
+  if (argc > 1 && argv[1][0] == '-') {
+    std::fprintf(stderr, "unknown mode '%s'\n", argv[1]);
+    return 2;
+  }
   uint64_t NumSeeds = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 1000;
   const char *Only = argc > 2 ? argv[2] : nullptr;
 
