@@ -32,8 +32,11 @@ int main(int argc, char **argv) {
   std::vector<Query> Queries = tpchQueries();
   CompiledPlan Plan = compileQuery(Queries.front(), Cat);
 
+  // Compiles the optimized tier in the background, one job per pipeline.
+  backend::CompileService Svc(2);
   ExecOptions Opts;
   Opts.AdaptiveExec = true; // Fast tier: DirectEmit (Opts.FastBackend).
+  Opts.Service = &Svc;
   Opts.NumThreads = 2;
   Opts.MorselSize = 1024;
   rt::OutputBuffer Out;

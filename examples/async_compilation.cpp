@@ -35,7 +35,7 @@ int main() {
   B.ret(B.mul(F->paramValue(0), B.constInt(Type::I64, 3)));
 
   auto Direct = backend::createBackend("DirectEmit");
-  backend::CompileTicket T = Svc.submit(M, *Direct).Ticket;
+  backend::CompileTicket T = Svc.submit(M, *Direct);
   // ... overlap other work here; then wait for the code.
   auto Code = T.wait();
   std::printf("ticket: triple(14) = %lld\n",

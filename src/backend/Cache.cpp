@@ -178,8 +178,6 @@ std::unique_ptr<CompiledModule>
 CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   ModuleFingerprint Key = fingerprintModule(M);
   std::shared_ptr<InFlight> Entry;
-  CompileService *Svc;
-  DiskCodeCache *DiskCache;
   {
     std::unique_lock<std::mutex> Lock(Mutex);
     auto It = Map.find(Key);
@@ -227,8 +225,6 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     Misses.inc();
     Entry = std::make_shared<InFlight>();
     Pending.emplace(Key, Entry);
-    Svc = Service;
-    DiskCache = Disk;
   }
 
   // Compile outside the lock. The Pending entry guarantees no other
@@ -237,8 +233,8 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   // re-patch) without invoking the back-end at all.
   std::shared_ptr<CompiledModule> Compiled;
   bool FromDisk = false;
-  if (DiskCache) {
-    Compiled = DiskCache->load(Key, *Inner, Opts);
+  if (Disk) {
+    Compiled = Disk->load(Key, *Inner, Opts);
     FromDisk = Compiled != nullptr;
     // Fresh compiles run translation validation inside the back-end;
     // warm loads skip the back-end entirely, so validate the re-patched
@@ -254,16 +250,14 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       }
     }
   }
-  if (!Compiled && Svc) {
-    // A Rejected outcome (bounded queue full, fairness share exhausted)
-    // leaves the ticket invalid and we degrade to an inline compile below
-    // — backpressure moves the work onto the caller's thread instead of
-    // blocking it behind the storm.
-    SubmitOutcome SO =
-        Svc->submit(M, *Inner, CompilePriority::Foreground, Opts);
-    // Null if the token fired while the job was queued, or the service
-    // shut down mid-job.
-    Compiled = SO.Ticket.wait(Opts.Cancel);
+  if (!Compiled && Service) {
+    // A refused submit (queue full, fairness share used up, service shut
+    // down) returns an invalid ticket whose wait() is null, and we compile
+    // inline below — backpressure moves the work onto the caller's thread
+    // instead of blocking it behind the storm. Also null if the token
+    // fired while the job was queued, or the service shut down mid-job.
+    Compiled = Service->submit(M, *Inner, CompilePriority::Foreground, Opts)
+                   .wait(Opts.Cancel);
   }
   if (!Compiled && Opts.Cancel && Opts.Cancel->stopped()) {
     // Cancelled while waiting (or before falling back): retire the
@@ -283,8 +277,8 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   }
   if (!Compiled)
     Compiled = Inner->compile(M, Opts);
-  if (DiskCache && !FromDisk)
-    DiskCache->store(Key, *Inner, *Compiled, Opts);
+  if (Disk && !FromDisk)
+    Disk->store(Key, *Inner, *Compiled, Opts);
 
   {
     std::lock_guard<std::mutex> Lock(Mutex);

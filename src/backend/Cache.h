@@ -96,9 +96,10 @@ struct CacheStats {
 /// the lock), every other thread waits on that compilation and shares its
 /// result, so each unique key reaches the inner back-end exactly once.
 /// With a CompileService attached, misses are routed through the service
-/// (centralized workers, per-backend latency stats); without one they
-/// compile on the calling thread. Either way the caller blocks until the
-/// module is ready — the dedup, not the asynchrony, is the point here.
+/// (centralized workers, per-backend latency stats); without one, and
+/// whenever the service refuses the job, they compile on the calling
+/// thread. Either way the caller blocks until the module is ready — the
+/// dedup, not the asynchrony, is the point here.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call is waiting (on a service ticket or a deduped in-flight compile),
@@ -127,19 +128,6 @@ public:
 
   std::unique_ptr<CompiledModule> compile(const qir::Module &M,
                                           const CompileOptions &Opts) override;
-
-  /// Routes future misses through \p S (null restores inline compiles).
-  void setService(CompileService *S) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Service = S;
-  }
-
-  /// Attaches (or detaches, with null) the second-level persistent
-  /// cache consulted on in-memory misses.
-  void setDiskCache(DiskCodeCache *D) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Disk = D;
-  }
 
   /// Registry prefix of this instance's counters, e.g. "cache.1.".
   const std::string &metricsPrefix() const { return Prefix; }
@@ -171,8 +159,8 @@ private:
 
   std::unique_ptr<Backend> Inner;
   size_t Capacity;
-  CompileService *Service;
-  DiskCodeCache *Disk;
+  CompileService *const Service;
+  DiskCodeCache *Disk; ///< Fixed once the constructor returns.
   /// Backing storage for the $QCF_CODE_CACHE default (see constructor);
   /// Disk aliases it unless the caller injected its own cache.
   std::unique_ptr<DiskCodeCache> OwnedDisk;

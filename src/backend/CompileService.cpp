@@ -6,7 +6,6 @@
 
 #include "backend/CompileService.h"
 #include "support/TimeTrace.h"
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 
@@ -108,26 +107,13 @@ void CompileService::setKeyQueueShare(const std::string &Key,
     KeyShares.erase(Key);
 }
 
-void CompileService::setDefaultKeyQueueShare(uint64_t MaxInFlight) {
-  std::lock_guard<std::mutex> Lock(LifecycleMutex);
-  DefaultKeyShare = MaxInFlight;
-}
-
 uint64_t CompileService::keyInFlight(const std::string &Key) const {
   std::lock_guard<std::mutex> Lock(LifecycleMutex);
   auto It = KeyInFlightCount.find(Key);
   return It == KeyInFlightCount.end() ? 0 : It->second;
 }
 
-uint64_t CompileService::retryHintNs() const {
-  // Depth jobs ahead, drained by numWorkers() workers at the EWMA
-  // latency each; floor at 1ms so a cold service still suggests backoff.
-  uint64_t Lat = EwmaLatencyNs.load(std::memory_order_relaxed);
-  uint64_t Hint = (Queue.size() + 1) * Lat / std::max<size_t>(1, Workers.size());
-  return std::max<uint64_t>(Hint, 1'000'000);
-}
-
-SubmitOutcome CompileService::submit(const qir::Module &M, Backend &BE,
+CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
                                      CompilePriority Priority,
                                      const CompileOptions &Opts) {
   auto Job = std::make_shared<CompileJob>();
@@ -137,17 +123,6 @@ SubmitOutcome CompileService::submit(const qir::Module &M, Backend &BE,
   Job->SubmitNs = nowNs();
   Job->Key = Opts.FairnessKey;
 
-  SubmitOutcome Out;
-  if (Stopping.load(std::memory_order_acquire)) {
-    // Degraded mode: compile synchronously so callers keep working after
-    // (or during) shutdown. The ticket is already complete.
-    Job->Result = BE.compile(M, Opts);
-    Job->St = CompileJob::State::Done;
-    Out.Status = SubmitStatus::Degraded;
-    Out.Ticket = CompileTicket(std::move(Job));
-    return Out;
-  }
-
   // Fairness-share check and in-flight accounting, atomically: two
   // concurrent submits for the same key must not both slip under the
   // share.
@@ -155,15 +130,10 @@ SubmitOutcome CompileService::submit(const qir::Module &M, Backend &BE,
     std::lock_guard<std::mutex> Lock(LifecycleMutex);
     if (!Job->Key.empty()) {
       auto ShareIt = KeyShares.find(Job->Key);
-      uint64_t Share =
-          ShareIt != KeyShares.end() ? ShareIt->second : DefaultKeyShare;
       uint64_t &InFlight = KeyInFlightCount[Job->Key];
-      if (Share && InFlight >= Share) {
+      if (ShareIt != KeyShares.end() && InFlight >= ShareIt->second) {
         RejectedTenant.inc();
-        Out.Status = SubmitStatus::Rejected;
-        Out.Reason = RejectReason::TenantShare;
-        Out.RetryAfterNs = retryHintNs();
-        return Out;
+        return {};
       }
       ++InFlight;
     }
@@ -176,36 +146,24 @@ SubmitOutcome CompileService::submit(const qir::Module &M, Backend &BE,
     auto R = Queue.tryPush(Job, High);
     if (R == decltype(Queue)::PushResult::Ok)
       break;
-    if (R == decltype(Queue)::PushResult::Closed) {
-      // Shutdown raced the push: run it synchronously instead.
-      JobsQueued.sub(1);
-      unaccount(*Job);
-      Job->Result = BE.compile(M, Opts);
-      Job->St = CompileJob::State::Done;
-      Out.Status = SubmitStatus::Degraded;
-      Out.Ticket = CompileTicket(std::move(Job));
-      return Out;
-    }
     // Full. A Foreground submit sheds the newest Background job (its
-    // ticket reports cancelled) and retries; Background submits — and
-    // Foreground ones with nothing sheddable — are rejected outright.
+    // ticket reports cancelled) and retries.
+    const bool Full = R == decltype(Queue)::PushResult::Full;
     std::shared_ptr<CompileJob> Victim;
-    if (High && Queue.shedLowest(Victim)) {
+    if (Full && High && Queue.shedLowest(Victim)) {
       ShedC.inc();
       finishJob(Victim, /*Cancel=*/true);
       continue;
     }
+    // Refused: full with nothing sheddable, or closed by shutdown().
     JobsQueued.sub(1);
     unaccount(*Job);
-    (High ? RejectedFg : RejectedBg).inc();
-    Out.Status = SubmitStatus::Rejected;
-    Out.Reason = RejectReason::QueueFull;
-    Out.RetryAfterNs = retryHintNs();
-    return Out;
+    if (Full)
+      (High ? RejectedFg : RejectedBg).inc();
+    return {};
   }
   QueueDepth.set(static_cast<int64_t>(Queue.size()));
-  Out.Ticket = CompileTicket(std::move(Job));
-  return Out;
+  return CompileTicket(std::move(Job));
 }
 
 void CompileService::unaccount(const CompileJob &Job) {
@@ -280,10 +238,6 @@ void CompileService::finishJob(const std::shared_ptr<CompileJob> &Job,
     // include this job.
     Reg->histogram(Prefix + "latency." + Job->BE->name()).observe(DurNs);
     JobsCompleted.inc();
-    // EWMA compile latency (alpha = 1/8): feeds retry-after hints.
-    uint64_t Prev = EwmaLatencyNs.load(std::memory_order_relaxed);
-    EwmaLatencyNs.store(Prev ? (Prev * 7 + DurNs) / 8 : DurNs,
-                        std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(Job->Mutex);
     Job->Result = std::move(Result);
     Job->St = CompileJob::State::Done;

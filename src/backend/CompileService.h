@@ -16,10 +16,14 @@
 /// priority while the query runs on the fast one.
 ///
 /// Submitting yields a `CompileTicket` — a small future-like handle that
-/// can be polled, waited on, or cancelled before the job starts. The
-/// submitted module (and the back-end) must stay alive until the ticket
-/// completes or is successfully cancelled; in this codebase modules are
-/// owned by `db::CompiledPlan` or test scopes that outlive execution.
+/// can be polled, waited on, or cancelled before the job starts — or an
+/// invalid ticket if the service refuses the job. The service never
+/// compiles on the submitting thread: a refused compile is the caller's
+/// decision (CachingBackend compiles inline, the executor keeps that
+/// pipeline on its fast tier). The submitted module (and the back-end)
+/// must stay alive until the ticket completes or is successfully
+/// cancelled; in this codebase modules are owned by `db::CompiledPlan` or
+/// test scopes that outlive execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,34 +136,6 @@ private:
   std::shared_ptr<detail::CompileJob> Job;
 };
 
-/// How a submit() call was disposed of.
-enum class SubmitStatus : uint8_t {
-  Accepted, ///< Queued; the ticket tracks the job.
-  Rejected, ///< Bounded queue full or fairness share exhausted; no job
-            ///< was created — the ticket is invalid. Retry after
-            ///< SubmitOutcome::RetryAfterNs, or compile inline.
-  Degraded, ///< Service shut down: compiled synchronously on the calling
-            ///< thread; the ticket is already done.
-};
-
-/// Why a submission was rejected.
-enum class RejectReason : uint8_t { None, QueueFull, TenantShare };
-
-/// Typed result of CompileService::submit. Rejection is an outcome, not
-/// an exception and not a blocking wait: under a compile storm the
-/// caller (admission controller, cache) decides whether to retry, shed,
-/// or fall back to an inline compile.
-struct SubmitOutcome {
-  CompileTicket Ticket;
-  SubmitStatus Status = SubmitStatus::Accepted;
-  RejectReason Reason = RejectReason::None;
-  /// Backpressure hint on rejection: an estimate of when queue space
-  /// frees up, derived from queue depth and the EWMA compile latency.
-  uint64_t RetryAfterNs = 0;
-
-  bool accepted() const { return Status != SubmitStatus::Rejected; }
-};
-
 /// Fixed worker-thread pool over a bounded two-priority job queue.
 ///
 /// All accounting lives in a MetricsRegistry under this instance's
@@ -182,23 +158,21 @@ public:
 
   /// Enqueues compilation of \p M with \p BE. Both must outlive the job.
   /// \p Opts (including its ObsContext) is carried to the worker-side
-  /// compile. Never blocks on a full queue: a Foreground submit first
-  /// sheds the newest Background job (its ticket reports cancelled);
-  /// when nothing is sheddable the submission is Rejected with a
-  /// retry-after hint. After shutdown() the service degrades gracefully:
-  /// the compile runs synchronously on the calling thread (Degraded).
-  SubmitOutcome submit(const qir::Module &M, Backend &BE,
+  /// compile. Never blocks and never compiles on the calling thread: on a
+  /// full queue a Foreground submit first sheds the newest Background job
+  /// (its ticket reports cancelled). \returns an invalid ticket when the
+  /// job is refused — queue full with nothing to shed, fairness share
+  /// used up, or service shut down; the caller decides what a refused
+  /// compile means (compile inline, stay on the fast tier).
+  CompileTicket submit(const qir::Module &M, Backend &BE,
                        CompilePriority Priority = CompilePriority::Foreground,
                        const CompileOptions &Opts = CompileOptions());
 
   /// Caps the number of in-flight (queued or running) jobs whose
   /// CompileOptions::FairnessKey equals \p Key; submissions beyond the
-  /// cap are Rejected with RejectReason::TenantShare. 0 = unlimited.
+  /// cap are refused (and counted in RejectedTenant). Keyless
+  /// submissions are never share-limited. 0 = unlimited.
   void setKeyQueueShare(const std::string &Key, uint64_t MaxInFlight);
-
-  /// Share applied to keys without an explicit setKeyQueueShare entry
-  /// (keyless submissions are never share-limited). 0 = unlimited.
-  void setDefaultKeyQueueShare(uint64_t MaxInFlight);
 
   /// In-flight (queued or running) jobs carrying fairness key \p Key.
   uint64_t keyInFlight(const std::string &Key) const;
@@ -237,15 +211,12 @@ private:
   /// Rolls back the pending/key accounting of a job that never made it
   /// into the queue.
   void unaccount(const detail::CompileJob &Job);
-  /// Retry-after estimate for a rejected submission.
-  uint64_t retryHintNs() const;
 
   BoundedQueue<std::shared_ptr<detail::CompileJob>> Queue;
   std::vector<std::thread> Workers;
   std::atomic<bool> Stopping{false};
   std::atomic<uint32_t> TestDelayMaxUs{0};
   std::atomic<uint64_t> TestDelayRng{0};
-  std::atomic<uint64_t> EwmaLatencyNs{0};
 
   mutable std::mutex LifecycleMutex;
   std::condition_variable AllDoneCv; ///< Signalled when Pending hits 0.
@@ -253,7 +224,6 @@ private:
   /// In-flight job count per fairness key, and the configured shares.
   std::map<std::string, uint64_t> KeyInFlightCount;
   std::map<std::string, uint64_t> KeyShares;
-  uint64_t DefaultKeyShare = 0;
 
   obs::MetricsRegistry *Reg;
   std::string Prefix;

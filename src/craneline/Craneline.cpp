@@ -12,7 +12,7 @@
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
 #include "support/Compiler.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 #include <cstring>
 
 using namespace qcf;
@@ -202,11 +202,11 @@ CranelineBackend::compile(const qir::Module &M,
       // Absolute-address relocations patch the 8-byte immediate of a
       // mov r64, imm64; exempt those fields from the lint.
       const EmitResult &Em = Outs.back().Emitted;
-      std::vector<x64::LintReloc> Relocs;
+      std::vector<x64::DecodeReloc> Relocs;
       for (const AbsReloc &R : Em.Relocs)
         Relocs.push_back({R.Offset, 8});
       std::string Err =
-          x64::lintFunction(Em.Code.data(), Em.Code.size(), Relocs);
+          x64::decodeFunction(Em.Code.data(), Em.Code.size(), Relocs).Error;
       if (!Err.empty()) {
         fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                 F->name().c_str());

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <optional>
 #include <thread>
 
 using namespace qcf;
@@ -429,6 +428,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   backend::Backend *Fast = nullptr;
   std::vector<std::unique_ptr<qir::Module>> Units;
   if (Opts.AdaptiveExec) {
+    assert(Opts.Service && "AdaptiveExec requires ExecOptions::Service");
     Fast = Opts.FastBackend;
     if (!Fast) {
       OwnedFast = backend::createBackend("DirectEmit");
@@ -452,26 +452,21 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
 
   // Each pipeline's code comes from a ready module: the whole-module
   // compile, or under AdaptiveExec the unit's fast tier plus a pending
-  // optimized compile. Units must outlive the service and every module
-  // (running jobs and interpreted code reference them), so those are
-  // declared after.
-  std::optional<backend::CompileService> Local;
+  // optimized compile. Units must outlive every pending compile and
+  // module (running jobs and interpreted code reference them), so those
+  // are declared after.
   std::unique_ptr<backend::TierUp[]> Pending;
   std::vector<std::unique_ptr<backend::CompiledModule>> Ready;
   if (!Units.empty()) {
-    backend::CompileService *Svc = Opts.Service;
-    if (!Svc)
-      Svc = &Local.emplace(2);
     // Submit everything up front, in execution order, so workers compile
     // ahead of the pipelines that need the code. The optimized tier is
     // speculative until a pipeline swaps, so it queues at Background
-    // priority. A Rejected submit leaves nothing pending: that pipeline
-    // stays on the fast tier.
+    // priority. A refused submit (queue full, share used up, service shut
+    // down) leaves nothing pending: that pipeline stays on the fast tier.
     Pending = std::make_unique<backend::TierUp[]>(Units.size());
     for (size_t PI = 0; PI != Units.size(); ++PI)
-      Pending[PI].start(
-          Svc->submit(*Units[PI], BE, backend::CompilePriority::Background, CO)
-              .Ticket);
+      Pending[PI].start(Opts.Service->submit(
+          *Units[PI], BE, backend::CompilePriority::Background, CO));
   }
   uint64_t CompileStartNs = nowNs();
   if (Units.empty())

@@ -60,8 +60,9 @@ struct ExecOptions {
   /// to the tenant name so per-tenant compile-queue shares apply.
   std::string CompileFairnessKey;
 
-  /// Service for AdaptiveExec's optimized compiles; when null, a
-  /// transient two-worker service lives for the duration of the call.
+  /// Service for AdaptiveExec's optimized compiles; AdaptiveExec
+  /// requires it. A compile it refuses leaves that pipeline on the fast
+  /// tier.
   backend::CompileService *Service = nullptr;
 
   /// Mid-query adaptive recompilation (morsel-boundary OSR; DESIGN.md

@@ -27,7 +27,7 @@
 #include "support/Bitset.h"
 #include "support/ByteIo.h"
 #include "support/Compiler.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 #include "x64/QirLower.h"
 #include <cstring>
 #include <map>
@@ -1027,7 +1027,7 @@ DirectBackend::compile(const qir::Module &M,
     if (Opts.Verify.Mc) {
       // DirectEmit calls through registers, so the bytes are final here:
       // no relocations to exempt.
-      std::string Err = x64::lintFunction(A.code().data(), A.size());
+      std::string Err = x64::decodeFunction(A.code().data(), A.size()).Error;
       if (!Err.empty()) {
         fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                 F->name().c_str());

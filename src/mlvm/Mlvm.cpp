@@ -12,7 +12,7 @@
 #include "mlvm/Passes.h"
 #include "qir/Verify.h"
 #include "support/Compiler.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 
 using namespace qcf;
 using namespace qcf::mlvm;
@@ -298,12 +298,12 @@ std::vector<uint8_t> MlvmBackend::compileToObject(const qir::Module &M,
     // patched by the JIT linker) are passed through so their fields are
     // exempt from the intra-function branch-target check.
     for (const ElfSymbol &S : Mc.Symbols) {
-      std::vector<x64::LintReloc> Relocs;
+      std::vector<x64::DecodeReloc> Relocs;
       for (const ElfReloc &R : Mc.Relocs)
         if (R.Offset >= S.Offset && R.Offset < S.Offset + S.Size)
           Relocs.push_back({R.Offset - S.Offset, 4});
       std::string Err =
-          x64::lintFunction(Mc.Text.data() + S.Offset, S.Size, Relocs);
+          x64::decodeFunction(Mc.Text.data() + S.Offset, S.Size, Relocs).Error;
       if (!Err.empty()) {
         fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                 S.Name.c_str());

@@ -87,7 +87,7 @@ AdmissionGate::Decision AdmissionGate::enter(bool LowPriority,
     // Wait queue full. A normal-priority arrival may shed the newest
     // low-priority waiter to make room; otherwise the arrival itself is
     // rejected — never block the caller on an unbounded queue.
-    if (Cfg.ShedWaiters && !LowPriority && !Low.empty()) {
+    if (!LowPriority && !Low.empty()) {
       std::shared_ptr<Waiter> Victim = Low.back();
       Low.pop_back();
       Victim->Decided = true;

@@ -62,7 +62,6 @@ public:
   struct Config {
     unsigned Slots = 4;       ///< Concurrently admitted requests.
     unsigned MaxWaiters = 64; ///< Bounded wait queue (0 = reject when full).
-    bool ShedWaiters = true;  ///< High-priority entries may shed low ones.
     /// Assumed slot-hold time for retry-after hints before any query has
     /// completed (the EWMA has no samples yet). Cold-start rejections are
     /// exactly the compile-dominated ones, so this defaults to a

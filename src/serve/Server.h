@@ -19,10 +19,10 @@
 ///   2. execute (pre)   -> MaxQueuedCompiles          (CompileQueueQuota)
 ///   3. execute (pre)   -> MaxCompileBytes reservation (CompileBytesQuota)
 ///   4. AdmissionGate   -> slots + bounded wait queue  (QueueFull / Shed)
-///   5. CompileService  -> per-tenant fairness key      (typed reject,
-///      inside the cache path; degrades to inline compile)
-/// Every rejection is typed and carries a retry-after hint; nothing in
-/// the serving path blocks on an unbounded queue.
+///   5. CompileService  -> per-tenant fairness key      (refused submit,
+///      inside the cache path; the cache compiles inline)
+/// Every rejection a client sees (1-4) is typed and carries a retry-after
+/// hint; nothing in the serving path blocks on an unbounded queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +53,9 @@ struct ServerConfig {
   std::string BackendName = "Craneline";
 
   unsigned CompileWorkers = 2;
-  /// Bound on the compile-service queue (0 = unbounded). Full-queue
-  /// submits shed Background work or degrade to inline compiles.
+  /// Bound on the compile-service queue (0 = unbounded). A full-queue
+  /// submit sheds Background work or is refused, and the cache then
+  /// compiles inline.
   size_t CompileQueueCapacity = 64;
   /// In-memory compiled-code cache entries (0 = unbounded).
   size_t CacheCapacity = 0;

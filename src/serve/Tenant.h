@@ -10,8 +10,8 @@
 /// state), compile memory (the paper's first-order cost, metered through
 /// qcf::MemContext byte counters), and compile-queue share (CompileService
 /// fairness keys). Enforcement points are documented in DESIGN.md
-/// "Serving layer"; all of them reject with a typed outcome rather than
-/// blocking, so one tenant's storm degrades into *its own* retries.
+/// "Serving layer"; all of them reject rather than block, so one tenant's
+/// storm degrades into *its own* retries or inline compiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +37,8 @@ struct TenantQuota {
 
   /// In-flight compile-service jobs carrying this tenant's fairness key
   /// (CompileService::setKeyQueueShare). Checked both at admission
-  /// (Admit::CompileQueueQuota) and inside the service itself
-  /// (RejectReason::TenantShare).
+  /// (Admit::CompileQueueQuota) and inside the service itself, which
+  /// refuses the submit (counted in CompileServiceStats::RejectedTenant).
   uint64_t MaxQueuedCompiles = 0;
 
   /// Background tenants enter the admission gate at low priority: they

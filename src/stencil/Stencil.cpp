@@ -29,7 +29,7 @@
 #include "stencil/Stencils.h"
 #include "support/Compiler.h"
 #include "support/Int128.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 #include "x64/QirLower.h"
 #include <cassert>
 #include <cstring>
@@ -891,7 +891,7 @@ StencilBackend::compile(const qir::Module &M,
         // The stencil compiler patches every field before this point, so
         // the bytes are final: no relocations to exempt.
         const std::vector<uint8_t> &Code = Pieces.back().Code;
-        std::string Err = x64::lintFunction(Code.data(), Code.size());
+        std::string Err = x64::decodeFunction(Code.data(), Code.size()).Error;
         if (!Err.empty()) {
           fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
                   F->name().c_str());

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bounded, closable, two-priority MPMC queue. Producers block while the
-/// queue is at capacity (back-pressure instead of unbounded memory growth
-/// under compile storms); consumers block while it is empty. High-priority
-/// items are always dequeued before low-priority ones, FIFO within each
-/// class. Closing wakes everyone: pushes fail, pops drain the remaining
-/// items and then fail. Built for backend::CompileService, but generic.
+/// A bounded, closable, two-priority MPMC queue. Producers never block: a
+/// push onto a full or closed queue fails and the producer decides what
+/// that means (shed, refuse, work inline); consumers block while it is
+/// empty. High-priority items are always dequeued before low-priority
+/// ones, FIFO within each class. Closing wakes every consumer: pushes
+/// fail, pops drain the remaining items and then fail. Built for
+/// backend::CompileService, but generic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,19 +32,6 @@ public:
   BoundedQueue(const BoundedQueue &) = delete;
   BoundedQueue &operator=(const BoundedQueue &) = delete;
 
-  /// Enqueues \p V, blocking while the queue is full. \returns false if
-  /// the queue was (or became) closed, in which case \p V was dropped.
-  bool push(T V, bool HighPriority = false) {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    NotFull.wait(Lock, [&] { return Closed || !full(); });
-    if (Closed)
-      return false;
-    (HighPriority ? High : Low).push_back(std::move(V));
-    HighWater = std::max(HighWater, High.size() + Low.size());
-    NotEmpty.notify_one();
-    return true;
-  }
-
   /// Dequeues into \p Out, blocking while the queue is empty. \returns
   /// false once the queue is closed *and* drained.
   bool pop(T &Out) {
@@ -54,7 +42,6 @@ public:
       return false; // Closed and drained.
     Out = std::move(Q.front());
     Q.pop_front();
-    NotFull.notify_one();
     return true;
   }
 
@@ -62,8 +49,8 @@ public:
   enum class PushResult : uint8_t { Ok, Full, Closed };
 
   /// Non-blocking enqueue: never waits for capacity. The caller decides
-  /// what a Full queue means (typed rejection, load-shedding, fallback to
-  /// inline work) instead of this queue deciding for it by blocking.
+  /// what a Full queue means (refusal, load-shedding, fallback to inline
+  /// work) instead of this queue deciding for it by blocking.
   PushResult tryPush(T V, bool HighPriority = false) {
     std::lock_guard<std::mutex> Lock(Mutex);
     if (Closed)
@@ -86,7 +73,6 @@ public:
       return false;
     Out = std::move(Low.back());
     Low.pop_back();
-    NotFull.notify_one();
     return true;
   }
 
@@ -98,22 +84,15 @@ public:
       return false;
     Out = std::move(Q.front());
     Q.pop_front();
-    NotFull.notify_one();
     return true;
   }
 
-  /// Closes the queue: all blocked pushes fail, blocked pops drain what is
-  /// left and then fail. Idempotent.
+  /// Closes the queue: later pushes fail, blocked pops drain what is left
+  /// and then fail. Idempotent.
   void close() {
     std::lock_guard<std::mutex> Lock(Mutex);
     Closed = true;
     NotEmpty.notify_all();
-    NotFull.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Closed;
   }
 
   size_t size() const {
@@ -135,7 +114,7 @@ private:
 
   const size_t Capacity;
   mutable std::mutex Mutex;
-  std::condition_variable NotEmpty, NotFull;
+  std::condition_variable NotEmpty;
   std::deque<T> High, Low;
   size_t HighWater = 0;
   bool Closed = false;

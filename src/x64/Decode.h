@@ -6,13 +6,13 @@
 ///
 /// \file
 /// A semantic decoder for exactly the instruction surface x64::Assembler
-/// emits (see Asm.cpp). Grown out of EncodingLint's length decoder: instead
-/// of just measuring instructions, decodeInst recovers operands — registers,
-/// memory addressing, immediates, condition codes, widths — into a uniform
+/// emits (see Asm.cpp). decodeInst recovers operands — registers, memory
+/// addressing, immediates, condition codes, widths — into a uniform
 /// DecodedInst record, and decodeFunction recovers a block-level CFG from
 /// branch targets. This is the front end of the translation-validation layer
-/// (src/tv), which lifts decoded instructions to symbolic semantics; the
-/// encoding lint is reimplemented on top of the same decoder.
+/// (src/tv), which lifts decoded instructions to symbolic semantics, and
+/// decodeFunction's Error is the encoding lint the `mc` verifier runs over
+/// every emitted function.
 ///
 /// The operand conventions mirror the encodings:
 ///  * Reg is the ModRM "reg" field operand, Rm the "r/m" operand (register
@@ -160,7 +160,9 @@ struct DecodedFunction {
 };
 
 /// A byte range patched externally (relocation); rel32 branch fields inside
-/// such ranges are exempt from target recovery. Mirrors x64::LintReloc.
+/// such ranges are exempt from target recovery. Offset is relative to the
+/// function start; Width is 4 for rel32 call relocations, 8 for
+/// absolute-address immediates.
 struct DecodeReloc {
   uint64_t Offset;
   uint32_t Width;
@@ -168,7 +170,9 @@ struct DecodeReloc {
 
 /// Decodes \p Size bytes of machine code into instructions and recovers the
 /// block CFG. All bytes must decode (the instruction list covers the buffer
-/// exactly); intra-function branch targets must land on instruction starts.
+/// exactly); intra-function branch targets must land on instruction starts;
+/// each relocation must lie strictly inside one instruction's immediate or
+/// displacement bytes. A failure is reported in Error with its offset.
 DecodedFunction decodeFunction(const uint8_t *Code, size_t Size,
                                const std::vector<DecodeReloc> &Relocs = {});
 

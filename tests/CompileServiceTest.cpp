@@ -74,7 +74,7 @@ TEST(CompileService, SubmitWaitReturnsWorkingCode) {
   buildAffine(M, 5);
   auto BE = createBackend("DirectEmit");
 
-  CompileTicket T = Svc.submit(M, *BE).Ticket;
+  CompileTicket T = Svc.submit(M, *BE);
   ASSERT_TRUE(T.valid());
   std::shared_ptr<CompiledModule> C = T.wait();
   ASSERT_NE(C, nullptr);
@@ -95,7 +95,7 @@ TEST(CompileService, StatsAccounting) {
   std::vector<CompileTicket> Tickets;
   for (int I = 0; I != 6; ++I) {
     buildAffine(Mods[I], I + 1);
-    Tickets.push_back(Svc.submit(Mods[I], I % 2 ? *Crane : *Direct).Ticket);
+    Tickets.push_back(Svc.submit(Mods[I], I % 2 ? *Crane : *Direct));
   }
   for (CompileTicket &T : Tickets)
     EXPECT_NE(T.wait(), nullptr);
@@ -123,17 +123,17 @@ TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
   qir::Module M1, M2;
   buildAffine(M1, 1);
   buildAffine(M2, 2);
-  CompileTicket Pin = Svc.submit(M1, Gate).Ticket;
+  CompileTicket Pin = Svc.submit(M1, Gate);
   Gate.waitStarted();
   {
     TierUp Abandoned;
-    Abandoned.start(Svc.submit(M2, *BE).Ticket);
+    Abandoned.start(Svc.submit(M2, *BE));
     EXPECT_TRUE(Abandoned.pending());
     EXPECT_FALSE(Abandoned.poll()) << "queued behind the pin";
   } // Destroyed while queued: cancel-before-run, no wait.
 
   TierUp Up;
-  Up.start(Svc.submit(M2, *BE).Ticket);
+  Up.start(Svc.submit(M2, *BE));
   Gate.release();
   EXPECT_TRUE(Up.wait());
   EXPECT_FALSE(Up.pending());
@@ -155,7 +155,7 @@ TEST(TierUp, DestroyWhileRunningWaitsJobOut) {
   qir::Module M;
   buildAffine(M, 2);
   auto Up = std::make_unique<TierUp>();
-  Up->start(Svc.submit(M, Gate).Ticket);
+  Up->start(Svc.submit(M, Gate));
   Gate.waitStarted();
   std::atomic<bool> Destroyed{false};
   std::thread Destroyer([&] {
@@ -172,20 +172,20 @@ TEST(TierUp, DestroyWhileRunningWaitsJobOut) {
   EXPECT_EQ(S.JobsCancelled, 0u);
 }
 
-/// A shut-down service compiles on the submitting thread and hands back a
-/// ticket that is already complete; the first poll() installs it.
-TEST(TierUp, ShutDownServiceTicketInstallsOnFirstPoll) {
+/// A shut-down service refuses the compile: the invalid ticket leaves
+/// nothing pending, and neither poll() nor wait() ever installs.
+TEST(TierUp, ShutDownServiceLeavesNothingPending) {
   auto BE = createBackend("DirectEmit");
   CompileService Svc(1);
   Svc.shutdown();
   qir::Module M;
   buildAffine(M, 2);
   TierUp Up;
-  Up.start(Svc.submit(M, *BE).Ticket);
-  EXPECT_TRUE(Up.poll());
+  Up.start(Svc.submit(M, *BE));
   EXPECT_FALSE(Up.pending());
-  ASSERT_NE(Up.installed(), nullptr);
-  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  EXPECT_FALSE(Up.poll());
+  EXPECT_FALSE(Up.wait());
+  EXPECT_EQ(Up.installed(), nullptr);
 }
 
 /// Pollers race the install while readers load installed(): exactly one
@@ -197,7 +197,7 @@ TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
   qir::Module M;
   buildAffine(M, 2);
   TierUp Up;
-  Up.start(Svc.submit(M, Gate).Ticket);
+  Up.start(Svc.submit(M, Gate));
   Gate.waitStarted();
 
   constexpr int Pollers = 4, Readers = 4;
@@ -247,9 +247,9 @@ TEST(CompileService, CancelBeforeStart) {
   qir::Module M1, M2;
   buildAffine(M1, 1);
   buildAffine(M2, 2);
-  CompileTicket Running = Svc.submit(M1, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M1, Gate);
   Gate.waitStarted(); // The single worker is now inside compile().
-  CompileTicket Queued = Svc.submit(M2, Counter).Ticket;
+  CompileTicket Queued = Svc.submit(M2, Counter);
 
   EXPECT_TRUE(Queued.cancel()) << "job had not started; cancel must win";
   EXPECT_EQ(Queued.wait(), nullptr);
@@ -296,10 +296,10 @@ TEST(CompileService, PriorityOrdersQueue) {
   int LowStamp = 0, HighStamp = 0;
   StampBackend LowBE(Order, LowStamp), HighBE(Order, HighStamp);
 
-  CompileTicket Running = Svc.submit(M0, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M0, Gate);
   Gate.waitStarted();
-  CompileTicket Low = Svc.submit(MLow, LowBE, CompilePriority::Background).Ticket;
-  CompileTicket High = Svc.submit(MHigh, HighBE, CompilePriority::Foreground).Ticket;
+  CompileTicket Low = Svc.submit(MLow, LowBE, CompilePriority::Background);
+  CompileTicket High = Svc.submit(MHigh, HighBE, CompilePriority::Foreground);
   Gate.release();
 
   EXPECT_NE(Low.wait(), nullptr);
@@ -317,12 +317,12 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
   qir::Module M1;
   buildAffine(M1, 1);
   std::vector<qir::Module> Mods(4);
-  CompileTicket Running = Svc->submit(M1, Gate).Ticket;
+  CompileTicket Running = Svc->submit(M1, Gate);
   Gate.waitStarted();
   std::vector<CompileTicket> Queued;
   for (int I = 0; I != 4; ++I) {
     buildAffine(Mods[I], I + 2);
-    Queued.push_back(Svc->submit(Mods[I], Counter).Ticket);
+    Queued.push_back(Svc->submit(Mods[I], Counter));
   }
   EXPECT_EQ(Svc->queueDepth(), 4u);
 
@@ -347,16 +347,30 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
   EXPECT_EQ(S.JobsCompleted, 1u);
   EXPECT_EQ(S.JobsCancelled, 4u);
   EXPECT_EQ(S.QueueDepthHighWater, 4u);
-
-  // Degraded mode after shutdown: submit still works, synchronously.
-  qir::Module MPost;
-  buildAffine(MPost, 9);
-  CompileTicket Post = Svc->submit(MPost, Counter).Ticket;
-  EXPECT_TRUE(Post.done());
-  auto C = Post.poll();
-  ASSERT_NE(C, nullptr);
-  EXPECT_EQ(C->entryAs<int64_t (*)(int64_t)>("f")(1), 16);
   Svc.reset(); // Second shutdown via destructor must be a no-op.
+}
+
+/// A shut-down service refuses new work instead of compiling it on the
+/// submitting thread: the ticket is invalid, the back-end never runs and
+/// nothing is queued or counted as a rejection.
+TEST(CompileService, SubmitAfterShutdownIsRefused) {
+  CountingBackend Counter(createBackend("DirectEmit"));
+  CompileService Svc(1);
+  Svc.shutdown();
+  qir::Module M;
+  buildAffine(M, 9);
+  for (CompilePriority P :
+       {CompilePriority::Foreground, CompilePriority::Background}) {
+    CompileTicket T = Svc.submit(M, Counter, P);
+    EXPECT_FALSE(T.valid());
+    EXPECT_EQ(T.wait(), nullptr);
+  }
+  Svc.drain(); // Nothing was accounted as pending.
+  EXPECT_EQ(Counter.Compiles.load(), 0u);
+  CompileServiceStats S = Svc.stats();
+  EXPECT_EQ(S.JobsQueued, 0u);
+  EXPECT_EQ(S.RejectedForeground + S.RejectedBackground + S.RejectedTenant,
+            0u);
 }
 
 TEST(CompileService, BoundedQueueRejectsWhenFull) {
@@ -369,24 +383,20 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
   for (int I = 0; I != 3; ++I)
     buildAffine(Mods[I], I + 2);
 
-  CompileTicket Running = Svc.submit(M1, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M1, Gate);
   Gate.waitStarted();
   auto BE = createBackend("DirectEmit");
-  CompileTicket A = Svc.submit(Mods[0], *BE).Ticket;
-  CompileTicket B = Svc.submit(Mods[1], *BE).Ticket;
+  CompileTicket A = Svc.submit(Mods[0], *BE);
+  CompileTicket B = Svc.submit(Mods[1], *BE);
 
   // Queue is full and nothing is sheddable (both queued jobs are
-  // Foreground): the next submit is rejected, never blocks.
-  SubmitOutcome R = Svc.submit(Mods[2], *BE);
-  EXPECT_EQ(R.Status, SubmitStatus::Rejected);
-  EXPECT_EQ(R.Reason, RejectReason::QueueFull);
-  EXPECT_FALSE(R.accepted());
-  EXPECT_FALSE(R.Ticket.valid());
-  EXPECT_GT(R.RetryAfterNs, 0u) << "rejection must carry a backpressure hint";
+  // Foreground): the next submit is refused, never blocks.
+  EXPECT_FALSE(Svc.submit(Mods[2], *BE).valid());
+  EXPECT_EQ(Svc.stats().RejectedForeground, 1u);
 
   // Background rejections are accounted separately.
-  SubmitOutcome RBg = Svc.submit(Mods[2], *BE, CompilePriority::Background);
-  EXPECT_EQ(RBg.Status, SubmitStatus::Rejected);
+  EXPECT_FALSE(Svc.submit(Mods[2], *BE, CompilePriority::Background).valid());
+  EXPECT_EQ(Svc.stats().RejectedBackground, 1u);
 
   Gate.release();
   EXPECT_NE(A.wait(), nullptr);
@@ -395,9 +405,9 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
   Svc.drain();
 
   // Space freed: the retried submit is accepted and completes.
-  SubmitOutcome Retry = Svc.submit(Mods[2], *BE);
-  EXPECT_EQ(Retry.Status, SubmitStatus::Accepted);
-  EXPECT_NE(Retry.Ticket.wait(), nullptr);
+  CompileTicket Retry = Svc.submit(Mods[2], *BE);
+  ASSERT_TRUE(Retry.valid());
+  EXPECT_NE(Retry.wait(), nullptr);
 
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.QueueCapacity, 2u);
@@ -417,25 +427,23 @@ TEST(CompileService, ForegroundShedsNewestBackground) {
   buildAffine(MNew, 3);
   buildAffine(MHigh, 4);
 
-  CompileTicket Running = Svc.submit(M0, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M0, Gate);
   Gate.waitStarted();
-  CompileTicket Old =
-      Svc.submit(MOld, Counter, CompilePriority::Background).Ticket;
-  CompileTicket New =
-      Svc.submit(MNew, Counter, CompilePriority::Background).Ticket;
+  CompileTicket Old = Svc.submit(MOld, Counter, CompilePriority::Background);
+  CompileTicket New = Svc.submit(MNew, Counter, CompilePriority::Background);
 
   // Full queue, but a Foreground submit may evict speculative work: the
   // *newest* Background job is shed (LIFO keeps the oldest speculation,
   // which has waited longest and is closest to running).
-  SubmitOutcome High = Svc.submit(MHigh, Counter);
-  EXPECT_EQ(High.Status, SubmitStatus::Accepted);
+  CompileTicket High = Svc.submit(MHigh, Counter);
+  EXPECT_TRUE(High.valid());
   EXPECT_TRUE(New.done()) << "shed victim's ticket must be terminal";
   EXPECT_EQ(New.wait(), nullptr) << "shed victim reports cancelled";
   EXPECT_FALSE(Old.done()) << "older Background job must survive";
 
   Gate.release();
   EXPECT_NE(Running.wait(), nullptr);
-  EXPECT_NE(High.Ticket.wait(), nullptr);
+  EXPECT_NE(High.wait(), nullptr);
   EXPECT_NE(Old.wait(), nullptr);
   Svc.drain();
 
@@ -462,30 +470,27 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
   CompileOptions OptsB;
   OptsB.FairnessKey = "tenant-b";
 
-  CompileTicket Running = Svc.submit(M0, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M0, Gate);
   Gate.waitStarted();
 
-  SubmitOutcome A1 =
-      Svc.submit(Mods[0], Counter, CompilePriority::Foreground, OptsA);
-  SubmitOutcome A2 =
-      Svc.submit(Mods[1], Counter, CompilePriority::Foreground, OptsA);
-  EXPECT_TRUE(A1.accepted());
-  EXPECT_TRUE(A2.accepted());
+  EXPECT_TRUE(
+      Svc.submit(Mods[0], Counter, CompilePriority::Foreground, OptsA).valid());
+  EXPECT_TRUE(
+      Svc.submit(Mods[1], Counter, CompilePriority::Foreground, OptsA).valid());
   EXPECT_EQ(Svc.keyInFlight("tenant-a"), 2u);
 
-  // Third in-flight job for tenant-a exceeds its share: typed rejection.
-  SubmitOutcome A3 =
-      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsA);
-  EXPECT_EQ(A3.Status, SubmitStatus::Rejected);
-  EXPECT_EQ(A3.Reason, RejectReason::TenantShare);
-  EXPECT_GT(A3.RetryAfterNs, 0u);
+  // Third in-flight job for tenant-a exceeds its share: refused, and
+  // counted as a tenant rejection rather than a full queue.
+  EXPECT_FALSE(
+      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsA).valid());
+  CompileServiceStats S = Svc.stats();
+  EXPECT_EQ(S.RejectedTenant, 1u);
+  EXPECT_EQ(S.RejectedForeground, 0u);
 
   // Other tenants and keyless submissions are unaffected.
-  SubmitOutcome B1 =
-      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsB);
-  EXPECT_TRUE(B1.accepted());
-  SubmitOutcome Keyless = Svc.submit(Mods[2], Counter);
-  EXPECT_TRUE(Keyless.accepted());
+  EXPECT_TRUE(
+      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsB).valid());
+  EXPECT_TRUE(Svc.submit(Mods[2], Counter).valid());
 
   Gate.release();
   EXPECT_NE(Running.wait(), nullptr);
@@ -494,10 +499,10 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
       << "in-flight accounting must drain to zero";
 
   // With its jobs drained, tenant-a can submit again.
-  SubmitOutcome A4 =
+  CompileTicket A4 =
       Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsA);
-  EXPECT_TRUE(A4.accepted());
-  EXPECT_NE(A4.Ticket.wait(), nullptr);
+  ASSERT_TRUE(A4.valid());
+  EXPECT_NE(A4.wait(), nullptr);
   EXPECT_EQ(Svc.stats().RejectedTenant, 1u);
 }
 
@@ -513,11 +518,10 @@ TEST(CompileService, QueueMetricsVisibleInRegistry) {
   buildAffine(M2, 3);
   auto BE = createBackend("DirectEmit");
 
-  CompileTicket Running = Svc.submit(M0, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M0, Gate);
   Gate.waitStarted();
-  CompileTicket Queued = Svc.submit(M1, *BE).Ticket;
-  SubmitOutcome Rejected = Svc.submit(M2, *BE);
-  EXPECT_EQ(Rejected.Status, SubmitStatus::Rejected);
+  CompileTicket Queued = Svc.submit(M1, *BE);
+  EXPECT_FALSE(Svc.submit(M2, *BE).valid());
 
   obs::MetricsSnapshot Snap = Reg.snapshot();
   EXPECT_EQ(Snap.gauge(P + "queue.capacity"), 1);
@@ -551,10 +555,10 @@ TEST(CompileService, CancelTokenAbandonsQueuedJob) {
   CompileOptions Opts;
   Opts.Cancel = &Ctl;
 
-  CompileTicket Running = Svc.submit(M0, Gate).Ticket;
+  CompileTicket Running = Svc.submit(M0, Gate);
   Gate.waitStarted();
   CompileTicket Doomed =
-      Svc.submit(M1, Counter, CompilePriority::Foreground, Opts).Ticket;
+      Svc.submit(M1, Counter, CompilePriority::Foreground, Opts);
   Ctl.cancel(); // Fires while the job is still queued.
   Gate.release();
 
@@ -703,23 +707,29 @@ TEST(CacheDedup, ServiceBackedMissesUseWorkers) {
 }
 
 TEST(CacheDedup, ShutdownServiceFallsBackInline) {
-  // A cache whose service is shut down mid-life keeps working: misses
-  // compile inline (degraded submit), results stay correct and cached.
-  auto Svc = std::make_unique<CompileService>(1);
-  CachingBackend BE(createBackend("DirectEmit"), 0, Svc.get());
+  // A cache whose service is shut down mid-life keeps working: the
+  // service refuses the miss, the cache compiles it inline, and results
+  // stay correct and cached.
+  CompileService Svc(1);
+  auto Counting =
+      std::make_unique<CountingBackend>(createBackend("DirectEmit"));
+  CountingBackend *Counter = Counting.get();
+  CachingBackend BE(std::move(Counting), 0, &Svc);
 
   qir::Module M1, M2;
   buildAffine(M1, 2);
   buildAffine(M2, 4);
   auto C1 = BE.compile(M1);
   EXPECT_EQ(C1->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  EXPECT_EQ(Svc.stats().JobsCompleted, 1u);
 
-  Svc->shutdown();
-  auto C2 = BE.compile(M2); // Degraded service: sync compile.
+  Svc.shutdown();
+  auto C2 = BE.compile(M2); // Refused by the service: inline compile.
   EXPECT_EQ(C2->entryAs<int64_t (*)(int64_t)>("f")(5), 27);
-  Svc.reset();
-  BE.setService(nullptr);
   auto C3 = BE.compile(M2); // Hit; no service involved.
   EXPECT_EQ(C3->entryAs<int64_t (*)(int64_t)>("f")(0), 7);
   EXPECT_EQ(BE.stats().Hits, 1u);
+  EXPECT_EQ(Counter->Compiles.load(), 2u)
+      << "M2 must reach the inner back-end exactly once";
+  EXPECT_EQ(Svc.stats().JobsCompleted, 1u);
 }

@@ -422,6 +422,48 @@ TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
   }
 }
 
+TEST(DbExec, AdaptiveOnShutDownServiceStaysOnFastTier) {
+  // A shut-down service refuses every optimized compile. The query must
+  // not compile the optimized tier itself: each pipeline runs all of its
+  // morsels on the fast tier, a forced cutover does not wait, and the
+  // result matches the interpreter's.
+  Catalog &C = tpchCatalog();
+  CompiledPlan Plan = compileQuery(tpchQueries().front(), C);
+  auto Interp = backend::createBackend("Interpreter");
+  auto Fast = backend::createBackend("DirectEmit");
+  auto Opt = backend::createBackend("Craneline");
+  rt::OutputBuffer Ref;
+  ASSERT_FALSE(executeQuery(Plan, *Interp, C, &Ref).Trapped);
+
+  backend::CompileService Svc(1);
+  Svc.shutdown();
+  for (int64_t ForceMorsel : {int64_t(-1), int64_t(0)}) {
+    SCOPED_TRACE(ForceMorsel);
+    obs::MetricsRegistry Reg;
+    rt::OutputBuffer Out;
+    ExecOptions O;
+    O.NumThreads = 2;
+    O.MorselSize = 256;
+    O.AdaptiveExec = true;
+    O.FastBackend = Fast.get();
+    O.Service = &Svc;
+    O.OsrForceSwapMorsel = ForceMorsel;
+    O.Obs.Metrics = &Reg;
+    ExecResult R = executeQuery(Plan, *Opt, C, &Out, O);
+    ASSERT_FALSE(R.Trapped);
+    EXPECT_EQ(Ref.unorderedDigest(), Out.unorderedDigest());
+    EXPECT_EQ(R.Stats.OsrSwaps, 0u);
+    ASSERT_FALSE(R.Stats.Pipelines.empty());
+    for (const PipelineStats &P : R.Stats.Pipelines) {
+      EXPECT_EQ(P.MorselsOpt, 0u);
+      EXPECT_EQ(P.MorselsFast, P.Morsels);
+    }
+    EXPECT_EQ(Reg.snapshot().counter("compile.Craneline.count"), 0u)
+        << "the optimized tier compiled on the query thread";
+  }
+  EXPECT_EQ(Svc.stats().JobsQueued, 0u);
+}
+
 TEST(DbExec, AdaptiveTrapAbortsCleanly) {
   // The trap path under adaptive execution: an overflow mid-pipeline must
   // still abort with Trapped set, and the optimized compiles in flight

@@ -287,7 +287,7 @@ TEST(ObsCompile, CompileServiceStatsAreARegistryView) {
     backend::CompileService Svc(2, 0, &Reg);
     std::vector<backend::CompileTicket> Tickets;
     for (int I = 0; I != 8; ++I)
-      Tickets.push_back(Svc.submit(M, *Inner).Ticket);
+      Tickets.push_back(Svc.submit(M, *Inner));
     for (backend::CompileTicket &T : Tickets)
       EXPECT_NE(T.wait(), nullptr);
 
@@ -322,8 +322,7 @@ TEST(ObsCompile, ServiceCarriesObsContextToWorkerThreads) {
   backend::CompileService Svc(2);
   backend::CompileOptions Opts{obs::ObsContext(nullptr, &Reg, &Sink)};
   auto Result =
-      Svc.submit(M, *Inner, backend::CompilePriority::Foreground, Opts)
-          .Ticket.wait();
+      Svc.submit(M, *Inner, backend::CompilePriority::Foreground, Opts).wait();
   ASSERT_NE(Result, nullptr);
   EXPECT_EQ(Reg.snapshot().counter("compile.MLVM-cheap.count"), 1u);
   // Spanning slice + per-pass slices from the worker thread.

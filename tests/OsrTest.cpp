@@ -390,8 +390,8 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
     qir::Builder B(F);
     B.ret(F->paramValue(0));
   }
-  backend::SubmitOutcome Pin = Svc.submit(Dummy, Gate);
-  ASSERT_TRUE(Pin.Ticket.valid());
+  backend::CompileTicket Pin = Svc.submit(Dummy, Gate);
+  ASSERT_TRUE(Pin.valid());
   Gate.waitStarted();
 
   std::atomic<bool> QueryDone{false};
@@ -435,7 +435,7 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
   EXPECT_TRUE(GateWasClosed)
       << "the cutover wait outlived the cancel until the gate opened";
   EXPECT_EQ(R.Stats.OsrSwaps, 0u);
-  Pin.Ticket.wait();
+  Pin.wait();
   Svc.shutdown();
   EXPECT_GE(Svc.stats().JobsCancelled, 1u);
 }

@@ -560,8 +560,8 @@ TEST(Serve, CancelledQueryAbandonsQueuedCompile) {
     qir::Builder B(F);
     B.ret(F->paramValue(0));
   }
-  backend::SubmitOutcome Pin = Svc.submit(Dummy, Cache.inner());
-  ASSERT_TRUE(Pin.Ticket.valid());
+  backend::CompileTicket Pin = Svc.submit(Dummy, Cache.inner());
+  ASSERT_TRUE(Pin.valid());
   Gate->waitStarted();
 
   db::CompiledPlan Plan = db::compileQuery(corpus().Queries[0], corpus().Cat);
@@ -589,7 +589,7 @@ TEST(Serve, CancelledQueryAbandonsQueuedCompile) {
   EXPECT_TRUE(R.Cancelled);
 
   Gate->release();
-  Pin.Ticket.wait();
+  Pin.wait();
   Svc.shutdown();
   // The abandoned job was counted, and only the pin ever compiled.
   EXPECT_GE(Svc.stats().JobsCancelled, 1u);

@@ -25,7 +25,7 @@
 #include "tests/DiffHarness.h"
 #include "tests/ImagePayload.h"
 #include "tv/Tv.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -264,10 +264,10 @@ TEST(Stencil, EveryFragmentLintsClean) {
   auto Lint = [](const std::string &Name, const Fragment &F) {
     std::vector<uint8_t> Code = F.Bytes;
     Code.insert(Code.end(), {0x0f, 0x0b});
-    std::vector<x64::LintReloc> Relocs;
+    std::vector<x64::DecodeReloc> Relocs;
     for (const Patch &P : F.Patches)
       Relocs.push_back({P.Off, P.K == Patch::Kind::Imm64 ? 8u : 4u});
-    EXPECT_EQ(x64::lintFunction(Code.data(), Code.size(), Relocs), "")
+    EXPECT_EQ(x64::decodeFunction(Code.data(), Code.size(), Relocs).Error, "")
         << Name;
   };
   const Fragment *Structural[] = {
@@ -365,10 +365,10 @@ TEST(StencilMutation, RelocWithWrongOffsetIsCaught) {
     ASSERT_FALSE(Fns.empty());
     bool AnyLintError = false;
     for (const auto &Fn : Fns) {
-      std::vector<x64::LintReloc> LR;
+      std::vector<x64::DecodeReloc> LR;
       for (const auto &Rel : Fn.Relocs)
         LR.push_back({Rel.Offset, Rel.Width});
-      AnyLintError |= !x64::lintFunction(Fn.Code, Fn.Size, LR).empty();
+      AnyLintError |= !x64::decodeFunction(Fn.Code, Fn.Size, LR).Error.empty();
     }
     EXPECT_TRUE(AnyLintError)
         << "encoding lint must flag a mid-instruction relocation range";
@@ -431,10 +431,10 @@ TEST(StencilMutation, CorruptedContinuationJumpIsCaught) {
   ASSERT_FALSE(Fns.empty());
   bool AnyLintError = false;
   for (const auto &Fn : Fns) {
-    std::vector<x64::LintReloc> LR;
+    std::vector<x64::DecodeReloc> LR;
     for (const auto &Rel : Fn.Relocs)
       LR.push_back({Rel.Offset, Rel.Width});
-    AnyLintError |= !x64::lintFunction(Fn.Code, Fn.Size, LR).empty();
+    AnyLintError |= !x64::decodeFunction(Fn.Code, Fn.Size, LR).Error.empty();
   }
   EXPECT_TRUE(AnyLintError)
       << "encoding lint must flag a mid-instruction branch target";

@@ -28,7 +28,7 @@
 #include "tests/DiffHarness.h"
 #include "tests/RandomQir.h"
 #include "x64/Asm.h"
-#include "x64/EncodingLint.h"
+#include "x64/Decode.h"
 #include <gtest/gtest.h>
 
 using namespace qcf;
@@ -573,6 +573,12 @@ TEST(MirVerifier, DieAbortsWithDiagnostic) {
 
 // --- x64 encoding lint --------------------------------------------------------
 
+/// The `mc` verifier's lint: decodeFunction's diagnostic ("" when clean).
+static std::string lint(const std::vector<uint8_t> &Code,
+                        const std::vector<x64::DecodeReloc> &Relocs = {}) {
+  return x64::decodeFunction(Code.data(), Code.size(), Relocs).Error;
+}
+
 TEST(EncodingLint, AcceptsAssemblerOutput) {
   x64::Assembler A;
   A.movRI(Reg::RAX, 0x123456789abcdef0ull);
@@ -583,20 +589,19 @@ TEST(EncodingLint, AcceptsAssemblerOutput) {
   A.bind(L);
   A.ret();
   A.finalize();
-  EXPECT_EQ(x64::lintFunction(A.code().data(), A.size()), "");
+  EXPECT_EQ(lint(A.code()), "");
 }
 
 TEST(EncodingLint, RejectsGarbageByte) {
   std::vector<uint8_t> Code = {0x06, 0xc3}; // 0x06 is not a valid opcode
-  std::string Err = x64::lintFunction(Code.data(), Code.size());
+  std::string Err = lint(Code);
   EXPECT_NE(Err.find("offset 0"), std::string::npos);
   EXPECT_NE(Err.find("unknown opcode byte"), std::string::npos);
 }
 
 TEST(EncodingLint, RejectsTruncatedInstruction) {
   std::vector<uint8_t> Code = {0xc3, 0x48}; // trailing lone REX prefix
-  EXPECT_NE(x64::lintFunction(Code.data(), Code.size()).find("truncated"),
-            std::string::npos);
+  EXPECT_NE(lint(Code).find("truncated"), std::string::npos);
 }
 
 TEST(EncodingLint, RejectsOffByOneJumpTarget) {
@@ -604,18 +609,16 @@ TEST(EncodingLint, RejectsOffByOneJumpTarget) {
   std::vector<uint8_t> Code = {0xe9, 0x01, 0x00, 0x00, 0x00, // jmp .+1
                                0x48, 0x89, 0xc0,             // mov rax, rax
                                0xc3};                        // ret
-  std::string Err = x64::lintFunction(Code.data(), Code.size());
+  std::string Err = lint(Code);
   EXPECT_NE(Err.find("targets offset 6"), std::string::npos);
   EXPECT_NE(Err.find("not an instruction start"), std::string::npos);
   Code[1] = 0x03; // jmp .+3 → offset 8, the ret: a valid boundary
-  EXPECT_EQ(x64::lintFunction(Code.data(), Code.size()), "");
+  EXPECT_EQ(lint(Code), "");
 }
 
 TEST(EncodingLint, RejectsJumpBeyondFunctionEnd) {
   std::vector<uint8_t> Code = {0xe9, 0x10, 0x00, 0x00, 0x00, 0xc3};
-  EXPECT_NE(x64::lintFunction(Code.data(), Code.size())
-                .find("not an instruction start"),
-            std::string::npos);
+  EXPECT_NE(lint(Code).find("not an instruction start"), std::string::npos);
 }
 
 TEST(EncodingLint, CallRel32RequiresRelocOrValidTarget) {
@@ -623,23 +626,21 @@ TEST(EncodingLint, CallRel32RequiresRelocOrValidTarget) {
   // call .+0 targets offset 5: fine. call into nowhere without a reloc
   // must fail; with a covering reloc it is a linker-patched callee.
   Code[1] = 0x20;
-  EXPECT_NE(x64::lintFunction(Code.data(), Code.size())
-                .find("not an instruction start"),
-            std::string::npos);
-  EXPECT_EQ(x64::lintFunction(Code.data(), Code.size(), {{1, 4}}), "");
+  EXPECT_NE(lint(Code).find("not an instruction start"), std::string::npos);
+  EXPECT_EQ(lint(Code, {{1, 4}}), "");
 }
 
 TEST(EncodingLint, RejectsRelocationAtOpcodeByte) {
   std::vector<uint8_t> Code = {0xe8, 0x00, 0x00, 0x00, 0x00, 0xc3};
-  EXPECT_NE(x64::lintFunction(Code.data(), Code.size(), {{0, 4}})
-                .find("does not lie inside one instruction's payload"),
+  std::string Err = lint(Code, {{0, 4}});
+  EXPECT_NE(Err.find("does not lie inside one instruction's payload"),
             std::string::npos);
 }
 
 TEST(EncodingLint, RejectsRelocationStraddlingInstructions) {
   std::vector<uint8_t> Code = {0xe8, 0x00, 0x00, 0x00, 0x00, 0xc3};
-  EXPECT_NE(x64::lintFunction(Code.data(), Code.size(), {{3, 4}})
-                .find("does not lie inside one instruction's payload"),
+  std::string Err = lint(Code, {{3, 4}});
+  EXPECT_NE(Err.find("does not lie inside one instruction's payload"),
             std::string::npos);
 }
 
