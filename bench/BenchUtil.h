@@ -126,11 +126,11 @@ inline void printHeader(const char *Title, const char *PaperRef) {
 
 /// The current PR ordinal for BENCH_<n>.json trajectory records. This is
 /// the single place the number lives: benches that hard-coded their own
-/// (bench_osr wrote 6, bench_serve wrote 9) drifted as PRs landed, so the
-/// recorded trajectory skipped numbers. Bump the constant once per PR;
-/// CI jobs that re-record a *historical* point pin it explicitly with
-/// the QCF_BENCH_ORDINAL environment variable (see .github/workflows/
-/// ci.yml), which takes precedence when set to a positive integer.
+/// (bench_osr wrote 6) drifted as PRs landed, so the recorded trajectory
+/// skipped numbers. Bump the constant once per PR; CI jobs that re-record
+/// a *historical* point pin it explicitly with the QCF_BENCH_ORDINAL
+/// environment variable (see .github/workflows/ci.yml), which takes
+/// precedence when set to a positive integer.
 inline constexpr unsigned kBenchTrajectoryOrdinal = 10;
 
 inline unsigned benchOrdinal() {

@@ -44,20 +44,13 @@ struct CompileOptions {
   /// support/VerifyOptions.h and DESIGN.md "Verification layers".
   VerifyOptions Verify = VerifyOptions::fromEnv();
 
-  /// How this compile allocates its IR/MIR/scratch memory: one MemContext
-  /// is created per compile() call with this mode. Heap is the paper-
-  /// faithful default (per-object allocation, §V-B1); Arena is the
-  /// production mode measured by E14. Defaults to QCF_ALLOC; see
-  /// support/MemContext.h and DESIGN.md "Compilation memory".
+  /// How this compile allocates its IR/MIR/scratch memory: each
+  /// compile() call creates its own MemContext with this mode, so no two
+  /// compiles ever share one. Heap is the paper-faithful default
+  /// (per-object allocation, §V-B1); Arena is the production mode
+  /// measured by E14. Defaults to QCF_ALLOC; see support/MemContext.h and
+  /// DESIGN.md "Compilation memory".
   AllocMode Alloc = allocModeFromEnv();
-
-  /// External compile-memory context. When set, the back-end allocates
-  /// its IR/MIR/scratch memory from this context instead of creating its
-  /// own, so the caller can meter the compile's footprint afterwards via
-  /// the context's byte counters — the serving layer's per-tenant
-  /// compile-memory quota is enforced against exactly these numbers.
-  /// The context must not be shared between concurrent compiles.
-  qcf::MemContext *Mem = nullptr;
 
   /// Cooperative cancellation for the compile *wait*, not the compile
   /// itself: CompileService workers treat a fired token as

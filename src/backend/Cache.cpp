@@ -7,11 +7,9 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/DiskCache.h"
-#include "support/Compiler.h"
 #include "support/Hash.h"
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 
 namespace qcf::backend {
 
@@ -240,15 +238,9 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     // warm loads skip the back-end entirely, so validate the re-patched
     // code here — this is the one layer that re-checks cached blobs
     // against the IR they claim to implement.
-    if (FromDisk && Opts.Verify.Tv) {
-      std::string Err = tv::validateModule(M, Compiled->tvFunctions(),
-                                           tv::TvOptions::fromEnv(),
-                                           Opts.Obs.Metrics);
-      if (!Err.empty()) {
-        fprintf(stderr, "%s", Err.c_str());
-        reportFatalError("translation validation failed (disk cache)");
-      }
-    }
+    if (FromDisk && Opts.Verify.Tv)
+      tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
+                        "disk cache");
   }
   if (!Compiled && Service) {
     // A refused submit (queue full, fairness share used up, service shut

@@ -185,7 +185,6 @@ public:
   /// Blocks until every accepted job has reached a terminal state.
   void drain();
 
-  unsigned numWorkers() const { return static_cast<unsigned>(Workers.size()); }
   size_t queueDepth() const { return Queue.size(); }
 
   /// Registry prefix of this instance's instruments, e.g. "svc.1.".

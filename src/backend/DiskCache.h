@@ -64,8 +64,9 @@ public:
   /// On-disk envelope format version. Bump on any change to the envelope
   /// or to a back-end payload format; stale-version blobs are rejected
   /// and unlinked on load. Version 3: the native back-ends share the
-  /// x64::CodeImage section layout (DirectEmit's CFI moved after it).
-  static constexpr uint32_t FormatVersion = 3;
+  /// x64::CodeImage section layout. Version 4: DirectEmit's payload
+  /// drops its CFI section and is the image section alone.
+  static constexpr uint32_t FormatVersion = 4;
 
   /// \p Dir is created (with parents) if missing. \p BudgetBytes bounds
   /// the directory's total blob size, 0 = unbounded. \p Reg receives the

@@ -273,8 +273,6 @@ public:
     return V;
   }
 
-  CValue resultOf(CInstId Id) const { return InstResult[Id]; }
-
   CType valueType(CValue V) const { return Values[V].Ty; }
 };
 

@@ -11,7 +11,6 @@
 #include "craneline/Translate.h"
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
-#include "support/Compiler.h"
 #include "x64/Decode.h"
 #include <cstring>
 
@@ -149,12 +148,7 @@ CranelineBackend::compile(const qir::Module &M,
                           const backend::CompileOptions &COpts) {
   obs::CompileObs CompObs(COpts.Obs, name());
   TimeTrace *Trace = CompObs.trace();
-  // An external MemContext (COpts.Mem) lets the caller meter this
-  // compile's allocation footprint; otherwise the compile owns one.
-  MemContext OwnMem(COpts.Alloc);
-  MemContext &Mem = COpts.Mem ? *COpts.Mem : OwnMem;
-  uint64_t ScratchBytes0 = Mem.scratch().bytesAllocated();
-  uint64_t ScratchAllocs0 = Mem.scratch().numAllocs();
+  MemContext Mem(COpts.Alloc);
   auto Result = std::make_unique<CranelineModule>();
 
   struct FnOut {
@@ -163,12 +157,8 @@ CranelineBackend::compile(const qir::Module &M,
   };
   std::vector<FnOut> Outs;
 
-  if (COpts.Verify.Ir) {
-    if (auto Err = qir::verify(M)) {
-      fprintf(stderr, "%s\n", Err->c_str());
-      reportFatalError("QIR verification failed (craneline)");
-    }
-  }
+  if (COpts.Verify.Ir)
+    qir::verifyOrDie(M, "craneline");
 
   // Cranelift compiles one function at a time (§VI).
   for (const auto &F : M.functions()) {
@@ -205,13 +195,8 @@ CranelineBackend::compile(const qir::Module &M,
       std::vector<x64::DecodeReloc> Relocs;
       for (const AbsReloc &R : Em.Relocs)
         Relocs.push_back({R.Offset, 8});
-      std::string Err =
-          x64::decodeFunction(Em.Code.data(), Em.Code.size(), Relocs).Error;
-      if (!Err.empty()) {
-        fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
-                F->name().c_str());
-        reportFatalError("machine-code lint failed (craneline)");
-      }
+      x64::lintOrDie(Em.Code.data(), Em.Code.size(), Relocs, F->name(),
+                     "craneline");
     }
   }
 
@@ -239,23 +224,17 @@ CranelineBackend::compile(const qir::Module &M,
   if (COpts.Obs.Metrics) {
     obs::MetricsRegistry &Reg = *COpts.Obs.Metrics;
     Reg.counter("mem." + name() + ".irpasses.bytes")
-        .add(Mem.scratch().bytesAllocated() - ScratchBytes0);
+        .add(Mem.scratch().bytesAllocated());
     Reg.counter("mem." + name() + ".irpasses.allocs")
-        .add(Mem.scratch().numAllocs() - ScratchAllocs0);
+        .add(Mem.scratch().numAllocs());
     Reg.counter("mem." + name() + ".compiles." +
                 allocModeName(Mem.mode()))
         .inc();
   }
 
-  if (COpts.Verify.Tv) {
-    std::string Err = tv::validateModule(M, Result->tvFunctions(),
-                                         tv::TvOptions::fromEnv(),
-                                         COpts.Obs.Metrics);
-    if (!Err.empty()) {
-      fprintf(stderr, "%s", Err.c_str());
-      reportFatalError("translation validation failed (craneline)");
-    }
-  }
+  if (COpts.Verify.Tv)
+    tv::validateOrDie(M, Result->tvFunctions(), COpts.Obs.Metrics,
+                      "craneline");
   return Result;
 }
 

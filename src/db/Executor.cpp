@@ -447,7 +447,6 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
 
   backend::CompileOptions CO{Opts.Obs};
   CO.Cancel = Ctl;
-  CO.Mem = Opts.CompileMem;
   CO.FairnessKey = Opts.CompileFairnessKey;
 
   // Each pipeline's code comes from a ready module: the whole-module

@@ -15,6 +15,9 @@
 /// ready module (blocking: the one whole-module compile), or from a ready
 /// fast-tier module plus a pending optimized tier swapped in at a morsel
 /// boundary (AdaptiveExec). A pending compile is a backend::TierUp.
+/// Every compile it starts creates its own qcf::MemContext, so a
+/// fast-tier compile on the query thread and an optimized one on a
+/// service worker never share compile memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +51,6 @@ struct ExecOptions {
   /// call returns early with ExecResult::Cancelled set; the output
   /// buffer may hold partial rows and must be discarded by the caller.
   ExecControl *Control = nullptr;
-
-  /// External compile-memory context forwarded to every compile this
-  /// call issues (CompileOptions::Mem), so a serving layer can meter
-  /// the query's compile footprint against tenant quotas. Must not be
-  /// shared with concurrent queries.
-  qcf::MemContext *CompileMem = nullptr;
 
   /// Fairness key (CompileOptions::FairnessKey) stamped on every compile
   /// this call submits to a CompileService — the serving layer sets it

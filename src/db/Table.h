@@ -65,13 +65,11 @@ public:
 
   void pushI32(int32_t V) { pushBytes(&V, 4); }
   void pushI64(int64_t V) { pushBytes(&V, 8); }
-  void pushF64(double V) { pushBytes(&V, 8); }
   void pushDecimal(Int128 V) { pushBytes(&V, 16); }
   void pushStr(rt::StringVal V) { pushBytes(&V, 16); }
 
   int32_t i32At(size_t I) const { return at<int32_t>(I); }
   int64_t i64At(size_t I) const { return at<int64_t>(I); }
-  double f64At(size_t I) const { return at<double>(I); }
   Int128 decimalAt(size_t I) const { return at<Int128>(I); }
   rt::StringVal strAt(size_t I) const { return at<rt::StringVal>(I); }
 
@@ -110,13 +108,6 @@ public:
       if (C.Name == ColName)
         return &C;
     return nullptr;
-  }
-
-  int columnIndex(const std::string &ColName) const {
-    for (size_t I = 0; I != Columns.size(); ++I)
-      if (Columns[I].Name == ColName)
-        return static_cast<int>(I);
-    return -1;
   }
 
   /// Interns a string into the table's arena (long strings only).

@@ -25,7 +25,6 @@
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
 #include "support/Bitset.h"
-#include "support/ByteIo.h"
 #include "support/Compiler.h"
 #include "x64/Decode.h"
 #include "x64/QirLower.h"
@@ -997,7 +996,7 @@ private:
 
 size_t DirectModule::cfiRecordOffset(const std::string &Name) const {
   size_t I = Image.indexOf(Name);
-  return I == SIZE_MAX ? SIZE_MAX : CfiOffsets[I];
+  return I < CfiOffsets.size() ? CfiOffsets[I] : SIZE_MAX;
 }
 
 std::unique_ptr<backend::CompiledModule>
@@ -1008,12 +1007,8 @@ DirectBackend::compile(const qir::Module &M,
   auto Result = std::make_unique<DirectModule>();
   CfiWriter Cfi(Result->Cfi);
 
-  if (Opts.Verify.Ir) {
-    if (auto Err = qir::verify(M)) {
-      fprintf(stderr, "%s\n", Err->c_str());
-      reportFatalError("QIR verification failed (direct)");
-    }
-  }
+  if (Opts.Verify.Ir)
+    qir::verifyOrDie(M, "direct");
 
   std::vector<x64::CodeImage::Piece> Pieces;
   for (const auto &F : M.functions()) {
@@ -1024,66 +1019,27 @@ DirectBackend::compile(const qir::Module &M,
     Cfi.endFunction(CfiOff, A.size());
     Result->CfiOffsets.push_back(CfiOff);
     Pieces.push_back({F->name(), A.code(), std::move(FC.RtRelocs)});
-    if (Opts.Verify.Mc) {
-      // DirectEmit calls through registers, so the bytes are final here:
-      // no relocations to exempt.
-      std::string Err = x64::decodeFunction(A.code().data(), A.size()).Error;
-      if (!Err.empty()) {
-        fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
-                F->name().c_str());
-        reportFatalError("machine-code lint failed (direct)");
-      }
-    }
+    // DirectEmit calls through registers, so the bytes are final here:
+    // no relocations to exempt.
+    if (Opts.Verify.Mc)
+      x64::lintOrDie(A.code().data(), A.size(), {}, F->name(), "direct");
   }
 
   TimeTraceScope Scope(Trace, "direct.link");
   Result->image().link(Pieces);
 
-  if (Opts.Verify.Tv) {
-    std::string Err = tv::validateModule(M, Result->tvFunctions(),
-                                         tv::TvOptions::fromEnv(),
-                                         Opts.Obs.Metrics);
-    if (!Err.empty()) {
-      fprintf(stderr, "%s", Err.c_str());
-      reportFatalError("translation validation failed (direct)");
-    }
-  }
+  if (Opts.Verify.Tv)
+    tv::validateOrDie(M, Result->tvFunctions(), Opts.Obs.Metrics, "direct");
   return Result;
 }
 
 // --- Persistent-cache serialization --------------------------------------------
 
-bool DirectModule::serialize(std::vector<uint8_t> &Out) const {
-  ByteWriter W;
-  if (!Image.serialize(W))
-    return false;
-  W.bytes(Cfi.data(), Cfi.size());
-  for (uint64_t Off : CfiOffsets)
-    W.u64(Off);
-  Out = W.take();
-  return true;
-}
-
+// The payload is the image section alone: the CFI table stays in memory
+// (it has no consumer), so a warm-installed module carries none.
 std::unique_ptr<backend::CompiledModule>
 DirectBackend::deserialize(const uint8_t *Data, size_t Len) {
-  ByteReader R(Data, Len);
-  x64::CodeImage::Payload P;
-  if (!P.decode(R))
-    return nullptr;
-  auto Result = std::make_unique<DirectModule>();
-  auto [CfiData, CfiLen] = R.bytes();
-  for (size_t I = 0; I != P.Fns.size(); ++I) {
-    // Every record starts with an 8-byte header (code offset, length).
-    uint64_t Off = R.u64();
-    if (!R.ok() || CfiLen < 8 || Off > CfiLen - 8)
-      return nullptr;
-    Result->CfiOffsets.push_back(Off);
-  }
-  if (!R.ok() || R.remaining())
-    return nullptr;
-  Result->Cfi.assign(CfiData, CfiData + CfiLen);
-  Result->image().install(std::move(P));
-  return Result;
+  return backend::installImage<DirectModule>(Data, Len);
 }
 
 // --- CFI validation ------------------------------------------------------------

@@ -23,21 +23,21 @@
 
 namespace qcf::direct {
 
-/// Machine code produced by DirectEmit, plus its CFI side table.
+/// Machine code produced by DirectEmit, plus its CFI side table. Only a
+/// cold compile has the table: the disk payload is the image section
+/// alone, so a warm-installed module has no CFI.
 class DirectModule final : public backend::ImageModule {
 public:
   /// The CFI side table (one record per function); exposed for tests.
   const std::vector<uint8_t> &cfiBytes() const { return Cfi; }
+  /// \p Name's record offset in cfiBytes(); SIZE_MAX for an unknown
+  /// function or a warm-installed module.
   size_t cfiRecordOffset(const std::string &Name) const;
-
-  /// Persists the image section, then the CFI section: the table as a
-  /// length-prefixed byte string and one u64 record offset per function.
-  bool serialize(std::vector<uint8_t> &Out) const override;
 
 private:
   friend class DirectBackend;
   std::vector<uint8_t> Cfi;
-  std::vector<uint64_t> CfiOffsets; ///< Parallel to image().functions().
+  std::vector<uint64_t> CfiOffsets; ///< Per image function; cold only.
 };
 
 /// The DirectEmit back-end.

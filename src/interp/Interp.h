@@ -57,8 +57,6 @@ public:
   /// lanes; Hi is zero for one-lane results).
   Slot run(const uint64_t *ArgLanes, unsigned NumLanes) const;
 
-  unsigned numRegs() const { return NumRegs; }
-
   /// Number of parameter lanes this function expects.
   unsigned numParamLanes() const { return NumParamLanes; }
 

@@ -305,14 +305,6 @@ public:
     return static_cast<uint32_t>(Callees.size() - 1);
   }
 
-  /// Total instruction count (pass-cost metric).
-  size_t numInstrs() const {
-    size_t N = 0;
-    for (const auto &B : Blocks)
-      N += B->Insts.size();
-    return N;
-  }
-
 private:
   MemPool *Pool;
 };

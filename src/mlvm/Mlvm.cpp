@@ -150,10 +150,7 @@ MlvmBackend::compile(const qir::Module &M,
                      const backend::CompileOptions &Opts) {
   obs::CompileObs Obs(Opts.Obs, name());
   TimeTrace *Trace = Obs.trace();
-  // An external MemContext (Opts.Mem) lets the caller meter this
-  // compile's allocation footprint; otherwise the compile owns one.
-  MemContext OwnMem(Opts.Alloc);
-  MemContext &Mem = Opts.Mem ? *Opts.Mem : OwnMem;
+  MemContext Mem(Opts.Alloc);
   std::vector<uint8_t> Object = compileToObject(M, Trace, Opts.Verify, &Mem);
   std::unique_ptr<LinkedImage> Image =
       jitLink(Object, Trace, &Mem.scratch());
@@ -161,15 +158,8 @@ MlvmBackend::compile(const qir::Module &M,
     publishMemMetrics(*Opts.Obs.Metrics, name(), Mem.mode(), LastMem);
   auto Result =
       std::make_unique<MlvmModule>(std::move(Image), std::move(Object));
-  if (Opts.Verify.Tv) {
-    std::string Err = tv::validateModule(M, Result->tvFunctions(),
-                                         tv::TvOptions::fromEnv(),
-                                         Opts.Obs.Metrics);
-    if (!Err.empty()) {
-      fprintf(stderr, "%s", Err.c_str());
-      reportFatalError("translation validation failed (mlvm)");
-    }
-  }
+  if (Opts.Verify.Tv)
+    tv::validateOrDie(M, Result->tvFunctions(), Opts.Obs.Metrics, "mlvm");
   return Result;
 }
 
@@ -206,12 +196,8 @@ std::vector<uint8_t> MlvmBackend::compileToObject(const qir::Module &M,
   LastIrObjects = 0;
   LastMem = MemPhaseStats();
 
-  if (Verify.Ir) {
-    if (auto Err = qir::verify(M)) {
-      fprintf(stderr, "%s\n", Err->c_str());
-      reportFatalError("QIR verification failed (mlvm)");
-    }
-  }
+  if (Verify.Ir)
+    qir::verifyOrDie(M, "mlvm");
 
   TargetMachine *TM;
   {
@@ -302,13 +288,8 @@ std::vector<uint8_t> MlvmBackend::compileToObject(const qir::Module &M,
       for (const ElfReloc &R : Mc.Relocs)
         if (R.Offset >= S.Offset && R.Offset < S.Offset + S.Size)
           Relocs.push_back({R.Offset - S.Offset, 4});
-      std::string Err =
-          x64::decodeFunction(Mc.Text.data() + S.Offset, S.Size, Relocs).Error;
-      if (!Err.empty()) {
-        fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
-                S.Name.c_str());
-        reportFatalError("machine-code lint failed (mlvm)");
-      }
+      x64::lintOrDie(Mc.Text.data() + S.Offset, S.Size, Relocs, S.Name,
+                     "mlvm");
     }
   }
 

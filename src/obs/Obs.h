@@ -51,10 +51,6 @@ struct ObsContext {
              TraceSink *Sink = nullptr)
       : Trace(Trace), Metrics(Metrics), Sink(Sink) {}
 
-  /// True when some per-phase consumer is attached (anything beyond the
-  /// always-on structural counters).
-  bool wantsDetail() const { return Trace || Metrics || Sink; }
-
   /// The registry structural metrics should land in: the explicit one,
   /// falling back to the process-wide default.
   MetricsRegistry &registry() const {

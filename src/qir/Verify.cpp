@@ -453,3 +453,12 @@ std::optional<std::string> qir::verify(const Module &M) {
       return Err;
   return std::nullopt;
 }
+
+void qir::verifyOrDie(const Module &M, const char *Who) {
+  std::optional<std::string> Err = verify(M);
+  if (!Err)
+    return;
+  fprintf(stderr, "%s\n", Err->c_str());
+  reportFatalError(
+      ("QIR verification failed (" + std::string(Who) + ")").c_str());
+}

@@ -26,6 +26,10 @@ std::optional<std::string> verify(const Function &F);
 /// Verifies all functions of \p M.
 std::optional<std::string> verify(const Module &M);
 
+/// verify(M), escalating a failure to reportFatalError naming \p Who (the
+/// back-end); the `ir` layer of QCF_VERIFY.
+void verifyOrDie(const Module &M, const char *Who);
+
 } // namespace qcf::qir
 
 #endif // QCF_QIR_VERIFY_H

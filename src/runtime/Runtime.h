@@ -70,16 +70,10 @@ public:
     C.F64V = V;
     Cells.push_back(C);
   }
-  void appendNull() {
-    Cell C{};
-    C.Kind = CellKind::Null;
-    Cells.push_back(C);
-  }
   /// Copies the string bytes into the buffer's own arena.
   void appendStr(StringVal S);
 
   size_t numRows() const { return RowStarts.size(); }
-  size_t numCells() const { return Cells.size(); }
 
   /// Cells of row \p Row.
   const Cell *row(size_t Row, size_t *NumCells) const;

@@ -17,6 +17,10 @@ namespace qcf::serve {
 
 namespace {
 
+/// The compile bytes each query reserves against its tenant's
+/// MaxCompileBytes (quota point 3) for as long as it runs.
+constexpr uint64_t CompileBytesPerQuery = 1ull << 20;
+
 obs::MetricsRegistry &resolveRegistry(obs::MetricsRegistry *Reg) {
   return Reg ? *Reg : obs::MetricsRegistry::global();
 }
@@ -124,10 +128,9 @@ bool Server::TenantState::tryReserveBytes(uint64_t N) {
   return true;
 }
 
-void Server::TenantState::adjustBytes(uint64_t From, uint64_t To) {
+void Server::TenantState::releaseBytes(uint64_t N) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  CompileBytes = CompileBytes >= From ? CompileBytes - From : 0;
-  CompileBytes += To;
+  CompileBytes = CompileBytes >= N ? CompileBytes - N : 0;
   BytesG.set(int64_t(CompileBytes));
 }
 
@@ -331,16 +334,12 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     return R;
   }
 
-  // Quota point 3: reserve the compile-byte estimate; settled to the
-  // measured footprint after the compile.
-  uint64_t Reserved = 0;
-  if (T) {
-    if (!T->tryReserveBytes(Cfg.CompileBytesEstimate)) {
-      reject(Admit::CompileBytesQuota, 2'000'000);
-      finish();
-      return R;
-    }
-    Reserved = Cfg.CompileBytesEstimate;
+  // Quota point 3: reserve the fixed per-query compile-byte charge,
+  // released when the query ends.
+  if (T && !T->tryReserveBytes(CompileBytesPerQuery)) {
+    reject(Admit::CompileBytesQuota, 2'000'000);
+    finish();
+    return R;
   }
 
   // Arm the token for this query before entering the gate, so deadlines
@@ -357,7 +356,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
   R.AdmitWaitNs = nowNs() - T0;
   if (D.Outcome != Admit::Ok) {
     if (T)
-      T->adjustBytes(Reserved, 0);
+      T->releaseBytes(CompileBytesPerQuery);
     if (D.Outcome == Admit::Cancelled) {
       R.Cancelled = true;
       QueriesCancelled.inc();
@@ -373,11 +372,9 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
   {
     std::shared_ptr<const db::CompiledPlan> Plan = Plans.get(Q, Cat);
 
-    qcf::MemContext CompileMem;
     db::ExecOptions EO;
     EO.NumThreads = Cfg.ExecThreads;
     EO.Control = &S->Ctl;
-    EO.CompileMem = &CompileMem;
     EO.CompileFairnessKey = S->Tenant;
     EO.Obs = obs::ObsContext(nullptr, &Reg, nullptr);
 
@@ -385,12 +382,6 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     rt::OutputBuffer *O = Out ? Out : &LocalOut;
     uint64_t RowsBefore = O->numRows();
     db::ExecResult ER = db::executeQuery(*Plan, *Cache, Cat, O, EO);
-
-    R.CompileBytes = CompileMem.ir().bytesAllocated() +
-                     CompileMem.mir().bytesAllocated() +
-                     CompileMem.scratch().bytesAllocated();
-    if (T)
-      T->adjustBytes(Reserved, R.CompileBytes);
 
     R.Trapped = ER.Trapped;
     R.Cancelled = ER.Cancelled;
@@ -406,7 +397,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     }
 
     if (T)
-      T->adjustBytes(R.CompileBytes, 0); // Release the settled charge.
+      T->releaseBytes(CompileBytesPerQuery);
   }
   Gate.leave(nowNs() - RunStartNs);
   finish();

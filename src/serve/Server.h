@@ -17,7 +17,8 @@
 /// Quota enforcement points, in request order:
 ///   1. openSession     -> TenantQuota::MaxSessions   (SessionQuota)
 ///   2. execute (pre)   -> MaxQueuedCompiles          (CompileQueueQuota)
-///   3. execute (pre)   -> MaxCompileBytes reservation (CompileBytesQuota)
+///   3. execute (pre)   -> MaxCompileBytes: a fixed per-query reservation
+///      held until the query ends                  (CompileBytesQuota)
 ///   4. AdmissionGate   -> slots + bounded wait queue  (QueueFull / Shed)
 ///   5. CompileService  -> per-tenant fairness key      (refused submit,
 ///      inside the cache path; the cache compiles inline)
@@ -66,9 +67,6 @@ struct ServerConfig {
   uint64_t SweepIntervalNs = 1'000'000'000ull;
   /// Deadline applied to queries that do not carry their own (0 = none).
   uint64_t DefaultDeadlineNs = 0;
-  /// Per-query compile-byte reservation made before the actual compile
-  /// footprint is known; settled to the measured value afterwards.
-  uint64_t CompileBytesEstimate = 1ull << 20;
   unsigned ExecThreads = 1; ///< Worker threads per admitted query.
   bool StartSweeper = true; ///< Tests drive evictIdleSessions() manually.
   obs::MetricsRegistry *Reg = nullptr; ///< null = process-wide registry.
@@ -98,7 +96,6 @@ struct QueryOutcome {
   uint64_t Rows = 0;
   uint64_t Digest = 0; ///< OutputBuffer::unorderedDigest() of the rows.
   uint64_t RetryAfterNs = 0; ///< Backpressure hint on rejection.
-  uint64_t CompileBytes = 0; ///< Measured compile-arena footprint.
   uint64_t AdmitWaitNs = 0;
   uint64_t TotalNs = 0;
 };
@@ -134,10 +131,10 @@ public:
   /// Runs \p Q on session \p Sid: claims the session, reserves tenant
   /// compile bytes, passes admission, takes the lowered plan from the
   /// plan cache, then compiles (through the shared code cache,
-  /// fairness-keyed by tenant, metered into the byte reservation) and
-  /// executes with the session's token armed. Results append to
-  /// \p Out when given; Rows/Digest always cover this query's rows only.
-  /// \p DeadlineNs is relative to now (0 = config default).
+  /// fairness-keyed by tenant) and executes with the session's token
+  /// armed. Results append to \p Out when given; Rows/Digest always
+  /// cover this query's rows only. \p DeadlineNs is relative to now
+  /// (0 = config default).
   QueryOutcome execute(uint64_t Sid, const db::Query &Q,
                        rt::OutputBuffer *Out = nullptr,
                        uint64_t DeadlineNs = 0);
@@ -175,9 +172,7 @@ private:
     obs::Counter &RejCompileQueue;
 
     bool tryReserveBytes(uint64_t N);
-    /// Replaces a reservation of \p From bytes with \p To (measurement
-    /// settling Est -> Actual, or release with To == 0).
-    void adjustBytes(uint64_t From, uint64_t To);
+    void releaseBytes(uint64_t N);
   };
 
   std::shared_ptr<Session> findSession(uint64_t Sid) const;

@@ -7,11 +7,11 @@
 /// \file
 /// Quota configuration for one tenant of the serving layer. Quotas bound
 /// the three resources a tenant can exhaust: session slots (long-lived
-/// state), compile memory (the paper's first-order cost, metered through
-/// qcf::MemContext byte counters), and compile-queue share (CompileService
-/// fairness keys). Enforcement points are documented in DESIGN.md
-/// "Serving layer"; all of them reject rather than block, so one tenant's
-/// storm degrades into *its own* retries or inline compiles.
+/// state), compile memory (the paper's first-order cost, charged as a
+/// fixed reservation per running query), and compile-queue share
+/// (CompileService fairness keys). Enforcement points are documented in
+/// DESIGN.md "Serving layer"; all of them reject rather than block, so one
+/// tenant's storm degrades into *its own* retries or inline compiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +28,9 @@ struct TenantQuota {
   /// Admit::SessionQuota.
   uint64_t MaxSessions = 0;
 
-  /// Reserved compile-arena bytes summed over the tenant's running
-  /// queries. Each execute() reserves an estimate before admission and
-  /// settles to the actual qcf::MemContext::bytesAllocated() sum after
-  /// the compile; exceeding the cap rejects with
+  /// Reserved compile bytes summed over the tenant's running queries.
+  /// Each execute() reserves a fixed per-query charge before admission
+  /// and releases it when the query ends; exceeding the cap rejects with
   /// Admit::CompileBytesQuota.
   uint64_t MaxCompileBytes = 0;
 

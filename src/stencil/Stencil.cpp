@@ -871,12 +871,8 @@ StencilBackend::compile(const qir::Module &M,
   TimeTrace *Trace = CompObs.trace();
   auto Result = std::make_unique<StencilModule>();
 
-  if (Opts.Verify.Ir) {
-    if (auto Err = qir::verify(M)) {
-      fprintf(stderr, "%s\n", Err->c_str());
-      reportFatalError("QIR verification failed (stencil)");
-    }
-  }
+  if (Opts.Verify.Ir)
+    qir::verifyOrDie(M, "stencil");
 
   std::vector<x64::CodeImage::Piece> Pieces;
   uint64_t FrameBytes = 0;
@@ -891,12 +887,7 @@ StencilBackend::compile(const qir::Module &M,
         // The stencil compiler patches every field before this point, so
         // the bytes are final: no relocations to exempt.
         const std::vector<uint8_t> &Code = Pieces.back().Code;
-        std::string Err = x64::decodeFunction(Code.data(), Code.size()).Error;
-        if (!Err.empty()) {
-          fprintf(stderr, "%s: in function '%s'\n", Err.c_str(),
-                  F->name().c_str());
-          reportFatalError("machine-code lint failed (stencil)");
-        }
+        x64::lintOrDie(Code.data(), Code.size(), {}, F->name(), "stencil");
       }
     }
   }
@@ -913,15 +904,8 @@ StencilBackend::compile(const qir::Module &M,
     Reg.counter("mem.stencil.compiles").inc();
   }
 
-  if (Opts.Verify.Tv) {
-    std::string Err = tv::validateModule(M, Result->tvFunctions(),
-                                         tv::TvOptions::fromEnv(),
-                                         Opts.Obs.Metrics);
-    if (!Err.empty()) {
-      fprintf(stderr, "%s", Err.c_str());
-      reportFatalError("translation validation failed (stencil)");
-    }
-  }
+  if (Opts.Verify.Tv)
+    tv::validateOrDie(M, Result->tvFunctions(), Opts.Obs.Metrics, "stencil");
   return Result;
 }
 

@@ -10,7 +10,10 @@
 /// cost of LLVM-style back-ends; a MemContext bundles the bump arenas one
 /// Backend::compile call allocates its IR/MIR nodes and scratch buffers
 /// from, plus the telemetry that surfaces those allocations as
-/// mem.<backend>.<phase>.bytes/allocs metrics.
+/// mem.<backend>.<phase>.bytes/allocs metrics. Each compile creates its
+/// own MemContext (mode from CompileOptions::Alloc) and no caller can
+/// hand one in, so a context is never shared between compiles; only
+/// MlvmBackend::compileToObject takes one, for tests and benches.
 ///
 /// Every node allocation goes through a MemPool, which runs in one of two
 /// modes:
@@ -190,7 +193,8 @@ private:
 template <typename T> using PoolVector = std::vector<T, PoolAllocator<T>>;
 
 /// The per-compile bundle of pools one Backend::compile call draws from;
-/// see file comment for the ownership rules.
+/// see file comment for the ownership rules. Not thread-safe: one
+/// compile at a time.
 class MemContext {
 public:
   explicit MemContext(AllocMode Mode = allocModeFromEnv())

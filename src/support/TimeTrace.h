@@ -40,7 +40,6 @@ public:
   Stopwatch() : Start(nowNs()) {}
   void restart() { Start = nowNs(); }
   uint64_t elapsedNs() const { return nowNs() - Start; }
-  double elapsedMs() const { return static_cast<double>(elapsedNs()) * 1e-6; }
   double elapsedSec() const {
     return static_cast<double>(elapsedNs()) * 1e-9;
   }

@@ -20,10 +20,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
+#include "support/Compiler.h"
 #include "tv/Sim.h"
 #include "tv/Tv.h"
 #include "x64/CodeImage.h"
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -440,6 +442,16 @@ std::string tv::validateModule(const qir::Module &M,
     Metrics->histogram("tv_ns").observe(St.Ns);
   }
   return FirstErr;
+}
+
+void tv::validateOrDie(const qir::Module &M, const std::vector<TvFunction> &Fns,
+                       obs::MetricsRegistry *Metrics, const char *Who) {
+  std::string Err = validateModule(M, Fns, TvOptions::fromEnv(), Metrics);
+  if (Err.empty())
+    return;
+  fprintf(stderr, "%s", Err.c_str());
+  reportFatalError(
+      ("translation validation failed (" + std::string(Who) + ")").c_str());
 }
 
 std::vector<TvFunction> tv::imageFunctions(const x64::CodeImage &Img) {

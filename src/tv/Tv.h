@@ -101,6 +101,12 @@ std::string validateModule(const qir::Module &M,
                            const TvOptions &Opts,
                            obs::MetricsRegistry *Metrics = nullptr);
 
+/// validateModule with TvOptions::fromEnv(), escalating a mismatch to
+/// reportFatalError naming \p Who (the back-end, or "disk cache" for a
+/// warm load); the `tv` layer of QCF_VERIFY.
+void validateOrDie(const qir::Module &M, const std::vector<TvFunction> &Fns,
+                   obs::MetricsRegistry *Metrics, const char *Who);
+
 /// Per-function views of a linked or installed native image, with its
 /// imm64 runtime relocations made function-relative. Pointers reference
 /// the image's executable memory, so a warm image exposes its re-patched

@@ -156,16 +156,11 @@ public:
     Labels[L] = static_cast<int64_t>(Code.size());
   }
 
-  bool isBound(Label L) const { return Labels[L] >= 0; }
   int64_t labelOffset(Label L) const { return Labels[L]; }
 
   /// Resolves all label fixups. Must be called before using the code.
   void finalize();
 
-  /// Raw byte emission (used by data tables and tests).
-  void emitBytes(const uint8_t *Data, size_t Len) {
-    Code.insert(Code.end(), Data, Data + Len);
-  }
   void emit8(uint8_t B) { Code.push_back(B); }
   void emit32(uint32_t V) {
     for (int I = 0; I != 4; ++I)

@@ -31,10 +31,11 @@
 ///     u64    offset                     imm64 at [offset, offset + 8)
 ///     str    runtime symbol name
 ///
-/// A back-end may append sections of its own after the image section
-/// (DirectEmit appends its CFI table). Payloads cross a trust boundary (the
-/// disk cache is checksummed, not authenticated), so decoding checks every
-/// range without overflow and refuses unknown symbols.
+/// The DirectEmit, Stencil and Craneline payloads are this section alone
+/// (backend::installImage refuses trailing bytes). Payloads cross a trust
+/// boundary (the disk cache is checksummed, not authenticated), so
+/// decoding checks every range without overflow and refuses unknown
+/// symbols.
 ///
 //===----------------------------------------------------------------------===//
 

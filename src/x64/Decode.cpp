@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "x64/Decode.h"
+#include "support/Compiler.h"
 #include <algorithm>
+#include <cstdio>
 
 using namespace qcf;
 using namespace qcf::x64;
@@ -666,4 +668,15 @@ DecodedFunction x64::decodeFunction(const uint8_t *Code, size_t Size,
     F.Blocks.push_back(Blk);
   }
   return F;
+}
+
+void x64::lintOrDie(const uint8_t *Code, size_t Size,
+                    const std::vector<DecodeReloc> &Relocs,
+                    const std::string &FnName, const char *Who) {
+  std::string Err = decodeFunction(Code, Size, Relocs).Error;
+  if (Err.empty())
+    return;
+  fprintf(stderr, "%s: in function '%s'\n", Err.c_str(), FnName.c_str());
+  reportFatalError(
+      ("machine-code lint failed (" + std::string(Who) + ")").c_str());
 }

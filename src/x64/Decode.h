@@ -120,9 +120,6 @@ struct DecodedInst {
     return Op == DecOp::Jmp || Op == DecOp::JmpReg || Op == DecOp::Ret ||
            Op == DecOp::Ud2;
   }
-  bool isBranch() const {
-    return Op == DecOp::Jmp || Op == DecOp::Jcc;
-  }
   /// Branch target as a function-relative offset (Jmp/Jcc/CallRel only).
   size_t branchTarget() const {
     return static_cast<size_t>(Off + Len + static_cast<int64_t>(Rel32));
@@ -175,6 +172,13 @@ struct DecodeReloc {
 /// displacement bytes. A failure is reported in Error with its offset.
 DecodedFunction decodeFunction(const uint8_t *Code, size_t Size,
                                const std::vector<DecodeReloc> &Relocs = {});
+
+/// The encoding lint (the `mc` layer of QCF_VERIFY): decodeFunction's
+/// Error for function \p FnName, escalated to reportFatalError naming
+/// \p Who (the back-end).
+void lintOrDie(const uint8_t *Code, size_t Size,
+               const std::vector<DecodeReloc> &Relocs,
+               const std::string &FnName, const char *Who);
 
 } // namespace qcf::x64
 

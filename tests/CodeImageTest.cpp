@@ -11,8 +11,7 @@
 /// valid checksum reaches Backend::deserialize byte for byte. These tests
 /// hand such payloads straight to deserialize:
 ///   - crafted payloads whose ranges wrap at 2^64 (a relocation at 2^64-8,
-///     a function whose offset + size wraps, DirectEmit's CFI record
-///     offset) must be refused;
+///     a function whose offset + size wraps) must be refused;
 ///   - a sweep over every field (truncation at each field boundary, each
 ///     u64 field set to each wrap value, each symbol made unknown) must be
 ///     refused or yield a module whose every range lies inside its code.
@@ -24,8 +23,8 @@
 
 #include "backend/Cache.h"
 #include "backend/DiskCache.h"
+#include "backend/ImageModule.h"
 #include "backend/Registry.h"
-#include "direct/DirectEmit.h"
 #include "obs/Metrics.h"
 #include "runtime/Runtime.h"
 #include "tests/Corpus.h"
@@ -68,15 +67,15 @@ void buildModule(qir::Module &M) {
 }
 
 /// Where each field of a payload starts, following the layout documented
-/// in x64/CodeImage.h plus DirectEmit's CFI section behind it.
+/// in x64/CodeImage.h.
 struct FieldMap {
   uint64_t CodeLen = 0;
   std::vector<size_t> Starts; ///< Every field, for truncation.
   std::vector<size_t> U64s;   ///< Every u64 field, lengths included.
-  std::vector<size_t> FnOffset, FnSize, RelocOffset, CfiOffset;
+  std::vector<size_t> FnOffset, FnSize, RelocOffset;
 };
 
-FieldMap mapFields(const std::vector<uint8_t> &Blob, bool HasCfi) {
+FieldMap mapFields(const std::vector<uint8_t> &Blob) {
   FieldMap F;
   ByteReader R(Blob.data(), Blob.size());
   auto Pos = [&] { return Blob.size() - R.remaining(); };
@@ -107,11 +106,6 @@ FieldMap mapFields(const std::vector<uint8_t> &Blob, bool HasCfi) {
     U64(&F.RelocOffset);
     Bytes();
   }
-  if (HasCfi) {
-    Bytes();
-    for (uint64_t I = 0; I != NumFns && R.ok(); ++I)
-      U64(&F.CfiOffset);
-  }
   EXPECT_TRUE(R.ok() && R.remaining() == 0) << "payload layout drifted";
   return F;
 }
@@ -133,7 +127,7 @@ Serialized compileAndSerialize(const char *Name, const qir::Module &M) {
   S.BE = backend::createBackend(Name);
   std::unique_ptr<backend::CompiledModule> Fresh = S.BE->compile(M);
   EXPECT_TRUE(Fresh && Fresh->serialize(S.Blob));
-  S.Fields = mapFields(S.Blob, std::string(Name) == "DirectEmit");
+  S.Fields = mapFields(S.Blob);
   EXPECT_FALSE(S.Fields.RelocOffset.empty());
   // The untouched payload loads: refusals below are down to the edit.
   EXPECT_NE(S.BE->deserialize(S.Blob.data(), S.Blob.size()), nullptr);
@@ -156,12 +150,6 @@ void expectCraftedPayloadsRefused(const char *Name) {
   Fn = withU64(std::move(Fn), F.FnSize[0], ~0ull - 7);
   EXPECT_EQ(S.BE->deserialize(Fn.data(), Fn.size()), nullptr)
       << "function offset 16, size 2^64-8";
-
-  for (size_t At : F.CfiOffset) {
-    std::vector<uint8_t> Cfi = withU64(S.Blob, At, ~0ull);
-    EXPECT_EQ(S.BE->deserialize(Cfi.data(), Cfi.size()), nullptr)
-        << "CFI record offset 2^64-1";
-  }
 }
 
 TEST(CraftedPayload, DirectEmitRefusesWrappingRanges) {
@@ -175,7 +163,7 @@ TEST(CraftedPayload, CranelineRefusesWrappingRanges) {
 }
 
 /// A refused payload is fine; an accepted one must keep every range it
-/// records inside its own code (and CFI table).
+/// records inside its own code.
 void expectContained(const std::unique_ptr<backend::CompiledModule> &Mod,
                      const std::string &What) {
   if (!Mod)
@@ -188,10 +176,6 @@ void expectContained(const std::unique_ptr<backend::CompiledModule> &Mod,
     EXPECT_TRUE(Fn.Offset <= Len && Fn.Size <= Len - Fn.Offset) << What;
   for (const x64::CodeImage::Reloc &R : Img.relocs())
     EXPECT_TRUE(R.Offset <= Len && 8 <= Len - R.Offset) << What;
-  if (auto *DM = dynamic_cast<const direct::DirectModule *>(IM))
-    for (const x64::CodeImage::Function &Fn : Img.functions())
-      EXPECT_LE(DM->cfiRecordOffset(Fn.Name) + 8, DM->cfiBytes().size())
-          << What;
 }
 
 void sweepMutations(const char *Name) {

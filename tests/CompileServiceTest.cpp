@@ -17,6 +17,7 @@
 #include "backend/Registry.h"
 #include "backend/TierUp.h"
 #include "qir/Builder.h"
+#include "tests/CountingBackend.h"
 #include "tests/GateBackend.h"
 #include <atomic>
 #include <chrono>
@@ -26,6 +27,7 @@
 using namespace qcf;
 using namespace qcf::qir;
 using namespace qcf::backend;
+using qcf::test::CountingBackend;
 using qcf::test::GateBackend;
 
 namespace {
@@ -37,34 +39,6 @@ void buildAffine(qir::Module &M, int64_t K, const char *Name = "f") {
   ValueId P = B.mul(F->paramValue(0), B.constInt(Type::I64, K));
   B.ret(B.add(P, B.constInt(Type::I64, 7)));
 }
-
-/// Wraps a back-end, counting compiles and optionally delaying each one —
-/// the instrument for proving exactly-once compilation and for holding a
-/// worker busy while tests race against it.
-class CountingBackend : public Backend {
-public:
-  explicit CountingBackend(std::unique_ptr<Backend> Inner,
-                           std::chrono::milliseconds Delay = {})
-      : Inner(std::move(Inner)), Delay(Delay) {}
-
-  std::string name() const override { return Inner->name(); }
-
-  using Backend::compile;
-
-  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
-                                          const CompileOptions &Opts) override {
-    ++Compiles;
-    if (Delay.count())
-      std::this_thread::sleep_for(Delay);
-    return Inner->compile(M, Opts);
-  }
-
-  std::atomic<uint64_t> Compiles{0};
-
-private:
-  std::unique_ptr<Backend> Inner;
-  std::chrono::milliseconds Delay;
-};
 
 } // namespace
 

@@ -103,6 +103,17 @@ TEST(Direct, CfiRecordsAreWellFormed) {
                                     DM->codeSize(F->name())))
         << "malformed CFI for " << F->name();
   }
+
+  // The disk payload is the image section alone, so a warm-installed
+  // module has no CFI table.
+  std::vector<uint8_t> Blob;
+  ASSERT_TRUE(Compiled->serialize(Blob));
+  auto Warm = BE.deserialize(Blob.data(), Blob.size());
+  ASSERT_NE(Warm, nullptr);
+  auto *WM = static_cast<direct::DirectModule *>(Warm.get());
+  EXPECT_TRUE(WM->cfiBytes().empty());
+  for (const auto &F : C.M->functions())
+    EXPECT_EQ(WM->cfiRecordOffset(F->name()), SIZE_MAX) << F->name();
 }
 
 TEST(Direct, CompileTimeBreakdownHasAnalysisAndCodegen) {

@@ -20,6 +20,7 @@
 #include "craneline/Craneline.h"
 #include "qir/Builder.h"
 #include "runtime/Runtime.h"
+#include "tests/CountingBackend.h"
 #include "x64/ExecArena.h"
 #include <atomic>
 #include <cstdlib>
@@ -35,6 +36,7 @@
 using namespace qcf;
 using namespace qcf::qir;
 using namespace qcf::backend;
+using qcf::test::CountingBackend;
 
 namespace {
 
@@ -78,37 +80,6 @@ std::vector<std::string> listBlobs(const std::string &Dir) {
   std::sort(Out.begin(), Out.end());
   return Out;
 }
-
-/// Counts how often the wrapped back-end's compile pipeline actually ran,
-/// while forwarding everything the disk cache keys or calls through
-/// (name, cacheConfig, deserialize) untouched.
-class CountingBackend : public Backend {
-public:
-  explicit CountingBackend(std::unique_ptr<Backend> Inner)
-      : Inner(std::move(Inner)) {}
-
-  using Backend::compile;
-
-  std::string name() const override { return Inner->name(); }
-  std::string cacheConfig() const override { return Inner->cacheConfig(); }
-
-  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
-                                          const CompileOptions &Opts) override {
-    ++Compiles;
-    return Inner->compile(M, Opts);
-  }
-  std::unique_ptr<CompiledModule> deserialize(const uint8_t *Data,
-                                              size_t Len) override {
-    ++Deserializes;
-    return Inner->deserialize(Data, Len);
-  }
-
-  std::atomic<uint64_t> Compiles{0};
-  std::atomic<uint64_t> Deserializes{0};
-
-private:
-  std::unique_ptr<Backend> Inner;
-};
 
 /// Builds `fn(a) = a * K + 7`.
 void buildAffine(qir::Module &M, int64_t K, const char *Name = "f") {

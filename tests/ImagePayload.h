@@ -7,8 +7,7 @@
 /// \file
 /// A serialized DirectEmit / Stencil / Craneline payload decoded through
 /// the shared codec (x64::CodeImage::Payload), with the code bytes copied
-/// out so tests can corrupt them, and any back-end section that follows
-/// the image section (DirectEmit's CFI) carried along verbatim.
+/// out so tests can corrupt them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,15 +24,13 @@ namespace qcf::test {
 struct ImagePayload {
   std::vector<uint8_t> Code;
   x64::CodeImage::Payload Image;
-  std::vector<uint8_t> Tail; ///< Bytes after the image section.
 
   static ImagePayload parse(const std::vector<uint8_t> &Blob) {
     ImagePayload P;
     ByteReader R(Blob.data(), Blob.size());
     EXPECT_TRUE(P.Image.decode(R)) << "image section failed to decode";
     P.Code.assign(P.Image.Code, P.Image.Code + P.Image.CodeLen);
-    P.Tail.assign(Blob.end() - static_cast<ptrdiff_t>(R.remaining()),
-                  Blob.end());
+    EXPECT_EQ(R.remaining(), 0u) << "bytes after the image section";
     return P;
   }
 
@@ -42,7 +39,6 @@ struct ImagePayload {
     Image.CodeLen = Code.size();
     ByteWriter W;
     Image.encode(W);
-    W.raw(Tail.data(), Tail.size());
     return W.take();
   }
 };

@@ -88,7 +88,8 @@ backend::Backend &cachedBackend(const std::string &Name) {
 }
 
 /// Fast tier for the fixed-pair suites: DirectEmit unless QCF_FAST_TIER
-/// picks another rung (CI's TSan matrix runs a Stencil leg this way).
+/// picks another rung (CI's TSan matrix runs Stencil and Craneline legs
+/// this way).
 backend::Backend &fastTier() {
   const char *Name = std::getenv("QCF_FAST_TIER");
   return cachedBackend(Name && *Name ? Name : "DirectEmit");

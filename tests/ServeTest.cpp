@@ -33,6 +33,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "support/TimeTrace.h"
+#include "tests/CountingBackend.h"
 #include "tests/GateBackend.h"
 #include "tests/RandomQir.h"
 #include <atomic>
@@ -45,6 +46,7 @@
 
 using namespace qcf;
 using namespace qcf::serve;
+using qcf::test::CountingBackend;
 using qcf::test::GateBackend;
 
 namespace {
@@ -328,8 +330,8 @@ TEST(ServeEnv, MalformedValuesNameTheVariable) {
 TEST(Serve, SessionLifecycleAndMetrics) {
   obs::MetricsRegistry Reg;
   ServerConfig Cfg = testConfig(&Reg);
-  // Craneline (not DirectEmit) so the compile allocates from the metered
-  // IR/MIR arenas and the measured CompileBytes settlement is visible.
+  // Craneline (not DirectEmit): the serving default, which compiles
+  // into its own IR/MIR arenas.
   Cfg.BackendName = "Craneline";
   Server Srv(Cfg, corpus().Cat);
   Srv.registerTenant("acme", TenantQuota{});
@@ -345,9 +347,8 @@ TEST(Serve, SessionLifecycleAndMetrics) {
   ASSERT_TRUE(R.Ok);
   EXPECT_GT(R.Rows, 0u);
   EXPECT_GT(R.TotalNs, 0u);
-  // Cold first query: the compile arena footprint was measured and the
-  // reservation settled to it.
-  EXPECT_GT(R.CompileBytes, 0u);
+  // The query's compile-byte reservation was released when it ended.
+  EXPECT_EQ(Reg.snapshot().gauge("serve.tenant.acme.compile_bytes"), 0);
 
   // Same query again: identical digest, warm this time.
   QueryOutcome R2 = Srv.execute(O.SessionId, corpus().Queries[0]);
@@ -507,34 +508,6 @@ TEST(Serve, CloseOfActiveSessionRetiresExactlyOnce) {
 //===----------------------------------------------------------------------===//
 // Cancel-before-run: a cancelled query abandons its queued compile
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Counts compile() entries (so a cancelled-before-run job shows up as a
-/// count that never moved).
-class CountingBackend : public backend::Backend {
-public:
-  explicit CountingBackend(std::unique_ptr<backend::Backend> Inner)
-      : Inner(std::move(Inner)) {}
-  std::string name() const override { return Inner->name(); }
-  std::string cacheConfig() const override { return Inner->cacheConfig(); }
-  using backend::Backend::compile;
-  std::unique_ptr<backend::CompiledModule>
-  compile(const qir::Module &M, const backend::CompileOptions &Opts) override {
-    ++Compiles;
-    return Inner->compile(M, Opts);
-  }
-  std::unique_ptr<backend::CompiledModule> deserialize(const uint8_t *Data,
-                                                       size_t Len) override {
-    return Inner->deserialize(Data, Len);
-  }
-  std::atomic<uint64_t> Compiles{0};
-
-private:
-  std::unique_ptr<backend::Backend> Inner;
-};
-
-} // namespace
 
 // The satellite regression for cancel-before-run across the full stack:
 // executor -> caching backend -> compile service. A single service

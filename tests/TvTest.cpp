@@ -526,6 +526,8 @@ TEST(TvBlob, CorruptedDirectCodeByteIsCaughtByTv) {
       BE.deserialize(Blob.data(), Blob.size());
   ASSERT_TRUE(Warm);
   EXPECT_NE(tv::validateModule(M, Warm->tvFunctions(), tv::TvOptions()), "");
+  EXPECT_DEATH(tv::validateOrDie(M, Warm->tvFunctions(), nullptr, "disk cache"),
+               "translation validation failed \\(disk cache\\)");
 }
 
 TEST(TvBlob, MispatchedMlvmRelocationIsRejectedOnLoad) {

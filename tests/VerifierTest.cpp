@@ -597,6 +597,8 @@ TEST(EncodingLint, RejectsGarbageByte) {
   std::string Err = lint(Code);
   EXPECT_NE(Err.find("offset 0"), std::string::npos);
   EXPECT_NE(Err.find("unknown opcode byte"), std::string::npos);
+  EXPECT_DEATH(x64::lintOrDie(Code.data(), Code.size(), {}, "f", "mlvm"),
+               "in function 'f'.*machine-code lint failed \\(mlvm\\)");
 }
 
 TEST(EncodingLint, RejectsTruncatedInstruction) {
@@ -659,6 +661,8 @@ TEST(QirVerifier, RejectsAtomicAddValueTypeMismatch) {
   auto Err = qir::verify(M);
   ASSERT_TRUE(Err.has_value());
   EXPECT_NE(Err->find("atomicadd operand type mismatch"), std::string::npos);
+  EXPECT_DEATH(qir::verifyOrDie(M, "direct"),
+               "mismatch.*QIR verification failed \\(direct\\)");
 }
 
 TEST(QirVerifier, RejectsRotrOnI128) {

@@ -56,6 +56,7 @@
 #include "qir/Print.h"
 #include "runtime/Trap.h"
 #include "serve/Server.h"
+#include "tests/CountingBackend.h"
 #include "tests/RandomQir.h"
 #include <atomic>
 #include <cstdio>
@@ -91,28 +92,6 @@ Outcome invoke(void *Entry, uint64_t A, uint64_t B) {
     Out.Value = R;
   return Out;
 }
-
-/// Wraps a back-end counting compiles — for asserting dedup exactness and
-/// the warm-restart zero-compile contract. Forwards everything the disk
-/// cache keys or calls through (config string, deserialization).
-struct CountingBackend : backend::Backend {
-  explicit CountingBackend(std::unique_ptr<backend::Backend> Inner)
-      : Inner(std::move(Inner)) {}
-  std::string name() const override { return Inner->name(); }
-  std::string cacheConfig() const override { return Inner->cacheConfig(); }
-  using backend::Backend::compile;
-  std::unique_ptr<backend::CompiledModule>
-  compile(const qir::Module &M, const backend::CompileOptions &Opts) override {
-    ++Compiles;
-    return Inner->compile(M, Opts);
-  }
-  std::unique_ptr<backend::CompiledModule> deserialize(const uint8_t *Data,
-                                                       size_t Len) override {
-    return Inner->deserialize(Data, Len);
-  }
-  std::unique_ptr<backend::Backend> Inner;
-  std::atomic<uint64_t> Compiles{0};
-};
 
 /// One soak round: thread-storm a service-backed cache over K random
 /// modules. \returns the number of violations (printed as they are
@@ -150,9 +129,9 @@ uint64_t cacheDedupRound(uint64_t Round) {
 
   backend::CompileService Svc(2);
 
-  auto Counting =
-      std::make_unique<CountingBackend>(backend::createBackend("DirectEmit"));
-  CountingBackend *Counter = Counting.get();
+  auto Counting = std::make_unique<test::CountingBackend>(
+      backend::createBackend("DirectEmit"));
+  test::CountingBackend *Counter = Counting.get();
   backend::CachingBackend Cache(std::move(Counting), /*Capacity=*/0, &Svc);
 
   std::atomic<uint64_t> Bad{0};
@@ -302,9 +281,10 @@ int runCodeCacheSoak(uint64_t Rounds) {
     // contract is checked against (default DirectEmit; CI also runs the
     // stencil leg).
     const char *WarmBackend = std::getenv("QCF_WARM_BACKEND");
-    auto Counting = std::make_unique<CountingBackend>(backend::createBackend(
-        WarmBackend && *WarmBackend ? WarmBackend : "DirectEmit"));
-    CountingBackend *Counter = Counting.get();
+    auto Counting =
+        std::make_unique<test::CountingBackend>(backend::createBackend(
+            WarmBackend && *WarmBackend ? WarmBackend : "DirectEmit"));
+    test::CountingBackend *Counter = Counting.get();
     backend::CachingBackend Cache(std::move(Counting), 0, nullptr, &Reg, &Disk);
     uint64_t Bad = RunCorpus(Cache);
     backend::DiskCacheStats S = Disk.stats();
