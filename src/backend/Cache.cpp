@@ -7,6 +7,7 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/DiskCache.h"
+#include "qir/Clone.h"
 #include "support/Hash.h"
 #include <atomic>
 #include <chrono>
@@ -27,9 +28,10 @@ obs::MetricsRegistry &resolveRegistry(obs::MetricsRegistry *Reg) {
 
 CachingBackend::CachingBackend(std::unique_ptr<Backend> Inner, size_t Capacity,
                                CompileService *Service,
-                               obs::MetricsRegistry *Reg, DiskCodeCache *Disk)
-    : Inner(std::move(Inner)), Capacity(Capacity), Service(Service),
-      Disk(Disk),
+                               obs::MetricsRegistry *Reg, DiskCodeCache *Disk,
+                               std::unique_ptr<Backend> Fast)
+    : Inner(std::move(Inner)), Fast(std::move(Fast)), Capacity(Capacity),
+      Service(Service), Disk(Disk),
       Prefix("cache." +
              std::to_string(NextCacheId.fetch_add(1,
                                                   std::memory_order_relaxed)) +
@@ -37,7 +39,10 @@ CachingBackend::CachingBackend(std::unique_ptr<Backend> Inner, size_t Capacity,
       Hits(resolveRegistry(Reg).counter(Prefix + "hits")),
       Misses(resolveRegistry(Reg).counter(Prefix + "misses")),
       Evictions(resolveRegistry(Reg).counter(Prefix + "evictions")),
-      InFlightWaits(resolveRegistry(Reg).counter(Prefix + "inflight_waits")) {
+      InFlightWaits(resolveRegistry(Reg).counter(Prefix + "inflight_waits")),
+      FastTier(resolveRegistry(Reg).counter(Prefix + "fast_tier")),
+      FastTierCompileNs(
+          resolveRegistry(Reg).histogram(Prefix + "fast_tier_compile_ns")) {
   // No cache injected: honor $QCF_CODE_CACHE so any CachingBackend user
   // gets warm restarts from the environment alone.
   if (!this->Disk) {
@@ -46,7 +51,13 @@ CachingBackend::CachingBackend(std::unique_ptr<Backend> Inner, size_t Capacity,
   }
 }
 
-CachingBackend::~CachingBackend() = default;
+CachingBackend::~CachingBackend() {
+  // A background job reads this cache's members: cancel it if it is still
+  // queued, else wait until its worker is done with it.
+  for (auto &[Ticket, Job] : Jobs)
+    if (!Ticket.cancel())
+      Ticket.wait();
+}
 
 namespace {
 
@@ -172,6 +183,104 @@ private:
 
 } // namespace
 
+/// The inner compile of one key that missed both tiers, run on a service
+/// worker. It owns what it reads: a copy of the module (the query that
+/// missed may free its plan before the job runs) and the options that
+/// outlive the query. The query's cancel token and trace consumers are
+/// dropped, since other sessions rely on the result.
+class CachingBackend::BackgroundCompile : public Backend {
+public:
+  BackgroundCompile(CachingBackend &Cache, const ModuleFingerprint &Key,
+                    const qir::Module &M, const CompileOptions &QueryOpts,
+                    std::shared_ptr<InFlight> Entry)
+      : Cache(Cache), Key(Key), Entry(std::move(Entry)) {
+    qir::cloneSymbols(M, Copy);
+    for (const auto &F : M.functions())
+      qir::cloneFunctionInto(*F, Copy);
+    Opts.Obs.Metrics = QueryOpts.Obs.Metrics;
+    Opts.Verify = QueryOpts.Verify;
+    Opts.Alloc = QueryOpts.Alloc;
+    Opts.FairnessKey = QueryOpts.FairnessKey;
+  }
+  // The submitted job holds this object's address.
+  BackgroundCompile(const BackgroundCompile &) = delete;
+  BackgroundCompile &operator=(const BackgroundCompile &) = delete;
+
+  /// The service's latency histogram for these jobs covers compile,
+  /// publish and store.
+  std::string name() const override { return Cache.name(); }
+
+  using Backend::compile;
+
+  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
+                                          const CompileOptions &O) override {
+    std::shared_ptr<CompiledModule> Compiled = Cache.Inner->compile(M, O);
+    Cache.publish(Key, *Entry, Compiled);
+    if (Cache.Disk)
+      Cache.Disk->store(Key, *Cache.Inner, *Compiled, O);
+    return std::make_unique<SharedModule>(std::move(Compiled));
+  }
+
+  qir::Module Copy;
+  CompileOptions Opts;
+
+private:
+  CachingBackend &Cache;
+  const ModuleFingerprint Key;
+  const std::shared_ptr<InFlight> Entry;
+};
+
+void CachingBackend::publish(const ModuleFingerprint &Key, InFlight &Entry,
+                             const std::shared_ptr<CompiledModule> &Compiled) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    // Insert into the cache and retire the in-flight entry atomically, so
+    // there is no window in which a new lookup sees neither.
+    Lru.emplace_front(Key, Compiled);
+    Map[Key] = Lru.begin();
+    Pending.erase(Key);
+    if (Capacity && Map.size() > Capacity) {
+      Map.erase(Lru.back().first);
+      Lru.pop_back();
+      Evictions.inc();
+    }
+  }
+  {
+    std::lock_guard<std::mutex> EntryLock(Entry.Mutex);
+    Entry.Result = Compiled;
+    Entry.Done = true;
+  }
+  Entry.Cv.notify_all();
+}
+
+bool CachingBackend::compileInBackground(const qir::Module &M,
+                                         const ModuleFingerprint &Key,
+                                         const std::shared_ptr<InFlight> &Entry,
+                                         const CompileOptions &Opts) {
+  auto Job = std::make_unique<BackgroundCompile>(*this, Key, M, Opts, Entry);
+  CompileTicket Ticket = Service->submit(Job->Copy, *Job,
+                                         CompilePriority::Background, Job->Opts);
+  if (!Ticket.valid())
+    return false;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Entry->Ticket = Ticket;
+  std::erase_if(Jobs, [](const auto &J) { return J.first.done(); });
+  Jobs.emplace_back(std::move(Ticket), std::move(Job));
+  return true;
+}
+
+std::unique_ptr<CompiledModule>
+CachingBackend::compileFast(const qir::Module &M, const CompileOptions &Opts) {
+  FastTier.inc();
+  uint64_t StartNs = nowNs();
+  std::unique_ptr<CompiledModule> Code = Fast->compile(M, Opts);
+  uint64_t DurNs = nowNs() - StartNs;
+  FastTierCompileNs.observe(DurNs);
+  if (obs::TraceSink *Sink = Opts.Obs.Sink)
+    Sink->completeEvent("cache.fast_tier", "cache", StartNs, DurNs);
+  return Code;
+}
+
 std::unique_ptr<CompiledModule>
 CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   ModuleFingerprint Key = fingerprintModule(M);
@@ -187,11 +296,21 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       return std::make_unique<SharedModule>(It->second->second);
     }
     auto PIt = Pending.find(Key);
+    if (PIt != Pending.end() && PIt->second->Ticket.done()) {
+      // Its background compile ended without a module (shed by a
+      // Foreground submit, or the service shut down): a miss.
+      Pending.erase(PIt);
+      PIt = Pending.end();
+    }
     if (PIt != Pending.end()) {
+      Hits.inc();
+      if (Fast) {
+        Lock.unlock();
+        return compileFast(M, Opts);
+      }
       // In-flight dedup: another thread is already compiling this key.
       // Waiting on its result costs one compile latency at most; starting
       // a second compile would cost the same latency *and* the work.
-      Hits.inc();
       InFlightWaits.inc();
       std::shared_ptr<InFlight> Wait = PIt->second;
       Lock.unlock();
@@ -242,6 +361,9 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
                         "disk cache");
   }
+  if (!Compiled && Fast && Service &&
+      compileInBackground(M, Key, Entry, Opts))
+    return compileFast(M, Opts);
   if (!Compiled && Service) {
     // A refused submit (queue full, fairness share used up, service shut
     // down) returns an invalid ticket whose wait() is null, and we compile
@@ -269,28 +391,10 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   }
   if (!Compiled)
     Compiled = Inner->compile(M, Opts);
+  // Publish before storing, so deduped waiters do not pay for the write.
+  publish(Key, *Entry, Compiled);
   if (Disk && !FromDisk)
     Disk->store(Key, *Inner, *Compiled, Opts);
-
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    // Insert into the cache and retire the in-flight entry atomically, so
-    // there is no window in which a new lookup sees neither.
-    Lru.emplace_front(Key, Compiled);
-    Map[Key] = Lru.begin();
-    Pending.erase(Key);
-    if (Capacity && Map.size() > Capacity) {
-      Map.erase(Lru.back().first);
-      Lru.pop_back();
-      Evictions.inc();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> EntryLock(Entry->Mutex);
-    Entry->Result = Compiled;
-    Entry->Done = true;
-  }
-  Entry->Cv.notify_all();
   return std::make_unique<SharedModule>(std::move(Compiled));
 }
 

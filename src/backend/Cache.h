@@ -26,14 +26,15 @@
 #define QCF_BACKEND_CACHE_H
 
 #include "backend/Backend.h"
+#include "backend/CompileService.h"
 #include <condition_variable>
 #include <list>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 namespace qcf::backend {
 
-class CompileService;
 class DiskCodeCache;
 
 /// 128-bit structural fingerprint of a module, used as the cache key.
@@ -83,6 +84,10 @@ struct CacheStats {
   /// waited for that compilation instead of starting their own. Counted
   /// inside Hits, so Hits + Misses == lookups always holds.
   uint64_t InFlightWaits = 0;
+  /// Lookups answered with fast-tier code (see CachingBackend's fast
+  /// back-end): a miss whose compile went to the background, or a lookup
+  /// of a key whose background compile had not landed yet.
+  uint64_t FastTier = 0;
 
   /// The one place the hit/miss partition is defined: every lookup is
   /// exactly one of the two.
@@ -92,20 +97,30 @@ struct CacheStats {
 /// Wraps \p Inner with an LRU cache of compiled modules.
 ///
 /// Thread-safe, including in-flight deduplication: concurrent compiles of
-/// the same key are collapsed to one — the first miss compiles (outside
-/// the lock), every other thread waits on that compilation and shares its
-/// result, so each unique key reaches the inner back-end exactly once.
-/// With a CompileService attached, misses are routed through the service
-/// (centralized workers, per-backend latency stats); without one, and
-/// whenever the service refuses the job, they compile on the calling
-/// thread. Either way the caller blocks until the module is ready — the
-/// dedup, not the asynchrony, is the point here.
+/// the same key are collapsed to one, so each unique key reaches the inner
+/// back-end exactly once. On a miss in memory the disk tier is probed
+/// inline; a fresh compile is published to memory (and in-flight waiters
+/// woken) before its blob is written to disk.
+///
+/// Without a fast back-end, the caller blocks until the module is ready:
+/// the first miss compiles (through the CompileService when one is
+/// attached and accepts the job, else on the calling thread) and every
+/// other thread waits on that compilation and shares its result.
+///
+/// With a fast back-end, no caller waits for the inner compile of another
+/// thread: a lookup of a key in flight returns fast-tier code compiled on
+/// the calling thread. With a service as well, a miss in both tiers does
+/// the same after submitting the inner compile at Background priority;
+/// that job publishes to memory and then stores the disk blob, so the
+/// next lookup is a hit on inner-back-end code. A refused submit takes
+/// the blocking path above.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call is waiting (on a service ticket or a deduped in-flight compile),
 /// compile() returns null — the only case in which it does. Callers that
 /// pass a token must handle the null; callers that don't keep the
-/// never-null contract.
+/// never-null contract. A background compile never carries the token:
+/// other sessions rely on its result.
 class CachingBackend : public Backend {
 public:
   /// \p Capacity bounds the number of retained compiled modules
@@ -115,12 +130,15 @@ public:
   /// non-null, is consulted on every in-memory miss before the inner
   /// back-end and populated after every fresh compile; it must outlive
   /// this back-end. When null, $QCF_CODE_CACHE (if set) supplies an
-  /// owned disk cache instead.
+  /// owned disk cache instead. \p Fast, when non-null, answers lookups
+  /// that would wait for an inner compile (see class comment).
   explicit CachingBackend(std::unique_ptr<Backend> Inner, size_t Capacity = 0,
                           CompileService *Service = nullptr,
                           obs::MetricsRegistry *Reg = nullptr,
-                          DiskCodeCache *Disk = nullptr);
-  ~CachingBackend(); // Out of line: OwnedDisk's type is incomplete here.
+                          DiskCodeCache *Disk = nullptr,
+                          std::unique_ptr<Backend> Fast = nullptr);
+  /// Cancels background compiles still queued and waits out running ones.
+  ~CachingBackend();
 
   using Backend::compile;
 
@@ -139,11 +157,17 @@ public:
     S.Misses = Misses.value();
     S.Evictions = Evictions.value();
     S.InFlightWaits = InFlightWaits.value();
+    S.FastTier = FastTier.value();
     return S;
   }
   size_t size() const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return Map.size();
+  }
+  /// Keys with a compile in flight.
+  size_t inFlight() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Pending.size();
   }
   Backend &inner() { return *Inner; }
 
@@ -155,9 +179,28 @@ private:
     std::condition_variable Cv;
     bool Done = false;
     std::shared_ptr<CompiledModule> Result;
+    /// The background compile of this key, once submitted (guarded by the
+    /// cache's Mutex). A job that lands erases the entry, so a terminal
+    /// ticket here means the job ended without a module.
+    CompileTicket Ticket;
   };
 
+  class BackgroundCompile;
+
+  /// Inserts \p Compiled into the LRU, retires \p Key's in-flight entry
+  /// and wakes its waiters.
+  void publish(const ModuleFingerprint &Key, InFlight &Entry,
+               const std::shared_ptr<CompiledModule> &Compiled);
+  /// Submits the inner compile of \p M at Background priority. \returns
+  /// false if the service refused it.
+  bool compileInBackground(const qir::Module &M, const ModuleFingerprint &Key,
+                           const std::shared_ptr<InFlight> &Entry,
+                           const CompileOptions &Opts);
+  std::unique_ptr<CompiledModule> compileFast(const qir::Module &M,
+                                              const CompileOptions &Opts);
+
   std::unique_ptr<Backend> Inner;
+  std::unique_ptr<Backend> Fast;
   size_t Capacity;
   CompileService *const Service;
   DiskCodeCache *Disk; ///< Fixed once the constructor returns.
@@ -170,6 +213,8 @@ private:
   obs::Counter &Misses;
   obs::Counter &Evictions;
   obs::Counter &InFlightWaits;
+  obs::Counter &FastTier;
+  obs::Histogram &FastTierCompileNs;
 
   mutable std::mutex Mutex;
   // LRU list, most-recent first; the map points into it.
@@ -181,6 +226,12 @@ private:
   std::unordered_map<ModuleFingerprint, std::shared_ptr<InFlight>,
                      FingerprintHash>
       Pending;
+  /// Submitted background compiles. The service's worker still calls a
+  /// job's name() after its compile() returns, so a job is freed only
+  /// once its ticket is terminal: reaped at the next submit, or waited
+  /// out by the destructor.
+  std::vector<std::pair<CompileTicket, std::unique_ptr<BackgroundCompile>>>
+      Jobs;
 };
 
 } // namespace qcf::backend

@@ -10,8 +10,9 @@
 /// time is a first-order cost for query processing; beyond making each
 /// compile cheaper (the back-end study) the systems answer is to take
 /// compilation off the query's critical path entirely. The service is the
-/// substrate for that: `CachingBackend` routes misses through it and uses
-/// its tickets for in-flight deduplication, and `db::executeQuery` under
+/// substrate for that: `CachingBackend` routes misses through it (in the
+/// background when it has a fast tier to answer with), and
+/// `db::executeQuery` under
 /// AdaptiveExec compiles the optimized tier through it at Background
 /// priority while the query runs on the fast one.
 ///
@@ -22,8 +23,9 @@
 /// decision (CachingBackend compiles inline, the executor keeps that
 /// pipeline on its fast tier). The submitted module (and the back-end)
 /// must stay alive until the ticket completes or is successfully
-/// cancelled; in this codebase modules are owned by `db::CompiledPlan` or
-/// test scopes that outlive execution.
+/// cancelled; in this codebase modules are owned by `db::CompiledPlan`,
+/// test scopes that outlive execution, or (for the cache's background
+/// compiles) the job itself.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -50,6 +50,14 @@ std::unique_ptr<backend::Backend> createInner(const std::string &Name) {
   return BE;
 }
 
+/// The tier a cold served query runs on while its inner compile goes to
+/// the background: Stencil, unless the inner back-end is no dearer.
+std::unique_ptr<backend::Backend> createFast(const std::string &Inner) {
+  if (Inner == "Stencil" || Inner == "Interpreter")
+    return nullptr;
+  return backend::createBackend("Stencil");
+}
+
 } // namespace
 
 std::optional<ServerConfig> ServerConfig::fromEnv(std::string &Err) {
@@ -140,8 +148,8 @@ Server::Server(const ServerConfig &Cfg, const db::Catalog &Cat)
       Svc(std::make_unique<backend::CompileService>(
           Cfg.CompileWorkers, Cfg.CompileQueueCapacity, &Reg)),
       Cache(std::make_unique<backend::CachingBackend>(
-          createInner(Cfg.BackendName), Cfg.CacheCapacity,
-          Svc.get(), &Reg, Disk.get())),
+          createInner(Cfg.BackendName), Cfg.CacheCapacity, Svc.get(), &Reg,
+          Disk.get(), createFast(Cfg.BackendName))),
       Plans(PlanCache::ServerMaxBytes, Reg), Gate(Cfg.Admission, &Reg),
       SessionsOpenG(Reg.gauge("serve.sessions.open")),
       SessionsOpened(Reg.counter("serve.sessions.opened")),
@@ -445,8 +453,10 @@ void Server::shutdown() {
       retireSession(*S, /*Evicted=*/false);
   }
 
-  // Stop the compile service last: in-flight jobs reference modules and
-  // the cache's inner back-end, both still alive here.
+  // Stop the compile service last, after the background compiles of cold
+  // misses have landed, so each ends in a disk store. In-flight jobs
+  // reference the cache and its inner back-end, both still alive here.
+  Svc->drain();
   Svc->shutdown();
 }
 

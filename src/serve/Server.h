@@ -12,11 +12,14 @@
 /// CachingBackend (in-memory LRU plus the $QCF_CODE_CACHE persistent
 /// tier, so a fleet of serve processes shares warm code), an
 /// AdmissionGate bounding concurrent execution, and the MetricsRegistry
-/// all "serve.*" instruments land in.
+/// all "serve.*" instruments land in. A query that misses both cache
+/// tiers runs on Stencil code while the configured back-end compiles it
+/// in the background (CachingBackend's fast tier).
 ///
 /// Quota enforcement points, in request order:
 ///   1. openSession     -> TenantQuota::MaxSessions   (SessionQuota)
-///   2. execute (pre)   -> MaxQueuedCompiles          (CompileQueueQuota)
+///   2. execute (pre)   -> MaxQueuedCompiles against the tenant's
+///      in-flight jobs, background compiles included (CompileQueueQuota)
 ///   3. execute (pre)   -> MaxCompileBytes: a fixed per-query reservation
 ///      held until the query ends                  (CompileBytesQuota)
 ///   4. AdmissionGate   -> slots + bounded wait queue  (QueueFull / Shed)
@@ -139,8 +142,9 @@ public:
                        rt::OutputBuffer *Out = nullptr,
                        uint64_t DeadlineNs = 0);
 
-  /// Cancels every session, drains running queries, and shuts the
-  /// compile service down. Idempotent; also run by the destructor.
+  /// Cancels every session, drains running queries and the background
+  /// compiles of cold misses, and shuts the compile service down.
+  /// Idempotent; also run by the destructor.
   void shutdown();
 
   size_t numSessions() const;

@@ -8,19 +8,27 @@
 /// Concurrency tests for backend::CompileService and the caching layer's
 /// in-flight deduplication: ticket lifecycle (poll/wait/cancel), priority
 /// and stats accounting, exactly-one-compile-per-key under thread storms,
-/// LRU capacity under contention, and clean shutdown with jobs queued.
+/// LRU capacity under contention, clean shutdown with jobs queued, and the
+/// cache's fast tier answering misses while the inner compile runs on a
+/// worker.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
+#include "backend/DiskCache.h"
 #include "backend/Registry.h"
 #include "backend/TierUp.h"
+#include "db/Codegen.h"
+#include "db/Datagen.h"
+#include "db/Executor.h"
+#include "db/Queries.h"
 #include "qir/Builder.h"
 #include "tests/CountingBackend.h"
 #include "tests/GateBackend.h"
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -706,4 +714,234 @@ TEST(CacheDedup, ShutdownServiceFallsBackInline) {
   EXPECT_EQ(Counter->Compiles.load(), 2u)
       << "M2 must reach the inner back-end exactly once";
   EXPECT_EQ(Svc.stats().JobsCompleted, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Fast tier: a miss runs Stencil code while Craneline compiles on a worker
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One query lowered over a small catalog, with the rows and digest the
+/// interpreter produces for it.
+struct FastTierQuery {
+  db::Catalog Cat;
+  db::CompiledPlan Plan;
+  uint64_t Rows = 0, Digest = 0;
+
+  FastTierQuery() {
+    db::generateTpchLike(Cat, 0.01);
+    Plan = db::compileQuery(db::tpchQueries().at(0), Cat);
+    std::tie(Rows, Digest) = run(*createBackend("Interpreter"));
+  }
+
+  std::pair<uint64_t, uint64_t> run(Backend &BE) const {
+    rt::OutputBuffer Out;
+    EXPECT_FALSE(db::executeQuery(Plan, BE, Cat, &Out).Trapped);
+    return {Out.numRows(), Out.unorderedDigest()};
+  }
+};
+
+const FastTierQuery &fastTierQuery() {
+  static FastTierQuery Q;
+  return Q;
+}
+
+/// CachingBackend(Gate(Counting(Craneline))) with a Stencil fast tier, a
+/// one-worker service and a fresh disk tier. The gate holds every inner
+/// compile until release().
+struct FastTierCache {
+  std::filesystem::path Dir;
+  obs::MetricsRegistry Reg;
+  std::unique_ptr<DiskCodeCache> Disk;
+  CompileService Svc{1, 0, &Reg};
+  CountingBackend *Counter = nullptr;
+  GateBackend *Gate = nullptr;
+  std::unique_ptr<CachingBackend> Cache;
+
+  FastTierCache() {
+    std::string T =
+        (std::filesystem::temp_directory_path() / "qcf_fasttier_XXXXXX")
+            .string();
+    EXPECT_NE(::mkdtemp(T.data()), nullptr);
+    Dir = T;
+    Disk = std::make_unique<DiskCodeCache>(Dir.string(), 0, &Reg);
+    auto Counting = std::make_unique<CountingBackend>(createBackend("Craneline"));
+    Counter = Counting.get();
+    auto Gated = std::make_unique<GateBackend>(std::move(Counting));
+    Gate = Gated.get();
+    Cache = std::make_unique<CachingBackend>(std::move(Gated), 0, &Svc, &Reg,
+                                             Disk.get(),
+                                             createBackend("Stencil"));
+  }
+  ~FastTierCache() {
+    Gate->release();
+    Cache.reset();
+    Svc.shutdown();
+    std::filesystem::remove_all(Dir);
+  }
+};
+
+/// Runs \p Fn on another thread with the gate shut and waits up to 10 s
+/// for it to return. \returns whether it did; if not, opens the gate so
+/// the blocked call can finish and be joined.
+template <typename F> bool returnsWhileGated(FastTierCache &C, F Fn) {
+  std::atomic<bool> Done{false};
+  std::thread T([&] {
+    Fn();
+    Done.store(true);
+  });
+  for (int I = 0; I != 10000 && !Done.load(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  bool Returned = Done.load();
+  if (!Returned)
+    C.Gate->release();
+  T.join();
+  return Returned;
+}
+
+} // namespace
+
+TEST(CacheFastTier, MissReturnsFastCodeBeforeTheGateOpens) {
+  const FastTierQuery &Q = fastTierQuery();
+  ASSERT_GT(Q.Rows, 0u);
+  FastTierCache C;
+  std::pair<uint64_t, uint64_t> Got;
+  ASSERT_TRUE(returnsWhileGated(C, [&] { Got = Q.run(*C.Cache); }))
+      << "a miss waited for the Craneline compile";
+  EXPECT_EQ(Got, std::make_pair(Q.Rows, Q.Digest));
+  C.Gate->waitStarted();
+  EXPECT_EQ(C.Counter->Compiles.load(), 0u);
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.FastTier, 1u);
+  EXPECT_EQ(C.Cache->size(), 0u);
+  EXPECT_EQ(C.Cache->inFlight(), 1u);
+}
+
+TEST(CacheFastTier, InFlightKeyGetsFastCodeWithoutWaiting) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C;
+  ASSERT_TRUE(returnsWhileGated(C, [&] { Q.run(*C.Cache); }))
+      << "a miss waited for the Craneline compile";
+  C.Gate->waitStarted();
+  // Two more sessions look the key up while its compile is gated; each
+  // returns with fast code instead of blocking in the dedup wait.
+  std::pair<uint64_t, uint64_t> Got[2];
+  ASSERT_TRUE(returnsWhileGated(C, [&] {
+    std::thread T[2];
+    for (int I = 0; I != 2; ++I)
+      T[I] = std::thread([&, I] { Got[I] = Q.run(*C.Cache); });
+    for (std::thread &Th : T)
+      Th.join();
+  })) << "a lookup of the in-flight key blocked";
+  for (const auto &G : Got)
+    EXPECT_EQ(G, std::make_pair(Q.Rows, Q.Digest));
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.InFlightWaits, 0u);
+  EXPECT_EQ(S.FastTier, 3u);
+  EXPECT_EQ(C.Svc.stats().JobsQueued, 1u) << "one background compile per key";
+}
+
+TEST(CacheFastTier, LandedCompileIsAnL1HitAndStoredOnce) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C;
+  std::pair<uint64_t, uint64_t> Got[2];
+  ASSERT_TRUE(returnsWhileGated(C, [&] {
+    for (auto &G : Got)
+      G = Q.run(*C.Cache);
+  })) << "a lookup waited for the Craneline compile";
+  for (const auto &G : Got)
+    EXPECT_EQ(G, std::make_pair(Q.Rows, Q.Digest));
+  C.Gate->release();
+  C.Svc.drain();
+  EXPECT_EQ(C.Cache->inFlight(), 0u);
+  EXPECT_EQ(C.Cache->size(), 1u);
+  EXPECT_EQ(C.Disk->stats().Stores, 1u);
+
+  // The next lookup is an L1 hit on the Craneline module.
+  EXPECT_EQ(Q.run(*C.Cache), std::make_pair(Q.Rows, Q.Digest));
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.FastTier, 2u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  DiskCacheStats D = C.Disk->stats();
+  EXPECT_EQ(D.Misses, 1u);
+  EXPECT_EQ(D.Stores, 1u);
+  EXPECT_EQ(C.Svc.stats().PerBackend.count("Craneline+cache"), 1u);
+}
+
+TEST(CacheFastTier, RefusedSubmitCompilesInline) {
+  FastTierCache C;
+  C.Gate->release();
+  // Use up the tenant's share with a job pinned on the only worker.
+  C.Svc.setKeyQueueShare("t", 1);
+  GateBackend Pin(createBackend("Interpreter"));
+  qir::Module PinM;
+  buildAffine(PinM, 1);
+  CompileOptions Opts;
+  Opts.FairnessKey = "t";
+  CompileTicket PinT = C.Svc.submit(PinM, Pin, CompilePriority::Foreground, Opts);
+  ASSERT_TRUE(PinT.valid());
+  Pin.waitStarted();
+
+  qir::Module M;
+  buildAffine(M, 5);
+  auto Code = C.Cache->compile(M, Opts);
+  uint64_t CompilesWhilePinned = C.Counter->Compiles.load();
+  Pin.release();
+  PinT.wait();
+
+  ASSERT_NE(Code, nullptr);
+  EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(3), 22);
+  EXPECT_EQ(CompilesWhilePinned, 1u) << "compiled on this thread";
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.FastTier, 0u);
+  EXPECT_EQ(C.Cache->size(), 1u);
+  EXPECT_EQ(C.Cache->inFlight(), 0u);
+  EXPECT_EQ(C.Disk->stats().Stores, 1u);
+  EXPECT_GE(C.Svc.stats().RejectedTenant, 1u);
+}
+
+TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
+  FastTierCache C;
+  GateBackend Pin(createBackend("Interpreter"));
+  qir::Module PinM;
+  buildAffine(PinM, 1);
+  CompileTicket PinT = C.Svc.submit(PinM, Pin);
+  ASSERT_TRUE(PinT.valid());
+  Pin.waitStarted();
+
+  // A miss queues its background compile behind the pinned worker.
+  qir::Module M;
+  buildAffine(M, 9);
+  auto Fast = C.Cache->compile(M);
+  EXPECT_EQ(Fast->entryAs<int64_t (*)(int64_t)>("f")(2), 25);
+  EXPECT_EQ(C.Cache->inFlight(), 1u);
+
+  // Shut the service down with that job still queued; it is cancelled.
+  std::thread Stopper([&] { C.Svc.shutdown(); });
+  qir::Module ProbeM;
+  buildAffine(ProbeM, 2);
+  auto ProbeBE = createBackend("Interpreter");
+  while (C.Svc.submit(ProbeM, *ProbeBE).valid())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Pin.release();
+  Stopper.join();
+  EXPECT_EQ(C.Counter->Compiles.load(), 0u);
+
+  // The next lookup of the key retires the stale entry and, with the
+  // service gone, compiles inline.
+  C.Gate->release();
+  auto Code = C.Cache->compile(M);
+  EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(2), 25);
+  EXPECT_EQ(C.Cache->inFlight(), 0u);
+  EXPECT_EQ(C.Cache->size(), 1u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Cache->stats().Misses, 2u);
+  EXPECT_EQ(C.Disk->stats().Stores, 1u);
 }

@@ -349,6 +349,8 @@ TEST(Serve, SessionLifecycleAndMetrics) {
   EXPECT_GT(R.TotalNs, 0u);
   // The query's compile-byte reservation was released when it ended.
   EXPECT_EQ(Reg.snapshot().gauge("serve.tenant.acme.compile_bytes"), 0);
+  // A cold miss ran on the fast tier; Craneline compiles in the background.
+  EXPECT_EQ(Srv.cacheBackend().stats().FastTier, 1u);
 
   // Same query again: identical digest, warm this time.
   QueryOutcome R2 = Srv.execute(O.SessionId, corpus().Queries[0]);

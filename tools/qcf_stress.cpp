@@ -732,6 +732,12 @@ int runServeSoak(bool Quick) {
           Snap.counter("serve.admission.rejected.shed")),
       static_cast<unsigned long long>(
           Snap.counter("serve.admission.rejected.full")));
+  backend::CacheStats CS = Srv.cacheBackend().stats();
+  std::printf("  code cache: %llu lookups, %llu misses, %llu answered on the "
+              "fast tier\n",
+              static_cast<unsigned long long>(CS.lookups()),
+              static_cast<unsigned long long>(CS.Misses),
+              static_cast<unsigned long long>(CS.FastTier));
   // Phase 4: deliberate overload against a deliberately tiny gate (one
   // slot, two waiters) with a background and a foreground tenant — the
   // load-shed path must fire (foreground arrivals evict queued
