@@ -246,8 +246,6 @@ private:
     return V;
   }
 
-  ValueId slotAddr(uint32_t Slot) { return Bld->gep(CtxV, 8 * Slot); }
-
   // --- Produce/consume ---------------------------------------------------------
 
   void produce(const PlanNode *N, Consumer C) {
@@ -910,16 +908,14 @@ private:
     int ObjIdx = static_cast<int>(Out.Objects.size());
     Out.Objects.push_back(*Obj);
 
-    // Materialization pipeline (parallel-safe: atomic row index).
+    // Materialization pipeline (parallel-safe: each row is an unlinked
+    // entry of a hash table that the executor packs before the sort).
     bool SavedParallel = CurrentSinkParallel;
     CurrentSinkParallel = true;
     produce(N->Child.get(), [this, Obj, RowFields] {
-      ValueId Base = loadSlot(Obj->Slot);
-      ValueId CountAddr = slotAddr(Obj->CountSlot);
-      ValueId Idx =
-          Bld->atomicAdd(CountAddr, Bld->constInt(Type::I64, 1));
-      ValueId RowPtr =
-          Bld->gepIndexed(Base, Idx, Obj->RowStride);
+      ValueId Rows = loadSlot(Obj->Slot);
+      ValueId RowPtr = Bld->call(Syms.HtInsertAtomic,
+                                 {Rows, Bld->constInt(Type::I64, 0)});
       for (const Field &Fd : *RowFields)
         storeField(RowPtr, Fd, column(Fd.Name));
       Bld->br(cont());

@@ -30,7 +30,7 @@ struct RuntimeObject {
   enum class Kind : uint8_t { JoinHt, AggHt, SortBuffer };
   Kind K;
   uint32_t Slot;          ///< ctx slot holding the object pointer.
-  uint32_t CountSlot = 0; ///< Sort: ctx slot used as the row counter.
+  uint32_t CountSlot = 0; ///< Sort: ctx slot holding the packed row count.
   uint64_t PayloadBytes = 0;
   uint32_t RowStride = 0;       ///< Sort row size.
   int ProducerPipeline = -1;    ///< Pipeline that fills this object.

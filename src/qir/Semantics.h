@@ -29,6 +29,9 @@
 ///    predicate's signedness.
 ///  - fptosi follows x86 cvttsd2si: NaN and values outside [-2^63, 2^63)
 ///    give INT64_MIN, which is then truncated to the destination width.
+///  - fadd/fsub/fmul/fdiv follow x86 SSE on NaN operands: a NaN first
+///    operand is the result, quieted; otherwise a NaN second operand is.
+///    Spelled out, because a host compiler may commute the C++ operation.
 ///
 /// Trapping evaluations return the rt::TrapCode instead of trapping, so
 /// each caller keeps its own trap mechanism. The per-opcode entries are
@@ -70,6 +73,18 @@ inline Lanes fromF64(double D) {
   Lanes V;
   std::memcpy(&V.Lo, &D, sizeof(D));
   return V;
+}
+
+/// x86 SSE arithmetic on \p A and \p B: a NaN operand is the result,
+/// quieted, the first operand's winning when both are NaN.
+template <typename OpFn> inline Lanes fbinary(Lanes A, Lanes B, OpFn Op) {
+  constexpr uint64_t QuietBit = uint64_t(1) << 51;
+  double X = toF64(A), Y = toF64(B);
+  if (X != X)
+    return {A.Lo | QuietBit, 0};
+  if (Y != Y)
+    return {B.Lo | QuietBit, 0};
+  return fromF64(Op(X, Y));
 }
 
 /// x86 cvttsd2si: NaN and values outside [-2^63, 2^63) give INT64_MIN.
@@ -296,13 +311,13 @@ QCF_ALWAYS_INLINE rt::TrapCode evalBinary(Type Ty, Lanes A, Lanes B,
   } else if constexpr (Op == Opcode::LongMulFold) {
     Out = {longMulFold(A.Lo, B.Lo), 0};
   } else if constexpr (Op == Opcode::FAdd) {
-    Out = fromF64(toF64(A) + toF64(B));
+    Out = fbinary(A, B, [](double X, double Y) { return X + Y; });
   } else if constexpr (Op == Opcode::FSub) {
-    Out = fromF64(toF64(A) - toF64(B));
+    Out = fbinary(A, B, [](double X, double Y) { return X - Y; });
   } else if constexpr (Op == Opcode::FMul) {
-    Out = fromF64(toF64(A) * toF64(B));
+    Out = fbinary(A, B, [](double X, double Y) { return X * Y; });
   } else if constexpr (Op == Opcode::FDiv) {
-    Out = fromF64(toF64(A) / toF64(B));
+    Out = fbinary(A, B, [](double X, double Y) { return X / Y; });
   } else {
     static_assert(Op == Opcode::PackD128 || Op == Opcode::PackI128,
                   "not a two-operand scalar opcode");

@@ -566,3 +566,103 @@ TEST(DbExec, DecimalOverflowTrapsOnEveryBackend) {
     EXPECT_TRUE(R.Trapped) << "no overflow trap on " << Name;
   }
 }
+
+namespace {
+
+/// Runs \p Q on every back-end, single-threaded and on four workers with
+/// small morsels (so build pipelines append in parallel and links split),
+/// and checks each result against the interpreter's, whose row count must
+/// be \p Rows (or whose one count(*) cell must be, when \p CountCell).
+void expectRowsOnEveryBackend(const Query &Q, const Catalog &Cat,
+                              uint64_t Rows, bool CountCell) {
+  CompiledPlan Plan = compileQuery(Q, Cat);
+  rt::OutputBuffer Ref;
+  {
+    auto BE = backend::createBackend("Interpreter");
+    ASSERT_FALSE(executeQuery(Plan, *BE, Cat, &Ref).Trapped);
+  }
+  if (CountCell) {
+    ASSERT_EQ(Ref.numRows(), 1u);
+    size_t NumCells;
+    EXPECT_EQ(static_cast<uint64_t>(Ref.row(0, &NumCells)[0].I64V), Rows);
+  } else {
+    EXPECT_EQ(Ref.numRows(), Rows);
+  }
+  ExecOptions Four;
+  Four.NumThreads = 4;
+  Four.MorselSize = 64;
+  for (const std::string &Name : backend::allBackendNames()) {
+    SCOPED_TRACE(Name);
+    auto BE = backend::createBackend(Name);
+    for (const ExecOptions &Opts : {ExecOptions(), Four}) {
+      rt::OutputBuffer Out;
+      ASSERT_FALSE(executeQuery(Plan, *BE, Cat, &Out, Opts).Trapped);
+      EXPECT_EQ(Out.numRows(), Ref.numRows()) << "threads " << Opts.NumThreads;
+      EXPECT_EQ(Out.unorderedDigest(), Ref.unorderedDigest())
+          << "threads " << Opts.NumThreads;
+      // The first output column is a sort key where the query sorts.
+      for (size_t R = 1; R < Out.numRows() && Q.Root->K == PlanNode::Kind::Sort;
+           ++R) {
+        size_t NumCells;
+        ASSERT_LE(Out.row(R - 1, &NumCells)[0].I64V, Out.row(R, &NumCells)[0].I64V)
+            << "row " << R << ", threads " << Opts.NumThreads;
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(DbExec, JoinBuildSideFanOutHasNoCapacity) {
+  // orders ⋈ (lineitem ⋈ lineitem on l_linestatus) on o_orderkey =
+  // l_orderkey, counted. The outer join's build table receives about
+  // lineitem² / 2 entries from a pipeline that scans lineitem once, far
+  // more than any sizing from source rows allows for.
+  Catalog C;
+  generateTpchLike(C, 0.1);
+  const Column *Status = C.find("lineitem")->column("l_linestatus");
+  std::map<std::string, uint64_t> PerStatus;
+  for (size_t I = 0; I != Status->size(); ++I)
+    ++PerStatus[std::string(Status->strAt(I).data(), Status->strAt(I).Len)];
+  uint64_t Expected = 0;
+  for (const auto &[S, N] : PerStatus)
+    Expected += N * N; // every lineitem's order exists in orders
+  ASSERT_GT(Expected, 8 * Status->size() + 16 * 4096);
+
+  Query Q;
+  Q.Name = "fanout_join";
+  PlanPtr Pairs = hashJoin(scan("lineitem"), scan("lineitem"),
+                           {}, {}, {});
+  Pairs->ProbeKeys.push_back(col("l_linestatus"));
+  Pairs->BuildKeys.push_back(col("l_linestatus"));
+  PlanPtr J = hashJoin(scan("orders"), std::move(Pairs), {}, {}, {});
+  J->ProbeKeys.push_back(col("o_orderkey"));
+  J->BuildKeys.push_back(col("l_orderkey"));
+  std::vector<AggSpec> Aggs;
+  Aggs.push_back(AggSpec{AggKind::Count, nullptr, "n"});
+  Q.Root = aggregate(std::move(J), {}, {}, std::move(Aggs));
+  Q.Output.push_back(col("n"));
+  expectRowsOnEveryBackend(Q, C, Expected, /*CountCell=*/true);
+}
+
+TEST(DbExec, SortOfFanOutJoinStaysInItsBuffer) {
+  // Sorting orders ⋈ lineitem (lineitem builds) materializes one row per
+  // lineitem from a pipeline that scans orders, about four times as many
+  // rows as its source.
+  Catalog C;
+  generateTpchLike(C, 0.05);
+  uint64_t Lines = C.find("lineitem")->numRows();
+  ASSERT_GT(Lines, 2 * C.find("orders")->numRows());
+
+  Query Q;
+  Q.Name = "fanout_sort";
+  PlanPtr J = hashJoin(scan("orders"), scan("lineitem"), {}, {},
+                       {"l_suppkey", "l_quantity"});
+  J->ProbeKeys.push_back(col("o_orderkey"));
+  J->BuildKeys.push_back(col("l_orderkey"));
+  Q.Root = sortBy(std::move(J), {{"o_orderkey", false}, {"l_suppkey", true}});
+  Q.Output.push_back(col("o_orderkey"));
+  Q.Output.push_back(col("l_suppkey"));
+  Q.Output.push_back(col("l_quantity"));
+  expectRowsOnEveryBackend(Q, C, Lines, /*CountCell=*/false);
+}
