@@ -3,9 +3,9 @@
 // Part of the QCF project.
 //
 // Demonstrates adaptive execution (§III-C): TPC-H-like h1 starts right
-// away on the low-latency DirectEmit tier while the optimizing tier
-// compiles in the background, and each pipeline swaps to the optimized
-// code at the first morsel boundary after it lands.
+// away on the low-latency Stencil tier while the optimizing tier compiles
+// the whole module in the background, and each pipeline swaps to the
+// optimized code at the first morsel boundary after it lands.
 //
 //   ./adaptive_compilation [optimized-backend]   # default MLVM-opt
 //
@@ -32,10 +32,10 @@ int main(int argc, char **argv) {
   std::vector<Query> Queries = tpchQueries();
   CompiledPlan Plan = compileQuery(Queries.front(), Cat);
 
-  // Compiles the optimized tier in the background, one job per pipeline.
+  // Compiles the optimized tier in the background.
   backend::CompileService Svc(2);
   ExecOptions Opts;
-  Opts.AdaptiveExec = true; // Fast tier: DirectEmit (Opts.FastBackend).
+  Opts.AdaptiveExec = true; // Fast tier: Stencil (Opts.FastBackend).
   Opts.Service = &Svc;
   Opts.NumThreads = 2;
   Opts.MorselSize = 1024;
@@ -43,7 +43,7 @@ int main(int argc, char **argv) {
   ExecResult R = executeQuery(Plan, *Opt, Cat, &Out, Opts);
   if (R.Trapped)
     return 1;
-  std::printf("%s: DirectEmit -> %s, %llu swaps, exec=%.2fms\n",
+  std::printf("%s: Stencil -> %s, %llu swaps, exec=%.2fms\n",
               Queries.front().Name.c_str(), Opt->name().c_str(),
               (unsigned long long)R.Stats.OsrSwaps, R.Stats.ExecNs * 1e-6);
   for (size_t PI = 0; PI != R.Stats.Pipelines.size(); ++PI) {

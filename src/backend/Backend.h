@@ -29,6 +29,8 @@
 
 namespace qcf::backend {
 
+class TierUp;
+
 /// Per-compile options. This is the extension point of the back-end
 /// interface: new knobs (observability, verification, allocation mode
 /// today; opt level, CPU features, code model tomorrow) are added here
@@ -111,6 +113,10 @@ public:
   /// blobs re-patched in from the disk cache — which is the point: tv is
   /// the only layer that re-checks re-patched code.
   virtual std::vector<tv::TvFunction> tvFunctions() const { return {}; }
+
+  /// For fast-tier code from backend::compileTiered, the optimized compile
+  /// of the same module, which db::executeQuery swaps to once it installs.
+  std::shared_ptr<TierUp> Optimized;
 };
 
 /// A compilation back-end. Implementations: interp, stencil, direct,

@@ -7,6 +7,7 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/DiskCache.h"
+#include "backend/TierUp.h"
 #include "qir/Clone.h"
 #include "support/Hash.h"
 #include <atomic>
@@ -52,11 +53,17 @@ CachingBackend::CachingBackend(std::unique_ptr<Backend> Inner, size_t Capacity,
 }
 
 CachingBackend::~CachingBackend() {
-  // A background job reads this cache's members: cancel it if it is still
-  // queued, else wait until its worker is done with it.
-  for (auto &[Ticket, Job] : Jobs)
-    if (!Ticket.cancel())
-      Ticket.wait();
+  // A background job reads this cache's members until it retires its
+  // in-flight entry: cancel the ones still queued, wait out the rest.
+  std::vector<std::shared_ptr<TierUp>> Ups;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (const auto &[Key, Entry] : Pending)
+      if (Entry->Up)
+        Ups.push_back(Entry->Up);
+  }
+  for (const std::shared_ptr<TierUp> &Up : Ups)
+    Up->finish();
 }
 
 namespace {
@@ -184,101 +191,88 @@ private:
 } // namespace
 
 /// The inner compile of one key that missed both tiers, run on a service
-/// worker. It owns what it reads: a copy of the module (the query that
-/// missed may free its plan before the job runs) and the options that
-/// outlive the query. The query's cancel token and trace consumers are
-/// dropped, since other sessions rely on the result.
+/// worker. It owns a copy of the module, because the query that missed
+/// may free its plan before the job runs. The job is owned in turn by the
+/// shared handle on it, and by the service until it ends.
 class CachingBackend::BackgroundCompile : public Backend {
 public:
   BackgroundCompile(CachingBackend &Cache, const ModuleFingerprint &Key,
-                    const qir::Module &M, const CompileOptions &QueryOpts,
-                    std::shared_ptr<InFlight> Entry)
-      : Cache(Cache), Key(Key), Entry(std::move(Entry)) {
+                    const qir::Module &M)
+      : Cache(Cache), Key(Key), Name(Cache.name()) {
     qir::cloneSymbols(M, Copy);
     for (const auto &F : M.functions())
       qir::cloneFunctionInto(*F, Copy);
-    Opts.Obs.Metrics = QueryOpts.Obs.Metrics;
-    Opts.Verify = QueryOpts.Verify;
-    Opts.Alloc = QueryOpts.Alloc;
-    Opts.FairnessKey = QueryOpts.FairnessKey;
   }
-  // The submitted job holds this object's address.
-  BackgroundCompile(const BackgroundCompile &) = delete;
-  BackgroundCompile &operator=(const BackgroundCompile &) = delete;
 
   /// The service's latency histogram for these jobs covers compile,
-  /// publish and store.
-  std::string name() const override { return Cache.name(); }
+  /// publish and store. Read after the job retired its entry, when the
+  /// cache may be gone.
+  std::string name() const override { return Name; }
 
   using Backend::compile;
 
   std::unique_ptr<CompiledModule> compile(const qir::Module &M,
                                           const CompileOptions &O) override {
     std::shared_ptr<CompiledModule> Compiled = Cache.Inner->compile(M, O);
-    Cache.publish(Key, *Entry, Compiled);
+    Cache.publish(Key, Compiled);
     if (Cache.Disk)
       Cache.Disk->store(Key, *Cache.Inner, *Compiled, O);
+    // The last touch of the cache: its destructor waits only for jobs
+    // whose entry is still in flight.
+    Cache.retire(Key);
     return std::make_unique<SharedModule>(std::move(Compiled));
   }
 
   qir::Module Copy;
-  CompileOptions Opts;
 
 private:
   CachingBackend &Cache;
   const ModuleFingerprint Key;
-  const std::shared_ptr<InFlight> Entry;
+  const std::string Name;
 };
 
-void CachingBackend::publish(const ModuleFingerprint &Key, InFlight &Entry,
-                             const std::shared_ptr<CompiledModule> &Compiled) {
+void CachingBackend::publish(const ModuleFingerprint &Key,
+                             const std::shared_ptr<CompiledModule> &Compiled,
+                             InFlight *Entry) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     // Insert into the cache and retire the in-flight entry atomically, so
     // there is no window in which a new lookup sees neither.
     Lru.emplace_front(Key, Compiled);
     Map[Key] = Lru.begin();
-    Pending.erase(Key);
+    if (Entry)
+      Pending.erase(Key);
     if (Capacity && Map.size() > Capacity) {
       Map.erase(Lru.back().first);
       Lru.pop_back();
       Evictions.inc();
     }
   }
+  if (!Entry)
+    return;
   {
-    std::lock_guard<std::mutex> EntryLock(Entry.Mutex);
-    Entry.Result = Compiled;
-    Entry.Done = true;
+    std::lock_guard<std::mutex> EntryLock(Entry->Mutex);
+    Entry->Result = Compiled;
+    Entry->Done = true;
   }
-  Entry.Cv.notify_all();
+  Entry->Cv.notify_all();
 }
 
-bool CachingBackend::compileInBackground(const qir::Module &M,
-                                         const ModuleFingerprint &Key,
-                                         const std::shared_ptr<InFlight> &Entry,
-                                         const CompileOptions &Opts) {
-  auto Job = std::make_unique<BackgroundCompile>(*this, Key, M, Opts, Entry);
-  CompileTicket Ticket = Service->submit(Job->Copy, *Job,
-                                         CompilePriority::Background, Job->Opts);
-  if (!Ticket.valid())
-    return false;
+void CachingBackend::retire(const ModuleFingerprint &Key) {
+  std::shared_ptr<InFlight> Retired; // Freed outside the lock.
   std::lock_guard<std::mutex> Lock(Mutex);
-  Entry->Ticket = Ticket;
-  std::erase_if(Jobs, [](const auto &J) { return J.first.done(); });
-  Jobs.emplace_back(std::move(Ticket), std::move(Job));
-  return true;
+  if (auto It = Pending.find(Key); It != Pending.end()) {
+    Retired = std::move(It->second);
+    Pending.erase(It);
+  }
 }
 
-std::unique_ptr<CompiledModule>
-CachingBackend::compileFast(const qir::Module &M, const CompileOptions &Opts) {
+void CachingBackend::noteFast(const CompileOptions &Opts, uint64_t StartNs) {
   FastTier.inc();
-  uint64_t StartNs = nowNs();
-  std::unique_ptr<CompiledModule> Code = Fast->compile(M, Opts);
   uint64_t DurNs = nowNs() - StartNs;
   FastTierCompileNs.observe(DurNs);
   if (obs::TraceSink *Sink = Opts.Obs.Sink)
     Sink->completeEvent("cache.fast_tier", "cache", StartNs, DurNs);
-  return Code;
 }
 
 std::unique_ptr<CompiledModule>
@@ -296,17 +290,28 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       return std::make_unique<SharedModule>(It->second->second);
     }
     auto PIt = Pending.find(Key);
-    if (PIt != Pending.end() && PIt->second->Ticket.done()) {
-      // Its background compile ended without a module (shed by a
-      // Foreground submit, or the service shut down): a miss.
-      Pending.erase(PIt);
-      PIt = Pending.end();
+    if (PIt != Pending.end() && PIt->second->Up) {
+      // A background compile that ran has retired its entry, so one that
+      // ended here was cancelled (shed by a Foreground submit, or the
+      // service shut down): a miss.
+      TierUp &Up = *PIt->second->Up;
+      Up.poll();
+      if (!Up.pending()) {
+        Pending.erase(PIt);
+        PIt = Pending.end();
+      }
     }
     if (PIt != Pending.end()) {
       Hits.inc();
       if (Fast) {
+        std::shared_ptr<TierUp> Up = PIt->second->Up;
         Lock.unlock();
-        return compileFast(M, Opts);
+        uint64_t StartNs = nowNs();
+        std::unique_ptr<CompiledModule> Code = Fast->compile(M, Opts);
+        if (Code)
+          Code->Optimized = std::move(Up);
+        noteFast(Opts, StartNs);
+        return Code;
       }
       // In-flight dedup: another thread is already compiling this key.
       // Waiting on its result costs one compile latency at most; starting
@@ -316,17 +321,13 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       Lock.unlock();
       uint64_t WaitStartNs = nowNs();
       std::unique_lock<std::mutex> WaitLock(Wait->Mutex);
-      if (const qcf::CancelToken *Ct = Opts.Cancel) {
-        // Cancellable dedup wait: tick, check the token, repeat. A fired
-        // token abandons the wait — the owning compile keeps running for
-        // the other waiters; this caller just stops consuming it.
-        while (!Wait->Done) {
-          if (Ct->stopped())
-            return nullptr;
-          Wait->Cv.wait_for(WaitLock, std::chrono::milliseconds(1));
-        }
-      } else {
-        Wait->Cv.wait(WaitLock, [&] { return Wait->Done; });
+      // Cancellable dedup wait: tick, check the token, repeat. A fired
+      // token abandons the wait — the owning compile keeps running for the
+      // other waiters; this caller just stops consuming it.
+      while (!Wait->Done) {
+        if (Opts.Cancel && Opts.Cancel->stopped())
+          return nullptr;
+        Wait->Cv.wait_for(WaitLock, std::chrono::milliseconds(1));
       }
       if (obs::TraceSink *Sink = Opts.Obs.Sink)
         Sink->completeEvent("cache.inflight_wait", "cache", WaitStartNs,
@@ -361,9 +362,21 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
                         "disk cache");
   }
-  if (!Compiled && Fast && Service &&
-      compileInBackground(M, Key, Entry, Opts))
-    return compileFast(M, Opts);
+  if (!Compiled && Fast && Service) {
+    auto Job = std::make_shared<BackgroundCompile>(*this, Key, M);
+    uint64_t StartNs = nowNs();
+    std::unique_ptr<CompiledModule> Code = compileTiered(
+        Job->Copy, *Fast, *Job, *Service, Opts, Job,
+        [&](const std::shared_ptr<TierUp> &Up) {
+          // Lookups of the key share the handle from here on.
+          std::lock_guard<std::mutex> Lock(Mutex);
+          Entry->Up = Up;
+        });
+    if (Code) {
+      noteFast(Opts, StartNs);
+      return Code;
+    }
+  }
   if (!Compiled && Service) {
     // A refused submit (queue full, fairness share used up, service shut
     // down) returns an invalid ticket whose wait() is null, and we compile
@@ -378,10 +391,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     // in-flight entry so deduped waiters stop waiting and compile for
     // themselves, and report the cancellation with a null module — the
     // only case in which CachingBackend::compile returns null.
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Pending.erase(Key);
-    }
+    retire(Key);
     {
       std::lock_guard<std::mutex> EntryLock(Entry->Mutex);
       Entry->Done = true;
@@ -392,7 +402,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   if (!Compiled)
     Compiled = Inner->compile(M, Opts);
   // Publish before storing, so deduped waiters do not pay for the write.
-  publish(Key, *Entry, Compiled);
+  publish(Key, Compiled, Entry.get());
   if (Disk && !FromDisk)
     Disk->store(Key, *Inner, *Compiled, Opts);
   return std::make_unique<SharedModule>(std::move(Compiled));

@@ -31,7 +31,6 @@
 #include <list>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 namespace qcf::backend {
 
@@ -110,10 +109,13 @@ struct CacheStats {
 /// With a fast back-end, no caller waits for the inner compile of another
 /// thread: a lookup of a key in flight returns fast-tier code compiled on
 /// the calling thread. With a service as well, a miss in both tiers does
-/// the same after submitting the inner compile at Background priority;
-/// that job publishes to memory and then stores the disk blob, so the
-/// next lookup is a hit on inner-back-end code. A refused submit takes
-/// the blocking path above.
+/// the same through backend::compileTiered, whose background job
+/// publishes to memory and then stores the disk blob, so the next lookup
+/// is a hit on inner-back-end code. Every fast-tier answer carries the
+/// shared handle on that job (CompiledModule::Optimized), so the executor
+/// swaps the query to the inner back-end's code once it lands. Dropping a
+/// handle never cancels the job: the cache holds one until the job ends.
+/// A refused submit takes the blocking path above.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call is waiting (on a service ticket or a deduped in-flight compile),
@@ -180,24 +182,22 @@ private:
     bool Done = false;
     std::shared_ptr<CompiledModule> Result;
     /// The background compile of this key, once submitted (guarded by the
-    /// cache's Mutex). A job that lands erases the entry, so a terminal
-    /// ticket here means the job ended without a module.
-    CompileTicket Ticket;
+    /// cache's Mutex). A job that runs retires the entry itself, so one
+    /// whose compile ended here was cancelled before it started.
+    std::shared_ptr<TierUp> Up;
   };
 
   class BackgroundCompile;
 
-  /// Inserts \p Compiled into the LRU, retires \p Key's in-flight entry
-  /// and wakes its waiters.
-  void publish(const ModuleFingerprint &Key, InFlight &Entry,
-               const std::shared_ptr<CompiledModule> &Compiled);
-  /// Submits the inner compile of \p M at Background priority. \returns
-  /// false if the service refused it.
-  bool compileInBackground(const qir::Module &M, const ModuleFingerprint &Key,
-                           const std::shared_ptr<InFlight> &Entry,
-                           const CompileOptions &Opts);
-  std::unique_ptr<CompiledModule> compileFast(const qir::Module &M,
-                                              const CompileOptions &Opts);
+  /// Inserts \p Compiled into the LRU. With \p Entry, also retires \p Key's
+  /// in-flight entry in the same critical section and wakes its waiters.
+  void publish(const ModuleFingerprint &Key,
+               const std::shared_ptr<CompiledModule> &Compiled,
+               InFlight *Entry = nullptr);
+  /// Erases \p Key's in-flight entry.
+  void retire(const ModuleFingerprint &Key);
+  /// Counts and times a fast-tier answer whose compile began at \p StartNs.
+  void noteFast(const CompileOptions &Opts, uint64_t StartNs);
 
   std::unique_ptr<Backend> Inner;
   std::unique_ptr<Backend> Fast;
@@ -226,12 +226,6 @@ private:
   std::unordered_map<ModuleFingerprint, std::shared_ptr<InFlight>,
                      FingerprintHash>
       Pending;
-  /// Submitted background compiles. The service's worker still calls a
-  /// job's name() after its compile() returns, so a job is freed only
-  /// once its ticket is terminal: reaped at the next submit, or waited
-  /// out by the destructor.
-  std::vector<std::pair<CompileTicket, std::unique_ptr<BackgroundCompile>>>
-      Jobs;
 };
 
 } // namespace qcf::backend

@@ -115,13 +115,15 @@ uint64_t CompileService::keyInFlight(const std::string &Key) const {
 
 CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
                                      CompilePriority Priority,
-                                     const CompileOptions &Opts) {
+                                     const CompileOptions &Opts,
+                                     std::shared_ptr<void> Owner) {
   auto Job = std::make_shared<CompileJob>();
   Job->M = &M;
   Job->BE = &BE;
   Job->Opts = Opts;
   Job->SubmitNs = nowNs();
   Job->Key = Opts.FairnessKey;
+  Job->Owner = std::move(Owner);
 
   // Fairness-share check and in-flight accounting, atomically: two
   // concurrent submits for the same key must not both slip under the
@@ -247,6 +249,7 @@ void CompileService::finishJob(const std::shared_ptr<CompileJob> &Job,
   if (Cancel)
     JobsCancelled.inc();
   unaccount(*Job);
+  Job->Owner.reset(); // Tickets may keep the job alive for long after.
 }
 
 void CompileService::shutdown() {

@@ -10,11 +10,9 @@
 /// time is a first-order cost for query processing; beyond making each
 /// compile cheaper (the back-end study) the systems answer is to take
 /// compilation off the query's critical path entirely. The service is the
-/// substrate for that: `CachingBackend` routes misses through it (in the
-/// background when it has a fast tier to answer with), and
-/// `db::executeQuery` under
-/// AdaptiveExec compiles the optimized tier through it at Background
-/// priority while the query runs on the fast one.
+/// substrate for that: `CachingBackend` routes blocking misses through it,
+/// and backend::compileTiered (TierUp.h) submits the optimized compile of
+/// a module at Background priority while a query runs on its fast tier.
 ///
 /// Submitting yields a `CompileTicket` — a small future-like handle that
 /// can be polled, waited on, or cancelled before the job starts — or an
@@ -23,9 +21,8 @@
 /// decision (CachingBackend compiles inline, the executor keeps that
 /// pipeline on its fast tier). The submitted module (and the back-end)
 /// must stay alive until the ticket completes or is successfully
-/// cancelled; in this codebase modules are owned by `db::CompiledPlan`,
-/// test scopes that outlive execution, or (for the cache's background
-/// compiles) the job itself.
+/// cancelled, or live in the owner handed to submit (the cache's
+/// background compiles own a copy of the module).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,6 +84,7 @@ struct CompileJob {
   CompileOptions Opts;
   uint64_t SubmitNs = 0; ///< For queue-wait trace events.
   std::string Key;       ///< Fairness key (CompileOptions::FairnessKey).
+  std::shared_ptr<void> Owner; ///< Holds M and BE until terminal, if set.
 
   std::mutex Mutex;
   std::condition_variable Cv;
@@ -126,14 +124,14 @@ public:
   /// result remains obtainable.
   bool cancel();
 
+  /// Waits up to \p Ns nanoseconds for a terminal state, cancelling
+  /// nothing. \returns true once the job is terminal.
+  bool waitFor(uint64_t Ns) const;
+
 private:
   friend class CompileService;
   explicit CompileTicket(std::shared_ptr<detail::CompileJob> Job)
       : Job(std::move(Job)) {}
-
-  /// Waits up to \p Ns nanoseconds for a terminal state. \returns true
-  /// once the job is terminal.
-  bool waitFor(uint64_t Ns) const;
 
   std::shared_ptr<detail::CompileJob> Job;
 };
@@ -158,7 +156,8 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Enqueues compilation of \p M with \p BE. Both must outlive the job.
+  /// Enqueues compilation of \p M with \p BE. Both must outlive the job
+  /// unless they live in \p Owner, which the service holds until then.
   /// \p Opts (including its ObsContext) is carried to the worker-side
   /// compile. Never blocks and never compiles on the calling thread: on a
   /// full queue a Foreground submit first sheds the newest Background job
@@ -168,7 +167,8 @@ public:
   /// compile means (compile inline, stay on the fast tier).
   CompileTicket submit(const qir::Module &M, Backend &BE,
                        CompilePriority Priority = CompilePriority::Foreground,
-                       const CompileOptions &Opts = CompileOptions());
+                       const CompileOptions &Opts = CompileOptions(),
+                       std::shared_ptr<void> Owner = nullptr);
 
   /// Caps the number of in-flight (queued or running) jobs whose
   /// CompileOptions::FairnessKey equals \p Key; submissions beyond the

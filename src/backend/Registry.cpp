@@ -52,3 +52,9 @@ std::vector<std::string> backend::allBackendNames() {
     Names.push_back(N);
   return Names;
 }
+
+std::unique_ptr<Backend> backend::createFastTier(const std::string &Optimized) {
+  if (Optimized == "Stencil" || Optimized == "Interpreter")
+    return nullptr;
+  return createBackend("Stencil");
+}

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Construction of every QCF back-end by name. The paper's adaptive mode
-/// (§III-C) is not a back-end here: db::executeQuery's
-/// ExecOptions::AdaptiveExec starts each pipeline on a fast tier and swaps
-/// it to the optimized one at a morsel boundary (DESIGN.md "Mid-query tier
-/// swap").
+/// (§III-C) is not a back-end here: backend::compileTiered (TierUp.h)
+/// starts a query on createFastTier's pick and the executor swaps it to
+/// the optimized module at a morsel boundary (DESIGN.md "Fast now,
+/// optimized later").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,11 @@ std::unique_ptr<Backend> createBackend(const std::string &Name);
 
 /// All Table III back-end names, in the paper's order.
 std::vector<std::string> allBackendNames();
+
+/// The tier a query starts on while back-end \p Optimized compiles in the
+/// background: Stencil, the cheapest native tier. \returns null when
+/// \p Optimized is no dearer (Stencil itself, or the Interpreter).
+std::unique_ptr<Backend> createFastTier(const std::string &Optimized);
 
 } // namespace qcf::backend
 

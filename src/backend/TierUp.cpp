@@ -1,25 +1,17 @@
-//===- backend/TierUp.cpp - One pending tier promotion ---------------------===//
+//===- backend/TierUp.cpp - Fast now, optimized later ----------------------===//
 //
 // Part of the QCF project.
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/TierUp.h"
-#include <cassert>
 
 using namespace qcf;
 using namespace qcf::backend;
 
 TierUp::~TierUp() {
-  if (!Ticket.cancel())
+  if (!Ticket.cancel() && !Owner)
     Ticket.wait();
-}
-
-void TierUp::start(CompileTicket T) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  assert(!pending() && !installed() && "tier-up already started");
-  Ticket = std::move(T);
-  Pending.store(Ticket.valid(), std::memory_order_release);
 }
 
 bool TierUp::poll() {
@@ -40,7 +32,16 @@ bool TierUp::wait(const qcf::CancelToken *Cancel) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (!pending())
     return false;
-  return settleLocked(Ticket.wait(Cancel));
+  while (!Ticket.waitFor(1'000'000))
+    if (Cancel && Cancel->stopped())
+      return false;
+  return settleLocked(Ticket.poll());
+}
+
+void TierUp::finish() {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (pending())
+    settleLocked(Ticket.cancel() ? nullptr : Ticket.wait());
 }
 
 bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
@@ -52,4 +53,26 @@ bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
   Ticket = CompileTicket();
   Pending.store(false, std::memory_order_release);
   return Installs;
+}
+
+std::unique_ptr<CompiledModule> backend::compileTiered(
+    const qir::Module &M, Backend &Fast, Backend &Opt, CompileService &Svc,
+    const CompileOptions &Opts, std::shared_ptr<void> Owner,
+    const std::function<void(const std::shared_ptr<TierUp> &)> &Started) {
+  CompileOptions JobOpts;
+  JobOpts.Obs.Metrics = Opts.Obs.Metrics;
+  JobOpts.Verify = Opts.Verify;
+  JobOpts.Alloc = Opts.Alloc;
+  JobOpts.FairnessKey = Opts.FairnessKey;
+  // Submitted first, so a worker compiles while this thread does.
+  auto Up = std::make_shared<TierUp>(
+      Svc.submit(M, Opt, CompilePriority::Background, JobOpts, Owner), Owner);
+  if (!Up->pending())
+    return nullptr;
+  if (Started)
+    Started(Up);
+  std::unique_ptr<CompiledModule> Code = Fast.compile(M, Opts);
+  if (Code)
+    Code->Optimized = std::move(Up);
+  return Code;
 }

@@ -1,16 +1,15 @@
-//===- backend/TierUp.h - One pending tier promotion ------------*- C++ -*-===//
+//===- backend/TierUp.h - Fast now, optimized later -------------*- C++ -*-===//
 //
 // Part of the QCF project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one tier-up primitive (§III-C's adaptive execution): a pending
-/// compile and the one-shot install of its result. Its one user is the
-/// executor's per-pipeline OsrDriver (db/Executor.cpp, AdaptiveExec),
-/// which decides *when* to publish the installed optimized code into its
-/// TierCell: poll at every morsel pickup, or block at a forced cutover
-/// morsel.
+/// Tier-up, once (§III-C): compileTiered hands back fast-tier code with a
+/// shared TierUp on the optimized compile of the whole module. Its callers
+/// are db::executeQuery under AdaptiveExec and CachingBackend's miss path;
+/// the executor swaps every pipeline of such a module to the installed
+/// one at a morsel boundary, so served queries swap mid-flight too.
 ///
 /// Memory ordering: poll()/wait() pin the landed module in an owned
 /// shared_ptr strictly before the release store that makes installed()
@@ -24,6 +23,7 @@
 
 #include "backend/CompileService.h"
 #include <atomic>
+#include <functional>
 #include <mutex>
 
 namespace qcf::backend {
@@ -32,19 +32,17 @@ namespace qcf::backend {
 /// Thread-safe; see the file comment for the ordering it guarantees.
 class TierUp {
 public:
-  TierUp() = default;
-  /// Cancels the pending job if it has not started, otherwise waits it
-  /// out: the job references a module and back-end its submitter keeps
-  /// alive only as long as this object.
+  /// Makes \p T the pending compile; an invalid ticket (a rejected
+  /// submit) leaves nothing pending. \p O, when set, is the owner the job
+  /// was submitted with.
+  explicit TierUp(CompileTicket T, std::shared_ptr<void> O = nullptr)
+      : Pending(T.valid()), Ticket(std::move(T)), Owner(std::move(O)) {}
+  /// Cancels the pending job if it has not started. A running job is
+  /// waited out unless it owns its module and back-end (Owner).
   ~TierUp();
 
   TierUp(const TierUp &) = delete;
   TierUp &operator=(const TierUp &) = delete;
-
-  /// Makes \p Ticket the pending compile; an invalid ticket (a rejected
-  /// submit) leaves nothing pending. Only valid while nothing is pending
-  /// or installed.
-  void start(CompileTicket Ticket);
 
   /// Installs the pending result if it has landed. Never blocks: while
   /// another thread probes or waits, this returns false at once.
@@ -52,9 +50,13 @@ public:
   bool poll();
 
   /// Blocks until the pending compile is terminal and installs its
-  /// result; \p Cancel makes the wait cancellable (see
-  /// CompileTicket::wait). \returns true if this call installed.
+  /// result. A fired \p Cancel ends the wait but not the job: other
+  /// holders may rely on it. \returns true if this call installed.
   bool wait(const qcf::CancelToken *Cancel = nullptr);
+
+  /// Cancels the pending compile if it has not started, else waits it out
+  /// and installs its result. On return no worker runs the job.
+  void finish();
 
   /// The installed module, or null. Lock-free.
   CompiledModule *installed() const {
@@ -74,7 +76,23 @@ private:
   std::mutex Mutex; ///< Guards Ticket and Keeper.
   CompileTicket Ticket;
   std::shared_ptr<CompiledModule> Keeper; ///< Owns *Installed.
+  std::shared_ptr<void> Owner;
 };
+
+/// Fast now, optimized later: submits the compile of \p M with \p Opt to
+/// \p Svc at Background priority (with \p Owner, see
+/// CompileService::submit), then compiles \p M with \p Fast on the
+/// calling thread. The job keeps \p Opts' metrics registry, verification,
+/// allocation mode and fairness key, not its cancel token or trace
+/// consumers: it may outlive the query. \p Started sees the handle before
+/// the fast compile, so callers racing it can share the handle.
+/// \returns the fast module with CompiledModule::Optimized set, or null if
+/// the service refused the job (the caller decides what that means).
+std::unique_ptr<CompiledModule> compileTiered(
+    const qir::Module &M, Backend &Fast, Backend &Opt, CompileService &Svc,
+    const CompileOptions &Opts, std::shared_ptr<void> Owner = nullptr,
+    const std::function<void(const std::shared_ptr<TierUp> &)> &Started =
+        nullptr);
 
 } // namespace qcf::backend
 

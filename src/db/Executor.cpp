@@ -7,11 +7,9 @@
 #include "db/Executor.h"
 #include "backend/Registry.h"
 #include "backend/TierUp.h"
-#include "qir/Clone.h"
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <thread>
 
 using namespace qcf;
@@ -19,41 +17,34 @@ using namespace qcf::db;
 
 namespace {
 
-/// How one runPipeline call fanned out; lands in PipelineStats.
-struct PipelineRunInfo {
-  unsigned Workers = 1;
-  uint64_t MinWorkerMorsels = 0;
+/// Per-worker morsel accounting, merged after the join. Owned by the
+/// QueryRuntime (not the runPipeline frame) so a trap's longjmp on the
+/// serial path cannot leak it.
+struct WorkerAcct {
   uint64_t Morsels = 0;
   uint64_t TierMorsels[2] = {0, 0}; ///< Indexed by TierEntry::Tier.
   uint64_t TierRows[2] = {0, 0};
   uint64_t TierNs[2] = {0, 0};
 };
 
-/// Per-worker morsel accounting, merged after the join. Owned by the
-/// QueryRuntime (not the runPipeline frame) so a trap's longjmp on the
-/// serial path cannot leak it.
-struct WorkerAcct {
-  uint64_t Morsels = 0;
-  uint64_t TierMorsels[2] = {0, 0};
-  uint64_t TierRows[2] = {0, 0};
-  uint64_t TierNs[2] = {0, 0};
-};
-
-/// The publish policy of one pipeline's tier-up under AdaptiveExec: the
-/// optimized compile is a backend::TierUp, and this driver decides when
-/// its installed code is published into the pipeline's TierCell. atPickup
-/// runs at every morsel pickup of every worker; once the decision is
-/// terminal it is one acquire flag check. Policy-driven mode polls and
-/// never blocks; with OsrForceSwapMorsel the first worker to reach that
-/// morsel blocks in the cancellable ticket wait while the others poll.
+/// The publish policy of one pipeline's tier-up: the optimized module is
+/// one backend::TierUp shared by every pipeline, and this driver decides
+/// when its installed code is published into the pipeline's TierCell.
+/// atPickup runs at every morsel pickup of every worker; once the
+/// decision is terminal it is one acquire flag check. Policy-driven mode
+/// polls and never blocks; with OsrForceSwapMorsel the first worker to
+/// reach that morsel blocks in the cancellable wait while the others
+/// poll. Whoever installed the module, each driver publishes its own
+/// pipeline's entry, so a pipeline that starts after the install runs
+/// optimized code from its first morsel.
 struct OsrDriver {
   OsrDriver(TierCell &Cell, backend::TierUp &Up, std::string FnName,
             uint64_t Contract, const ExecOptions &Opts)
       : Cell(Cell), Up(Up), FnName(std::move(FnName)), Contract(Contract),
         ForceMorsel(Opts.OsrForceSwapMorsel), Ctl(Opts.Control),
-        Inert(!Up.pending()) {
-    // Nothing pending (a rejected submit): nothing to drive, and nothing
-    // to count at finalize.
+        Inert(!Up.pending() && !Up.installed()) {
+    // Nothing pending or installed (the compile was cancelled): nothing
+    // to drive, and nothing to count at finalize.
     Done.store(Inert, std::memory_order_relaxed);
   }
 
@@ -63,21 +54,25 @@ struct OsrDriver {
       return;
     if (ForceMorsel >= 0 && static_cast<int64_t>(Idx) < ForceMorsel)
       return;
-    bool Landed;
     if (ForceMorsel >= 0 && !Forced.exchange(true, std::memory_order_acq_rel)) {
       // Deterministic cutover: block on the compile so morsel ForceMorsel
       // is the first to run optimized code (exact when single-threaded;
       // parallel workers keep draining fast-tier morsels meanwhile).
       uint64_t W0 = nowNs();
-      Landed = Up.wait(Ctl);
+      Up.wait(Ctl);
       WaitNs.store(nowNs() - W0, std::memory_order_relaxed);
     } else {
-      Landed = Up.poll();
+      Up.poll();
     }
-    if (Landed) {
-      // Only the installing worker gets here, and it fills OptEntry
-      // strictly before the release store in Cell.publish().
-      OptEntry.Fn = reinterpret_cast<PipeFn>(Up.installed()->entry(FnName));
+    // pending() before installed(): the install is stored before pending
+    // ends, so a compile that is no longer pending shows its module.
+    bool StillPending = Up.pending();
+    if (backend::CompiledModule *M = Up.installed()) {
+      // The worker that seals Done publishes, filling OptEntry strictly
+      // before the release store in Cell.publish().
+      if (Done.exchange(true, std::memory_order_acq_rel))
+        return;
+      OptEntry.Fn = reinterpret_cast<PipeFn>(M->entry(FnName));
       OptEntry.Tier = OsrTierOpt;
       OptEntry.Contract = Contract;
       if (Cell.publish(&OptEntry)) {
@@ -87,9 +82,9 @@ struct OsrDriver {
       } else {
         Mismatch.store(true, std::memory_order_relaxed);
       }
-    }
-    if (!Up.pending())
+    } else if (!StillPending) {
       Done.store(true, std::memory_order_release);
+    }
   }
 
   TierCell &Cell;
@@ -110,31 +105,30 @@ struct OsrDriver {
   std::atomic<uint64_t> WaitNs{0};
 };
 
-/// Runs one pipeline over [0, Rows), morsel-parallel when allowed. With
-/// \p Osr attached the loop always goes morsel-by-morsel (even single-
-/// threaded) so every morsel boundary is a potential cutover point, and
-/// each worker re-reads the entry from \p Cell at every pickup.
-PipelineRunInfo runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
-                            bool Parallel, const ExecOptions &Opts,
-                            OsrDriver *Osr, std::vector<WorkerAcct> &Acct) {
+/// Runs one pipeline over [0, Rows), morsel-parallel when allowed, and
+/// fills \p S's fan-out and morsel/tier accounting. With \p Osr attached
+/// the loop always goes morsel-by-morsel (even single-threaded) so every
+/// morsel boundary is a potential cutover point, and each worker re-reads
+/// the entry from \p Cell at every pickup.
+void runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows, bool Parallel,
+                 const ExecOptions &Opts, OsrDriver *Osr,
+                 std::vector<WorkerAcct> &Acct, PipelineStats &S) {
   ExecControl *Ctl = Opts.Control;
   // With a cancellation token attached the loop always goes morsel-by-
   // morsel (like OSR), so a cancel or deadline takes effect within one
   // morsel instead of one whole pipeline.
   if (!Osr && !Ctl &&
       (!Parallel || Opts.NumThreads <= 1 || Rows < Opts.MorselSize * 2)) {
-    const TierEntry *E = Cell.load();
-    E->Fn(Ctx, 0, static_cast<int64_t>(Rows));
-    PipelineRunInfo R{1, 1};
-    R.Morsels = 1;
-    R.TierMorsels[E->Tier & 1] = 1;
-    R.TierRows[E->Tier & 1] = Rows;
-    return R;
+    // No driver: the cell keeps its fast-tier entry.
+    Cell.load()->Fn(Ctx, 0, static_cast<int64_t>(Rows));
+    S.Morsels = S.MorselsFast = S.MinWorkerMorsels = 1;
+    S.RowsFast = Rows;
+    return;
   }
 
   uint64_t NumMorsels = (Rows + Opts.MorselSize - 1) / Opts.MorselSize;
   if (NumMorsels == 0)
-    return {1, 0};
+    return;
   // Cap the fan-out at the morsel supply: spawning NumThreads - 1 workers
   // unconditionally creates threads whose only act is to observe the
   // cursor past Rows and exit. Each worker is pre-assigned its first
@@ -186,29 +180,19 @@ PipelineRunInfo runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
       T.join();
   }
 
-  PipelineRunInfo R;
-  R.Workers = Workers;
-  R.MinWorkerMorsels = Acct[0].Morsels;
+  S.Workers = Workers;
+  S.MinWorkerMorsels = Acct[0].Morsels;
   for (const WorkerAcct &A : Acct) {
-    R.MinWorkerMorsels = std::min(R.MinWorkerMorsels, A.Morsels);
-    R.Morsels += A.Morsels;
-    for (int I = 0; I != 2; ++I) {
-      R.TierMorsels[I] += A.TierMorsels[I];
-      R.TierRows[I] += A.TierRows[I];
-      R.TierNs[I] += A.TierNs[I];
-    }
+    S.MinWorkerMorsels = std::min(S.MinWorkerMorsels, A.Morsels);
+    S.Morsels += A.Morsels;
+    S.MorselsFast += A.TierMorsels[OsrTierFast];
+    S.MorselsOpt += A.TierMorsels[OsrTierOpt];
+    S.RowsFast += A.TierRows[OsrTierFast];
+    S.RowsOpt += A.TierRows[OsrTierOpt];
+    S.NsFast += A.TierNs[OsrTierFast];
+    S.NsOpt += A.TierNs[OsrTierOpt];
   }
-  return R;
 }
-
-/// What one pipeline resolves to before its morsel loop runs: the entry
-/// cell workers re-read, an optional swap driver, and the module entries
-/// (sort comparator) resolve against.
-struct ResolvedCode {
-  TierCell *Cell = nullptr;
-  OsrDriver *Osr = nullptr;
-  backend::CompiledModule *Module = nullptr;
-};
 
 /// Per-query runtime state: context slots, runtime objects, and the
 /// pipeline loop.
@@ -283,13 +267,13 @@ struct QueryRuntime {
     }
   }
 
-  /// Runs every pipeline, resolving code through \p Resolve (which
-  /// returns the pipeline's entry cell, optional swap driver, and
-  /// comparator source). Fills PipeStats with per-pipeline rows, wall
-  /// time, and morsel/tier accounting, and emits one timeline slice per
-  /// pipeline when a sink is attached.
-  template <typename ResolveFn>
-  rt::TrapCode runAll(const ExecOptions &Opts, ResolveFn Resolve) {
+  /// Runs every pipeline on \p Code's entries, each with a swap driver
+  /// onto \p Up's module when Code carries a pending optimized compile.
+  /// Fills PipeStats with per-pipeline rows, wall time, and morsel/tier
+  /// accounting, and emits one timeline slice per pipeline when a sink is
+  /// attached.
+  rt::TrapCode runAll(const ExecOptions &Opts, backend::CompiledModule &Code,
+                      backend::TierUp *Up) {
     PipeStats.resize(Plan.Pipelines.size());
     ExecControl *Ctl = Opts.Control;
     return rt::runWithTrapGuard([&] {
@@ -301,52 +285,43 @@ struct QueryRuntime {
         }
         createObjects(PI);
 
-        // A null cell from Resolve means "stop now": the query was
-        // cancelled while its code compiled.
-        ResolvedCode RC = Resolve(PI);
-        if (!RC.Cell) {
-          CancelObserved = true;
-          break;
-        }
-        uint64_t Rows = sourceRows(P);
+        // The entry and cell live while the pipeline's workers do; a
+        // trap's longjmp may skip them, as neither has a destructor.
+        uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
+        auto *Fn = reinterpret_cast<PipeFn>(Code.entry(P.FnName));
+        assert(Fn && "missing pipeline entry point");
+        TierEntry FastEntry{Fn, OsrTierFast, Contract};
+        TierCell Cell(&FastEntry);
+        OsrDriver *Osr = nullptr;
+        if (Up)
+          Osr = Drivers
+                    .emplace_back(std::make_unique<OsrDriver>(
+                        Cell, *Up, P.FnName, Contract, Opts))
+                    .get();
+
+        PipelineStats &S = PipeStats[PI];
+        S.Rows = sourceRows(P);
         uint64_t StartNs = nowNs();
-        PipelineRunInfo Run = runPipeline(*RC.Cell, Ctx.data(), Rows,
-                                          P.ParallelSafe, Opts, RC.Osr,
-                                          AcctScratch);
+        runPipeline(Cell, Ctx.data(), S.Rows, P.ParallelSafe, Opts, Osr,
+                    AcctScratch, S);
         finishObjects(PI);
 
-        // Sort step after a materialization pipeline. The comparator
-        // resolves through the current tier (an installed swap covers it
-        // too: the sliced unit carries the comparator alongside the
-        // pipeline function).
+        // Sort step after a materialization pipeline, with the comparator
+        // of the optimized module once it is installed.
         if (P.SortObject >= 0) {
           const RuntimeObject &Obj = Plan.Objects[P.SortObject];
-          void *Cmp = nullptr;
-          if (RC.Osr && RC.Osr->Installed.load(std::memory_order_acquire))
-            Cmp = RC.Osr->Up.installed()->entry(Obj.CmpFnName);
-          if (!Cmp)
-            Cmp = RC.Module->entry(Obj.CmpFnName);
+          backend::CompiledModule *M =
+              Up && Up->installed() ? Up->installed() : &Code;
+          void *Cmp = M->entry(Obj.CmpFnName);
           assert(Cmp && "missing comparator entry point");
           rt_sort(reinterpret_cast<void *>(Ctx[Obj.Slot]), Ctx[Obj.CountSlot],
                   Obj.RowStride, Cmp);
         }
 
-        uint64_t DurNs = nowNs() - StartNs;
-        PipelineStats &S = PipeStats[PI];
-        S.Rows = Rows;
-        S.ExecNs = DurNs;
-        S.Workers = Run.Workers;
-        S.MinWorkerMorsels = Run.MinWorkerMorsels;
-        S.Morsels = Run.Morsels;
-        S.MorselsFast = Run.TierMorsels[OsrTierFast];
-        S.MorselsOpt = Run.TierMorsels[OsrTierOpt];
-        S.RowsFast = Run.TierRows[OsrTierFast];
-        S.RowsOpt = Run.TierRows[OsrTierOpt];
-        S.NsFast = Run.TierNs[OsrTierFast];
-        S.NsOpt = Run.TierNs[OsrTierOpt];
+        S.ExecNs = nowNs() - StartNs;
         if (obs::TraceSink *Sink = Opts.Obs.Sink)
           Sink->completeEvent("db.pipeline." + P.FnName, "exec", StartNs,
-                              DurNs);
+                              S.ExecNs);
         // Workers break out of the morsel loop when the token fires; a
         // pipeline interrupted that way must not feed partial state into
         // the next one. Both signals are monotonic, so re-checking here
@@ -366,13 +341,10 @@ struct QueryRuntime {
   std::vector<std::unique_ptr<rt::HashTable>> Tables;
   std::vector<std::unique_ptr<uint8_t[]>> Buffers;
   std::vector<PipelineStats> PipeStats;
-  /// The query's ExecControl fired (or Resolve signalled a cancelled
-  /// compile wait) and the pipeline loop stopped early.
+  /// The query's ExecControl fired and the pipeline loop stopped early.
   bool CancelObserved = false;
-  /// Stable storage for per-pipeline entries/cells (deques: growth never
-  /// moves elements a running pipeline still reads).
-  std::deque<TierEntry> Entries;
-  std::deque<TierCell> Cells;
+  /// The swap drivers of the pipelines that started, in pipeline order.
+  std::vector<std::unique_ptr<OsrDriver>> Drivers;
   std::vector<WorkerAcct> AcctScratch;
 };
 
@@ -402,37 +374,6 @@ void finishQuery(const ExecOptions &Opts, ExecResult &Result,
   }
 }
 
-/// Slices \p Plan into one module per pipeline: the pipeline function plus
-/// the comparator of the object it sorts. \returns empty if some function
-/// is not claimed by any pipeline (unknown shape: caller falls back to
-/// whole-module compilation).
-std::vector<std::unique_ptr<qir::Module>>
-slicePlanModules(const CompiledPlan &Plan) {
-  std::vector<std::unique_ptr<qir::Module>> Units;
-  size_t Claimed = 0;
-  for (const PipelineDesc &P : Plan.Pipelines) {
-    auto Unit = std::make_unique<qir::Module>();
-    qir::cloneSymbols(*Plan.Module, *Unit);
-    const qir::Function *Fn = Plan.Module->functionByName(P.FnName);
-    if (!Fn)
-      return {};
-    qir::cloneFunctionInto(*Fn, *Unit);
-    ++Claimed;
-    if (P.SortObject >= 0) {
-      const qir::Function *Cmp =
-          Plan.Module->functionByName(Plan.Objects[P.SortObject].CmpFnName);
-      if (!Cmp)
-        return {};
-      qir::cloneFunctionInto(*Cmp, *Unit);
-      ++Claimed;
-    }
-    Units.push_back(std::move(Unit));
-  }
-  if (Claimed != Plan.Module->functions().size())
-    return {};
-  return Units;
-}
-
 } // namespace
 
 ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
@@ -442,22 +383,6 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   uint64_t RowsBefore = Out ? Out->numRows() : 0;
   ExecControl *Ctl = Opts.Control;
   ExecResult Result;
-
-  // AdaptiveExec starts on the fast tier and swaps to BE, one unit per
-  // pipeline. A plan that does not slice runs blocking instead, on the
-  // fast tier: AdaptiveExec's contract is to start right away.
-  std::unique_ptr<backend::Backend> OwnedFast;
-  backend::Backend *Fast = nullptr;
-  std::vector<std::unique_ptr<qir::Module>> Units;
-  if (Opts.AdaptiveExec) {
-    assert(Opts.Service && "AdaptiveExec requires ExecOptions::Service");
-    Fast = Opts.FastBackend;
-    if (!Fast) {
-      OwnedFast = backend::createBackend("DirectEmit");
-      Fast = OwnedFast.get();
-    }
-    Units = slicePlanModules(Plan);
-  }
 
   if (Ctl && Ctl->stopped()) {
     // Cancelled before anything compiled (e.g. an already-expired
@@ -471,56 +396,43 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   CO.Cancel = Ctl;
   CO.FairnessKey = Opts.CompileFairnessKey;
 
-  // Each pipeline's code comes from a ready module: the whole-module
-  // compile, or under AdaptiveExec the unit's fast tier plus a pending
-  // optimized compile. Units must outlive every pending compile and
-  // module (running jobs and interpreted code reference them), so those
-  // are declared after.
-  std::unique_ptr<backend::TierUp[]> Pending;
-  std::vector<std::unique_ptr<backend::CompiledModule>> Ready;
-  if (!Units.empty()) {
-    // Submit everything up front, in execution order, so workers compile
-    // ahead of the pipelines that need the code. The optimized tier is
-    // speculative until a pipeline swaps, so it queues at Background
-    // priority. A refused submit (queue full, share used up, service shut
-    // down) leaves nothing pending: that pipeline stays on the fast tier.
-    Pending = std::make_unique<backend::TierUp[]>(Units.size());
-    for (size_t PI = 0; PI != Units.size(); ++PI)
-      Pending[PI].start(Opts.Service->submit(
-          *Units[PI], BE, backend::CompilePriority::Background, CO));
+  // AdaptiveExec starts on the fast tier while BE compiles the whole
+  // module in the background; a refused submit leaves the query on the
+  // fast tier. Either way the code comes from one ready module, and a
+  // module that carries a pending optimized compile (a code cache's
+  // fast-tier answer too) swaps every pipeline to it.
+  std::unique_ptr<backend::Backend> OwnedFast;
+  backend::Backend *Fast = nullptr;
+  if (Opts.AdaptiveExec) {
+    assert(Opts.Service && "AdaptiveExec requires ExecOptions::Service");
+    Fast = Opts.FastBackend;
+    if (!Fast) {
+      OwnedFast = backend::createFastTier(BE.name());
+      Fast = OwnedFast.get();
+    }
   }
   uint64_t CompileStartNs = nowNs();
-  if (Units.empty())
-    Ready.push_back((Fast ? *Fast : BE).compile(*Plan.Module, CO));
-  for (auto &U : Units)
-    Ready.push_back(Fast->compile(*U, CO));
+  std::unique_ptr<backend::CompiledModule> Code;
+  if (Fast)
+    Code = backend::compileTiered(*Plan.Module, *Fast, BE, *Opts.Service, CO);
+  if (!Code)
+    Code = (Fast ? *Fast : BE).compile(*Plan.Module, CO);
   Result.Stats.CompileNs = nowNs() - CompileStartNs;
+  // No module: only a fired token stops a compile (a caching back-end's
+  // cancelled wait).
+  if (!Code) {
+    Result.Cancelled = true;
+    finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
+    return Result;
+  }
 
   QueryRuntime RT(Plan, Cat, Out);
-  std::vector<std::unique_ptr<OsrDriver>> Drivers;
   uint64_t ExecStartNs = nowNs();
-  rt::TrapCode Code = RT.runAll(Opts, [&](size_t PI) -> ResolvedCode {
-    const PipelineDesc &P = Plan.Pipelines[PI];
-    backend::CompiledModule *M = Ready[Units.empty() ? 0 : PI].get();
-    backend::TierUp *Up = Pending ? &Pending[PI] : nullptr;
-    // No module: only a fired token stops a compile (a caching back-end's
-    // cancelled wait).
-    if (!M)
-      return ResolvedCode{};
-    uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
-    auto *Fn = reinterpret_cast<PipeFn>(M->entry(P.FnName));
-    assert(Fn && "missing pipeline entry point");
-    RT.Entries.push_back(TierEntry{Fn, OsrTierFast, Contract});
-    TierCell &Cell = RT.Cells.emplace_back(&RT.Entries.back());
-    if (Up)
-      Drivers.push_back(
-          std::make_unique<OsrDriver>(Cell, *Up, P.FnName, Contract, Opts));
-    return ResolvedCode{&Cell, Up ? Drivers.back().get() : nullptr, M};
-  });
+  rt::TrapCode Trap = RT.runAll(Opts, *Code, Code->Optimized.get());
   Result.Stats.ExecNs = nowNs() - ExecStartNs;
-  if (Code != rt::TrapCode::None) {
+  if (Trap != rt::TrapCode::None) {
     Result.Trapped = true;
-    Result.Trap = Code;
+    Result.Trap = Trap;
   }
   Result.Cancelled = RT.CancelObserved;
   Result.Stats.Pipelines = std::move(RT.PipeStats);
@@ -529,8 +441,8 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   // or a cancel leaves later pipelines without drivers; their compiles
   // are torn down below without counting as "too late".)
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
-  for (size_t PI = 0; PI != Drivers.size(); ++PI) {
-    OsrDriver &D = *Drivers[PI];
+  for (size_t PI = 0; PI != RT.Drivers.size(); ++PI) {
+    OsrDriver &D = *RT.Drivers[PI];
     uint64_t Stall = D.WaitNs.load(std::memory_order_relaxed);
     int64_t Swap = D.SwapMorsel.load(std::memory_order_relaxed);
     Result.Stats.Pipelines[PI].SwapMorsel = Swap;
@@ -557,9 +469,11 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
     }
   }
 
-  // Teardown: cancel every compile that has not started and wait out the
-  // running ones — no worker may outlive the query's units.
-  Pending.reset();
+  // Teardown: drop the query's handle on the optimized compile. One only
+  // this query submitted is cancelled if it has not started, else waited
+  // out, since it borrows the plan and BE; one a code cache shares runs on
+  // for the sessions that rely on it.
+  Code.reset();
   finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
   return Result;
 }

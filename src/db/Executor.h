@@ -11,13 +11,13 @@
 /// parallelism") — parallel-safe pipelines fan morsels out to worker
 /// threads. Traps (overflow, division by zero) abort the query cleanly.
 ///
-/// One driver serves both modes. Each pipeline takes its code from a
-/// ready module (blocking: the one whole-module compile), or from a ready
-/// fast-tier module plus a pending optimized tier swapped in at a morsel
-/// boundary (AdaptiveExec). A pending compile is a backend::TierUp.
-/// Every compile it starts creates its own qcf::MemContext, so a
-/// fast-tier compile on the query thread and an optimized one on a
-/// service worker never share compile memory.
+/// Every query runs one ready module. When that module carries a pending
+/// optimized compile of the same plan (CompiledModule::Optimized, from
+/// backend::compileTiered: AdaptiveExec, or a code cache's fast-tier
+/// answer), each pipeline swaps to the installed module's entry of the
+/// same name at a morsel boundary. Every compile creates its own
+/// qcf::MemContext, so a fast-tier compile on the query thread and an
+/// optimized one on a service worker never share compile memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,26 +57,24 @@ struct ExecOptions {
   /// to the tenant name so per-tenant compile-queue shares apply.
   std::string CompileFairnessKey;
 
-  /// Service for AdaptiveExec's optimized compiles; AdaptiveExec
-  /// requires it. A compile it refuses leaves that pipeline on the fast
-  /// tier.
+  /// Service for AdaptiveExec's optimized compile; AdaptiveExec requires
+  /// it. A compile it refuses leaves the query on the fast tier.
   backend::CompileService *Service = nullptr;
 
   /// Mid-query adaptive recompilation (morsel-boundary OSR; DESIGN.md
-  /// "Mid-query tier swap"): execution starts immediately on a cheap
-  /// tier (\ref FastBackend, DirectEmit by default) while the optimized
-  /// tier — the \p BE argument of executeQuery — compiles on the
-  /// CompileService. The plan module is sliced into per-pipeline units
-  /// (pipeline function plus its sort comparator); a plan that does not
-  /// slice runs whole on the fast tier. Each worker re-reads the
-  /// pipeline's entry point at every morsel pickup; once the optimized
-  /// compile lands it is published at the next morsel boundary, so the
+  /// "Fast now, optimized later"): execution starts immediately on a
+  /// cheap tier (\ref FastBackend) while the whole plan module compiles
+  /// with the optimized tier — the \p BE argument of executeQuery — on
+  /// the CompileService. Each worker re-reads the pipeline's entry point
+  /// at every morsel pickup; once the optimized module lands, each
+  /// pipeline publishes its entry at the next morsel boundary, so the
   /// static tier choice of the paper's Figure 7 becomes a dynamic one
   /// with bounded regret.
   /// Results are bit-identical to either tier alone.
   bool AdaptiveExec = false;
-  /// The tier execution starts on in AdaptiveExec mode; null means an
-  /// internally created DirectEmit. Must outlive the call.
+  /// The tier execution starts on in AdaptiveExec mode; null means
+  /// backend::createFastTier(BE.name()), and no fast tier at all when
+  /// that is null. Must outlive the call.
   backend::Backend *FastBackend = nullptr;
   /// Deterministic cutover for tests and regret measurement: with a
   /// value >= 0, the optimized tier is force-published exactly when

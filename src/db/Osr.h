@@ -21,8 +21,8 @@
 /// in TierCell::load therefore observes a complete entry (function
 /// pointer, tier id, contract) or the previous one — never a mix. Morsel
 /// ranges are handed out by an atomic cursor, so each range is executed
-/// exactly once, by exactly one entry. See DESIGN.md "Mid-query tier
-/// swap".
+/// exactly once, by exactly one entry. See DESIGN.md "Fast now,
+/// optimized later".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +56,7 @@ struct TierEntry {
 
 /// The contract token of pipeline function \p FnName under a plan with
 /// \p NumCtxSlots context slots. Both tiers of a swap are compiled from
-/// the identical sliced QIR unit, so matching tokens are guaranteed by
+/// the same plan module, so matching tokens are guaranteed by
 /// construction inside the executor; the check exists to reject foreign
 /// entries (a different pipeline, a plan recompiled against a different
 /// slot layout) if a future tier source wires in incompatible code.

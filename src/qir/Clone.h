@@ -11,8 +11,8 @@
 /// so a clone is a verbatim copy of the storage vectors — the only
 /// cross-function state is the module's runtime-symbol table, which
 /// callers replicate first so SymbolIds embedded in Call instructions
-/// stay valid. Used by the adaptive executor to slice one plan module
-/// into independently compilable per-pipeline units.
+/// stay valid. Used by CachingBackend's background compile, which owns a
+/// copy of the module it compiles.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -50,14 +50,6 @@ std::unique_ptr<backend::Backend> createInner(const std::string &Name) {
   return BE;
 }
 
-/// The tier a cold served query runs on while its inner compile goes to
-/// the background: Stencil, unless the inner back-end is no dearer.
-std::unique_ptr<backend::Backend> createFast(const std::string &Inner) {
-  if (Inner == "Stencil" || Inner == "Interpreter")
-    return nullptr;
-  return backend::createBackend("Stencil");
-}
-
 } // namespace
 
 std::optional<ServerConfig> ServerConfig::fromEnv(std::string &Err) {
@@ -149,7 +141,7 @@ Server::Server(const ServerConfig &Cfg, const db::Catalog &Cat)
           Cfg.CompileWorkers, Cfg.CompileQueueCapacity, &Reg)),
       Cache(std::make_unique<backend::CachingBackend>(
           createInner(Cfg.BackendName), Cfg.CacheCapacity, Svc.get(), &Reg,
-          Disk.get(), createFast(Cfg.BackendName))),
+          Disk.get(), backend::createFastTier(Cfg.BackendName))),
       Plans(PlanCache::ServerMaxBytes, Reg), Gate(Cfg.Admission, &Reg),
       SessionsOpenG(Reg.gauge("serve.sessions.open")),
       SessionsOpened(Reg.counter("serve.sessions.opened")),

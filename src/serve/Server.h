@@ -13,8 +13,9 @@
 /// tier, so a fleet of serve processes shares warm code), an
 /// AdmissionGate bounding concurrent execution, and the MetricsRegistry
 /// all "serve.*" instruments land in. A query that misses both cache
-/// tiers runs on Stencil code while the configured back-end compiles it
-/// in the background (CachingBackend's fast tier).
+/// tiers starts on Stencil code while the configured back-end compiles it
+/// in the background (CachingBackend's fast tier), and swaps to the
+/// compiled module at a morsel boundary once it lands.
 ///
 /// Quota enforcement points, in request order:
 ///   1. openSession     -> TenantQuota::MaxSessions   (SessionQuota)

@@ -37,6 +37,7 @@ using namespace qcf::qir;
 using namespace qcf::backend;
 using qcf::test::CountingBackend;
 using qcf::test::GateBackend;
+using qcf::test::PinnedWorker;
 
 namespace {
 
@@ -96,34 +97,29 @@ TEST(CompileService, StatsAccounting) {
   EXPECT_GT(L.MaxSec, 0.0);
 }
 
-/// backend::TierUp, the one tier-up primitive: destruction cancels a job
-/// that has not started, and a landed compile installs exactly once.
+/// backend::TierUp, the handle on a pending optimized compile: destruction
+/// cancels a job that has not started, and a landed compile installs
+/// exactly once.
 TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
-  GateBackend Gate(createBackend("DirectEmit"));
   auto BE = createBackend("DirectEmit");
   CompileService Svc(1);
-  qir::Module M1, M2;
-  buildAffine(M1, 1);
+  qir::Module M2;
   buildAffine(M2, 2);
-  CompileTicket Pin = Svc.submit(M1, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   {
-    TierUp Abandoned;
-    Abandoned.start(Svc.submit(M2, *BE));
+    TierUp Abandoned(Svc.submit(M2, *BE));
     EXPECT_TRUE(Abandoned.pending());
     EXPECT_FALSE(Abandoned.poll()) << "queued behind the pin";
   } // Destroyed while queued: cancel-before-run, no wait.
 
-  TierUp Up;
-  Up.start(Svc.submit(M2, *BE));
-  Gate.release();
+  TierUp Up(Svc.submit(M2, *BE));
+  EXPECT_NE(Pin.release(), nullptr);
   EXPECT_TRUE(Up.wait());
   EXPECT_FALSE(Up.pending());
   ASSERT_NE(Up.installed(), nullptr);
   EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
   EXPECT_FALSE(Up.poll());
   EXPECT_FALSE(Up.wait());
-  EXPECT_NE(Pin.wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Svc.stats().JobsCancelled, 1u);
 }
@@ -136,8 +132,7 @@ TEST(TierUp, DestroyWhileRunningWaitsJobOut) {
   CompileService Svc(1);
   qir::Module M;
   buildAffine(M, 2);
-  auto Up = std::make_unique<TierUp>();
-  Up->start(Svc.submit(M, Gate));
+  auto Up = std::make_unique<TierUp>(Svc.submit(M, Gate));
   Gate.waitStarted();
   std::atomic<bool> Destroyed{false};
   std::thread Destroyer([&] {
@@ -162,8 +157,7 @@ TEST(TierUp, ShutDownServiceLeavesNothingPending) {
   Svc.shutdown();
   qir::Module M;
   buildAffine(M, 2);
-  TierUp Up;
-  Up.start(Svc.submit(M, *BE));
+  TierUp Up(Svc.submit(M, *BE));
   EXPECT_FALSE(Up.pending());
   EXPECT_FALSE(Up.poll());
   EXPECT_FALSE(Up.wait());
@@ -178,8 +172,7 @@ TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
   CompileService Svc(1);
   qir::Module M;
   buildAffine(M, 2);
-  TierUp Up;
-  Up.start(Svc.submit(M, Gate));
+  TierUp Up(Svc.submit(M, Gate));
   Gate.waitStarted();
 
   constexpr int Pollers = 4, Readers = 4;
@@ -222,24 +215,20 @@ TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
 }
 
 TEST(CompileService, CancelBeforeStart) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));
   CompileService Svc(1);
 
-  qir::Module M1, M2;
-  buildAffine(M1, 1);
+  qir::Module M2;
   buildAffine(M2, 2);
-  CompileTicket Running = Svc.submit(M1, Gate);
-  Gate.waitStarted(); // The single worker is now inside compile().
+  PinnedWorker Pin(Svc); // The single worker is now inside compile().
   CompileTicket Queued = Svc.submit(M2, Counter);
 
   EXPECT_TRUE(Queued.cancel()) << "job had not started; cancel must win";
   EXPECT_EQ(Queued.wait(), nullptr);
   EXPECT_TRUE(Queued.done());
 
-  Gate.release();
-  EXPECT_NE(Running.wait(), nullptr);
-  EXPECT_FALSE(Running.cancel()) << "completed job cannot be cancelled";
+  EXPECT_NE(Pin.release(), nullptr);
+  EXPECT_FALSE(Pin.Ticket.cancel()) << "completed job cannot be cancelled";
   Svc.drain();
   EXPECT_EQ(Counter.Compiles.load(), 0u) << "cancelled job must never compile";
   CompileServiceStats S = Svc.stats();
@@ -248,11 +237,9 @@ TEST(CompileService, CancelBeforeStart) {
 }
 
 TEST(CompileService, PriorityOrdersQueue) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CompileService Svc(1);
 
-  qir::Module M0, MLow, MHigh;
-  buildAffine(M0, 1);
+  qir::Module MLow, MHigh;
   buildAffine(MLow, 2);
   buildAffine(MHigh, 3);
 
@@ -278,29 +265,23 @@ TEST(CompileService, PriorityOrdersQueue) {
   int LowStamp = 0, HighStamp = 0;
   StampBackend LowBE(Order, LowStamp), HighBE(Order, HighStamp);
 
-  CompileTicket Running = Svc.submit(M0, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   CompileTicket Low = Svc.submit(MLow, LowBE, CompilePriority::Background);
   CompileTicket High = Svc.submit(MHigh, HighBE, CompilePriority::Foreground);
-  Gate.release();
+  EXPECT_NE(Pin.release(), nullptr);
 
   EXPECT_NE(Low.wait(), nullptr);
   EXPECT_NE(High.wait(), nullptr);
-  EXPECT_NE(Running.wait(), nullptr);
   EXPECT_LT(HighStamp, LowStamp)
       << "Foreground must dequeue before Background";
 }
 
 TEST(CompileService, ShutdownCancelsQueuedJobs) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));
   auto Svc = std::make_unique<CompileService>(1);
 
-  qir::Module M1;
-  buildAffine(M1, 1);
   std::vector<qir::Module> Mods(4);
-  CompileTicket Running = Svc->submit(M1, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(*Svc);
   std::vector<CompileTicket> Queued;
   for (int I = 0; I != 4; ++I) {
     buildAffine(Mods[I], I + 2);
@@ -312,14 +293,14 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
   // from another thread so shutdown() can join.
   std::thread Releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Gate.release();
+    Pin.Gate.release();
   });
   Svc->shutdown();
   Releaser.join();
 
   // The running job completed; every queued job was cancelled and its
   // waiters see null rather than hanging.
-  EXPECT_NE(Running.wait(), nullptr);
+  EXPECT_NE(Pin.release(), nullptr);
   for (CompileTicket &T : Queued) {
     EXPECT_TRUE(T.done());
     EXPECT_EQ(T.wait(), nullptr);
@@ -356,17 +337,13 @@ TEST(CompileService, SubmitAfterShutdownIsRefused) {
 }
 
 TEST(CompileService, BoundedQueueRejectsWhenFull) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CompileService Svc(1, /*QueueCapacity=*/2);
 
-  qir::Module M1;
-  buildAffine(M1, 1);
   std::vector<qir::Module> Mods(3);
   for (int I = 0; I != 3; ++I)
     buildAffine(Mods[I], I + 2);
 
-  CompileTicket Running = Svc.submit(M1, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   auto BE = createBackend("DirectEmit");
   CompileTicket A = Svc.submit(Mods[0], *BE);
   CompileTicket B = Svc.submit(Mods[1], *BE);
@@ -380,10 +357,9 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
   EXPECT_FALSE(Svc.submit(Mods[2], *BE, CompilePriority::Background).valid());
   EXPECT_EQ(Svc.stats().RejectedBackground, 1u);
 
-  Gate.release();
+  EXPECT_NE(Pin.release(), nullptr);
   EXPECT_NE(A.wait(), nullptr);
   EXPECT_NE(B.wait(), nullptr);
-  EXPECT_NE(Running.wait(), nullptr);
   Svc.drain();
 
   // Space freed: the retried submit is accepted and completes.
@@ -399,18 +375,15 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
 }
 
 TEST(CompileService, ForegroundShedsNewestBackground) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));
   CompileService Svc(1, /*QueueCapacity=*/2);
 
-  qir::Module M0, MOld, MNew, MHigh;
-  buildAffine(M0, 1);
+  qir::Module MOld, MNew, MHigh;
   buildAffine(MOld, 2);
   buildAffine(MNew, 3);
   buildAffine(MHigh, 4);
 
-  CompileTicket Running = Svc.submit(M0, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   CompileTicket Old = Svc.submit(MOld, Counter, CompilePriority::Background);
   CompileTicket New = Svc.submit(MNew, Counter, CompilePriority::Background);
 
@@ -423,8 +396,7 @@ TEST(CompileService, ForegroundShedsNewestBackground) {
   EXPECT_EQ(New.wait(), nullptr) << "shed victim reports cancelled";
   EXPECT_FALSE(Old.done()) << "older Background job must survive";
 
-  Gate.release();
-  EXPECT_NE(Running.wait(), nullptr);
+  EXPECT_NE(Pin.release(), nullptr);
   EXPECT_NE(High.wait(), nullptr);
   EXPECT_NE(Old.wait(), nullptr);
   Svc.drain();
@@ -436,13 +408,10 @@ TEST(CompileService, ForegroundShedsNewestBackground) {
 }
 
 TEST(CompileService, TenantShareCapsInFlightJobs) {
-  GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));
   CompileService Svc(1);
   Svc.setKeyQueueShare("tenant-a", 2);
 
-  qir::Module M0;
-  buildAffine(M0, 1);
   std::vector<qir::Module> Mods(3);
   for (int I = 0; I != 3; ++I)
     buildAffine(Mods[I], I + 2);
@@ -452,8 +421,7 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
   CompileOptions OptsB;
   OptsB.FairnessKey = "tenant-b";
 
-  CompileTicket Running = Svc.submit(M0, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
 
   EXPECT_TRUE(
       Svc.submit(Mods[0], Counter, CompilePriority::Foreground, OptsA).valid());
@@ -474,8 +442,7 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
       Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsB).valid());
   EXPECT_TRUE(Svc.submit(Mods[2], Counter).valid());
 
-  Gate.release();
-  EXPECT_NE(Running.wait(), nullptr);
+  EXPECT_NE(Pin.release(), nullptr);
   Svc.drain();
   EXPECT_EQ(Svc.keyInFlight("tenant-a"), 0u)
       << "in-flight accounting must drain to zero";
@@ -490,18 +457,15 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
 
 TEST(CompileService, QueueMetricsVisibleInRegistry) {
   obs::MetricsRegistry Reg;
-  GateBackend Gate(createBackend("DirectEmit"));
   CompileService Svc(1, /*QueueCapacity=*/1, &Reg);
   const std::string P = Svc.metricsPrefix();
 
-  qir::Module M0, M1, M2;
-  buildAffine(M0, 1);
+  qir::Module M1, M2;
   buildAffine(M1, 2);
   buildAffine(M2, 3);
   auto BE = createBackend("DirectEmit");
 
-  CompileTicket Running = Svc.submit(M0, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   CompileTicket Queued = Svc.submit(M1, *BE);
   EXPECT_FALSE(Svc.submit(M2, *BE).valid());
 
@@ -513,8 +477,7 @@ TEST(CompileService, QueueMetricsVisibleInRegistry) {
   EXPECT_EQ(Snap.counter(P + "queue.rejected.tenant"), 0u);
   EXPECT_EQ(Snap.counter(P + "queue.shed"), 0u);
 
-  Gate.release();
-  EXPECT_NE(Running.wait(), nullptr);
+  EXPECT_NE(Pin.release(), nullptr);
   EXPECT_NE(Queued.wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Reg.snapshot().gauge(P + "queue.depth"), 0);
@@ -525,27 +488,23 @@ TEST(CompileService, CancelTokenAbandonsQueuedJob) {
   // token fires (deadline or session close) must be abandoned by the
   // worker *before* compiling — cancel-before-run — so an evicted
   // session never burns a compile slot.
-  GateBackend Gate(createBackend("DirectEmit"));
   CountingBackend Counter(createBackend("DirectEmit"));
   CompileService Svc(1);
 
-  qir::Module M0, M1;
-  buildAffine(M0, 1);
+  qir::Module M1;
   buildAffine(M1, 2);
 
   qcf::CancelToken Ctl;
   CompileOptions Opts;
   Opts.Cancel = &Ctl;
 
-  CompileTicket Running = Svc.submit(M0, Gate);
-  Gate.waitStarted();
+  PinnedWorker Pin(Svc);
   CompileTicket Doomed =
       Svc.submit(M1, Counter, CompilePriority::Foreground, Opts);
   Ctl.cancel(); // Fires while the job is still queued.
-  Gate.release();
+  EXPECT_NE(Pin.release(), nullptr);
 
   EXPECT_EQ(Doomed.wait(), nullptr) << "cancelled token -> null result";
-  EXPECT_NE(Running.wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Counter.Compiles.load(), 0u)
       << "worker must skip a job whose token fired";
@@ -747,9 +706,9 @@ const FastTierQuery &fastTierQuery() {
   return Q;
 }
 
-/// CachingBackend(Gate(Counting(Craneline))) with a Stencil fast tier, a
-/// one-worker service and a fresh disk tier. The gate holds every inner
-/// compile until release().
+/// CachingBackend(Gate(Counting(Craneline))) with the fast tier
+/// serve::Server picks for Craneline (Stencil), a one-worker service and
+/// a fresh disk tier. The gate holds every inner compile until release().
 struct FastTierCache {
   std::filesystem::path Dir;
   obs::MetricsRegistry Reg;
@@ -772,7 +731,7 @@ struct FastTierCache {
     Gate = Gated.get();
     Cache = std::make_unique<CachingBackend>(std::move(Gated), 0, &Svc, &Reg,
                                              Disk.get(),
-                                             createBackend("Stencil"));
+                                             createFastTier("Craneline"));
   }
   ~FastTierCache() {
     Gate->release();
@@ -879,21 +838,16 @@ TEST(CacheFastTier, RefusedSubmitCompilesInline) {
   C.Gate->release();
   // Use up the tenant's share with a job pinned on the only worker.
   C.Svc.setKeyQueueShare("t", 1);
-  GateBackend Pin(createBackend("Interpreter"));
-  qir::Module PinM;
-  buildAffine(PinM, 1);
   CompileOptions Opts;
   Opts.FairnessKey = "t";
-  CompileTicket PinT = C.Svc.submit(PinM, Pin, CompilePriority::Foreground, Opts);
-  ASSERT_TRUE(PinT.valid());
-  Pin.waitStarted();
+  PinnedWorker Pin(C.Svc, Opts);
+  ASSERT_TRUE(Pin.Ticket.valid());
 
   qir::Module M;
   buildAffine(M, 5);
   auto Code = C.Cache->compile(M, Opts);
   uint64_t CompilesWhilePinned = C.Counter->Compiles.load();
   Pin.release();
-  PinT.wait();
 
   ASSERT_NE(Code, nullptr);
   EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(3), 22);
@@ -909,12 +863,8 @@ TEST(CacheFastTier, RefusedSubmitCompilesInline) {
 
 TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   FastTierCache C;
-  GateBackend Pin(createBackend("Interpreter"));
-  qir::Module PinM;
-  buildAffine(PinM, 1);
-  CompileTicket PinT = C.Svc.submit(PinM, Pin);
-  ASSERT_TRUE(PinT.valid());
-  Pin.waitStarted();
+  PinnedWorker Pin(C.Svc);
+  ASSERT_TRUE(Pin.Ticket.valid());
 
   // A miss queues its background compile behind the pinned worker.
   qir::Module M;
@@ -944,4 +894,43 @@ TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
   EXPECT_EQ(C.Cache->stats().Misses, 2u);
   EXPECT_EQ(C.Disk->stats().Stores, 1u);
+}
+
+/// A served query swaps mid-flight: a cold miss and a lookup of the key
+/// in flight both start on Stencil, block at morsel K until the gate
+/// opens, and swap from the one install of the gated Craneline module.
+TEST(CacheFastTier, ServedQuerySwapsMidFlight) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C;
+  constexpr int64_t K = 2;
+  db::ExecResult R[2];
+  uint64_t Digest[2] = {};
+  std::thread T[2];
+  for (int I = 0; I != 2; ++I) {
+    T[I] = std::thread([&, I] {
+      db::ExecOptions O;
+      O.MorselSize = 8; // h1 scans ~64 rows of this catalog.
+      O.OsrForceSwapMorsel = K;
+      rt::OutputBuffer Out;
+      R[I] = db::executeQuery(Q.Plan, *C.Cache, Q.Cat, &Out, O);
+      Digest[I] = Out.unorderedDigest();
+    });
+    // The next query starts once this one holds fast-tier code.
+    for (int W = 0; W != 10000 && C.Cache->stats().FastTier <= unsigned(I);
+         ++W)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  C.Gate->release();
+  for (std::thread &Th : T)
+    Th.join();
+  for (int I = 0; I != 2; ++I) {
+    ASSERT_FALSE(R[I].Trapped);
+    EXPECT_EQ(Digest[I], Q.Digest);
+    EXPECT_GE(R[I].Stats.OsrSwaps, 1u);
+    EXPECT_EQ(R[I].Stats.Pipelines.at(0).SwapMorsel, K);
+    EXPECT_EQ(R[I].Stats.Pipelines.at(0).MorselsFast, uint64_t(K));
+  }
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Cache->stats().FastTier, 2u);
+  EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
 }

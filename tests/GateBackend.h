@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// GateBackend: compile() blocks until release(). Submitting one gated job
-/// to a single-worker CompileService pins that worker deterministically,
-/// so later jobs provably sit in the queue (cancel-before-run, shedding,
-/// fairness and cancellable-wait tests).
+/// GateBackend: compile() blocks until release(). PinnedWorker submits one
+/// gated job to a single-worker CompileService, which pins that worker
+/// deterministically, so later jobs provably sit in the queue
+/// (cancel-before-run, shedding, fairness and cancellable-wait tests).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_TESTS_GATEBACKEND_H
 #define QCF_TESTS_GATEBACKEND_H
 
-#include "backend/Backend.h"
+#include "backend/CompileService.h"
+#include "backend/Registry.h"
+#include "qir/Builder.h"
 #include <condition_variable>
 #include <mutex>
 
@@ -64,6 +66,31 @@ private:
   std::mutex Mutex;
   std::condition_variable Cv;
   bool Started = false, Released = false;
+};
+
+/// Occupies the only worker of \p Svc with a gated job until release().
+struct PinnedWorker {
+  explicit PinnedWorker(backend::CompileService &Svc,
+                        const backend::CompileOptions &Opts = {})
+      : Gate(backend::createBackend("DirectEmit")) {
+    qir::Function *F = M.createFunction("f", {qir::Type::I64}, qir::Type::I64);
+    qir::Builder B(F);
+    B.ret(F->paramValue(0));
+    Ticket = Svc.submit(M, Gate, backend::CompilePriority::Foreground, Opts);
+    if (Ticket.valid())
+      Gate.waitStarted();
+  }
+  ~PinnedWorker() { release(); }
+
+  /// Opens the gate. \returns the pinned job's module.
+  std::shared_ptr<backend::CompiledModule> release() {
+    Gate.release();
+    return Ticket.wait();
+  }
+
+  GateBackend Gate;
+  qir::Module M;
+  backend::CompileTicket Ticket;
 };
 
 } // namespace qcf::test

@@ -14,10 +14,10 @@
 /// workers and randomized compile-landing times under TSan.
 ///
 /// Runtime is bounded two ways: back-ends are wrapped in CachingBackend
-/// (the sliced per-pipeline units are content-identical across forced
-/// boundaries, so each tier compiles each unit exactly once), and quick
-/// mode (QCF_OSR_QUICK=1, or any TSan build) trims the tier-pair and
-/// query sets while still sweeping every boundary of what it runs.
+/// (a plan's module is identical across forced boundaries, so each tier
+/// compiles it exactly once), and quick mode (QCF_OSR_QUICK=1, or any
+/// TSan build) trims the tier-pair and query sets while still sweeping
+/// every boundary of what it runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@
 #include "backend/Cache.h"
 #include "backend/Registry.h"
 #include "db/Executor.h"
-#include "qir/Builder.h"
 #include "tests/GateBackend.h"
 #include <algorithm>
 #include <atomic>
@@ -69,20 +68,18 @@ const std::vector<std::string> &tierNames() {
   return Names;
 }
 
-/// Shared caching wrapper per tier: every (tier, sliced unit) compiles
-/// once for the whole suite. The Interpreter is the exception — its
-/// "compiled" module interprets the source qir::Module at run time, so a
-/// cached copy would dangle once the run's sliced units die; it stays
-/// uncached (its compile is a table build, effectively free).
+/// Shared caching wrapper per tier: every (tier, plan) compiles once for
+/// the whole suite. An interpreted module reads its plan's qir::Module at
+/// run time; planFor keeps every plan alive for the whole suite.
 backend::Backend &cachedBackend(const std::string &Name) {
   static std::map<std::string, std::unique_ptr<backend::Backend>> Pool;
   auto It = Pool.find(Name);
   if (It == Pool.end()) {
     std::unique_ptr<backend::Backend> BE = backend::createBackend(Name);
     EXPECT_NE(BE, nullptr) << Name;
-    if (Name != "Interpreter")
-      BE = std::make_unique<backend::CachingBackend>(std::move(BE));
-    It = Pool.emplace(Name, std::move(BE)).first;
+    It = Pool.emplace(Name, std::make_unique<backend::CachingBackend>(
+                                std::move(BE)))
+             .first;
   }
   return *It->second;
 }
@@ -93,6 +90,19 @@ backend::Backend &cachedBackend(const std::string &Name) {
 backend::Backend &fastTier() {
   const char *Name = std::getenv("QCF_FAST_TIER");
   return cachedBackend(Name && *Name ? Name : "DirectEmit");
+}
+
+/// AdaptiveExec options: start on \p Fast, compile the optimized tier on
+/// \p Svc, morsels of \p MS rows, swap forced at morsel \p K (-1: policy).
+ExecOptions adaptive(backend::Backend &Fast, backend::CompileService &Svc,
+                     uint64_t MS, int64_t K = -1) {
+  ExecOptions O;
+  O.MorselSize = MS;
+  O.AdaptiveExec = true;
+  O.FastBackend = &Fast;
+  O.Service = &Svc;
+  O.OsrForceSwapMorsel = K;
+  return O;
 }
 
 /// Shared service for the optimized-tier compiles.
@@ -178,14 +188,8 @@ void checkForcedAccounting(const ExecResult &R, uint64_t MS, int64_t K) {
 ExecResult forcedRun(const CompiledPlan &Plan, backend::Backend &Opt,
                      backend::Backend &Fast, const Catalog &Cat,
                      rt::OutputBuffer &Out, uint64_t MS, int64_t K) {
-  ExecOptions O;
-  O.NumThreads = 1;
-  O.MorselSize = MS;
-  O.AdaptiveExec = true;
-  O.FastBackend = &Fast;
-  O.Service = &sharedService();
-  O.OsrForceSwapMorsel = K;
-  return executeQuery(Plan, Opt, Cat, &Out, O);
+  return executeQuery(Plan, Opt, Cat, &Out,
+                      adaptive(Fast, sharedService(), MS, K));
 }
 
 } // namespace
@@ -254,6 +258,39 @@ TEST(OsrCutover, ForcedSwapEveryBoundaryEveryTierPair) {
   EXPECT_GT(CorpusOutRows, 0u) << "every corpus query returned zero rows";
 }
 
+/// Every pipeline's driver shares one handle on the optimized module, so
+/// a pipeline that starts after another pipeline installed it must run
+/// optimized code from its first morsel. The gated fast-tier compile holds
+/// the query until the optimized compile has landed.
+TEST(OsrCutover, PipelineStartedAfterInstallRunsOptimizedFromFirstMorsel) {
+  QuerySuite &S = queryCorpus().front();
+  const CompiledPlan &Plan = planFor(S, S.Queries.front());
+  ASSERT_GE(Plan.Pipelines.size(), 2u);
+  backend::CompileService Svc(1);
+  test::GateBackend Fast(backend::createBackend("DirectEmit"));
+  rt::OutputBuffer Out;
+  ExecResult R;
+  std::thread T([&] {
+    R = executeQuery(Plan, cachedBackend("MLVM-opt"), *S.Cat, &Out,
+                     adaptive(Fast, Svc, 257));
+  });
+  Fast.waitStarted();
+  Svc.drain();
+  Fast.release();
+  T.join();
+  ASSERT_FALSE(R.Trapped);
+  EXPECT_TRUE(baselineRun(Plan, fastTier(), *S.Cat).equals(Out));
+  uint64_t Started = 0;
+  for (const PipelineStats &P : R.Stats.Pipelines)
+    if (P.Rows > 0) {
+      ++Started;
+      EXPECT_EQ(P.MorselsFast, 0u);
+      EXPECT_EQ(P.SwapMorsel, 0);
+    }
+  EXPECT_GE(Started, 2u);
+  EXPECT_EQ(R.Stats.OsrSwaps, Started);
+}
+
 /// Concurrent mode: four workers, policy-driven swap, compile-landing
 /// time randomized by the service's jitter hook — the swap lands at a
 /// different morsel (and on a different worker) every repetition. Run
@@ -281,12 +318,8 @@ TEST(OsrCutover, ConcurrentRandomizedSwapTiming) {
         // query" so early, mid, and too-late swaps all occur.
         Svc.injectCompileLatencyForTest(1u << (6 + 2 * (Rep % 4)), Seed++);
         rt::OutputBuffer Out;
-        ExecOptions O;
+        ExecOptions O = adaptive(Fast, Svc, 256);
         O.NumThreads = 4;
-        O.MorselSize = 256;
-        O.AdaptiveExec = true;
-        O.FastBackend = &Fast;
-        O.Service = &Svc;
         ExecResult R = executeQuery(Plan, Opt, *S.Cat, &Out, O);
         ASSERT_FALSE(R.Trapped);
         EXPECT_EQ(Base.unorderedDigest(), Out.unorderedDigest())
@@ -345,13 +378,7 @@ TEST(OsrObs, SwapMetricsAndTimelineMarker) {
   obs::MetricsRegistry Reg;
   obs::TraceSink Sink;
   rt::OutputBuffer Out;
-  ExecOptions O;
-  O.NumThreads = 1;
-  O.MorselSize = 257;
-  O.AdaptiveExec = true;
-  O.FastBackend = &Fast;
-  O.Service = &sharedService();
-  O.OsrForceSwapMorsel = 1;
+  ExecOptions O = adaptive(Fast, sharedService(), 257, 1);
   O.Obs.Metrics = &Reg;
   O.Obs.Sink = &Sink;
   ExecResult R = executeQuery(Plan, Opt, *S.Cat, &Out, O);
@@ -383,33 +410,23 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
   auto Opt = backend::createBackend("MLVM-opt");
 
   backend::CompileService Svc(1);
-  test::GateBackend Gate(backend::createBackend("DirectEmit"));
-  qir::Module Dummy;
-  {
-    qir::Function *F =
-        Dummy.createFunction("f", {qir::Type::I64}, qir::Type::I64);
-    qir::Builder B(F);
-    B.ret(F->paramValue(0));
-  }
-  backend::CompileTicket Pin = Svc.submit(Dummy, Gate);
-  ASSERT_TRUE(Pin.valid());
-  Gate.waitStarted();
+  test::PinnedWorker Pin(Svc);
+  ASSERT_TRUE(Pin.Ticket.valid());
 
   std::atomic<bool> QueryDone{false};
   std::thread Watchdog([&] {
     for (int I = 0; I != 2000 && !QueryDone.load(); ++I)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    Gate.release();
+    Pin.Gate.release();
   });
 
-  // Cancel once every fast-tier unit has compiled, i.e. once the query
-  // is in (or about to enter) the cutover wait at morsel 0.
+  // Cancel once the fast tier has compiled, i.e. once the query is in
+  // (or about to enter) the cutover wait at morsel 0.
   obs::MetricsRegistry Reg;
   qcf::CancelToken Ctl;
   std::thread Canceller([&] {
-    for (int I = 0; I != 5000 && Reg.snapshot().counter(
-                                      "compile.DirectEmit.count") <
-                                     Plan.Pipelines.size();
+    for (int I = 0;
+         I != 5000 && Reg.snapshot().counter("compile.DirectEmit.count") == 0;
          ++I)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -417,17 +434,11 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
   });
 
   rt::OutputBuffer Out;
-  ExecOptions O;
-  O.NumThreads = 1;
-  O.MorselSize = 257;
-  O.AdaptiveExec = true;
-  O.FastBackend = Fast.get();
-  O.Service = &Svc;
-  O.OsrForceSwapMorsel = 0;
+  ExecOptions O = adaptive(*Fast, Svc, 257, 0);
   O.Control = &Ctl;
   O.Obs.Metrics = &Reg;
   ExecResult R = executeQuery(Plan, *Opt, *S.Cat, &Out, O);
-  bool GateWasClosed = !Gate.released();
+  bool GateWasClosed = !Pin.Gate.released();
   QueryDone.store(true);
   Canceller.join();
   Watchdog.join();
@@ -436,7 +447,7 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
   EXPECT_TRUE(GateWasClosed)
       << "the cutover wait outlived the cancel until the gate opened";
   EXPECT_EQ(R.Stats.OsrSwaps, 0u);
-  Pin.wait();
+  Pin.release();
   Svc.shutdown();
   EXPECT_GE(Svc.stats().JobsCancelled, 1u);
 }
