@@ -24,12 +24,33 @@
 #include "tv/Tv.h"
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace qcf::backend {
 
 class TierUp;
+
+/// 128-bit structural fingerprint of a module, the code caches' key; see
+/// fingerprintModule (backend/Cache.h).
+///
+/// Two independent lanes over one walk of the module. A single 64-bit
+/// lane is not collision-safe to key executable code by: the original
+/// hash folds words with CRC32C, which is GF(2)-linear with a
+/// seed-independent kernel, so inputs differing by a kernel element
+/// collide for *every* seed (CacheTest has two such modules). The second
+/// lane therefore uses a multiplicative (murmur-style) mix — not CRC
+/// under another seed — making the lanes genuinely independent.
+struct ModuleFingerprint {
+  uint64_t Lo = 0; ///< Legacy lane; equals hashModule().
+  uint64_t Hi = 0; ///< Independent non-CRC lane.
+
+  bool operator==(const ModuleFingerprint &O) const {
+    return Lo == O.Lo && Hi == O.Hi;
+  }
+  bool operator!=(const ModuleFingerprint &O) const { return !(*this == O); }
+};
 
 /// Per-compile options. This is the extension point of the back-end
 /// interface: new knobs (observability, verification, allocation mode
@@ -67,6 +88,14 @@ struct CompileOptions {
   /// for the key (setKeyQueueShare) rejects submissions beyond that
   /// share so one tenant cannot monopolize the bounded compile queue.
   std::string FairnessKey;
+
+  /// fingerprintModule() of the module being compiled, when the caller
+  /// already has it (db::compileQuery computes it once per lowered plan).
+  /// CachingBackend keys by it instead of hashing the module again, so it
+  /// must be the fingerprint of exactly the module passed to compile().
+  /// Held by value: a queued job copies its options and may outlive the
+  /// plan.
+  std::optional<ModuleFingerprint> Fingerprint;
 
   CompileOptions() = default;
   explicit CompileOptions(obs::ObsContext Obs) : Obs(Obs) {}

@@ -277,7 +277,8 @@ void CachingBackend::noteFast(const CompileOptions &Opts, uint64_t StartNs) {
 
 std::unique_ptr<CompiledModule>
 CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
-  ModuleFingerprint Key = fingerprintModule(M);
+  ModuleFingerprint Key =
+      Opts.Fingerprint ? *Opts.Fingerprint : fingerprintModule(M);
   std::shared_ptr<InFlight> Entry;
   {
     std::unique_lock<std::mutex> Lock(Mutex);
@@ -342,6 +343,10 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     }
     Misses.inc();
     Entry = std::make_shared<InFlight>();
+    // Made before the disk probe and the submit, so a lookup of the key
+    // shares it at once instead of waiting for either.
+    if (Fast && Service)
+      Entry->Up = std::make_shared<TierUp>();
     Pending.emplace(Key, Entry);
   }
 
@@ -362,20 +367,23 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
                         "disk cache");
   }
-  if (!Compiled && Fast && Service) {
+  if (!Compiled && Entry->Up) {
     auto Job = std::make_shared<BackgroundCompile>(*this, Key, M);
     uint64_t StartNs = nowNs();
     std::unique_ptr<CompiledModule> Code = compileTiered(
-        Job->Copy, *Fast, *Job, *Service, Opts, Job,
-        [&](const std::shared_ptr<TierUp> &Up) {
-          // Lookups of the key share the handle from here on.
-          std::lock_guard<std::mutex> Lock(Mutex);
-          Entry->Up = Up;
-        });
+        Job->Copy, *Fast, *Job, *Service, Opts, Job, Entry->Up);
     if (Code) {
       noteFast(Opts, StartNs);
       return Code;
     }
+    // Refused: lookups from here on compile fast code alone, and the ones
+    // that shared the handle stay on their fast code.
+    std::shared_ptr<TierUp> Refused;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Refused = std::move(Entry->Up);
+    }
+    Refused->settle(nullptr);
   }
   if (!Compiled && Service) {
     // A refused submit (queue full, fairness share used up, service shut
@@ -403,6 +411,8 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     Compiled = Inner->compile(M, Opts);
   // Publish before storing, so deduped waiters do not pay for the write.
   publish(Key, Compiled, Entry.get());
+  if (Entry->Up) // A disk hit: lookups that shared the handle swap to it.
+    Entry->Up->settle(Compiled);
   if (Disk && !FromDisk)
     Disk->store(Key, *Inner, *Compiled, Opts);
   return std::make_unique<SharedModule>(std::move(Compiled));

@@ -36,25 +36,6 @@ namespace qcf::backend {
 
 class DiskCodeCache;
 
-/// 128-bit structural fingerprint of a module, used as the cache key.
-///
-/// Two independent lanes over one walk of the module. A single 64-bit
-/// lane is not collision-safe to key executable code by: the original
-/// hash folds words with CRC32C, which is GF(2)-linear with a
-/// seed-independent kernel, so inputs differing by a kernel element
-/// collide for *every* seed (CacheTest has two such modules). The second
-/// lane therefore uses a multiplicative (murmur-style) mix — not CRC
-/// under another seed — making the lanes genuinely independent.
-struct ModuleFingerprint {
-  uint64_t Lo = 0; ///< Legacy lane; equals hashModule().
-  uint64_t Hi = 0; ///< Independent non-CRC lane.
-
-  bool operator==(const ModuleFingerprint &O) const {
-    return Lo == O.Lo && Hi == O.Hi;
-  }
-  bool operator!=(const ModuleFingerprint &O) const { return !(*this == O); }
-};
-
 struct FingerprintHash {
   size_t operator()(const ModuleFingerprint &F) const {
     // The lanes are already well-mixed; fold them for the bucket index.
@@ -95,6 +76,10 @@ struct CacheStats {
 
 /// Wraps \p Inner with an LRU cache of compiled modules.
 ///
+/// Modules are keyed by CompileOptions::Fingerprint when the caller
+/// supplies it (db::executeQuery passes the plan's), else by
+/// fingerprintModule(), so a warm lookup of a lowered plan hashes nothing.
+///
 /// Thread-safe, including in-flight deduplication: concurrent compiles of
 /// the same key are collapsed to one, so each unique key reaches the inner
 /// back-end exactly once. On a miss in memory the disk tier is probed
@@ -113,9 +98,12 @@ struct CacheStats {
 /// publishes to memory and then stores the disk blob, so the next lookup
 /// is a hit on inner-back-end code. Every fast-tier answer carries the
 /// shared handle on that job (CompiledModule::Optimized), so the executor
-/// swaps the query to the inner back-end's code once it lands. Dropping a
-/// handle never cancels the job: the cache holds one until the job ends.
-/// A refused submit takes the blocking path above.
+/// swaps the query to the inner back-end's code once it lands. The handle
+/// exists from the miss on, before its disk probe and submit: a lookup in
+/// that window shares it without waiting, and a disk hit installs the
+/// loaded module into it. Dropping a handle never cancels the job: the
+/// cache holds one until the job ends. A refused submit ends the handle
+/// with nothing installed and takes the blocking path above.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call is waiting (on a service ticket or a deduped in-flight compile),
@@ -181,9 +169,10 @@ private:
     std::condition_variable Cv;
     bool Done = false;
     std::shared_ptr<CompiledModule> Result;
-    /// The background compile of this key, once submitted (guarded by the
-    /// cache's Mutex). A job that runs retires the entry itself, so one
-    /// whose compile ended here was cancelled before it started.
+    /// The handle on this key's background compile, made with the entry
+    /// and started by the submit (guarded by the cache's Mutex). A job
+    /// that runs retires the entry itself, so one whose compile ended here
+    /// was cancelled before it started.
     std::shared_ptr<TierUp> Up;
   };
 

@@ -29,7 +29,13 @@ bool TierUp::poll() {
 bool TierUp::wait(const qcf::CancelToken *Cancel) {
   if (!pending())
     return false;
-  std::lock_guard<std::mutex> Lock(Mutex);
+  std::unique_lock<std::mutex> Lock(Mutex);
+  // Made by TierUp() and not started yet: wait for start() or settle().
+  while (pending() && !Ticket.valid()) {
+    if (Cancel && Cancel->stopped())
+      return false;
+    Started.wait_for(Lock, std::chrono::milliseconds(1));
+  }
   if (!pending())
     return false;
   while (!Ticket.waitFor(1'000'000))
@@ -42,6 +48,23 @@ void TierUp::finish() {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (pending())
     settleLocked(Ticket.cancel() ? nullptr : Ticket.wait());
+}
+
+void TierUp::start(CompileTicket T, std::shared_ptr<void> O) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Ticket = std::move(T);
+    Owner = std::move(O);
+  }
+  Started.notify_all();
+}
+
+void TierUp::settle(std::shared_ptr<CompiledModule> M) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    settleLocked(std::move(M));
+  }
+  Started.notify_all();
 }
 
 bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
@@ -58,19 +81,21 @@ bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
 std::unique_ptr<CompiledModule> backend::compileTiered(
     const qir::Module &M, Backend &Fast, Backend &Opt, CompileService &Svc,
     const CompileOptions &Opts, std::shared_ptr<void> Owner,
-    const std::function<void(const std::shared_ptr<TierUp> &)> &Started) {
+    std::shared_ptr<TierUp> Up) {
   CompileOptions JobOpts;
   JobOpts.Obs.Metrics = Opts.Obs.Metrics;
   JobOpts.Verify = Opts.Verify;
   JobOpts.Alloc = Opts.Alloc;
   JobOpts.FairnessKey = Opts.FairnessKey;
+  JobOpts.Fingerprint = Opts.Fingerprint;
   // Submitted first, so a worker compiles while this thread does.
-  auto Up = std::make_shared<TierUp>(
-      Svc.submit(M, Opt, CompilePriority::Background, JobOpts, Owner), Owner);
-  if (!Up->pending())
+  CompileTicket T =
+      Svc.submit(M, Opt, CompilePriority::Background, JobOpts, Owner);
+  if (!T.valid())
     return nullptr;
-  if (Started)
-    Started(Up);
+  if (!Up)
+    Up = std::make_shared<TierUp>();
+  Up->start(std::move(T), std::move(Owner));
   std::unique_ptr<CompiledModule> Code = Fast.compile(M, Opts);
   if (Code)
     Code->Optimized = std::move(Up);

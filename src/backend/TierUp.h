@@ -11,10 +11,11 @@
 /// the executor swaps every pipeline of such a module to the installed
 /// one at a morsel boundary, so served queries swap mid-flight too.
 ///
-/// Memory ordering: poll()/wait() pin the landed module in an owned
-/// shared_ptr strictly before the release store that makes installed()
-/// non-null, so a reader's acquire load observes a fully owned module
-/// that lives as long as this object. The install happens at most once.
+/// Memory ordering: poll()/wait()/settle() pin the landed module in an
+/// owned shared_ptr strictly before the release store that makes
+/// installed() non-null, so a reader's acquire load observes a fully owned
+/// module that lives as long as this object. The install happens at most
+/// once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,7 @@
 
 #include "backend/CompileService.h"
 #include <atomic>
-#include <functional>
+#include <condition_variable>
 #include <mutex>
 
 namespace qcf::backend {
@@ -37,6 +38,9 @@ public:
   /// was submitted with.
   explicit TierUp(CompileTicket T, std::shared_ptr<void> O = nullptr)
       : Pending(T.valid()), Ticket(std::move(T)), Owner(std::move(O)) {}
+  /// A handle whose compile is not submitted yet. It is pending, and can
+  /// be shared, until start() or settle().
+  TierUp() : Pending(true) {}
   /// Cancels the pending job if it has not started. A running job is
   /// waited out unless it owns its module and back-end (Owner).
   ~TierUp();
@@ -58,6 +62,13 @@ public:
   /// and installs its result. On return no worker runs the job.
   void finish();
 
+  /// Gives a handle made by TierUp() its submitted compile \p T (valid),
+  /// owned by \p O as in the constructor.
+  void start(CompileTicket T, std::shared_ptr<void> O);
+  /// Ends the pending state of a handle made by TierUp() that will not be
+  /// started, installing \p M when it is non-null.
+  void settle(std::shared_ptr<CompiledModule> M);
+
   /// The installed module, or null. Lock-free.
   CompiledModule *installed() const {
     return Installed.load(std::memory_order_acquire);
@@ -73,7 +84,8 @@ private:
 
   std::atomic<CompiledModule *> Installed{nullptr};
   std::atomic<bool> Pending{false};
-  std::mutex Mutex; ///< Guards Ticket and Keeper.
+  std::mutex Mutex; ///< Guards Ticket, Keeper and Owner.
+  std::condition_variable Started; ///< start() or settle() ran.
   CompileTicket Ticket;
   std::shared_ptr<CompiledModule> Keeper; ///< Owns *Installed.
   std::shared_ptr<void> Owner;
@@ -83,16 +95,17 @@ private:
 /// \p Svc at Background priority (with \p Owner, see
 /// CompileService::submit), then compiles \p M with \p Fast on the
 /// calling thread. The job keeps \p Opts' metrics registry, verification,
-/// allocation mode and fairness key, not its cancel token or trace
-/// consumers: it may outlive the query. \p Started sees the handle before
-/// the fast compile, so callers racing it can share the handle.
+/// allocation mode, fairness key and fingerprint, not its cancel token or
+/// trace consumers: it may outlive the query. \p Up, when given, is a
+/// handle made by TierUp() that callers racing this one already share: the
+/// job starts it, and a refused submit leaves it to the caller to settle.
 /// \returns the fast module with CompiledModule::Optimized set, or null if
 /// the service refused the job (the caller decides what that means).
-std::unique_ptr<CompiledModule> compileTiered(
-    const qir::Module &M, Backend &Fast, Backend &Opt, CompileService &Svc,
-    const CompileOptions &Opts, std::shared_ptr<void> Owner = nullptr,
-    const std::function<void(const std::shared_ptr<TierUp> &)> &Started =
-        nullptr);
+std::unique_ptr<CompiledModule>
+compileTiered(const qir::Module &M, Backend &Fast, Backend &Opt,
+              CompileService &Svc, const CompileOptions &Opts,
+              std::shared_ptr<void> Owner = nullptr,
+              std::shared_ptr<TierUp> Up = nullptr);
 
 } // namespace qcf::backend
 

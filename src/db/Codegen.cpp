@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "db/Codegen.h"
+#include "backend/Cache.h"
 #include "qir/Builder.h"
 #include "qir/Print.h"
 #include "qir/Verify.h"
@@ -170,6 +171,7 @@ public:
       reportFatalError(("query codegen produced invalid IR: " + *Err)
                            .c_str());
     }
+    Out.Fingerprint = backend::fingerprintModule(*Out.Module);
     Out.NumCtxSlots = NextSlot;
     return std::move(Out);
   }

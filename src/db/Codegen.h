@@ -19,6 +19,7 @@
 #ifndef QCF_DB_CODEGEN_H
 #define QCF_DB_CODEGEN_H
 
+#include "backend/Backend.h"
 #include "db/Plan.h"
 #include "qir/Function.h"
 #include <memory>
@@ -68,6 +69,10 @@ struct TableRead {
 /// A compiled query: QIR module plus execution metadata.
 struct CompiledPlan {
   std::unique_ptr<qir::Module> Module;
+  /// backend::fingerprintModule(*Module), computed once by compileQuery:
+  /// executeQuery hands it to the back-end, so a code-cache hit does not
+  /// hash the module again.
+  backend::ModuleFingerprint Fingerprint;
   Arena StringArena; ///< Owns string constants referenced by the code.
   std::vector<PipelineDesc> Pipelines;
   std::vector<RuntimeObject> Objects;

@@ -395,6 +395,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   backend::CompileOptions CO{Opts.Obs};
   CO.Cancel = Ctl;
   CO.FairnessKey = Opts.CompileFairnessKey;
+  CO.Fingerprint = Plan.Fingerprint;
 
   // AdaptiveExec starts on the fast tier while BE compiles the whole
   // module in the background; a refused submit leaves the query on the

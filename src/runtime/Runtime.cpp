@@ -7,9 +7,10 @@
 #include "runtime/Runtime.h"
 #include "qir/Semantics.h"
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <cassert>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 #include <string_view>
 #include <unordered_map>
 
@@ -394,11 +395,11 @@ const OutputBuffer::Cell *OutputBuffer::row(size_t Row,
 namespace {
 
 void renderCell(std::string &Out, const OutputBuffer::Cell &C) {
-  char Buf[64];
+  // Fits the longest "%.6f" text of a double: -DBL_MAX is 317 characters.
+  char Buf[320];
   switch (C.Kind) {
   case OutputBuffer::CellKind::I64:
-    std::snprintf(Buf, sizeof(Buf), "%" PRId64, C.I64V);
-    Out += Buf;
+    Out.append(Buf, std::to_chars(Buf, std::end(Buf), C.I64V).ptr);
     break;
   case OutputBuffer::CellKind::I128: {
     // Render via repeated division (no 128-bit printf).
@@ -418,10 +419,14 @@ void renderCell(std::string &Out, const OutputBuffer::Cell &C) {
       Out += Digits[--N];
     break;
   }
-  case OutputBuffer::CellKind::F64:
-    std::snprintf(Buf, sizeof(Buf), "%.6f", C.F64V);
-    Out += Buf;
+  case OutputBuffer::CellKind::F64: {
+    // The standard defines this as printf("%.6f") text in the "C" locale.
+    std::to_chars_result R = std::to_chars(Buf, std::end(Buf), C.F64V,
+                                           std::chars_format::fixed, 6);
+    assert(R.ec == std::errc() && "F64 text longer than its buffer");
+    Out.append(Buf, R.ptr);
     break;
+  }
   case OutputBuffer::CellKind::Str:
     Out.append(C.StrV.data(), C.StrV.Len);
     break;
@@ -451,10 +456,11 @@ std::string OutputBuffer::toText() const {
 uint64_t OutputBuffer::unorderedDigest() const {
   // Sum of per-row hashes: commutative, so row order does not matter.
   uint64_t Sum = 0;
+  std::string Repr; // One buffer for every row.
   for (size_t R = 0; R != numRows(); ++R) {
     size_t N;
     const Cell *Row = row(R, &N);
-    std::string Repr;
+    Repr.clear();
     for (size_t I = 0; I != N; ++I) {
       renderCell(Repr, Row[I]);
       Repr += '|';

@@ -78,10 +78,14 @@ public:
   /// Cells of row \p Row.
   const Cell *row(size_t Row, size_t *NumCells) const;
 
-  /// Renders the buffer as text (one row per line, pipe-separated).
+  /// Renders the buffer as text (one row per line, pipe-separated). I64
+  /// and I128 cells print in decimal, F64 cells as printf("%.6f") would,
+  /// in full.
   std::string toText() const;
 
-  /// Row-order-insensitive digest for cross-back-end result comparison.
+  /// Row-order-insensitive digest for cross-back-end result comparison:
+  /// the sum over rows of the hash of the row's toText() cell text, each
+  /// cell followed by '|', plus a term for the row count.
   uint64_t unorderedDigest() const;
 
   /// Exact (ordered) comparison.

@@ -16,7 +16,9 @@
 /// catalog reads (CompiledPlan::matchesCatalog); a plan whose data moved
 /// is a miss and is replaced. Compiled code is not held here: the plan's
 /// module still goes through CachingBackend on every execution, so the
-/// L1 code cache keeps its own capacity, eviction and disk tier.
+/// L1 code cache keeps its own capacity, eviction and disk tier. What the
+/// plan does carry is its module's fingerprint, computed once when it is
+/// lowered (CompiledPlan::Fingerprint), so that lookup hashes nothing.
 ///
 //===----------------------------------------------------------------------===//
 

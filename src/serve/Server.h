@@ -156,6 +156,10 @@ public:
   backend::CachingBackend &cacheBackend() { return *Cache; }
   backend::DiskCodeCache *diskCache() { return Disk.get(); }
   const PlanCache &planCache() const { return Plans; }
+  /// The admission gate queries pass. A caller that holds one of its
+  /// slots (enter() .. leave()) makes queries queue and overflow
+  /// deterministically; `qcf_stress --serve` does so to force overload.
+  AdmissionGate &admission() { return Gate; }
 
   /// renderText() of the registry — the `qcf_stats --serve` payload.
   std::string statsText() const { return Reg.snapshot().renderText(); }

@@ -224,6 +224,72 @@ TEST(Cache, RegeneratedQueryPlansHit) {
   EXPECT_EQ(BE.stats().Misses, 1u);
 }
 
+TEST(Cache, PlanFingerprintIsItsModules) {
+  // compileQuery fingerprints each lowered module once; the value must be
+  // fingerprintModule's, and stay so after back-ends have compiled and run
+  // the module (they may touch only the excluded Scratch slots).
+  db::Catalog Tpch, Tpcds;
+  db::generateTpchLike(Tpch, 0.01);
+  db::generateTpcdsLike(Tpcds, 0.01);
+  std::vector<std::unique_ptr<Backend>> BEs;
+  for (const char *Name : {"Interpreter", "Stencil", "DirectEmit", "Craneline"})
+    BEs.push_back(createBackend(Name));
+  std::vector<db::Query> TpchQs = db::tpchQueries(),
+                         TpcdsQs = db::tpcdsQueries();
+  for (auto [Cat, Queries] :
+       {std::pair{&Tpch, &TpchQs}, std::pair{&Tpcds, &TpcdsQs}})
+    for (const db::Query &Q : *Queries) {
+      db::CompiledPlan Plan = db::compileQuery(Q, *Cat);
+      EXPECT_EQ(Plan.Fingerprint, fingerprintModule(*Plan.Module)) << Q.Name;
+      for (const auto &BE : BEs) {
+        rt::OutputBuffer Out;
+        ASSERT_FALSE(db::executeQuery(Plan, *BE, *Cat, &Out).Trapped);
+      }
+      EXPECT_EQ(Plan.Fingerprint, fingerprintModule(*Plan.Module)) << Q.Name;
+    }
+}
+
+TEST(Cache, SecondLoweringOfAQueryIsAnL1Hit) {
+  db::Catalog Cat;
+  db::generateTpchLike(Cat, 0.01);
+  std::vector<db::Query> Qs = db::tpchQueries();
+  const db::Query &Q = Qs.at(0);
+  CachingBackend BE(createBackend("DirectEmit"));
+  uint64_t Digest[2];
+  for (uint64_t &D : Digest) {
+    db::CompiledPlan Plan = db::compileQuery(Q, Cat);
+    rt::OutputBuffer Out;
+    ASSERT_FALSE(db::executeQuery(Plan, BE, Cat, &Out).Trapped);
+    D = Out.unorderedDigest();
+  }
+  EXPECT_EQ(Digest[0], Digest[1]);
+  EXPECT_EQ(BE.stats().Misses, 1u);
+  EXPECT_EQ(BE.stats().Hits, 1u);
+
+  // The plan's fingerprint is the key, not a hash of its module: the same
+  // module under another fingerprint misses.
+  db::CompiledPlan Plan = db::compileQuery(Q, Cat);
+  Plan.Fingerprint.Hi ^= 1;
+  rt::OutputBuffer Out;
+  ASSERT_FALSE(db::executeQuery(Plan, BE, Cat, &Out).Trapped);
+  EXPECT_EQ(BE.stats().Misses, 2u);
+}
+
+TEST(Cache, KeysByTheSuppliedFingerprint) {
+  // A supplied fingerprint is the key, with no hash of the module: here
+  // it names another module, whose code the lookup gets.
+  qir::Module M1, M2;
+  buildAffine(M1, 3);
+  buildAffine(M2, 5);
+  CachingBackend BE(createBackend("DirectEmit"));
+  BE.compile(M1);
+  CompileOptions Opts;
+  Opts.Fingerprint = fingerprintModule(M1);
+  auto Code = BE.compile(M2, Opts);
+  EXPECT_EQ(BE.stats().Hits, 1u);
+  EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(1), 10);
+}
+
 TEST(Cache, InterpreterHitOutlivesFirstPlan) {
   // The L1 entry is compiled from the first plan's module; a later hit
   // from a re-lowered plan runs that code after the first module is gone.

@@ -164,6 +164,32 @@ TEST(TierUp, ShutDownServiceLeavesNothingPending) {
   EXPECT_EQ(Up.installed(), nullptr);
 }
 
+/// A handle made before its submit is pending but never installs by
+/// poll(): a wait() blocks until start() hands it the job, and settle()
+/// ends another one with the module it is given.
+TEST(TierUp, UnstartedHandleWaitsForStartOrSettle) {
+  auto BE = createBackend("DirectEmit");
+  CompileService Svc(1);
+  qir::Module M;
+  buildAffine(M, 2);
+  TierUp Up;
+  EXPECT_TRUE(Up.pending());
+  EXPECT_FALSE(Up.poll());
+  bool Installed = false;
+  std::thread Waiter([&] { Installed = Up.wait(); });
+  Up.start(Svc.submit(M, *BE), nullptr);
+  Waiter.join();
+  EXPECT_TRUE(Installed);
+  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+
+  TierUp Other;
+  std::thread OtherWaiter([&] { EXPECT_FALSE(Other.wait()); });
+  Other.settle(BE->compile(M));
+  OtherWaiter.join();
+  EXPECT_FALSE(Other.pending());
+  EXPECT_EQ(Other.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+}
+
 /// Pollers race the install while readers load installed(): exactly one
 /// poll() installs, and a reader sees either nothing or the finished
 /// module, never a half-published one.
@@ -706,9 +732,68 @@ const FastTierQuery &fastTierQuery() {
   return Q;
 }
 
+/// Forwards to its inner back-end, except that the first cacheConfig()
+/// call blocks until release(). That call is the disk probe of a cache's
+/// first miss, so the miss is held after its in-flight entry exists and
+/// before it submits its background compile.
+class ProbeGate : public Backend {
+public:
+  explicit ProbeGate(std::unique_ptr<Backend> Inner) : Inner(std::move(Inner)) {}
+
+  std::string name() const override { return Inner->name(); }
+  std::string cacheConfig() const override {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    if (!Entered) {
+      Entered = true;
+      Cv.notify_all();
+      Cv.wait(Lock, [&] { return Released; });
+    }
+    return Inner->cacheConfig();
+  }
+
+  using Backend::compile;
+  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
+                                          const CompileOptions &O) override {
+    return Inner->compile(M, O);
+  }
+  std::unique_ptr<CompiledModule> deserialize(const uint8_t *Data,
+                                              size_t Len) override {
+    return Inner->deserialize(Data, Len);
+  }
+
+  void waitEntered() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Cv.wait(Lock, [&] { return Entered; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Released = true;
+    }
+    Cv.notify_all();
+  }
+
+private:
+  std::unique_ptr<Backend> Inner;
+  mutable std::mutex Mutex;
+  mutable std::condition_variable Cv;
+  mutable bool Entered = false;
+  bool Released = false;
+};
+
+/// Spins (yielding, no sleep) until \p Pred holds, for at most 10 s.
+template <typename P> bool spinUntil(P Pred) {
+  auto End = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Pred() && std::chrono::steady_clock::now() < End)
+    std::this_thread::yield();
+  return Pred();
+}
+
 /// CachingBackend(Gate(Counting(Craneline))) with the fast tier
 /// serve::Server picks for Craneline (Stencil), a one-worker service and
 /// a fresh disk tier. The gate holds every inner compile until release().
+/// With \p HoldProbe, a ProbeGate outside the gate holds the first miss
+/// in its disk probe.
 struct FastTierCache {
   std::filesystem::path Dir;
   obs::MetricsRegistry Reg;
@@ -716,9 +801,10 @@ struct FastTierCache {
   CompileService Svc{1, 0, &Reg};
   CountingBackend *Counter = nullptr;
   GateBackend *Gate = nullptr;
+  ProbeGate *Probe = nullptr;
   std::unique_ptr<CachingBackend> Cache;
 
-  FastTierCache() {
+  explicit FastTierCache(bool HoldProbe = false) {
     std::string T =
         (std::filesystem::temp_directory_path() / "qcf_fasttier_XXXXXX")
             .string();
@@ -727,13 +813,20 @@ struct FastTierCache {
     Disk = std::make_unique<DiskCodeCache>(Dir.string(), 0, &Reg);
     auto Counting = std::make_unique<CountingBackend>(createBackend("Craneline"));
     Counter = Counting.get();
-    auto Gated = std::make_unique<GateBackend>(std::move(Counting));
-    Gate = Gated.get();
-    Cache = std::make_unique<CachingBackend>(std::move(Gated), 0, &Svc, &Reg,
+    std::unique_ptr<Backend> Inner =
+        std::make_unique<GateBackend>(std::move(Counting));
+    Gate = static_cast<GateBackend *>(Inner.get());
+    if (HoldProbe) {
+      Inner = std::make_unique<ProbeGate>(std::move(Inner));
+      Probe = static_cast<ProbeGate *>(Inner.get());
+    }
+    Cache = std::make_unique<CachingBackend>(std::move(Inner), 0, &Svc, &Reg,
                                              Disk.get(),
                                              createFastTier("Craneline"));
   }
   ~FastTierCache() {
+    if (Probe)
+      Probe->release();
     Gate->release();
     Cache.reset();
     Svc.shutdown();
@@ -933,4 +1026,125 @@ TEST(CacheFastTier, ServedQuerySwapsMidFlight) {
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
   EXPECT_EQ(C.Cache->stats().FastTier, 2u);
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
+}
+
+/// A lookup that finds the key in flight while the miss is still probing
+/// disk (before its background compile has a handle) gets that handle
+/// once the miss submits, and swaps like the miss does.
+TEST(CacheFastTier, LookupDuringTheMissProbeSharesItsHandle) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C(/*HoldProbe=*/true);
+  constexpr int64_t K = 2;
+  db::ExecResult R[2];
+  uint64_t Digest[2] = {};
+  auto Run = [&](int I) {
+    db::ExecOptions O;
+    O.MorselSize = 8;
+    O.OsrForceSwapMorsel = K;
+    rt::OutputBuffer Out;
+    R[I] = db::executeQuery(Q.Plan, *C.Cache, Q.Cat, &Out, O);
+    Digest[I] = Out.unorderedDigest();
+  };
+  std::thread Miss(Run, 0);
+  C.Probe->waitEntered();
+  std::thread Lookup(Run, 1);
+  // The lookup has found the in-flight entry, which has no handle yet.
+  bool Found = spinUntil([&] { return C.Cache->stats().Hits == 1; });
+  C.Probe->release();
+  bool BothFast = spinUntil([&] { return C.Cache->stats().FastTier == 2; });
+  C.Gate->release();
+  Miss.join();
+  Lookup.join();
+  ASSERT_TRUE(Found);
+  ASSERT_TRUE(BothFast);
+  for (int I = 0; I != 2; ++I) {
+    ASSERT_FALSE(R[I].Trapped);
+    EXPECT_EQ(Digest[I], Q.Digest);
+    EXPECT_GE(R[I].Stats.OsrSwaps, 1u) << (I ? "lookup" : "miss");
+    EXPECT_EQ(R[I].Stats.Pipelines.at(0).SwapMorsel, K);
+  }
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
+}
+
+/// The same window when the miss ends as a disk hit: the handle the
+/// lookup shares installs the rehydrated module, and no compile is queued.
+TEST(CacheFastTier, LookupDuringTheMissProbeGetsTheDiskModule) {
+  std::string T =
+      (std::filesystem::temp_directory_path() / "qcf_probe_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(T.data()), nullptr);
+  obs::MetricsRegistry Reg;
+  DiskCodeCache Disk(T, 0, &Reg);
+  CompileService Svc{1, 0, &Reg};
+  qir::Module M;
+  buildAffine(M, 5);
+  CachingBackend(createBackend("Craneline"), 0, nullptr, &Reg, &Disk)
+      .compile(M);
+  ASSERT_EQ(Disk.stats().Stores, 1u);
+
+  auto Held = std::make_unique<ProbeGate>(createBackend("Craneline"));
+  ProbeGate &Probe = *Held;
+  CachingBackend Cache(std::move(Held), 0, &Svc, &Reg, &Disk,
+                       createFastTier("Craneline"));
+  std::unique_ptr<CompiledModule> Code[2];
+  std::thread Miss([&] { Code[0] = Cache.compile(M); });
+  Probe.waitEntered();
+  // The lookup returns while the miss is still held in its probe.
+  Code[1] = Cache.compile(M);
+  Probe.release();
+  Miss.join();
+  for (const auto &C : Code) {
+    ASSERT_NE(C, nullptr);
+    EXPECT_EQ(C->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  }
+  EXPECT_EQ(Code[0]->Optimized, nullptr) << "the miss runs the disk module";
+  ASSERT_NE(Code[1]->Optimized, nullptr) << "the lookup got no handle";
+  EXPECT_FALSE(Code[1]->Optimized->pending());
+  CompiledModule *Loaded = Code[1]->Optimized->installed();
+  ASSERT_NE(Loaded, nullptr);
+  EXPECT_EQ(Loaded->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.FastTier, 1u);
+  EXPECT_EQ(Disk.stats().Hits, 1u);
+  EXPECT_EQ(Svc.stats().JobsQueued, 0u);
+  Svc.shutdown();
+  std::filesystem::remove_all(T);
+}
+
+/// The same window when the submit is refused: the shared handle ends with
+/// nothing installed, so the lookup stays on its fast code.
+TEST(CacheFastTier, LookupDuringTheMissProbeOfARefusedSubmitStaysFast) {
+  FastTierCache C(/*HoldProbe=*/true);
+  C.Gate->release();
+  // Use up the tenant's share with a job pinned on the only worker.
+  C.Svc.setKeyQueueShare("t", 1);
+  CompileOptions Opts;
+  Opts.FairnessKey = "t";
+  PinnedWorker Pin(C.Svc, Opts);
+  ASSERT_TRUE(Pin.Ticket.valid());
+
+  qir::Module M;
+  buildAffine(M, 5);
+  std::unique_ptr<CompiledModule> Code[2];
+  std::thread Miss([&] { Code[0] = C.Cache->compile(M, Opts); });
+  C.Probe->waitEntered();
+  Code[1] = C.Cache->compile(M, Opts);
+  C.Probe->release();
+  Miss.join();
+  Pin.release();
+
+  for (const auto &Mod : Code) {
+    ASSERT_NE(Mod, nullptr);
+    EXPECT_EQ(Mod->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  }
+  ASSERT_NE(Code[1]->Optimized, nullptr);
+  EXPECT_FALSE(Code[1]->Optimized->pending());
+  EXPECT_EQ(Code[1]->Optimized->installed(), nullptr);
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.FastTier, 1u);
+  EXPECT_EQ(C.Cache->size(), 1u);
+  EXPECT_EQ(C.Cache->inFlight(), 0u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u) << "the miss compiled inline";
 }

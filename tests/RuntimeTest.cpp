@@ -7,7 +7,12 @@
 #include "runtime/Runtime.h"
 #include "support/Hash.h"
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
@@ -600,6 +605,90 @@ TEST(OutputBuffer, StringsCopiedIntoBuffer) {
   } // Tmp destroyed; the buffer must have copied the bytes.
   EXPECT_NE(O.toText().find("a rather long string beyond inline"),
             std::string::npos);
+}
+
+namespace {
+
+/// The text OutputBuffer is specified to give \p V: printf("%.6f"),
+/// rendered into a buffer wide enough for any double.
+std::string printfF64(double V) {
+  char Buf[512];
+  int N = std::snprintf(Buf, sizeof(Buf), "%.6f", V);
+  EXPECT_LT(N, int(sizeof(Buf)));
+  return std::string(Buf, N);
+}
+
+} // namespace
+
+TEST(OutputBuffer, EdgeValuesRenderAsPrintfAndDigestTheirText) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double F64s[] = {
+      0.0, -0.0, NaN, -NaN, Inf, -Inf, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      // Exact ties at the 6th decimal (7-digit dyadic fractions) and
+      // values one ulp either side of a tie.
+      0.0078125, 0.0234375, -0.0078125, std::nextafter(0.0078125, 1.0),
+      std::nextafter(0.0078125, 0.0), 2.5e-7, 0.9999995, 1.0000005,
+      123456.7890125, 1e55, 1e56, -1e56, 1e300, DBL_MAX, -DBL_MAX};
+  const int64_t I64s[] = {INT64_MIN, INT64_MAX, 0, -1, 1000000};
+  const char *Strs[] = {"a|b", "|", "", "||x|"};
+  const Int128 I128Min = static_cast<Int128>(static_cast<UInt128>(1) << 127);
+  const Int128 I128Max = ~I128Min;
+
+  OutputBuffer O;
+  std::vector<std::string> Rows; // Each row's expected cell text.
+  std::string Text;              // The expected toText().
+  auto Row = [&](std::vector<std::string> Cells) {
+    std::string Line, Repr;
+    for (size_t I = 0; I != Cells.size(); ++I) {
+      Line += (I ? "|" : "") + Cells[I];
+      Repr += Cells[I] + "|";
+    }
+    Text += Line + "\n";
+    Rows.push_back(Repr);
+  };
+  for (double V : F64s) {
+    O.beginRow();
+    O.appendF64(V);
+    Row({printfF64(V)});
+  }
+  for (int64_t V : I64s) {
+    O.beginRow();
+    O.appendI64(V);
+    O.appendF64(static_cast<double>(V));
+    Row({std::to_string(V), printfF64(static_cast<double>(V))});
+  }
+  O.beginRow();
+  O.appendI128(I128Min);
+  O.appendI128(I128Max);
+  Row({"-170141183460469231731687303715884105728",
+       "170141183460469231731687303715884105727"});
+  for (const char *S : Strs) {
+    O.beginRow();
+    O.appendStr(StringVal::makeRef(S, static_cast<uint32_t>(strlen(S))));
+    O.appendI64(7);
+    Row({S, "7"});
+  }
+  EXPECT_EQ(O.toText(), Text);
+
+  uint64_t Sum = 0;
+  for (const std::string &R : Rows)
+    Sum += hashBytes(R.data(), R.size());
+  EXPECT_EQ(O.unorderedDigest(), Sum ^ (Rows.size() * 0x9e3779b97f4a7c15ull));
+}
+
+TEST(OutputBuffer, LargeF64TextIsNotTruncated) {
+  for (double V : {1e300, DBL_MAX, -DBL_MAX}) {
+    OutputBuffer O;
+    O.beginRow();
+    O.appendF64(V);
+    std::string Text = O.toText();
+    ASSERT_EQ(Text.back(), '\n');
+    Text.pop_back();
+    EXPECT_EQ(Text.size(), printfF64(V).size());
+    EXPECT_EQ(std::strtod(Text.c_str(), nullptr), V) << Text;
+  }
 }
 
 // --- C ABI entry points -------------------------------------------------------------

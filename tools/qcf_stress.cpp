@@ -756,23 +756,43 @@ int runServeSoak(bool Quick) {
     BgQ.Background = true;
     Srv2.registerTenant("bg", BgQ);
 
+    // The phase holds the only slot until the threads' first queries have
+    // met it: at most MaxWaiters of them can queue, so the rest come back
+    // shed or queue-full however the threads are scheduled.
+    constexpr unsigned NumThreads = 16;
+    bool Held = Srv2.admission().enter().Outcome == serve::Admit::Ok;
+    if (!Held) {
+      std::fprintf(stderr, "overload phase could not hold the slot\n");
+      ++Violations;
+    }
     std::atomic<uint64_t> Issued2{0}, Done2{0};
+    std::atomic<unsigned> FirstBack{0};
     std::vector<std::thread> Threads;
-    for (unsigned D = 0; D != 16; ++D)
+    for (unsigned D = 0; D != NumThreads; ++D)
       Threads.emplace_back([&, D] {
         const char *Tenant = D < 8 ? "bg" : "fg";
         serve::OpenOutcome O = Srv2.openSession(Tenant);
-        if (O.Outcome != serve::Admit::Ok)
+        if (O.Outcome != serve::Admit::Ok) {
+          ++FirstBack;
           return;
+        }
         for (int I = 0, N = Quick ? 10 : 40; I != N; ++I) {
           ++Issued2;
           serve::QueryOutcome Q = Srv2.execute(O.SessionId, Queries[0]);
           if (Q.Ok || Q.Cancelled || Q.Trapped ||
               Q.Outcome != serve::Admit::Ok)
             ++Done2;
+          if (I == 0)
+            ++FirstBack;
         }
         Srv2.closeSession(O.SessionId);
       });
+    for (int W = 0; W != 10000 && FirstBack.load() + C2.Admission.MaxWaiters <
+                                      NumThreads;
+         ++W)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (Held)
+      Srv2.admission().leave();
     for (std::thread &T : Threads)
       T.join();
     obs::MetricsSnapshot Snap2 = Reg2.snapshot();
