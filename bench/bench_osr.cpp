@@ -67,7 +67,6 @@ void forcedRun(db::CompiledPlan &Plan, backend::Backend &Fast,
                backend::CompileService &Svc, int64_t K, ForcedRun &Best) {
   rt::OutputBuffer Out;
   db::ExecOptions O;
-  O.NumThreads = 1;
   O.MorselSize = MorselSize;
   O.AdaptiveExec = true;
   O.FastBackend = &Fast;

@@ -37,7 +37,6 @@ int main(int argc, char **argv) {
   ExecOptions Opts;
   Opts.AdaptiveExec = true; // Fast tier: Stencil (Opts.FastBackend).
   Opts.Service = &Svc;
-  Opts.NumThreads = 2;
   Opts.MorselSize = 1024;
   rt::OutputBuffer Out;
   ExecResult R = executeQuery(Plan, *Opt, Cat, &Out, Opts);

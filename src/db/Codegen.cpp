@@ -286,7 +286,6 @@ private:
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::TableScan;
     Desc.SourceTable = N->TableName;
-    Desc.ParallelSafe = CurrentSinkParallel;
     openPipeline(Desc, [this, T, C = std::move(C)] {
       bindTableLoaders(*T);
       C();
@@ -570,24 +569,21 @@ private:
     int ObjIdx = static_cast<int>(Out.Objects.size());
     Out.Objects.push_back(*Obj);
 
-    // Build-side pipeline(s): morsel-parallel atomic insert.
+    // Build-side pipeline(s): append, linked once the pipeline ends.
     const PlanNode *Node = N;
-    bool SavedParallel = CurrentSinkParallel;
-    CurrentSinkParallel = true;
     produce(N->Build.get(), [this, Node, Obj, KeyFields, PayloadFields] {
       std::vector<TypedValue> Keys;
       for (const ExprPtr &KE : Node->BuildKeys)
         Keys.push_back(emitExpr(KE.get()));
       ValueId H = emitHash(Keys);
       ValueId Ht = loadSlot(Obj->Slot);
-      ValueId Payload = Bld->call(Syms.HtInsertAtomic, {Ht, H});
+      ValueId Payload = Bld->call(Syms.HtAppend, {Ht, H});
       for (size_t K = 0; K != Keys.size(); ++K)
         storeField(Payload, (*KeyFields)[K], Keys[K]);
       for (const Field &Fd : *PayloadFields)
         storeField(Payload, Fd, column(Fd.Name));
       Bld->br(cont());
     });
-    CurrentSinkParallel = SavedParallel;
     Out.Objects[ObjIdx].ProducerPipeline = PipelineIdx;
 
     // Probe side: wrap the consumer with the chain loop.
@@ -683,21 +679,17 @@ private:
     int ObjIdx = static_cast<int>(Out.Objects.size());
     Out.Objects.push_back(*Obj);
 
-    // Child pipeline with the aggregation sink (single-threaded updates).
+    // Child pipeline with the aggregation sink.
     const PlanNode *Node = N;
-    bool SavedParallel = CurrentSinkParallel;
-    CurrentSinkParallel = false;
     produce(N->Child.get(), [this, Node, Obj, KeyFields, States] {
       emitAggSink(Node, Obj->Slot, *KeyFields, *States);
     });
-    CurrentSinkParallel = SavedParallel;
     Out.Objects[ObjIdx].ProducerPipeline = PipelineIdx;
 
     // This node becomes a source: scan the aggregation table.
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::HtScan;
     Desc.SourceObject = ObjIdx;
-    Desc.ParallelSafe = false;
     openPipeline(Desc, [this, Node, Obj, KeyFields, States,
                         C = std::move(C)] {
       ValueId Ht = loadSlot(Obj->Slot);
@@ -910,19 +902,16 @@ private:
     int ObjIdx = static_cast<int>(Out.Objects.size());
     Out.Objects.push_back(*Obj);
 
-    // Materialization pipeline (parallel-safe: each row is an unlinked
-    // entry of a hash table that the executor packs before the sort).
-    bool SavedParallel = CurrentSinkParallel;
-    CurrentSinkParallel = true;
+    // Materialization pipeline: each row is an unlinked entry of a hash
+    // table that the executor packs before the sort.
     produce(N->Child.get(), [this, Obj, RowFields] {
       ValueId Rows = loadSlot(Obj->Slot);
-      ValueId RowPtr = Bld->call(Syms.HtInsertAtomic,
+      ValueId RowPtr = Bld->call(Syms.HtAppend,
                                  {Rows, Bld->constInt(Type::I64, 0)});
       for (const Field &Fd : *RowFields)
         storeField(RowPtr, Fd, column(Fd.Name));
       Bld->br(cont());
     });
-    CurrentSinkParallel = SavedParallel;
     Out.Objects[ObjIdx].ProducerPipeline = PipelineIdx;
     Out.Pipelines[PipelineIdx].SortObject = ObjIdx;
 
@@ -933,7 +922,6 @@ private:
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::SortedScan;
     Desc.SourceObject = ObjIdx;
-    Desc.ParallelSafe = false;
     uint32_t Stride = Out.Objects[ObjIdx].RowStride;
     uint32_t Slot = Out.Objects[ObjIdx].Slot;
     openPipeline(Desc, [this, RowFields, Stride, Slot, C = std::move(C)] {
@@ -1055,7 +1043,6 @@ private:
   std::map<uint32_t, ValueId> SlotCache;
   uint32_t NextSlot = 2; ///< 0 = OutputBuffer*, 1 = Arena*.
   int PipelineIdx = -1;
-  bool CurrentSinkParallel = false;
 };
 
 } // namespace

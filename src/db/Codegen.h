@@ -46,7 +46,6 @@ struct PipelineDesc {
   Source Src;
   std::string SourceTable; ///< TableScan.
   int SourceObject = -1;   ///< Index into Objects for HtScan/SortedScan.
-  bool ParallelSafe = false;
   int SortObject = -1; ///< Object to sort after this pipeline completes.
 };
 

@@ -8,59 +8,45 @@
 #include "backend/Registry.h"
 #include "backend/TierUp.h"
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <thread>
 
 using namespace qcf;
 using namespace qcf::db;
 
 namespace {
 
-/// Per-worker morsel accounting, merged after the join. Owned by the
-/// QueryRuntime (not the runPipeline frame) so a trap's longjmp on the
-/// serial path cannot leak it.
-struct WorkerAcct {
-  uint64_t Morsels = 0;
-  uint64_t TierMorsels[2] = {0, 0}; ///< Indexed by TierEntry::Tier.
-  uint64_t TierRows[2] = {0, 0};
-  uint64_t TierNs[2] = {0, 0};
-};
-
 /// The publish policy of one pipeline's tier-up: the optimized module is
 /// one backend::TierUp shared by every pipeline, and this driver decides
 /// when its installed code is published into the pipeline's TierCell.
-/// atPickup runs at every morsel pickup of every worker; once the
-/// decision is terminal it is one acquire flag check. Policy-driven mode
-/// polls and never blocks; with OsrForceSwapMorsel the first worker to
-/// reach that morsel blocks in the cancellable wait while the others
-/// poll. Whoever installed the module, each driver publishes its own
+/// atPickup runs at every morsel pickup; once the decision is terminal it
+/// is one flag check. Policy-driven mode polls and never blocks; with
+/// OsrForceSwapMorsel the pickup of that morsel blocks in the cancellable
+/// wait. Whoever installed the module, each driver publishes its own
 /// pipeline's entry, so a pipeline that starts after the install runs
-/// optimized code from its first morsel.
+/// optimized code from its first morsel. The driver lives on the query
+/// thread; only the TierUp is shared with the compile worker.
 struct OsrDriver {
   OsrDriver(TierCell &Cell, backend::TierUp &Up, std::string FnName,
             uint64_t Contract, const ExecOptions &Opts)
       : Cell(Cell), Up(Up), FnName(std::move(FnName)), Contract(Contract),
         ForceMorsel(Opts.OsrForceSwapMorsel), Ctl(Opts.Control),
-        Inert(!Up.pending() && !Up.installed()) {
-    // Nothing pending or installed (the compile was cancelled): nothing
-    // to drive, and nothing to count at finalize.
-    Done.store(Inert, std::memory_order_relaxed);
-  }
+        // Nothing pending or installed (the compile was cancelled):
+        // nothing to drive, and nothing to count at finalize.
+        Inert(!Up.pending() && !Up.installed()), Done(Inert) {}
 
-  /// Worker-side hook, invoked before executing global morsel \p Idx.
+  /// Invoked before executing morsel \p Idx.
   void atPickup(uint64_t Idx) {
-    if (Done.load(std::memory_order_acquire))
+    if (Done)
       return;
     if (ForceMorsel >= 0 && static_cast<int64_t>(Idx) < ForceMorsel)
       return;
-    if (ForceMorsel >= 0 && !Forced.exchange(true, std::memory_order_acq_rel)) {
+    if (ForceMorsel >= 0 && !Forced) {
       // Deterministic cutover: block on the compile so morsel ForceMorsel
-      // is the first to run optimized code (exact when single-threaded;
-      // parallel workers keep draining fast-tier morsels meanwhile).
+      // is the first to run optimized code.
+      Forced = true;
       uint64_t W0 = nowNs();
       Up.wait(Ctl);
-      WaitNs.store(nowNs() - W0, std::memory_order_relaxed);
+      WaitNs = nowNs() - W0;
     } else {
       Up.poll();
     }
@@ -68,129 +54,76 @@ struct OsrDriver {
     // ends, so a compile that is no longer pending shows its module.
     bool StillPending = Up.pending();
     if (backend::CompiledModule *M = Up.installed()) {
-      // The worker that seals Done publishes, filling OptEntry strictly
-      // before the release store in Cell.publish().
-      if (Done.exchange(true, std::memory_order_acq_rel))
-        return;
+      Done = true;
       OptEntry.Fn = reinterpret_cast<PipeFn>(M->entry(FnName));
       OptEntry.Tier = OsrTierOpt;
       OptEntry.Contract = Contract;
       if (Cell.publish(&OptEntry)) {
-        SwapMorsel.store(static_cast<int64_t>(Idx), std::memory_order_relaxed);
-        SwapNs.store(nowNs(), std::memory_order_relaxed);
-        Installed.store(true, std::memory_order_release);
+        SwapMorsel = static_cast<int64_t>(Idx);
+        SwapNs = nowNs();
+        Installed = true;
       } else {
-        Mismatch.store(true, std::memory_order_relaxed);
+        Mismatch = true;
       }
     } else if (!StillPending) {
-      Done.store(true, std::memory_order_release);
+      Done = true;
     }
   }
 
   TierCell &Cell;
-  backend::TierUp &Up; ///< Owns the optimized code every worker may run.
+  backend::TierUp &Up; ///< Owns the optimized code the pipeline may run.
   const std::string FnName;
   const uint64_t Contract;
   const int64_t ForceMorsel;
   ExecControl *const Ctl;
   const bool Inert;
 
-  TierEntry OptEntry; ///< Swap target; immutable once published.
-  std::atomic<bool> Done{false};   ///< Terminal decision reached.
-  std::atomic<bool> Forced{false}; ///< The forced cutover wait is claimed.
-  std::atomic<bool> Installed{false};
-  std::atomic<bool> Mismatch{false};
-  std::atomic<int64_t> SwapMorsel{-1};
-  std::atomic<uint64_t> SwapNs{0};
-  std::atomic<uint64_t> WaitNs{0};
+  TierEntry OptEntry;  ///< Swap target; immutable once published.
+  bool Done;           ///< Terminal decision reached.
+  bool Forced = false; ///< The forced cutover wait has run.
+  bool Installed = false;
+  bool Mismatch = false;
+  int64_t SwapMorsel = -1;
+  uint64_t SwapNs = 0;
+  uint64_t WaitNs = 0;
 };
 
-/// Runs one pipeline over [0, Rows), morsel-parallel when allowed, and
-/// fills \p S's fan-out and morsel/tier accounting. With \p Osr attached
-/// the loop always goes morsel-by-morsel (even single-threaded) so every
-/// morsel boundary is a potential cutover point, and each worker re-reads
-/// the entry from \p Cell at every pickup.
-void runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows, bool Parallel,
-                 const ExecOptions &Opts, OsrDriver *Osr,
-                 std::vector<WorkerAcct> &Acct, PipelineStats &S) {
+/// Runs one pipeline over [0, Rows) on the calling thread and fills \p S's
+/// morsel/tier accounting. Without a swap driver or a cancellation token
+/// it is one whole-range call. With either, it goes morsel by morsel, so
+/// every morsel boundary is a potential cutover and a cancel point, and
+/// the entry is re-read from \p Cell at every pickup. \p S lives outside
+/// this frame, so a trap's longjmp out of the loop skips nothing that
+/// needs destroying.
+void runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
+                 const ExecOptions &Opts, OsrDriver *Osr, PipelineStats &S) {
   ExecControl *Ctl = Opts.Control;
-  // With a cancellation token attached the loop always goes morsel-by-
-  // morsel (like OSR), so a cancel or deadline takes effect within one
-  // morsel instead of one whole pipeline.
-  if (!Osr && !Ctl &&
-      (!Parallel || Opts.NumThreads <= 1 || Rows < Opts.MorselSize * 2)) {
+  if (!Osr && !Ctl) {
     // No driver: the cell keeps its fast-tier entry.
     Cell.load()->Fn(Ctx, 0, static_cast<int64_t>(Rows));
-    S.Morsels = S.MorselsFast = S.MinWorkerMorsels = 1;
+    S.Morsels = S.MorselsFast = 1;
     S.RowsFast = Rows;
     return;
   }
 
-  uint64_t NumMorsels = (Rows + Opts.MorselSize - 1) / Opts.MorselSize;
-  if (NumMorsels == 0)
-    return;
-  // Cap the fan-out at the morsel supply: spawning NumThreads - 1 workers
-  // unconditionally creates threads whose only act is to observe the
-  // cursor past Rows and exit. Each worker is pre-assigned its first
-  // morsel statically (worker T starts at T * MorselSize) and the shared
-  // cursor starts past the pre-assigned region, so every spawned thread
-  // runs at least one morsel by construction, not by scheduling luck.
-  unsigned Workers = 1;
-  if (Parallel && Opts.NumThreads > 1)
-    Workers =
-        static_cast<unsigned>(std::min<uint64_t>(Opts.NumThreads, NumMorsels));
-  std::atomic<uint64_t> Next{static_cast<uint64_t>(Workers) * Opts.MorselSize};
-  Acct.assign(Workers, WorkerAcct());
-  auto Worker = [&](unsigned T) {
-    WorkerAcct &A = Acct[T];
-    uint64_t Begin = static_cast<uint64_t>(T) * Opts.MorselSize;
-    while (Begin < Rows) {
-      // Cancellation check at the morsel pickup, after the OSR hook
-      // (whose forced cutover wait the token may have cut short):
-      // unclaimed morsels stay unclaimed, claimed ones are never torn.
-      if (Osr)
-        Osr->atPickup(Begin / Opts.MorselSize);
-      if (Ctl && Ctl->stopped())
-        break;
-      // Re-read the entry at every pickup — including the statically
-      // pre-assigned first morsel, so a swap landing between spawn and
-      // first pickup is honored rather than missed (the entry is never
-      // captured at spawn time).
-      const TierEntry *E = Cell.load();
-      uint64_t End = std::min(Rows, Begin + Opts.MorselSize);
-      uint64_t T0 = Osr ? nowNs() : 0;
-      E->Fn(Ctx, static_cast<int64_t>(Begin), static_cast<int64_t>(End));
-      unsigned Tier = E->Tier & 1;
-      ++A.Morsels;
-      ++A.TierMorsels[Tier];
-      A.TierRows[Tier] += End - Begin;
-      if (Osr)
-        A.TierNs[Tier] += nowNs() - T0;
-      Begin = Next.fetch_add(Opts.MorselSize);
-    }
-  };
-  if (Workers == 1) {
-    Worker(0);
-  } else {
-    std::vector<std::thread> Threads;
-    for (unsigned T = 1; T < Workers; ++T)
-      Threads.emplace_back(Worker, T);
-    Worker(0);
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  S.Workers = Workers;
-  S.MinWorkerMorsels = Acct[0].Morsels;
-  for (const WorkerAcct &A : Acct) {
-    S.MinWorkerMorsels = std::min(S.MinWorkerMorsels, A.Morsels);
-    S.Morsels += A.Morsels;
-    S.MorselsFast += A.TierMorsels[OsrTierFast];
-    S.MorselsOpt += A.TierMorsels[OsrTierOpt];
-    S.RowsFast += A.TierRows[OsrTierFast];
-    S.RowsOpt += A.TierRows[OsrTierOpt];
-    S.NsFast += A.TierNs[OsrTierFast];
-    S.NsOpt += A.TierNs[OsrTierOpt];
+  for (uint64_t Begin = 0; Begin < Rows; Begin += Opts.MorselSize) {
+    // Cancellation check at the morsel pickup, after the OSR hook (whose
+    // forced cutover wait the token may have cut short): a started morsel
+    // always runs to its end.
+    if (Osr)
+      Osr->atPickup(Begin / Opts.MorselSize);
+    if (Ctl && Ctl->stopped())
+      break;
+    const TierEntry *E = Cell.load();
+    uint64_t End = std::min(Rows, Begin + Opts.MorselSize);
+    uint64_t T0 = Osr ? nowNs() : 0;
+    E->Fn(Ctx, static_cast<int64_t>(Begin), static_cast<int64_t>(End));
+    bool Opt = E->Tier == OsrTierOpt;
+    ++S.Morsels;
+    ++(Opt ? S.MorselsOpt : S.MorselsFast);
+    (Opt ? S.RowsOpt : S.RowsFast) += End - Begin;
+    if (Osr)
+      (Opt ? S.NsOpt : S.NsFast) += nowNs() - T0;
   }
 }
 
@@ -285,8 +218,8 @@ struct QueryRuntime {
         }
         createObjects(PI);
 
-        // The entry and cell live while the pipeline's workers do; a
-        // trap's longjmp may skip them, as neither has a destructor.
+        // The entry and cell live while the pipeline runs; a trap's
+        // longjmp may skip them, as neither has a destructor.
         uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
         auto *Fn = reinterpret_cast<PipeFn>(Code.entry(P.FnName));
         assert(Fn && "missing pipeline entry point");
@@ -302,8 +235,7 @@ struct QueryRuntime {
         PipelineStats &S = PipeStats[PI];
         S.Rows = sourceRows(P);
         uint64_t StartNs = nowNs();
-        runPipeline(Cell, Ctx.data(), S.Rows, P.ParallelSafe, Opts, Osr,
-                    AcctScratch, S);
+        runPipeline(Cell, Ctx.data(), S.Rows, Opts, Osr, S);
         finishObjects(PI);
 
         // Sort step after a materialization pipeline, with the comparator
@@ -322,10 +254,10 @@ struct QueryRuntime {
         if (obs::TraceSink *Sink = Opts.Obs.Sink)
           Sink->completeEvent("db.pipeline." + P.FnName, "exec", StartNs,
                               S.ExecNs);
-        // Workers break out of the morsel loop when the token fires; a
-        // pipeline interrupted that way must not feed partial state into
-        // the next one. Both signals are monotonic, so re-checking here
-        // observes everything any worker observed.
+        // The morsel loop breaks when the token fires; a pipeline
+        // interrupted that way must not feed partial state into the next
+        // one. Both signals are monotonic, so re-checking here observes
+        // whatever the loop observed.
         if (Ctl && Ctl->stopped()) {
           CancelObserved = true;
           break;
@@ -345,7 +277,6 @@ struct QueryRuntime {
   bool CancelObserved = false;
   /// The swap drivers of the pipelines that started, in pipeline order.
   std::vector<std::unique_ptr<OsrDriver>> Drivers;
-  std::vector<WorkerAcct> AcctScratch;
 };
 
 /// Publishes the always-on structural query metrics and the spanning
@@ -383,6 +314,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   uint64_t RowsBefore = Out ? Out->numRows() : 0;
   ExecControl *Ctl = Opts.Control;
   ExecResult Result;
+  assert(Opts.NumThreads == 1 && "one thread runs every pipeline");
 
   if (Ctl && Ctl->stopped()) {
     // Cancelled before anything compiled (e.g. an already-expired
@@ -444,8 +376,8 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
   for (size_t PI = 0; PI != RT.Drivers.size(); ++PI) {
     OsrDriver &D = *RT.Drivers[PI];
-    uint64_t Stall = D.WaitNs.load(std::memory_order_relaxed);
-    int64_t Swap = D.SwapMorsel.load(std::memory_order_relaxed);
+    uint64_t Stall = D.WaitNs;
+    int64_t Swap = D.SwapMorsel;
     Result.Stats.Pipelines[PI].SwapMorsel = Swap;
     Result.Stats.Pipelines[PI].OsrStallNs = Stall;
     Result.Stats.OsrStallNs += Stall;
@@ -453,7 +385,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
       Reg.histogram("exec.osr.stall_ns").observe(Stall);
     if (D.Inert)
       continue;
-    if (D.Installed.load(std::memory_order_acquire)) {
+    if (D.Installed) {
       ++Result.Stats.OsrSwaps;
       Reg.counter("exec.osr.swaps").inc();
       if (Swap >= 0)
@@ -461,8 +393,8 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
             static_cast<uint64_t>(Swap));
       if (obs::TraceSink *Sink = Opts.Obs.Sink)
         Sink->instantEvent("db.osr.swap." + Plan.Pipelines[PI].FnName, "exec",
-                           D.SwapNs.load(std::memory_order_relaxed));
-    } else if (D.Mismatch.load(std::memory_order_relaxed)) {
+                           D.SwapNs);
+    } else if (D.Mismatch) {
       Reg.counter("exec.osr.contract_mismatch").inc();
     } else {
       // Compile never landed while the pipeline ran.

@@ -7,9 +7,11 @@
 /// \file
 /// Executes a compiled query plan: compiles the QIR module with any
 /// back-end, creates the runtime objects (hash tables, sort buffers), and
-/// drives each pipeline over its source in morsels (§II: "morsel-driven
-/// parallelism") — parallel-safe pipelines fan morsels out to worker
-/// threads. Traps (overflow, division by zero) abort the query cleanly.
+/// drives each pipeline over its source on the calling thread. Morsels
+/// (§II) are kept only as the points where a pipeline may swap tiers or
+/// observe a cancel: a pipeline with neither attached runs its whole range
+/// in one call. Traps (overflow, division by zero) abort the query
+/// cleanly.
 ///
 /// Every query runs one ready module. When that module carries a pending
 /// optimized compile of the same plan (CompiledModule::Optimized, from
@@ -35,14 +37,16 @@ namespace qcf::db {
 /// Cancellation + deadline token for one executing query. A serving
 /// layer owns one per session: session close / idle eviction calls
 /// cancel(), per-query deadlines arm setDeadlineNs(). The executor
-/// checks it at morsel pickups (reusing the OSR morsel-boundary hook's
-/// position in the worker loop), between pipelines, and in every
+/// checks it at morsel pickups (next to the OSR morsel-boundary hook),
+/// between pipelines, and in every
 /// compile wait — so both signals take effect within one morsel or one
 /// wait tick, and in-flight compile tickets of a cancelled query are
 /// cancelled (cancel-before-run) instead of leaking service slots.
 using ExecControl = qcf::CancelToken;
 
 struct ExecOptions {
+  /// Must be 1; deleted in the next benchmark PR together with
+  /// FastBackend (perfbench still sets it).
   unsigned NumThreads = 1;
   uint64_t MorselSize = 2048;
 
@@ -65,8 +69,8 @@ struct ExecOptions {
   /// "Fast now, optimized later"): execution starts immediately on a
   /// cheap tier (\ref FastBackend) while the whole plan module compiles
   /// with the optimized tier — the \p BE argument of executeQuery — on
-  /// the CompileService. Each worker re-reads the pipeline's entry point
-  /// at every morsel pickup; once the optimized module lands, each
+  /// the CompileService. The pipeline loop re-reads its entry point at
+  /// every morsel pickup; once the optimized module lands, each
   /// pipeline publishes its entry at the next morsel boundary, so the
   /// static tier choice of the paper's Figure 7 becomes a dynamic one
   /// with bounded regret.
@@ -78,13 +82,10 @@ struct ExecOptions {
   backend::Backend *FastBackend = nullptr;
   /// Deterministic cutover for tests and regret measurement: with a
   /// value >= 0, the optimized tier is force-published exactly when
-  /// global morsel index \p OsrForceSwapMorsel is picked up — the worker
-  /// claiming it blocks on the compile ticket (cancellably, like every
-  /// compile wait), so morsels [0, N) run the fast tier and [N, end) the
-  /// optimized tier (exact in single-thread execution; under parallel
-  /// workers, other workers keep draining morsels on the fast tier while
-  /// the claimant waits). -1 = swap is policy-driven (publish when the
-  /// compile lands).
+  /// morsel index \p OsrForceSwapMorsel is picked up — that pickup
+  /// blocks on the compile (cancellably, like every compile wait), so
+  /// morsels [0, N) run the fast tier and [N, end) the optimized tier.
+  /// -1 = swap is policy-driven (publish when the compile lands).
   int64_t OsrForceSwapMorsel = -1;
 
   /// Observability consumers for this query: the compile trace, metrics
@@ -97,20 +98,12 @@ struct ExecOptions {
 struct PipelineStats {
   uint64_t Rows = 0;    ///< Source rows the pipeline was driven over.
   uint64_t ExecNs = 0;  ///< Wall time of the pipeline loop (+ sort step).
-  /// Threads that actually ran the pipeline (1 for the serial path).
-  /// Capped at ceil(Rows / MorselSize): a worker is never spawned just to
-  /// find the morsel supply already exhausted and exit.
-  unsigned Workers = 1;
-  /// Fewest morsels any worker executed. The parallel path pre-assigns
-  /// each worker its first morsel statically, so this is >= 1 whenever
-  /// the pipeline ran (DbTest asserts no thread runs zero morsels).
-  uint64_t MinWorkerMorsels = 0;
 
-  // Morsel accounting (always filled on the morsel-loop paths; the
-  // serial whole-range fast path reports one "morsel" covering all
-  // rows). The invariant OsrTest/qcf_stress --osr pin: Morsels ==
-  // MorselsFast + MorselsOpt == ceil(Rows / MorselSize), i.e. no lost,
-  // duplicated, or torn morsel across a tier swap.
+  // Morsel accounting (always filled on the morsel-loop path; the
+  // whole-range call reports one "morsel" covering all rows). The
+  // invariant OsrTest/qcf_stress --osr pin: Morsels == MorselsFast +
+  // MorselsOpt == ceil(Rows / MorselSize), i.e. no lost, duplicated, or
+  // torn morsel across a tier swap.
   uint64_t Morsels = 0;     ///< Total morsel ranges executed.
   uint64_t MorselsFast = 0; ///< Morsels run on the initial (fast) tier.
   uint64_t MorselsOpt = 0;  ///< Morsels run on the swapped-in tier.
@@ -124,7 +117,7 @@ struct PipelineStats {
   /// and all later pickups ran optimized code); -1 when the pipeline
   /// never swapped.
   int64_t SwapMorsel = -1;
-  /// Time a worker spent blocked on the optimized compile at a forced
+  /// Time the pipeline spent blocked on the optimized compile at a forced
   /// cutover (OsrForceSwapMorsel); 0 in policy-driven mode, which never
   /// blocks.
   uint64_t OsrStallNs = 0;

@@ -6,30 +6,29 @@
 ///
 /// \file
 /// The swap protocol for mid-query adaptive recompilation: a pipeline's
-/// entry point is published through a \ref TierCell, and every worker
-/// re-reads the cell at each morsel pickup. When the optimizing tier's
-/// compile lands, the executor publishes the new entry with one release
-/// store; the next morsel any worker claims runs optimized code. Because
-/// all pipeline state lives in runtime structs behind the ctx pointer
-/// (hash tables, sort buffers, output buffer) and none in the generated
-/// frame, a pipeline function is re-entrant at morsel granularity — the
-/// only contract a swap must respect is that both entries interpret the
-/// ctx slot layout identically (\ref TierEntry::Contract).
+/// entry point is published through a \ref TierCell, and the pipeline
+/// loop re-reads the cell at each morsel pickup. When the optimizing
+/// tier's compile lands, the executor publishes the new entry; the next
+/// morsel runs optimized code. Because all pipeline state lives in runtime
+/// structs behind the ctx pointer (hash tables, sort buffers, output
+/// buffer) and none in the generated frame, a pipeline function is
+/// re-entrant at morsel granularity — the only contract a swap must
+/// respect is that both entries interpret the ctx slot layout identically
+/// (\ref TierEntry::Contract).
 ///
-/// Memory ordering: the publisher fully initializes the new TierEntry
-/// before the release store in TierCell::publish; a worker's acquire load
-/// in TierCell::load therefore observes a complete entry (function
-/// pointer, tier id, contract) or the previous one — never a mix. Morsel
-/// ranges are handed out by an atomic cursor, so each range is executed
-/// exactly once, by exactly one entry. See DESIGN.md "Fast now,
-/// optimized later".
+/// Threads: one thread runs a pipeline, and it both publishes into and
+/// reads from the cell, so the cell is a plain pointer. The only
+/// cross-thread hand-off is the optimized module itself, which a compile
+/// worker installs through backend::TierUp; TierUp's own synchronisation
+/// makes the module's code visible before installed() returns it. Morsels
+/// are taken in order by one loop, so each range runs exactly once, by
+/// exactly one entry. See DESIGN.md "Fast now, optimized later".
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_DB_OSR_H
 #define QCF_DB_OSR_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -70,9 +69,9 @@ inline uint64_t osrContract(const std::string &FnName, uint32_t NumCtxSlots) {
   return H;
 }
 
-/// The atomic cell workers re-read at every morsel pickup. Holds a
+/// The cell the pipeline loop re-reads at every morsel pickup. Holds a
 /// pointer to an immutable TierEntry owned by the executor frame (which
-/// outlives every worker of the pipeline).
+/// outlives the pipeline).
 class TierCell {
 public:
   explicit TierCell(const TierEntry *Initial) : Cur(Initial) {}
@@ -80,23 +79,21 @@ public:
   TierCell(const TierCell &) = delete;
   TierCell &operator=(const TierCell &) = delete;
 
-  /// The entry to run the next morsel with. Acquire: pairs with the
-  /// release store in publish(), so the pointee is fully visible.
-  const TierEntry *load() const { return Cur.load(std::memory_order_acquire); }
+  /// The entry to run the next morsel with.
+  const TierEntry *load() const { return Cur; }
 
   /// Publishes \p Next as the current entry. Refuses (returning false,
   /// cell unchanged) when \p Next is null, has no code, or violates the
   /// context-compatibility contract of the currently published entry.
   bool publish(const TierEntry *Next) {
-    const TierEntry *Prev = Cur.load(std::memory_order_relaxed);
-    if (!Next || !Next->Fn || Next->Contract != Prev->Contract)
+    if (!Next || !Next->Fn || Next->Contract != Cur->Contract)
       return false;
-    Cur.store(Next, std::memory_order_release);
+    Cur = Next;
     return true;
   }
 
 private:
-  std::atomic<const TierEntry *> Cur;
+  const TierEntry *Cur;
 };
 
 } // namespace qcf::db

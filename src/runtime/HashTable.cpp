@@ -53,30 +53,21 @@ void HashTable::resetDirectory(uint64_t NumBuckets) {
 
 char *HashTable::entrySlot(uint64_t Index) const {
   unsigned K = chunkOf(Index);
-  char *Chunk = std::atomic_ref(Chunks[K]).load(std::memory_order_acquire);
-  assert(Chunk && "entry chunk not allocated");
-  return Chunk + (Index - chunkBegin(K)) * EntryBytes;
+  assert(Chunks[K] && "entry chunk not allocated");
+  return Chunks[K] + (Index - chunkBegin(K)) * EntryBytes;
 }
 
-HashTable::EntryHeader *HashTable::allocateEntry(uint64_t Hash, bool Atomic) {
-  uint64_t Index = Atomic ? Count.fetch_add(1, std::memory_order_acq_rel)
-                          : Count.load(std::memory_order_relaxed);
-  if (!Atomic)
-    Count.store(Index + 1, std::memory_order_release);
-
+HashTable::EntryHeader *HashTable::allocateEntry(uint64_t Hash) {
+  uint64_t Index = Count++;
   unsigned K = chunkOf(Index);
-  std::atomic_ref ChunkRef(Chunks[K]);
-  if (!ChunkRef.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> Lock(ChunkLock);
-    if (!ChunkRef.load(std::memory_order_relaxed)) {
-      uint64_t Bytes = (FirstChunkEntries << K) * EntryBytes;
-      char *Chunk = static_cast<char *>(std::malloc(Bytes));
-      // Directory words keep the entry pointer in their low 48 bits.
-      if (QCF_UNLIKELY(!Chunk ||
-                       reinterpret_cast<uintptr_t>(Chunk) + Bytes > PtrMask))
-        reportFatalError("hash table allocation failed");
-      ChunkRef.store(Chunk, std::memory_order_release);
-    }
+  if (!Chunks[K]) {
+    uint64_t Bytes = (FirstChunkEntries << K) * EntryBytes;
+    char *Chunk = static_cast<char *>(std::malloc(Bytes));
+    // Directory words keep the entry pointer in their low 48 bits.
+    if (QCF_UNLIKELY(!Chunk ||
+                     reinterpret_cast<uintptr_t>(Chunk) + Bytes > PtrMask))
+      reportFatalError("hash table allocation failed");
+    Chunks[K] = Chunk;
   }
 
   char *Slot = entrySlot(Index);
@@ -94,7 +85,7 @@ void HashTable::linkEntry(EntryHeader *E) {
 }
 
 void *HashTable::insert(uint64_t Hash) {
-  EntryHeader *E = allocateEntry(Hash, /*Atomic=*/false);
+  EntryHeader *E = allocateEntry(Hash);
   if (bucketsFor(count()) > numBuckets())
     link(); // doubles; every entry keeps its hash
   else
@@ -102,9 +93,8 @@ void *HashTable::insert(uint64_t Hash) {
   return reinterpret_cast<char *>(E) + HeaderBytes;
 }
 
-void *HashTable::insertAtomic(uint64_t Hash) {
-  return reinterpret_cast<char *>(allocateEntry(Hash, /*Atomic=*/true)) +
-         HeaderBytes;
+void *HashTable::append(uint64_t Hash) {
+  return reinterpret_cast<char *>(allocateEntry(Hash)) + HeaderBytes;
 }
 
 void HashTable::link() {

@@ -10,16 +10,16 @@
 /// data-centric codegen contract (§II): generated code computes hashes
 /// (crc32 / long-mul-fold QIR ops), calls rt_ht_insert to obtain a payload
 /// slot it fills with stores, and probes by walking the bucket chain
-/// itself, comparing keys inline.
+/// itself, comparing keys inline. One thread uses a table at a time.
 ///
 /// Entries live in chunks that double in size (chunk k holds 4096 << k
 /// entries), so the table has no capacity and a later pipeline can scan it
-/// morsel-parallel by dense index. The directory is sized from what was
+/// morsel by morsel by dense index. The directory is sized from what was
 /// inserted, never from a guess, the way HyPer and Umbra do it
 /// (Morsel-Driven Parallelism, §4.2):
-///  - a join build appends with insertAtomic, which does not touch the
+///  - a join build appends with append(), which does not touch the
 ///    directory; once the build pipeline ends, link() sizes the directory
-///    from count() and links every entry on the calling thread;
+///    from count() and links every entry;
 ///  - an aggregation's serial insert links as it goes and doubles the
 ///    directory, relinking from the chunks, when the load would pass the
 ///    sizing rule (entries keep their full hash, so no key is rehashed).
@@ -33,9 +33,7 @@
 #define QCF_RUNTIME_HASHTABLE_H
 
 #include "support/Compiler.h"
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 
 namespace qcf::rt {
 
@@ -56,12 +54,13 @@ public:
   HashTable &operator=(const HashTable &) = delete;
 
   /// Inserts and links a new entry with \p Hash, growing the directory
-  /// when needed; returns the payload pointer. Single-threaded variant.
+  /// when needed; returns the payload pointer.
   void *insert(uint64_t Hash);
 
-  /// Thread-safe append for morsel-parallel build pipelines. The entry is
-  /// not reachable through lookup() until link().
-  void *insertAtomic(uint64_t Hash);
+  /// Appends a new entry with \p Hash for a join build or a sort's rows;
+  /// returns the payload pointer. The entry is not reachable through
+  /// lookup() until link().
+  void *append(uint64_t Hash);
 
   /// Replaces the directory with one sized from count() and links every
   /// entry, so each chain lists its entries newest first, as serial
@@ -83,9 +82,7 @@ public:
   /// Next chain entry with the same hash after \p Entry (or nullptr).
   static void *nextMatch(void *Entry, uint64_t Hash);
 
-  uint64_t count() const {
-    return Count.load(std::memory_order_acquire);
-  }
+  uint64_t count() const { return Count; }
 
   /// Entry header by dense index in [0, count()). Only valid once the
   /// build phase has completed.
@@ -114,7 +111,7 @@ private:
   static constexpr unsigned ChunkSlots = 52;
 
   char *entrySlot(uint64_t Index) const;
-  EntryHeader *allocateEntry(uint64_t Hash, bool Atomic);
+  EntryHeader *allocateEntry(uint64_t Hash);
   void resetDirectory(uint64_t NumBuckets);
   void linkEntry(EntryHeader *E);
 
@@ -122,13 +119,10 @@ private:
   uint32_t EntryBytes;
   uint64_t Mask = 0;
   // Every directory is calloc'd, so it is zeroed once (a block glibc mmaps
-  // comes back from the kernel already zeroed). Only serial code writes it;
-  // the chunk pointers, which concurrent insertAtomic calls fill, are
-  // reached through std::atomic_ref.
+  // comes back from the kernel already zeroed).
   uint64_t *Buckets = nullptr;
   char *Chunks[ChunkSlots] = {};
-  std::atomic<uint64_t> Count{0};
-  std::mutex ChunkLock;
+  uint64_t Count = 0;
 };
 
 } // namespace qcf::rt

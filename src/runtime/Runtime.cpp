@@ -149,8 +149,8 @@ extern "C" void *rt_ht_insert(void *Ht, uint64_t Hash) {
   return static_cast<HashTable *>(Ht)->insert(Hash);
 }
 
-extern "C" void *rt_ht_insert_atomic(void *Ht, uint64_t Hash) {
-  return static_cast<HashTable *>(Ht)->insertAtomic(Hash);
+extern "C" void *rt_ht_append(void *Ht, uint64_t Hash) {
+  return static_cast<HashTable *>(Ht)->append(Hash);
 }
 
 extern "C" void *rt_ht_lookup(void *Ht, uint64_t Hash) {
@@ -525,7 +525,7 @@ const SymbolEntry SymbolTable[] = {
     {"rt_str_concat", reinterpret_cast<void *>(&rt_str_concat)},
     {"rt_str_substr", reinterpret_cast<void *>(&rt_str_substr)},
     {"rt_ht_insert", reinterpret_cast<void *>(&rt_ht_insert)},
-    {"rt_ht_insert_atomic", reinterpret_cast<void *>(&rt_ht_insert_atomic)},
+    {"rt_ht_append", reinterpret_cast<void *>(&rt_ht_append)},
     {"rt_ht_lookup", reinterpret_cast<void *>(&rt_ht_lookup)},
     {"rt_ht_next", reinterpret_cast<void *>(&rt_ht_next)},
     {"rt_ht_count", reinterpret_cast<void *>(&rt_ht_count)},
@@ -601,8 +601,7 @@ RuntimeSyms qcf::rt::declareRuntime(qir::Module &M) {
   S.StrSubstr = Declare("rt_str_substr", Type::D128,
                         {Type::Ptr, Type::D128, Type::I64, Type::I64});
   S.HtInsert = Declare("rt_ht_insert", Type::Ptr, {Type::Ptr, Type::I64});
-  S.HtInsertAtomic =
-      Declare("rt_ht_insert_atomic", Type::Ptr, {Type::Ptr, Type::I64});
+  S.HtAppend = Declare("rt_ht_append", Type::Ptr, {Type::Ptr, Type::I64});
   S.HtLookup = Declare("rt_ht_lookup", Type::Ptr, {Type::Ptr, Type::I64});
   S.HtNext = Declare("rt_ht_next", Type::Ptr, {Type::Ptr, Type::I64});
   S.HtCount = Declare("rt_ht_count", Type::I64, {Type::Ptr});

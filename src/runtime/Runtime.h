@@ -120,7 +120,7 @@ struct RuntimeSyms {
   qir::SymbolId Trap;
   qir::SymbolId StrEq, StrCmp, StrContains, StrPrefix, StrHash, StrLike;
   qir::SymbolId StrConcat, StrSubstr;
-  qir::SymbolId HtInsert, HtInsertAtomic, HtLookup, HtNext, HtCount, HtEntry;
+  qir::SymbolId HtInsert, HtAppend, HtLookup, HtNext, HtCount, HtEntry;
   qir::SymbolId ArenaAlloc;
   qir::SymbolId OutRow, OutI64, OutI128, OutF64Bits, OutStr;
   qir::SymbolId DateYear, DateMonth;
@@ -159,7 +159,7 @@ qcf::rt::StringVal rt_str_substr(void *Arena, qcf::rt::StringVal S,
 
 // Hash tables.
 void *rt_ht_insert(void *Ht, uint64_t Hash);
-void *rt_ht_insert_atomic(void *Ht, uint64_t Hash);
+void *rt_ht_append(void *Ht, uint64_t Hash);
 void *rt_ht_lookup(void *Ht, uint64_t Hash);
 void *rt_ht_next(void *Entry, uint64_t Hash);
 uint64_t rt_ht_count(void *Ht);

@@ -69,8 +69,7 @@ std::optional<ServerConfig> ServerConfig::fromEnv(std::string &Err) {
       readEnv("QCF_SERVE_MAX_WAITERS", C.Admission.MaxWaiters, Err) &&
       readEnv("QCF_SERVE_IDLE_TIMEOUT_MS", C.IdleTimeoutNs, Err, 0, Ms) &&
       readEnv("QCF_SERVE_SWEEP_MS", C.SweepIntervalNs, Err, 1, Ms) &&
-      readEnv("QCF_SERVE_DEADLINE_MS", C.DefaultDeadlineNs, Err, 0, Ms) &&
-      readEnv("QCF_SERVE_EXEC_THREADS", C.ExecThreads, Err))
+      readEnv("QCF_SERVE_DEADLINE_MS", C.DefaultDeadlineNs, Err, 0, Ms))
     return C;
   return std::nullopt;
 }
@@ -152,6 +151,7 @@ Server::Server(const ServerConfig &Cfg, const db::Catalog &Cat)
       QueriesTrapped(Reg.counter("serve.queries.trapped")),
       QueriesRejected(Reg.counter("serve.queries.rejected")),
       QueryNs(Reg.histogram("serve.query_ns")) {
+  assert(Cfg.ExecThreads == 1 && "one thread runs every served query");
   if (Cfg.StartSweeper)
     Sweeper = std::thread([this] { sweeperLoop(); });
 }
@@ -373,7 +373,6 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     std::shared_ptr<const db::CompiledPlan> Plan = Plans.get(Q, Cat);
 
     db::ExecOptions EO;
-    EO.NumThreads = Cfg.ExecThreads;
     EO.Control = &S->Ctl;
     EO.CompileFairnessKey = S->Tenant;
     EO.Obs = obs::ObsContext(nullptr, &Reg, nullptr);

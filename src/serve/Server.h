@@ -71,7 +71,9 @@ struct ServerConfig {
   uint64_t SweepIntervalNs = 1'000'000'000ull;
   /// Deadline applied to queries that do not carry their own (0 = none).
   uint64_t DefaultDeadlineNs = 0;
-  unsigned ExecThreads = 1; ///< Worker threads per admitted query.
+  /// Must be 1; deleted in the next benchmark PR together with
+  /// ExecOptions::FastBackend (perfbench still sets and prints it).
+  unsigned ExecThreads = 1;
   bool StartSweeper = true; ///< Tests drive evictIdleSessions() manually.
   obs::MetricsRegistry *Reg = nullptr; ///< null = process-wide registry.
 

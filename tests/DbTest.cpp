@@ -182,65 +182,6 @@ TEST(DbExec, TopKLimitRespected) {
   }
 }
 
-TEST(DbExec, MorselParallelMatchesSingleThread) {
-  Catalog &C = tpcdsCatalog();
-  const Query Q = [&] {
-    for (Query &Cand : tpcdsQueries())
-      if (Cand.Name == "ds_brand_m1")
-        return std::move(Cand);
-    QCF_UNREACHABLE("query missing");
-  }();
-  auto BE = backend::createBackend("DirectEmit");
-  CompiledPlan Plan = compileQuery(Q, C);
-
-  rt::OutputBuffer Single, Multi;
-  ExecOptions One;
-  One.NumThreads = 1;
-  ExecOptions Four;
-  Four.NumThreads = 4;
-  Four.MorselSize = 256;
-  EXPECT_FALSE(executeQuery(Plan, *BE, C, &Single, One).Trapped);
-  EXPECT_FALSE(executeQuery(Plan, *BE, C, &Multi, Four).Trapped);
-  EXPECT_EQ(Single.unorderedDigest(), Multi.unorderedDigest());
-}
-
-TEST(DbExec, WorkersCappedByMorselSupplyAndNoneIdle) {
-  Catalog &C = tpcdsCatalog();
-  const Query Q = [&] {
-    for (Query &Cand : tpcdsQueries())
-      if (Cand.Name == "ds_brand_m1")
-        return std::move(Cand);
-    QCF_UNREACHABLE("query missing");
-  }();
-  auto BE = backend::createBackend("DirectEmit");
-  CompiledPlan Plan = compileQuery(Q, C);
-
-  // Request far more threads than any pipeline has morsels: the executor
-  // must cap workers at ceil(Rows / MorselSize) instead of spawning
-  // threads that find the morsel supply already exhausted.
-  ExecOptions Many;
-  Many.NumThreads = 64;
-  Many.MorselSize = 4096;
-  rt::OutputBuffer Out;
-  ExecResult R = executeQuery(Plan, *BE, C, &Out, Many);
-  EXPECT_FALSE(R.Trapped);
-  ASSERT_FALSE(R.Stats.Pipelines.empty());
-  for (size_t PI = 0; PI != R.Stats.Pipelines.size(); ++PI) {
-    const PipelineStats &P = R.Stats.Pipelines[PI];
-    SCOPED_TRACE(PI);
-    uint64_t NumMorsels = (P.Rows + Many.MorselSize - 1) / Many.MorselSize;
-    EXPECT_LE(P.Workers, std::max<uint64_t>(NumMorsels, 1));
-    EXPECT_GE(P.MinWorkerMorsels, 1u) << "a worker ran zero morsels";
-  }
-
-  // The capped run must still produce the single-thread result.
-  rt::OutputBuffer Single;
-  ExecOptions One;
-  One.NumThreads = 1;
-  EXPECT_FALSE(executeQuery(Plan, *BE, C, &Single, One).Trapped);
-  EXPECT_EQ(Single.unorderedDigest(), Out.unorderedDigest());
-}
-
 TEST(DbIntegration, AllBackendsAgreeOnAllQueries) {
   struct Suite {
     Catalog *Cat;
@@ -370,13 +311,11 @@ TEST(DbExec, H19HandChecked) {
 }
 
 TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
-  // Regression pin for the static first-morsel assignment: worker T
-  // starts at T * MorselSize without consulting the shared cursor. With
-  // the swap forced at morsel 0, the optimized entry is published while
-  // workers 1..N-1 may still be between spawn and their first pickup —
-  // exactly the window where an entry captured at spawn time, or a
-  // skipped pre-assigned morsel, would corrupt results or accounting.
-  // The per-pipeline morsel ledger must still balance exactly.
+  // With the swap forced at morsel 0, the optimized entry is published at
+  // the very first pickup of each pipeline: an entry captured before the
+  // loop, or a morsel skipped at the cutover, would corrupt results or
+  // accounting. The per-pipeline morsel ledger must still balance
+  // exactly.
   Catalog &C = tpcdsCatalog();
   const Query Q = [&] {
     for (Query &Cand : tpcdsQueries())
@@ -389,16 +328,13 @@ TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
   auto Opt = backend::createBackend("MLVM-cheap");
 
   rt::OutputBuffer Single;
-  ExecOptions One;
-  One.NumThreads = 1;
-  ASSERT_FALSE(executeQuery(Plan, *Fast, C, &Single, One).Trapped);
+  ASSERT_FALSE(executeQuery(Plan, *Fast, C, &Single).Trapped);
 
   backend::CompileService Svc(2);
   for (int Round = 0; Round != 3; ++Round) {
     SCOPED_TRACE(Round);
     rt::OutputBuffer Out;
     ExecOptions O;
-    O.NumThreads = 4;
     O.MorselSize = 256;
     O.AdaptiveExec = true;
     O.FastBackend = Fast.get();
@@ -416,8 +352,6 @@ TEST(DbExec, AdaptiveSwapBeforeFirstPickupKeepsAccounting) {
       EXPECT_EQ(P.Morsels, NumMorsels) << "lost or duplicated morsel";
       EXPECT_EQ(P.MorselsFast + P.MorselsOpt, P.Morsels);
       EXPECT_EQ(P.RowsFast + P.RowsOpt, P.Rows);
-      if (P.Rows > 0)
-        EXPECT_GE(P.MinWorkerMorsels, 1u) << "a worker ran zero morsels";
     }
   }
 }
@@ -442,7 +376,6 @@ TEST(DbExec, AdaptiveOnShutDownServiceStaysOnFastTier) {
     obs::MetricsRegistry Reg;
     rt::OutputBuffer Out;
     ExecOptions O;
-    O.NumThreads = 2;
     O.MorselSize = 256;
     O.AdaptiveExec = true;
     O.FastBackend = Fast.get();
@@ -567,12 +500,64 @@ TEST(DbExec, DecimalOverflowTrapsOnEveryBackend) {
   }
 }
 
+TEST(DbExec, TrapInBuildAndMaterializePipelinesAbortsCleanly) {
+  // An overflow in a join's build pipeline and in a sort's
+  // materialization pipeline (the aggregation traps above never reach
+  // either) must abort the query with Trapped on every back-end, as a
+  // whole-range call and in the morsel loop alike, with no rows out.
+  Catalog &C = tpchCatalog();
+  auto Boom = [] {
+    return gt(mul(mul(col("l_extendedprice"), litDec(900000000000000000)),
+                  litDec(900000000000000000)),
+              litDec(0));
+  };
+  Query Join;
+  Join.Name = "overflow_build";
+  PlanPtr J = hashJoin(scan("orders"), filter(scan("lineitem"), Boom()), {},
+                       {}, {});
+  J->ProbeKeys.push_back(col("o_orderkey"));
+  J->BuildKeys.push_back(col("l_orderkey"));
+  std::vector<AggSpec> Aggs;
+  Aggs.push_back(AggSpec{AggKind::Count, nullptr, "n"});
+  Join.Root = aggregate(std::move(J), {}, {}, std::move(Aggs));
+  Join.Output.push_back(col("n"));
+
+  Query Sort;
+  Sort.Name = "overflow_materialize";
+  Sort.Root =
+      sortBy(filter(scan("lineitem"), Boom()), {{"l_orderkey", false}});
+  Sort.Output.push_back(col("l_orderkey"));
+
+  qcf::CancelToken Never;
+  ExecOptions Morsels;
+  Morsels.Control = &Never;
+  Morsels.MorselSize = 64;
+  for (const Query *Q : {&Join, &Sort}) {
+    CompiledPlan Plan = compileQuery(*Q, C);
+    for (const std::string &Name : backend::allBackendNames()) {
+      auto BE = backend::createBackend(Name);
+      for (const ExecOptions &Opts : {ExecOptions(), Morsels}) {
+        SCOPED_TRACE(Q->Name + " on " + Name +
+                     (Opts.Control ? ", morsel loop" : ", whole range"));
+        rt::OutputBuffer Out;
+        ExecResult R = executeQuery(Plan, *BE, C, &Out, Opts);
+        EXPECT_TRUE(R.Trapped);
+        EXPECT_EQ(R.Trap, rt::TrapCode::Overflow);
+        EXPECT_FALSE(R.Cancelled);
+        EXPECT_EQ(Out.numRows(), 0u);
+      }
+    }
+  }
+}
+
 namespace {
 
-/// Runs \p Q on every back-end, single-threaded and on four workers with
-/// small morsels (so build pipelines append in parallel and links split),
-/// and checks each result against the interpreter's, whose row count must
-/// be \p Rows (or whose one count(*) cell must be, when \p CountCell).
+/// Runs \p Q on every back-end, once as a whole-range call per pipeline
+/// and once morsel by morsel (a never-firing cancellation token with
+/// 64-row morsels, so appends and the sort cross chunk boundaries between
+/// calls), and checks each result against the interpreter's, whose row
+/// count must be \p Rows (or whose one count(*) cell must be, when
+/// \p CountCell).
 void expectRowsOnEveryBackend(const Query &Q, const Catalog &Cat,
                               uint64_t Rows, bool CountCell) {
   CompiledPlan Plan = compileQuery(Q, Cat);
@@ -588,24 +573,31 @@ void expectRowsOnEveryBackend(const Query &Q, const Catalog &Cat,
   } else {
     EXPECT_EQ(Ref.numRows(), Rows);
   }
-  ExecOptions Four;
-  Four.NumThreads = 4;
-  Four.MorselSize = 64;
+  qcf::CancelToken Never;
+  ExecOptions Morsels;
+  Morsels.Control = &Never;
+  Morsels.MorselSize = 64;
   for (const std::string &Name : backend::allBackendNames()) {
     SCOPED_TRACE(Name);
     auto BE = backend::createBackend(Name);
-    for (const ExecOptions &Opts : {ExecOptions(), Four}) {
+    for (const ExecOptions &Opts : {ExecOptions(), Morsels}) {
+      SCOPED_TRACE(Opts.Control ? "morsel loop" : "whole range");
       rt::OutputBuffer Out;
-      ASSERT_FALSE(executeQuery(Plan, *BE, Cat, &Out, Opts).Trapped);
-      EXPECT_EQ(Out.numRows(), Ref.numRows()) << "threads " << Opts.NumThreads;
-      EXPECT_EQ(Out.unorderedDigest(), Ref.unorderedDigest())
-          << "threads " << Opts.NumThreads;
+      ExecResult Res = executeQuery(Plan, *BE, Cat, &Out, Opts);
+      ASSERT_FALSE(Res.Trapped);
+      ASSERT_FALSE(Res.Cancelled);
+      if (Opts.Control) {
+        for (const PipelineStats &P : Res.Stats.Pipelines)
+          EXPECT_EQ(P.Morsels, (P.Rows + 63) / 64);
+      }
+      EXPECT_EQ(Out.numRows(), Ref.numRows());
+      EXPECT_EQ(Out.unorderedDigest(), Ref.unorderedDigest());
       // The first output column is a sort key where the query sorts.
       for (size_t R = 1; R < Out.numRows() && Q.Root->K == PlanNode::Kind::Sort;
            ++R) {
         size_t NumCells;
         ASSERT_LE(Out.row(R - 1, &NumCells)[0].I64V, Out.row(R, &NumCells)[0].I64V)
-            << "row " << R << ", threads " << Opts.NumThreads;
+            << "row " << R;
       }
     }
   }

@@ -10,8 +10,8 @@
 /// force the swap at each morsel boundary index in turn and assert the
 /// result is byte-identical to the never-swapped baseline, with the
 /// morsel accounting proving no range was lost, duplicated, or torn
-/// across the swap. A concurrent mode repeats the exercise with four
-/// workers and randomized compile-landing times under TSan.
+/// across the swap. A concurrent mode repeats the exercise with
+/// randomized compile-landing times under TSan.
 ///
 /// Runtime is bounded two ways: back-ends are wrapped in CachingBackend
 /// (a plan's module is identical across forced boundaries, so each tier
@@ -124,15 +124,13 @@ const CompiledPlan &planFor(const QuerySuite &S, const Query &Q) {
   return *It->second;
 }
 
-/// Never-swapped baseline: the fast tier alone, serial. \returns the
-/// result rows and fills \p RowsOut with per-pipeline source row counts.
+/// Never-swapped baseline: the fast tier alone. \returns the result rows
+/// and fills \p RowsOut with per-pipeline source row counts.
 rt::OutputBuffer baselineRun(const CompiledPlan &Plan, backend::Backend &Fast,
                              const Catalog &Cat,
                              std::vector<uint64_t> *RowsOut = nullptr) {
   rt::OutputBuffer Out;
-  ExecOptions O;
-  O.NumThreads = 1;
-  ExecResult R = executeQuery(Plan, Fast, Cat, &Out, O);
+  ExecResult R = executeQuery(Plan, Fast, Cat, &Out);
   EXPECT_FALSE(R.Trapped);
   if (RowsOut) {
     RowsOut->clear();
@@ -172,8 +170,8 @@ void checkForcedAccounting(const ExecResult &R, uint64_t MS, int64_t K) {
     EXPECT_EQ(P.MorselsFast + P.MorselsOpt, P.Morsels) << "torn tier split";
     EXPECT_EQ(P.RowsFast + P.RowsOpt, P.Rows) << "torn row split";
     if (K >= 0 && static_cast<uint64_t>(K) < NM) {
-      // Single-threaded, morsels are claimed strictly in order, so the
-      // cutover is exact: [0, K) fast, [K, NM) optimized.
+      // Morsels are taken strictly in order, so the cutover is exact:
+      // [0, K) fast, [K, NM) optimized.
       EXPECT_EQ(P.SwapMorsel, K);
       EXPECT_EQ(P.MorselsFast, static_cast<uint64_t>(K));
       EXPECT_EQ(P.MorselsOpt, NM - static_cast<uint64_t>(K));
@@ -291,10 +289,10 @@ TEST(OsrCutover, PipelineStartedAfterInstallRunsOptimizedFromFirstMorsel) {
   EXPECT_EQ(R.Stats.OsrSwaps, Started);
 }
 
-/// Concurrent mode: four workers, policy-driven swap, compile-landing
-/// time randomized by the service's jitter hook — the swap lands at a
-/// different morsel (and on a different worker) every repetition. Run
-/// under TSan in CI (label osr).
+/// Concurrent mode: policy-driven swap, compile-landing time randomized
+/// by the service's jitter hook, so the compile worker installs the
+/// module at a different morsel of the query thread's loop every
+/// repetition. Run under TSan in CI (label osr).
 TEST(OsrCutover, ConcurrentRandomizedSwapTiming) {
   const bool Quick = quickMode();
   backend::CompileService Svc(2);
@@ -319,7 +317,6 @@ TEST(OsrCutover, ConcurrentRandomizedSwapTiming) {
         Svc.injectCompileLatencyForTest(1u << (6 + 2 * (Rep % 4)), Seed++);
         rt::OutputBuffer Out;
         ExecOptions O = adaptive(Fast, Svc, 256);
-        O.NumThreads = 4;
         ExecResult R = executeQuery(Plan, Opt, *S.Cat, &Out, O);
         ASSERT_FALSE(R.Trapped);
         EXPECT_EQ(Base.unorderedDigest(), Out.unorderedDigest())
@@ -331,9 +328,6 @@ TEST(OsrCutover, ConcurrentRandomizedSwapTiming) {
           EXPECT_EQ(P.Morsels, NM) << "lost or duplicated morsel";
           EXPECT_EQ(P.MorselsFast + P.MorselsOpt, P.Morsels);
           EXPECT_EQ(P.RowsFast + P.RowsOpt, P.Rows);
-          if (P.Rows > 0) {
-            EXPECT_GE(P.MinWorkerMorsels, 1u) << "a worker ran zero morsels";
-          }
         }
       }
     }

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace qcf;
@@ -267,43 +266,13 @@ TEST(HashTable, GrowsBeyondExpectation) {
   ASSERT_NE(E, nullptr);
 }
 
-TEST(HashTable, AtomicInsertFromThreads) {
-  HashTable Ht(8);
-  constexpr int NumThreads = 4, PerThread = 1000;
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&Ht, T] {
-      for (uint64_t I = 0; I != PerThread; ++I) {
-        uint64_t K = static_cast<uint64_t>(T) * PerThread + I;
-        *static_cast<uint64_t *>(Ht.insertAtomic(hashU64(K))) = K;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Ht.count(), static_cast<uint64_t>(NumThreads) * PerThread);
-  // Appends are unlinked until the build ends; then every key must be
-  // findable.
-  Ht.link();
-  for (uint64_t K = 0; K != NumThreads * PerThread; ++K) {
-    bool Found = false;
-    for (void *E = Ht.lookup(hashU64(K)); E;
-         E = HashTable::nextMatch(E, hashU64(K)))
-      if (*reinterpret_cast<uint64_t *>(static_cast<char *>(E) +
-                                        HashTable::HeaderBytes) == K)
-        Found = true;
-    EXPECT_TRUE(Found) << "key " << K;
-    if (!Found)
-      break;
-  }
-}
-
 TEST(HashTable, LargeDirectoryStartsEmpty) {
   // The directory link() sizes for a large table is calloc'd and only
   // written where an entry links: everywhere else it must read as empty.
   constexpr uint64_t Entries = uint64_t(1) << 18;
   HashTable Ht(8);
   for (uint64_t K = 0; K != Entries; ++K)
-    *static_cast<uint64_t *>(Ht.insertAtomic(hashU64(K * 7919))) = K;
+    *static_cast<uint64_t *>(Ht.append(hashU64(K * 7919))) = K;
   Ht.link();
   EXPECT_EQ(Ht.numBuckets(), uint64_t(1) << 20); // roundUpPow2(2n + 64)
   EXPECT_EQ(Ht.count(), Entries);
@@ -325,7 +294,7 @@ TEST(HashTable, StartsSmallAndLinksToItsCount) {
   HashTable Ht(8);
   EXPECT_EQ(Ht.numBuckets(), 64u); // roundUpPow2(2 * 0 + 64)
   for (uint64_t K = 0; K != 1000; ++K)
-    *static_cast<uint64_t *>(Ht.insertAtomic(hashU64(K))) = K;
+    *static_cast<uint64_t *>(Ht.append(hashU64(K))) = K;
   // Appended entries are not reachable before the link.
   EXPECT_EQ(Ht.numBuckets(), 64u);
   EXPECT_EQ(Ht.lookup(hashU64(0)), nullptr);
@@ -351,12 +320,12 @@ TEST(HashTable, BucketAndTagCollisionsChain) {
     return (uint64_t(0xA) << 60) | (I << 24) | 0x5;
   };
   for (bool Linked : {false, true}) {
-    SCOPED_TRACE(Linked ? "insertAtomic + link" : "insert");
+    SCOPED_TRACE(Linked ? "append + link" : "insert");
     HashTable Ht(8);
     uint64_t V = 0;
     for (uint64_t I = 0; I != 6; ++I)
       for (uint64_t Dup = 0; Dup <= I % 3; ++Dup, ++V)
-        *static_cast<uint64_t *>(Linked ? Ht.insertAtomic(Colliding(I))
+        *static_cast<uint64_t *>(Linked ? Ht.append(Colliding(I))
                                         : Ht.insert(Colliding(I))) = V;
     if (Linked)
       Ht.link();
@@ -427,54 +396,13 @@ TEST(HashTable, AggregationGrowsAcrossDoublings) {
   EXPECT_EQ(Ht.count(), 20000u);
 }
 
-TEST(HashTable, ParallelBuildThenLink) {
-  // Four threads append, then link() sizes the directory and fills it on
-  // the calling thread.
-  constexpr int NumThreads = 4;
-  constexpr uint64_t PerThread = 40000;
-  constexpr uint64_t Dup = 0x5EED5EED5EED5EEDull;
-  HashTable Ht(8);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&Ht, T] {
-      for (uint64_t I = 0; I != PerThread; ++I) {
-        uint64_t K = static_cast<uint64_t>(T) * PerThread + I;
-        bool IsDup = I % 1000 == 0;
-        *static_cast<uint64_t *>(
-            Ht.insertAtomic(IsDup ? Dup : hashU64(K))) = K;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  constexpr uint64_t Total = NumThreads * PerThread;
-  ASSERT_EQ(Ht.count(), Total);
-  Ht.link();
-  EXPECT_EQ(Ht.numBuckets(), HashTable::bucketsFor(Total));
-  std::vector<uint64_t> Dups;
-  for (uint64_t K = 0; K != Total; ++K) {
-    if (K % PerThread % 1000 == 0) {
-      Dups.push_back(K);
-      continue;
-    }
-    ASSERT_EQ(chainValues(Ht, hashU64(K)), std::vector<uint64_t>{K})
-        << "key " << K;
-  }
-  // The chain is newest first by append order, which the threads'
-  // interleaving decides.
-  std::vector<uint64_t> Got = chainValues(Ht, Dup);
-  std::sort(Got.begin(), Got.end());
-  EXPECT_EQ(Got, Dups);
-  for (uint64_t K = Total; K != Total + 10000; ++K)
-    ASSERT_EQ(Ht.lookup(hashU64(K)), nullptr) << "key " << K;
-}
-
 TEST(HashTable, EntriesSpanGeometricChunks) {
   // Chunk k holds 4096 << k entries; dense indexes cross every boundary
   // into the sixth chunk, and nothing bounds the count.
   HashTable Ht(24);
   constexpr uint64_t N = 4096 * 31 + 5;
   for (uint64_t K = 0; K != N; ++K)
-    *static_cast<uint64_t *>(Ht.insertAtomic(K)) = K;
+    *static_cast<uint64_t *>(Ht.append(K)) = K;
   ASSERT_EQ(Ht.count(), N);
   for (uint64_t K = 0; K != N; ++K)
     ASSERT_EQ(payloadOf(Ht.entryAt(K)), K) << "index " << K;

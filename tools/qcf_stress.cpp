@@ -37,11 +37,11 @@
 //
 // `./qcf_stress --osr [rounds]` soaks mid-query tier swapping
 // (ExecOptions::AdaptiveExec): every round runs the whole benchmark query
-// corpus with four workers while compile-latency jitter injected into the
-// CompileService randomizes where the optimized tier lands. Each pipeline's
+// corpus while compile-latency jitter injected into the CompileService
+// randomizes the morsel at which the optimized tier lands. Each pipeline's
 // morsel accounting is cross-checked (no torn swaps, no lost morsels, no
 // double-executed ranges) and every result is digest-compared against a
-// never-swapped serial baseline.
+// never-swapped baseline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -414,9 +414,7 @@ int runOsrSoak(uint64_t Rounds) {
       OsrQueryCase C{&Cat, std::string(Suite) + "/" + Q.Name,
                      db::compileQuery(Q, Cat), 0, {}};
       rt::OutputBuffer Out;
-      db::ExecOptions O;
-      O.NumThreads = 1;
-      db::ExecResult R = db::executeQuery(C.Plan, Fast, Cat, &Out, O);
+      db::ExecResult R = db::executeQuery(C.Plan, Fast, Cat, &Out);
       if (R.Trapped) {
         std::fprintf(stderr, "%s: baseline trapped\n", C.Name.c_str());
         std::exit(1);
@@ -430,8 +428,8 @@ int runOsrSoak(uint64_t Rounds) {
   AddSuite(Tpch, db::tpchQueries(), "tpch");
   AddSuite(Tpcds, db::tpcdsQueries(), "tpcds");
 
-  std::printf("osr soak: %llu rounds x %zu queries (4 workers, jittered "
-              "compile landing)\n",
+  std::printf("osr soak: %llu rounds x %zu queries (jittered compile "
+              "landing)\n",
               static_cast<unsigned long long>(Rounds), Cases.size());
 
   backend::CompileService Svc(2);
@@ -443,7 +441,6 @@ int runOsrSoak(uint64_t Rounds) {
     for (OsrQueryCase &C : Cases) {
       rt::OutputBuffer Out;
       db::ExecOptions O;
-      O.NumThreads = 4;
       O.MorselSize = 256;
       O.AdaptiveExec = true;
       O.FastBackend = &Fast;
@@ -467,14 +464,13 @@ int runOsrSoak(uint64_t Rounds) {
         uint64_t NM = (P.Rows + O.MorselSize - 1) / O.MorselSize;
         bool Bad = P.Morsels != NM ||
                    P.MorselsFast + P.MorselsOpt != P.Morsels ||
-                   P.RowsFast + P.RowsOpt != P.Rows ||
-                   (P.Rows > 0 && P.MinWorkerMorsels < 1);
+                   P.RowsFast + P.RowsOpt != P.Rows;
         if (Bad) {
           std::fprintf(
               stderr,
               "round %llu %s pipeline %zu: torn accounting: rows %llu "
               "(fast %llu + opt %llu), morsels %llu/%llu (fast %llu + opt "
-              "%llu), min worker %llu\n",
+              "%llu)\n",
               static_cast<unsigned long long>(Round), C.Name.c_str(), PI,
               static_cast<unsigned long long>(P.Rows),
               static_cast<unsigned long long>(P.RowsFast),
@@ -482,8 +478,7 @@ int runOsrSoak(uint64_t Rounds) {
               static_cast<unsigned long long>(P.Morsels),
               static_cast<unsigned long long>(NM),
               static_cast<unsigned long long>(P.MorselsFast),
-              static_cast<unsigned long long>(P.MorselsOpt),
-              static_cast<unsigned long long>(P.MinWorkerMorsels));
+              static_cast<unsigned long long>(P.MorselsOpt));
           ++Violations;
         }
       }
