@@ -124,16 +124,11 @@ inline void printHeader(const char *Title, const char *PaperRef) {
               "machine-dependent)\n\n", PaperRef);
 }
 
-/// The current PR ordinal for BENCH_<n>.json trajectory records. This is
-/// the single place the number lives: benches that hard-coded their own
-/// (bench_osr wrote 6) drifted as PRs landed, so the recorded trajectory
-/// skipped numbers. Bump the constant once per PR; CI jobs that re-record
-/// a *historical* point pin it explicitly with the QCF_BENCH_ORDINAL
-/// environment variable (see .github/workflows/ci.yml), which takes
-/// precedence when set to a positive integer.
-inline constexpr unsigned kBenchTrajectoryOrdinal = 10;
-
-inline unsigned benchOrdinal() {
+/// The index \p Own for a bench's BENCH_<n>.json record, unless the
+/// QCF_BENCH_ORDINAL environment variable overrides it with a positive
+/// integer. Each bench owns its index, so one bench's run never
+/// overwrites another's record.
+inline unsigned benchOrdinal(unsigned Own) {
   if (const char *Env = std::getenv("QCF_BENCH_ORDINAL")) {
     char *End = nullptr;
     unsigned long V = std::strtoul(Env, &End, 10);
@@ -142,9 +137,9 @@ inline unsigned benchOrdinal() {
     std::fprintf(stderr,
                  "ignoring malformed QCF_BENCH_ORDINAL=%s (want a positive "
                  "integer); using %u\n",
-                 Env, kBenchTrajectoryOrdinal);
+                 Env, Own);
   }
-  return kBenchTrajectoryOrdinal;
+  return Own;
 }
 
 /// Common bench command-line flags: `--json` opts into writing the
@@ -167,15 +162,16 @@ inline BenchFlags parseBenchFlags(int Argc, char **Argv) {
   return F;
 }
 
-/// Machine-readable trajectory record: the ROADMAP asks every PR to pin
-/// its perf numbers as `BENCH_<n>.json` (n = the PR ordinal) so
-/// re-anchors and regressions are judged from recorded data instead of
-/// anecdotes. A bench builds one of these mirroring its printed table —
-/// top-level scalars via field(), one row() per table line with col()s —
-/// and write()s it into the current directory.
+/// Machine-readable trajectory record `BENCH_<n>.json`, so re-anchors and
+/// regressions are judged from recorded data instead of anecdotes. A bench
+/// builds one of these with its own index \p Ordinal (see benchOrdinal()),
+/// mirroring its printed table — top-level scalars via field(), one row()
+/// per table line with col()s — and write()s it into the current
+/// directory.
 class BenchJson {
 public:
-  explicit BenchJson(const std::string &Bench) : Bench(Bench) {}
+  BenchJson(const std::string &Bench, unsigned Ordinal)
+      : Bench(Bench), Ordinal(Ordinal) {}
 
   BenchJson &field(const char *K, double V) {
     Top.push_back(keyed(K, num(V)));
@@ -198,11 +194,10 @@ public:
     return *this;
   }
 
-  /// Writes BENCH_<Ordinal>.json in the working directory, defaulting to
-  /// the central trajectory ordinal (QCF_BENCH_ORDINAL overrides).
-  /// \returns false (after printing to stderr) if the file cannot be
-  /// written.
-  bool write(unsigned Ordinal = benchOrdinal()) const {
+  /// Writes BENCH_<n>.json in the working directory, n =
+  /// benchOrdinal(Ordinal). \returns false (after printing to stderr) if
+  /// the file cannot be written.
+  bool write() const {
     std::string Body = "{\n  \"bench\": " + str(Bench);
     for (const std::string &T : Top)
       Body += ",\n  " + T;
@@ -215,7 +210,8 @@ public:
     }
     Body += Rows.empty() ? "]\n}\n" : "\n  ]\n}\n";
 
-    std::string Path = "BENCH_" + std::to_string(Ordinal) + ".json";
+    std::string Path = "BENCH_" + std::to_string(benchOrdinal(Ordinal)) +
+                       ".json";
     std::FILE *F = std::fopen(Path.c_str(), "w");
     if (!F) {
       std::fprintf(stderr, "cannot write %s\n", Path.c_str());
@@ -247,6 +243,7 @@ private:
   }
 
   std::string Bench;
+  unsigned Ordinal;
   std::vector<std::string> Top;
   std::vector<std::vector<std::string>> Rows;
 };

@@ -5,8 +5,8 @@
 //
 //   bench_backends [--json] [--quick]
 //
-// --json writes the BENCH_<n>.json trajectory record (n from the central
-// ordinal in bench/BenchUtil.h, QCF_BENCH_ORDINAL to pin); --quick trims
+// --json writes the BENCH_10.json trajectory record (QCF_BENCH_ORDINAL
+// overrides the 10, see bench/BenchUtil.h); --quick trims
 // scale factor and repetitions for CI smoke runs. The record carries the
 // stencil back-end's acceptance ratios alongside the per-backend table:
 // compile time vs. the interpreter's translate time (target <= ~2x) and
@@ -27,7 +27,7 @@ int main(int argc, char **argv) {
               S.TotalFunctions);
   std::printf("%-12s %14s %14s\n", "backend", "compile[ms]", "exec[ms]");
 
-  BenchJson Json("bench_backends");
+  BenchJson Json("bench_backends", 10);
   double InterpCompile = 0, DirectCompile = 0, DirectExec = 0,
          CranelineCompile = 0, StencilCompile = 0, StencilExec = 0;
   for (const std::string &Name : backend::allBackendNames()) {

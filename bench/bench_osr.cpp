@@ -32,10 +32,9 @@
 //
 //   bench_osr [--json] [--quick]
 //
-// --json writes the BENCH_<n>.json trajectory record (n from the central
-// ordinal in bench/BenchUtil.h; QCF_BENCH_ORDINAL pins it, as CI does to
-// keep this bench's historical artifact name); --quick trims scale
-// factor and repetitions for the CI smoke run.
+// --json writes the BENCH_6.json trajectory record (QCF_BENCH_ORDINAL
+// overrides the 6, see bench/BenchUtil.h); --quick trims scale factor
+// and repetitions for the CI smoke run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -163,7 +162,7 @@ int main(int argc, char **argv) {
   // while this floor is fixed.
   const double NoiseSec = 5e-4;
 
-  BenchJson Json("bench_osr");
+  BenchJson Json("bench_osr", 6);
   Json.field("experiment", std::string("E15"))
       .field("sf", Sf)
       .field("reps", double(Reps))

@@ -169,11 +169,16 @@ uint64_t hashModule(const qir::Module &M) { return fingerprintModule(M).Lo; }
 
 namespace {
 
-/// Handle that shares ownership of a cached compilation.
+/// Handle that shares ownership of a cached compilation. \p Up, when set,
+/// is the pending optimized compile of fast-tier code (see
+/// CompiledModule::Optimized).
 class SharedModule : public CompiledModule {
 public:
-  explicit SharedModule(std::shared_ptr<CompiledModule> Inner)
-      : Inner(std::move(Inner)) {}
+  explicit SharedModule(std::shared_ptr<CompiledModule> Inner,
+                        std::shared_ptr<TierUp> Up = nullptr)
+      : Inner(std::move(Inner)) {
+    Optimized = std::move(Up);
+  }
   void *entry(const std::string &Name) override {
     return Inner->entry(Name);
   }
@@ -267,9 +272,10 @@ void CachingBackend::retire(const ModuleFingerprint &Key) {
   }
 }
 
-void CachingBackend::noteFast(const CompileOptions &Opts, uint64_t StartNs) {
+void CachingBackend::noteFast(const CompileOptions &Opts, uint64_t StartNs,
+                              uint64_t EndNs) {
   FastTier.inc();
-  uint64_t DurNs = nowNs() - StartNs;
+  uint64_t DurNs = EndNs - StartNs;
   FastTierCompileNs.observe(DurNs);
   if (obs::TraceSink *Sink = Opts.Obs.Sink)
     Sink->completeEvent("cache.fast_tier", "cache", StartNs, DurNs);
@@ -281,6 +287,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       Opts.Fingerprint ? *Opts.Fingerprint : fingerprintModule(M);
   std::shared_ptr<InFlight> Entry;
   {
+    std::shared_ptr<InFlight> Stale; // Freed outside the lock.
     std::unique_lock<std::mutex> Lock(Mutex);
     auto It = Map.find(Key);
     if (It != Map.end()) {
@@ -294,10 +301,11 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     if (PIt != Pending.end() && PIt->second->Up) {
       // A background compile that ran has retired its entry, so one that
       // ended here was cancelled (shed by a Foreground submit, or the
-      // service shut down): a miss.
+      // service shut down): a miss, and its fast code goes with it.
       TierUp &Up = *PIt->second->Up;
       Up.poll();
       if (!Up.pending()) {
+        Stale = std::move(PIt->second);
         Pending.erase(PIt);
         PIt = Pending.end();
       }
@@ -306,12 +314,20 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       Hits.inc();
       if (Fast) {
         std::shared_ptr<TierUp> Up = PIt->second->Up;
+        if (std::shared_ptr<CompiledModule> Shared = PIt->second->FastCode) {
+          FastTier.inc();
+          Lock.unlock();
+          return std::make_unique<SharedModule>(std::move(Shared),
+                                                std::move(Up));
+        }
+        // The miss is still compiling the fast tier: compile it here too
+        // rather than wait for it.
         Lock.unlock();
         uint64_t StartNs = nowNs();
         std::unique_ptr<CompiledModule> Code = Fast->compile(M, Opts);
         if (Code)
           Code->Optimized = std::move(Up);
-        noteFast(Opts, StartNs);
+        noteFast(Opts, StartNs, nowNs());
         return Code;
       }
       // In-flight dedup: another thread is already compiling this key.
@@ -373,8 +389,17 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     std::unique_ptr<CompiledModule> Code = compileTiered(
         Job->Copy, *Fast, *Job, *Service, Opts, Job, Entry->Up);
     if (Code) {
-      noteFast(Opts, StartNs);
-      return Code;
+      uint64_t EndNs = nowNs();
+      // Shared before it is counted, so a lookup that sees the count
+      // finds the code.
+      std::shared_ptr<TierUp> Up = std::move(Code->Optimized);
+      std::shared_ptr<CompiledModule> Shared(std::move(Code));
+      {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        Entry->FastCode = Shared;
+      }
+      noteFast(Opts, StartNs, EndNs);
+      return std::make_unique<SharedModule>(std::move(Shared), std::move(Up));
     }
     // Refused: lookups from here on compile fast code alone, and the ones
     // that shared the handle stay on their fast code.

@@ -66,7 +66,9 @@ struct CacheStats {
   uint64_t InFlightWaits = 0;
   /// Lookups answered with fast-tier code (see CachingBackend's fast
   /// back-end): a miss whose compile went to the background, or a lookup
-  /// of a key whose background compile had not landed yet.
+  /// of a key whose background compile had not landed yet. Such a lookup
+  /// shares the miss's fast code once it exists, so this counts answers,
+  /// not compiles; "fast_tier_compile_ns" times only the compiles.
   uint64_t FastTier = 0;
 
   /// The one place the hit/miss partition is defined: every lookup is
@@ -92,18 +94,24 @@ struct CacheStats {
 /// other thread waits on that compilation and shares its result.
 ///
 /// With a fast back-end, no caller waits for the inner compile of another
-/// thread: a lookup of a key in flight returns fast-tier code compiled on
-/// the calling thread. With a service as well, a miss in both tiers does
-/// the same through backend::compileTiered, whose background job
+/// thread. With a service as well, a miss in both tiers answers with
+/// fast-tier code through backend::compileTiered, whose background job
 /// publishes to memory and then stores the disk blob, so the next lookup
-/// is a hit on inner-back-end code. Every fast-tier answer carries the
-/// shared handle on that job (CompiledModule::Optimized), so the executor
-/// swaps the query to the inner back-end's code once it lands. The handle
-/// exists from the miss on, before its disk probe and submit: a lookup in
-/// that window shares it without waiting, and a disk hit installs the
-/// loaded module into it. Dropping a handle never cancels the job: the
-/// cache holds one until the job ends. A refused submit ends the handle
-/// with nothing installed and takes the blocking path above.
+/// is a hit on inner-back-end code. The miss keeps its fast code in the
+/// key's in-flight entry, and a lookup of the key in flight shares it
+/// without compiling; the code is freed once the entry has retired and
+/// the last query using it has finished. A lookup that arrives before the
+/// miss's fast code exists compiles its own on the calling thread rather
+/// than wait. Every fast-tier answer carries the shared handle on the
+/// job (CompiledModule::Optimized), so the executor swaps the query to
+/// the inner back-end's code once it lands. The handle exists from the
+/// miss on, before its disk probe and submit: a lookup in that window
+/// shares it without waiting, and a disk hit installs the loaded module
+/// into it. Dropping a handle never cancels the job: the cache holds one
+/// until the job ends. A refused submit ends the handle with nothing
+/// installed and takes the blocking path above. A job that ends without
+/// running (shed, or the service shut down) leaves its entry behind; the
+/// next lookup of the key drops it with its fast code and is a miss.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call is waiting (on a service ticket or a deduped in-flight compile),
@@ -174,6 +182,11 @@ private:
     /// that runs retires the entry itself, so one whose compile ended here
     /// was cancelled before it started.
     std::shared_ptr<TierUp> Up;
+    /// The fast-tier code the miss compiled, once it has (guarded by the
+    /// cache's Mutex). Lookups of the key share it instead of compiling
+    /// their own; the queries holding it keep it alive after the entry
+    /// retires.
+    std::shared_ptr<CompiledModule> FastCode;
   };
 
   class BackgroundCompile;
@@ -185,8 +198,9 @@ private:
                InFlight *Entry = nullptr);
   /// Erases \p Key's in-flight entry.
   void retire(const ModuleFingerprint &Key);
-  /// Counts and times a fast-tier answer whose compile began at \p StartNs.
-  void noteFast(const CompileOptions &Opts, uint64_t StartNs);
+  /// Counts and times a fast-tier answer compiled from \p StartNs to
+  /// \p EndNs.
+  void noteFast(const CompileOptions &Opts, uint64_t StartNs, uint64_t EndNs);
 
   std::unique_ptr<Backend> Inner;
   std::unique_ptr<Backend> Fast;

@@ -23,18 +23,12 @@
 
 namespace qcf::qir {
 
-/// Re-declares every runtime symbol of \p Src in \p Dst, in order, so
-/// that SymbolIds agree between the two modules. \p Dst must not have
-/// declared any symbols of its own beforehand.
+/// Copies the runtime-symbol table of \p Src into \p Dst in one vector
+/// copy, so that SymbolIds agree between the two modules. \p Dst must not
+/// have declared any symbols of its own beforehand.
 inline void cloneSymbols(const Module &Src, Module &Dst) {
   assert(Dst.numSymbols() == 0 && "destination already has symbols");
-  for (SymbolId S = 0; S != Src.numSymbols(); ++S) {
-    const RuntimeSig &Sig = Src.symbol(S);
-    SymbolId Id = Dst.declareRuntime(Sig.Name, Sig.RetType, Sig.ParamTypes,
-                                     Sig.Address);
-    (void)Id;
-    assert(Id == S && "symbol ids must match for cloned call sites");
-  }
+  Dst.Symbols = Src.Symbols;
 }
 
 /// Clones \p F into \p Dst (which must already carry \p F's symbol table,

@@ -246,6 +246,8 @@ public:
   }
 
 private:
+  friend inline void cloneSymbols(const Module &Src, Module &Dst);
+
   std::vector<std::unique_ptr<Function>> Functions;
   std::vector<RuntimeSig> Symbols;
 };

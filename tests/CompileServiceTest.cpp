@@ -790,21 +790,24 @@ template <typename P> bool spinUntil(P Pred) {
 }
 
 /// CachingBackend(Gate(Counting(Craneline))) with the fast tier
-/// serve::Server picks for Craneline (Stencil), a one-worker service and
-/// a fresh disk tier. The gate holds every inner compile until release().
-/// With \p HoldProbe, a ProbeGate outside the gate holds the first miss
-/// in its disk probe.
+/// serve::Server picks for Craneline (Stencil, counted by FastCounter), a
+/// one-worker service whose queue holds \p QueueCapacity jobs (0 =
+/// unbounded) and a fresh disk tier. The gate holds every inner compile
+/// until release(). With \p HoldProbe, a ProbeGate outside the gate holds
+/// the first miss in its disk probe.
 struct FastTierCache {
   std::filesystem::path Dir;
   obs::MetricsRegistry Reg;
   std::unique_ptr<DiskCodeCache> Disk;
-  CompileService Svc{1, 0, &Reg};
+  CompileService Svc;
   CountingBackend *Counter = nullptr;
+  CountingBackend *FastCounter = nullptr;
   GateBackend *Gate = nullptr;
   ProbeGate *Probe = nullptr;
   std::unique_ptr<CachingBackend> Cache;
 
-  explicit FastTierCache(bool HoldProbe = false) {
+  explicit FastTierCache(bool HoldProbe = false, size_t QueueCapacity = 0)
+      : Svc(1, QueueCapacity, &Reg) {
     std::string T =
         (std::filesystem::temp_directory_path() / "qcf_fasttier_XXXXXX")
             .string();
@@ -820,9 +823,10 @@ struct FastTierCache {
       Inner = std::make_unique<ProbeGate>(std::move(Inner));
       Probe = static_cast<ProbeGate *>(Inner.get());
     }
+    auto Fast = std::make_unique<CountingBackend>(createFastTier("Craneline"));
+    FastCounter = Fast.get();
     Cache = std::make_unique<CachingBackend>(std::move(Inner), 0, &Svc, &Reg,
-                                             Disk.get(),
-                                             createFastTier("Craneline"));
+                                             Disk.get(), std::move(Fast));
   }
   ~FastTierCache() {
     if (Probe)
@@ -867,6 +871,7 @@ TEST(CacheFastTier, MissReturnsFastCodeBeforeTheGateOpens) {
   CacheStats S = C.Cache->stats();
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.FastTier, 1u);
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
   EXPECT_EQ(C.Cache->size(), 0u);
   EXPECT_EQ(C.Cache->inFlight(), 1u);
 }
@@ -878,7 +883,8 @@ TEST(CacheFastTier, InFlightKeyGetsFastCodeWithoutWaiting) {
       << "a miss waited for the Craneline compile";
   C.Gate->waitStarted();
   // Two more sessions look the key up while its compile is gated; each
-  // returns with fast code instead of blocking in the dedup wait.
+  // returns with the miss's fast code instead of blocking in the dedup
+  // wait or compiling its own.
   std::pair<uint64_t, uint64_t> Got[2];
   ASSERT_TRUE(returnsWhileGated(C, [&] {
     std::thread T[2];
@@ -894,6 +900,7 @@ TEST(CacheFastTier, InFlightKeyGetsFastCodeWithoutWaiting) {
   EXPECT_EQ(S.Hits, 2u);
   EXPECT_EQ(S.InFlightWaits, 0u);
   EXPECT_EQ(S.FastTier, 3u);
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u) << "one fast compile per key";
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u) << "one background compile per key";
 }
 
@@ -919,6 +926,7 @@ TEST(CacheFastTier, LandedCompileIsAnL1HitAndStoredOnce) {
   EXPECT_EQ(S.Misses, 1u);
   EXPECT_EQ(S.Hits, 2u);
   EXPECT_EQ(S.FastTier, 2u);
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
   DiskCacheStats D = C.Disk->stats();
   EXPECT_EQ(D.Misses, 1u);
@@ -963,6 +971,7 @@ TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   qir::Module M;
   buildAffine(M, 9);
   auto Fast = C.Cache->compile(M);
+  ASSERT_NE(Fast->Optimized, nullptr);
   EXPECT_EQ(Fast->entryAs<int64_t (*)(int64_t)>("f")(2), 25);
   EXPECT_EQ(C.Cache->inFlight(), 1u);
 
@@ -978,10 +987,14 @@ TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   EXPECT_EQ(C.Counter->Compiles.load(), 0u);
 
   // The next lookup of the key retires the stale entry and, with the
-  // service gone, compiles inline.
+  // service gone, compiles inline instead of reusing the stale fast code.
   C.Gate->release();
   auto Code = C.Cache->compile(M);
   EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(2), 25);
+  EXPECT_EQ(Code->Optimized, nullptr);
+  EXPECT_NE(Code->entry("f"), Fast->entry("f"));
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Cache->stats().FastTier, 1u);
   EXPECT_EQ(C.Cache->inFlight(), 0u);
   EXPECT_EQ(C.Cache->size(), 1u);
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
@@ -1025,7 +1038,111 @@ TEST(CacheFastTier, ServedQuerySwapsMidFlight) {
   }
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
   EXPECT_EQ(C.Cache->stats().FastTier, 2u);
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
+}
+
+/// Three lookups of one cold key while its Craneline compile is gated:
+/// the miss compiles the fast tier once, the two lookups after it share
+/// that code and its handle, and all three swap to the one gated module.
+TEST(CacheFastTier, InFlightLookupsShareOneFastCompile) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C;
+  constexpr int64_t K = 2;
+  constexpr int N = 3;
+  db::ExecResult R[N];
+  uint64_t Digest[N] = {};
+  std::thread T[N];
+  for (int I = 0; I != N; ++I) {
+    T[I] = std::thread([&, I] {
+      db::ExecOptions O;
+      O.MorselSize = 8;
+      O.OsrForceSwapMorsel = K;
+      rt::OutputBuffer Out;
+      R[I] = db::executeQuery(Q.Plan, *C.Cache, Q.Cat, &Out, O);
+      Digest[I] = Out.unorderedDigest();
+    });
+    // The next lookup starts once this one holds fast-tier code, which
+    // the miss shares before counting it.
+    EXPECT_TRUE(spinUntil(
+        [&] { return C.Cache->stats().FastTier == unsigned(I + 1); }));
+  }
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 0u);
+  C.Gate->release();
+  for (std::thread &Th : T)
+    Th.join();
+  for (int I = 0; I != N; ++I) {
+    ASSERT_FALSE(R[I].Trapped);
+    EXPECT_EQ(Digest[I], Q.Digest) << "query " << I;
+    EXPECT_GE(R[I].Stats.OsrSwaps, 1u) << "query " << I;
+    EXPECT_EQ(R[I].Stats.Pipelines.at(0).SwapMorsel, K);
+  }
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.FastTier, 3u);
+  obs::MetricsSnapshot Snap = C.Reg.snapshot();
+  const obs::HistogramSnapshot *Ns =
+      Snap.histogram(C.Cache->metricsPrefix() + "fast_tier_compile_ns");
+  ASSERT_NE(Ns, nullptr);
+  EXPECT_EQ(Ns->Count, 1u) << "only the real compile is timed";
+  EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
+}
+
+/// A job shed from the queue before it ran leaves its entry behind: the
+/// lookups before the shed share the miss's fast code, and the lookup
+/// after it is a miss again that compiles fresh fast code under a new
+/// handle instead of reusing the stale code.
+TEST(CacheFastTier, LookupAfterAShedJobIsAMissAgain) {
+  FastTierCache C(/*HoldProbe=*/false, /*QueueCapacity=*/1);
+  PinnedWorker Pin(C.Svc);
+  ASSERT_TRUE(Pin.Ticket.valid());
+
+  // The miss's background compile fills the queue behind the pin.
+  qir::Module M;
+  buildAffine(M, 5);
+  std::unique_ptr<CompiledModule> Code[3];
+  Code[0] = C.Cache->compile(M);
+  Code[1] = C.Cache->compile(M);
+  ASSERT_NE(Code[0]->Optimized, nullptr);
+  EXPECT_EQ(Code[1]->Optimized, Code[0]->Optimized);
+  EXPECT_EQ(Code[1]->entry("f"), Code[0]->entry("f")) << "shared fast code";
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
+
+  // A Foreground submit sheds it.
+  qir::Module High;
+  buildAffine(High, 4);
+  auto HighBE = createBackend("DirectEmit");
+  CompileTicket HighT = C.Svc.submit(High, *HighBE);
+  ASSERT_TRUE(HighT.valid());
+  EXPECT_EQ(C.Svc.stats().Shed, 1u);
+  Pin.release();
+  EXPECT_NE(HighT.wait(), nullptr);
+  EXPECT_EQ(C.Cache->inFlight(), 1u) << "the shed job left its entry";
+
+  Code[2] = C.Cache->compile(M);
+  ASSERT_NE(Code[2]->Optimized, nullptr);
+  EXPECT_NE(Code[2]->Optimized, Code[0]->Optimized);
+  EXPECT_NE(Code[2]->entry("f"), Code[0]->entry("f"));
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 2u);
+  for (const auto &Mod : Code)
+    EXPECT_EQ(Mod->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  CacheStats S = C.Cache->stats();
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.FastTier, 3u);
+
+  // The new job lands; the stale handle never installs.
+  C.Gate->release();
+  EXPECT_TRUE(Code[2]->Optimized->wait());
+  C.Svc.drain();
+  EXPECT_EQ(Code[0]->Optimized->installed(), nullptr);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Cache->inFlight(), 0u);
+  EXPECT_EQ(C.Cache->size(), 1u);
 }
 
 /// A lookup that finds the key in flight while the miss is still probing
@@ -1063,6 +1180,8 @@ TEST(CacheFastTier, LookupDuringTheMissProbeSharesItsHandle) {
     EXPECT_GE(R[I].Stats.OsrSwaps, 1u) << (I ? "lookup" : "miss");
     EXPECT_EQ(R[I].Stats.Pipelines.at(0).SwapMorsel, K);
   }
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 2u)
+      << "a lookup before the miss's fast code exists compiles its own";
   EXPECT_EQ(C.Counter->Compiles.load(), 1u);
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
 }
