@@ -5,8 +5,9 @@
 // Shows two ways compilation comes off the critical path:
 //
 //   1. raw CompileService tickets — submit modules, poll or wait;
-//   2. a service-backed CachingBackend — concurrent misses on one key
-//      deduplicate onto a single in-flight job.
+//   2. a CachingBackend — concurrent misses on one key deduplicate onto
+//      a single in-flight compile, which runs on the first caller's
+//      thread while the others wait on its handle.
 //
 // Queries take compilation off their critical path through
 // ExecOptions::AdaptiveExec; examples/adaptive_compilation.cpp shows it.
@@ -25,7 +26,7 @@ using namespace qcf;
 using qir::Type;
 
 int main() {
-  // A service shared by everything below: two workers, unbounded queue.
+  // A service with two workers and an unbounded queue.
   backend::CompileService Svc(2);
 
   // --- 1. Raw tickets -----------------------------------------------------
@@ -40,10 +41,18 @@ int main() {
   auto Code = T.wait();
   std::printf("ticket: triple(14) = %lld\n",
               (long long)Code->entryAs<int64_t (*)(int64_t)>("triple")(14));
+  backend::CompileServiceStats S = Svc.stats();
+  std::printf("service: %llu jobs queued, %llu completed, queue high-water "
+              "%zu\n",
+              (unsigned long long)S.JobsQueued,
+              (unsigned long long)S.JobsCompleted, S.QueueDepthHighWater);
+  for (const auto &[Name, L] : S.PerBackend)
+    std::printf("  %-11s %llu compiles, %.3f/%.3f/%.3f ms min/mean/max\n",
+                Name.c_str(), (unsigned long long)L.Count, L.MinSec * 1e3,
+                L.meanSec() * 1e3, L.MaxSec * 1e3);
 
   // --- 2. In-flight dedup through the cache -------------------------------
-  backend::CachingBackend Cache(backend::createBackend("Craneline"),
-                                /*Capacity=*/0, &Svc);
+  backend::CachingBackend Cache(backend::createBackend("Craneline"));
   std::vector<std::thread> Threads;
   for (int I = 0; I != 4; ++I)
     Threads.emplace_back([&] { (void)Cache.compile(M); });
@@ -56,14 +65,5 @@ int main() {
               (unsigned long long)CS.InFlightWaits,
               (unsigned long long)(CS.Hits - CS.InFlightWaits));
 
-  backend::CompileServiceStats S = Svc.stats();
-  std::printf("service: %llu jobs queued, %llu completed, queue high-water "
-              "%zu\n",
-              (unsigned long long)S.JobsQueued,
-              (unsigned long long)S.JobsCompleted, S.QueueDepthHighWater);
-  for (const auto &[Name, L] : S.PerBackend)
-    std::printf("  %-11s %llu compiles, %.3f/%.3f/%.3f ms min/mean/max\n",
-                Name.c_str(), (unsigned long long)L.Count, L.MinSec * 1e3,
-                L.meanSec() * 1e3, L.MaxSec * 1e3);
   return 0;
 }

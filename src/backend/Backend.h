@@ -76,11 +76,10 @@ struct CompileOptions {
   AllocMode Alloc = allocModeFromEnv();
 
   /// Cooperative cancellation for the compile *wait*, not the compile
-  /// itself: CompileService workers treat a fired token as
-  /// cancel-before-run, and CachingBackend's ticket/in-flight waits
-  /// return early (with a null module) once the token fires. A compile
-  /// that already started always runs to completion — emitted code is
-  /// never torn.
+  /// itself: CachingBackend's wait on another thread's compile of the key
+  /// returns early (with a null module) once the token fires. A compile
+  /// always runs to completion — emitted code is never torn — and no
+  /// CompileService job carries the token (compileTiered strips it).
   const qcf::CancelToken *Cancel = nullptr;
 
   /// Per-tenant fairness key for CompileService submissions. Non-empty

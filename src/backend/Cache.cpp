@@ -11,7 +11,6 @@
 #include "qir/Clone.h"
 #include "support/Hash.h"
 #include <atomic>
-#include <chrono>
 
 namespace qcf::backend {
 
@@ -237,30 +236,15 @@ private:
 };
 
 void CachingBackend::publish(const ModuleFingerprint &Key,
-                             const std::shared_ptr<CompiledModule> &Compiled,
-                             InFlight *Entry) {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    // Insert into the cache and retire the in-flight entry atomically, so
-    // there is no window in which a new lookup sees neither.
-    Lru.emplace_front(Key, Compiled);
-    Map[Key] = Lru.begin();
-    if (Entry)
-      Pending.erase(Key);
-    if (Capacity && Map.size() > Capacity) {
-      Map.erase(Lru.back().first);
-      Lru.pop_back();
-      Evictions.inc();
-    }
+                             const std::shared_ptr<CompiledModule> &Compiled) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Lru.emplace_front(Key, Compiled);
+  Map[Key] = Lru.begin();
+  if (Capacity && Map.size() > Capacity) {
+    Map.erase(Lru.back().first);
+    Lru.pop_back();
+    Evictions.inc();
   }
-  if (!Entry)
-    return;
-  {
-    std::lock_guard<std::mutex> EntryLock(Entry->Mutex);
-    Entry->Result = Compiled;
-    Entry->Done = true;
-  }
-  Entry->Cv.notify_all();
 }
 
 void CachingBackend::retire(const ModuleFingerprint &Key) {
@@ -298,9 +282,10 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       return std::make_unique<SharedModule>(It->second->second);
     }
     auto PIt = Pending.find(Key);
-    if (PIt != Pending.end() && PIt->second->Up) {
-      // A background compile that ran has retired its entry, so one that
-      // ended here was cancelled (shed by a Foreground submit, or the
+    if (PIt != Pending.end()) {
+      // A background compile that ran has retired its entry, and a miss
+      // that compiles itself retires it before settling the handle, so a
+      // handle that ended here was cancelled before its job started (the
       // service shut down): a miss, and its fast code goes with it.
       TierUp &Up = *PIt->second->Up;
       Up.poll();
@@ -312,8 +297,8 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     }
     if (PIt != Pending.end()) {
       Hits.inc();
+      std::shared_ptr<TierUp> Up = PIt->second->Up;
       if (Fast) {
-        std::shared_ptr<TierUp> Up = PIt->second->Up;
         if (std::shared_ptr<CompiledModule> Shared = PIt->second->FastCode) {
           FastTier.inc();
           Lock.unlock();
@@ -332,37 +317,27 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       }
       // In-flight dedup: another thread is already compiling this key.
       // Waiting on its result costs one compile latency at most; starting
-      // a second compile would cost the same latency *and* the work.
+      // a second compile would cost the same latency *and* the work. A
+      // fired token abandons the wait, not the compile.
       InFlightWaits.inc();
-      std::shared_ptr<InFlight> Wait = PIt->second;
       Lock.unlock();
       uint64_t WaitStartNs = nowNs();
-      std::unique_lock<std::mutex> WaitLock(Wait->Mutex);
-      // Cancellable dedup wait: tick, check the token, repeat. A fired
-      // token abandons the wait — the owning compile keeps running for the
-      // other waiters; this caller just stops consuming it.
-      while (!Wait->Done) {
-        if (Opts.Cancel && Opts.Cancel->stopped())
-          return nullptr;
-        Wait->Cv.wait_for(WaitLock, std::chrono::milliseconds(1));
-      }
+      Up->wait(Opts.Cancel);
       if (obs::TraceSink *Sink = Opts.Obs.Sink)
         Sink->completeEvent("cache.inflight_wait", "cache", WaitStartNs,
                             nowNs() - WaitStartNs);
-      if (Wait->Result)
-        return std::make_unique<SharedModule>(Wait->Result);
-      // The owning compile failed; fall back to compiling ourselves
-      // (uncached, like the pre-dedup overflow path).
-      WaitLock.unlock();
+      CompiledModule *Installed = Up->installed();
+      if (!Installed)
+        return nullptr; // Only a fired token ends the wait with no module.
+      // The handle keeps the module alive, even once the LRU evicts it.
       return std::make_unique<SharedModule>(
-          std::shared_ptr<CompiledModule>(Inner->compile(M, Opts)));
+          std::shared_ptr<CompiledModule>(std::move(Up), Installed));
     }
     Misses.inc();
     Entry = std::make_shared<InFlight>();
-    // Made before the disk probe and the submit, so a lookup of the key
-    // shares it at once instead of waiting for either.
-    if (Fast && Service)
-      Entry->Up = std::make_shared<TierUp>();
+    // Made before the disk probe, so a lookup of the key shares it at once
+    // instead of waiting for the probe or the compile.
+    Entry->Up = std::make_shared<TierUp>();
     Pending.emplace(Key, Entry);
   }
 
@@ -383,7 +358,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
                         "disk cache");
   }
-  if (!Compiled && Entry->Up) {
+  if (!Compiled && Fast && Service) {
     auto Job = std::make_shared<BackgroundCompile>(*this, Key, M);
     uint64_t StartNs = nowNs();
     std::unique_ptr<CompiledModule> Code = compileTiered(
@@ -401,43 +376,18 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       noteFast(Opts, StartNs, EndNs);
       return std::make_unique<SharedModule>(std::move(Shared), std::move(Up));
     }
-    // Refused: lookups from here on compile fast code alone, and the ones
-    // that shared the handle stay on their fast code.
-    std::shared_ptr<TierUp> Refused;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Refused = std::move(Entry->Up);
-    }
-    Refused->settle(nullptr);
-  }
-  if (!Compiled && Service) {
-    // A refused submit (queue full, fairness share used up, service shut
-    // down) returns an invalid ticket whose wait() is null, and we compile
-    // inline below — backpressure moves the work onto the caller's thread
-    // instead of blocking it behind the storm. Also null if the token
-    // fired while the job was queued, or the service shut down mid-job.
-    Compiled = Service->submit(M, *Inner, CompilePriority::Foreground, Opts)
-                   .wait(Opts.Cancel);
-  }
-  if (!Compiled && Opts.Cancel && Opts.Cancel->stopped()) {
-    // Cancelled while waiting (or before falling back): retire the
-    // in-flight entry so deduped waiters stop waiting and compile for
-    // themselves, and report the cancellation with a null module — the
-    // only case in which CachingBackend::compile returns null.
-    retire(Key);
-    {
-      std::lock_guard<std::mutex> EntryLock(Entry->Mutex);
-      Entry->Done = true;
-    }
-    Entry->Cv.notify_all();
-    return nullptr;
+    // Refused (queue full, fairness share used up, service shut down): the
+    // work moves onto this thread instead of blocking it behind the storm.
   }
   if (!Compiled)
     Compiled = Inner->compile(M, Opts);
-  // Publish before storing, so deduped waiters do not pay for the write.
-  publish(Key, Compiled, Entry.get());
-  if (Entry->Up) // A disk hit: lookups that shared the handle swap to it.
-    Entry->Up->settle(Compiled);
+  // Published and retired before the handle settles, so every lookup
+  // either shares the handle or finds the module in memory; the ones that
+  // shared it swap to (or, without a fast tier, return) this module. Both
+  // happen before the store, so no lookup pays for the write.
+  publish(Key, Compiled);
+  retire(Key);
+  Entry->Up->settle(Compiled);
   if (Disk && !FromDisk)
     Disk->store(Key, *Inner, *Compiled, Opts);
   return std::make_unique<SharedModule>(std::move(Compiled));

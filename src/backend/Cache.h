@@ -27,7 +27,6 @@
 
 #include "backend/Backend.h"
 #include "backend/CompileService.h"
-#include <condition_variable>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -61,8 +60,9 @@ struct CacheStats {
   uint64_t Misses = 0;
   uint64_t Evictions = 0;
   /// Lookups that found the key being compiled by another thread and
-  /// waited for that compilation instead of starting their own. Counted
-  /// inside Hits, so Hits + Misses == lookups always holds.
+  /// waited on its handle instead of starting their own compile (caches
+  /// without a fast tier). Counted inside Hits, so Hits + Misses ==
+  /// lookups always holds.
   uint64_t InFlightWaits = 0;
   /// Lookups answered with fast-tier code (see CachingBackend's fast
   /// back-end): a miss whose compile went to the background, or a lookup
@@ -84,14 +84,15 @@ struct CacheStats {
 ///
 /// Thread-safe, including in-flight deduplication: concurrent compiles of
 /// the same key are collapsed to one, so each unique key reaches the inner
-/// back-end exactly once. On a miss in memory the disk tier is probed
-/// inline; a fresh compile is published to memory (and in-flight waiters
-/// woken) before its blob is written to disk.
+/// back-end exactly once. Every miss makes the key's in-flight entry and
+/// its TierUp handle before anything else, and lookups of the key in
+/// flight share that handle. On a miss in memory the disk tier is probed
+/// inline; a fresh compile is published to memory, and the handle settled
+/// with it, before its blob is written to disk.
 ///
 /// Without a fast back-end, the caller blocks until the module is ready:
-/// the first miss compiles (through the CompileService when one is
-/// attached and accepts the job, else on the calling thread) and every
-/// other thread waits on that compilation and shares its result.
+/// the first miss compiles on the calling thread and every other thread
+/// waits on the handle (TierUp::wait) and shares its module.
 ///
 /// With a fast back-end, no caller waits for the inner compile of another
 /// thread. With a service as well, a miss in both tiers answers with
@@ -102,29 +103,31 @@ struct CacheStats {
 /// without compiling; the code is freed once the entry has retired and
 /// the last query using it has finished. A lookup that arrives before the
 /// miss's fast code exists compiles its own on the calling thread rather
-/// than wait. Every fast-tier answer carries the shared handle on the
-/// job (CompiledModule::Optimized), so the executor swaps the query to
-/// the inner back-end's code once it lands. The handle exists from the
-/// miss on, before its disk probe and submit: a lookup in that window
-/// shares it without waiting, and a disk hit installs the loaded module
-/// into it. Dropping a handle never cancels the job: the cache holds one
-/// until the job ends. A refused submit ends the handle with nothing
-/// installed and takes the blocking path above. A job that ends without
-/// running (shed, or the service shut down) leaves its entry behind; the
-/// next lookup of the key drops it with its fast code and is a miss.
+/// than wait. Every fast-tier answer carries the shared handle
+/// (CompiledModule::Optimized), so the executor swaps the query to the
+/// inner back-end's code once it lands. A miss that does not hand the
+/// handle to a job settles it with the module it publishes: a disk hit,
+/// or an inline compile after a refused submit (queue full, fairness share
+/// used up, service shut down); lookups that shared it swap to that
+/// module. Dropping a handle never cancels the job: the cache holds one
+/// until the job ends. A job that ends without running (the service shut
+/// down) leaves its entry behind; the next lookup of the key drops it with
+/// its fast code and is a miss.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
-/// call is waiting (on a service ticket or a deduped in-flight compile),
-/// compile() returns null — the only case in which it does. Callers that
-/// pass a token must handle the null; callers that don't keep the
-/// never-null contract. A background compile never carries the token:
+/// call waits on another thread's compile of the key, compile() returns
+/// null — the only case in which it does; that compile runs on for the
+/// others. Callers that pass a token must handle the null; callers that
+/// don't keep the never-null contract. A compile this call runs itself is
+/// never abandoned, and a background compile never carries the token:
 /// other sessions rely on its result.
 class CachingBackend : public Backend {
 public:
   /// \p Capacity bounds the number of retained compiled modules
   /// (0 = unbounded). \p Service, when non-null, must outlive this
-  /// back-end. \p Reg receives the cache's hit/miss/eviction counters
-  /// under metricsPrefix() (null = process-wide registry). \p Disk, when
+  /// back-end; only a cache with \p Fast submits to it. \p Reg receives
+  /// the cache's hit/miss/eviction counters under metricsPrefix() (null =
+  /// process-wide registry). \p Disk, when
   /// non-null, is consulted on every in-memory miss before the inner
   /// back-end and populated after every fresh compile; it must outlive
   /// this back-end. When null, $QCF_CODE_CACHE (if set) supplies an
@@ -170,17 +173,13 @@ public:
   Backend &inner() { return *Inner; }
 
 private:
-  /// One key currently being compiled; waiters block on Cv until the
-  /// owning thread publishes Result (or fails and leaves it null).
+  /// One key currently being compiled.
   struct InFlight {
-    std::mutex Mutex;
-    std::condition_variable Cv;
-    bool Done = false;
-    std::shared_ptr<CompiledModule> Result;
-    /// The handle on this key's background compile, made with the entry
-    /// and started by the submit (guarded by the cache's Mutex). A job
-    /// that runs retires the entry itself, so one whose compile ended here
-    /// was cancelled before it started.
+    /// The handle every lookup of the key shares, made with the entry and
+    /// never replaced. The background compile starts it; a miss that
+    /// compiles itself (or hits disk) settles it with its module after
+    /// retiring the entry. A job that runs retires the entry itself, so
+    /// a handle found ended here was cancelled before its job started.
     std::shared_ptr<TierUp> Up;
     /// The fast-tier code the miss compiled, once it has (guarded by the
     /// cache's Mutex). Lookups of the key share it instead of compiling
@@ -191,11 +190,9 @@ private:
 
   class BackgroundCompile;
 
-  /// Inserts \p Compiled into the LRU. With \p Entry, also retires \p Key's
-  /// in-flight entry in the same critical section and wakes its waiters.
+  /// Inserts \p Compiled into the LRU.
   void publish(const ModuleFingerprint &Key,
-               const std::shared_ptr<CompiledModule> &Compiled,
-               InFlight *Entry = nullptr);
+               const std::shared_ptr<CompiledModule> &Compiled);
   /// Erases \p Key's in-flight entry.
   void retire(const ModuleFingerprint &Key);
   /// Counts and times a fast-tier answer compiled from \p StartNs to

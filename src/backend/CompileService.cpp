@@ -34,16 +34,9 @@ std::shared_ptr<CompiledModule> CompileTicket::poll() const {
   return Job->St == CompileJob::State::Done ? Job->Result : nullptr;
 }
 
-std::shared_ptr<CompiledModule>
-CompileTicket::wait(const qcf::CancelToken *Cancel) {
+std::shared_ptr<CompiledModule> CompileTicket::wait() {
   if (!Job)
     return nullptr;
-  if (Cancel)
-    while (!waitFor(1'000'000))
-      if (Cancel->stopped()) {
-        cancel();
-        break;
-      }
   std::unique_lock<std::mutex> Lock(Job->Mutex);
   Job->Cv.wait(Lock, [&] {
     return Job->St == CompileJob::State::Done ||
@@ -84,10 +77,8 @@ CompileService::CompileService(unsigned NumWorkers, size_t QueueCapacity,
       JobsCancelled(this->Reg->counter(Prefix + "jobs_cancelled")),
       QueueDepth(this->Reg->gauge(Prefix + "queue.depth")),
       QueueCapacityG(this->Reg->gauge(Prefix + "queue.capacity")),
-      RejectedFg(this->Reg->counter(Prefix + "queue.rejected.foreground")),
-      RejectedBg(this->Reg->counter(Prefix + "queue.rejected.background")),
-      RejectedTenant(this->Reg->counter(Prefix + "queue.rejected.tenant")),
-      ShedC(this->Reg->counter(Prefix + "queue.shed")) {
+      RejectedFull(this->Reg->counter(Prefix + "queue.rejected.full")),
+      RejectedTenant(this->Reg->counter(Prefix + "queue.rejected.tenant")) {
   QueueCapacityG.set(static_cast<int64_t>(QueueCapacity));
   if (NumWorkers == 0)
     NumWorkers = 1;
@@ -114,7 +105,6 @@ uint64_t CompileService::keyInFlight(const std::string &Key) const {
 }
 
 CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
-                                     CompilePriority Priority,
                                      const CompileOptions &Opts,
                                      std::shared_ptr<void> Owner) {
   auto Job = std::make_shared<CompileJob>();
@@ -143,25 +133,13 @@ CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
   }
   JobsQueued.inc();
 
-  const bool High = Priority == CompilePriority::Foreground;
-  for (;;) {
-    auto R = Queue.tryPush(Job, High);
-    if (R == decltype(Queue)::PushResult::Ok)
-      break;
-    // Full. A Foreground submit sheds the newest Background job (its
-    // ticket reports cancelled) and retries.
-    const bool Full = R == decltype(Queue)::PushResult::Full;
-    std::shared_ptr<CompileJob> Victim;
-    if (Full && High && Queue.shedLowest(Victim)) {
-      ShedC.inc();
-      finishJob(Victim, /*Cancel=*/true);
-      continue;
-    }
-    // Refused: full with nothing sheddable, or closed by shutdown().
+  auto R = Queue.tryPush(Job);
+  if (R != decltype(Queue)::PushResult::Ok) {
+    // Refused: full, or closed by shutdown().
     JobsQueued.sub(1);
     unaccount(*Job);
-    if (Full)
-      (High ? RejectedFg : RejectedBg).inc();
+    if (R == decltype(Queue)::PushResult::Full)
+      RejectedFull.inc();
     return {};
   }
   QueueDepth.set(static_cast<int64_t>(Queue.size()));
@@ -196,14 +174,6 @@ void CompileService::finishJob(const std::shared_ptr<CompileJob> &Job,
     if (Job->St == CompileJob::State::Cancelled) {
       // cancel() won the race; just account for it below.
       Cancel = true;
-    } else if (!Cancel && Job->Opts.Cancel && Job->Opts.Cancel->stopped()) {
-      // Cancel-before-run: the submitting query's token fired (session
-      // evicted, deadline passed) while the job sat in the queue. Skip
-      // the compile instead of burning a worker slot on a result nobody
-      // will consume.
-      Cancel = true;
-      Job->St = CompileJob::State::Cancelled;
-      Job->Cv.notify_all();
     } else if (Cancel) {
       Job->St = CompileJob::State::Cancelled;
       Job->Cv.notify_all();
@@ -279,10 +249,8 @@ CompileServiceStats CompileService::stats() const {
   S.JobsCancelled = JobsCancelled.value();
   S.QueueDepthHighWater = Queue.highWater();
   S.QueueCapacity = Queue.capacity();
-  S.RejectedForeground = RejectedFg.value();
-  S.RejectedBackground = RejectedBg.value();
+  S.RejectedBackground = RejectedFull.value();
   S.RejectedTenant = RejectedTenant.value();
-  S.Shed = ShedC.value();
   // Per-backend latency is a view over this instance's histograms.
   obs::MetricsSnapshot Snap = Reg->snapshot();
   const std::string LatPrefix = Prefix + "latency.";

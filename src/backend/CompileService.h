@@ -6,23 +6,23 @@
 ///
 /// \file
 /// A shared compilation service: a fixed pool of worker threads draining a
-/// bounded two-priority job queue. The paper's conclusion is that compile
-/// time is a first-order cost for query processing; beyond making each
-/// compile cheaper (the back-end study) the systems answer is to take
-/// compilation off the query's critical path entirely. The service is the
-/// substrate for that: `CachingBackend` routes blocking misses through it,
-/// and backend::compileTiered (TierUp.h) submits the optimized compile of
-/// a module at Background priority while a query runs on its fast tier.
+/// bounded FIFO job queue. The paper's conclusion is that compile time is
+/// a first-order cost for query processing; beyond making each compile
+/// cheaper (the back-end study) the systems answer is to take compilation
+/// off the query's critical path entirely (§III-C). The service runs only
+/// that off-path work: backend::compileTiered (TierUp.h) submits the
+/// optimized compile of a module while a query runs on its fast tier.
+/// Every compile a caller waits for runs on that caller's thread.
 ///
 /// Submitting yields a `CompileTicket` — a small future-like handle that
 /// can be polled, waited on, or cancelled before the job starts — or an
 /// invalid ticket if the service refuses the job. The service never
 /// compiles on the submitting thread: a refused compile is the caller's
-/// decision (CachingBackend compiles inline, the executor keeps that
-/// pipeline on its fast tier). The submitted module (and the back-end)
-/// must stay alive until the ticket completes or is successfully
-/// cancelled, or live in the owner handed to submit (the cache's
-/// background compiles own a copy of the module).
+/// decision (the executor keeps the query on its fast tier,
+/// CachingBackend compiles inline). The submitted module (and the
+/// back-end) must stay alive until the ticket completes or is
+/// successfully cancelled, or live in the owner handed to submit (the
+/// cache's background compiles own a copy of the module).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,11 +39,6 @@
 #include <vector>
 
 namespace qcf::backend {
-
-/// Foreground jobs (a caller is, or will soon be, blocked on the result)
-/// always dequeue before Background jobs (speculative work: tier
-/// promotion, cache warming).
-enum class CompilePriority : uint8_t { Foreground, Background };
 
 /// Compile-latency aggregate for one back-end (keyed by Backend::name()).
 /// A view over the service's latency histograms in the metrics registry.
@@ -64,10 +59,12 @@ struct CompileServiceStats {
   uint64_t JobsCancelled = 0; ///< Jobs cancelled before they started.
   size_t QueueDepthHighWater = 0;
   size_t QueueCapacity = 0; ///< 0 = unbounded (never rejects).
-  uint64_t RejectedForeground = 0; ///< Foreground submits rejected (full).
-  uint64_t RejectedBackground = 0; ///< Background submits rejected (full).
+  /// Always 0: the service has one job class, counted in
+  /// RejectedBackground. Kept until the next benchmark change deletes it
+  /// (perfbench reads it).
+  uint64_t RejectedForeground = 0;
+  uint64_t RejectedBackground = 0; ///< Submits rejected (queue full).
   uint64_t RejectedTenant = 0;     ///< Submits rejected by fairness share.
-  uint64_t Shed = 0; ///< Background jobs shed to admit Foreground ones.
   std::map<std::string, CompileLatency> PerBackend;
 };
 
@@ -109,15 +106,9 @@ public:
   /// cancelled. Never blocks.
   std::shared_ptr<CompiledModule> poll() const;
 
-  /// Blocks until the job reaches a terminal state. With \p Cancel the
-  /// wait checks the token every millisecond; once it fires, a
-  /// still-queued job is cancelled (cancel-before-run, so an abandoned
-  /// compile holds no service slot), and a job already running is waited
-  /// out, because its worker still reads the submitted module. The
-  /// ticket is terminal on return. \returns the compiled module, or null
-  /// if the job was cancelled.
-  std::shared_ptr<CompiledModule>
-  wait(const qcf::CancelToken *Cancel = nullptr);
+  /// Blocks until the job reaches a terminal state. \returns the
+  /// compiled module, or null if the job was cancelled.
+  std::shared_ptr<CompiledModule> wait();
 
   /// Cancels the job if it has not started running. \returns true on
   /// success; false if it already ran (or is running), in which case the
@@ -136,7 +127,7 @@ private:
   std::shared_ptr<detail::CompileJob> Job;
 };
 
-/// Fixed worker-thread pool over a bounded two-priority job queue.
+/// Fixed worker-thread pool over a bounded FIFO job queue.
 ///
 /// All accounting lives in a MetricsRegistry under this instance's
 /// metricsPrefix() ("svc.<n>."): job counters, "queue.*" depth/capacity/
@@ -147,7 +138,7 @@ class CompileService {
 public:
   /// \p NumWorkers worker threads; \p QueueCapacity bounds the number of
   /// not-yet-started jobs (0 = unbounded) — submit() on a full queue
-  /// sheds or rejects, never blocks. \p Reg receives the service's
+  /// refuses, never blocks. \p Reg receives the service's
   /// metrics (null = process-wide registry).
   explicit CompileService(unsigned NumWorkers = 2, size_t QueueCapacity = 0,
                           obs::MetricsRegistry *Reg = nullptr);
@@ -159,14 +150,11 @@ public:
   /// Enqueues compilation of \p M with \p BE. Both must outlive the job
   /// unless they live in \p Owner, which the service holds until then.
   /// \p Opts (including its ObsContext) is carried to the worker-side
-  /// compile. Never blocks and never compiles on the calling thread: on a
-  /// full queue a Foreground submit first sheds the newest Background job
-  /// (its ticket reports cancelled). \returns an invalid ticket when the
-  /// job is refused — queue full with nothing to shed, fairness share
-  /// used up, or service shut down; the caller decides what a refused
-  /// compile means (compile inline, stay on the fast tier).
+  /// compile. Never blocks and never compiles on the calling thread.
+  /// \returns an invalid ticket when the job is refused — queue full,
+  /// fairness share used up, or service shut down; the caller decides
+  /// what a refused compile means (compile inline, stay on the fast tier).
   CompileTicket submit(const qir::Module &M, Backend &BE,
-                       CompilePriority Priority = CompilePriority::Foreground,
                        const CompileOptions &Opts = CompileOptions(),
                        std::shared_ptr<void> Owner = nullptr);
 
@@ -233,10 +221,8 @@ private:
   obs::Counter &JobsCancelled;
   obs::Gauge &QueueDepth;
   obs::Gauge &QueueCapacityG;
-  obs::Counter &RejectedFg;
-  obs::Counter &RejectedBg;
+  obs::Counter &RejectedFull;
   obs::Counter &RejectedTenant;
-  obs::Counter &ShedC;
 };
 
 } // namespace qcf::backend

@@ -21,7 +21,7 @@ bool TierUp::poll() {
   if (!Lock.owns_lock() || !pending() || !Ticket.done())
     return false;
   // done() must come first: once the job is terminal, poll() is its result,
-  // or null if it was cancelled (shed by the service, or shut down). A
+  // or null if it was cancelled (the service shut down). A
   // compile landing between a null poll() and a later done() would be lost.
   return settleLocked(Ticket.poll());
 }
@@ -89,8 +89,7 @@ std::unique_ptr<CompiledModule> backend::compileTiered(
   JobOpts.FairnessKey = Opts.FairnessKey;
   JobOpts.Fingerprint = Opts.Fingerprint;
   // Submitted first, so a worker compiles while this thread does.
-  CompileTicket T =
-      Svc.submit(M, Opt, CompilePriority::Background, JobOpts, Owner);
+  CompileTicket T = Svc.submit(M, Opt, JobOpts, Owner);
   if (!T.valid())
     return nullptr;
   if (!Up)

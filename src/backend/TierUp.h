@@ -92,9 +92,8 @@ private:
 };
 
 /// Fast now, optimized later: submits the compile of \p M with \p Opt to
-/// \p Svc at Background priority (with \p Owner, see
-/// CompileService::submit), then compiles \p M with \p Fast on the
-/// calling thread. The job keeps \p Opts' metrics registry, verification,
+/// \p Svc (with \p Owner, see CompileService::submit), then compiles \p M
+/// with \p Fast on the calling thread. The job keeps \p Opts' metrics registry, verification,
 /// allocation mode, fairness key and fingerprint, not its cancel token or
 /// trace consumers: it may outlive the query. \p Up, when given, is a
 /// handle made by TierUp() that callers racing this one already share: the

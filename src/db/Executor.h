@@ -38,10 +38,11 @@ namespace qcf::db {
 /// layer owns one per session: session close / idle eviction calls
 /// cancel(), per-query deadlines arm setDeadlineNs(). The executor
 /// checks it at morsel pickups (next to the OSR morsel-boundary hook),
-/// between pipelines, and in every
-/// compile wait — so both signals take effect within one morsel or one
-/// wait tick, and in-flight compile tickets of a cancelled query are
-/// cancelled (cancel-before-run) instead of leaking service slots.
+/// between pipelines, and in every wait on another thread's compile (a
+/// code cache's in-flight wait, a forced swap's TierUp::wait) — so both
+/// signals take effect within one morsel or one wait tick. Compiles the
+/// query runs itself finish; a background compile only this query holds
+/// is cancelled if it has not started when the query ends.
 using ExecControl = qcf::CancelToken;
 
 struct ExecOptions {

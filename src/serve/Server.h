@@ -24,8 +24,9 @@
 ///   3. execute (pre)   -> MaxCompileBytes: a fixed per-query reservation
 ///      held until the query ends                  (CompileBytesQuota)
 ///   4. AdmissionGate   -> slots + bounded wait queue  (QueueFull / Shed)
-///   5. CompileService  -> per-tenant fairness key      (refused submit,
-///      inside the cache path; the cache compiles inline)
+///   5. CompileService  -> per-tenant fairness key on a cold miss's
+///      background compile (refused submit, inside the cache path; the
+///      cache compiles inline)
 /// Every rejection a client sees (1-4) is typed and carries a retry-after
 /// hint; nothing in the serving path blocks on an unbounded queue.
 ///
@@ -58,8 +59,8 @@ struct ServerConfig {
   std::string BackendName = "Craneline";
 
   unsigned CompileWorkers = 2;
-  /// Bound on the compile-service queue (0 = unbounded). A full-queue
-  /// submit sheds Background work or is refused, and the cache then
+  /// Bound on the compile-service queue of background compiles (0 =
+  /// unbounded). A submit to a full queue is refused, and the cache then
   /// compiles inline.
   size_t CompileQueueCapacity = 64;
   /// In-memory compiled-code cache entries (0 = unbounded).

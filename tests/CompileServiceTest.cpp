@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Concurrency tests for backend::CompileService and the caching layer's
-/// in-flight deduplication: ticket lifecycle (poll/wait/cancel), priority
-/// and stats accounting, exactly-one-compile-per-key under thread storms,
+/// in-flight deduplication: ticket lifecycle (poll/wait/cancel), stats
+/// accounting, exactly-one-compile-per-key under thread storms,
 /// LRU capacity under contention, clean shutdown with jobs queued, and the
 /// cache's fast tier answering misses while the inner compile runs on a
 /// worker.
@@ -262,46 +262,6 @@ TEST(CompileService, CancelBeforeStart) {
   EXPECT_EQ(S.JobsCompleted, 1u);
 }
 
-TEST(CompileService, PriorityOrdersQueue) {
-  CompileService Svc(1);
-
-  qir::Module MLow, MHigh;
-  buildAffine(MLow, 2);
-  buildAffine(MHigh, 3);
-
-  // Worker busy; queue a Background job, then a Foreground one. A second
-  // gate on the low-priority job would deadlock the 1-worker pool, so
-  // order is observed through completion timestamps instead: with one
-  // worker, the Foreground job must finish before the Background one.
-  std::atomic<int> Order{0};
-  struct StampBackend : Backend {
-    StampBackend(std::atomic<int> &Order, int &Stamp)
-        : Inner(createBackend("DirectEmit")), Order(Order), Stamp(Stamp) {}
-    std::string name() const override { return "stamp"; }
-    using Backend::compile;
-    std::unique_ptr<CompiledModule> compile(const qir::Module &M,
-                                            const CompileOptions &Opts) override {
-      Stamp = ++Order;
-      return Inner->compile(M, Opts);
-    }
-    std::unique_ptr<Backend> Inner;
-    std::atomic<int> &Order;
-    int &Stamp;
-  };
-  int LowStamp = 0, HighStamp = 0;
-  StampBackend LowBE(Order, LowStamp), HighBE(Order, HighStamp);
-
-  PinnedWorker Pin(Svc);
-  CompileTicket Low = Svc.submit(MLow, LowBE, CompilePriority::Background);
-  CompileTicket High = Svc.submit(MHigh, HighBE, CompilePriority::Foreground);
-  EXPECT_NE(Pin.release(), nullptr);
-
-  EXPECT_NE(Low.wait(), nullptr);
-  EXPECT_NE(High.wait(), nullptr);
-  EXPECT_LT(HighStamp, LowStamp)
-      << "Foreground must dequeue before Background";
-}
-
 TEST(CompileService, ShutdownCancelsQueuedJobs) {
   CountingBackend Counter(createBackend("DirectEmit"));
   auto Svc = std::make_unique<CompileService>(1);
@@ -348,12 +308,9 @@ TEST(CompileService, SubmitAfterShutdownIsRefused) {
   Svc.shutdown();
   qir::Module M;
   buildAffine(M, 9);
-  for (CompilePriority P :
-       {CompilePriority::Foreground, CompilePriority::Background}) {
-    CompileTicket T = Svc.submit(M, Counter, P);
-    EXPECT_FALSE(T.valid());
-    EXPECT_EQ(T.wait(), nullptr);
-  }
+  CompileTicket T = Svc.submit(M, Counter);
+  EXPECT_FALSE(T.valid());
+  EXPECT_EQ(T.wait(), nullptr);
   Svc.drain(); // Nothing was accounted as pending.
   EXPECT_EQ(Counter.Compiles.load(), 0u);
   CompileServiceStats S = Svc.stats();
@@ -374,14 +331,12 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
   CompileTicket A = Svc.submit(Mods[0], *BE);
   CompileTicket B = Svc.submit(Mods[1], *BE);
 
-  // Queue is full and nothing is sheddable (both queued jobs are
-  // Foreground): the next submit is refused, never blocks.
+  // Queue is full: the next submits are refused, never block, and each
+  // is counted.
   EXPECT_FALSE(Svc.submit(Mods[2], *BE).valid());
-  EXPECT_EQ(Svc.stats().RejectedForeground, 1u);
-
-  // Background rejections are accounted separately.
-  EXPECT_FALSE(Svc.submit(Mods[2], *BE, CompilePriority::Background).valid());
   EXPECT_EQ(Svc.stats().RejectedBackground, 1u);
+  EXPECT_FALSE(Svc.submit(Mods[2], *BE).valid());
+  EXPECT_EQ(Svc.stats().RejectedBackground, 2u);
 
   EXPECT_NE(Pin.release(), nullptr);
   EXPECT_NE(A.wait(), nullptr);
@@ -395,42 +350,9 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
 
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.QueueCapacity, 2u);
-  EXPECT_EQ(S.RejectedForeground, 1u);
-  EXPECT_EQ(S.RejectedBackground, 1u);
-  EXPECT_EQ(S.JobsQueued, 4u) << "rejected submissions are not queued";
-}
-
-TEST(CompileService, ForegroundShedsNewestBackground) {
-  CountingBackend Counter(createBackend("DirectEmit"));
-  CompileService Svc(1, /*QueueCapacity=*/2);
-
-  qir::Module MOld, MNew, MHigh;
-  buildAffine(MOld, 2);
-  buildAffine(MNew, 3);
-  buildAffine(MHigh, 4);
-
-  PinnedWorker Pin(Svc);
-  CompileTicket Old = Svc.submit(MOld, Counter, CompilePriority::Background);
-  CompileTicket New = Svc.submit(MNew, Counter, CompilePriority::Background);
-
-  // Full queue, but a Foreground submit may evict speculative work: the
-  // *newest* Background job is shed (LIFO keeps the oldest speculation,
-  // which has waited longest and is closest to running).
-  CompileTicket High = Svc.submit(MHigh, Counter);
-  EXPECT_TRUE(High.valid());
-  EXPECT_TRUE(New.done()) << "shed victim's ticket must be terminal";
-  EXPECT_EQ(New.wait(), nullptr) << "shed victim reports cancelled";
-  EXPECT_FALSE(Old.done()) << "older Background job must survive";
-
-  EXPECT_NE(Pin.release(), nullptr);
-  EXPECT_NE(High.wait(), nullptr);
-  EXPECT_NE(Old.wait(), nullptr);
-  Svc.drain();
-
-  CompileServiceStats S = Svc.stats();
-  EXPECT_EQ(S.Shed, 1u);
+  EXPECT_EQ(S.RejectedBackground, 2u);
   EXPECT_EQ(S.RejectedForeground, 0u);
-  EXPECT_EQ(S.JobsCancelled, 1u) << "shed counts as a cancellation";
+  EXPECT_EQ(S.JobsQueued, 4u) << "rejected submissions are not queued";
 }
 
 TEST(CompileService, TenantShareCapsInFlightJobs) {
@@ -449,23 +371,19 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
 
   PinnedWorker Pin(Svc);
 
-  EXPECT_TRUE(
-      Svc.submit(Mods[0], Counter, CompilePriority::Foreground, OptsA).valid());
-  EXPECT_TRUE(
-      Svc.submit(Mods[1], Counter, CompilePriority::Foreground, OptsA).valid());
+  EXPECT_TRUE(Svc.submit(Mods[0], Counter, OptsA).valid());
+  EXPECT_TRUE(Svc.submit(Mods[1], Counter, OptsA).valid());
   EXPECT_EQ(Svc.keyInFlight("tenant-a"), 2u);
 
   // Third in-flight job for tenant-a exceeds its share: refused, and
   // counted as a tenant rejection rather than a full queue.
-  EXPECT_FALSE(
-      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsA).valid());
+  EXPECT_FALSE(Svc.submit(Mods[2], Counter, OptsA).valid());
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.RejectedTenant, 1u);
-  EXPECT_EQ(S.RejectedForeground, 0u);
+  EXPECT_EQ(S.RejectedBackground, 0u);
 
   // Other tenants and keyless submissions are unaffected.
-  EXPECT_TRUE(
-      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsB).valid());
+  EXPECT_TRUE(Svc.submit(Mods[2], Counter, OptsB).valid());
   EXPECT_TRUE(Svc.submit(Mods[2], Counter).valid());
 
   EXPECT_NE(Pin.release(), nullptr);
@@ -474,8 +392,7 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
       << "in-flight accounting must drain to zero";
 
   // With its jobs drained, tenant-a can submit again.
-  CompileTicket A4 =
-      Svc.submit(Mods[2], Counter, CompilePriority::Foreground, OptsA);
+  CompileTicket A4 = Svc.submit(Mods[2], Counter, OptsA);
   ASSERT_TRUE(A4.valid());
   EXPECT_NE(A4.wait(), nullptr);
   EXPECT_EQ(Svc.stats().RejectedTenant, 1u);
@@ -498,45 +415,13 @@ TEST(CompileService, QueueMetricsVisibleInRegistry) {
   obs::MetricsSnapshot Snap = Reg.snapshot();
   EXPECT_EQ(Snap.gauge(P + "queue.capacity"), 1);
   EXPECT_EQ(Snap.gauge(P + "queue.depth"), 1);
-  EXPECT_EQ(Snap.counter(P + "queue.rejected.foreground"), 1u);
-  EXPECT_EQ(Snap.counter(P + "queue.rejected.background"), 0u);
+  EXPECT_EQ(Snap.counter(P + "queue.rejected.full"), 1u);
   EXPECT_EQ(Snap.counter(P + "queue.rejected.tenant"), 0u);
-  EXPECT_EQ(Snap.counter(P + "queue.shed"), 0u);
 
   EXPECT_NE(Pin.release(), nullptr);
   EXPECT_NE(Queued.wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Reg.snapshot().gauge(P + "queue.depth"), 0);
-}
-
-TEST(CompileService, CancelTokenAbandonsQueuedJob) {
-  // Satellite 2 regression: a queued job whose CompileOptions::Cancel
-  // token fires (deadline or session close) must be abandoned by the
-  // worker *before* compiling — cancel-before-run — so an evicted
-  // session never burns a compile slot.
-  CountingBackend Counter(createBackend("DirectEmit"));
-  CompileService Svc(1);
-
-  qir::Module M1;
-  buildAffine(M1, 2);
-
-  qcf::CancelToken Ctl;
-  CompileOptions Opts;
-  Opts.Cancel = &Ctl;
-
-  PinnedWorker Pin(Svc);
-  CompileTicket Doomed =
-      Svc.submit(M1, Counter, CompilePriority::Foreground, Opts);
-  Ctl.cancel(); // Fires while the job is still queued.
-  EXPECT_NE(Pin.release(), nullptr);
-
-  EXPECT_EQ(Doomed.wait(), nullptr) << "cancelled token -> null result";
-  Svc.drain();
-  EXPECT_EQ(Counter.Compiles.load(), 0u)
-      << "worker must skip a job whose token fired";
-  CompileServiceStats S = Svc.stats();
-  EXPECT_EQ(S.JobsCancelled, 1u);
-  EXPECT_EQ(S.JobsCompleted, 1u);
 }
 
 TEST(CacheDedup, EightThreadsOneCompile) {
@@ -642,63 +527,52 @@ TEST(CacheDedup, LruCapacityRespectedUnderContention) {
   EXPECT_EQ(S.Misses - S.Evictions, BE.size());
 }
 
-TEST(CacheDedup, ServiceBackedMissesUseWorkers) {
-  CompileService Svc(2);
-  auto Counting =
-      std::make_unique<CountingBackend>(createBackend("DirectEmit"),
-                                        std::chrono::milliseconds(10));
+/// A lookup whose token has fired while another thread compiles the key
+/// abandons its wait on the miss's handle at once; the compile runs on for
+/// the miss, and the key is compiled once and cached.
+TEST(CacheDedup, CancelledWaiterAbandonsInFlightWait) {
+  auto Counting = std::make_unique<CountingBackend>(createBackend("DirectEmit"));
   CountingBackend *Counter = Counting.get();
-  CachingBackend BE(std::move(Counting), /*Capacity=*/0, &Svc);
+  auto Gated = std::make_unique<GateBackend>(std::move(Counting));
+  GateBackend *Gate = Gated.get();
+  CachingBackend BE(std::move(Gated));
 
   qir::Module M;
-  buildAffine(M, 3);
-  std::vector<std::thread> Threads;
-  std::atomic<int> Bad{0};
-  for (int T = 0; T != 4; ++T)
-    Threads.emplace_back([&] {
-      for (int I = 0; I != 10; ++I) {
-        auto C = BE.compile(M);
-        if (C->entryAs<int64_t (*)(int64_t)>("f")(I) != int64_t(I) * 3 + 7)
-          ++Bad;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
+  buildAffine(M, 6);
+  std::unique_ptr<CompiledModule> Owned;
+  std::thread Miss([&] { Owned = BE.compile(M); });
+  Gate->waitStarted();
 
-  EXPECT_EQ(Bad.load(), 0);
+  qcf::CancelToken Ctl;
+  Ctl.cancel();
+  CompileOptions Opts;
+  Opts.Cancel = &Ctl;
+  std::unique_ptr<CompiledModule> Abandoned;
+  std::atomic<bool> Returned{false};
+  std::thread Waiter([&] {
+    Abandoned = BE.compile(M, Opts);
+    Returned.store(true);
+  });
+  for (int I = 0; I != 5000 && !Returned.load(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  bool ReturnedWhileGated = Returned.load();
+  Gate->release();
+  Waiter.join();
+  Miss.join();
+
+  EXPECT_TRUE(ReturnedWhileGated) << "the waiter ignored its token";
+  EXPECT_EQ(Abandoned, nullptr);
+  ASSERT_NE(Owned, nullptr);
+  EXPECT_EQ(Owned->entryAs<int64_t (*)(int64_t)>("f")(2), 19);
+  auto Hit = BE.compile(M);
+  EXPECT_EQ(Hit->entryAs<int64_t (*)(int64_t)>("f")(3), 25);
   EXPECT_EQ(Counter->Compiles.load(), 1u);
-  CompileServiceStats S = Svc.stats();
-  EXPECT_EQ(S.JobsCompleted, 1u) << "dedup happens before the service";
-  ASSERT_EQ(S.PerBackend.count("DirectEmit"), 1u);
-  EXPECT_GE(S.PerBackend.at("DirectEmit").MinSec, 0.01 * 0.5);
-}
-
-TEST(CacheDedup, ShutdownServiceFallsBackInline) {
-  // A cache whose service is shut down mid-life keeps working: the
-  // service refuses the miss, the cache compiles it inline, and results
-  // stay correct and cached.
-  CompileService Svc(1);
-  auto Counting =
-      std::make_unique<CountingBackend>(createBackend("DirectEmit"));
-  CountingBackend *Counter = Counting.get();
-  CachingBackend BE(std::move(Counting), 0, &Svc);
-
-  qir::Module M1, M2;
-  buildAffine(M1, 2);
-  buildAffine(M2, 4);
-  auto C1 = BE.compile(M1);
-  EXPECT_EQ(C1->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
-  EXPECT_EQ(Svc.stats().JobsCompleted, 1u);
-
-  Svc.shutdown();
-  auto C2 = BE.compile(M2); // Refused by the service: inline compile.
-  EXPECT_EQ(C2->entryAs<int64_t (*)(int64_t)>("f")(5), 27);
-  auto C3 = BE.compile(M2); // Hit; no service involved.
-  EXPECT_EQ(C3->entryAs<int64_t (*)(int64_t)>("f")(0), 7);
-  EXPECT_EQ(BE.stats().Hits, 1u);
-  EXPECT_EQ(Counter->Compiles.load(), 2u)
-      << "M2 must reach the inner back-end exactly once";
-  EXPECT_EQ(Svc.stats().JobsCompleted, 1u);
+  EXPECT_EQ(BE.size(), 1u);
+  EXPECT_EQ(BE.inFlight(), 0u);
+  CacheStats S = BE.stats();
+  EXPECT_EQ(S.Hits + S.Misses, 3u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.InFlightWaits, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -962,6 +836,34 @@ TEST(CacheFastTier, RefusedSubmitCompilesInline) {
   EXPECT_GE(C.Svc.stats().RejectedTenant, 1u);
 }
 
+/// A cache whose service is shut down mid-life keeps working: the service
+/// refuses the miss's background compile, the cache compiles it inline,
+/// and results stay correct and cached.
+TEST(CacheDedup, ShutdownServiceFallsBackInline) {
+  FastTierCache C;
+  C.Gate->release();
+  qir::Module M1, M2;
+  buildAffine(M1, 2);
+  buildAffine(M2, 4);
+  auto C1 = C.Cache->compile(M1);
+  EXPECT_EQ(C1->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  ASSERT_NE(C1->Optimized, nullptr);
+  EXPECT_TRUE(C1->Optimized->wait());
+  C.Svc.drain();
+  EXPECT_EQ(C.Svc.stats().JobsCompleted, 1u);
+
+  C.Svc.shutdown();
+  auto C2 = C.Cache->compile(M2); // Refused by the service: inline compile.
+  EXPECT_EQ(C2->entryAs<int64_t (*)(int64_t)>("f")(5), 27);
+  EXPECT_EQ(C2->Optimized, nullptr);
+  auto C3 = C.Cache->compile(M2); // Hit; no service involved.
+  EXPECT_EQ(C3->entryAs<int64_t (*)(int64_t)>("f")(0), 7);
+  EXPECT_EQ(C.Cache->stats().Hits, 1u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 2u)
+      << "M2 must reach the inner back-end exactly once";
+  EXPECT_EQ(C.Svc.stats().JobsCompleted, 1u);
+}
+
 TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   FastTierCache C;
   PinnedWorker Pin(C.Svc);
@@ -1092,59 +994,6 @@ TEST(CacheFastTier, InFlightLookupsShareOneFastCompile) {
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
 }
 
-/// A job shed from the queue before it ran leaves its entry behind: the
-/// lookups before the shed share the miss's fast code, and the lookup
-/// after it is a miss again that compiles fresh fast code under a new
-/// handle instead of reusing the stale code.
-TEST(CacheFastTier, LookupAfterAShedJobIsAMissAgain) {
-  FastTierCache C(/*HoldProbe=*/false, /*QueueCapacity=*/1);
-  PinnedWorker Pin(C.Svc);
-  ASSERT_TRUE(Pin.Ticket.valid());
-
-  // The miss's background compile fills the queue behind the pin.
-  qir::Module M;
-  buildAffine(M, 5);
-  std::unique_ptr<CompiledModule> Code[3];
-  Code[0] = C.Cache->compile(M);
-  Code[1] = C.Cache->compile(M);
-  ASSERT_NE(Code[0]->Optimized, nullptr);
-  EXPECT_EQ(Code[1]->Optimized, Code[0]->Optimized);
-  EXPECT_EQ(Code[1]->entry("f"), Code[0]->entry("f")) << "shared fast code";
-  EXPECT_EQ(C.FastCounter->Compiles.load(), 1u);
-
-  // A Foreground submit sheds it.
-  qir::Module High;
-  buildAffine(High, 4);
-  auto HighBE = createBackend("DirectEmit");
-  CompileTicket HighT = C.Svc.submit(High, *HighBE);
-  ASSERT_TRUE(HighT.valid());
-  EXPECT_EQ(C.Svc.stats().Shed, 1u);
-  Pin.release();
-  EXPECT_NE(HighT.wait(), nullptr);
-  EXPECT_EQ(C.Cache->inFlight(), 1u) << "the shed job left its entry";
-
-  Code[2] = C.Cache->compile(M);
-  ASSERT_NE(Code[2]->Optimized, nullptr);
-  EXPECT_NE(Code[2]->Optimized, Code[0]->Optimized);
-  EXPECT_NE(Code[2]->entry("f"), Code[0]->entry("f"));
-  EXPECT_EQ(C.FastCounter->Compiles.load(), 2u);
-  for (const auto &Mod : Code)
-    EXPECT_EQ(Mod->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
-  CacheStats S = C.Cache->stats();
-  EXPECT_EQ(S.Misses, 2u);
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.FastTier, 3u);
-
-  // The new job lands; the stale handle never installs.
-  C.Gate->release();
-  EXPECT_TRUE(Code[2]->Optimized->wait());
-  C.Svc.drain();
-  EXPECT_EQ(Code[0]->Optimized->installed(), nullptr);
-  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
-  EXPECT_EQ(C.Cache->inFlight(), 0u);
-  EXPECT_EQ(C.Cache->size(), 1u);
-}
-
 /// A lookup that finds the key in flight while the miss is still probing
 /// disk (before its background compile has a handle) gets that handle
 /// once the miss submits, and swaps like the miss does.
@@ -1231,9 +1080,13 @@ TEST(CacheFastTier, LookupDuringTheMissProbeGetsTheDiskModule) {
   std::filesystem::remove_all(T);
 }
 
-/// The same window when the submit is refused: the shared handle ends with
-/// nothing installed, so the lookup stays on its fast code.
-TEST(CacheFastTier, LookupDuringTheMissProbeOfARefusedSubmitStaysFast) {
+/// The same window when the submit is refused: the miss compiles inline,
+/// publishes that module to memory and settles the shared handle with it,
+/// so the lookups that shared the handle swap to the module a later lookup
+/// hits in memory.
+TEST(CacheFastTier,
+     LookupDuringTheMissProbeOfARefusedSubmitSwapsToTheInlineCompile) {
+  const FastTierQuery &Q = fastTierQuery();
   FastTierCache C(/*HoldProbe=*/true);
   C.Gate->release();
   // Use up the tenant's share with a job pinned on the only worker.
@@ -1243,27 +1096,55 @@ TEST(CacheFastTier, LookupDuringTheMissProbeOfARefusedSubmitStaysFast) {
   PinnedWorker Pin(C.Svc, Opts);
   ASSERT_TRUE(Pin.Ticket.valid());
 
-  qir::Module M;
-  buildAffine(M, 5);
-  std::unique_ptr<CompiledModule> Code[2];
-  std::thread Miss([&] { Code[0] = C.Cache->compile(M, Opts); });
+  constexpr int64_t K = 2;
+  db::ExecResult R[2];
+  std::pair<uint64_t, uint64_t> Got[2];
+  auto Run = [&](int I) {
+    db::ExecOptions O;
+    O.CompileFairnessKey = "t";
+    O.MorselSize = 8;
+    O.OsrForceSwapMorsel = K;
+    rt::OutputBuffer Out;
+    R[I] = db::executeQuery(Q.Plan, *C.Cache, Q.Cat, &Out, O);
+    Got[I] = {Out.numRows(), Out.unorderedDigest()};
+  };
+  std::thread Miss(Run, 0);
   C.Probe->waitEntered();
-  Code[1] = C.Cache->compile(M, Opts);
+  std::thread Lookup(Run, 1);
+  bool Found = spinUntil([&] { return C.Cache->stats().Hits == 1; });
+  // A second lookup in the window returns the handle the query holds.
+  std::unique_ptr<CompiledModule> Shared =
+      C.Cache->compile(*Q.Plan.Module, Opts);
   C.Probe->release();
   Miss.join();
+  Lookup.join();
   Pin.release();
+  ASSERT_TRUE(Found);
 
-  for (const auto &Mod : Code) {
-    ASSERT_NE(Mod, nullptr);
-    EXPECT_EQ(Mod->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  for (int I = 0; I != 2; ++I) {
+    ASSERT_FALSE(R[I].Trapped);
+    EXPECT_EQ(Got[I], std::make_pair(Q.Rows, Q.Digest))
+        << (I ? "lookup" : "miss");
   }
-  ASSERT_NE(Code[1]->Optimized, nullptr);
-  EXPECT_FALSE(Code[1]->Optimized->pending());
-  EXPECT_EQ(Code[1]->Optimized->installed(), nullptr);
+  EXPECT_EQ(R[0].Stats.OsrSwaps, 0u) << "the miss runs its inline compile";
+  EXPECT_GE(R[1].Stats.OsrSwaps, 1u) << "the lookup stayed on Stencil";
+  EXPECT_EQ(R[1].Stats.Pipelines.at(0).SwapMorsel, K);
+
+  ASSERT_NE(Shared->Optimized, nullptr);
+  EXPECT_FALSE(Shared->Optimized->pending());
+  CompiledModule *Installed = Shared->Optimized->installed();
+  ASSERT_NE(Installed, nullptr);
+  std::unique_ptr<CompiledModule> Hit = C.Cache->compile(*Q.Plan.Module, Opts);
+  for (const auto &F : Q.Plan.Module->functions())
+    EXPECT_EQ(Installed->entry(F->name()), Hit->entry(F->name()))
+        << "the install is the module published to memory";
   CacheStats S = C.Cache->stats();
   EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.FastTier, 1u);
+  EXPECT_EQ(S.Hits, 3u);
+  EXPECT_EQ(S.FastTier, 2u);
+  EXPECT_EQ(C.FastCounter->Compiles.load(), 2u);
   EXPECT_EQ(C.Cache->size(), 1u);
   EXPECT_EQ(C.Cache->inFlight(), 0u);
   EXPECT_EQ(C.Counter->Compiles.load(), 1u) << "the miss compiled inline";
+  EXPECT_EQ(C.Svc.stats().JobsQueued, 1u) << "only the pinned job";
 }

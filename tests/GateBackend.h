@@ -8,7 +8,7 @@
 /// GateBackend: compile() blocks until release(). PinnedWorker submits one
 /// gated job to a single-worker CompileService, which pins that worker
 /// deterministically, so later jobs provably sit in the queue
-/// (cancel-before-run, shedding, fairness and cancellable-wait tests).
+/// (cancel-before-run, refusal, fairness and shutdown tests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +76,7 @@ struct PinnedWorker {
     qir::Function *F = M.createFunction("f", {qir::Type::I64}, qir::Type::I64);
     qir::Builder B(F);
     B.ret(F->paramValue(0));
-    Ticket = Svc.submit(M, Gate, backend::CompilePriority::Foreground, Opts);
+    Ticket = Svc.submit(M, Gate, Opts);
     if (Ticket.valid())
       Gate.waitStarted();
   }

@@ -321,8 +321,7 @@ TEST(ObsCompile, ServiceCarriesObsContextToWorkerThreads) {
   qir::Module M = makeModule(9);
   backend::CompileService Svc(2);
   backend::CompileOptions Opts{obs::ObsContext(nullptr, &Reg, &Sink)};
-  auto Result =
-      Svc.submit(M, *Inner, backend::CompilePriority::Foreground, Opts).wait();
+  auto Result = Svc.submit(M, *Inner, Opts).wait();
   ASSERT_NE(Result, nullptr);
   EXPECT_EQ(Reg.snapshot().counter("compile.MLVM-cheap.count"), 1u);
   // Spanning slice + per-pass slices from the worker thread.

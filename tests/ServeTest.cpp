@@ -34,7 +34,6 @@
 #include "serve/Server.h"
 #include "support/TimeTrace.h"
 #include "tests/CountingBackend.h"
-#include "tests/GateBackend.h"
 #include "tests/RandomQir.h"
 #include <atomic>
 #include <chrono>
@@ -47,7 +46,6 @@
 using namespace qcf;
 using namespace qcf::serve;
 using qcf::test::CountingBackend;
-using qcf::test::GateBackend;
 
 namespace {
 
@@ -505,70 +503,6 @@ TEST(Serve, CloseOfActiveSessionRetiresExactlyOnce) {
                 Snap.counter("serve.queries.cancelled") +
                 Snap.counter("serve.queries.rejected"),
             20u);
-}
-
-//===----------------------------------------------------------------------===//
-// Cancel-before-run: a cancelled query abandons its queued compile
-//===----------------------------------------------------------------------===//
-
-// The satellite regression for cancel-before-run across the full stack:
-// executor -> caching backend -> compile service. A single service
-// worker is pinned by a never-finishing compile, so the query's compile
-// ticket sits in the queue; firing the query's ExecControl must make
-// executeQuery return Cancelled promptly by *cancelling the queued
-// ticket* — the pre-fix behaviour (wait for the worker) deadlocks this
-// test, because the worker never frees up until after the join.
-TEST(Serve, CancelledQueryAbandonsQueuedCompile) {
-  backend::CompileService Svc(1);
-  auto Counting =
-      std::make_unique<CountingBackend>(backend::createBackend("DirectEmit"));
-  CountingBackend *Counter = Counting.get();
-  auto Gated = std::make_unique<GateBackend>(std::move(Counting));
-  GateBackend *Gate = Gated.get();
-  backend::CachingBackend Cache(std::move(Gated), 0, &Svc);
-
-  // Pin the only worker.
-  qir::Module Dummy;
-  {
-    qir::Function *F = Dummy.createFunction("f", {qir::Type::I64},
-                                            qir::Type::I64);
-    qir::Builder B(F);
-    B.ret(F->paramValue(0));
-  }
-  backend::CompileTicket Pin = Svc.submit(Dummy, Cache.inner());
-  ASSERT_TRUE(Pin.valid());
-  Gate->waitStarted();
-
-  db::CompiledPlan Plan = db::compileQuery(corpus().Queries[0], corpus().Cat);
-  qcf::CancelToken Ctl;
-  db::ExecOptions EO;
-  EO.Control = &Ctl;
-  std::atomic<bool> Returned{false};
-  db::ExecResult R;
-  std::thread T([&] {
-    rt::OutputBuffer Out;
-    R = db::executeQuery(Plan, Cache, corpus().Cat, &Out, EO);
-    Returned.store(true);
-  });
-
-  // Wait until the query's compile job is queued behind the pin.
-  for (int I = 0; I != 5000 && Svc.stats().JobsQueued < 2; ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GE(Svc.stats().JobsQueued, 2u);
-
-  Ctl.cancel();
-  // The join only completes if the cancelled query abandoned its ticket:
-  // the worker is still pinned, so waiting for the compile would hang.
-  T.join();
-  EXPECT_TRUE(Returned.load());
-  EXPECT_TRUE(R.Cancelled);
-
-  Gate->release();
-  Pin.wait();
-  Svc.shutdown();
-  // The abandoned job was counted, and only the pin ever compiled.
-  EXPECT_GE(Svc.stats().JobsCancelled, 1u);
-  EXPECT_EQ(Counter->Compiles.load(), 1u);
 }
 
 //===----------------------------------------------------------------------===//

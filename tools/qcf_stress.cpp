@@ -16,9 +16,10 @@
 // exits nonzero — everything needed to turn the failure into a unit test.
 //
 // `./qcf_stress --cache-dedup [rounds]` instead soaks CachingBackend's
-// in-flight dedup: each round hammers a service-backed CachingBackend
-// from several threads, asserting exactly-one-compile-per-key and
-// interpreter-identical results.
+// in-flight dedup: each round hammers a CachingBackend from several
+// threads, whose lookups of a key in flight wait on the miss's handle,
+// asserting exactly-one-compile-per-key, Hits + Misses equal to the
+// lookups, and interpreter-identical results.
 //
 // `./qcf_stress --code-cache [rounds]` soaks the persistent disk cache in
 // $QCF_CODE_CACHE: thread storms of store/load over a deterministic
@@ -93,8 +94,7 @@ Outcome invoke(void *Entry, uint64_t A, uint64_t B) {
   return Out;
 }
 
-/// One soak round: thread-storm a service-backed cache over K random
-/// modules. \returns the number of violations (printed as they are
+/// One soak round: thread-storm a cache over K random modules. \returns the number of violations (printed as they are
 /// found).
 uint64_t cacheDedupRound(uint64_t Round) {
   constexpr int NumModules = 6, NumThreads = 4, Lookups = 20;
@@ -127,12 +127,10 @@ uint64_t cacheDedupRound(uint64_t Round) {
     Mods.push_back(std::move(M));
   }
 
-  backend::CompileService Svc(2);
-
   auto Counting = std::make_unique<test::CountingBackend>(
       backend::createBackend("DirectEmit"));
   test::CountingBackend *Counter = Counting.get();
-  backend::CachingBackend Cache(std::move(Counting), /*Capacity=*/0, &Svc);
+  backend::CachingBackend Cache(std::move(Counting));
 
   std::atomic<uint64_t> Bad{0};
   std::vector<std::thread> Threads;
