@@ -17,8 +17,8 @@
 #include "qir/Print.h"
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
-#include <functional>
-#include <map>
+#include <string_view>
+#include <type_traits>
 
 using namespace qcf;
 using namespace qcf::db;
@@ -44,15 +44,17 @@ unsigned fieldSize(ExprType Ty) {
   QCF_UNREACHABLE("invalid expr type");
 }
 
+/// Column names are views of the catalog's and the plan's strings, which
+/// outlive lowering.
 struct SchemaCol {
-  std::string Name;
+  std::string_view Name;
   ExprType Ty;
 };
 
 struct Schema {
   std::vector<SchemaCol> Cols;
 
-  const SchemaCol *find(const std::string &Name) const {
+  const SchemaCol *find(std::string_view Name) const {
     for (const SchemaCol &C : Cols)
       if (C.Name == Name)
         return &C;
@@ -61,9 +63,27 @@ struct Schema {
 };
 
 struct Field {
-  std::string Name;
+  std::string_view Name;
   ExprType Ty;
   uint32_t Off;
+};
+
+/// A non-owning reference to a `void()` callable. Every consumer runs
+/// inside the produce() call it was handed to, so it never outlives the
+/// lambda it refers to, and passing one allocates nothing.
+class Consumer {
+public:
+  template <typename Fn, typename = std::enable_if_t<
+                             !std::is_same_v<std::decay_t<Fn>, Consumer>>>
+  Consumer(Fn &&Body)
+      : Obj(const_cast<void *>(static_cast<const void *>(&Body))),
+        Run([](void *O) { (*static_cast<std::remove_reference_t<Fn> *>(O))(); }) {}
+
+  void operator()() const { Run(Obj); }
+
+private:
+  void *Obj;
+  void (*Run)(void *);
 };
 
 
@@ -98,6 +118,7 @@ Schema schemaOf(const PlanNode *N, const Catalog &Cat) {
     Schema S;
     const Table *T = Cat.find(N->TableName);
     assert(T && "unknown table");
+    S.Cols.reserve(T->Columns.size());
     for (const Column &C : T->Columns)
       S.Cols.push_back({C.Name, exprTypeFor(C.Ty)});
     return S;
@@ -117,7 +138,6 @@ Schema schemaOf(const PlanNode *N, const Catalog &Cat) {
   }
   case PlanNode::Kind::Aggregate: {
     Schema In = schemaOf(N->Child.get(), Cat);
-    (void)In;
     Schema S;
     for (size_t K = 0; K != N->GroupNames.size(); ++K)
       S.Cols.push_back(
@@ -177,28 +197,40 @@ public:
   }
 
 private:
-  using Consumer = std::function<void()>;
-
   struct TypedValue {
     ValueId V;
     ExprType Ty;
+  };
+
+  /// A column name in scope in the current pipeline and how to produce its
+  /// value. The value is emitted on first use and reused after that: the
+  /// body block dominates every block nested in it.
+  struct Binding {
+    enum class Kind : uint8_t { TableColumn, Field, AggResult, Value };
+    std::string_view Name;
+    Kind K;
+    bool Emitted = false;
+    TypedValue V{};               ///< Value, or the emitted result.
+    const Column *Col = nullptr;  ///< TableColumn.
+    ValueId Base = 0;             ///< Field / AggResult: row or payload.
+    Field Fd{};                   ///< Field.
+    AggState St{};                ///< AggResult.
   };
 
   // --- Pipeline plumbing ---------------------------------------------------
 
   /// Opens a new pipeline function and its morsel loop; \p Body emits the
   /// per-row work (loaders must be bound by the caller).
-  void openPipeline(PipelineDesc Desc, const std::function<void()> &Body) {
+  void openPipeline(PipelineDesc Desc, Consumer Body) {
     PipelineIdx = static_cast<int>(Out.Pipelines.size());
     Desc.FnName = Q.Name + "_pipe" + std::to_string(PipelineIdx);
-    Out.Pipelines.push_back(Desc);
+    Out.Pipelines.push_back(std::move(Desc));
 
     F = Out.Module->createFunction(Out.Pipelines.back().FnName,
                                    {Type::Ptr, Type::I64, Type::I64},
                                    Type::Void);
     Bld.emplace(F);
     Env.clear();
-    EnvCache.clear();
     SlotCache.clear();
     ContinueStack.clear();
 
@@ -239,13 +271,11 @@ private:
   /// Loads a ctx slot (cached per pipeline; body block dominates all
   /// nested blocks).
   ValueId loadSlot(uint32_t Slot) {
-    auto It = SlotCache.find(Slot);
-    if (It != SlotCache.end())
-      return It->second;
-    ValueId Addr = Bld->gep(CtxV, 8 * Slot);
-    ValueId V = Bld->load(Type::Ptr, Addr);
-    SlotCache[Slot] = V;
-    return V;
+    if (Slot >= SlotCache.size())
+      SlotCache.resize(Slot + 1, qir::INVALID_VALUE);
+    if (SlotCache[Slot] == qir::INVALID_VALUE)
+      SlotCache[Slot] = Bld->load(Type::Ptr, Bld->gep(CtxV, 8 * Slot));
+    return SlotCache[Slot];
   }
 
   // --- Produce/consume ---------------------------------------------------------
@@ -253,11 +283,11 @@ private:
   void produce(const PlanNode *N, Consumer C) {
     switch (N->K) {
     case PlanNode::Kind::Scan:
-      produceScan(N, std::move(C));
+      produceScan(N, C);
       return;
     case PlanNode::Kind::Filter: {
       const PlanNode *Node = N;
-      produce(N->Child.get(), [this, Node, C = std::move(C)] {
+      produce(N->Child.get(), [this, Node, C] {
         TypedValue Pred = emitExpr(Node->Pred.get());
         BlockId Pass = Bld->createBlock();
         Bld->condBr(Pred.V, Pass, cont());
@@ -267,13 +297,13 @@ private:
       return;
     }
     case PlanNode::Kind::HashJoin:
-      produceJoin(N, std::move(C));
+      produceJoin(N, C);
       return;
     case PlanNode::Kind::Aggregate:
-      produceAggregate(N, std::move(C));
+      produceAggregate(N, C);
       return;
     case PlanNode::Kind::Sort:
-      produceSort(N, std::move(C));
+      produceSort(N, C);
       return;
     }
     QCF_UNREACHABLE("invalid plan node");
@@ -286,8 +316,9 @@ private:
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::TableScan;
     Desc.SourceTable = N->TableName;
-    openPipeline(Desc, [this, T, C = std::move(C)] {
-      bindTableLoaders(*T);
+    openPipeline(std::move(Desc), [this, T, C] {
+      for (const Column &Col : T->Columns)
+        bind({Col.Name, Binding::Kind::TableColumn}).Col = &Col;
       C();
     });
   }
@@ -305,45 +336,80 @@ private:
     Out.Reads.push_back(std::move(R));
   }
 
-  void bindTableLoaders(const Table &T) {
-    for (const Column &Col : T.Columns) {
-      const Column *CP = &Col;
-      Env[Col.Name] = [this, CP]() -> TypedValue {
-        ValueId Base = Bld->constPtr(CP->raw());
-        ValueId Addr =
-            Bld->gepIndexed(Base, RowIdx, colElemSize(CP->Ty));
-        switch (CP->Ty) {
-        case ColType::I32:
-        case ColType::Date: {
-          ValueId V32 = Bld->load(Type::I32, Addr);
-          return {Bld->sext(Type::I64, V32), ExprType::I64};
-        }
-        case ColType::I64:
-          return {Bld->load(Type::I64, Addr), ExprType::I64};
-        case ColType::F64:
-          return {Bld->load(Type::F64, Addr), ExprType::F64};
-        case ColType::Decimal:
-          return {Bld->load(Type::I128, Addr), ExprType::Decimal};
-        case ColType::Str:
-          return {Bld->load(Type::D128, Addr), ExprType::Str};
-        }
-        QCF_UNREACHABLE("invalid column type");
-      };
-    }
+  /// Brings \p B.Name into scope, replacing an earlier binding of the
+  /// same name (a join's build payload hides a probe-side column).
+  Binding &bind(Binding B) {
+    for (Binding &Old : Env)
+      if (Old.Name == B.Name)
+        return Old = B;
+    return Env.emplace_back(B);
   }
 
   // --- Expressions -----------------------------------------------------------
 
-  TypedValue column(const std::string &Name) {
-    auto CacheIt = EnvCache.find(Name);
-    if (CacheIt != EnvCache.end())
-      return CacheIt->second;
-    auto It = Env.find(Name);
-    if (It == Env.end())
-      reportFatalError(("unknown column in query: " + Name).c_str());
-    TypedValue V = It->second();
-    EnvCache[Name] = V;
-    return V;
+  TypedValue column(std::string_view Name) {
+    for (Binding &B : Env) {
+      if (B.Name != Name)
+        continue;
+      if (!B.Emitted) {
+        B.V = emitBinding(B);
+        B.Emitted = true;
+      }
+      return B.V;
+    }
+    reportFatalError(("unknown column in query: " + std::string(Name)).c_str());
+  }
+
+  TypedValue emitBinding(const Binding &B) {
+    switch (B.K) {
+    case Binding::Kind::TableColumn: {
+      const Column *CP = B.Col;
+      ValueId Base = Bld->constPtr(CP->raw());
+      ValueId Addr = Bld->gepIndexed(Base, RowIdx, colElemSize(CP->Ty));
+      switch (CP->Ty) {
+      case ColType::I32:
+      case ColType::Date: {
+        ValueId V32 = Bld->load(Type::I32, Addr);
+        return {Bld->sext(Type::I64, V32), ExprType::I64};
+      }
+      case ColType::I64:
+        return {Bld->load(Type::I64, Addr), ExprType::I64};
+      case ColType::F64:
+        return {Bld->load(Type::F64, Addr), ExprType::F64};
+      case ColType::Decimal:
+        return {Bld->load(Type::I128, Addr), ExprType::Decimal};
+      case ColType::Str:
+        return {Bld->load(Type::D128, Addr), ExprType::Str};
+      }
+      QCF_UNREACHABLE("invalid column type");
+    }
+    case Binding::Kind::Field:
+      return loadField(B.Base, B.Fd);
+    case Binding::Kind::AggResult: {
+      const AggState &St = B.St;
+      ValueId P = B.Base;
+      if (St.Kind == AggKind::Avg) {
+        // sum / count as f64 (decimal sums divide out the scale).
+        ValueId Sum;
+        if (St.ArgTy == ExprType::Decimal) {
+          ValueId S128 = Bld->load(Type::I128, Bld->gep(P, St.Off));
+          Sum = Bld->extractLo(S128);
+        } else {
+          Sum = Bld->load(Type::I64, Bld->gep(P, St.Off));
+        }
+        ValueId Count = Bld->load(Type::I64, Bld->gep(P, St.CountOff));
+        ValueId SumF = Bld->sitofp(Sum);
+        ValueId CountF = Bld->sitofp(Count);
+        return {Bld->fdiv(SumF, CountF), ExprType::F64};
+      }
+      if (St.ArgTy == ExprType::Decimal)
+        return {Bld->load(Type::I128, Bld->gep(P, St.Off)), ExprType::Decimal};
+      return {Bld->load(Type::I64, Bld->gep(P, St.Off)), ExprType::I64};
+    }
+    case Binding::Kind::Value:
+      return B.V;
+    }
+    QCF_UNREACHABLE("invalid binding kind");
   }
 
   TypedValue emitExpr(const Expr *E) {
@@ -547,53 +613,51 @@ private:
   void produceJoin(const PlanNode *N, Consumer C) {
     // Layout: [build keys][payload columns].
     Schema BuildSchema = schemaOf(N->Build.get(), Cat);
-    auto Obj = std::make_shared<RuntimeObject>();
-    Obj->K = RuntimeObject::Kind::JoinHt;
-    Obj->Slot = NextSlot++;
+    RuntimeObject Obj{};
+    Obj.K = RuntimeObject::Kind::JoinHt;
+    Obj.Slot = NextSlot++;
 
-    auto KeyFields = std::make_shared<std::vector<Field>>();
-    auto PayloadFields = std::make_shared<std::vector<Field>>();
+    std::vector<Field> KeyFields, PayloadFields;
     uint32_t Off = 0;
     for (size_t K = 0; K != N->BuildKeys.size(); ++K) {
-      ExprType Ty = exprTypeOf(N->BuildKeys[K].get(), BuildSchema);
-      KeyFields->push_back({"", Ty, Off});
+      ExprType Ty = resolveType(N->BuildKeys[K].get(), BuildSchema);
+      KeyFields.push_back({"", Ty, Off});
       Off += fieldSize(Ty);
     }
     for (const std::string &P : N->BuildPayload) {
       const SchemaCol *SC = BuildSchema.find(P);
       assert(SC && "unknown payload column");
-      PayloadFields->push_back({P, SC->Ty, Off});
+      PayloadFields.push_back({P, SC->Ty, Off});
       Off += fieldSize(SC->Ty);
     }
-    Obj->PayloadBytes = Off;
+    Obj.PayloadBytes = Off;
+    const uint32_t Slot = Obj.Slot;
     int ObjIdx = static_cast<int>(Out.Objects.size());
-    Out.Objects.push_back(*Obj);
+    Out.Objects.push_back(std::move(Obj));
 
     // Build-side pipeline(s): append, linked once the pipeline ends.
-    const PlanNode *Node = N;
-    produce(N->Build.get(), [this, Node, Obj, KeyFields, PayloadFields] {
+    produce(N->Build.get(), [&] {
       std::vector<TypedValue> Keys;
-      for (const ExprPtr &KE : Node->BuildKeys)
+      for (const ExprPtr &KE : N->BuildKeys)
         Keys.push_back(emitExpr(KE.get()));
       ValueId H = emitHash(Keys);
-      ValueId Ht = loadSlot(Obj->Slot);
+      ValueId Ht = loadSlot(Slot);
       ValueId Payload = Bld->call(Syms.HtAppend, {Ht, H});
       for (size_t K = 0; K != Keys.size(); ++K)
-        storeField(Payload, (*KeyFields)[K], Keys[K]);
-      for (const Field &Fd : *PayloadFields)
+        storeField(Payload, KeyFields[K], Keys[K]);
+      for (const Field &Fd : PayloadFields)
         storeField(Payload, Fd, column(Fd.Name));
       Bld->br(cont());
     });
     Out.Objects[ObjIdx].ProducerPipeline = PipelineIdx;
 
     // Probe side: wrap the consumer with the chain loop.
-    produce(N->Child.get(),
-            [this, Node, Obj, KeyFields, PayloadFields, C = std::move(C)] {
+    produce(N->Child.get(), [&] {
       std::vector<TypedValue> Keys;
-      for (const ExprPtr &KE : Node->ProbeKeys)
+      for (const ExprPtr &KE : N->ProbeKeys)
         Keys.push_back(emitExpr(KE.get()));
       ValueId H = emitHash(Keys);
-      ValueId Ht = loadSlot(Obj->Slot);
+      ValueId Ht = loadSlot(Slot);
       ValueId First = Bld->call(Syms.HtLookup, {Ht, H});
       BlockId FromBB = Bld->currentBlock();
 
@@ -612,22 +676,19 @@ private:
 
       Bld->startBlock(KeysBB);
       ValueId Payload = Bld->gep(EPhi, rt::HashTable::HeaderBytes);
-      emitKeyCompare(Payload, *KeyFields, Keys, ChainNext);
+      emitKeyCompare(Payload, KeyFields, Keys, ChainNext);
 
-      // Match: bind build-payload loaders and invoke the consumer with
-      // the chain-next block as the continue target.
-      std::map<std::string, TypedValue> Bound;
-      for (const Field &Fd : *PayloadFields) {
-        TypedValue V = loadField(Payload, Fd);
-        EnvCache[Fd.Name] = V; // Override any probe-side name.
-        Env[Fd.Name] = [V]() { return V; };
+      // Match: bind the build payload (it overrides any probe-side name
+      // for the rest of the pipeline) and invoke the consumer with the
+      // chain-next block as the continue target.
+      for (const Field &Fd : PayloadFields) {
+        Binding &B = bind({Fd.Name, Binding::Kind::Value});
+        B.V = loadField(Payload, Fd);
+        B.Emitted = true;
       }
       ContinueStack.push_back(ChainNext);
       C();
       ContinueStack.pop_back();
-      // Invalidate the payload bindings (they are chain-local).
-      for (const Field &Fd : *PayloadFields)
-        EnvCache.erase(Fd.Name);
 
       Bld->startBlock(ChainNext);
       ValueId ENext = Bld->call(Syms.HtNext, {EPhi, H});
@@ -638,33 +699,28 @@ private:
     });
   }
 
-  ExprType exprTypeOf(const Expr *E, const Schema &S) {
-    return resolveType(E, S);
-  }
-
   // --- Aggregation ---------------------------------------------------------------
 
   void produceAggregate(const PlanNode *N, Consumer C) {
     Schema In = schemaOf(N->Child.get(), Cat);
 
-    auto Obj = std::make_shared<RuntimeObject>();
-    Obj->K = RuntimeObject::Kind::AggHt;
-    Obj->Slot = NextSlot++;
+    RuntimeObject Obj{};
+    Obj.K = RuntimeObject::Kind::AggHt;
+    Obj.Slot = NextSlot++;
 
-    auto KeyFields = std::make_shared<std::vector<Field>>();
+    std::vector<Field> KeyFields;
     uint32_t Off = 0;
     for (size_t K = 0; K != N->GroupKeys.size(); ++K) {
-      ExprType Ty = exprTypeOf(N->GroupKeys[K].get(), In);
-      KeyFields->push_back({N->GroupNames[K], Ty, Off});
+      ExprType Ty = resolveType(N->GroupKeys[K].get(), In);
+      KeyFields.push_back({N->GroupNames[K], Ty, Off});
       Off += fieldSize(Ty);
     }
-    auto States = std::make_shared<std::vector<AggState>>();
+    std::vector<AggState> States;
     for (const AggSpec &A : N->Aggs) {
       AggState St;
       St.Kind = A.Kind;
-      St.ArgTy = A.Kind == AggKind::Count
-                     ? ExprType::I64
-                     : exprTypeOf(A.Arg.get(), In);
+      St.ArgTy = A.Kind == AggKind::Count ? ExprType::I64
+                                          : resolveType(A.Arg.get(), In);
       St.Off = Off;
       Off += fieldSize(St.ArgTy == ExprType::Decimal ? ExprType::Decimal
                                                      : ExprType::I64);
@@ -673,58 +729,35 @@ private:
         St.CountOff = Off;
         Off += 8;
       }
-      States->push_back(St);
+      States.push_back(St);
     }
-    Obj->PayloadBytes = Off;
+    Obj.PayloadBytes = Off;
+    const uint32_t Slot = Obj.Slot;
     int ObjIdx = static_cast<int>(Out.Objects.size());
-    Out.Objects.push_back(*Obj);
+    Out.Objects.push_back(std::move(Obj));
 
     // Child pipeline with the aggregation sink.
-    const PlanNode *Node = N;
-    produce(N->Child.get(), [this, Node, Obj, KeyFields, States] {
-      emitAggSink(Node, Obj->Slot, *KeyFields, *States);
-    });
+    produce(N->Child.get(),
+            [&] { emitAggSink(N, Slot, KeyFields, States); });
     Out.Objects[ObjIdx].ProducerPipeline = PipelineIdx;
 
     // This node becomes a source: scan the aggregation table.
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::HtScan;
     Desc.SourceObject = ObjIdx;
-    openPipeline(Desc, [this, Node, Obj, KeyFields, States,
-                        C = std::move(C)] {
-      ValueId Ht = loadSlot(Obj->Slot);
+    openPipeline(std::move(Desc), [&] {
+      ValueId Ht = loadSlot(Slot);
       ValueId Entry = Bld->call(Syms.HtEntry, {Ht, RowIdx});
       ValueId Payload = Bld->gep(Entry, rt::HashTable::HeaderBytes);
-      for (const Field &Fd : *KeyFields) {
-        std::string Name = Fd.Name;
-        Field FdCopy = Fd;
-        ValueId P = Payload;
-        Env[Name] = [this, P, FdCopy]() { return loadField(P, FdCopy); };
+      for (const Field &Fd : KeyFields) {
+        Binding &B = bind({Fd.Name, Binding::Kind::Field});
+        B.Base = Payload;
+        B.Fd = Fd;
       }
-      for (size_t K = 0; K != Node->Aggs.size(); ++K) {
-        const AggSpec &A = Node->Aggs[K];
-        AggState St = (*States)[K];
-        ValueId P = Payload;
-        Env[A.Name] = [this, P, St]() -> TypedValue {
-          if (St.Kind == AggKind::Avg) {
-            // sum / count as f64 (decimal sums divide out the scale).
-            ValueId Sum;
-            if (St.ArgTy == ExprType::Decimal) {
-              ValueId S128 = Bld->load(Type::I128, Bld->gep(P, St.Off));
-              Sum = Bld->extractLo(S128);
-            } else {
-              Sum = Bld->load(Type::I64, Bld->gep(P, St.Off));
-            }
-            ValueId Count = Bld->load(Type::I64, Bld->gep(P, St.CountOff));
-            ValueId SumF = Bld->sitofp(Sum);
-            ValueId CountF = Bld->sitofp(Count);
-            return {Bld->fdiv(SumF, CountF), ExprType::F64};
-          }
-          if (St.ArgTy == ExprType::Decimal)
-            return {Bld->load(Type::I128, Bld->gep(P, St.Off)),
-                    ExprType::Decimal};
-          return {Bld->load(Type::I64, Bld->gep(P, St.Off)), ExprType::I64};
-        };
+      for (size_t K = 0; K != N->Aggs.size(); ++K) {
+        Binding &B = bind({N->Aggs[K].Name, Binding::Kind::AggResult});
+        B.Base = Payload;
+        B.St = States[K];
       }
       C();
     });
@@ -885,30 +918,32 @@ private:
 
     // Row layout: every child-schema column that the output or the sort
     // keys need. For simplicity, materialize the full child schema.
-    auto RowFields = std::make_shared<std::vector<Field>>();
+    std::vector<Field> RowFields;
+    RowFields.reserve(In.Cols.size());
     uint32_t Off = 0;
     for (const SchemaCol &SC : In.Cols) {
-      RowFields->push_back({SC.Name, SC.Ty, Off});
+      RowFields.push_back({SC.Name, SC.Ty, Off});
       Off += fieldSize(SC.Ty);
     }
 
-    auto Obj = std::make_shared<RuntimeObject>();
-    Obj->K = RuntimeObject::Kind::SortBuffer;
-    Obj->Slot = NextSlot++;
-    Obj->CountSlot = NextSlot++;
-    Obj->RowStride = Off;
-    Obj->Limit = N->Limit;
-    Obj->CmpFnName = Q.Name + "_cmp" + std::to_string(Out.Objects.size());
+    RuntimeObject Obj{};
+    Obj.K = RuntimeObject::Kind::SortBuffer;
+    Obj.Slot = NextSlot++;
+    Obj.CountSlot = NextSlot++;
+    Obj.RowStride = Off;
+    Obj.Limit = N->Limit;
+    Obj.CmpFnName = Q.Name + "_cmp" + std::to_string(Out.Objects.size());
+    const uint32_t Slot = Obj.Slot, Stride = Obj.RowStride;
     int ObjIdx = static_cast<int>(Out.Objects.size());
-    Out.Objects.push_back(*Obj);
+    Out.Objects.push_back(std::move(Obj));
 
     // Materialization pipeline: each row is an unlinked entry of a hash
     // table that the executor packs before the sort.
-    produce(N->Child.get(), [this, Obj, RowFields] {
-      ValueId Rows = loadSlot(Obj->Slot);
+    produce(N->Child.get(), [&] {
+      ValueId Rows = loadSlot(Slot);
       ValueId RowPtr = Bld->call(Syms.HtAppend,
                                  {Rows, Bld->constInt(Type::I64, 0)});
-      for (const Field &Fd : *RowFields)
+      for (const Field &Fd : RowFields)
         storeField(RowPtr, Fd, column(Fd.Name));
       Bld->br(cont());
     });
@@ -916,22 +951,19 @@ private:
     Out.Pipelines[PipelineIdx].SortObject = ObjIdx;
 
     // Comparator function.
-    emitComparator(*N, *RowFields, Out.Objects[ObjIdx].CmpFnName);
+    emitComparator(*N, RowFields, Out.Objects[ObjIdx].CmpFnName);
 
     // Consumer pipeline over the sorted buffer.
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::SortedScan;
     Desc.SourceObject = ObjIdx;
-    uint32_t Stride = Out.Objects[ObjIdx].RowStride;
-    uint32_t Slot = Out.Objects[ObjIdx].Slot;
-    openPipeline(Desc, [this, RowFields, Stride, Slot, C = std::move(C)] {
+    openPipeline(std::move(Desc), [&] {
       ValueId Base = loadSlot(Slot);
       ValueId RowPtr = Bld->gepIndexed(Base, RowIdx, Stride);
-      for (const Field &Fd : *RowFields) {
-        Field FdCopy = Fd;
-        Env[Fd.Name] = [this, RowPtr, FdCopy]() {
-          return loadField(RowPtr, FdCopy);
-        };
+      for (const Field &Fd : RowFields) {
+        Binding &B = bind({Fd.Name, Binding::Kind::Field});
+        B.Base = RowPtr;
+        B.Fd = Fd;
       }
       C();
     });
@@ -1038,9 +1070,11 @@ private:
   ValueId CtxV = 0, RowIdx = 0;
   BlockId LatchBB = 0;
   std::vector<BlockId> ContinueStack;
-  std::map<std::string, std::function<TypedValue()>> Env;
-  std::map<std::string, TypedValue> EnvCache;
-  std::map<uint32_t, ValueId> SlotCache;
+  /// The current pipeline's column bindings, searched by name. Kept across
+  /// pipelines so their storage is reused.
+  std::vector<Binding> Env;
+  /// The current pipeline's load of each ctx slot, by slot.
+  std::vector<ValueId> SlotCache;
   uint32_t NextSlot = 2; ///< 0 = OutputBuffer*, 1 = Arena*.
   int PipelineIdx = -1;
 };

@@ -288,10 +288,22 @@ void finishQuery(const ExecOptions &Opts, ExecResult &Result,
   S.RowsOut = Out ? Out->numRows() - RowsBefore : 0;
 
   obs::MetricsRegistry &Reg = Opts.Obs.registry();
-  Reg.counter("db.queries").inc();
-  Reg.counter("db.query.rows").add(S.RowsOut);
-  Reg.histogram("db.query.exec_ns").observe(S.ExecNs);
-  Reg.histogram("db.query.compile_ns").observe(S.CompileNs);
+  // Resolved once per registry and thread: a name lookup takes the
+  // registry's mutex, and these four are bumped by every query.
+  struct Handles {
+    uint64_t RegId = 0;
+    obs::Counter *Queries, *Rows;
+    obs::Histogram *ExecNs, *CompileNs;
+  };
+  thread_local Handles H;
+  if (H.RegId != Reg.id())
+    H = {Reg.id(), &Reg.counter("db.queries"), &Reg.counter("db.query.rows"),
+         &Reg.histogram("db.query.exec_ns"),
+         &Reg.histogram("db.query.compile_ns")};
+  H.Queries->inc();
+  H.Rows->add(S.RowsOut);
+  H.ExecNs->observe(S.ExecNs);
+  H.CompileNs->observe(S.CompileNs);
   if (Result.Trapped)
     Reg.counter("db.query.traps").inc();
   if (Result.Cancelled)

@@ -19,6 +19,7 @@
 
 #include "qir/Function.h"
 #include <initializer_list>
+#include <utility>
 
 namespace qcf::qir {
 
@@ -304,7 +305,7 @@ public:
   }
 
   ValueId call(SymbolId Callee, const ValueId *Args, unsigned NumArgs) {
-    const RuntimeSig &Sig = F->parent()->symbol(Callee);
+    const RuntimeSig &Sig = std::as_const(*F->parent()).symbol(Callee);
     assert(Sig.ParamTypes.size() == NumArgs && "call arity mismatch");
     Inst I{};
     I.Op = Opcode::Call;

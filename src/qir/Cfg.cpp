@@ -10,16 +10,15 @@
 using namespace qcf;
 using namespace qcf::qir;
 
-CfgInfo::CfgInfo(const Function &F) {
+void CfgInfo::compute(const Function &F) {
   uint32_t N = F.numBlocks();
-  Preds.resize(N);
   RpoIndex.assign(N, INVALID_BLOCK);
 
-  // Post-order DFS from entry using an explicit stack.
-  std::vector<uint8_t> State(N, 0); // 0 = unvisited, 1 = on stack, 2 = done
-  std::vector<std::pair<BlockId, unsigned>> Stack;
-  std::vector<BlockId> PostOrder;
-  PostOrder.reserve(N);
+  // Post-order DFS from entry using an explicit stack. The post-order is
+  // collected in Rpo and reversed in place.
+  State.assign(N, 0); // 0 = unvisited, 1 = on stack, 2 = done
+  Stack.clear();
+  Rpo.clear();
 
   if (N != 0) {
     Stack.push_back({0, 0});
@@ -37,30 +36,39 @@ CfgInfo::CfgInfo(const Function &F) {
       }
     } else {
       State[B] = 2;
-      PostOrder.push_back(B);
+      Rpo.push_back(B);
       Stack.pop_back();
     }
   }
 
-  Rpo.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(Rpo.begin(), Rpo.end());
   for (uint32_t I = 0; I != Rpo.size(); ++I)
     RpoIndex[Rpo[I]] = I;
 
-  // Predecessors, restricted to reachable blocks. A block branching to the
-  // same successor on both edges counts as one predecessor (phi incomings
-  // are per-predecessor, not per-edge).
-  for (BlockId B : Rpo) {
+  // Predecessors, restricted to reachable blocks, in RPO order of the
+  // predecessor. A block branching to the same successor on both edges
+  // counts as one predecessor (phi incomings are per-predecessor, not
+  // per-edge). Counted first, then filled into the flat list.
+  auto ForEachSucc = [&F](BlockId B, auto Fn) {
     const Inst &Term = F.terminator(B);
-    for (unsigned I = 0, E = F.numSuccessors(Term); I != E; ++I) {
-      BlockId S = F.successor(Term, I);
-      std::vector<BlockId> &P = Preds[S];
-      if (P.empty() || P.back() != B)
-        P.push_back(B);
-    }
-  }
+    unsigned E = F.numSuccessors(Term);
+    for (unsigned I = 0; I != E; ++I)
+      if (I == 0 || F.successor(Term, I) != F.successor(Term, 0))
+        Fn(F.successor(Term, I));
+  };
+  PredBegin.assign(N + 1, 0);
+  for (BlockId B : Rpo)
+    ForEachSucc(B, [&](BlockId S) { ++PredBegin[S + 1]; });
+  for (uint32_t B = 0; B != N; ++B)
+    PredBegin[B + 1] += PredBegin[B];
+  PredList.resize(PredBegin[N]);
+  Fill.assign(PredBegin.begin(), PredBegin.end() - 1);
+  for (BlockId B : Rpo)
+    ForEachSucc(B, [&](BlockId S) { PredList[Fill[S]++] = B; });
 }
 
-DomTree::DomTree(const Function &F, const CfgInfo &Cfg) : Cfg(Cfg) {
+void DomTree::compute(const Function &F, const CfgInfo &Cfg) {
+  this->Cfg = &Cfg;
   uint32_t N = F.numBlocks();
   Idom.assign(N, INVALID_BLOCK);
   const std::vector<BlockId> &Rpo = Cfg.rpo();
@@ -102,13 +110,13 @@ DomTree::DomTree(const Function &F, const CfgInfo &Cfg) : Cfg(Cfg) {
 }
 
 bool DomTree::dominates(BlockId A, BlockId B) const {
-  if (!Cfg.isReachable(A) || !Cfg.isReachable(B))
+  if (!Cfg->isReachable(A) || !Cfg->isReachable(B))
     return false;
   // Walk B's idom chain; RPO index strictly decreases, so this terminates.
   while (B != INVALID_BLOCK) {
     if (A == B)
       return true;
-    if (Cfg.rpoIndex(B) <= Cfg.rpoIndex(A))
+    if (Cfg->rpoIndex(B) <= Cfg->rpoIndex(A))
       return false;
     B = Idom[B];
   }

@@ -17,18 +17,29 @@
 #define QCF_QIR_CFG_H
 
 #include "qir/Function.h"
+#include <span>
 #include <vector>
 
 namespace qcf::qir {
 
-/// Predecessor lists and block layout order helpers.
+/// Predecessor lists and block layout order helpers. All predecessor
+/// lists share one flat array, and compute() reuses the storage of an
+/// earlier function, so analysing a module's functions in turn allocates
+/// only when a function is larger than every one before it.
 class CfgInfo {
 public:
-  explicit CfgInfo(const Function &F);
+  CfgInfo() = default;
+  explicit CfgInfo(const Function &F) { compute(F); }
 
-  const std::vector<BlockId> &preds(BlockId B) const { return Preds[B]; }
+  /// (Re)computes the analysis for \p F. Every branch target of \p F must
+  /// be a block of \p F.
+  void compute(const Function &F);
+
+  std::span<const BlockId> preds(BlockId B) const {
+    return {PredList.data() + PredBegin[B], numPreds(B)};
+  }
   unsigned numPreds(BlockId B) const {
-    return static_cast<unsigned>(Preds[B].size());
+    return PredBegin[B + 1] - PredBegin[B];
   }
 
   /// Blocks in reverse post-order of a DFS from entry. Unreachable blocks
@@ -41,15 +52,26 @@ public:
   bool isReachable(BlockId B) const { return RpoIndex[B] != INVALID_BLOCK; }
 
 private:
-  std::vector<std::vector<BlockId>> Preds;
+  /// preds(B) is PredList[PredBegin[B], PredBegin[B + 1]).
+  std::vector<uint32_t> PredBegin;
+  std::vector<BlockId> PredList;
   std::vector<BlockId> Rpo;
   std::vector<uint32_t> RpoIndex;
+  // Scratch, kept for reuse: DFS state and the predecessor fill cursor.
+  std::vector<uint8_t> State;
+  std::vector<std::pair<BlockId, unsigned>> Stack;
+  std::vector<uint32_t> Fill;
 };
 
 /// Dominator tree via the Cooper-Harvey-Kennedy iterative algorithm.
 class DomTree {
 public:
-  DomTree(const Function &F, const CfgInfo &Cfg);
+  DomTree() = default;
+  DomTree(const Function &F, const CfgInfo &Cfg) { compute(F, Cfg); }
+
+  /// (Re)computes the tree for \p F, reusing this object's storage.
+  /// \p Cfg must stay alive and unchanged while the tree is queried.
+  void compute(const Function &F, const CfgInfo &Cfg);
 
   /// Immediate dominator (INVALID_BLOCK for entry / unreachable blocks).
   BlockId idom(BlockId B) const { return Idom[B]; }
@@ -58,7 +80,7 @@ public:
   bool dominates(BlockId A, BlockId B) const;
 
 private:
-  const CfgInfo &Cfg;
+  const CfgInfo *Cfg = nullptr;
   std::vector<BlockId> Idom;
 };
 

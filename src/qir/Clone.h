@@ -23,12 +23,11 @@
 
 namespace qcf::qir {
 
-/// Copies the runtime-symbol table of \p Src into \p Dst in one vector
-/// copy, so that SymbolIds agree between the two modules. \p Dst must not
-/// have declared any symbols of its own beforehand.
+/// Shares the runtime-symbol table of \p Src with \p Dst, so that
+/// SymbolIds agree between the two modules. \p Dst must not have declared
+/// any symbols of its own beforehand.
 inline void cloneSymbols(const Module &Src, Module &Dst) {
-  assert(Dst.numSymbols() == 0 && "destination already has symbols");
-  Dst.Symbols = Src.Symbols;
+  Dst.shareSymbols(Src.symbols());
 }
 
 /// Clones \p F into \p Dst (which must already carry \p F's symbol table,

@@ -28,6 +28,7 @@
 #include "qir/Opcode.h"
 #include "qir/Type.h"
 #include "support/Int128.h"
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,7 +95,8 @@ public:
       : Parent(Parent), Name(std::move(Name)),
         ParamTypes(std::move(ParamTypes)), RetType(RetType) {}
 
-  Module *parent() const { return Parent; }
+  const Module *parent() const { return Parent; }
+  Module *parent() { return Parent; }
   const std::string &name() const { return Name; }
   Type returnType() const { return RetType; }
   const std::vector<Type> &paramTypes() const { return ParamTypes; }
@@ -202,7 +204,13 @@ private:
   Type RetType;
 };
 
+/// The runtime-symbol table of a module, indexed by SymbolId.
+using SymbolTable = std::vector<RuntimeSig>;
+
 /// A QIR module: functions plus the table of runtime symbols they may call.
+/// Modules share their symbol table until one of them declares a symbol
+/// the table lacks, so copying a table (shareSymbols, cloneSymbols) costs
+/// one reference count, not one allocation per symbol.
 class Module {
 public:
   /// Creates a function; the returned pointer is owned by the module.
@@ -217,22 +225,34 @@ public:
   SymbolId declareRuntime(const std::string &Name, Type RetType,
                           std::vector<Type> ParamTypes,
                           void *Address = nullptr) {
-    for (SymbolId I = 0; I != Symbols.size(); ++I)
-      if (Symbols[I].Name == Name)
+    for (SymbolId I = 0; I != numSymbols(); ++I)
+      if ((*Symbols)[I].Name == Name)
         return I;
-    Symbols.push_back({Name, RetType, std::move(ParamTypes), Address});
-    return static_cast<SymbolId>(Symbols.size() - 1);
+    ownSymbols().push_back({Name, RetType, std::move(ParamTypes), Address});
+    return static_cast<SymbolId>(Symbols->size() - 1);
   }
 
+  /// Adopts \p Table as this module's symbol table. The module must not
+  /// have declared any symbols of its own beforehand.
+  void shareSymbols(std::shared_ptr<const SymbolTable> Table) {
+    assert(numSymbols() == 0 && "module already has symbols");
+    // Never written through while shared: ownSymbols() copies first.
+    Symbols = std::const_pointer_cast<SymbolTable>(std::move(Table));
+  }
+  std::shared_ptr<const SymbolTable> symbols() const { return Symbols; }
+
   const RuntimeSig &symbol(SymbolId Id) const {
-    assert(Id < Symbols.size() && "symbol id out of range");
-    return Symbols[Id];
+    assert(Id < numSymbols() && "symbol id out of range");
+    return (*Symbols)[Id];
   }
+  /// Writable access; the module takes its own copy of a shared table.
   RuntimeSig &symbol(SymbolId Id) {
-    assert(Id < Symbols.size() && "symbol id out of range");
-    return Symbols[Id];
+    assert(Id < numSymbols() && "symbol id out of range");
+    return ownSymbols()[Id];
   }
-  uint32_t numSymbols() const { return static_cast<uint32_t>(Symbols.size()); }
+  uint32_t numSymbols() const {
+    return Symbols ? static_cast<uint32_t>(Symbols->size()) : 0;
+  }
 
   const std::vector<std::unique_ptr<Function>> &functions() const {
     return Functions;
@@ -246,10 +266,20 @@ public:
   }
 
 private:
-  friend inline void cloneSymbols(const Module &Src, Module &Dst);
+  /// The table, copied first if another module shares it.
+  SymbolTable &ownSymbols() {
+    if (!Symbols)
+      Symbols = std::make_shared<SymbolTable>();
+    else if (Symbols.use_count() != 1)
+      Symbols = std::make_shared<SymbolTable>(*Symbols);
+    else // Sole owner: order the write after the reads of a module
+         // whose share was just dropped (its release of the count).
+      std::atomic_thread_fence(std::memory_order_acquire);
+    return *Symbols;
+  }
 
   std::vector<std::unique_ptr<Function>> Functions;
-  std::vector<RuntimeSig> Symbols;
+  std::shared_ptr<SymbolTable> Symbols;
 };
 
 /// Reorders the block table into layout order (see Normalize.cpp).

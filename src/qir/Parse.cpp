@@ -24,6 +24,7 @@ struct PInst {
   Type Ty = Type::Void;
   uint8_t Flags = 0;
   uint32_t PrintedId = NO_ID; ///< `%N =` prefix, if present.
+  unsigned Line = 0;
   uint32_t A = NO_ID, B = NO_ID, C = NO_ID;
   uint64_t Imm = 0;
   Int128 I128V = 0;
@@ -34,6 +35,7 @@ struct PInst {
 
 struct PBlock {
   uint32_t PrintedId = NO_ID;
+  unsigned Line = 0;
   uint32_t Begin = 0, End = 0; ///< Range in the PInst vector.
 };
 
@@ -68,9 +70,10 @@ private:
   std::string *Error;
   unsigned Line = 1;
 
-  bool fail(const std::string &Msg) {
+  bool fail(const std::string &Msg) { return failAt(Line, Msg); }
+  bool failAt(unsigned L, const std::string &Msg) {
     if (Error)
-      *Error = "line " + std::to_string(Line) + ": " + Msg;
+      *Error = "line " + std::to_string(L) + ": " + Msg;
     return false;
   }
 
@@ -227,14 +230,22 @@ private:
     skipBlank();
     while (!peekIs('}')) {
       PBlock B;
+      B.Line = Line;
       if (!blockRef(&B.PrintedId) || !eat(':') || !eatNewline())
         return false;
       B.Begin = static_cast<uint32_t>(F->Insts.size());
       skipBlank();
       while (!peekIs('}') && !startsBlockLabel()) {
         PInst I;
+        I.Line = Line;
         if (!parseInst(&I))
           return false;
+        // A select's type is its operands'; every other void has no value.
+        if (I.PrintedId != NO_ID && I.Ty == Type::Void &&
+            I.Op != Opcode::Select)
+          return failAt(I.Line, "%" + std::to_string(I.PrintedId) +
+                                    " names the result of a void " +
+                                    opcodeName(I.Op));
         F->Insts.push_back(std::move(I));
         skipBlank();
       }
@@ -517,9 +528,12 @@ bool buildFunction(Module &M, const PFunction &PF,
                    const SymbolResolver &Resolver, std::string *Error) {
   Function *F = M.createFunction(PF.Name, PF.Params, PF.RetType);
 
+  // Every id is checked here, so no malformed text reaches Function::inst.
+  unsigned Line = 0; ///< Of the instruction being built.
   auto Fail = [&](const std::string &Msg) {
     if (Error)
-      *Error = "function '" + PF.Name + "': " + Msg;
+      *Error = "line " + std::to_string(Line) + ": function '" + PF.Name +
+               "': " + Msg;
     return false;
   };
 
@@ -527,21 +541,34 @@ bool buildFunction(Module &M, const PFunction &PF,
   std::map<uint32_t, uint32_t> ValMap;
   for (uint32_t K = 0; K != PF.Insts.size(); ++K)
     if (PF.Insts[K].PrintedId != NO_ID) {
+      Line = PF.Insts[K].Line;
       if (!ValMap.emplace(PF.Insts[K].PrintedId, K).second)
         return Fail("duplicate value %" +
                     std::to_string(PF.Insts[K].PrintedId));
     }
   std::map<uint32_t, uint32_t> BlockMap;
-  for (uint32_t K = 0; K != PF.Blocks.size(); ++K)
+  for (uint32_t K = 0; K != PF.Blocks.size(); ++K) {
+    Line = PF.Blocks[K].Line;
     if (!BlockMap.emplace(PF.Blocks[K].PrintedId, K).second)
       return Fail("duplicate block b" +
                   std::to_string(PF.Blocks[K].PrintedId));
+  }
 
   auto MapVal = [&](uint32_t Printed, uint32_t *Out) {
     auto It = ValMap.find(Printed);
     if (It == ValMap.end())
       return Fail("undefined value %" + std::to_string(Printed));
     *Out = It->second;
+    return true;
+  };
+  // Calls and selects take types from their operands, so those operands
+  // must be built already.
+  auto MapTypedVal = [&](uint32_t Printed, uint32_t *Out) {
+    if (!MapVal(Printed, Out))
+      return false;
+    if (*Out >= F->numInsts())
+      return Fail("%" + std::to_string(Printed) +
+                  " is used before its definition");
     return true;
   };
   auto MapBlock = [&](uint32_t Printed, uint32_t *Out) {
@@ -553,6 +580,7 @@ bool buildFunction(Module &M, const PFunction &PF,
   };
 
   for (const PInst &P : PF.Insts) {
+    Line = P.Line;
     Inst I{};
     I.Op = P.Op;
     I.Ty = P.Ty;
@@ -591,7 +619,7 @@ bool buildFunction(Module &M, const PFunction &PF,
       std::vector<Type> ParamTys;
       for (uint32_t Printed : P.Args) {
         uint32_t V;
-        if (!MapVal(Printed, &V))
+        if (!MapTypedVal(Printed, &V))
           return false;
         F->CallArgs.push_back(V);
         ParamTys.push_back(F->valueType(V));
@@ -626,7 +654,7 @@ bool buildFunction(Module &M, const PFunction &PF,
         return false;
       break;
     case Opcode::Select:
-      if (!MapVal(P.A, &I.A) || !MapVal(P.B, &I.B) || !MapVal(P.C, &I.C))
+      if (!MapVal(P.A, &I.A) || !MapTypedVal(P.B, &I.B) || !MapVal(P.C, &I.C))
         return false;
       I.Ty = F->valueType(I.B);
       break;

@@ -8,15 +8,24 @@
 #include "qir/Cfg.h"
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 using namespace qcf;
 using namespace qcf::qir;
 
 namespace {
 
+/// The verifier's analyses, reused across the functions of a module.
+struct VerifyScratch {
+  CfgInfo Cfg;
+  DomTree DT;
+  std::vector<BlockId> DefBlock;
+};
+
 class Verifier {
 public:
-  explicit Verifier(const Function &F) : F(F) {}
+  Verifier(const Function &F, VerifyScratch &S)
+      : F(F), Cfg(S.Cfg), DT(S.DT), DefBlock(S.DefBlock) {}
 
   std::optional<std::string> run() {
     if (F.numBlocks() == 0)
@@ -24,11 +33,11 @@ public:
     if (auto Err = checkBlockStructure())
       return Err;
 
-    Cfg.emplace(F);
-    DT.emplace(F, *Cfg);
+    Cfg.compute(F);
+    DT.compute(F, Cfg);
     computeDefBlocks();
 
-    for (BlockId B : Cfg->rpo())
+    for (BlockId B : Cfg.rpo())
       if (auto Err = checkBlock(B))
         return Err;
     return std::nullopt;
@@ -65,6 +74,11 @@ private:
                       (IsTerm ? " has a terminator in the middle"
                               : " does not end in a terminator"));
       }
+      // The CFG analyses follow branch targets, so they are checked here.
+      const Inst &Term = F.Insts[Blk.End - 1];
+      for (unsigned S = 0, E = F.numSuccessors(Term); S != E; ++S)
+        if (F.successor(Term, S) >= F.numBlocks())
+          return failAt(Blk.End - 1, "branch target out of range");
       Expected = Blk.End;
     }
     if (Expected != F.numInsts())
@@ -91,7 +105,7 @@ private:
     if (DefB == B)
       return Op < At ? std::nullopt
                      : failAt(At, "use before def in the same block");
-    if (!DT->dominates(DefB, B))
+    if (!DT.dominates(DefB, B))
       return failAt(At, "definition does not dominate use");
     return std::nullopt;
   }
@@ -355,10 +369,9 @@ private:
   std::optional<std::string> checkPhi(ValueId V, BlockId B, const Inst &I) {
     if (static_cast<size_t>(I.A) + I.B > F.PhiIns.size())
       return failAt(V, "phi incomings out of pool range");
-    const std::vector<BlockId> &Preds = Cfg->preds(B);
+    std::span<const BlockId> Preds = Cfg.preds(B);
     if (I.B != Preds.size())
       return failAt(V, "phi incoming count does not match predecessors");
-    std::vector<bool> Seen(F.numBlocks(), false);
     for (unsigned K = 0; K != I.B; ++K) {
       const PhiIn &In = F.PhiIns[I.A + K];
       if (In.Pred == INVALID_BLOCK || In.Val == INVALID_VALUE)
@@ -367,16 +380,16 @@ private:
         return failAt(V, "phi incoming block out of range");
       if (std::find(Preds.begin(), Preds.end(), In.Pred) == Preds.end())
         return failAt(V, "phi incoming from a non-predecessor");
-      if (Seen[In.Pred])
-        return failAt(V, "duplicate phi incoming block");
-      Seen[In.Pred] = true;
+      for (unsigned J = 0; J != K; ++J)
+        if (F.PhiIns[I.A + J].Pred == In.Pred)
+          return failAt(V, "duplicate phi incoming block");
       if (In.Val >= F.numInsts())
         return failAt(V, "phi incoming value out of range");
       if (F.valueType(In.Val) != I.Ty)
         return failAt(V, "phi incoming type mismatch");
       // The incoming def must dominate the end of the incoming block.
       BlockId DefB = DefBlock[In.Val];
-      if (DefB != In.Pred && !DT->dominates(DefB, In.Pred))
+      if (DefB != In.Pred && !DT.dominates(DefB, In.Pred))
         return failAt(V, "phi incoming does not dominate incoming edge");
     }
     return std::nullopt;
@@ -384,17 +397,13 @@ private:
 
   std::optional<std::string> checkTerm(ValueId V, BlockId B, const Inst &I) {
     switch (I.Op) {
-    case Opcode::Br:
-      if (I.A >= F.numBlocks())
-        return failAt(V, "branch target out of range");
+    case Opcode::Br: // Targets are checked with the block structure.
       return std::nullopt;
     case Opcode::CondBr:
       if (auto Err = checkUse(V, B, I.A))
         return Err;
       if (F.valueType(I.A) != Type::I1)
         return failAt(V, "branch condition must be i1");
-      if (I.B >= F.numBlocks() || I.C >= F.numBlocks())
-        return failAt(V, "branch target out of range");
       return std::nullopt;
     case Opcode::Ret:
       if (F.returnType() == Type::Void) {
@@ -436,20 +445,22 @@ private:
   }
 
   const Function &F;
-  std::optional<CfgInfo> Cfg;
-  std::optional<DomTree> DT;
-  std::vector<BlockId> DefBlock;
+  CfgInfo &Cfg;
+  DomTree &DT;
+  std::vector<BlockId> &DefBlock;
 };
 
 } // namespace
 
 std::optional<std::string> qir::verify(const Function &F) {
-  return Verifier(F).run();
+  VerifyScratch S;
+  return Verifier(F, S).run();
 }
 
 std::optional<std::string> qir::verify(const Module &M) {
+  VerifyScratch S;
   for (const auto &F : M.functions())
-    if (auto Err = verify(*F))
+    if (auto Err = Verifier(*F, S).run())
       return Err;
   return std::nullopt;
 }

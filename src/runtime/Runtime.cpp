@@ -304,7 +304,12 @@ template <qir::Opcode Op> uint64_t eval64(Type Ty, uint64_t A, uint64_t B) {
 } // namespace
 
 extern "C" __int128 rt_mul128_ovf(__int128 A, __int128 B) {
-  return eval128<qir::Opcode::SMulTrap>(A, qir::fromI128(B));
+  // i128 SMulTrap, spelled out: the generic evaluator's lane round trip
+  // cost more than the multiply on decimal-heavy queries.
+  __int128 R;
+  if (__builtin_mul_overflow(A, B, &R))
+    rt_trap(static_cast<uint64_t>(TrapCode::Overflow));
+  return R;
 }
 
 extern "C" __int128 rt_sdiv128(__int128 A, __int128 B) {
@@ -559,7 +564,7 @@ const SymbolEntry SymbolTable[] = {
 
 } // namespace
 
-void *qcf::rt::runtimeSymbolAddress(const std::string &Name) {
+void *qcf::rt::runtimeSymbolAddress(std::string_view Name) {
   // Built once, read forever: warm-restart installs patch every recorded
   // call site through this lookup, so it must be O(1), not a table scan.
   static const std::unordered_map<std::string_view, void *> Index = [] {
@@ -579,7 +584,9 @@ const char *qcf::rt::runtimeSymbolName(const void *Address) {
   return nullptr;
 }
 
-RuntimeSyms qcf::rt::declareRuntime(qir::Module &M) {
+namespace {
+
+RuntimeSyms declareEach(qir::Module &M) {
   auto Declare = [&](const char *Name, Type Ret,
                      std::vector<Type> Params) -> qir::SymbolId {
     void *Addr = runtimeSymbolAddress(Name);
@@ -619,4 +626,20 @@ RuntimeSyms qcf::rt::declareRuntime(qir::Module &M) {
                    {Type::Ptr, Type::I64, Type::I64, Type::Ptr});
   S.Mul128Ovf = Declare("rt_mul128_ovf", Type::I128, {Type::I128, Type::I128});
   return S;
+}
+
+} // namespace
+
+RuntimeSyms qcf::rt::declareRuntime(qir::Module &M) {
+  // Declared once per process into a prototype; a module with no symbols
+  // of its own shares the prototype's table, with the same ids.
+  static const auto Proto = [] {
+    qir::Module P;
+    RuntimeSyms S = declareEach(P);
+    return std::pair(P.symbols(), S);
+  }();
+  if (M.numSymbols() != 0)
+    return declareEach(M);
+  M.shareSymbols(Proto.first);
+  return Proto.second;
 }

@@ -28,6 +28,7 @@
 #include "support/Arena.h"
 #include "support/Int128.h"
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qcf::rt {
@@ -105,7 +106,7 @@ private:
 
 /// Looks up a runtime function's host address by name (nullptr if unknown).
 /// Back-ends use this to resolve external symbols when linking.
-void *runtimeSymbolAddress(const std::string &Name);
+void *runtimeSymbolAddress(std::string_view Name);
 
 /// Reverse lookup: the runtime symbol name of \p Address, or nullptr when
 /// the address is not a registered rt_* entry point. The persistent code
@@ -129,7 +130,8 @@ struct RuntimeSyms {
 };
 
 /// Declares every runtime symbol in \p M (with resolved addresses) and
-/// returns their ids.
+/// returns their ids. A module with no symbols yet shares one table built
+/// once per process, so lowering a plan copies no signatures.
 RuntimeSyms declareRuntime(qir::Module &M);
 
 /// Days-since-epoch (1970-01-01) to calendar helpers.

@@ -22,11 +22,8 @@ uint64_t planBytes(const db::CompiledPlan &P) {
          F->PhiIns.capacity() * sizeof(qir::PhiIn) +
          F->CallArgs.capacity() * sizeof(qir::ValueId) +
          F->I128Pool.capacity() * sizeof(Int128);
-  for (qir::SymbolId S = 0; S != P.Module->numSymbols(); ++S) {
-    const qir::RuntimeSig &Sig = P.Module->symbol(S);
-    N += sizeof(Sig) + Sig.Name.size() +
-         Sig.ParamTypes.size() * sizeof(qir::Type);
-  }
+  // The module's runtime-symbol table is the process-wide one that
+  // rt::declareRuntime shares with every lowered plan: not the plan's.
   for (const db::PipelineDesc &D : P.Pipelines)
     N += sizeof(D) + D.FnName.size() + D.SourceTable.size();
   for (const db::RuntimeObject &O : P.Objects)

@@ -22,6 +22,7 @@
 #include "runtime/Trap.h"
 #include "support/Compiler.h"
 #include "x64/QirLower.h"
+#include <algorithm>
 #include <cassert>
 
 using namespace qcf;
@@ -72,17 +73,20 @@ public:
     Pend.push_back(L);
   }
 
-  Fragment take() {
+  /// Finishes the fragment and copies it into \p Store.
+  Fragment take(Arena &Store) {
     for (Label L : {Sink.Ovf, Sink.Div})
       if (L != LowerSink::NoLabel)
         Pend.push_back(L);
     for (Label L : Pend)
       A.bind(L);
     A.finalize();
-    Fragment F;
-    F.Bytes = A.code();
-    F.Patches = std::move(Patches);
-    return F;
+    const std::vector<uint8_t> &Code = A.code();
+    auto *Bytes = Store.allocateArray<uint8_t>(Code.size());
+    std::copy(Code.begin(), Code.end(), Bytes);
+    auto *Recs = Store.allocateArray<Patch>(Patches.size());
+    std::copy(Patches.begin(), Patches.end(), Recs);
+    return {{Bytes, Code.size()}, {Recs, Patches.size()}};
   }
 
 private:
@@ -121,42 +125,35 @@ const StencilTable &StencilTable::get() {
 }
 
 void StencilTable::add(Opcode Op, uint8_t A, uint8_t B, Fragment F) {
-  bool Inserted = Cores.emplace(coreKey(Op, A, B), std::move(F)).second;
-  assert(Inserted && "duplicate stencil core");
-  (void)Inserted;
-}
-
-const Fragment &StencilTable::core(Opcode Op, uint8_t A, uint8_t B) const {
-  auto It = Cores.find(coreKey(Op, A, B));
-  assert(It != Cores.end() && "missing stencil core");
-  return It->second;
+  assert(A < NumVariants && B < NumVariants && "stencil variant too large");
+  Cores.emplace_back(coreKey(Op, A, B), F);
 }
 
 StencilTable::StencilTable() {
   // --- Structural fragments -----------------------------------------------
-  auto LdGp = [](Reg R) {
+  auto LdGp = [this](Reg R) {
     FB B;
     B.A.movRM(Width::W64, R, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    return B.take();
+    return B.take(Store);
   };
-  auto StGp = [](Reg R) {
+  auto StGp = [this](Reg R) {
     FB B;
     B.A.movMR(Width::W64, Mem::base(Reg::RBP, DISP_PLACEHOLDER), R);
     B.mark(Patch::Kind::Disp32);
-    return B.take();
+    return B.take(Store);
   };
-  auto LdX = [](Xmm R) {
+  auto LdX = [this](Xmm R) {
     FB B;
     B.A.movsdXM(R, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    return B.take();
+    return B.take(Store);
   };
-  auto StX = [](Xmm R) {
+  auto StX = [this](Xmm R) {
     FB B;
     B.A.movsdMX(Mem::base(Reg::RBP, DISP_PLACEHOLDER), R);
     B.mark(Patch::Kind::Disp32);
-    return B.take();
+    return B.take(Store);
   };
 
   LdA = LdGp(Reg::RAX);
@@ -182,19 +179,19 @@ StencilTable::StencilTable() {
     FB B;
     B.A.movAbsRI(Reg::RAX, IMM64_PLACEHOLDER);
     B.mark(Patch::Kind::Imm64, 8);
-    ConstA = B.take();
+    ConstA = B.take(Store);
   }
   {
     FB B;
     B.A.movAbsRI(Reg::RDX, IMM64_PLACEHOLDER);
     B.mark(Patch::Kind::Imm64, 8);
-    ConstAHi = B.take();
+    ConstAHi = B.take(Store);
   }
   {
     FB B;
     B.A.lea(Reg::RAX, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    LeaSlotA = B.take();
+    LeaSlotA = B.take(Store);
   }
   {
     FB B;
@@ -203,30 +200,30 @@ StencilTable::StencilTable() {
     // sub rsp, imm32: the placeholder > 127 forces the 0x81 encoding.
     B.A.aluRI(Assembler::Alu::Sub, Width::W64, Reg::RSP, 0x01000000);
     B.mark(Patch::Kind::Imm32);
-    Prologue = B.take();
+    Prologue = B.take(Store);
   }
   {
     FB B;
     B.A.movRR(Width::W64, Reg::RSP, Reg::RBP);
     B.A.popR(Reg::RBP);
     B.A.ret();
-    Epilogue = B.take();
+    Epilogue = B.take(Store);
   }
   {
     FB B;
     B.A.ud2();
-    Ud2 = B.take();
+    Ud2 = B.take(Store);
   }
   {
     FB B;
     B.pendingJmp(Patch::Kind::Rel32);
-    Jmp = B.take();
+    Jmp = B.take(Store);
   }
   {
     FB B;
     B.A.testRR(Width::W64, Reg::RAX, Reg::RAX);
     B.pendingJcc(Patch::Kind::Rel32, Cond::NE);
-    TestJnz = B.take();
+    TestJnz = B.take(Store);
   }
   static const qir::CmpPred AllPreds[] = {
       qir::CmpPred::Eq,  qir::CmpPred::Ne,  qir::CmpPred::SLt,
@@ -236,12 +233,12 @@ StencilTable::StencilTable() {
   for (qir::CmpPred P : AllPreds) {
     FB B;
     B.pendingJcc(Patch::Kind::Rel32, condForPred(P));
-    JccPred[static_cast<uint8_t>(P)] = B.take();
+    JccPred[static_cast<uint8_t>(P)] = B.take(Store);
   }
   {
     FB B;
     B.markAt(Patch::Kind::Imm64, lowerCallAbs(B.A, IMM64_PLACEHOLDER));
-    CallR10 = B.take();
+    CallR10 = B.take(Store);
   }
   static const rt::TrapCode TrapCodes[2] = {rt::TrapCode::Overflow,
                                             rt::TrapCode::DivByZero};
@@ -249,7 +246,7 @@ StencilTable::StencilTable() {
     FB B;
     B.markAt(Patch::Kind::Imm64,
              lowerTrapStub(B.A, TrapCodes[Idx], IMM64_PLACEHOLDER));
-    TrapStub[Idx] = B.take();
+    TrapStub[Idx] = B.take(Store);
   }
 
   // --- Operation cores ----------------------------------------------------
@@ -263,7 +260,7 @@ StencilTable::StencilTable() {
     for (Type Ty : OneLaneInts) {
       FB B;
       lowerArith(B.A, Op, Ty, SA, SA, SB, B.Sink);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
     }
     if (Op == Opcode::SMulTrap)
       continue;
@@ -272,59 +269,59 @@ StencilTable::StencilTable() {
       lowerMul128(B.A, SA, SA, SB);
     else
       lowerArith(B.A, Op, Type::I128, SA, SA, SB, B.Sink);
-    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take());
+    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take(Store));
   }
   for (Opcode Op : {Opcode::Neg, Opcode::Not}) {
     for (Type Ty : IntTypes) {
       FB B;
       lowerNegNot(B.A, Op, Ty, SA, SA);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
     }
   }
   for (Type Ty : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     for (Opcode Op : {Opcode::SDiv, Opcode::UDiv, Opcode::SRem}) {
       FB B;
       lowerDivRem(B.A, Op, Ty, Reg::RCX, Reg::RAX, B.Sink);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
     }
     // The amount already sits in RCX (= CL).
     for (Opcode Op :
          {Opcode::Shl, Opcode::LShr, Opcode::AShr, Opcode::RotR}) {
       FB B;
       lowerShift(B.A, Op, Ty, Reg::RAX, Reg::RAX);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
     }
   }
   {
     FB B;
     lowerCrc32(B.A, Reg::RAX, Reg::RAX, Reg::RCX);
-    add(Opcode::Crc32, 0, 0, B.take());
+    add(Opcode::Crc32, 0, 0, B.take(Store));
   }
   {
     FB B;
     lowerLongMulFold(B.A, Reg::RCX);
-    add(Opcode::LongMulFold, 0, 0, B.take());
+    add(Opcode::LongMulFold, 0, 0, B.take(Store));
   }
   for (Opcode Op : {Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv}) {
     FB B;
     lowerFArith(B.A, Op, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
-    add(Op, 0, 0, B.take());
+    add(Op, 0, 0, B.take(Store));
   }
   {
     FB B;
     lowerFNeg(B.A, Xmm::XMM0, Xmm::XMM0, Reg::RAX);
-    add(Opcode::FNeg, 0, 0, B.take());
+    add(Opcode::FNeg, 0, 0, B.take(Store));
   }
   for (qir::CmpPred P : AllPreds) {
     for (Type OpTy : IntTypes) {
       FB B;
       lowerICmp(B.A, P, OpTy, Reg::RAX, SA, SB);
       add(Opcode::ICmp, static_cast<uint8_t>(OpTy), static_cast<uint8_t>(P),
-          B.take());
+          B.take(Store));
     }
     FB B;
     lowerFCmp(B.A, P, Reg::RAX, Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FCmp, 0, static_cast<uint8_t>(P), B.take());
+    add(Opcode::FCmp, 0, static_cast<uint8_t>(P), B.take(Store));
   }
   // Condition in R9; true value in RAX(/RDX or XMM0), false in RCX(/R8 or
   // XMM1).
@@ -332,12 +329,12 @@ StencilTable::StencilTable() {
     FB B;
     lowerSelect(B.A, Sel == SelOneLane ? Type::I64 : Type::I128, Reg::R9, SA,
                 SA, SB);
-    add(Opcode::Select, Sel, 0, B.take());
+    add(Opcode::Select, Sel, 0, B.take(Store));
   }
   {
     FB B;
     lowerSelectF64(B.A, Reg::R9, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::Select, SelF64, 0, B.take());
+    add(Opcode::Select, SelF64, 0, B.take(Store));
   }
 
   // --- Width changes ------------------------------------------------------
@@ -345,7 +342,7 @@ StencilTable::StencilTable() {
     // ZExt to a one-lane type is a slot copy; only i128 needs a core.
     FB B;
     lowerZExt(B.A, Type::I128, SA, Reg::RAX);
-    add(Opcode::ZExt, static_cast<uint8_t>(Type::I128), 0, B.take());
+    add(Opcode::ZExt, static_cast<uint8_t>(Type::I128), 0, B.take(Store));
   }
   for (Type From : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     for (Type To : {Type::I8, Type::I16, Type::I32, Type::I64, Type::I128}) {
@@ -354,21 +351,21 @@ StencilTable::StencilTable() {
       FB B;
       lowerSExt(B.A, From, To, SA, Reg::RAX);
       add(Opcode::SExt, static_cast<uint8_t>(From),
-          static_cast<uint8_t>(To), B.take());
+          static_cast<uint8_t>(To), B.take(Store));
     }
     FB B;
     lowerSIToFP(B.A, From, Xmm::XMM0, Reg::RAX, Reg::RAX);
-    add(Opcode::SIToFP, static_cast<uint8_t>(From), 0, B.take());
+    add(Opcode::SIToFP, static_cast<uint8_t>(From), 0, B.take(Store));
   }
   for (Type To : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     if (To != Type::I64) {
       FB B;
       lowerTrunc(B.A, To, Reg::RAX, Reg::RAX);
-      add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take());
+      add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take(Store));
     }
     FB B;
     lowerFPToSI(B.A, To, Reg::RAX, Xmm::XMM0);
-    add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take());
+    add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take(Store));
   }
 
   // --- Memory -------------------------------------------------------------
@@ -378,9 +375,9 @@ StencilTable::StencilTable() {
                   Type::Ptr, Type::F64, Type::I128, Type::D128}) {
     FB L, S;
     lowerLoad(L.A, Ty, SA, Reg::RAX);
-    add(Opcode::Load, static_cast<uint8_t>(Ty), 0, L.take());
+    add(Opcode::Load, static_cast<uint8_t>(Ty), 0, L.take(Store));
     lowerStore(S.A, Ty, Reg::RCX, SA);
-    add(Opcode::Store, static_cast<uint8_t>(Ty), 0, S.take());
+    add(Opcode::Store, static_cast<uint8_t>(Ty), 0, S.take(Store));
   }
   // Base in RAX, index (if any) in RCX; the displacement and a scale other
   // than 1/2/4/8 are patched.
@@ -390,7 +387,7 @@ StencilTable::StencilTable() {
     lowerGep(B.A, Reg::RAX, Reg::RAX, V ? Reg::RCX : Reg::NoReg,
              V == GepGenericScale ? DISP_PLACEHOLDER : V, DISP_PLACEHOLDER,
              B.Sink);
-    add(Opcode::Gep, V, 0, B.take());
+    add(Opcode::Gep, V, 0, B.take(Store));
   }
 
   // --- Atomics ------------------------------------------------------------
@@ -398,6 +395,19 @@ StencilTable::StencilTable() {
   for (Type Ty : {Type::I32, Type::I64}) {
     FB B;
     B.A.lockXaddMR(aluWidth(Ty), Mem::base(Reg::RCX), Reg::RAX);
-    add(Opcode::AtomicAdd, static_cast<uint8_t>(Ty), 0, B.take());
+    add(Opcode::AtomicAdd, static_cast<uint8_t>(Ty), 0, B.take(Store));
+  }
+
+  // --- Index --------------------------------------------------------------
+  std::sort(Cores.begin(), Cores.end(),
+            [](const auto &X, const auto &Y) { return X.first < Y.first; });
+  CoreIndex.assign(slotOf(static_cast<Opcode>(Cores.back().first >> 16),
+                          NumVariants - 1, NumVariants - 1) + 1, 0);
+  for (size_t I = 0; I != Cores.size(); ++I) {
+    uint32_t Key = Cores[I].first;
+    uint16_t &Pos = CoreIndex[slotOf(static_cast<Opcode>(Key >> 16),
+                                     (Key >> 8) & 0xff, Key & 0xff)];
+    assert(Pos == 0 && "duplicate stencil core");
+    Pos = static_cast<uint16_t>(I + 1);
   }
 }

@@ -31,9 +31,12 @@
 
 #include "qir/Opcode.h"
 #include "qir/Type.h"
+#include "support/Arena.h"
 #include "x64/QirLower.h"
+#include <cassert>
 #include <cstdint>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace qcf::stencil {
@@ -44,10 +47,12 @@ using x64::Patch;
 
 const char *patchKindName(Patch::Kind K);
 
-/// A pre-encoded machine-code fragment plus its patch records.
+/// A pre-encoded machine-code fragment plus its patch records: views of
+/// the table's storage, where every fragment's bytes and patches sit
+/// back to back.
 struct Fragment {
-  std::vector<uint8_t> Bytes;
-  std::vector<Patch> Patches;
+  std::span<const uint8_t> Bytes;
+  std::span<const Patch> Patches;
 };
 
 /// Variant discriminators for Select cores.
@@ -59,6 +64,9 @@ enum : uint8_t { GepGenericScale = 9 };
 /// The process-wide stencil table. Built eagerly on first use (thread-safe
 /// function-local static); immutable afterwards.
 class StencilTable {
+  /// Backs every Fragment; declared first so it outlives them.
+  Arena Store;
+
 public:
   static const StencilTable &get();
 
@@ -102,21 +110,39 @@ public:
   /// Looks up an operation core; the discriminators are the operand/result
   /// type and a per-opcode variant (compare predicate, select class, Gep
   /// scale, extension source/target type). Asserts on a missing core.
-  const Fragment &core(qir::Opcode Op, uint8_t A = 0, uint8_t B = 0) const;
+  const Fragment &core(qir::Opcode Op, uint8_t A = 0, uint8_t B = 0) const {
+    assert(A < NumVariants && B < NumVariants && "stencil variant too large");
+    size_t Slot = slotOf(Op, A, B);
+    assert(Slot < CoreIndex.size() && "missing stencil core");
+    uint16_t Pos = CoreIndex[Slot];
+    assert(Pos != 0 && "missing stencil core");
+    return Cores[Pos - 1].second;
+  }
 
   static uint32_t coreKey(qir::Opcode Op, uint8_t A, uint8_t B) {
     return (static_cast<uint32_t>(Op) << 16) | (static_cast<uint32_t>(A) << 8) |
            B;
   }
 
-  /// All cores, keyed by coreKey(); ordered so qcf_stencilgen dumps are
+  /// All cores, sorted by coreKey() so qcf_stencilgen dumps are
   /// deterministic.
-  const std::map<uint32_t, Fragment> &cores() const { return Cores; }
+  const std::vector<std::pair<uint32_t, Fragment>> &cores() const {
+    return Cores;
+  }
 
 private:
+  /// Each discriminator is a qir::Type, a qir::CmpPred or a variant enum
+  /// above; all stay below this bound.
+  static constexpr unsigned NumVariants = 10;
+  static size_t slotOf(qir::Opcode Op, uint8_t A, uint8_t B) {
+    return (static_cast<size_t>(Op) * NumVariants + A) * NumVariants + B;
+  }
+
   StencilTable();
   void add(qir::Opcode Op, uint8_t A, uint8_t B, Fragment F);
-  std::map<uint32_t, Fragment> Cores;
+  std::vector<std::pair<uint32_t, Fragment>> Cores;
+  /// 1 + the position in Cores of each (opcode, A, B); 0 when absent.
+  std::vector<uint16_t> CoreIndex;
 };
 
 } // namespace qcf::stencil

@@ -54,7 +54,12 @@ public:
     uint64_t D = DeadlineNs.load(std::memory_order_acquire);
     return D != 0 && NowNs >= D;
   }
-  bool stopped() const { return stopped(nowNs()); }
+  /// As stopped(nowNs()), but reads the clock only when a deadline is
+  /// armed: consumers poll this at every morsel.
+  bool stopped() const {
+    uint64_t D = deadlineNs();
+    return cancelled() || (D != 0 && nowNs() >= D);
+  }
 
   /// Re-arms the token for a new query (serving layer: one token per
   /// session, reset between executions). Not safe to call while a query

@@ -15,7 +15,12 @@
 #include "db/Datagen.h"
 #include "db/Executor.h"
 #include "db/Queries.h"
+#include "qir/Builder.h"
+#include "qir/Parse.h"
+#include "qir/Print.h"
+#include "runtime/Runtime.h"
 #include <algorithm>
+#include <cctype>
 #include <gtest/gtest.h>
 #include <map>
 
@@ -103,6 +108,117 @@ TEST(DbCodegen, PlansCompileAndVerify) {
     EXPECT_GE(Plan.Pipelines.size(), 1u) << Q.Name;
     EXPECT_GT(Plan.Module->functions().size(), 0u) << Q.Name;
   }
+}
+
+/// FNV-1a of a module's printed QIR with every `const ptr` operand masked:
+/// column bases and the plan's string arena move between runs, and
+/// nothing else in a lowered plan may.
+uint64_t maskedQirHash(const qir::Module &M) {
+  static constexpr std::string_view PtrConst = "const ptr 0x";
+  std::string Text = qir::printModule(M);
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](char C) {
+    H = (H ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
+  };
+  for (size_t I = 0; I != Text.size();) {
+    if (Text.compare(I, PtrConst.size(), PtrConst) == 0) {
+      for (char C : PtrConst)
+        Mix(C);
+      I += PtrConst.size();
+      while (I != Text.size() &&
+             std::isxdigit(static_cast<unsigned char>(Text[I])))
+        ++I;
+      continue;
+    }
+    Mix(Text[I++]);
+  }
+  return H;
+}
+
+TEST(DbCodegen, LoweredQirIsUnchanged) {
+  // Recorded from the lowering before column bindings went flat and the
+  // runtime symbol table became per-process: a change to lowering's output
+  // must show up here, and be re-recorded on purpose.
+  static const std::map<std::string, uint64_t> Expected = {
+      {"h1", 0xc5bc5fafe56fdbb2ull},
+      {"h3", 0x194fdd559e58b4e7ull},
+      {"h3b", 0x8b33083f3a4ac397ull},
+      {"h5", 0xb38aa3543f0948daull},
+      {"h6", 0x872b8ee8d0b04e43ull},
+      {"h6b", 0xe3ede7666104cc3full},
+      {"h10", 0xeb69fb048dbfe897ull},
+      {"h12", 0xe213fa0392990a39ull},
+      {"h14", 0xef64f9c63d913dafull},
+      {"h18", 0x3c39c50a638f6a3dull},
+      {"h19", 0x310749c0fd75eb51ull},
+      {"ds_brand_m1", 0xe24a361da31f5bf7ull},
+      {"ds_brand_m2", 0xda5394b6440f934eull},
+      {"ds_brand_m3", 0xcef1ff56f8fde813ull},
+      {"ds_state_a", 0xa94ef8de6a8f81afull},
+      {"ds_state_b", 0xab8fac227c0774d4ull},
+      {"ds_cat_books", 0x7a29d6b9656ff67full},
+      {"ds_cat_music", 0xc66be7b99c62d9c0ull},
+      {"ds_cat_home", 0x429c297399f55df7ull},
+      {"ds_year_a", 0x4bec733fba1d4cfaull},
+      {"ds_year_b", 0x5459171fff3bb1b5ull},
+      {"ds_profit", 0x674370d3183f0edaull},
+      {"ds_share_books", 0x4ee6bf30ad8e8804ull},
+  };
+  std::pair<Catalog *, std::vector<Query>> Suites[2] = {
+      {&tpchCatalog(), tpchQueries()}, {&tpcdsCatalog(), tpcdsQueries()}};
+  size_t Checked = 0;
+  for (const auto &[Cat, Queries] : Suites)
+    for (const Query &Q : Queries) {
+      uint64_t Got = maskedQirHash(*compileQuery(Q, *Cat).Module);
+      auto It = Expected.find(Q.Name);
+      EXPECT_TRUE(It != Expected.end() && It->second == Got)
+          << "{\"" << Q.Name << "\", 0x" << std::hex << Got << "ull},";
+      ++Checked;
+    }
+  EXPECT_EQ(Checked, Expected.size());
+}
+
+TEST(DbCodegen, LoweredModulesShareOneRuntimeSymbolTable) {
+  auto ExpectSameTable = [](const qir::Module &X, const qir::Module &Y) {
+    ASSERT_EQ(X.numSymbols(), Y.numSymbols());
+    for (qir::SymbolId S = 0; S != X.numSymbols(); ++S) {
+      const qir::RuntimeSig &A = X.symbol(S), &B = Y.symbol(S);
+      EXPECT_EQ(A.Name, B.Name);
+      EXPECT_EQ(A.RetType, B.RetType) << A.Name;
+      EXPECT_EQ(A.ParamTypes, B.ParamTypes) << A.Name;
+      EXPECT_EQ(A.Address, B.Address) << A.Name;
+      EXPECT_EQ(A.Address, rt::runtimeSymbolAddress(A.Name)) << A.Name;
+    }
+  };
+  CompiledPlan P1 = compileQuery(tpchQueries()[0], tpchCatalog());
+  CompiledPlan P2 = compileQuery(tpcdsQueries()[0], tpcdsCatalog());
+  ASSERT_GT(P1.Module->numSymbols(), 0u);
+  ExpectSameTable(*P1.Module, *P2.Module);
+
+  // A .qir module that calls every symbol in id order declares them one
+  // by one, and must come out with the same table.
+  qir::Module Src;
+  Src.shareSymbols(P1.Module->symbols());
+  qir::Type Params[] = {qir::Type::Ptr, qir::Type::I64, qir::Type::I128,
+                        qir::Type::D128};
+  qir::Function *F =
+      Src.createFunction("calls", {std::begin(Params), std::end(Params)},
+                         qir::Type::Void);
+  qir::Builder B(F);
+  for (qir::SymbolId S = 0; S != Src.numSymbols(); ++S) {
+    std::vector<qir::ValueId> Args;
+    for (qir::Type T : Src.symbol(S).ParamTypes)
+      Args.push_back(static_cast<qir::ValueId>(
+          std::find(std::begin(Params), std::end(Params), T) -
+          std::begin(Params)));
+    B.call(S, Args.data(), static_cast<unsigned>(Args.size()));
+  }
+  B.ret();
+  std::string Err;
+  std::unique_ptr<qir::Module> Parsed = qir::parseModule(
+      qir::printModule(Src), &Err, rt::runtimeSymbolAddress);
+  ASSERT_NE(Parsed, nullptr) << Err;
+  ExpectSameTable(*Parsed, *P1.Module);
 }
 
 TEST(DbExec, H6HandChecked) {

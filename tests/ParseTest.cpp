@@ -189,6 +189,53 @@ TEST(Parse, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Parse, MalformedValueIdsAreRefusedWithLine) {
+  // Each of these once reached Function::inst with an id out of range and
+  // aborted; the parser now refuses them before building anything.
+  struct Case {
+    const char *Text;
+    const char *Line;
+    const char *ExpectSubstr;
+  };
+  const Case Cases[] = {
+      // A result name on a void call that also uses itself.
+      {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n"
+       "  %1 = call void @rt_out_i64(%0, %1)\n  ret %0\n}\n",
+       "line 4: ", "void call"},
+      {"define void @f(i64) {\nb0:\n  %0 = param i64 #0\n"
+       "  %1 = ret\n}\n",
+       "line 4: ", "void ret"},
+      // A value defined twice, the second time in another block.
+      {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n  br b1\nb1:\n"
+       "  %0 = add i64 %0, %0\n  ret %0\n}\n",
+       "line 6: ", "duplicate value %0"},
+      // Operand ids the function does not define.
+      {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n"
+       "  %1 = call i64 @rt_str_hash(%7)\n  ret %0\n}\n",
+       "line 4: ", "undefined value %7"},
+      {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n"
+       "  %1 = add i64 %0, %5\n  ret %1\n}\n",
+       "line 4: ", "undefined value %5"},
+      // Operands whose type a call or select needs, defined later.
+      {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n"
+       "  %1 = call i64 @rt_date_year(%2)\n  %2 = add i64 %0, %0\n"
+       "  ret %0\n}\n",
+       "line 4: ", "%2 is used before its definition"},
+      {"define i64 @f(i1) {\nb0:\n  %0 = param i1 #0\n"
+       "  %1 = select %0, %1, %1\n  ret %1\n}\n",
+       "line 4: ", "%1 is used before its definition"},
+  };
+  for (const Case &C : Cases) {
+    std::string Error;
+    std::unique_ptr<qir::Module> M =
+        qir::parseModule(C.Text, &Error, rt::runtimeSymbolAddress);
+    EXPECT_EQ(M, nullptr) << C.Text;
+    EXPECT_EQ(Error.rfind(C.Line, 0), 0u) << "got: " << Error;
+    EXPECT_NE(Error.find(C.ExpectSubstr), std::string::npos)
+        << "got: " << Error;
+  }
+}
+
 namespace {
 class ParseProperty : public ::testing::TestWithParam<uint64_t> {};
 } // namespace

@@ -8,6 +8,7 @@
 #include "qir/Cfg.h"
 #include "qir/Print.h"
 #include "qir/Verify.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 
 using namespace qcf;
@@ -135,6 +136,37 @@ TEST(QirVerifier, RejectsMissingTerminator) {
   auto Err = verify(*F);
   ASSERT_TRUE(Err.has_value());
   EXPECT_NE(Err->find("terminator"), std::string::npos);
+}
+
+TEST(QirVerifier, OutOfRangeIdsAreErrorsNotAborts) {
+  // verify() is total: ids a corrupt function carries come back as
+  // errors, whichever check reaches them first.
+  auto Build = [](Module &M) {
+    Function *F = M.createFunction("ids", {Type::I64}, Type::I64);
+    Builder B(F);
+    ValueId P = F->paramValue(0);
+    BlockId Next = B.createBlock();
+    B.br(Next);
+    B.startBlock(Next);
+    B.ret(P);
+    return F;
+  };
+  {
+    Module M;
+    Function *F = Build(M);
+    F->Insts[1].A = 7; // br to a block the function lacks
+    auto Err = verify(*F);
+    ASSERT_TRUE(Err.has_value());
+    EXPECT_NE(Err->find("branch target out of range"), std::string::npos);
+  }
+  {
+    Module M;
+    Function *F = Build(M);
+    F->Insts[2].A = 99; // ret of a value the function lacks
+    auto Err = verify(*F);
+    ASSERT_TRUE(Err.has_value());
+    EXPECT_NE(Err->find("operand id out of range"), std::string::npos);
+  }
 }
 
 TEST(QirCall, SignatureCheckedAndPrinted) {
@@ -279,6 +311,34 @@ TEST(QirCfg, UnreachableBlockExcluded) {
   EXPECT_FALSE(Cfg.isReachable(Dead));
   EXPECT_TRUE(Cfg.isReachable(End));
   EXPECT_EQ(Cfg.rpo().size(), 2u);
+}
+
+TEST(QirCfg, ReusedAnalysisMatchesFresh) {
+  // CfgInfo and DomTree reuse their storage across functions; a reused
+  // analysis must answer exactly as a fresh one.
+  Module M;
+  Function *Diamond = buildDiamond(M);
+  Function *Line = M.createFunction("line", {}, Type::Void);
+  {
+    Builder B(Line);
+    BlockId Next = B.createBlock();
+    B.br(Next);
+    B.startBlock(Next);
+    B.ret();
+  }
+  CfgInfo Reused;
+  DomTree ReusedDT;
+  for (Function *F : {Diamond, Line, Diamond}) {
+    Reused.compute(*F);
+    ReusedDT.compute(*F, Reused);
+    CfgInfo Fresh(*F);
+    DomTree FreshDT(*F, Fresh);
+    ASSERT_EQ(Reused.rpo(), Fresh.rpo());
+    for (BlockId B = 0; B != F->numBlocks(); ++B) {
+      EXPECT_TRUE(std::ranges::equal(Reused.preds(B), Fresh.preds(B)));
+      EXPECT_EQ(ReusedDT.idom(B), FreshDT.idom(B));
+    }
+  }
 }
 
 TEST(QirScratch, BackendsCanUseScratchSlot) {
