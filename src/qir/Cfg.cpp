@@ -12,32 +12,42 @@ using namespace qcf::qir;
 
 void CfgInfo::compute(const Function &F) {
   uint32_t N = F.numBlocks();
+  // Doubles as the DFS's visited mark until the real indices are set.
   RpoIndex.assign(N, INVALID_BLOCK);
+  // A reached block's distinct successors, read from its terminator once:
+  // Succ[2B] and Succ[2B + 1], INVALID_BLOCK where absent. A block
+  // branching to the same successor on both edges has one successor (phi
+  // incomings are per-predecessor, not per-edge).
+  Succ.resize(2 * size_t(N));
+  auto Reach = [&](BlockId B) {
+    RpoIndex[B] = 0;
+    const Inst &Term = F.terminator(B);
+    unsigned E = F.numSuccessors(Term);
+    BlockId S0 = E > 0 ? F.successor(Term, 0) : INVALID_BLOCK;
+    BlockId S1 = E > 1 ? F.successor(Term, 1) : INVALID_BLOCK;
+    Succ[2 * B] = S0;
+    Succ[2 * B + 1] = S1 == S0 ? INVALID_BLOCK : S1;
+  };
 
   // Post-order DFS from entry using an explicit stack. The post-order is
   // collected in Rpo and reversed in place.
-  State.assign(N, 0); // 0 = unvisited, 1 = on stack, 2 = done
   Stack.clear();
   Rpo.clear();
-
   if (N != 0) {
+    Reach(0);
     Stack.push_back({0, 0});
-    State[0] = 1;
   }
   while (!Stack.empty()) {
     auto &[B, NextSucc] = Stack.back();
-    const Inst &Term = F.terminator(B);
-    unsigned NumSucc = F.numSuccessors(Term);
-    if (NextSucc < NumSucc) {
-      BlockId S = F.successor(Term, NextSucc++);
-      if (State[S] == 0) {
-        State[S] = 1;
-        Stack.push_back({S, 0});
-      }
-    } else {
-      State[B] = 2;
+    if (NextSucc == 2) {
       Rpo.push_back(B);
       Stack.pop_back();
+      continue;
+    }
+    BlockId S = Succ[2 * B + NextSucc++];
+    if (S != INVALID_BLOCK && RpoIndex[S] == INVALID_BLOCK) {
+      Reach(S);
+      Stack.push_back({S, 0});
     }
   }
 
@@ -46,25 +56,21 @@ void CfgInfo::compute(const Function &F) {
     RpoIndex[Rpo[I]] = I;
 
   // Predecessors, restricted to reachable blocks, in RPO order of the
-  // predecessor. A block branching to the same successor on both edges
-  // counts as one predecessor (phi incomings are per-predecessor, not
-  // per-edge). Counted first, then filled into the flat list.
-  auto ForEachSucc = [&F](BlockId B, auto Fn) {
-    const Inst &Term = F.terminator(B);
-    unsigned E = F.numSuccessors(Term);
-    for (unsigned I = 0; I != E; ++I)
-      if (I == 0 || F.successor(Term, I) != F.successor(Term, 0))
-        Fn(F.successor(Term, I));
-  };
+  // predecessor: counted into PredBegin, summed into each list's end, and
+  // filled from the back so that each PredBegin[S] ends at its list's
+  // start.
   PredBegin.assign(N + 1, 0);
   for (BlockId B : Rpo)
-    ForEachSucc(B, [&](BlockId S) { ++PredBegin[S + 1]; });
-  for (uint32_t B = 0; B != N; ++B)
-    PredBegin[B + 1] += PredBegin[B];
+    for (unsigned K = 0; K != 2; ++K)
+      if (BlockId S = Succ[2 * B + K]; S != INVALID_BLOCK)
+        ++PredBegin[S];
+  for (uint32_t B = 1; B <= N; ++B)
+    PredBegin[B] += PredBegin[B - 1];
   PredList.resize(PredBegin[N]);
-  Fill.assign(PredBegin.begin(), PredBegin.end() - 1);
-  for (BlockId B : Rpo)
-    ForEachSucc(B, [&](BlockId S) { PredList[Fill[S]++] = B; });
+  for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It)
+    for (unsigned K = 0; K != 2; ++K)
+      if (BlockId S = Succ[2 * *It + K]; S != INVALID_BLOCK)
+        PredList[--PredBegin[S]] = *It;
 }
 
 void DomTree::compute(const Function &F, const CfgInfo &Cfg) {

@@ -57,10 +57,9 @@ private:
   std::vector<BlockId> PredList;
   std::vector<BlockId> Rpo;
   std::vector<uint32_t> RpoIndex;
-  // Scratch, kept for reuse: DFS state and the predecessor fill cursor.
-  std::vector<uint8_t> State;
+  // Scratch, kept for reuse: each block's successors and the DFS stack.
+  std::vector<BlockId> Succ;
   std::vector<std::pair<BlockId, unsigned>> Stack;
-  std::vector<uint32_t> Fill;
 };
 
 /// Dominator tree via the Cooper-Harvey-Kennedy iterative algorithm.

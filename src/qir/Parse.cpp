@@ -558,6 +558,9 @@ bool buildFunction(Module &M, const PFunction &PF,
     auto It = ValMap.find(Printed);
     if (It == ValMap.end())
       return Fail("undefined value %" + std::to_string(Printed));
+    // The printer names a store by the type it stores, but it has no value.
+    if (PF.Insts[It->second].Op == Opcode::Store)
+      return Fail("%" + std::to_string(Printed) + " is a store, not a value");
     *Out = It->second;
     return true;
   };

@@ -35,7 +35,6 @@ public:
 
     Cfg.compute(F);
     DT.compute(F, Cfg);
-    computeDefBlocks();
 
     for (BlockId B : Cfg.rpo())
       if (auto Err = checkBlock(B))
@@ -55,7 +54,10 @@ private:
     return fail(Msg + Buf);
   }
 
+  /// Also records each instruction's block in DefBlock: the blocks tile
+  /// the instructions once this passes.
   std::optional<std::string> checkBlockStructure() {
+    DefBlock.resize(F.numInsts());
     uint32_t Expected = 0;
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       const Block &Blk = F.block(B);
@@ -66,7 +68,11 @@ private:
                     " is not contiguous with its predecessor in layout");
       if (Blk.End <= Blk.Begin)
         return fail("block b" + std::to_string(B) + " is empty");
+      if (Blk.End > F.numInsts())
+        return fail("block b" + std::to_string(B) +
+                    " ends past the last instruction");
       for (uint32_t I = Blk.Begin; I != Blk.End; ++I) {
+        DefBlock[I] = B;
         bool IsTerm = isTerminator(F.Insts[I].Op);
         bool IsLast = I + 1 == Blk.End;
         if (IsTerm != IsLast)
@@ -86,13 +92,6 @@ private:
     return std::nullopt;
   }
 
-  void computeDefBlocks() {
-    DefBlock.assign(F.numInsts(), INVALID_BLOCK);
-    for (BlockId B = 0; B != F.numBlocks(); ++B)
-      for (uint32_t I = F.block(B).Begin; I != F.block(B).End; ++I)
-        DefBlock[I] = B;
-  }
-
   /// Checks that the definition of \p Op is available at instruction \p At
   /// in block \p B (strict dominance, or earlier in the same block).
   std::optional<std::string> checkUse(ValueId At, BlockId B, ValueId Op) {
@@ -101,6 +100,8 @@ private:
     Type Ty = F.valueType(Op);
     if (Ty == Type::Void)
       return failAt(At, "operand has void type");
+    if (F.inst(Op).Op == Opcode::Store)
+      return failAt(At, "operand is a store");
     BlockId DefB = DefBlock[Op];
     if (DefB == B)
       return Op < At ? std::nullopt

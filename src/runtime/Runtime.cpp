@@ -631,15 +631,13 @@ RuntimeSyms declareEach(qir::Module &M) {
 } // namespace
 
 RuntimeSyms qcf::rt::declareRuntime(qir::Module &M) {
-  // Declared once per process into a prototype; a module with no symbols
-  // of its own shares the prototype's table, with the same ids.
+  // Declared once per process into a prototype; every module shares the
+  // prototype's table, with the same ids.
   static const auto Proto = [] {
     qir::Module P;
     RuntimeSyms S = declareEach(P);
     return std::pair(P.symbols(), S);
   }();
-  if (M.numSymbols() != 0)
-    return declareEach(M);
   M.shareSymbols(Proto.first);
   return Proto.second;
 }

@@ -130,8 +130,8 @@ struct RuntimeSyms {
 };
 
 /// Declares every runtime symbol in \p M (with resolved addresses) and
-/// returns their ids. A module with no symbols yet shares one table built
-/// once per process, so lowering a plan copies no signatures.
+/// returns their ids. \p M must have no symbols yet: it shares one table
+/// built once per process, so lowering a plan copies no signatures.
 RuntimeSyms declareRuntime(qir::Module &M);
 
 /// Days-since-epoch (1970-01-01) to calendar helpers.

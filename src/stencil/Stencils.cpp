@@ -73,20 +73,17 @@ public:
     Pend.push_back(L);
   }
 
-  /// Finishes the fragment and copies it into \p Store.
-  Fragment take(Arena &Store) {
+  Fragment take() {
     for (Label L : {Sink.Ovf, Sink.Div})
       if (L != LowerSink::NoLabel)
         Pend.push_back(L);
     for (Label L : Pend)
       A.bind(L);
     A.finalize();
-    const std::vector<uint8_t> &Code = A.code();
-    auto *Bytes = Store.allocateArray<uint8_t>(Code.size());
-    std::copy(Code.begin(), Code.end(), Bytes);
-    auto *Recs = Store.allocateArray<Patch>(Patches.size());
-    std::copy(Patches.begin(), Patches.end(), Recs);
-    return {{Bytes, Code.size()}, {Recs, Patches.size()}};
+    Fragment F;
+    F.Bytes = A.code();
+    F.Patches = std::move(Patches);
+    return F;
   }
 
 private:
@@ -126,34 +123,34 @@ const StencilTable &StencilTable::get() {
 
 void StencilTable::add(Opcode Op, uint8_t A, uint8_t B, Fragment F) {
   assert(A < NumVariants && B < NumVariants && "stencil variant too large");
-  Cores.emplace_back(coreKey(Op, A, B), F);
+  Cores.emplace_back(coreKey(Op, A, B), std::move(F));
 }
 
 StencilTable::StencilTable() {
   // --- Structural fragments -----------------------------------------------
-  auto LdGp = [this](Reg R) {
+  auto LdGp = [](Reg R) {
     FB B;
     B.A.movRM(Width::W64, R, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    return B.take(Store);
+    return B.take();
   };
-  auto StGp = [this](Reg R) {
+  auto StGp = [](Reg R) {
     FB B;
     B.A.movMR(Width::W64, Mem::base(Reg::RBP, DISP_PLACEHOLDER), R);
     B.mark(Patch::Kind::Disp32);
-    return B.take(Store);
+    return B.take();
   };
-  auto LdX = [this](Xmm R) {
+  auto LdX = [](Xmm R) {
     FB B;
     B.A.movsdXM(R, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    return B.take(Store);
+    return B.take();
   };
-  auto StX = [this](Xmm R) {
+  auto StX = [](Xmm R) {
     FB B;
     B.A.movsdMX(Mem::base(Reg::RBP, DISP_PLACEHOLDER), R);
     B.mark(Patch::Kind::Disp32);
-    return B.take(Store);
+    return B.take();
   };
 
   LdA = LdGp(Reg::RAX);
@@ -179,19 +176,19 @@ StencilTable::StencilTable() {
     FB B;
     B.A.movAbsRI(Reg::RAX, IMM64_PLACEHOLDER);
     B.mark(Patch::Kind::Imm64, 8);
-    ConstA = B.take(Store);
+    ConstA = B.take();
   }
   {
     FB B;
     B.A.movAbsRI(Reg::RDX, IMM64_PLACEHOLDER);
     B.mark(Patch::Kind::Imm64, 8);
-    ConstAHi = B.take(Store);
+    ConstAHi = B.take();
   }
   {
     FB B;
     B.A.lea(Reg::RAX, Mem::base(Reg::RBP, DISP_PLACEHOLDER));
     B.mark(Patch::Kind::Disp32);
-    LeaSlotA = B.take(Store);
+    LeaSlotA = B.take();
   }
   {
     FB B;
@@ -200,30 +197,30 @@ StencilTable::StencilTable() {
     // sub rsp, imm32: the placeholder > 127 forces the 0x81 encoding.
     B.A.aluRI(Assembler::Alu::Sub, Width::W64, Reg::RSP, 0x01000000);
     B.mark(Patch::Kind::Imm32);
-    Prologue = B.take(Store);
+    Prologue = B.take();
   }
   {
     FB B;
     B.A.movRR(Width::W64, Reg::RSP, Reg::RBP);
     B.A.popR(Reg::RBP);
     B.A.ret();
-    Epilogue = B.take(Store);
+    Epilogue = B.take();
   }
   {
     FB B;
     B.A.ud2();
-    Ud2 = B.take(Store);
+    Ud2 = B.take();
   }
   {
     FB B;
     B.pendingJmp(Patch::Kind::Rel32);
-    Jmp = B.take(Store);
+    Jmp = B.take();
   }
   {
     FB B;
     B.A.testRR(Width::W64, Reg::RAX, Reg::RAX);
     B.pendingJcc(Patch::Kind::Rel32, Cond::NE);
-    TestJnz = B.take(Store);
+    TestJnz = B.take();
   }
   static const qir::CmpPred AllPreds[] = {
       qir::CmpPred::Eq,  qir::CmpPred::Ne,  qir::CmpPred::SLt,
@@ -233,12 +230,12 @@ StencilTable::StencilTable() {
   for (qir::CmpPred P : AllPreds) {
     FB B;
     B.pendingJcc(Patch::Kind::Rel32, condForPred(P));
-    JccPred[static_cast<uint8_t>(P)] = B.take(Store);
+    JccPred[static_cast<uint8_t>(P)] = B.take();
   }
   {
     FB B;
     B.markAt(Patch::Kind::Imm64, lowerCallAbs(B.A, IMM64_PLACEHOLDER));
-    CallR10 = B.take(Store);
+    CallR10 = B.take();
   }
   static const rt::TrapCode TrapCodes[2] = {rt::TrapCode::Overflow,
                                             rt::TrapCode::DivByZero};
@@ -246,7 +243,7 @@ StencilTable::StencilTable() {
     FB B;
     B.markAt(Patch::Kind::Imm64,
              lowerTrapStub(B.A, TrapCodes[Idx], IMM64_PLACEHOLDER));
-    TrapStub[Idx] = B.take(Store);
+    TrapStub[Idx] = B.take();
   }
 
   // --- Operation cores ----------------------------------------------------
@@ -260,7 +257,7 @@ StencilTable::StencilTable() {
     for (Type Ty : OneLaneInts) {
       FB B;
       lowerArith(B.A, Op, Ty, SA, SA, SB, B.Sink);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
     if (Op == Opcode::SMulTrap)
       continue;
@@ -269,59 +266,59 @@ StencilTable::StencilTable() {
       lowerMul128(B.A, SA, SA, SB);
     else
       lowerArith(B.A, Op, Type::I128, SA, SA, SB, B.Sink);
-    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take(Store));
+    add(Op, static_cast<uint8_t>(Type::I128), 0, B.take());
   }
   for (Opcode Op : {Opcode::Neg, Opcode::Not}) {
     for (Type Ty : IntTypes) {
       FB B;
       lowerNegNot(B.A, Op, Ty, SA, SA);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
   }
   for (Type Ty : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     for (Opcode Op : {Opcode::SDiv, Opcode::UDiv, Opcode::SRem}) {
       FB B;
       lowerDivRem(B.A, Op, Ty, Reg::RCX, Reg::RAX, B.Sink);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
     // The amount already sits in RCX (= CL).
     for (Opcode Op :
          {Opcode::Shl, Opcode::LShr, Opcode::AShr, Opcode::RotR}) {
       FB B;
       lowerShift(B.A, Op, Ty, Reg::RAX, Reg::RAX);
-      add(Op, static_cast<uint8_t>(Ty), 0, B.take(Store));
+      add(Op, static_cast<uint8_t>(Ty), 0, B.take());
     }
   }
   {
     FB B;
     lowerCrc32(B.A, Reg::RAX, Reg::RAX, Reg::RCX);
-    add(Opcode::Crc32, 0, 0, B.take(Store));
+    add(Opcode::Crc32, 0, 0, B.take());
   }
   {
     FB B;
     lowerLongMulFold(B.A, Reg::RCX);
-    add(Opcode::LongMulFold, 0, 0, B.take(Store));
+    add(Opcode::LongMulFold, 0, 0, B.take());
   }
   for (Opcode Op : {Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv}) {
     FB B;
     lowerFArith(B.A, Op, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
-    add(Op, 0, 0, B.take(Store));
+    add(Op, 0, 0, B.take());
   }
   {
     FB B;
     lowerFNeg(B.A, Xmm::XMM0, Xmm::XMM0, Reg::RAX);
-    add(Opcode::FNeg, 0, 0, B.take(Store));
+    add(Opcode::FNeg, 0, 0, B.take());
   }
   for (qir::CmpPred P : AllPreds) {
     for (Type OpTy : IntTypes) {
       FB B;
       lowerICmp(B.A, P, OpTy, Reg::RAX, SA, SB);
       add(Opcode::ICmp, static_cast<uint8_t>(OpTy), static_cast<uint8_t>(P),
-          B.take(Store));
+          B.take());
     }
     FB B;
     lowerFCmp(B.A, P, Reg::RAX, Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::FCmp, 0, static_cast<uint8_t>(P), B.take(Store));
+    add(Opcode::FCmp, 0, static_cast<uint8_t>(P), B.take());
   }
   // Condition in R9; true value in RAX(/RDX or XMM0), false in RCX(/R8 or
   // XMM1).
@@ -329,12 +326,12 @@ StencilTable::StencilTable() {
     FB B;
     lowerSelect(B.A, Sel == SelOneLane ? Type::I64 : Type::I128, Reg::R9, SA,
                 SA, SB);
-    add(Opcode::Select, Sel, 0, B.take(Store));
+    add(Opcode::Select, Sel, 0, B.take());
   }
   {
     FB B;
     lowerSelectF64(B.A, Reg::R9, Xmm::XMM0, Xmm::XMM0, Xmm::XMM1);
-    add(Opcode::Select, SelF64, 0, B.take(Store));
+    add(Opcode::Select, SelF64, 0, B.take());
   }
 
   // --- Width changes ------------------------------------------------------
@@ -342,7 +339,7 @@ StencilTable::StencilTable() {
     // ZExt to a one-lane type is a slot copy; only i128 needs a core.
     FB B;
     lowerZExt(B.A, Type::I128, SA, Reg::RAX);
-    add(Opcode::ZExt, static_cast<uint8_t>(Type::I128), 0, B.take(Store));
+    add(Opcode::ZExt, static_cast<uint8_t>(Type::I128), 0, B.take());
   }
   for (Type From : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     for (Type To : {Type::I8, Type::I16, Type::I32, Type::I64, Type::I128}) {
@@ -351,21 +348,21 @@ StencilTable::StencilTable() {
       FB B;
       lowerSExt(B.A, From, To, SA, Reg::RAX);
       add(Opcode::SExt, static_cast<uint8_t>(From),
-          static_cast<uint8_t>(To), B.take(Store));
+          static_cast<uint8_t>(To), B.take());
     }
     FB B;
     lowerSIToFP(B.A, From, Xmm::XMM0, Reg::RAX, Reg::RAX);
-    add(Opcode::SIToFP, static_cast<uint8_t>(From), 0, B.take(Store));
+    add(Opcode::SIToFP, static_cast<uint8_t>(From), 0, B.take());
   }
   for (Type To : {Type::I1, Type::I8, Type::I16, Type::I32, Type::I64}) {
     if (To != Type::I64) {
       FB B;
       lowerTrunc(B.A, To, Reg::RAX, Reg::RAX);
-      add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take(Store));
+      add(Opcode::Trunc, static_cast<uint8_t>(To), 0, B.take());
     }
     FB B;
     lowerFPToSI(B.A, To, Reg::RAX, Xmm::XMM0);
-    add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take(Store));
+    add(Opcode::FPToSI, static_cast<uint8_t>(To), 0, B.take());
   }
 
   // --- Memory -------------------------------------------------------------
@@ -375,9 +372,9 @@ StencilTable::StencilTable() {
                   Type::Ptr, Type::F64, Type::I128, Type::D128}) {
     FB L, S;
     lowerLoad(L.A, Ty, SA, Reg::RAX);
-    add(Opcode::Load, static_cast<uint8_t>(Ty), 0, L.take(Store));
+    add(Opcode::Load, static_cast<uint8_t>(Ty), 0, L.take());
     lowerStore(S.A, Ty, Reg::RCX, SA);
-    add(Opcode::Store, static_cast<uint8_t>(Ty), 0, S.take(Store));
+    add(Opcode::Store, static_cast<uint8_t>(Ty), 0, S.take());
   }
   // Base in RAX, index (if any) in RCX; the displacement and a scale other
   // than 1/2/4/8 are patched.
@@ -387,7 +384,7 @@ StencilTable::StencilTable() {
     lowerGep(B.A, Reg::RAX, Reg::RAX, V ? Reg::RCX : Reg::NoReg,
              V == GepGenericScale ? DISP_PLACEHOLDER : V, DISP_PLACEHOLDER,
              B.Sink);
-    add(Opcode::Gep, V, 0, B.take(Store));
+    add(Opcode::Gep, V, 0, B.take());
   }
 
   // --- Atomics ------------------------------------------------------------
@@ -395,7 +392,7 @@ StencilTable::StencilTable() {
   for (Type Ty : {Type::I32, Type::I64}) {
     FB B;
     B.A.lockXaddMR(aluWidth(Ty), Mem::base(Reg::RCX), Reg::RAX);
-    add(Opcode::AtomicAdd, static_cast<uint8_t>(Ty), 0, B.take(Store));
+    add(Opcode::AtomicAdd, static_cast<uint8_t>(Ty), 0, B.take());
   }
 
   // --- Index --------------------------------------------------------------

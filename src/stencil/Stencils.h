@@ -31,11 +31,9 @@
 
 #include "qir/Opcode.h"
 #include "qir/Type.h"
-#include "support/Arena.h"
 #include "x64/QirLower.h"
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,12 +45,10 @@ using x64::Patch;
 
 const char *patchKindName(Patch::Kind K);
 
-/// A pre-encoded machine-code fragment plus its patch records: views of
-/// the table's storage, where every fragment's bytes and patches sit
-/// back to back.
+/// A pre-encoded machine-code fragment plus its patch records.
 struct Fragment {
-  std::span<const uint8_t> Bytes;
-  std::span<const Patch> Patches;
+  std::vector<uint8_t> Bytes;
+  std::vector<Patch> Patches;
 };
 
 /// Variant discriminators for Select cores.
@@ -64,9 +60,6 @@ enum : uint8_t { GepGenericScale = 9 };
 /// The process-wide stencil table. Built eagerly on first use (thread-safe
 /// function-local static); immutable afterwards.
 class StencilTable {
-  /// Backs every Fragment; declared first so it outlives them.
-  Arena Store;
-
 public:
   static const StencilTable &get();
 

@@ -193,6 +193,8 @@ TEST(DbCodegen, LoweredModulesShareOneRuntimeSymbolTable) {
   CompiledPlan P1 = compileQuery(tpchQueries()[0], tpchCatalog());
   CompiledPlan P2 = compileQuery(tpcdsQueries()[0], tpcdsCatalog());
   ASSERT_GT(P1.Module->numSymbols(), 0u);
+  // One table, not two equal copies.
+  EXPECT_EQ(P1.Module->symbols(), P2.Module->symbols());
   ExpectSameTable(*P1.Module, *P2.Module);
 
   // A .qir module that calls every symbol in id order declares them one

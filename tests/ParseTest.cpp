@@ -205,6 +205,11 @@ TEST(Parse, MalformedValueIdsAreRefusedWithLine) {
       {"define void @f(i64) {\nb0:\n  %0 = param i64 #0\n"
        "  %1 = ret\n}\n",
        "line 4: ", "void ret"},
+      // A store is printed with the stored value's type but has no value.
+      {"define i64 @f(ptr, i64) {\nb0:\n  %0 = param ptr #0\n"
+       "  %1 = param i64 #1\n  %2 = store i64 %1, %0\n"
+       "  %3 = add i64 %2, %2\n  ret %3\n}\n",
+       "line 6: ", "%2 is a store, not a value"},
       // A value defined twice, the second time in another block.
       {"define i64 @f(i64) {\nb0:\n  %0 = param i64 #0\n  br b1\nb1:\n"
        "  %0 = add i64 %0, %0\n  ret %0\n}\n",

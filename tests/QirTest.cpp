@@ -167,6 +167,27 @@ TEST(QirVerifier, OutOfRangeIdsAreErrorsNotAborts) {
     ASSERT_TRUE(Err.has_value());
     EXPECT_NE(Err->find("operand id out of range"), std::string::npos);
   }
+  {
+    Module M;
+    Function *F = Build(M);
+    F->Blocks.back().End = 40; // a block running past the instructions
+    auto Err = verify(*F);
+    ASSERT_TRUE(Err.has_value());
+    EXPECT_NE(Err->find("ends past the last instruction"), std::string::npos);
+  }
+}
+
+TEST(QirVerifier, RejectsStoreAsOperand) {
+  // A store carries the stored value's type but defines no value.
+  Module M;
+  Function *F = M.createFunction("st", {Type::Ptr, Type::I64}, Type::I64);
+  Builder B(F);
+  B.store(F->paramValue(1), F->paramValue(0));
+  ValueId Store = F->numInsts() - 1;
+  B.ret(B.add(Store, Store));
+  auto Err = verify(*F);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_NE(Err->find("operand is a store"), std::string::npos);
 }
 
 TEST(QirCall, SignatureCheckedAndPrinted) {

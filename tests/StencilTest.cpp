@@ -262,7 +262,7 @@ TEST(Stencil, EveryFragmentLintsClean) {
   using stencil::Patch;
   const stencil::StencilTable &T = stencil::StencilTable::get();
   auto Lint = [](const std::string &Name, const Fragment &F) {
-    std::vector<uint8_t> Code(F.Bytes.begin(), F.Bytes.end());
+    std::vector<uint8_t> Code = F.Bytes;
     Code.insert(Code.end(), {0x0f, 0x0b});
     std::vector<x64::DecodeReloc> Relocs;
     for (const Patch &P : F.Patches)
