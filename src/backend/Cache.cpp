@@ -9,6 +9,7 @@
 #include "backend/DiskCache.h"
 #include "backend/TierUp.h"
 #include "qir/Clone.h"
+#include "support/BlockCache.h"
 #include "support/Hash.h"
 #include <atomic>
 
@@ -170,13 +171,18 @@ namespace {
 
 /// Handle that shares ownership of a cached compilation. \p Up, when set,
 /// is the pending optimized compile of fast-tier code (see
-/// CompiledModule::Optimized).
+/// CompiledModule::Optimized). Every L1 hit makes one and its query frees
+/// it, so it is a recycled block of the query thread.
 class SharedModule : public CompiledModule {
 public:
   explicit SharedModule(std::shared_ptr<CompiledModule> Inner,
                         std::shared_ptr<TierUp> Up = nullptr)
       : Inner(std::move(Inner)) {
     Optimized = std::move(Up);
+  }
+  static void *operator new(size_t Bytes) { return blocks::allocate(Bytes); }
+  static void operator delete(void *P, size_t Bytes) {
+    blocks::deallocate(P, Bytes);
   }
   void *entry(const std::string &Name) override {
     return Inner->entry(Name);

@@ -17,6 +17,7 @@
 #include <ctime>
 #include <dirent.h>
 #include <fcntl.h>
+#include <memory>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -231,15 +232,17 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
   // checksum, and the unmap, each of which is TLB-shootdown priced on
   // virtualized hosts. The warm path must stay an order of magnitude
   // under the cheapest compile, so syscall count dominates the design.
+  // The buffer is not zero-filled first: pread overwrites all of it, and
+  // a short read is refused.
   size_t Size = static_cast<size_t>(St.st_size);
-  std::vector<uint8_t> Buf(Size);
-  ssize_t N = ::pread(Fd, Buf.data(), Size, 0);
+  auto Buf = std::make_unique_for_overwrite<uint8_t[]>(Size);
+  ssize_t N = ::pread(Fd, Buf.get(), Size, 0);
   ::close(Fd);
   if (N != static_cast<ssize_t>(Size)) {
     Misses.inc();
     return nullptr;
   }
-  const uint8_t *Data = Buf.data();
+  const uint8_t *Data = Buf.get();
 
   ModuleFingerprint BlobKey;
   std::string BlobConfig;

@@ -128,7 +128,9 @@ void runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
 }
 
 /// Per-query runtime state: context slots, runtime objects, and the
-/// pipeline loop.
+/// pipeline loop. All of its memory (the vectors, the tables, sort buffers
+/// and arena slabs) is recycled blocks of the query thread, so a warm
+/// query reuses the last one's.
 struct QueryRuntime {
   QueryRuntime(const CompiledPlan &Plan, const Catalog &Cat,
                rt::OutputBuffer *Out)
@@ -187,14 +189,15 @@ struct QueryRuntime {
       } else if (Obj.K == RuntimeObject::Kind::SortBuffer) {
         const rt::HashTable &Rows = *Tables[OI];
         uint64_t N = Rows.count();
-        Buffers[OI].reset(new uint8_t[N * Obj.RowStride]);
+        Buffers[OI] = blocks::Block(N * Obj.RowStride);
+        auto *Packed = Buffers[OI].get<uint8_t>();
         for (uint64_t I = 0; I != N; ++I)
-          std::memcpy(Buffers[OI].get() + I * Obj.RowStride,
+          std::memcpy(Packed + I * Obj.RowStride,
                       static_cast<char *>(Rows.entryAt(I)) +
                           rt::HashTable::HeaderBytes,
                       Obj.RowStride);
         Tables[OI].reset();
-        Ctx[Obj.Slot] = reinterpret_cast<uint64_t>(Buffers[OI].get());
+        Ctx[Obj.Slot] = reinterpret_cast<uint64_t>(Packed);
         Ctx[Obj.CountSlot] = N;
       }
     }
@@ -268,11 +271,11 @@ struct QueryRuntime {
 
   const CompiledPlan &Plan;
   const Catalog &Cat;
-  std::vector<uint64_t> Ctx;
+  BlockVector<uint64_t> Ctx;
   Arena QueryArena;
-  std::vector<std::unique_ptr<rt::HashTable>> Tables;
-  std::vector<std::unique_ptr<uint8_t[]>> Buffers;
-  std::vector<PipelineStats> PipeStats;
+  BlockVector<std::unique_ptr<rt::HashTable>> Tables;
+  BlockVector<blocks::Block> Buffers;
+  BlockVector<PipelineStats> PipeStats;
   /// The query's ExecControl fired and the pipeline loop stopped early.
   bool CancelObserved = false;
   /// The swap drivers of the pipelines that started, in pipeline order.
@@ -356,7 +359,9 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
       Fast = OwnedFast.get();
     }
   }
-  uint64_t CompileStartNs = nowNs();
+  // The query's start also starts its compile: only the cancel check and
+  // option set-up run between them, unless a fast tier was created.
+  uint64_t CompileStartNs = OwnedFast ? nowNs() : QueryStartNs;
   std::unique_ptr<backend::CompiledModule> Code;
   if (Fast)
     Code = backend::compileTiered(*Plan.Module, *Fast, BE, *Opts.Service, CO);

@@ -31,6 +31,7 @@
 #include "db/Codegen.h"
 #include "db/Osr.h"
 #include "runtime/Runtime.h"
+#include "support/BlockCache.h"
 
 namespace qcf::db {
 
@@ -133,7 +134,9 @@ struct QueryStats {
   uint64_t RowsOut = 0;        ///< Rows appended to the output buffer.
   uint64_t OsrSwaps = 0;       ///< AdaptiveExec: pipelines that swapped tiers.
   uint64_t OsrStallNs = 0;     ///< AdaptiveExec: total forced-cutover stall.
-  std::vector<PipelineStats> Pipelines;
+  /// One per pipeline that ran. Its buffer is a recycled block
+  /// (support/BlockCache.h), like the rest of a query's execution memory.
+  BlockVector<PipelineStats> Pipelines;
 };
 
 struct ExecResult {

@@ -6,7 +6,6 @@
 
 #include "runtime/HashTable.h"
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 using namespace qcf;
@@ -38,16 +37,16 @@ HashTable::HashTable(uint32_t PayloadBytes)
 }
 
 HashTable::~HashTable() {
-  for (char *Chunk : Chunks)
-    std::free(Chunk);
-  std::free(Buckets);
+  for (unsigned K = 0; K != ChunkSlots && Chunks[K]; ++K)
+    blocks::deallocate(Chunks[K], chunkBytes(K));
+  blocks::deallocate(Buckets, numBuckets() * sizeof(uint64_t));
 }
 
 void HashTable::resetDirectory(uint64_t NumBuckets) {
-  std::free(Buckets);
-  Buckets = static_cast<uint64_t *>(std::calloc(NumBuckets, sizeof(uint64_t)));
-  if (QCF_UNLIKELY(!Buckets))
-    reportFatalError("hash table allocation failed");
+  if (Buckets)
+    blocks::deallocate(Buckets, numBuckets() * sizeof(uint64_t));
+  Buckets = static_cast<uint64_t *>(
+      blocks::allocateZeroed(NumBuckets * sizeof(uint64_t)));
   Mask = NumBuckets - 1;
 }
 
@@ -61,11 +60,10 @@ HashTable::EntryHeader *HashTable::allocateEntry(uint64_t Hash) {
   uint64_t Index = Count++;
   unsigned K = chunkOf(Index);
   if (!Chunks[K]) {
-    uint64_t Bytes = (FirstChunkEntries << K) * EntryBytes;
-    char *Chunk = static_cast<char *>(std::malloc(Bytes));
+    uint64_t Bytes = chunkBytes(K);
+    char *Chunk = static_cast<char *>(blocks::allocate(Bytes));
     // Directory words keep the entry pointer in their low 48 bits.
-    if (QCF_UNLIKELY(!Chunk ||
-                     reinterpret_cast<uintptr_t>(Chunk) + Bytes > PtrMask))
+    if (QCF_UNLIKELY(reinterpret_cast<uintptr_t>(Chunk) + Bytes > PtrMask))
       reportFatalError("hash table allocation failed");
     Chunks[K] = Chunk;
   }

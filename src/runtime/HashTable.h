@@ -12,11 +12,12 @@
 /// slot it fills with stores, and probes by walking the bucket chain
 /// itself, comparing keys inline. One thread uses a table at a time.
 ///
-/// Entries live in chunks that double in size (chunk k holds 4096 << k
-/// entries), so the table has no capacity and a later pipeline can scan it
-/// morsel by morsel by dense index. The directory is sized from what was
-/// inserted, never from a guess, the way HyPer and Umbra do it
-/// (Morsel-Driven Parallelism, §4.2):
+/// Entries live in chunks that double in size (chunk k holds 256 << k
+/// entries), so the table has no capacity, an entry never moves, and a
+/// later pipeline can scan it morsel by morsel by dense index. The first
+/// chunk is small because most tables of a served query hold a few rows.
+/// The directory is sized from what was inserted, never from a guess, the
+/// way HyPer and Umbra do it (Morsel-Driven Parallelism, §4.2):
 ///  - a join build appends with append(), which does not touch the
 ///    directory; once the build pipeline ends, link() sizes the directory
 ///    from count() and links every entry;
@@ -32,6 +33,7 @@
 #ifndef QCF_RUNTIME_HASHTABLE_H
 #define QCF_RUNTIME_HASHTABLE_H
 
+#include "support/BlockCache.h"
 #include "support/Compiler.h"
 #include <cstdint>
 
@@ -44,7 +46,7 @@ namespace qcf::rt {
 class HashTable {
 public:
   static constexpr uint32_t HeaderBytes = 16;
-  static constexpr unsigned FirstChunkLog2 = 12;
+  static constexpr unsigned FirstChunkLog2 = 8;
   static constexpr uint64_t FirstChunkEntries = uint64_t(1) << FirstChunkLog2;
 
   explicit HashTable(uint32_t PayloadBytes);
@@ -52,6 +54,11 @@ public:
 
   HashTable(const HashTable &) = delete;
   HashTable &operator=(const HashTable &) = delete;
+
+  static void *operator new(size_t Bytes) { return blocks::allocate(Bytes); }
+  static void operator delete(void *P, size_t Bytes) {
+    blocks::deallocate(P, Bytes);
+  }
 
   /// Inserts and links a new entry with \p Hash, growing the directory
   /// when needed; returns the payload pointer.
@@ -110,6 +117,9 @@ private:
   /// entries than any address space.
   static constexpr unsigned ChunkSlots = 52;
 
+  uint64_t chunkBytes(unsigned Chunk) const {
+    return (FirstChunkEntries << Chunk) * EntryBytes;
+  }
   char *entrySlot(uint64_t Index) const;
   EntryHeader *allocateEntry(uint64_t Hash);
   void resetDirectory(uint64_t NumBuckets);
@@ -118,8 +128,9 @@ private:
   uint32_t PayloadBytes;
   uint32_t EntryBytes;
   uint64_t Mask = 0;
-  // Every directory is calloc'd, so it is zeroed once (a block glibc mmaps
-  // comes back from the kernel already zeroed).
+  // Every directory comes zeroed from blocks::allocateZeroed: a recycled
+  // one is cleared, a large one is calloc'd (a block glibc mmaps comes
+  // back from the kernel already zeroed).
   uint64_t *Buckets = nullptr;
   char *Chunks[ChunkSlots] = {};
   uint64_t Count = 0;

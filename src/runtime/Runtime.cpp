@@ -249,32 +249,57 @@ extern "C" int64_t rt_date_month(int64_t Days) { return dateMonth(Days); }
 // --- Sort ---------------------------------------------------------------------
 
 namespace {
-struct SortCtx {
-  uint64_t ElemSize;
-  int64_t (*Cmp)(const void *, const void *);
-};
+
+/// Sorts \p Index[0, N) stably by \p Less: top-down merge sort whose
+/// merges copy the left half into \p Scratch (N / 2 entries), the buffer
+/// std::stable_sort asks for.
+template <typename LessT>
+void mergeSort(uint64_t *Index, uint64_t N, uint64_t *Scratch, LessT &Less) {
+  if (N <= 8) {
+    for (uint64_t I = 1; I < N; ++I) {
+      uint64_t V = Index[I], J = I;
+      for (; J && Less(V, Index[J - 1]); --J)
+        Index[J] = Index[J - 1];
+      Index[J] = V;
+    }
+    return;
+  }
+  uint64_t Half = N / 2;
+  mergeSort(Index, Half, Scratch, Less);
+  mergeSort(Index + Half, N - Half, Scratch, Less);
+  std::memcpy(Scratch, Index, Half * sizeof(uint64_t));
+  // Ties take the left half first: that keeps the sort stable.
+  uint64_t L = 0, R = Half, Out = 0;
+  while (L != Half && R != N)
+    Index[Out++] = Less(Index[R], Scratch[L]) ? Index[R++] : Scratch[L++];
+  while (L != Half)
+    Index[Out++] = Scratch[L++];
+}
+
 } // namespace
 
 extern "C" void rt_sort(void *Base, uint64_t Count, uint64_t ElemSize,
                         void *Cmp) {
   // Index sort + permute: keeps the comparator a plain two-pointer call,
   // which is the callback-into-generated-code shape the paper describes
-  // for sort operators (§III-A).
+  // for sort operators (§III-A). Its buffers are recycled blocks.
   if (Count == 0)
     return; // An empty buffer may be null, and memcpy must not see null.
   auto *CmpFn = reinterpret_cast<int64_t (*)(const void *, const void *)>(Cmp);
   char *Bytes = static_cast<char *>(Base);
-  std::vector<uint64_t> Index(Count);
+  blocks::Block IndexMem((Count + Count / 2) * sizeof(uint64_t));
+  uint64_t *Index = IndexMem.get<uint64_t>();
   for (uint64_t I = 0; I != Count; ++I)
     Index[I] = I;
-  std::stable_sort(Index.begin(), Index.end(), [&](uint64_t A, uint64_t B) {
+  auto Less = [&](uint64_t A, uint64_t B) {
     return CmpFn(Bytes + A * ElemSize, Bytes + B * ElemSize) < 0;
-  });
-  std::vector<char> Tmp(Count * ElemSize);
+  };
+  mergeSort(Index, Count, Index + Count, Less);
+  blocks::Block Tmp(Count * ElemSize);
   for (uint64_t I = 0; I != Count; ++I)
-    std::memcpy(Tmp.data() + I * ElemSize, Bytes + Index[I] * ElemSize,
+    std::memcpy(Tmp.get<char>() + I * ElemSize, Bytes + Index[I] * ElemSize,
                 ElemSize);
-  std::memcpy(Bytes, Tmp.data(), Count * ElemSize);
+  std::memcpy(Bytes, Tmp.get(), Count * ElemSize);
 }
 
 // --- Checked arithmetic helpers -----------------------------------------------
@@ -388,6 +413,16 @@ void OutputBuffer::appendStr(StringVal S) {
   Cells.push_back(C);
 }
 
+void OutputBuffer::clear() {
+  Cells.clear();
+  RowStarts.clear();
+  Strings.reset();
+  if (Cells.capacity() * sizeof(Cell) > blocks::MaxBlockBytes)
+    BlockVector<Cell>().swap(Cells);
+  if (RowStarts.capacity() * sizeof(size_t) > blocks::MaxBlockBytes)
+    BlockVector<size_t>().swap(RowStarts);
+}
+
 const OutputBuffer::Cell *OutputBuffer::row(size_t Row,
                                             size_t *NumCells) const {
   assert(Row < RowStarts.size() && "row index out of range");
@@ -399,7 +434,8 @@ const OutputBuffer::Cell *OutputBuffer::row(size_t Row,
 
 namespace {
 
-void renderCell(std::string &Out, const OutputBuffer::Cell &C) {
+template <typename StringT>
+void renderCell(StringT &Out, const OutputBuffer::Cell &C) {
   // Fits the longest "%.6f" text of a double: -DBL_MAX is 317 characters.
   char Buf[320];
   switch (C.Kind) {
@@ -407,21 +443,30 @@ void renderCell(std::string &Out, const OutputBuffer::Cell &C) {
     Out.append(Buf, std::to_chars(Buf, std::end(Buf), C.I64V).ptr);
     break;
   case OutputBuffer::CellKind::I128: {
-    // Render via repeated division (no 128-bit printf).
     Int128 V = C.I128V;
-    bool Neg = V < 0;
-    UInt128 U = Neg ? static_cast<UInt128>(-(V + 1)) + 1
-                    : static_cast<UInt128>(V);
-    char Digits[48];
-    int N = 0;
-    do {
-      Digits[N++] = static_cast<char>('0' + static_cast<int>(U % 10));
-      U /= 10;
-    } while (U);
-    if (Neg)
-      Out += '-';
-    while (N)
-      Out += Digits[--N];
+    if (fitsInInt64(V)) {
+      Out.append(Buf, std::to_chars(Buf, std::end(Buf), int64_t(V)).ptr);
+      break;
+    }
+    // No 128-bit to_chars: |V| <= 2^127 < 10^39, so one division by 10^19
+    // splits it into a 64-bit head and a 19-digit tail.
+    constexpr uint64_t TailDiv = 10'000'000'000'000'000'000ull;
+    UInt128 U = V < 0 ? UInt128(0) - static_cast<UInt128>(V)
+                      : static_cast<UInt128>(V);
+    uint64_t Head = static_cast<uint64_t>(U / TailDiv);
+    uint64_t Tail = static_cast<uint64_t>(U % TailDiv);
+    char *P = Buf;
+    if (V < 0)
+      *P++ = '-';
+    if (!Head) {
+      P = std::to_chars(P, std::end(Buf), Tail).ptr;
+    } else {
+      P = std::to_chars(P, std::end(Buf), Head).ptr;
+      for (int I = 18; I >= 0; --I, Tail /= 10)
+        P[I] = static_cast<char>('0' + Tail % 10);
+      P += 19;
+    }
+    Out.append(Buf, P);
     break;
   }
   case OutputBuffer::CellKind::F64: {
@@ -461,7 +506,7 @@ std::string OutputBuffer::toText() const {
 uint64_t OutputBuffer::unorderedDigest() const {
   // Sum of per-row hashes: commutative, so row order does not matter.
   uint64_t Sum = 0;
-  std::string Repr; // One buffer for every row.
+  BlockString Repr; // One buffer for every row.
   for (size_t R = 0; R != numRows(); ++R) {
     size_t N;
     const Cell *Row = row(R, &N);

@@ -26,6 +26,7 @@
 #include "runtime/StringVal.h"
 #include "runtime/Trap.h"
 #include "support/Arena.h"
+#include "support/BlockCache.h"
 #include "support/Int128.h"
 #include <string>
 #include <string_view>
@@ -36,6 +37,7 @@ namespace qcf::rt {
 /// A materialized query result: rows of typed cells. The final pipeline of
 /// every query appends its output here through rt_out_* calls, which gives
 /// the differential tests a canonical value to compare across back-ends.
+/// Its memory is recycled blocks (support/BlockCache.h).
 class OutputBuffer {
 public:
   enum class CellKind : uint8_t { I64, I128, F64, Str, Null };
@@ -92,15 +94,13 @@ public:
   /// Exact (ordered) comparison.
   bool equals(const OutputBuffer &Other) const;
 
-  void clear() {
-    Cells.clear();
-    RowStarts.clear();
-    Strings.reset();
-  }
+  /// Drops every row. The cell and row vectors keep their memory for the
+  /// next result unless it is larger than the block cache parks.
+  void clear();
 
 private:
-  std::vector<Cell> Cells;
-  std::vector<size_t> RowStarts;
+  BlockVector<Cell> Cells;
+  BlockVector<size_t> RowStarts;
   Arena Strings;
 };
 

@@ -309,9 +309,10 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
                   0);
 
   TenantState *T = findTenant(S->Tenant);
-  // Epilogue for every path below once the session is Active.
-  auto finish = [&] {
-    S->LastActiveNs.store(nowNs(), std::memory_order_release);
+  // Epilogue for every path below once the session is Active; \p Now is
+  // a clock read taken after the query's last step.
+  auto finish = [&](uint64_t Now) {
+    S->LastActiveNs.store(Now, std::memory_order_release);
     S->Queries.fetch_add(1, std::memory_order_relaxed);
     S->St.store(Session::State::Idle, std::memory_order_release);
     // closeSession() may have set CloseRequested between our load and
@@ -321,7 +322,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
       if (S->St.compare_exchange_strong(E2, Session::State::Closed))
         retireSession(*S, /*Evicted=*/false);
     }
-    R.TotalNs = nowNs() - T0;
+    R.TotalNs = Now - T0;
     QueryNs.observe(R.TotalNs);
   };
 
@@ -330,7 +331,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
       Svc->keyInFlight(S->Tenant) >= T->Quota.MaxQueuedCompiles) {
     T->RejCompileQueue.inc();
     reject(Admit::CompileQueueQuota, 2'000'000);
-    finish();
+    finish(nowNs());
     return R;
   }
 
@@ -338,7 +339,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
   // released when the query ends.
   if (T && !T->tryReserveBytes(CompileBytesPerQuery)) {
     reject(Admit::CompileBytesQuota, 2'000'000);
-    finish();
+    finish(nowNs());
     return R;
   }
 
@@ -353,7 +354,8 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
   // Quota point 4: bounded admission.
   bool LowPriority = T && T->Quota.Background;
   AdmissionGate::Decision D = Gate.enter(LowPriority, &S->Ctl);
-  R.AdmitWaitNs = nowNs() - T0;
+  uint64_t RunStartNs = nowNs(); // Admitted: the wait ends, the run starts.
+  R.AdmitWaitNs = RunStartNs - T0;
   if (D.Outcome != Admit::Ok) {
     if (T)
       T->releaseBytes(CompileBytesPerQuery);
@@ -364,11 +366,10 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     } else {
       reject(D.Outcome, D.RetryAfterNs);
     }
-    finish();
+    finish(nowNs());
     return R;
   }
 
-  uint64_t RunStartNs = nowNs();
   {
     std::shared_ptr<const db::CompiledPlan> Plan = Plans.get(Q, Cat);
 
@@ -377,7 +378,9 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     EO.CompileFairnessKey = S->Tenant;
     EO.Obs = obs::ObsContext(nullptr, &Reg, nullptr);
 
-    rt::OutputBuffer LocalOut;
+    // Without a caller's buffer the rows go to one this thread reuses,
+    // cleared after every query; its memory is recycled blocks.
+    thread_local rt::OutputBuffer LocalOut;
     rt::OutputBuffer *O = Out ? Out : &LocalOut;
     uint64_t RowsBefore = O->numRows();
     db::ExecResult ER = db::executeQuery(*Plan, *Cache, Cat, O, EO);
@@ -394,12 +397,15 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
       R.Digest = O->unorderedDigest();
       QueriesOk.inc();
     }
+    if (!Out)
+      LocalOut.clear();
 
     if (T)
       T->releaseBytes(CompileBytesPerQuery);
   }
-  Gate.leave(nowNs() - RunStartNs);
-  finish();
+  uint64_t EndNs = nowNs();
+  Gate.leave(EndNs - RunStartNs);
+  finish(EndNs);
   return R;
 }
 

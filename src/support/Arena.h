@@ -16,6 +16,7 @@
 #ifndef QCF_SUPPORT_ARENA_H
 #define QCF_SUPPORT_ARENA_H
 
+#include "support/BlockCache.h"
 #include "support/Compiler.h"
 #include <cstddef>
 #include <cstdint>
@@ -136,7 +137,7 @@ private:
     if (SlabBytes < MinBytes)
       SlabBytes = MinBytes;
     NextSlabBytes = NextSlabBytes * 2;
-    char *Base = static_cast<char *>(::operator new(SlabBytes));
+    char *Base = static_cast<char *>(blocks::allocate(SlabBytes));
     Slabs.push_back({Base, SlabBytes});
     Cur = Base;
     End = Base + SlabBytes;
@@ -144,10 +145,10 @@ private:
 
   void freeSlabs() {
     for (const Slab &S : Slabs)
-      ::operator delete(S.Base);
+      blocks::deallocate(S.Base, S.Bytes);
   }
 
-  std::vector<Slab> Slabs;
+  BlockVector<Slab> Slabs;
   char *Cur = nullptr;
   char *End = nullptr;
   size_t NextSlabBytes;

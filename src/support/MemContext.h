@@ -58,13 +58,16 @@ inline const char *allocModeName(AllocMode M) {
   return M == AllocMode::Heap ? "heap" : "arena";
 }
 
-/// Reads QCF_ALLOC (heap|arena). Unset or unrecognized means Heap so the
-/// default benchmark numbers stay comparable with the paper.
+/// QCF_ALLOC (heap|arena), read once per process like QCF_VERIFY: every
+/// CompileOptions asks. Unset or unrecognized means Heap so the default
+/// benchmark numbers stay comparable with the paper.
 inline AllocMode allocModeFromEnv() {
-  const char *E = std::getenv("QCF_ALLOC");
-  if (E && std::strcmp(E, "arena") == 0)
-    return AllocMode::Arena;
-  return AllocMode::Heap;
+  static const AllocMode Cached = [] {
+    const char *E = std::getenv("QCF_ALLOC");
+    return E && std::strcmp(E, "arena") == 0 ? AllocMode::Arena
+                                             : AllocMode::Heap;
+  }();
+  return Cached;
 }
 
 /// A mode-selected object pool: heap-backed with per-object free, or an

@@ -6,6 +6,7 @@
 
 #include "runtime/Runtime.h"
 #include "support/Hash.h"
+#include "support/Rng.h"
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace qcf;
@@ -397,8 +399,8 @@ TEST(HashTable, AggregationGrowsAcrossDoublings) {
 }
 
 TEST(HashTable, EntriesSpanGeometricChunks) {
-  // Chunk k holds 4096 << k entries; dense indexes cross every boundary
-  // into the sixth chunk, and nothing bounds the count.
+  // Chunk k holds 256 << k entries; dense indexes cross every boundary
+  // into the ninth chunk, and nothing bounds the count.
   HashTable Ht(24);
   constexpr uint64_t N = 4096 * 31 + 5;
   for (uint64_t K = 0; K != N; ++K)
@@ -406,6 +408,100 @@ TEST(HashTable, EntriesSpanGeometricChunks) {
   ASSERT_EQ(Ht.count(), N);
   for (uint64_t K = 0; K != N; ++K)
     ASSERT_EQ(payloadOf(Ht.entryAt(K)), K) << "index " << K;
+}
+
+/// First entry index of chunk \p K.
+static uint64_t chunkStart(unsigned K) {
+  return (HashTable::FirstChunkEntries << K) - HashTable::FirstChunkEntries;
+}
+
+TEST(HashTable, FirstChunkIsSmall) {
+  // A one-row aggregate must not pay for thousands of entries.
+  EXPECT_EQ(HashTable::FirstChunkEntries, 256u);
+  HashTable Ht(40);
+  *static_cast<uint64_t *>(Ht.insert(hashU64(1))) = 1;
+  EXPECT_EQ(chainValues(Ht, hashU64(1)), std::vector<uint64_t>{1});
+}
+
+TEST(HashTable, EntriesKeepTheirAddressesAcrossChunkGrowth) {
+  // Generated code holds payload pointers across later inserts; a new
+  // chunk never moves the entries of the old ones.
+  HashTable Ht(24);
+  std::vector<void *> Addr;
+  for (uint64_t K = 0; K != chunkStart(5) + 3; ++K) {
+    void *P = Ht.insert(hashU64(K));
+    *static_cast<uint64_t *>(P) = K;
+    Addr.push_back(static_cast<char *>(P) - HashTable::HeaderBytes);
+  }
+  for (uint64_t K = 0; K != Addr.size(); ++K) {
+    ASSERT_EQ(Ht.entryAt(K), Addr[K]) << "index " << K;
+    ASSERT_EQ(payloadOf(Addr[K]), K) << "index " << K;
+  }
+}
+
+TEST(HashTable, EntryAtReadsAcrossEveryChunkBoundary) {
+  for (uint32_t Payload : {8u, 24u, 40u}) {
+    SCOPED_TRACE(Payload);
+    HashTable Ht(Payload);
+    for (uint64_t K = 0; K != chunkStart(6) + 1; ++K)
+      *static_cast<uint64_t *>(Ht.append(K)) = K * 3;
+    for (unsigned C = 1; C <= 6; ++C) {
+      uint64_t B = chunkStart(C);
+      for (uint64_t K : {B - 1, B, B + 1}) {
+        if (K >= Ht.count())
+          continue;
+        void *E = Ht.entryAt(K);
+        EXPECT_EQ(payloadOf(E), K * 3) << "index " << K;
+        // The hash lives in the header, next to the payload.
+        EXPECT_EQ(static_cast<uint64_t *>(E)[1], K) << "index " << K;
+      }
+    }
+  }
+}
+
+TEST(HashTable, LinkAfterChunkGrowthReachesEveryEntry) {
+  // A join build appends into several chunks, then links once.
+  HashTable Ht(8);
+  constexpr uint64_t N = 256 * 7 + 100; // into the fourth chunk
+  for (uint64_t K = 0; K != N; ++K)
+    *static_cast<uint64_t *>(Ht.append(hashU64(K % 1000))) = K;
+  Ht.link();
+  EXPECT_EQ(Ht.numBuckets(), HashTable::bucketsFor(N));
+  for (uint64_t Key = 0; Key != 1000; ++Key) {
+    std::vector<uint64_t> Want;
+    for (uint64_t K = Key; K < N; K += 1000)
+      Want.insert(Want.begin(), K); // newest first
+    ASSERT_EQ(chainValues(Ht, hashU64(Key)), Want) << "key " << Key;
+  }
+  EXPECT_EQ(Ht.lookup(hashU64(1000)), nullptr);
+}
+
+TEST(HashTable, RecycledDirectoryFindsOnlyItsOwnEntries) {
+  // The first table fills its directory and frees it with its chunks;
+  // the next table on this thread, with the same directory size, gets
+  // that memory back and must find nothing the first one inserted.
+  std::thread([] {
+    constexpr uint64_t N = 1500; // 4096 buckets: a 32 KiB directory
+    {
+      HashTable First(8);
+      for (uint64_t K = 0; K != N; ++K)
+        *static_cast<uint64_t *>(First.append(hashU64(K))) = K;
+      First.link();
+      ASSERT_EQ(First.numBuckets(), 4096u);
+    }
+    size_t Parked = blocks::parkedBytes();
+    ASSERT_GE(Parked, 4096u * 8);
+    HashTable Second(8);
+    for (uint64_t K = N; K != 2 * N; ++K)
+      *static_cast<uint64_t *>(Second.append(hashU64(K))) = K;
+    Second.link();
+    ASSERT_EQ(Second.numBuckets(), 4096u);
+    EXPECT_LT(blocks::parkedBytes(), Parked) << "nothing was reused";
+    for (uint64_t K = 0; K != N; ++K)
+      ASSERT_EQ(Second.lookup(hashU64(K)), nullptr) << "key " << K;
+    for (uint64_t K = N; K != 2 * N; ++K)
+      ASSERT_EQ(chainValues(Second, hashU64(K)), std::vector<uint64_t>{K});
+  }).join();
 }
 
 // --- Traps ---------------------------------------------------------------------
@@ -492,6 +588,42 @@ TEST(OutputBuffer, I128Rendering) {
   std::string Text = O.toText();
   EXPECT_NE(Text.find("-1"), std::string::npos);
   EXPECT_NE(Text.find("18446744073709551616"), std::string::npos);
+}
+
+TEST(OutputBuffer, I128TextMatchesDigitByDigitReference) {
+  // The reference: one 128-bit division per digit.
+  auto Reference = [](Int128 V) {
+    UInt128 U = V < 0 ? UInt128(0) - static_cast<UInt128>(V)
+                      : static_cast<UInt128>(V);
+    std::string Digits;
+    do {
+      Digits.insert(Digits.begin(), char('0' + int(U % 10)));
+      U /= 10;
+    } while (U);
+    return (V < 0 ? "-" : "") + Digits;
+  };
+  const Int128 Max = static_cast<Int128>(~UInt128(0) >> 1), Min = -Max - 1;
+  const Int128 E19 = static_cast<Int128>(10'000'000'000'000'000'000ull);
+  std::vector<Int128> Values = {0,         1,         -1,
+                                INT64_MAX, INT64_MIN, Int128(INT64_MAX) + 1,
+                                Int128(INT64_MIN) - 1, Int128(UINT64_MAX),
+                                Int128(UINT64_MAX) + 1, E19 - 1, E19, E19 + 1,
+                                E19 * E19, E19 * E19 - 1, E19 * 7 + 5, Max,
+                                Min,       Min + 1,   Max - 1};
+  for (Int128 V : std::vector<Int128>(Values))
+    if (V != Min)
+      Values.push_back(-V);
+  Rng R(17);
+  for (int I = 0; I != 2000; ++I) {
+    Int128 V = makeInt128(R.next(), R.next());
+    Values.push_back(V >> R.nextBounded(127));
+  }
+  for (Int128 V : Values) {
+    OutputBuffer O;
+    O.beginRow();
+    O.appendI128(V);
+    ASSERT_EQ(O.toText(), Reference(V) + "\n");
+  }
 }
 
 TEST(OutputBuffer, UnorderedDigestIgnoresRowOrder) {
@@ -667,6 +799,32 @@ TEST(RuntimeCAbi, ArenaAlloc) {
   std::memset(P1, 0xaa, 100);
   std::memset(P2, 0xbb, 100);
   EXPECT_EQ(static_cast<uint8_t *>(P1)[99], 0xaa);
+}
+
+TEST(RuntimeCAbi, SortIsStableAtEverySize) {
+  // Sizes around the insertion-sorted runs and each merge pass, with few
+  // distinct keys, against std::stable_sort.
+  struct Row {
+    int64_t Key;
+    int64_t Seq;
+  };
+  auto Cmp = +[](const void *A, const void *B) -> int64_t {
+    return static_cast<const Row *>(A)->Key - static_cast<const Row *>(B)->Key;
+  };
+  Rng R(5);
+  for (uint64_t N : {1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257, 1000}) {
+    std::vector<Row> Rows(N);
+    for (uint64_t I = 0; I != N; ++I)
+      Rows[I] = {int64_t(R.nextBounded(N / 3 + 1)), int64_t(I)};
+    std::vector<Row> Want = Rows;
+    std::stable_sort(Want.begin(), Want.end(),
+                     [](const Row &A, const Row &B) { return A.Key < B.Key; });
+    rt_sort(Rows.data(), N, sizeof(Row), reinterpret_cast<void *>(Cmp));
+    for (uint64_t I = 0; I != N; ++I) {
+      ASSERT_EQ(Rows[I].Key, Want[I].Key) << "n=" << N << " i=" << I;
+      ASSERT_EQ(Rows[I].Seq, Want[I].Seq) << "n=" << N << " i=" << I;
+    }
+  }
 }
 
 TEST(RuntimeCAbi, SortWithHostComparator) {

@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/Bitset.h"
+#include "support/BlockCache.h"
 #include "support/MemContext.h"
 #include "support/Hash.h"
 #include "support/Int128.h"
@@ -13,6 +14,7 @@
 #include "support/TimeTrace.h"
 #include <gtest/gtest.h>
 #include <set>
+#include <thread>
 
 using namespace qcf;
 
@@ -122,6 +124,108 @@ TEST(Arena, ArenaVectorMoveStealsBuffer) {
 }
 
 // --- MemPool / MemContext ---------------------------------------------------
+
+// --- BlockCache ---------------------------------------------------------------
+
+/// Runs \p Fn on a new thread, whose block cache starts empty.
+template <typename FnT> static void onFreshThread(FnT Fn) {
+  std::thread([&] {
+    ASSERT_EQ(blocks::parkedBytes(), 0u);
+    Fn();
+  }).join();
+}
+
+TEST(BlockCache, FreedBlockIsReusedForItsClass) {
+  onFreshThread([] {
+    void *A = blocks::allocate(1000);
+    blocks::deallocate(A, 1000);
+    EXPECT_EQ(blocks::parkedBytes(), 1024u);
+    // Any request of the same power-of-two class takes it back.
+    void *B = blocks::allocate(600);
+    EXPECT_EQ(B, A);
+    EXPECT_EQ(blocks::parkedBytes(), 0u);
+    blocks::deallocate(B, 600);
+  });
+}
+
+TEST(BlockCache, ZeroedBlockIsZeroAfterReuse) {
+  onFreshThread([] {
+    auto *Dirty = static_cast<unsigned char *>(blocks::allocate(4096));
+    std::memset(Dirty, 0xab, 4096);
+    blocks::deallocate(Dirty, 4096);
+    auto *Z = static_cast<unsigned char *>(blocks::allocateZeroed(4000));
+    EXPECT_EQ(Z, Dirty);
+    for (size_t I = 0; I != 4000; ++I)
+      ASSERT_EQ(Z[I], 0) << "byte " << I;
+    blocks::deallocate(Z, 4000);
+  });
+}
+
+TEST(BlockCache, ParksUpToItsCap) {
+  onFreshThread([] {
+    // Nothing larger than MaxBlockBytes is parked.
+    void *Big = blocks::allocate(blocks::MaxBlockBytes + 1);
+    blocks::deallocate(Big, blocks::MaxBlockBytes + 1);
+    EXPECT_EQ(blocks::parkedBytes(), 0u);
+
+    // Freeing twice the cap parks exactly the cap; the rest is freed.
+    std::vector<void *> Live;
+    for (size_t I = 0; I != 2 * blocks::MaxParkedBytes / blocks::MaxBlockBytes;
+         ++I)
+      Live.push_back(blocks::allocate(blocks::MaxBlockBytes));
+    for (void *P : Live)
+      blocks::deallocate(P, blocks::MaxBlockBytes);
+    EXPECT_EQ(blocks::parkedBytes(), blocks::MaxParkedBytes);
+  });
+  onFreshThread([] {
+    // At most ClassDepth blocks of one class.
+    std::vector<void *> Live;
+    for (unsigned I = 0; I != 2 * blocks::ClassDepth; ++I)
+      Live.push_back(blocks::allocate(blocks::MinBlockBytes));
+    for (void *P : Live)
+      blocks::deallocate(P, blocks::MinBlockBytes);
+    EXPECT_EQ(blocks::parkedBytes(), blocks::ClassDepth * blocks::MinBlockBytes);
+  });
+}
+
+TEST(BlockCache, LargeRequestReleasesParkedBlocks) {
+  onFreshThread([] {
+    blocks::deallocate(blocks::allocate(4096), 4096);
+    EXPECT_EQ(blocks::parkedBytes(), 4096u);
+    void *Big = blocks::allocateZeroed(blocks::MaxBlockBytes * 2);
+    EXPECT_EQ(blocks::parkedBytes(), 0u);
+    EXPECT_EQ(static_cast<unsigned char *>(Big)[blocks::MaxBlockBytes], 0);
+    blocks::deallocate(Big, blocks::MaxBlockBytes * 2);
+    EXPECT_EQ(blocks::parkedBytes(), 0u);
+  });
+}
+
+TEST(BlockCache, BlockFreedOnAnotherThreadIsParkedThere) {
+  onFreshThread([] {
+    void *Handed = blocks::allocate(8192);
+    size_t Other = 0;
+    std::thread([&] {
+      blocks::deallocate(Handed, 8192);
+      Other = blocks::parkedBytes();
+    }).join();
+    EXPECT_EQ(Other, 8192u);
+    EXPECT_EQ(blocks::parkedBytes(), 0u);
+  });
+}
+
+TEST(BlockCache, VectorAndBlockGiveBackTheirMemory) {
+  onFreshThread([] {
+    {
+      BlockVector<uint64_t> V(100, 7);
+      blocks::Block B(300);
+      std::memset(B.get(), 1, B.size());
+      blocks::Block Moved = std::move(B);
+      EXPECT_EQ(B.get(), nullptr);
+      EXPECT_EQ(Moved.size(), 300u);
+    }
+    EXPECT_EQ(blocks::parkedBytes(), 1024u + 512u);
+  });
+}
 
 TEST(MemPool, HeapModeBalancesLiveObjects) {
   MemPool P(AllocMode::Heap);
