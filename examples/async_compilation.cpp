@@ -4,7 +4,8 @@
 //
 // Shows two ways compilation comes off the critical path:
 //
-//   1. raw CompileService tickets — submit modules, poll or wait;
+//   1. a raw CompileService job — submit a module with a TierUp handle,
+//      then wait on the handle;
 //   2. a CachingBackend — concurrent misses on one key deduplicate onto
 //      a single in-flight compile, which runs on the first caller's
 //      thread while the others wait on its handle.
@@ -17,6 +18,7 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/Registry.h"
+#include "backend/TierUp.h"
 #include "qir/Builder.h"
 #include <cstdio>
 #include <thread>
@@ -29,16 +31,18 @@ int main() {
   // A service with two workers and an unbounded queue.
   backend::CompileService Svc(2);
 
-  // --- 1. Raw tickets -----------------------------------------------------
+  // --- 1. A raw job -------------------------------------------------------
   qir::Module M;
   qir::Function *F = M.createFunction("triple", {Type::I64}, Type::I64);
   qir::Builder B(F);
   B.ret(B.mul(F->paramValue(0), B.constInt(Type::I64, 3)));
 
   auto Direct = backend::createBackend("DirectEmit");
-  backend::CompileTicket T = Svc.submit(M, *Direct);
+  auto Up = std::make_shared<backend::TierUp>();
+  if (!Svc.submit(M, *Direct, {}, nullptr, Up))
+    return 1;
   // ... overlap other work here; then wait for the code.
-  auto Code = T.wait();
+  backend::CompiledModule *Code = Up->wait();
   std::printf("ticket: triple(14) = %lld\n",
               (long long)Code->entryAs<int64_t (*)(int64_t)>("triple")(14));
   backend::CompileServiceStats S = Svc.stats();

@@ -77,7 +77,8 @@ struct CompileOptions {
 
   /// Cooperative cancellation for the compile *wait*, not the compile
   /// itself: CachingBackend's wait on another thread's compile of the key
-  /// returns early (with a null module) once the token fires. A compile
+  /// (TierUp::wait) returns early, with a null module, at the token's
+  /// deadline or within a TierUp::CancelTick of its cancel(). A compile
   /// always runs to completion — emitted code is never torn — and no
   /// CompileService job carries the token (compileTiered strips it).
   const qcf::CancelToken *Cancel = nullptr;

@@ -293,9 +293,7 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       // that compiles itself retires it before settling the handle, so a
       // handle that ended here was cancelled before its job started (the
       // service shut down): a miss, and its fast code goes with it.
-      TierUp &Up = *PIt->second->Up;
-      Up.poll();
-      if (!Up.pending()) {
+      if (!PIt->second->Up->pending()) {
         Stale = std::move(PIt->second);
         Pending.erase(PIt);
         PIt = Pending.end();
@@ -328,11 +326,10 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
       InFlightWaits.inc();
       Lock.unlock();
       uint64_t WaitStartNs = nowNs();
-      Up->wait(Opts.Cancel);
+      CompiledModule *Installed = Up->wait(Opts.Cancel);
       if (obs::TraceSink *Sink = Opts.Obs.Sink)
         Sink->completeEvent("cache.inflight_wait", "cache", WaitStartNs,
                             nowNs() - WaitStartNs);
-      CompiledModule *Installed = Up->installed();
       if (!Installed)
         return nullptr; // Only a fired token ends the wait with no module.
       // The handle keeps the module alive, even once the LRU evicts it.

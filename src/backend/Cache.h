@@ -176,7 +176,7 @@ private:
   /// One key currently being compiled.
   struct InFlight {
     /// The handle every lookup of the key shares, made with the entry and
-    /// never replaced. The background compile starts it; a miss that
+    /// never replaced. The background compile reports to it; a miss that
     /// compiles itself (or hits disk) settles it with its module after
     /// retiring the entry. A job that runs retires the entry itself, so
     /// a handle found ended here was cancelled before its job started.

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/CompileService.h"
+#include "backend/TierUp.h"
 #include "support/TimeTrace.h"
 #include <atomic>
 #include <chrono>
@@ -18,51 +19,6 @@ namespace {
 /// for the life of the process, so several services can share a registry.
 std::atomic<uint64_t> NextServiceId{1};
 } // namespace
-
-bool CompileTicket::done() const {
-  if (!Job)
-    return false;
-  std::lock_guard<std::mutex> Lock(Job->Mutex);
-  return Job->St == CompileJob::State::Done ||
-         Job->St == CompileJob::State::Cancelled;
-}
-
-std::shared_ptr<CompiledModule> CompileTicket::poll() const {
-  if (!Job)
-    return nullptr;
-  std::lock_guard<std::mutex> Lock(Job->Mutex);
-  return Job->St == CompileJob::State::Done ? Job->Result : nullptr;
-}
-
-std::shared_ptr<CompiledModule> CompileTicket::wait() {
-  if (!Job)
-    return nullptr;
-  std::unique_lock<std::mutex> Lock(Job->Mutex);
-  Job->Cv.wait(Lock, [&] {
-    return Job->St == CompileJob::State::Done ||
-           Job->St == CompileJob::State::Cancelled;
-  });
-  return Job->Result;
-}
-
-bool CompileTicket::waitFor(uint64_t Ns) const {
-  std::unique_lock<std::mutex> Lock(Job->Mutex);
-  return Job->Cv.wait_for(Lock, std::chrono::nanoseconds(Ns), [&] {
-    return Job->St == CompileJob::State::Done ||
-           Job->St == CompileJob::State::Cancelled;
-  });
-}
-
-bool CompileTicket::cancel() {
-  if (!Job)
-    return false;
-  std::lock_guard<std::mutex> Lock(Job->Mutex);
-  if (Job->St != CompileJob::State::Queued)
-    return Job->St == CompileJob::State::Cancelled;
-  Job->St = CompileJob::State::Cancelled;
-  Job->Cv.notify_all();
-  return true;
-}
 
 CompileService::CompileService(unsigned NumWorkers, size_t QueueCapacity,
                                obs::MetricsRegistry *Reg)
@@ -104,28 +60,22 @@ uint64_t CompileService::keyInFlight(const std::string &Key) const {
   return It == KeyInFlightCount.end() ? 0 : It->second;
 }
 
-CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
-                                     const CompileOptions &Opts,
-                                     std::shared_ptr<void> Owner) {
-  auto Job = std::make_shared<CompileJob>();
-  Job->M = &M;
-  Job->BE = &BE;
-  Job->Opts = Opts;
-  Job->SubmitNs = nowNs();
-  Job->Key = Opts.FairnessKey;
-  Job->Owner = std::move(Owner);
-
+bool CompileService::submit(const qir::Module &M, Backend &BE,
+                            const CompileOptions &Opts,
+                            std::shared_ptr<void> Owner,
+                            std::shared_ptr<TierUp> Up) {
+  const std::string &Key = Opts.FairnessKey;
   // Fairness-share check and in-flight accounting, atomically: two
   // concurrent submits for the same key must not both slip under the
   // share.
   {
     std::lock_guard<std::mutex> Lock(LifecycleMutex);
-    if (!Job->Key.empty()) {
-      auto ShareIt = KeyShares.find(Job->Key);
-      uint64_t &InFlight = KeyInFlightCount[Job->Key];
+    if (!Key.empty()) {
+      auto ShareIt = KeyShares.find(Key);
+      uint64_t &InFlight = KeyInFlightCount[Key];
       if (ShareIt != KeyShares.end() && InFlight >= ShareIt->second) {
         RejectedTenant.inc();
-        return {};
+        return false;
       }
       ++InFlight;
     }
@@ -133,23 +83,24 @@ CompileTicket CompileService::submit(const qir::Module &M, Backend &BE,
   }
   JobsQueued.inc();
 
-  auto R = Queue.tryPush(Job);
+  auto R = Queue.tryPush(
+      {&M, &BE, Opts, nowNs(), std::move(Owner), std::move(Up)});
   if (R != decltype(Queue)::PushResult::Ok) {
     // Refused: full, or closed by shutdown().
     JobsQueued.sub(1);
-    unaccount(*Job);
+    unaccount(Key);
     if (R == decltype(Queue)::PushResult::Full)
       RejectedFull.inc();
-    return {};
+    return false;
   }
   QueueDepth.set(static_cast<int64_t>(Queue.size()));
-  return CompileTicket(std::move(Job));
+  return true;
 }
 
-void CompileService::unaccount(const CompileJob &Job) {
+void CompileService::unaccount(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(LifecycleMutex);
-  if (!Job.Key.empty()) {
-    auto It = KeyInFlightCount.find(Job.Key);
+  if (!Key.empty()) {
+    auto It = KeyInFlightCount.find(Key);
     if (It != KeyInFlightCount.end() && It->second && --It->second == 0)
       KeyInFlightCount.erase(It);
   }
@@ -158,68 +109,50 @@ void CompileService::unaccount(const CompileJob &Job) {
 }
 
 void CompileService::workerLoop() {
-  std::shared_ptr<CompileJob> Job;
+  CompileJob Job;
   while (Queue.pop(Job)) {
-    bool Cancel = Stopping.load(std::memory_order_acquire);
-    finishJob(Job, Cancel);
-    Job.reset();
+    runJob(Job, Stopping.load(std::memory_order_acquire));
+    Job = CompileJob(); // Frees the owner before the next pop blocks.
   }
 }
 
-/// Runs (or cancels) one dequeued job and publishes its terminal state.
-void CompileService::finishJob(const std::shared_ptr<CompileJob> &Job,
-                               bool Cancel) {
-  {
-    std::lock_guard<std::mutex> Lock(Job->Mutex);
-    if (Job->St == CompileJob::State::Cancelled) {
-      // cancel() won the race; just account for it below.
-      Cancel = true;
-    } else if (Cancel) {
-      Job->St = CompileJob::State::Cancelled;
-      Job->Cv.notify_all();
-    } else {
-      Job->St = CompileJob::State::Running;
-    }
-  }
-
-  if (!Cancel) {
-    QueueDepth.set(static_cast<int64_t>(Queue.size()));
-    // Compile-latency jitter (test hook): delay before the compile so a
-    // soak sweeps the landing time across morsel boundaries.
-    if (uint32_t MaxUs = TestDelayMaxUs.load(std::memory_order_relaxed)) {
-      uint64_t S = TestDelayRng.fetch_add(0x9e3779b97f4a7c15ull,
-                                          std::memory_order_relaxed);
-      S ^= S >> 33;
-      S *= 0xff51afd7ed558ccdull;
-      S ^= S >> 33;
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(S % (uint64_t(MaxUs) + 1)));
-    }
-    uint64_t StartNs = nowNs();
-    if (obs::TraceSink *Sink = Job->Opts.Obs.Sink)
-      if (Job->SubmitNs && StartNs > Job->SubmitNs)
-        Sink->completeEvent("svc.queue_wait", "svc", Job->SubmitNs,
-                            StartNs - Job->SubmitNs);
-    std::shared_ptr<CompiledModule> Result =
-        Job->BE->compile(*Job->M, Job->Opts);
-    uint64_t DurNs = nowNs() - StartNs;
-    // Account the completion *before* publishing Done: the instant a
-    // waiter wakes it may destroy the back-end (callers only keep it
-    // alive until the ticket completes), so BE->name() must not be
-    // touched afterwards — and stats() read after a wait() must already
-    // include this job.
-    Reg->histogram(Prefix + "latency." + Job->BE->name()).observe(DurNs);
-    JobsCompleted.inc();
-    std::lock_guard<std::mutex> Lock(Job->Mutex);
-    Job->Result = std::move(Result);
-    Job->St = CompileJob::State::Done;
-    Job->Cv.notify_all();
-  }
-
-  if (Cancel)
+void CompileService::runJob(CompileJob &Job, bool Cancel) {
+  TierUp &Up = *Job.Up;
+  if (Cancel || !Up.run()) {
+    // Cancelled by TierUp::finish(), or by shutdown().
     JobsCancelled.inc();
-  unaccount(*Job);
-  Job->Owner.reset(); // Tickets may keep the job alive for long after.
+    Up.settle(nullptr);
+    unaccount(Job.Opts.FairnessKey);
+    return;
+  }
+
+  QueueDepth.set(static_cast<int64_t>(Queue.size()));
+  // Compile-latency jitter (test hook): delay before the compile so a
+  // soak sweeps the landing time across morsel boundaries.
+  if (uint32_t MaxUs = TestDelayMaxUs.load(std::memory_order_relaxed)) {
+    uint64_t S = TestDelayRng.fetch_add(0x9e3779b97f4a7c15ull,
+                                        std::memory_order_relaxed);
+    S ^= S >> 33;
+    S *= 0xff51afd7ed558ccdull;
+    S ^= S >> 33;
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(S % (uint64_t(MaxUs) + 1)));
+  }
+  uint64_t StartNs = nowNs();
+  if (obs::TraceSink *Sink = Job.Opts.Obs.Sink)
+    if (Job.SubmitNs && StartNs > Job.SubmitNs)
+      Sink->completeEvent("svc.queue_wait", "svc", Job.SubmitNs,
+                          StartNs - Job.SubmitNs);
+  std::shared_ptr<CompiledModule> Result = Job.BE->compile(*Job.M, Job.Opts);
+  // Account the completion *before* the install: the instant a waiter
+  // wakes it may destroy the back-end (callers only keep it alive until
+  // the handle ends), so BE->name() must not be touched afterwards — and
+  // stats() read after a wait() must already include this job.
+  Reg->histogram(Prefix + "latency." + Job.BE->name())
+      .observe(nowNs() - StartNs);
+  JobsCompleted.inc();
+  Up.settle(std::move(Result));
+  unaccount(Job.Opts.FairnessKey);
 }
 
 void CompileService::shutdown() {
@@ -230,10 +163,10 @@ void CompileService::shutdown() {
       T.join();
     // Workers drained the queue cancelling everything they popped after
     // Stopping was set; anything left (e.g. close() raced a push) is
-    // cancelled here so no ticket waits forever.
-    std::shared_ptr<CompileJob> Job;
+    // cancelled here so no handle waits forever.
+    CompileJob Job;
     while (Queue.tryPop(Job))
-      finishJob(Job, /*Cancel=*/true);
+      runJob(Job, /*Cancel=*/true);
   }
 }
 

@@ -14,14 +14,15 @@
 /// optimized compile of a module while a query runs on its fast tier.
 /// Every compile a caller waits for runs on that caller's thread.
 ///
-/// Submitting yields a `CompileTicket` — a small future-like handle that
-/// can be polled, waited on, or cancelled before the job starts — or an
-/// invalid ticket if the service refuses the job. The service never
+/// Submitting hands the service a backend::TierUp (TierUp.h), the job's
+/// whole shared state: the worker claims it, compiles, and installs the
+/// result into it; the submitter waits on it or cancels through it. A
+/// refused submit leaves the handle untouched, and the service never
 /// compiles on the submitting thread: a refused compile is the caller's
 /// decision (the executor keeps the query on its fast tier,
 /// CachingBackend compiles inline). The submitted module (and the
-/// back-end) must stay alive until the ticket completes or is
-/// successfully cancelled, or live in the owner handed to submit (the
+/// back-end) must stay alive until the handle ends and no worker runs
+/// the job (TierUp::finish), or live in the owner handed to submit (the
 /// cache's background compiles own a copy of the module).
 ///
 //===----------------------------------------------------------------------===//
@@ -68,64 +69,22 @@ struct CompileServiceStats {
   std::map<std::string, CompileLatency> PerBackend;
 };
 
+class TierUp;
+
 namespace detail {
 
-/// Shared state of one submitted compilation. State transitions:
-/// Queued -> Running -> Done (worker), or Queued -> Cancelled (cancel()
-/// or service shutdown). Done/Cancelled are terminal.
+/// One submitted compilation as the queue holds it: what the worker needs
+/// to run it, and the handle it reports to.
 struct CompileJob {
-  enum class State : uint8_t { Queued, Running, Done, Cancelled };
-
   const qir::Module *M = nullptr;
   Backend *BE = nullptr;
   CompileOptions Opts;
-  uint64_t SubmitNs = 0; ///< For queue-wait trace events.
-  std::string Key;       ///< Fairness key (CompileOptions::FairnessKey).
-  std::shared_ptr<void> Owner; ///< Holds M and BE until terminal, if set.
-
-  std::mutex Mutex;
-  std::condition_variable Cv;
-  State St = State::Queued;
-  std::shared_ptr<CompiledModule> Result;
+  uint64_t SubmitNs = 0;       ///< For queue-wait trace events.
+  std::shared_ptr<void> Owner; ///< Holds M and BE until the job ends, if set.
+  std::shared_ptr<TierUp> Up;  ///< The job's state; receives its result.
 };
 
 } // namespace detail
-
-/// Future-like handle to a submitted compilation. Copyable (all copies
-/// observe the same job); default-constructed tickets are invalid.
-class CompileTicket {
-public:
-  CompileTicket() = default;
-
-  bool valid() const { return Job != nullptr; }
-
-  /// True once the job reached a terminal state (Done or Cancelled).
-  bool done() const;
-
-  /// The result if the job completed; null if it is still pending or was
-  /// cancelled. Never blocks.
-  std::shared_ptr<CompiledModule> poll() const;
-
-  /// Blocks until the job reaches a terminal state. \returns the
-  /// compiled module, or null if the job was cancelled.
-  std::shared_ptr<CompiledModule> wait();
-
-  /// Cancels the job if it has not started running. \returns true on
-  /// success; false if it already ran (or is running), in which case the
-  /// result remains obtainable.
-  bool cancel();
-
-  /// Waits up to \p Ns nanoseconds for a terminal state, cancelling
-  /// nothing. \returns true once the job is terminal.
-  bool waitFor(uint64_t Ns) const;
-
-private:
-  friend class CompileService;
-  explicit CompileTicket(std::shared_ptr<detail::CompileJob> Job)
-      : Job(std::move(Job)) {}
-
-  std::shared_ptr<detail::CompileJob> Job;
-};
 
 /// Fixed worker-thread pool over a bounded FIFO job queue.
 ///
@@ -147,16 +106,16 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Enqueues compilation of \p M with \p BE. Both must outlive the job
-  /// unless they live in \p Owner, which the service holds until then.
-  /// \p Opts (including its ObsContext) is carried to the worker-side
-  /// compile. Never blocks and never compiles on the calling thread.
-  /// \returns an invalid ticket when the job is refused — queue full,
-  /// fairness share used up, or service shut down; the caller decides
-  /// what a refused compile means (compile inline, stay on the fast tier).
-  CompileTicket submit(const qir::Module &M, Backend &BE,
-                       const CompileOptions &Opts = CompileOptions(),
-                       std::shared_ptr<void> Owner = nullptr);
+  /// Enqueues compilation of \p M with \p BE, reporting to \p Up, a
+  /// pending handle not yet submitted. Both must outlive the job unless
+  /// they live in \p Owner, which the service holds until then. \p Opts
+  /// (including its ObsContext) is carried to the worker-side compile.
+  /// Never blocks and never compiles on the calling thread. \returns false
+  /// when the job is refused — queue full, fairness share used up, or
+  /// service shut down; the caller decides what a refused compile means
+  /// (compile inline, stay on the fast tier).
+  bool submit(const qir::Module &M, Backend &BE, const CompileOptions &Opts,
+              std::shared_ptr<void> Owner, std::shared_ptr<TierUp> Up);
 
   /// Caps the number of in-flight (queued or running) jobs whose
   /// CompileOptions::FairnessKey equals \p Key; submissions beyond the
@@ -167,8 +126,8 @@ public:
   /// In-flight (queued or running) jobs carrying fairness key \p Key.
   uint64_t keyInFlight(const std::string &Key) const;
 
-  /// Stops accepting work, cancels every job still queued (their tickets
-  /// report cancelled; waiters wake), finishes jobs already running, and
+  /// Stops accepting work, cancels every job still queued (their handles
+  /// end with no module; waiters wake), finishes jobs already running, and
   /// joins the workers. Idempotent; also run by the destructor.
   void shutdown();
 
@@ -196,12 +155,13 @@ public:
 
 private:
   void workerLoop();
-  void finishJob(const std::shared_ptr<detail::CompileJob> &Job, bool Cancel);
-  /// Rolls back the pending/key accounting of a job that never made it
-  /// into the queue.
-  void unaccount(const detail::CompileJob &Job);
+  /// Runs one dequeued job, or cancels it if \p Cancel or its handle
+  /// already ended, and installs the outcome into the handle.
+  void runJob(detail::CompileJob &Job, bool Cancel);
+  /// Ends the pending/key accounting of a job under fairness key \p Key.
+  void unaccount(const std::string &Key);
 
-  BoundedQueue<std::shared_ptr<detail::CompileJob>> Queue;
+  BoundedQueue<detail::CompileJob> Queue;
   std::vector<std::thread> Workers;
   std::atomic<bool> Stopping{false};
   std::atomic<uint32_t> TestDelayMaxUs{0};

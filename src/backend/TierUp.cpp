@@ -5,77 +5,46 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/TierUp.h"
+#include <algorithm>
 
 using namespace qcf;
 using namespace qcf::backend;
 
-TierUp::~TierUp() {
-  if (!Ticket.cancel() && !Owner)
-    Ticket.wait();
-}
-
-bool TierUp::poll() {
-  if (!pending())
-    return false;
-  std::unique_lock<std::mutex> Lock(Mutex, std::try_to_lock);
-  if (!Lock.owns_lock() || !pending() || !Ticket.done())
-    return false;
-  // done() must come first: once the job is terminal, poll() is its result,
-  // or null if it was cancelled (the service shut down). A
-  // compile landing between a null poll() and a later done() would be lost.
-  return settleLocked(Ticket.poll());
-}
-
-bool TierUp::wait(const qcf::CancelToken *Cancel) {
-  if (!pending())
-    return false;
+CompiledModule *TierUp::wait(const qcf::CancelToken *Cancel) {
   std::unique_lock<std::mutex> Lock(Mutex);
-  // Made by TierUp() and not started yet: wait for start() or settle().
-  while (pending() && !Ticket.valid()) {
-    if (Cancel && Cancel->stopped())
-      return false;
-    Started.wait_for(Lock, std::chrono::milliseconds(1));
+  auto Done = [&] { return !pending(); };
+  if (!Cancel)
+    Ended.wait(Lock, Done);
+  while (!Done() && !Cancel->stopped()) {
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point Until = Clock::now() + CancelTick;
+    if (uint64_t D = Cancel->deadlineNs()) // On the nowNs() clock.
+      Until = std::min(Until, Clock::time_point(std::chrono::nanoseconds(D)));
+    Ended.wait_until(Lock, Until);
   }
-  if (!pending())
-    return false;
-  while (!Ticket.waitFor(1'000'000))
-    if (Cancel && Cancel->stopped())
-      return false;
-  return settleLocked(Ticket.poll());
+  return installed();
 }
 
 void TierUp::finish() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (pending())
-    settleLocked(Ticket.cancel() ? nullptr : Ticket.wait());
-}
-
-void TierUp::start(CompileTicket T, std::shared_ptr<void> O) {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Ticket = std::move(T);
-    Owner = std::move(O);
-  }
-  Started.notify_all();
+  // Claiming the queued job keeps every worker off it.
+  if (run())
+    settle(nullptr);
+  else
+    wait();
 }
 
 void TierUp::settle(std::shared_ptr<CompiledModule> M) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    settleLocked(std::move(M));
+    if (!pending())
+      return;
+    if (M) {
+      Keeper = std::move(M);
+      Installed.store(Keeper.get(), std::memory_order_release);
+    }
+    St.store(State::Ended, std::memory_order_release);
   }
-  Started.notify_all();
-}
-
-bool TierUp::settleLocked(std::shared_ptr<CompiledModule> M) {
-  bool Installs = M != nullptr;
-  if (Installs) {
-    Keeper = std::move(M);
-    Installed.store(Keeper.get(), std::memory_order_release);
-  }
-  Ticket = CompileTicket();
-  Pending.store(false, std::memory_order_release);
-  return Installs;
+  Ended.notify_all();
 }
 
 std::unique_ptr<CompiledModule> backend::compileTiered(
@@ -88,15 +57,15 @@ std::unique_ptr<CompiledModule> backend::compileTiered(
   JobOpts.Alloc = Opts.Alloc;
   JobOpts.FairnessKey = Opts.FairnessKey;
   JobOpts.Fingerprint = Opts.Fingerprint;
-  // Submitted first, so a worker compiles while this thread does.
-  CompileTicket T = Svc.submit(M, Opt, JobOpts, Owner);
-  if (!T.valid())
-    return nullptr;
   if (!Up)
     Up = std::make_shared<TierUp>();
-  Up->start(std::move(T), std::move(Owner));
+  // Submitted first, so a worker compiles while this thread does.
+  if (!Svc.submit(M, Opt, JobOpts, std::move(Owner), Up))
+    return nullptr;
   std::unique_ptr<CompiledModule> Code = Fast.compile(M, Opts);
   if (Code)
     Code->Optimized = std::move(Up);
+  else
+    Up->finish(); // No caller gets the handle to finish it.
   return Code;
 }

@@ -11,11 +11,15 @@
 /// the executor swaps every pipeline of such a module to the installed
 /// one at a morsel boundary, so served queries swap mid-flight too.
 ///
-/// Memory ordering: poll()/wait()/settle() pin the landed module in an
-/// owned shared_ptr strictly before the release store that makes
-/// installed() non-null, so a reader's acquire load observes a fully owned
-/// module that lives as long as this object. The install happens at most
-/// once.
+/// A TierUp is the whole state of one submitted compile: the service's
+/// queue holds it with the job, the worker moves it Queued -> Running and
+/// installs the result itself, and waiters sleep on its one condvar.
+///
+/// Memory ordering: settle() pins the landed module in an owned shared_ptr
+/// strictly before the release store that makes installed() non-null, and
+/// that store comes before the one that ends pending(), so a reader's
+/// acquire load observes a fully owned module that lives as long as this
+/// object. The pending state ends exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +28,7 @@
 
 #include "backend/CompileService.h"
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -33,62 +38,59 @@ namespace qcf::backend {
 /// Thread-safe; see the file comment for the ordering it guarantees.
 class TierUp {
 public:
-  /// Makes \p T the pending compile; an invalid ticket (a rejected
-  /// submit) leaves nothing pending. \p O, when set, is the owner the job
-  /// was submitted with.
-  explicit TierUp(CompileTicket T, std::shared_ptr<void> O = nullptr)
-      : Pending(T.valid()), Ticket(std::move(T)), Owner(std::move(O)) {}
-  /// A handle whose compile is not submitted yet. It is pending, and can
-  /// be shared, until start() or settle().
-  TierUp() : Pending(true) {}
-  /// Cancels the pending job if it has not started. A running job is
-  /// waited out unless it owns its module and back-end (Owner).
-  ~TierUp();
+  /// How often a wait with a token rechecks it. A token's deadline wakes
+  /// the wait on time; this tick bounds how late it sees an explicit
+  /// cancel(), which notifies nobody.
+  static constexpr std::chrono::milliseconds CancelTick{2};
+
+  /// A pending handle. It ends when the compile submitted with it lands
+  /// or is cancelled, or when settle() ends it; it may be shared before
+  /// its submit.
+  TierUp() = default;
 
   TierUp(const TierUp &) = delete;
   TierUp &operator=(const TierUp &) = delete;
 
-  /// Installs the pending result if it has landed. Never blocks: while
-  /// another thread probes or waits, this returns false at once.
-  /// \returns true if this call performed the install.
-  bool poll();
+  /// Blocks until the pending state ends. A fired \p Cancel ends the wait
+  /// but not the job: other holders may rely on it. \returns installed().
+  CompiledModule *wait(const qcf::CancelToken *Cancel = nullptr);
 
-  /// Blocks until the pending compile is terminal and installs its
-  /// result. A fired \p Cancel ends the wait but not the job: other
-  /// holders may rely on it. \returns true if this call installed.
-  bool wait(const qcf::CancelToken *Cancel = nullptr);
-
-  /// Cancels the pending compile if it has not started, else waits it out
-  /// and installs its result. On return no worker runs the job.
+  /// Cancels the compile if it has not started, else waits it out. On
+  /// return no worker runs the job. A submitter whose module or back-end
+  /// is borrowed must call this before freeing them.
   void finish();
 
-  /// Gives a handle made by TierUp() its submitted compile \p T (valid),
-  /// owned by \p O as in the constructor.
-  void start(CompileTicket T, std::shared_ptr<void> O);
-  /// Ends the pending state of a handle made by TierUp() that will not be
-  /// started, installing \p M when it is non-null.
+  /// Ends the pending state, installing \p M when it is non-null. Called
+  /// by the worker with the job's result, and by a miss that never
+  /// submits. Once ended, later calls do nothing.
   void settle(std::shared_ptr<CompiledModule> M);
 
   /// The installed module, or null. Lock-free.
   CompiledModule *installed() const {
     return Installed.load(std::memory_order_acquire);
   }
-  /// True while a compile is queued or running, or has landed but not
-  /// yet been installed by poll()/wait().
-  bool pending() const { return Pending.load(std::memory_order_acquire); }
+  /// True until the compile has landed or was cancelled. Lock-free.
+  bool pending() const {
+    return St.load(std::memory_order_acquire) != State::Ended;
+  }
 
 private:
-  /// Takes \p M (installs it when non-null) and ends the pending state.
-  /// Caller holds Mutex.
-  bool settleLocked(std::shared_ptr<CompiledModule> M);
+  friend class CompileService;
+  enum class State : uint8_t { Queued, Running, Ended };
+
+  /// The worker's claim, Queued -> Running. \returns false if the handle
+  /// already ended (cancelled or settled): the job must not run.
+  bool run() {
+    State Expected = State::Queued;
+    return St.compare_exchange_strong(Expected, State::Running,
+                                      std::memory_order_acq_rel);
+  }
 
   std::atomic<CompiledModule *> Installed{nullptr};
-  std::atomic<bool> Pending{false};
-  std::mutex Mutex; ///< Guards Ticket, Keeper and Owner.
-  std::condition_variable Started; ///< start() or settle() ran.
-  CompileTicket Ticket;
+  std::atomic<State> St{State::Queued};
+  std::mutex Mutex; ///< Guards Keeper; the pending state ends under it.
+  std::condition_variable Ended; ///< The pending state ended.
   std::shared_ptr<CompiledModule> Keeper; ///< Owns *Installed.
-  std::shared_ptr<void> Owner;
 };
 
 /// Fast now, optimized later: submits the compile of \p M with \p Opt to
@@ -96,8 +98,8 @@ private:
 /// with \p Fast on the calling thread. The job keeps \p Opts' metrics registry, verification,
 /// allocation mode, fairness key and fingerprint, not its cancel token or
 /// trace consumers: it may outlive the query. \p Up, when given, is a
-/// handle made by TierUp() that callers racing this one already share: the
-/// job starts it, and a refused submit leaves it to the caller to settle.
+/// handle that callers racing this one already share: the job reports to
+/// it, and a refused submit leaves it to the caller to settle.
 /// \returns the fast module with CompiledModule::Optimized set, or null if
 /// the service refused the job (the caller decides what that means).
 std::unique_ptr<CompiledModule>

@@ -19,11 +19,11 @@ namespace {
 /// one backend::TierUp shared by every pipeline, and this driver decides
 /// when its installed code is published into the pipeline's TierCell.
 /// atPickup runs at every morsel pickup; once the decision is terminal it
-/// is one flag check. Policy-driven mode polls and never blocks; with
-/// OsrForceSwapMorsel the pickup of that morsel blocks in the cancellable
-/// wait. Whoever installed the module, each driver publishes its own
-/// pipeline's entry, so a pipeline that starts after the install runs
-/// optimized code from its first morsel. The driver lives on the query
+/// is one flag check. Policy-driven mode loads the handle's state and
+/// never blocks; with OsrForceSwapMorsel the pickup of that morsel blocks
+/// in the cancellable wait. Whoever installed the module, each driver
+/// publishes its own pipeline's entry, so a pipeline that starts after
+/// the install runs optimized code from its first morsel. The driver lives on the query
 /// thread; only the TierUp is shared with the compile worker.
 struct OsrDriver {
   OsrDriver(TierCell &Cell, backend::TierUp &Up, std::string FnName,
@@ -47,8 +47,6 @@ struct OsrDriver {
       uint64_t W0 = nowNs();
       Up.wait(Ctl);
       WaitNs = nowNs() - W0;
-    } else {
-      Up.poll();
     }
     // pending() before installed(): the install is stored before pending
     // ends, so a compile that is no longer pending shows its module.
@@ -363,8 +361,13 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   // option set-up run between them, unless a fast tier was created.
   uint64_t CompileStartNs = OwnedFast ? nowNs() : QueryStartNs;
   std::unique_ptr<backend::CompiledModule> Code;
-  if (Fast)
+  // The optimized compile this query submitted, if any: it borrows the
+  // plan and BE.
+  backend::TierUp *Submitted = nullptr;
+  if (Fast) {
     Code = backend::compileTiered(*Plan.Module, *Fast, BE, *Opts.Service, CO);
+    Submitted = Code ? Code->Optimized.get() : nullptr;
+  }
   if (!Code)
     Code = (Fast ? *Fast : BE).compile(*Plan.Module, CO);
   Result.Stats.CompileNs = nowNs() - CompileStartNs;
@@ -419,11 +422,11 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
     }
   }
 
-  // Teardown: drop the query's handle on the optimized compile. One only
-  // this query submitted is cancelled if it has not started, else waited
-  // out, since it borrows the plan and BE; one a code cache shares runs on
-  // for the sessions that rely on it.
-  Code.reset();
+  // Teardown: a compile this query submitted is cancelled if it has not
+  // started, else waited out, since it borrows the plan and BE. One a
+  // code cache shares runs on for the sessions that rely on it.
+  if (Submitted)
+    Submitted->finish();
   finishQuery(Opts, Result, Out, RowsBefore, QueryStartNs);
   return Result;
 }

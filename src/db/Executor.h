@@ -40,10 +40,12 @@ namespace qcf::db {
 /// cancel(), per-query deadlines arm setDeadlineNs(). The executor
 /// checks it at morsel pickups (next to the OSR morsel-boundary hook),
 /// between pipelines, and in every wait on another thread's compile (a
-/// code cache's in-flight wait, a forced swap's TierUp::wait) — so both
-/// signals take effect within one morsel or one wait tick. Compiles the
-/// query runs itself finish; a background compile only this query holds
-/// is cancelled if it has not started when the query ends.
+/// code cache's in-flight wait, a forced swap's TierUp::wait) — so a
+/// deadline takes effect within one morsel or at once in a wait, and a
+/// cancel() within one morsel or one TierUp::CancelTick. Compiles the
+/// query runs itself finish; the background compile an AdaptiveExec
+/// query submitted itself is cancelled at the query's end if it has not
+/// started (TierUp::finish), else waited out.
 using ExecControl = qcf::CancelToken;
 
 struct ExecOptions {

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A cooperative cancellation + deadline token, shared by the executor
-/// (morsel-boundary checks), the compile service (cancel-before-run), and
-/// the serving layer (session close / idle eviction / query deadlines).
+/// (morsel-boundary checks), waits on another thread's compile
+/// (backend::TierUp::wait), and the serving layer (session close / idle
+/// eviction / query deadlines). No compile job carries one.
 /// One token is owned per session; producers call cancel() or arm a
 /// deadline, consumers poll stopped() at natural preemption points. Both
 /// signals are monotonic for the lifetime of one query: cancel never
@@ -33,7 +34,8 @@ public:
   CancelToken &operator=(const CancelToken &) = delete;
 
   /// Requests cancellation. Consumers observe it at the next check point
-  /// (morsel pickup, compile-wait tick, pipeline boundary).
+  /// (morsel pickup, pipeline boundary, or within a compile wait's
+  /// TierUp::CancelTick); it notifies nobody.
   void cancel() { Cancelled.store(true, std::memory_order_release); }
 
   /// Arms an absolute deadline (nowNs() clock); 0 disarms.

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Concurrency tests for backend::CompileService and the caching layer's
-/// in-flight deduplication: ticket lifecycle (poll/wait/cancel), stats
-/// accounting, exactly-one-compile-per-key under thread storms,
-/// LRU capacity under contention, clean shutdown with jobs queued, and the
+/// in-flight deduplication: the TierUp handle's lifecycle (wait, finish,
+/// settle, two waiters with their own tokens, query-end cancel), stats
+/// accounting, exactly-one-compile-per-key under thread storms, LRU
+/// capacity under contention, clean shutdown with jobs queued, and the
 /// cache's fast tier answering misses while the inner compile runs on a
 /// worker.
 ///
@@ -38,6 +39,7 @@ using namespace qcf::backend;
 using qcf::test::CountingBackend;
 using qcf::test::GateBackend;
 using qcf::test::PinnedWorker;
+using qcf::test::submitJob;
 
 namespace {
 
@@ -57,16 +59,16 @@ TEST(CompileService, SubmitWaitReturnsWorkingCode) {
   buildAffine(M, 5);
   auto BE = createBackend("DirectEmit");
 
-  CompileTicket T = Svc.submit(M, *BE);
-  ASSERT_TRUE(T.valid());
-  std::shared_ptr<CompiledModule> C = T.wait();
+  std::shared_ptr<TierUp> Up = submitJob(Svc, M, *BE);
+  ASSERT_NE(Up, nullptr);
+  CompiledModule *C = Up->wait();
   ASSERT_NE(C, nullptr);
-  EXPECT_TRUE(T.done());
+  EXPECT_FALSE(Up->pending());
   auto *F = C->entryAs<int64_t (*)(int64_t)>("f");
   EXPECT_EQ(F(10), 57);
   // wait() after completion is idempotent.
-  EXPECT_EQ(T.wait(), C);
-  EXPECT_EQ(T.poll(), C);
+  EXPECT_EQ(Up->wait(), C);
+  EXPECT_EQ(Up->installed(), C);
 }
 
 TEST(CompileService, StatsAccounting) {
@@ -75,13 +77,13 @@ TEST(CompileService, StatsAccounting) {
   auto Crane = createBackend("Craneline");
 
   std::vector<qir::Module> Mods(6);
-  std::vector<CompileTicket> Tickets;
+  std::vector<std::shared_ptr<TierUp>> Ups;
   for (int I = 0; I != 6; ++I) {
     buildAffine(Mods[I], I + 1);
-    Tickets.push_back(Svc.submit(Mods[I], I % 2 ? *Crane : *Direct));
+    Ups.push_back(submitJob(Svc, Mods[I], I % 2 ? *Crane : *Direct));
   }
-  for (CompileTicket &T : Tickets)
-    EXPECT_NE(T.wait(), nullptr);
+  for (std::shared_ptr<TierUp> &Up : Ups)
+    EXPECT_NE(Up->wait(), nullptr);
 
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.JobsQueued, 6u);
@@ -97,9 +99,9 @@ TEST(CompileService, StatsAccounting) {
   EXPECT_GT(L.MaxSec, 0.0);
 }
 
-/// backend::TierUp, the handle on a pending optimized compile: destruction
-/// cancels a job that has not started, and a landed compile installs
-/// exactly once.
+/// backend::TierUp, the state of a submitted compile: finish() cancels a
+/// job that has not started, and the worker installs a landed compile
+/// once, which every later wait() returns.
 TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
   auto BE = createBackend("DirectEmit");
   CompileService Svc(1);
@@ -107,118 +109,136 @@ TEST(TierUp, CancelsQueuedJobAndInstallsOnce) {
   buildAffine(M2, 2);
   PinnedWorker Pin(Svc);
   {
-    TierUp Abandoned(Svc.submit(M2, *BE));
-    EXPECT_TRUE(Abandoned.pending());
-    EXPECT_FALSE(Abandoned.poll()) << "queued behind the pin";
-  } // Destroyed while queued: cancel-before-run, no wait.
+    std::shared_ptr<TierUp> Abandoned = submitJob(Svc, M2, *BE);
+    ASSERT_NE(Abandoned, nullptr);
+    EXPECT_TRUE(Abandoned->pending());
+    EXPECT_EQ(Abandoned->installed(), nullptr) << "queued behind the pin";
+    Abandoned->finish(); // Queued: cancel-before-run, no wait.
+    EXPECT_FALSE(Abandoned->pending());
+    EXPECT_EQ(Abandoned->installed(), nullptr);
+  }
 
-  TierUp Up(Svc.submit(M2, *BE));
+  std::shared_ptr<TierUp> Up = submitJob(Svc, M2, *BE);
+  ASSERT_NE(Up, nullptr);
   EXPECT_NE(Pin.release(), nullptr);
-  EXPECT_TRUE(Up.wait());
-  EXPECT_FALSE(Up.pending());
-  ASSERT_NE(Up.installed(), nullptr);
-  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
-  EXPECT_FALSE(Up.poll());
-  EXPECT_FALSE(Up.wait());
+  CompiledModule *Installed = Up->wait();
+  ASSERT_NE(Installed, nullptr);
+  EXPECT_FALSE(Up->pending());
+  EXPECT_EQ(Installed->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  EXPECT_EQ(Up->wait(), Installed);
+  Up->finish(); // Ended: nothing to cancel or wait out.
+  EXPECT_EQ(Up->installed(), Installed);
   Svc.drain();
   EXPECT_EQ(Svc.stats().JobsCancelled, 1u);
 }
 
-/// A job that is already running cannot be cancelled: destroying its
-/// TierUp blocks until the compile returns, so the worker never touches a
-/// module or back-end its submitter has since freed.
-TEST(TierUp, DestroyWhileRunningWaitsJobOut) {
+/// A job that is already running cannot be cancelled: finish() blocks
+/// until the compile returns, so the worker never touches a module or
+/// back-end its submitter has since freed.
+TEST(TierUp, FinishWhileRunningWaitsJobOut) {
   GateBackend Gate(createBackend("DirectEmit"));
   CompileService Svc(1);
   qir::Module M;
   buildAffine(M, 2);
-  auto Up = std::make_unique<TierUp>(Svc.submit(M, Gate));
+  std::shared_ptr<TierUp> Up = submitJob(Svc, M, Gate);
+  ASSERT_NE(Up, nullptr);
   Gate.waitStarted();
-  std::atomic<bool> Destroyed{false};
-  std::thread Destroyer([&] {
-    Up.reset();
-    Destroyed = true;
+  std::atomic<bool> Finished{false};
+  std::thread Finisher([&] {
+    Up->finish();
+    Finished = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(Destroyed) << "returned while the job was still running";
+  EXPECT_FALSE(Finished) << "returned while the job was still running";
   Gate.release();
-  Destroyer.join();
-  EXPECT_TRUE(Destroyed);
+  Finisher.join();
+  EXPECT_TRUE(Finished);
+  EXPECT_NE(Up->installed(), nullptr);
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.JobsCompleted, 1u);
   EXPECT_EQ(S.JobsCancelled, 0u);
 }
 
-/// A shut-down service refuses the compile: the invalid ticket leaves
-/// nothing pending, and neither poll() nor wait() ever installs.
+/// A shut-down service refuses the compile: submit() reports it and keeps
+/// no hold on the handle, which stays pending until its caller settles
+/// it, and compileTiered hands back no module and so nothing to wait on.
 TEST(TierUp, ShutDownServiceLeavesNothingPending) {
   auto BE = createBackend("DirectEmit");
   CompileService Svc(1);
   Svc.shutdown();
   qir::Module M;
   buildAffine(M, 2);
-  TierUp Up(Svc.submit(M, *BE));
-  EXPECT_FALSE(Up.pending());
-  EXPECT_FALSE(Up.poll());
-  EXPECT_FALSE(Up.wait());
-  EXPECT_EQ(Up.installed(), nullptr);
+  auto Up = std::make_shared<TierUp>();
+  EXPECT_FALSE(Svc.submit(M, *BE, {}, nullptr, Up));
+  EXPECT_EQ(Up.use_count(), 1) << "a refused job holds its handle";
+  EXPECT_TRUE(Up->pending());
+  Up->settle(nullptr);
+  EXPECT_FALSE(Up->pending());
+  EXPECT_EQ(Up->wait(), nullptr);
+  EXPECT_EQ(compileTiered(M, *BE, *BE, Svc, {}), nullptr);
+  Svc.drain(); // Nothing was accounted as pending.
+  EXPECT_EQ(Svc.stats().JobsQueued, 0u);
 }
 
-/// A handle made before its submit is pending but never installs by
-/// poll(): a wait() blocks until start() hands it the job, and settle()
-/// ends another one with the module it is given.
+/// A handle made before its submit is pending and can be shared at once:
+/// a wait() sleeps on it until the job submitted later installs, and
+/// settle() ends another one with the module it is given.
 TEST(TierUp, UnstartedHandleWaitsForStartOrSettle) {
   auto BE = createBackend("DirectEmit");
   CompileService Svc(1);
   qir::Module M;
   buildAffine(M, 2);
-  TierUp Up;
-  EXPECT_TRUE(Up.pending());
-  EXPECT_FALSE(Up.poll());
-  bool Installed = false;
-  std::thread Waiter([&] { Installed = Up.wait(); });
-  Up.start(Svc.submit(M, *BE), nullptr);
+  auto Up = std::make_shared<TierUp>();
+  EXPECT_TRUE(Up->pending());
+  CompiledModule *Installed = nullptr;
+  std::thread Waiter([&] { Installed = Up->wait(); });
+  ASSERT_TRUE(Svc.submit(M, *BE, {}, nullptr, Up));
   Waiter.join();
-  EXPECT_TRUE(Installed);
-  EXPECT_EQ(Up.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  ASSERT_NE(Installed, nullptr);
+  EXPECT_EQ(Installed, Up->installed());
+  EXPECT_EQ(Installed->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
 
   TierUp Other;
-  std::thread OtherWaiter([&] { EXPECT_FALSE(Other.wait()); });
+  CompiledModule *Settled = nullptr;
+  std::thread OtherWaiter([&] { Settled = Other.wait(); });
   Other.settle(BE->compile(M));
   OtherWaiter.join();
   EXPECT_FALSE(Other.pending());
-  EXPECT_EQ(Other.installed()->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
+  ASSERT_NE(Settled, nullptr);
+  EXPECT_EQ(Settled, Other.installed());
+  EXPECT_EQ(Settled->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
 }
 
-/// Pollers race the install while readers load installed(): exactly one
-/// poll() installs, and a reader sees either nothing or the finished
-/// module, never a half-published one.
+/// Waiters block while readers load installed() as the worker installs:
+/// only the worker installs, so the install happens once by construction,
+/// and every waiter returns that module. A reader sees either nothing or
+/// the finished module, never a half-published one.
 TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
   GateBackend Gate(createBackend("DirectEmit"));
   CompileService Svc(1);
   qir::Module M;
   buildAffine(M, 2);
-  TierUp Up(Svc.submit(M, Gate));
+  std::shared_ptr<TierUp> Up = submitJob(Svc, M, Gate);
+  ASSERT_NE(Up, nullptr);
   Gate.waitStarted();
 
-  constexpr int Pollers = 4, Readers = 4;
-  std::atomic<int> Installs{0}, Bad{0}, Running{0};
+  constexpr int Waiters = 4, Readers = 4;
+  std::atomic<int> Bad{0}, Running{0};
+  CompiledModule *Waited[Waiters] = {};
   CompiledModule *Seen[Readers] = {};
   std::vector<std::thread> Threads;
-  for (int T = 0; T != Pollers; ++T)
-    Threads.emplace_back([&] {
+  for (int T = 0; T != Waiters; ++T)
+    Threads.emplace_back([&, T] {
       ++Running;
-      while (Up.pending())
-        if (Up.poll())
-          ++Installs;
+      Waited[T] = Up->wait();
     });
   for (int T = 0; T != Readers; ++T)
     Threads.emplace_back([&, T] {
       ++Running;
       // Pending ends only after the install, so the last pass sees it.
       for (bool More = true; More;) {
-        More = Up.pending();
-        CompiledModule *P = Up.installed();
+        More = Up->pending();
+        CompiledModule *P = Up->installed();
         if (!P)
           continue;
         if ((Seen[T] && P != Seen[T]) ||
@@ -227,17 +247,69 @@ TEST(TierUp, ConcurrentPollInstallsOnceReadersSeeFinishedModule) {
         Seen[T] = P;
       }
     });
-  while (Running != Pollers + Readers)
+  while (Running != Waiters + Readers)
     std::this_thread::yield();
   Gate.release();
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(Installs, 1);
   EXPECT_EQ(Bad, 0);
-  ASSERT_NE(Up.installed(), nullptr);
+  ASSERT_NE(Up->installed(), nullptr);
+  for (CompiledModule *P : Waited)
+    EXPECT_EQ(P, Up->installed());
   for (CompiledModule *P : Seen)
-    EXPECT_EQ(P, Up.installed());
+    EXPECT_EQ(P, Up->installed());
+}
+
+/// Two sessions wait on one shared handle whose job is running. B's token
+/// is cancelled mid-wait: B returns within a few wait ticks while A, with
+/// no token, keeps waiting, and A gets the module once the compile lands.
+/// A waiter that held the handle's lock while it slept would keep B from
+/// ever reading its token.
+TEST(TierUp, CancelledWaiterReturnsWhileAnotherWaits) {
+  GateBackend Gate(createBackend("DirectEmit"));
+  CompileService Svc(1);
+  qir::Module M;
+  buildAffine(M, 2);
+  std::shared_ptr<TierUp> Up = submitJob(Svc, M, Gate);
+  ASSERT_NE(Up, nullptr);
+  Gate.waitStarted();
+
+  std::atomic<bool> ADone{false}, BDone{false};
+  std::atomic<uint64_t> BReturnNs{0};
+  CompiledModule *AGot = nullptr, *BGot = nullptr;
+  qcf::CancelToken Tok;
+  std::thread A([&] {
+    AGot = Up->wait();
+    ADone = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10)); // A waits.
+  std::thread B([&] {
+    BGot = Up->wait(&Tok);
+    BReturnNs = nowNs();
+    BDone = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10)); // B waits.
+  EXPECT_FALSE(BDone) << "B returned before its token fired";
+  uint64_t CancelNs = nowNs();
+  Tok.cancel();
+  // Bounded, so a B stuck behind A fails instead of hanging the test.
+  while (!BDone && nowNs() - CancelNs < 2'000'000'000ull)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  bool BReturned = BDone;
+  bool AStillWaiting = !ADone;
+  Gate.release();
+  A.join();
+  B.join();
+
+  ASSERT_TRUE(BReturned) << "B's token went unseen while A waited";
+  EXPECT_LT(BReturnNs - CancelNs, 10'000'000ull)
+      << "B returned " << (BReturnNs - CancelNs) / 1000 << " us after cancel";
+  EXPECT_EQ(BGot, nullptr);
+  EXPECT_TRUE(AStillWaiting) << "A returned before the compile landed";
+  ASSERT_NE(AGot, nullptr);
+  EXPECT_EQ(AGot, Up->installed());
+  EXPECT_EQ(AGot->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
 }
 
 TEST(CompileService, CancelBeforeStart) {
@@ -247,14 +319,17 @@ TEST(CompileService, CancelBeforeStart) {
   qir::Module M2;
   buildAffine(M2, 2);
   PinnedWorker Pin(Svc); // The single worker is now inside compile().
-  CompileTicket Queued = Svc.submit(M2, Counter);
+  std::shared_ptr<TierUp> Queued = submitJob(Svc, M2, Counter);
+  ASSERT_NE(Queued, nullptr);
 
-  EXPECT_TRUE(Queued.cancel()) << "job had not started; cancel must win";
-  EXPECT_EQ(Queued.wait(), nullptr);
-  EXPECT_TRUE(Queued.done());
+  Queued->finish(); // The job had not started: cancel wins, no wait.
+  EXPECT_FALSE(Queued->pending());
+  EXPECT_EQ(Queued->wait(), nullptr);
 
   EXPECT_NE(Pin.release(), nullptr);
-  EXPECT_FALSE(Pin.Ticket.cancel()) << "completed job cannot be cancelled";
+  Pin.Up->finish();
+  EXPECT_NE(Pin.Up->installed(), nullptr)
+      << "completed job cannot be cancelled";
   Svc.drain();
   EXPECT_EQ(Counter.Compiles.load(), 0u) << "cancelled job must never compile";
   CompileServiceStats S = Svc.stats();
@@ -268,10 +343,10 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
 
   std::vector<qir::Module> Mods(4);
   PinnedWorker Pin(*Svc);
-  std::vector<CompileTicket> Queued;
+  std::vector<std::shared_ptr<TierUp>> Queued;
   for (int I = 0; I != 4; ++I) {
     buildAffine(Mods[I], I + 2);
-    Queued.push_back(Svc->submit(Mods[I], Counter));
+    Queued.push_back(submitJob(*Svc, Mods[I], Counter));
   }
   EXPECT_EQ(Svc->queueDepth(), 4u);
 
@@ -287,9 +362,9 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
   // The running job completed; every queued job was cancelled and its
   // waiters see null rather than hanging.
   EXPECT_NE(Pin.release(), nullptr);
-  for (CompileTicket &T : Queued) {
-    EXPECT_TRUE(T.done());
-    EXPECT_EQ(T.wait(), nullptr);
+  for (std::shared_ptr<TierUp> &Up : Queued) {
+    EXPECT_FALSE(Up->pending());
+    EXPECT_EQ(Up->wait(), nullptr);
   }
   EXPECT_EQ(Counter.Compiles.load(), 0u);
   CompileServiceStats S = Svc->stats();
@@ -300,17 +375,15 @@ TEST(CompileService, ShutdownCancelsQueuedJobs) {
 }
 
 /// A shut-down service refuses new work instead of compiling it on the
-/// submitting thread: the ticket is invalid, the back-end never runs and
-/// nothing is queued or counted as a rejection.
+/// submitting thread: submit() reports the refusal, the back-end never
+/// runs and nothing is queued or counted as a rejection.
 TEST(CompileService, SubmitAfterShutdownIsRefused) {
   CountingBackend Counter(createBackend("DirectEmit"));
   CompileService Svc(1);
   Svc.shutdown();
   qir::Module M;
   buildAffine(M, 9);
-  CompileTicket T = Svc.submit(M, Counter);
-  EXPECT_FALSE(T.valid());
-  EXPECT_EQ(T.wait(), nullptr);
+  EXPECT_EQ(submitJob(Svc, M, Counter), nullptr);
   Svc.drain(); // Nothing was accounted as pending.
   EXPECT_EQ(Counter.Compiles.load(), 0u);
   CompileServiceStats S = Svc.stats();
@@ -328,25 +401,27 @@ TEST(CompileService, BoundedQueueRejectsWhenFull) {
 
   PinnedWorker Pin(Svc);
   auto BE = createBackend("DirectEmit");
-  CompileTicket A = Svc.submit(Mods[0], *BE);
-  CompileTicket B = Svc.submit(Mods[1], *BE);
+  std::shared_ptr<TierUp> A = submitJob(Svc, Mods[0], *BE);
+  std::shared_ptr<TierUp> B = submitJob(Svc, Mods[1], *BE);
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
 
   // Queue is full: the next submits are refused, never block, and each
   // is counted.
-  EXPECT_FALSE(Svc.submit(Mods[2], *BE).valid());
+  EXPECT_EQ(submitJob(Svc, Mods[2], *BE), nullptr);
   EXPECT_EQ(Svc.stats().RejectedBackground, 1u);
-  EXPECT_FALSE(Svc.submit(Mods[2], *BE).valid());
+  EXPECT_EQ(submitJob(Svc, Mods[2], *BE), nullptr);
   EXPECT_EQ(Svc.stats().RejectedBackground, 2u);
 
   EXPECT_NE(Pin.release(), nullptr);
-  EXPECT_NE(A.wait(), nullptr);
-  EXPECT_NE(B.wait(), nullptr);
+  EXPECT_NE(A->wait(), nullptr);
+  EXPECT_NE(B->wait(), nullptr);
   Svc.drain();
 
   // Space freed: the retried submit is accepted and completes.
-  CompileTicket Retry = Svc.submit(Mods[2], *BE);
-  ASSERT_TRUE(Retry.valid());
-  EXPECT_NE(Retry.wait(), nullptr);
+  std::shared_ptr<TierUp> Retry = submitJob(Svc, Mods[2], *BE);
+  ASSERT_NE(Retry, nullptr);
+  EXPECT_NE(Retry->wait(), nullptr);
 
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.QueueCapacity, 2u);
@@ -371,20 +446,20 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
 
   PinnedWorker Pin(Svc);
 
-  EXPECT_TRUE(Svc.submit(Mods[0], Counter, OptsA).valid());
-  EXPECT_TRUE(Svc.submit(Mods[1], Counter, OptsA).valid());
+  EXPECT_NE(submitJob(Svc, Mods[0], Counter, OptsA), nullptr);
+  EXPECT_NE(submitJob(Svc, Mods[1], Counter, OptsA), nullptr);
   EXPECT_EQ(Svc.keyInFlight("tenant-a"), 2u);
 
   // Third in-flight job for tenant-a exceeds its share: refused, and
   // counted as a tenant rejection rather than a full queue.
-  EXPECT_FALSE(Svc.submit(Mods[2], Counter, OptsA).valid());
+  EXPECT_EQ(submitJob(Svc, Mods[2], Counter, OptsA), nullptr);
   CompileServiceStats S = Svc.stats();
   EXPECT_EQ(S.RejectedTenant, 1u);
   EXPECT_EQ(S.RejectedBackground, 0u);
 
   // Other tenants and keyless submissions are unaffected.
-  EXPECT_TRUE(Svc.submit(Mods[2], Counter, OptsB).valid());
-  EXPECT_TRUE(Svc.submit(Mods[2], Counter).valid());
+  EXPECT_NE(submitJob(Svc, Mods[2], Counter, OptsB), nullptr);
+  EXPECT_NE(submitJob(Svc, Mods[2], Counter), nullptr);
 
   EXPECT_NE(Pin.release(), nullptr);
   Svc.drain();
@@ -392,9 +467,9 @@ TEST(CompileService, TenantShareCapsInFlightJobs) {
       << "in-flight accounting must drain to zero";
 
   // With its jobs drained, tenant-a can submit again.
-  CompileTicket A4 = Svc.submit(Mods[2], Counter, OptsA);
-  ASSERT_TRUE(A4.valid());
-  EXPECT_NE(A4.wait(), nullptr);
+  std::shared_ptr<TierUp> A4 = submitJob(Svc, Mods[2], Counter, OptsA);
+  ASSERT_NE(A4, nullptr);
+  EXPECT_NE(A4->wait(), nullptr);
   EXPECT_EQ(Svc.stats().RejectedTenant, 1u);
 }
 
@@ -409,8 +484,9 @@ TEST(CompileService, QueueMetricsVisibleInRegistry) {
   auto BE = createBackend("DirectEmit");
 
   PinnedWorker Pin(Svc);
-  CompileTicket Queued = Svc.submit(M1, *BE);
-  EXPECT_FALSE(Svc.submit(M2, *BE).valid());
+  std::shared_ptr<TierUp> Queued = submitJob(Svc, M1, *BE);
+  ASSERT_NE(Queued, nullptr);
+  EXPECT_EQ(submitJob(Svc, M2, *BE), nullptr);
 
   obs::MetricsSnapshot Snap = Reg.snapshot();
   EXPECT_EQ(Snap.gauge(P + "queue.capacity"), 1);
@@ -419,7 +495,7 @@ TEST(CompileService, QueueMetricsVisibleInRegistry) {
   EXPECT_EQ(Snap.counter(P + "queue.rejected.tenant"), 0u);
 
   EXPECT_NE(Pin.release(), nullptr);
-  EXPECT_NE(Queued.wait(), nullptr);
+  EXPECT_NE(Queued->wait(), nullptr);
   Svc.drain();
   EXPECT_EQ(Reg.snapshot().gauge(P + "queue.depth"), 0);
 }
@@ -732,6 +808,67 @@ template <typename F> bool returnsWhileGated(FastTierCache &C, F Fn) {
 
 } // namespace
 
+/// An AdaptiveExec query's own optimized compile borrows its plan and
+/// back-end, so the query finishes its handle before it returns. Queued
+/// behind a pinned worker, the job is cancelled there and never compiles;
+/// the worker counts it as cancelled when it reaches it, with no shutdown
+/// or drain.
+TEST(TierUp, QueryEndCancelsQueuedJob) {
+  const FastTierQuery &Q = fastTierQuery();
+  CountingBackend Opt(createBackend("Craneline"));
+  CompileService Svc(1);
+  PinnedWorker Pin(Svc);
+  ASSERT_NE(Pin.Up, nullptr);
+  db::ExecOptions O;
+  O.AdaptiveExec = true;
+  O.Service = &Svc;
+  rt::OutputBuffer Out;
+  db::ExecResult R = db::executeQuery(Q.Plan, Opt, Q.Cat, &Out, O);
+  ASSERT_FALSE(R.Trapped);
+  EXPECT_EQ(Out.unorderedDigest(), Q.Digest);
+  EXPECT_EQ(R.Stats.OsrSwaps, 0u);
+  EXPECT_EQ(Svc.queueDepth(), 1u) << "the query's job is still queued";
+
+  EXPECT_NE(Pin.release(), nullptr);
+  CompileServiceStats S = Svc.stats();
+  for (int I = 0; I != 5000 && S.JobsCompleted + S.JobsCancelled < 2; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    S = Svc.stats();
+  }
+  EXPECT_EQ(S.JobsCancelled, 1u) << "the query left its queued job to run";
+  EXPECT_EQ(S.JobsCompleted, 1u);
+  EXPECT_EQ(Opt.Compiles.load(), 0u);
+}
+
+/// The same query with its optimized compile already running: the
+/// query's end waits the job out, so executeQuery does not return while a
+/// worker still reads its plan and back-end.
+TEST(TierUp, QueryEndWaitsRunningJobOut) {
+  const FastTierQuery &Q = fastTierQuery();
+  GateBackend Opt(createBackend("Craneline"));
+  CompileService Svc(1);
+  db::ExecOptions O;
+  O.AdaptiveExec = true;
+  O.Service = &Svc;
+  rt::OutputBuffer Out;
+  db::ExecResult R;
+  std::atomic<bool> Returned{false};
+  std::thread Query([&] {
+    R = db::executeQuery(Q.Plan, Opt, Q.Cat, &Out, O);
+    Returned = true;
+  });
+  Opt.waitStarted();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Returned) << "returned while its compile was still running";
+  Opt.release();
+  Query.join();
+  ASSERT_FALSE(R.Trapped);
+  EXPECT_EQ(Out.unorderedDigest(), Q.Digest);
+  CompileServiceStats S = Svc.stats();
+  EXPECT_EQ(S.JobsCompleted, 1u);
+  EXPECT_EQ(S.JobsCancelled, 0u);
+}
+
 TEST(CacheFastTier, MissReturnsFastCodeBeforeTheGateOpens) {
   const FastTierQuery &Q = fastTierQuery();
   ASSERT_GT(Q.Rows, 0u);
@@ -816,7 +953,7 @@ TEST(CacheFastTier, RefusedSubmitCompilesInline) {
   CompileOptions Opts;
   Opts.FairnessKey = "t";
   PinnedWorker Pin(C.Svc, Opts);
-  ASSERT_TRUE(Pin.Ticket.valid());
+  ASSERT_NE(Pin.Up, nullptr);
 
   qir::Module M;
   buildAffine(M, 5);
@@ -848,7 +985,7 @@ TEST(CacheDedup, ShutdownServiceFallsBackInline) {
   auto C1 = C.Cache->compile(M1);
   EXPECT_EQ(C1->entryAs<int64_t (*)(int64_t)>("f")(5), 17);
   ASSERT_NE(C1->Optimized, nullptr);
-  EXPECT_TRUE(C1->Optimized->wait());
+  EXPECT_NE(C1->Optimized->wait(), nullptr);
   C.Svc.drain();
   EXPECT_EQ(C.Svc.stats().JobsCompleted, 1u);
 
@@ -867,7 +1004,7 @@ TEST(CacheDedup, ShutdownServiceFallsBackInline) {
 TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   FastTierCache C;
   PinnedWorker Pin(C.Svc);
-  ASSERT_TRUE(Pin.Ticket.valid());
+  ASSERT_NE(Pin.Up, nullptr);
 
   // A miss queues its background compile behind the pinned worker.
   qir::Module M;
@@ -882,7 +1019,7 @@ TEST(CacheFastTier, ShutdownWithQueuedJobLeavesNoPendingEntry) {
   qir::Module ProbeM;
   buildAffine(ProbeM, 2);
   auto ProbeBE = createBackend("Interpreter");
-  while (C.Svc.submit(ProbeM, *ProbeBE).valid())
+  while (submitJob(C.Svc, ProbeM, *ProbeBE))
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Pin.release();
   Stopper.join();
@@ -1094,7 +1231,7 @@ TEST(CacheFastTier,
   CompileOptions Opts;
   Opts.FairnessKey = "t";
   PinnedWorker Pin(C.Svc, Opts);
-  ASSERT_TRUE(Pin.Ticket.valid());
+  ASSERT_NE(Pin.Up, nullptr);
 
   constexpr int64_t K = 2;
   db::ExecResult R[2];

@@ -8,15 +8,16 @@
 /// GateBackend: compile() blocks until release(). PinnedWorker submits one
 /// gated job to a single-worker CompileService, which pins that worker
 /// deterministically, so later jobs provably sit in the queue
-/// (cancel-before-run, refusal, fairness and shutdown tests).
+/// (cancel-before-run, refusal, fairness and shutdown tests). submitJob()
+/// submits with a fresh TierUp handle.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_TESTS_GATEBACKEND_H
 #define QCF_TESTS_GATEBACKEND_H
 
-#include "backend/CompileService.h"
 #include "backend/Registry.h"
+#include "backend/TierUp.h"
 #include "qir/Builder.h"
 #include <condition_variable>
 #include <mutex>
@@ -68,6 +69,15 @@ private:
   bool Started = false, Released = false;
 };
 
+/// Submits the compile of \p M with \p BE to \p Svc. \returns its handle,
+/// or null if the service refused the job.
+inline std::shared_ptr<backend::TierUp>
+submitJob(backend::CompileService &Svc, const qir::Module &M,
+          backend::Backend &BE, const backend::CompileOptions &Opts = {}) {
+  auto Up = std::make_shared<backend::TierUp>();
+  return Svc.submit(M, BE, Opts, nullptr, Up) ? Up : nullptr;
+}
+
 /// Occupies the only worker of \p Svc with a gated job until release().
 struct PinnedWorker {
   explicit PinnedWorker(backend::CompileService &Svc,
@@ -76,21 +86,21 @@ struct PinnedWorker {
     qir::Function *F = M.createFunction("f", {qir::Type::I64}, qir::Type::I64);
     qir::Builder B(F);
     B.ret(F->paramValue(0));
-    Ticket = Svc.submit(M, Gate, Opts);
-    if (Ticket.valid())
+    Up = submitJob(Svc, M, Gate, Opts);
+    if (Up)
       Gate.waitStarted();
   }
   ~PinnedWorker() { release(); }
 
   /// Opens the gate. \returns the pinned job's module.
-  std::shared_ptr<backend::CompiledModule> release() {
+  backend::CompiledModule *release() {
     Gate.release();
-    return Ticket.wait();
+    return Up ? Up->wait() : nullptr;
   }
 
   GateBackend Gate;
   qir::Module M;
-  backend::CompileTicket Ticket;
+  std::shared_ptr<backend::TierUp> Up; ///< Null if the submit was refused.
 };
 
 } // namespace qcf::test

@@ -17,6 +17,7 @@
 #include "backend/Cache.h"
 #include "backend/CompileService.h"
 #include "backend/Registry.h"
+#include "backend/TierUp.h"
 #include "obs/Obs.h"
 #include "qir/Builder.h"
 #include "support/MemContext.h"
@@ -285,11 +286,13 @@ TEST(ObsCompile, CompileServiceStatsAreARegistryView) {
   qir::Module M = makeModule(5);
   {
     backend::CompileService Svc(2, 0, &Reg);
-    std::vector<backend::CompileTicket> Tickets;
-    for (int I = 0; I != 8; ++I)
-      Tickets.push_back(Svc.submit(M, *Inner));
-    for (backend::CompileTicket &T : Tickets)
-      EXPECT_NE(T.wait(), nullptr);
+    std::vector<std::shared_ptr<backend::TierUp>> Ups;
+    for (int I = 0; I != 8; ++I) {
+      Ups.push_back(std::make_shared<backend::TierUp>());
+      ASSERT_TRUE(Svc.submit(M, *Inner, {}, nullptr, Ups.back()));
+    }
+    for (std::shared_ptr<backend::TierUp> &Up : Ups)
+      EXPECT_NE(Up->wait(), nullptr);
 
     backend::CompileServiceStats S = Svc.stats();
     EXPECT_EQ(S.JobsQueued, 8u);
@@ -321,8 +324,9 @@ TEST(ObsCompile, ServiceCarriesObsContextToWorkerThreads) {
   qir::Module M = makeModule(9);
   backend::CompileService Svc(2);
   backend::CompileOptions Opts{obs::ObsContext(nullptr, &Reg, &Sink)};
-  auto Result = Svc.submit(M, *Inner, Opts).wait();
-  ASSERT_NE(Result, nullptr);
+  auto Up = std::make_shared<backend::TierUp>();
+  ASSERT_TRUE(Svc.submit(M, *Inner, Opts, nullptr, Up));
+  ASSERT_NE(Up->wait(), nullptr);
   EXPECT_EQ(Reg.snapshot().counter("compile.MLVM-cheap.count"), 1u);
   // Spanning slice + per-pass slices from the worker thread.
   EXPECT_GT(Sink.numEvents(), 1u);

@@ -405,7 +405,7 @@ TEST(OsrCancel, ForcedCutoverWaitHonoursCancel) {
 
   backend::CompileService Svc(1);
   test::PinnedWorker Pin(Svc);
-  ASSERT_TRUE(Pin.Ticket.valid());
+  ASSERT_NE(Pin.Up, nullptr);
 
   std::atomic<bool> QueryDone{false};
   std::thread Watchdog([&] {
