@@ -97,6 +97,13 @@ struct CompileOptions {
   /// plan.
   std::optional<ModuleFingerprint> Fingerprint;
 
+  /// Shares ownership of the module passed to compile(), when the caller
+  /// holds it in a shared object (a served plan). A compile that outlives
+  /// the call, CachingBackend's background compile of a miss, keeps the
+  /// module alive through it instead of copying the module. Null = the
+  /// module is only borrowed for the call.
+  std::shared_ptr<const void> ModuleOwner;
+
   CompileOptions() = default;
   explicit CompileOptions(obs::ObsContext Obs) : Obs(Obs) {}
   explicit CompileOptions(TimeTrace *Trace) { Obs.Trace = Trace; }

@@ -200,19 +200,18 @@ private:
 
 } // namespace
 
-/// The inner compile of one key that missed both tiers, run on a service
-/// worker. It owns a copy of the module, because the query that missed
-/// may free its plan before the job runs. The job is owned in turn by the
-/// shared handle on it, and by the service until it ends.
+/// The inner compile of one key that missed memory, run on a service
+/// worker: it loads the key's blob when the miss left the disk probe to it
+/// (\p Probe), and compiles when there is none. It holds the module through
+/// \p ModuleOwner, because the query that missed may free its plan before
+/// the job runs. The job is owned in turn by the shared handle on it, and
+/// by the service until it ends.
 class CachingBackend::BackgroundCompile : public Backend {
 public:
   BackgroundCompile(CachingBackend &Cache, const ModuleFingerprint &Key,
-                    const qir::Module &M)
-      : Cache(Cache), Key(Key), Name(Cache.name()) {
-    qir::cloneSymbols(M, Copy);
-    for (const auto &F : M.functions())
-      qir::cloneFunctionInto(*F, Copy);
-  }
+                    bool Probe, std::shared_ptr<const void> ModuleOwner)
+      : Cache(Cache), Key(Key), Probe(Probe), Name(Cache.name()),
+        ModuleOwner(std::move(ModuleOwner)) {}
 
   /// The service's latency histogram for these jobs covers compile,
   /// publish and store. Read after the job retired its entry, when the
@@ -223,9 +222,13 @@ public:
 
   std::unique_ptr<CompiledModule> compile(const qir::Module &M,
                                           const CompileOptions &O) override {
-    std::shared_ptr<CompiledModule> Compiled = Cache.Inner->compile(M, O);
+    std::shared_ptr<CompiledModule> Compiled =
+        Probe ? Cache.load(Key, M, O) : nullptr;
+    bool FromDisk = Compiled != nullptr;
+    if (!Compiled)
+      Compiled = Cache.Inner->compile(M, O);
     Cache.publish(Key, Compiled);
-    if (Cache.Disk)
+    if (Cache.Disk && !FromDisk)
       Cache.Disk->store(Key, *Cache.Inner, *Compiled, O);
     // The last touch of the cache: its destructor waits only for jobs
     // whose entry is still in flight.
@@ -233,13 +236,27 @@ public:
     return std::make_unique<SharedModule>(std::move(Compiled));
   }
 
-  qir::Module Copy;
-
 private:
   CachingBackend &Cache;
   const ModuleFingerprint Key;
+  const bool Probe;
   const std::string Name;
+  const std::shared_ptr<const void> ModuleOwner;
 };
+
+std::shared_ptr<CompiledModule>
+CachingBackend::load(const ModuleFingerprint &Key, const qir::Module &M,
+                     const CompileOptions &Opts) {
+  std::shared_ptr<CompiledModule> Loaded = Disk->load(Key, *Inner, Opts);
+  // Fresh compiles run translation validation inside the back-end; warm
+  // loads skip the back-end entirely, so validate the re-patched code
+  // here — this is the one layer that re-checks cached blobs against the
+  // IR they claim to implement.
+  if (Loaded && Opts.Verify.Tv)
+    tv::validateOrDie(M, Loaded->tvFunctions(), Opts.Obs.Metrics,
+                      "disk cache");
+  return Loaded;
+}
 
 void CachingBackend::publish(const ModuleFingerprint &Key,
                              const std::shared_ptr<CompiledModule> &Compiled) {
@@ -345,27 +362,34 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
   }
 
   // Compile outside the lock. The Pending entry guarantees no other
-  // thread compiles this key concurrently. The persistent cache is
-  // probed first: a warm hit rehydrates the stored code (relocation
-  // re-patch) without invoking the back-end at all.
-  std::shared_ptr<CompiledModule> Compiled;
-  bool FromDisk = false;
-  if (Disk) {
-    Compiled = Disk->load(Key, *Inner, Opts);
-    FromDisk = Compiled != nullptr;
-    // Fresh compiles run translation validation inside the back-end;
-    // warm loads skip the back-end entirely, so validate the re-patched
-    // code here — this is the one layer that re-checks cached blobs
-    // against the IR they claim to implement.
-    if (FromDisk && Opts.Verify.Tv)
-      tv::validateOrDie(M, Compiled->tvFunctions(), Opts.Obs.Metrics,
-                        "disk cache");
-  }
-  if (!Compiled && Fast && Service) {
-    auto Job = std::make_shared<BackgroundCompile>(*this, Key, M);
+  // thread compiles this key concurrently. A warm disk hit rehydrates the
+  // stored code (relocation re-patch) without invoking the back-end at
+  // all. This thread probes the disk tier when its index may hold the key
+  // or when no background job will: a miss that answers with fast-tier
+  // code leaves the probe of a key the index does not know to its job,
+  // so it never waits on the cache directory for a blob that is not there.
+  bool Tiered = Fast && Service;
+  bool Probed = Disk && (!Tiered || Disk->mayHold(Key, *Inner));
+  std::shared_ptr<CompiledModule> Compiled =
+      Probed ? load(Key, M, Opts) : nullptr;
+  if (!Compiled && Tiered) {
+    // The job compiles the caller's own module when the caller shares its
+    // owner (a served plan), else a copy.
+    std::shared_ptr<const void> Owner = Opts.ModuleOwner;
+    const qir::Module *JobM = &M;
+    if (!Owner) {
+      auto Copy = std::make_shared<qir::Module>();
+      qir::cloneSymbols(M, *Copy);
+      for (const auto &F : M.functions())
+        qir::cloneFunctionInto(*F, *Copy);
+      JobM = Copy.get();
+      Owner = std::move(Copy);
+    }
+    auto Job = std::make_shared<BackgroundCompile>(
+        *this, Key, Disk && !Probed, std::move(Owner));
     uint64_t StartNs = nowNs();
     std::unique_ptr<CompiledModule> Code = compileTiered(
-        Job->Copy, *Fast, *Job, *Service, Opts, Job, Entry->Up);
+        *JobM, *Fast, *Job, *Service, Opts, Job, Entry->Up);
     if (Code) {
       uint64_t EndNs = nowNs();
       // Shared before it is counted, so a lookup that sees the count
@@ -382,6 +406,9 @@ CachingBackend::compile(const qir::Module &M, const CompileOptions &Opts) {
     // Refused (queue full, fairness share used up, service shut down): the
     // work moves onto this thread instead of blocking it behind the storm.
   }
+  if (!Compiled && Disk && !Probed)
+    Compiled = load(Key, M, Opts);
+  bool FromDisk = Compiled != nullptr;
   if (!Compiled)
     Compiled = Inner->compile(M, Opts);
   // Published and retired before the handle settles, so every lookup

@@ -87,32 +87,37 @@ struct CacheStats {
 /// back-end exactly once. Every miss makes the key's in-flight entry and
 /// its TierUp handle before anything else, and lookups of the key in
 /// flight share that handle. On a miss in memory the disk tier is probed
-/// inline; a fresh compile is published to memory, and the handle settled
-/// with it, before its blob is written to disk.
+/// on the calling thread when its index may hold the key
+/// (DiskCodeCache::mayHold) or when the miss compiles there anyway;
+/// otherwise the background job probes it before compiling. A fresh
+/// compile is published to memory, and the handle settled with it, before
+/// its blob is written to disk.
 ///
 /// Without a fast back-end, the caller blocks until the module is ready:
 /// the first miss compiles on the calling thread and every other thread
 /// waits on the handle (TierUp::wait) and shares its module.
 ///
 /// With a fast back-end, no caller waits for the inner compile of another
-/// thread. With a service as well, a miss in both tiers answers with
-/// fast-tier code through backend::compileTiered, whose background job
-/// publishes to memory and then stores the disk blob, so the next lookup
-/// is a hit on inner-back-end code. The miss keeps its fast code in the
-/// key's in-flight entry, and a lookup of the key in flight shares it
-/// without compiling; the code is freed once the entry has retired and
-/// the last query using it has finished. A lookup that arrives before the
-/// miss's fast code exists compiles its own on the calling thread rather
-/// than wait. Every fast-tier answer carries the shared handle
-/// (CompiledModule::Optimized), so the executor swaps the query to the
-/// inner back-end's code once it lands. A miss that does not hand the
-/// handle to a job settles it with the module it publishes: a disk hit,
-/// or an inline compile after a refused submit (queue full, fairness share
-/// used up, service shut down); lookups that shared it swap to that
-/// module. Dropping a handle never cancels the job: the cache holds one
-/// until the job ends. A job that ends without running (the service shut
-/// down) leaves its entry behind; the next lookup of the key drops it with
-/// its fast code and is a miss.
+/// thread. With a service as well, a miss in memory that is no disk hit
+/// answers with fast-tier code through backend::compileTiered, whose
+/// background job loads the key's blob or compiles, publishes to memory
+/// and then stores a compiled module's blob, so the next lookup is a hit
+/// on inner-back-end code. The job compiles the caller's module when
+/// CompileOptions::ModuleOwner shares it, else a copy. The miss keeps its
+/// fast code in the key's in-flight entry, and a lookup of the key in
+/// flight shares it without compiling; the code is freed once the entry
+/// has retired and the last query using it has finished. A lookup that
+/// arrives before the miss's fast code exists compiles its own on the
+/// calling thread rather than wait. Every fast-tier answer carries the
+/// shared handle (CompiledModule::Optimized), so the executor swaps the
+/// query to the inner back-end's code once it lands. A miss that does
+/// not hand the handle to a job settles it with the module it publishes:
+/// a disk hit, or an inline load or compile after a refused submit (queue
+/// full, fairness share used up, service shut down); lookups that shared
+/// it swap to that module. Dropping a handle never cancels the job: the
+/// cache holds one until the job ends. A job that ends without running
+/// (the service shut down) leaves its entry behind; the next lookup of the
+/// key drops it with its fast code and is a miss.
 ///
 /// Cancellation: when CompileOptions::Cancel is set and fires while this
 /// call waits on another thread's compile of the key, compile() returns
@@ -195,6 +200,11 @@ private:
                const std::shared_ptr<CompiledModule> &Compiled);
   /// Erases \p Key's in-flight entry.
   void retire(const ModuleFingerprint &Key);
+  /// Probes the disk tier (which must exist) for \p Key, and validates a
+  /// warm load against \p M under Opts.Verify.Tv.
+  std::shared_ptr<CompiledModule> load(const ModuleFingerprint &Key,
+                                       const qir::Module &M,
+                                       const CompileOptions &Opts);
   /// Counts and times a fast-tier answer compiled from \p StartNs to
   /// \p EndNs.
   void noteFast(const CompileOptions &Opts, uint64_t StartNs, uint64_t EndNs);

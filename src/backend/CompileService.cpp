@@ -83,10 +83,17 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
   }
   JobsQueued.inc();
 
+  // Set before the push: once queued, TierUp::finish() may claim the job.
+  TierUp &Handle = *Up;
+  Handle.Svc = this;
+  Handle.Key = Key;
   auto R = Queue.tryPush(
       {&M, &BE, Opts, nowNs(), std::move(Owner), std::move(Up)});
   if (R != decltype(Queue)::PushResult::Ok) {
-    // Refused: full, or closed by shutdown().
+    // Refused: full, or closed by shutdown(). The handle goes back to its
+    // caller as it came.
+    Handle.Svc = nullptr;
+    Handle.Key.clear();
     JobsQueued.sub(1);
     unaccount(Key);
     if (R == decltype(Queue)::PushResult::Full)
@@ -95,6 +102,11 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
   }
   QueueDepth.set(static_cast<int64_t>(Queue.size()));
   return true;
+}
+
+void CompileService::cancelled(const std::string &Key) {
+  JobsCancelled.inc();
+  unaccount(Key);
 }
 
 void CompileService::unaccount(const std::string &Key) {
@@ -118,11 +130,12 @@ void CompileService::workerLoop() {
 
 void CompileService::runJob(CompileJob &Job, bool Cancel) {
   TierUp &Up = *Job.Up;
-  if (Cancel || !Up.run()) {
-    // Cancelled by TierUp::finish(), or by shutdown().
-    JobsCancelled.inc();
+  if (!Up.run())
+    return; // Claimed and accounted for by TierUp::finish().
+  if (Cancel) {
+    // Cancelled by shutdown().
     Up.settle(nullptr);
-    unaccount(Job.Opts.FairnessKey);
+    cancelled(Job.Opts.FairnessKey);
     return;
   }
 
@@ -148,11 +161,18 @@ void CompileService::runJob(CompileJob &Job, bool Cancel) {
   // wakes it may destroy the back-end (callers only keep it alive until
   // the handle ends), so BE->name() must not be touched afterwards — and
   // stats() read after a wait() must already include this job.
-  Reg->histogram(Prefix + "latency." + Job.BE->name())
-      .observe(nowNs() - StartNs);
+  latency(Job.BE->name()).observe(nowNs() - StartNs);
   JobsCompleted.inc();
   Up.settle(std::move(Result));
   unaccount(Job.Opts.FairnessKey);
+}
+
+obs::Histogram &CompileService::latency(const std::string &Name) {
+  std::lock_guard<std::mutex> Lock(LatencyMutex);
+  obs::Histogram *&H = Latency[Name];
+  if (!H)
+    H = &Reg->histogram(Prefix + "latency." + Name);
+  return *H;
 }
 
 void CompileService::shutdown() {
@@ -185,17 +205,15 @@ CompileServiceStats CompileService::stats() const {
   S.RejectedBackground = RejectedFull.value();
   S.RejectedTenant = RejectedTenant.value();
   // Per-backend latency is a view over this instance's histograms.
-  obs::MetricsSnapshot Snap = Reg->snapshot();
-  const std::string LatPrefix = Prefix + "latency.";
-  for (const auto &[Name, H] : Snap.Histograms) {
-    if (Name.compare(0, LatPrefix.size(), LatPrefix) != 0)
-      continue;
+  std::lock_guard<std::mutex> Lock(LatencyMutex);
+  for (const auto &[Name, Hist] : Latency) {
+    obs::HistogramSnapshot H = Hist->snapshot();
     CompileLatency L;
     L.Count = H.Count;
     L.MinSec = H.Count ? H.MinNs * 1e-9 : 0;
     L.MaxSec = H.MaxNs * 1e-9;
     L.TotalSec = H.SumNs * 1e-9;
-    S.PerBackend[Name.substr(LatPrefix.size())] = L;
+    S.PerBackend[Name] = L;
   }
   return S;
 }

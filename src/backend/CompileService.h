@@ -23,7 +23,8 @@
 /// CachingBackend compiles inline). The submitted module (and the
 /// back-end) must stay alive until the handle ends and no worker runs
 /// the job (TierUp::finish), or live in the owner handed to submit (the
-/// cache's background compiles own a copy of the module).
+/// cache's background compiles hold the served plan, or a copy of the
+/// module).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,12 +155,22 @@ public:
   }
 
 private:
+  friend class TierUp;
+
   void workerLoop();
-  /// Runs one dequeued job, or cancels it if \p Cancel or its handle
-  /// already ended, and installs the outcome into the handle.
+  /// Runs one dequeued job, or cancels it if \p Cancel, and installs the
+  /// outcome into the handle. A job whose handle TierUp::finish() claimed
+  /// was accounted for then, and is only dropped.
   void runJob(detail::CompileJob &Job, bool Cancel);
+  /// Counts a queued job cancelled before it started and ends its
+  /// accounting: at once when TierUp::finish() claims it, at the pop when
+  /// shutdown() cancels it. Its queue slot frees only at the pop.
+  void cancelled(const std::string &Key);
   /// Ends the pending/key accounting of a job under fairness key \p Key.
   void unaccount(const std::string &Key);
+  /// The latency histogram of back-end \p Name's jobs, resolved on its
+  /// first completed job and then once per name.
+  obs::Histogram &latency(const std::string &Name);
 
   BoundedQueue<detail::CompileJob> Queue;
   std::vector<std::thread> Workers;
@@ -183,6 +194,10 @@ private:
   obs::Gauge &QueueCapacityG;
   obs::Counter &RejectedFull;
   obs::Counter &RejectedTenant;
+  mutable std::mutex LatencyMutex;
+  /// "latency.<name>" per back-end name; stats() reads them here rather
+  /// than by snapshotting the registry.
+  std::map<std::string, obs::Histogram *> Latency;
 };
 
 } // namespace qcf::backend

@@ -54,6 +54,38 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
+uint64_t configHash(const std::string &Config) {
+  return xxHash64(Config.data(), Config.size());
+}
+
+bool parseHex16(const char *P, uint64_t &V) {
+  V = 0;
+  for (int I = 0; I != 16; ++I) {
+    char C = P[I];
+    unsigned D;
+    if (C >= '0' && C <= '9')
+      D = static_cast<unsigned>(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      D = static_cast<unsigned>(C - 'a' + 10);
+    else
+      return false;
+    V = V << 4 | D;
+  }
+  return true;
+}
+
+/// Parses a blob file name, "qcf-<Lo><Hi>-<config hash>.qcc" with 16
+/// lowercase hex digits per field (see DiskCodeCache::blobPath).
+/// \returns false for any other name.
+bool parseBlobName(const char *Name, ModuleFingerprint &Key,
+                   uint64_t &ConfigHash) {
+  constexpr size_t Len = 4 + 32 + 1 + 16 + 4;
+  return std::strlen(Name) == Len && std::memcmp(Name, "qcf-", 4) == 0 &&
+         Name[36] == '-' && std::strcmp(Name + 53, BlobSuffix) == 0 &&
+         parseHex16(Name + 4, Key.Lo) && parseHex16(Name + 20, Key.Hi) &&
+         parseHex16(Name + 37, ConfigHash);
+}
+
 bool hasSuffix(const std::string &S, const char *Suffix) {
   size_t N = std::strlen(Suffix);
   return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
@@ -172,6 +204,15 @@ DiskCodeCache::DiskCodeCache(std::string Dir, uint64_t BudgetBytes,
       LoadNs(resolveRegistry(Reg).histogram("cache.disk.load_ns")),
       ArenaBytes(resolveRegistry(Reg).gauge("code.arena.bytes")) {
   createDirectories(this->Dir);
+  // The index starts as the directory's blob names; nothing is opened.
+  if (DIR *D = ::opendir(this->Dir.c_str())) {
+    while (struct dirent *E = ::readdir(D)) {
+      BlobId Id;
+      if (parseBlobName(E->d_name, Id.Key, Id.ConfigHash))
+        Index.insert(Id);
+    }
+    ::closedir(D);
+  }
 }
 
 std::unique_ptr<DiskCodeCache> DiskCodeCache::fromEnv(
@@ -195,13 +236,29 @@ std::unique_ptr<DiskCodeCache> DiskCodeCache::fromEnv(
   return std::make_unique<DiskCodeCache>(Dir, Budget, Reg);
 }
 
-std::string DiskCodeCache::blobPath(const ModuleFingerprint &Key,
-                                    const std::string &Config) const {
+std::string DiskCodeCache::blobPath(const BlobId &Id) const {
   // Version lives only inside the envelope (not in the name), so a blob
   // written by an older format lands on the same path, gets opened, and
   // is rejected + replaced — instead of leaking forever as dead files.
-  return Dir + "/qcf-" + hex16(Key.Lo) + hex16(Key.Hi) + "-" +
-         hex16(xxHash64(Config.data(), Config.size())) + BlobSuffix;
+  return Dir + "/qcf-" + hex16(Id.Key.Lo) + hex16(Id.Key.Hi) + "-" +
+         hex16(Id.ConfigHash) + BlobSuffix;
+}
+
+void DiskCodeCache::indexAdd(const BlobId &Id) {
+  std::lock_guard<std::mutex> Lock(IndexMutex);
+  Index.insert(Id);
+}
+
+void DiskCodeCache::indexRemove(const BlobId &Id) {
+  std::lock_guard<std::mutex> Lock(IndexMutex);
+  Index.erase(Id);
+}
+
+bool DiskCodeCache::mayHold(const ModuleFingerprint &Key,
+                            const Backend &B) const {
+  BlobId Id{Key, configHash(B.cacheConfig())};
+  std::lock_guard<std::mutex> Lock(IndexMutex);
+  return Index.count(Id) != 0;
 }
 
 std::shared_ptr<CompiledModule>
@@ -209,10 +266,12 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
                     const CompileOptions &Opts) {
   uint64_t Start = nowNs();
   std::string Config = B.cacheConfig();
-  std::string Path = blobPath(Key, Config);
+  BlobId Id{Key, configHash(Config)};
+  std::string Path = blobPath(Id);
 
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0) {
+    indexRemove(Id);
     Misses.inc();
     if (obs::TraceSink *Sink = Opts.Obs.Sink)
       Sink->instantEvent("cache.disk.miss", "cache");
@@ -223,6 +282,7 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
       St.st_size > MaxBlobBytes) {
     ::close(Fd);
     ::unlink(Path.c_str());
+    indexRemove(Id);
     Rejected.inc();
     return nullptr;
   }
@@ -271,6 +331,7 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
     // Invalid blob (corruption, stale format, undecodable payload):
     // unlink it so the slot gets rewritten by the recompile's store.
     ::unlink(Path.c_str());
+    indexRemove(Id);
     Rejected.inc();
     if (obs::TraceSink *Sink = Opts.Obs.Sink)
       Sink->instantEvent("cache.disk.reject", "cache");
@@ -284,6 +345,7 @@ DiskCodeCache::load(const ModuleFingerprint &Key, Backend &B,
   if (::time(nullptr) - St.st_mtime > 3600)
     ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
 
+  indexAdd(Id);
   Hits.inc();
   ArenaBytes.set(
       static_cast<int64_t>(x64::ExecArena::global().bytesAllocated()));
@@ -304,6 +366,7 @@ bool DiskCodeCache::store(const ModuleFingerprint &Key, Backend &B,
     return false;
   }
   std::string Config = B.cacheConfig();
+  BlobId Id{Key, configHash(Config)};
 
   ByteWriter Body;
   Body.str(Config);
@@ -345,10 +408,11 @@ bool DiskCodeCache::store(const ModuleFingerprint &Key, Backend &B,
             WriteAll(BodyBytes.data(), BodyBytes.size());
   Ok = (::close(Fd) == 0) && Ok;
   ::fchmodat(AT_FDCWD, Tmp.c_str(), 0644, 0);
-  if (!Ok || ::rename(Tmp.c_str(), blobPath(Key, Config).c_str()) != 0) {
+  if (!Ok || ::rename(Tmp.c_str(), blobPath(Id).c_str()) != 0) {
     ::unlink(Tmp.c_str());
     return false;
   }
+  indexAdd(Id);
   Stores.inc();
   if (obs::TraceSink *Sink = Opts.Obs.Sink)
     Sink->completeEvent("cache.disk.store", "cache", Start, nowNs() - Start);
@@ -375,6 +439,10 @@ uint64_t DiskCodeCache::gc() {
     // ENOENT just means another process evicted it first; either way the
     // bytes are gone from the directory.
     ::unlink(Blob.Path.c_str());
+    BlobId Id;
+    if (parseBlobName(Blob.Path.c_str() + Dir.size() + 1, Id.Key,
+                      Id.ConfigHash))
+      indexRemove(Id);
     Total -= Blob.Size;
     ++Removed;
     Evictions.inc();

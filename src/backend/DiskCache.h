@@ -9,7 +9,9 @@
 /// directory of content-addressed blobs, each holding one serialized
 /// CompiledModule (code bytes, entry-symbol table, named runtime-call
 /// relocation records). The in-memory CachingBackend consults it on every
-/// LRU miss and populates it after every fresh compile, so a restarted
+/// LRU miss (on the miss's own thread when the index below may hold the
+/// key, else on its background job) and populates it after every fresh
+/// compile, so a restarted
 /// process re-installs its hot queries with an mmap + relocation re-patch
 /// instead of re-paying the back-end (the paper's point that compilation
 /// latency dominates short-query response time, applied across process
@@ -31,6 +33,17 @@
 /// each store by evicting blobs LRU-by-mtime; loads touch their blob's
 /// mtime to keep hot entries resident.
 ///
+/// The cache also keeps an in-memory index of the blobs it knows are on
+/// disk, keyed by (fingerprint, config hash): one readdir fills it when
+/// the cache opens, this cache's stores and load hits add to it, and its
+/// own unlinks (rejects, GC evictions) and failed opens take entries out.
+/// mayHold() answers from it without a path string or a syscall, so a
+/// caller can skip a probe that would only miss: opening a name that is
+/// not there still waits on the directory's lock while other threads
+/// store. It is a hint, never a verdict: a blob another process stored or
+/// evicted since makes it stale, which costs one probe in the wrong place
+/// and nothing else, and load() still validates every blob it reads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCF_BACKEND_DISKCACHE_H
@@ -41,6 +54,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace qcf::backend {
@@ -81,6 +95,12 @@ public:
   /// suffix). Returns null when QCF_CODE_CACHE is unset or empty.
   static std::unique_ptr<DiskCodeCache>
   fromEnv(obs::MetricsRegistry *Reg = nullptr);
+
+  /// Whether a blob for (\p Key, \p B.cacheConfig()) may be on disk, by
+  /// the index (see the file comment). False means no blob was there when
+  /// this cache last looked; a probe may still find one another process
+  /// stored since.
+  bool mayHold(const ModuleFingerprint &Key, const Backend &B) const;
 
   /// Probes the cache for (\p Key, \p B.cacheConfig()). On a warm hit the
   /// blob is mmapped, validated (magic, version, key, checksum, config),
@@ -136,11 +156,29 @@ public:
   static std::vector<BlobInfo> scan(const std::string &Dir);
 
 private:
-  std::string blobPath(const ModuleFingerprint &Key,
-                       const std::string &Config) const;
+  /// A blob's identity, as its file name spells it.
+  struct BlobId {
+    ModuleFingerprint Key;
+    uint64_t ConfigHash = 0;
+    bool operator==(const BlobId &O) const {
+      return Key == O.Key && ConfigHash == O.ConfigHash;
+    }
+  };
+  struct BlobIdHash {
+    size_t operator()(const BlobId &B) const {
+      return FingerprintHash()(B.Key) ^ static_cast<size_t>(B.ConfigHash);
+    }
+  };
+
+  std::string blobPath(const BlobId &Id) const;
+  void indexAdd(const BlobId &Id);
+  void indexRemove(const BlobId &Id);
 
   std::string Dir;
   uint64_t BudgetBytes;
+
+  mutable std::mutex IndexMutex;
+  std::unordered_set<BlobId, BlobIdHash> Index; ///< Guarded by IndexMutex.
 
   obs::Counter &Hits;
   obs::Counter &Misses;

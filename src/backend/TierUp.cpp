@@ -27,10 +27,13 @@ CompiledModule *TierUp::wait(const qcf::CancelToken *Cancel) {
 
 void TierUp::finish() {
   // Claiming the queued job keeps every worker off it.
-  if (run())
+  if (run()) {
     settle(nullptr);
-  else
+    if (Svc)
+      Svc->cancelled(Key);
+  } else {
     wait();
+  }
 }
 
 void TierUp::settle(std::shared_ptr<CompiledModule> M) {

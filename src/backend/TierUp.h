@@ -57,7 +57,9 @@ public:
 
   /// Cancels the compile if it has not started, else waits it out. On
   /// return no worker runs the job. A submitter whose module or back-end
-  /// is borrowed must call this before freeing them.
+  /// is borrowed must call this before freeing them. A cancelled job
+  /// leaves the service's accounting (tenant share, drain(),
+  /// JobsCancelled) at once; only its queue slot waits for a worker's pop.
   void finish();
 
   /// Ends the pending state, installing \p M when it is non-null. Called
@@ -91,6 +93,11 @@ private:
   std::mutex Mutex; ///< Guards Keeper; the pending state ends under it.
   std::condition_variable Ended; ///< The pending state ended.
   std::shared_ptr<CompiledModule> Keeper; ///< Owns *Installed.
+  /// The service that queued this handle's job and the job's fairness
+  /// key, for finish() to end its accounting. Set by a submit that queues
+  /// the job; null otherwise.
+  CompileService *Svc = nullptr;
+  std::string Key;
 };
 
 /// Fast now, optimized later: submits the compile of \p M with \p Opt to

@@ -280,6 +280,57 @@ struct QueryRuntime {
   std::vector<std::unique_ptr<OsrDriver>> Drivers;
 };
 
+/// The executor's instruments in one registry, resolved once per registry
+/// and thread (a name lookup takes the registry's mutex) and each on its
+/// first use, so a name enters a snapshot only once something is recorded
+/// under it.
+class ExecMetrics {
+public:
+  /// This thread's instruments in \p Reg.
+  static ExecMetrics &of(obs::MetricsRegistry &Reg) {
+    thread_local ExecMetrics M;
+    if (M.RegId != Reg.id())
+      M = ExecMetrics(Reg);
+    return M;
+  }
+
+  obs::Counter &queries() { return get(Queries, "db.queries"); }
+  obs::Counter &rows() { return get(Rows, "db.query.rows"); }
+  obs::Counter &traps() { return get(Traps, "db.query.traps"); }
+  obs::Counter &cancelled() { return get(Cancelled, "db.query.cancelled"); }
+  obs::Histogram &execNs() { return get(ExecNs, "db.query.exec_ns"); }
+  obs::Histogram &compileNs() { return get(CompileNs, "db.query.compile_ns"); }
+  obs::Counter &swaps() { return get(Swaps, "exec.osr.swaps"); }
+  obs::Counter &mismatches() {
+    return get(Mismatches, "exec.osr.contract_mismatch");
+  }
+  obs::Counter &tooLate() { return get(TooLate, "exec.osr.too_late"); }
+  obs::Histogram &stallNs() { return get(StallNs, "exec.osr.stall_ns"); }
+  obs::Histogram &swapMorsel() {
+    return get(SwapMorsel, "exec.osr.swap_morsel");
+  }
+
+private:
+  ExecMetrics() = default;
+  explicit ExecMetrics(obs::MetricsRegistry &Reg)
+      : Reg(&Reg), RegId(Reg.id()) {}
+
+  obs::Counter &get(obs::Counter *&C, const char *Name) {
+    return C ? *C : *(C = &Reg->counter(Name));
+  }
+  obs::Histogram &get(obs::Histogram *&H, const char *Name) {
+    return H ? *H : *(H = &Reg->histogram(Name));
+  }
+
+  obs::MetricsRegistry *Reg = nullptr;
+  uint64_t RegId = 0;
+  obs::Counter *Queries = nullptr, *Rows = nullptr, *Traps = nullptr,
+               *Cancelled = nullptr, *Swaps = nullptr, *Mismatches = nullptr,
+               *TooLate = nullptr;
+  obs::Histogram *ExecNs = nullptr, *CompileNs = nullptr, *StallNs = nullptr,
+                 *SwapMorsel = nullptr;
+};
+
 /// Publishes the always-on structural query metrics and the spanning
 /// timeline slice.
 void finishQuery(const ExecOptions &Opts, ExecResult &Result,
@@ -288,27 +339,15 @@ void finishQuery(const ExecOptions &Opts, ExecResult &Result,
   QueryStats &S = Result.Stats;
   S.RowsOut = Out ? Out->numRows() - RowsBefore : 0;
 
-  obs::MetricsRegistry &Reg = Opts.Obs.registry();
-  // Resolved once per registry and thread: a name lookup takes the
-  // registry's mutex, and these four are bumped by every query.
-  struct Handles {
-    uint64_t RegId = 0;
-    obs::Counter *Queries, *Rows;
-    obs::Histogram *ExecNs, *CompileNs;
-  };
-  thread_local Handles H;
-  if (H.RegId != Reg.id())
-    H = {Reg.id(), &Reg.counter("db.queries"), &Reg.counter("db.query.rows"),
-         &Reg.histogram("db.query.exec_ns"),
-         &Reg.histogram("db.query.compile_ns")};
-  H.Queries->inc();
-  H.Rows->add(S.RowsOut);
-  H.ExecNs->observe(S.ExecNs);
-  H.CompileNs->observe(S.CompileNs);
+  ExecMetrics &M = ExecMetrics::of(Opts.Obs.registry());
+  M.queries().inc();
+  M.rows().add(S.RowsOut);
+  M.execNs().observe(S.ExecNs);
+  M.compileNs().observe(S.CompileNs);
   if (Result.Trapped)
-    Reg.counter("db.query.traps").inc();
+    M.traps().inc();
   if (Result.Cancelled)
-    Reg.counter("db.query.cancelled").inc();
+    M.cancelled().inc();
 
   if (obs::TraceSink *Sink = Opts.Obs.Sink) {
     Sink->completeEvent("db.query", "exec", QueryStartNs,
@@ -341,6 +380,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   CO.Cancel = Ctl;
   CO.FairnessKey = Opts.CompileFairnessKey;
   CO.Fingerprint = Plan.Fingerprint;
+  CO.ModuleOwner = Opts.PlanOwner;
 
   // AdaptiveExec starts on the fast tier while BE compiles the whole
   // module in the background; a refused submit leaves the query on the
@@ -393,7 +433,7 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
   // Swap outcomes: stats, exec.osr.* metrics, timeline markers. (A trap
   // or a cancel leaves later pipelines without drivers; their compiles
   // are torn down below without counting as "too late".)
-  obs::MetricsRegistry &Reg = Opts.Obs.registry();
+  ExecMetrics &M = ExecMetrics::of(Opts.Obs.registry());
   for (size_t PI = 0; PI != RT.Drivers.size(); ++PI) {
     OsrDriver &D = *RT.Drivers[PI];
     uint64_t Stall = D.WaitNs;
@@ -402,23 +442,22 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
     Result.Stats.Pipelines[PI].OsrStallNs = Stall;
     Result.Stats.OsrStallNs += Stall;
     if (Stall)
-      Reg.histogram("exec.osr.stall_ns").observe(Stall);
+      M.stallNs().observe(Stall);
     if (D.Inert)
       continue;
     if (D.Installed) {
       ++Result.Stats.OsrSwaps;
-      Reg.counter("exec.osr.swaps").inc();
+      M.swaps().inc();
       if (Swap >= 0)
-        Reg.histogram("exec.osr.swap_morsel").observe(
-            static_cast<uint64_t>(Swap));
+        M.swapMorsel().observe(static_cast<uint64_t>(Swap));
       if (obs::TraceSink *Sink = Opts.Obs.Sink)
         Sink->instantEvent("db.osr.swap." + Plan.Pipelines[PI].FnName, "exec",
                            D.SwapNs);
     } else if (D.Mismatch) {
-      Reg.counter("exec.osr.contract_mismatch").inc();
+      M.mismatches().inc();
     } else {
       // Compile never landed while the pipeline ran.
-      Reg.counter("exec.osr.too_late").inc();
+      M.tooLate().inc();
     }
   }
 

@@ -96,6 +96,13 @@ struct ExecOptions {
   /// registry, and timeline sink are all carried through compilation and
   /// execution (see obs/Obs.h).
   obs::ObsContext Obs;
+
+  /// Shares ownership of the plan passed to executeQuery, when the caller
+  /// holds it in a shared object (serve::Server's plan cache). It becomes
+  /// the compile's CompileOptions::ModuleOwner, so a code cache's
+  /// background compile keeps the plan's module alive instead of copying
+  /// it. Null = the plan is only borrowed for the call.
+  std::shared_ptr<const void> PlanOwner;
 };
 
 /// Per-pipeline breakdown of one executed query.

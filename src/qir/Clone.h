@@ -11,8 +11,8 @@
 /// so a clone is a verbatim copy of the storage vectors — the only
 /// cross-function state is the module's runtime-symbol table, which
 /// callers replicate first so SymbolIds embedded in Call instructions
-/// stay valid. Used by CachingBackend's background compile, which owns a
-/// copy of the module it compiles.
+/// stay valid. Used by CachingBackend's background compile when its
+/// caller shares no owner of the module (CompileOptions::ModuleOwner).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -377,6 +377,8 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     EO.Control = &S->Ctl;
     EO.CompileFairnessKey = S->Tenant;
     EO.Obs = obs::ObsContext(nullptr, &Reg, nullptr);
+    // A cold miss's background compile holds the plan, not a module copy.
+    EO.PlanOwner = Plan;
 
     // Without a caller's buffer the rows go to one this thread reuses,
     // cleared after every query; its memory is recycled blocks.

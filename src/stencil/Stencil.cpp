@@ -901,9 +901,20 @@ StencilBackend::compile(const qir::Module &M,
 
   if (Opts.Obs.Metrics) {
     obs::MetricsRegistry &Reg = *Opts.Obs.Metrics;
-    Reg.counter("mem.stencil.code.bytes").add(Result->image().codeBytes());
-    Reg.counter("mem.stencil.frame.bytes").add(FrameBytes);
-    Reg.counter("mem.stencil.compiles").inc();
+    // Resolved once per registry and thread: a name lookup takes the
+    // registry's mutex, and every compile bumps all three.
+    struct Handles {
+      uint64_t RegId = 0;
+      obs::Counter *CodeBytes, *FrameBytes, *Compiles;
+    };
+    thread_local Handles H;
+    if (H.RegId != Reg.id())
+      H = {Reg.id(), &Reg.counter("mem.stencil.code.bytes"),
+           &Reg.counter("mem.stencil.frame.bytes"),
+           &Reg.counter("mem.stencil.compiles")};
+    H.CodeBytes->add(Result->image().codeBytes());
+    H.FrameBytes->add(FrameBytes);
+    H.Compiles->inc();
   }
 
   if (Opts.Verify.Tv)

@@ -810,9 +810,10 @@ template <typename F> bool returnsWhileGated(FastTierCache &C, F Fn) {
 
 /// An AdaptiveExec query's own optimized compile borrows its plan and
 /// back-end, so the query finishes its handle before it returns. Queued
-/// behind a pinned worker, the job is cancelled there and never compiles;
-/// the worker counts it as cancelled when it reaches it, with no shutdown
-/// or drain.
+/// behind a pinned worker, the job is cancelled there and never compiles.
+/// It leaves the service's accounting at once: its tenant's share is free
+/// and it counts as cancelled while the worker is still pinned; only its
+/// queue slot waits for the pop, which does not count it again.
 TEST(TierUp, QueryEndCancelsQueuedJob) {
   const FastTierQuery &Q = fastTierQuery();
   CountingBackend Opt(createBackend("Craneline"));
@@ -822,23 +823,48 @@ TEST(TierUp, QueryEndCancelsQueuedJob) {
   db::ExecOptions O;
   O.AdaptiveExec = true;
   O.Service = &Svc;
+  O.CompileFairnessKey = "t";
   rt::OutputBuffer Out;
   db::ExecResult R = db::executeQuery(Q.Plan, Opt, Q.Cat, &Out, O);
   ASSERT_FALSE(R.Trapped);
   EXPECT_EQ(Out.unorderedDigest(), Q.Digest);
   EXPECT_EQ(R.Stats.OsrSwaps, 0u);
   EXPECT_EQ(Svc.queueDepth(), 1u) << "the query's job is still queued";
+  EXPECT_EQ(Svc.keyInFlight("t"), 0u) << "the cancelled job holds a share";
+  EXPECT_EQ(Svc.stats().JobsCancelled, 1u) << "counted only at the pop";
 
   EXPECT_NE(Pin.release(), nullptr);
+  Svc.drain();
+  Svc.shutdown(); // Joins the worker once it has popped the cancelled job.
+  EXPECT_EQ(Svc.queueDepth(), 0u);
   CompileServiceStats S = Svc.stats();
-  for (int I = 0; I != 5000 && S.JobsCompleted + S.JobsCancelled < 2; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    S = Svc.stats();
-  }
-  EXPECT_EQ(S.JobsCancelled, 1u) << "the query left its queued job to run";
+  EXPECT_EQ(S.JobsCancelled, 1u) << "the pop counted the job again";
   EXPECT_EQ(S.JobsCompleted, 1u);
   EXPECT_EQ(Opt.Compiles.load(), 0u);
 }
+
+namespace {
+
+/// A fast tier that compiles only once \p Opt's compile has started, so a
+/// query on it cannot end, and cancel that compile, before a worker runs it.
+class AfterOptStarts : public Backend {
+public:
+  explicit AfterOptStarts(GateBackend &Opt)
+      : Opt(Opt), Inner(createFastTier("Craneline")) {}
+  std::string name() const override { return Inner->name(); }
+  using Backend::compile;
+  std::unique_ptr<CompiledModule> compile(const qir::Module &M,
+                                          const CompileOptions &O) override {
+    Opt.waitStarted();
+    return Inner->compile(M, O);
+  }
+
+private:
+  GateBackend &Opt;
+  std::unique_ptr<Backend> Inner;
+};
+
+} // namespace
 
 /// The same query with its optimized compile already running: the
 /// query's end waits the job out, so executeQuery does not return while a
@@ -846,10 +872,12 @@ TEST(TierUp, QueryEndCancelsQueuedJob) {
 TEST(TierUp, QueryEndWaitsRunningJobOut) {
   const FastTierQuery &Q = fastTierQuery();
   GateBackend Opt(createBackend("Craneline"));
+  AfterOptStarts Fast(Opt);
   CompileService Svc(1);
   db::ExecOptions O;
   O.AdaptiveExec = true;
   O.Service = &Svc;
+  O.FastBackend = &Fast;
   rt::OutputBuffer Out;
   db::ExecResult R;
   std::atomic<bool> Returned{false};
@@ -943,6 +971,114 @@ TEST(CacheFastTier, LandedCompileIsAnL1HitAndStoredOnce) {
   EXPECT_EQ(D.Misses, 1u);
   EXPECT_EQ(D.Stores, 1u);
   EXPECT_EQ(C.Svc.stats().PerBackend.count("Craneline+cache"), 1u);
+}
+
+/// A cold miss in a fresh directory leaves the disk probe to its job: the
+/// query thread answers with fast-tier code without touching the
+/// directory, and the job, once it runs, counts the miss, compiles and
+/// stores the blob.
+TEST(CacheFastTier, ColdMissLeavesTheDiskProbeToTheJob) {
+  FastTierCache C;
+  PinnedWorker Pin(C.Svc);
+  ASSERT_NE(Pin.Up, nullptr);
+  qir::Module M;
+  buildAffine(M, 3);
+  auto Code = C.Cache->compile(M);
+  ASSERT_NE(Code, nullptr);
+  ASSERT_NE(Code->Optimized, nullptr);
+  EXPECT_EQ(Code->entryAs<int64_t (*)(int64_t)>("f")(2), 13);
+  EXPECT_EQ(C.Disk->stats().Misses, 0u) << "the query thread probed disk";
+
+  C.Gate->release();
+  EXPECT_NE(Pin.release(), nullptr);
+  CompiledModule *Landed = Code->Optimized->wait();
+  ASSERT_NE(Landed, nullptr);
+  EXPECT_EQ(Landed->entryAs<int64_t (*)(int64_t)>("f")(2), 13);
+  C.Svc.drain();
+  DiskCacheStats D = C.Disk->stats();
+  EXPECT_EQ(D.Misses, 1u);
+  EXPECT_EQ(D.Stores, 1u);
+  EXPECT_EQ(D.Hits, 0u);
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+}
+
+/// A blob another cache on the directory stored after this one opened is
+/// not in this one's index, so the miss answers with fast-tier code; its
+/// job then finds the blob and loads it instead of compiling, and the
+/// miss's handle installs the loaded module, which is also what memory
+/// holds.
+TEST(CacheFastTier, JobLoadsABlobStoredSinceTheIndexWasFilled) {
+  std::string T =
+      (std::filesystem::temp_directory_path() / "qcf_index_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(T.data()), nullptr);
+  obs::MetricsRegistry Reg, OtherReg;
+  DiskCodeCache Disk(T, 0, &Reg);
+  DiskCodeCache Other(T, 0, &OtherReg);
+  qir::Module M;
+  buildAffine(M, 5);
+  CachingBackend(createBackend("Craneline"), 0, nullptr, &OtherReg, &Other)
+      .compile(M);
+  ASSERT_EQ(Other.stats().Stores, 1u);
+
+  CompileService Svc{1, 0, &Reg};
+  auto Counting = std::make_unique<CountingBackend>(createBackend("Craneline"));
+  CountingBackend &Inner = *Counting;
+  EXPECT_FALSE(Disk.mayHold(fingerprintModule(M), Inner));
+  CachingBackend Cache(std::move(Counting), 0, &Svc, &Reg, &Disk,
+                       createFastTier("Craneline"));
+  auto Code = Cache.compile(M);
+  ASSERT_NE(Code, nullptr);
+  ASSERT_NE(Code->Optimized, nullptr) << "the miss ran no fast tier";
+  CompiledModule *Loaded = Code->Optimized->wait();
+  ASSERT_NE(Loaded, nullptr);
+  EXPECT_EQ(Loaded->entryAs<int64_t (*)(int64_t)>("f")(2), 17);
+  Svc.drain();
+  DiskCacheStats D = Disk.stats();
+  EXPECT_EQ(D.Hits, 1u);
+  EXPECT_EQ(D.Misses, 0u);
+  EXPECT_EQ(D.Stores, 0u) << "a load stored its blob again";
+  EXPECT_EQ(Inner.Compiles.load(), 0u);
+  EXPECT_EQ(Inner.Deserializes.load(), 1u);
+  EXPECT_TRUE(Disk.mayHold(fingerprintModule(M), Inner));
+  std::unique_ptr<CompiledModule> Hit = Cache.compile(M);
+  EXPECT_EQ(Hit->entry("f"), Loaded->entry("f"));
+  EXPECT_EQ(Cache.stats().Hits, 1u);
+  Svc.shutdown();
+  std::filesystem::remove_all(T);
+}
+
+/// A served plan owns its miss's background compile: the query's last
+/// reference to the plan goes while the job is queued behind a pinned
+/// worker, and the job then compiles the plan's own module, not a copy,
+/// which it kept alive.
+TEST(CacheFastTier, JobHoldsTheServedPlan) {
+  const FastTierQuery &Q = fastTierQuery();
+  FastTierCache C;
+  C.Gate->release();
+  PinnedWorker Pin(C.Svc);
+  ASSERT_NE(Pin.Up, nullptr);
+  auto Plan = std::make_shared<db::CompiledPlan>(
+      db::compileQuery(db::tpchQueries().at(0), Q.Cat));
+  const qir::Module *PlanModule = Plan->Module.get();
+  {
+    db::ExecOptions O;
+    O.PlanOwner = Plan;
+    rt::OutputBuffer Out;
+    db::ExecResult R = db::executeQuery(*Plan, *C.Cache, Q.Cat, &Out, O);
+    ASSERT_FALSE(R.Trapped);
+    EXPECT_EQ(Out.unorderedDigest(), Q.Digest);
+  }
+  Plan.reset(); // The queued job holds the last reference.
+  EXPECT_EQ(C.Counter->Compiles.load(), 0u);
+
+  EXPECT_NE(Pin.release(), nullptr);
+  C.Svc.drain();
+  EXPECT_EQ(C.Counter->Compiles.load(), 1u);
+  EXPECT_EQ(C.Counter->LastModule.load(), PlanModule)
+      << "the job compiled a copy";
+  // The landed module is an L1 hit that runs the query.
+  EXPECT_EQ(Q.run(*C.Cache), std::make_pair(Q.Rows, Q.Digest));
+  EXPECT_EQ(C.Cache->stats().Hits, 1u);
 }
 
 TEST(CacheFastTier, RefusedSubmitCompilesInline) {

@@ -39,6 +39,7 @@ public:
   std::unique_ptr<backend::CompiledModule>
   compile(const qir::Module &M, const backend::CompileOptions &Opts) override {
     ++Compiles;
+    LastModule = &M;
     if (Delay.count())
       std::this_thread::sleep_for(Delay);
     return Inner->compile(M, Opts);
@@ -51,6 +52,8 @@ public:
 
   std::atomic<uint64_t> Compiles{0};
   std::atomic<uint64_t> Deserializes{0};
+  /// The module the last compile was given.
+  std::atomic<const qir::Module *> LastModule{nullptr};
 
 private:
   std::unique_ptr<backend::Backend> Inner;

@@ -307,6 +307,41 @@ TEST(DiskCache, FlippedChecksumByteRejected) {
   EXPECT_TRUE(listBlobs(Dir.Path).empty());
 }
 
+/// The index behind DiskCodeCache::mayHold: filled from the directory when
+/// a cache opens and by its stores, keyed by config as well, and emptied
+/// of a blob the cache rejects.
+TEST(DiskCache, IndexTracksStoresAndRejects) {
+  TempDir Dir;
+  obs::MetricsRegistry Reg;
+  DiskCodeCache Cache(Dir.Path, 0, &Reg);
+  std::unique_ptr<Backend> BE = createBackend("DirectEmit");
+  qir::Module Absent;
+  buildAffine(Absent, 9);
+  EXPECT_FALSE(Cache.mayHold(fingerprintModule(Absent), *BE));
+  auto [Key, Blob] = storeOne(Cache, *BE);
+  EXPECT_TRUE(Cache.mayHold(Key, *BE));
+  EXPECT_FALSE(Cache.mayHold(Key, *createBackend("Craneline")))
+      << "another config's blob";
+
+  // A cache opened on the directory starts from the blobs in it.
+  obs::MetricsRegistry Reg2;
+  DiskCodeCache Reopened(Dir.Path, 0, &Reg2);
+  EXPECT_TRUE(Reopened.mayHold(Key, *BE));
+  EXPECT_FALSE(Reopened.mayHold(fingerprintModule(Absent), *BE));
+
+  // A corrupt blob is rejected, unlinked, and leaves the index.
+  int Fd = ::open(Blob.c_str(), O_RDWR);
+  ASSERT_GE(Fd, 0);
+  uint8_t Byte = 0;
+  ASSERT_EQ(::pread(Fd, &Byte, 1, 48), 1);
+  Byte ^= 0x40;
+  ASSERT_EQ(::pwrite(Fd, &Byte, 1, 48), 1);
+  ::close(Fd);
+  EXPECT_EQ(Reopened.load(Key, *BE, CompileOptions()), nullptr);
+  EXPECT_EQ(Reopened.stats().Rejected, 1u);
+  EXPECT_FALSE(Reopened.mayHold(Key, *BE));
+}
+
 TEST(DiskCache, StaleFormatVersionRejected) {
   TempDir Dir;
   obs::MetricsRegistry Reg;
@@ -437,6 +472,46 @@ TEST(DiskCache, GcEvictsOldestFirst) {
   EXPECT_EQ(Left.size(), 2u);
   EXPECT_EQ(std::count(Left.begin(), Left.end(), Blobs[0]), 0)
       << "GC must evict oldest-mtime first";
+}
+
+/// A blob the size-budget GC evicts leaves the index: afterwards the index
+/// holds exactly the blobs a load finds.
+TEST(DiskCache, GcEvictionLeavesTheIndex) {
+  TempDir Dir;
+  std::unique_ptr<Backend> BE = createBackend("DirectEmit");
+  CompileOptions Opts;
+  std::vector<ModuleFingerprint> Keys;
+  uint64_t Total = 0;
+  {
+    obs::MetricsRegistry Reg;
+    DiskCodeCache Unbounded(Dir.Path, 0, &Reg);
+    for (int64_t K : {1, 2, 3}) {
+      qir::Module M;
+      buildAffine(M, K);
+      std::unique_ptr<CompiledModule> C = BE->compile(M, Opts);
+      Keys.push_back(fingerprintModule(M));
+      ASSERT_TRUE(Unbounded.store(Keys.back(), *BE, *C, Opts));
+    }
+    for (const std::string &Blob : listBlobs(Dir.Path)) {
+      struct stat St;
+      ASSERT_EQ(::stat(Blob.c_str(), &St), 0);
+      Total += uint64_t(St.st_size);
+    }
+  }
+
+  obs::MetricsRegistry Reg;
+  DiskCodeCache Bounded(Dir.Path, Total - 1, &Reg);
+  for (const ModuleFingerprint &K : Keys)
+    EXPECT_TRUE(Bounded.mayHold(K, *BE));
+  EXPECT_EQ(Bounded.gc(), 1u);
+  int Held = 0;
+  for (const ModuleFingerprint &K : Keys) {
+    bool MayHold = Bounded.mayHold(K, *BE);
+    Held += MayHold;
+    EXPECT_EQ(MayHold, Bounded.load(K, *BE, Opts) != nullptr);
+  }
+  EXPECT_EQ(Held, 2);
+  EXPECT_EQ(Bounded.stats().Misses, 1u);
 }
 
 TEST(DiskCache, GcTieBreaksSameMtimeDeterministically) {
