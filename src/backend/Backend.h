@@ -22,10 +22,12 @@
 #include "support/TimeTrace.h"
 #include "support/VerifyOptions.h"
 #include "tv/Tv.h"
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qcf::backend {
@@ -87,7 +89,8 @@ struct CompileOptions {
   /// keys are counted per key; a service configured with a queue share
   /// for the key (setKeyQueueShare) rejects submissions beyond that
   /// share so one tenant cannot monopolize the bounded compile queue.
-  std::string FairnessKey;
+  /// Borrowed for the call: a queued job keeps its own copy.
+  std::string_view FairnessKey;
 
   /// fingerprintModule() of the module being compiled, when the caller
   /// already has it (db::compileQuery computes it once per lowered plan).
@@ -117,7 +120,14 @@ struct CompileOptions {
 /// passed to runtime functions as callbacks.
 class CompiledModule {
 public:
+  CompiledModule()
+      : CodeId(NextCodeId.fetch_add(1, std::memory_order_relaxed)) {}
   virtual ~CompiledModule() = default;
+
+  /// Names the code entry() hands out, never reused in the process, so
+  /// what was found in it may be kept keyed by it (db::PlanBinding). A
+  /// handle onto another module's code carries that module's id.
+  const uint64_t CodeId;
 
   /// Entry point of \p Name; null if the function does not exist.
   virtual void *entry(const std::string &Name) = 0;
@@ -153,6 +163,13 @@ public:
   /// For fast-tier code from backend::compileTiered, the optimized compile
   /// of the same module, which db::executeQuery swaps to once it installs.
   std::shared_ptr<TierUp> Optimized;
+
+protected:
+  /// A handle on \p Code's code.
+  explicit CompiledModule(const CompiledModule *Code) : CodeId(Code->CodeId) {}
+
+private:
+  static inline std::atomic<uint64_t> NextCodeId{1};
 };
 
 /// A compilation back-end. Implementations: interp, stencil, direct,

@@ -177,7 +177,7 @@ class SharedModule : public CompiledModule {
 public:
   explicit SharedModule(std::shared_ptr<CompiledModule> Inner,
                         std::shared_ptr<TierUp> Up = nullptr)
-      : Inner(std::move(Inner)) {
+      : CompiledModule(Inner.get()), Inner(std::move(Inner)) {
     Optimized = std::move(Up);
   }
   static void *operator new(size_t Bytes) { return blocks::allocate(Bytes); }

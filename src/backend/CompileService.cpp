@@ -64,7 +64,7 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
                             const CompileOptions &Opts,
                             std::shared_ptr<void> Owner,
                             std::shared_ptr<TierUp> Up) {
-  const std::string &Key = Opts.FairnessKey;
+  std::string_view Key = Opts.FairnessKey;
   // Fairness-share check and in-flight accounting, atomically: two
   // concurrent submits for the same key must not both slip under the
   // share.
@@ -72,7 +72,7 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
     std::lock_guard<std::mutex> Lock(LifecycleMutex);
     if (!Key.empty()) {
       auto ShareIt = KeyShares.find(Key);
-      uint64_t &InFlight = KeyInFlightCount[Key];
+      uint64_t &InFlight = KeyInFlightCount[std::string(Key)];
       if (ShareIt != KeyShares.end() && InFlight >= ShareIt->second) {
         RejectedTenant.inc();
         return false;
@@ -87,8 +87,10 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
   TierUp &Handle = *Up;
   Handle.Svc = this;
   Handle.Key = Key;
-  auto R = Queue.tryPush(
-      {&M, &BE, Opts, nowNs(), std::move(Owner), std::move(Up)});
+  detail::CompileJob Job{&M, &BE, Opts, nowNs(), std::move(Owner),
+                         std::move(Up)};
+  Job.Opts.FairnessKey = Handle.Key; // The caller's characters may go.
+  auto R = Queue.tryPush(std::move(Job));
   if (R != decltype(Queue)::PushResult::Ok) {
     // Refused: full, or closed by shutdown(). The handle goes back to its
     // caller as it came.
@@ -104,12 +106,12 @@ bool CompileService::submit(const qir::Module &M, Backend &BE,
   return true;
 }
 
-void CompileService::cancelled(const std::string &Key) {
+void CompileService::cancelled(std::string_view Key) {
   JobsCancelled.inc();
   unaccount(Key);
 }
 
-void CompileService::unaccount(const std::string &Key) {
+void CompileService::unaccount(std::string_view Key) {
   std::lock_guard<std::mutex> Lock(LifecycleMutex);
   if (!Key.empty()) {
     auto It = KeyInFlightCount.find(Key);

@@ -165,9 +165,9 @@ private:
   /// Counts a queued job cancelled before it started and ends its
   /// accounting: at once when TierUp::finish() claims it, at the pop when
   /// shutdown() cancels it. Its queue slot frees only at the pop.
-  void cancelled(const std::string &Key);
+  void cancelled(std::string_view Key);
   /// Ends the pending/key accounting of a job under fairness key \p Key.
-  void unaccount(const std::string &Key);
+  void unaccount(std::string_view Key);
   /// The latency histogram of back-end \p Name's jobs, resolved on its
   /// first completed job and then once per name.
   obs::Histogram &latency(const std::string &Name);
@@ -182,8 +182,8 @@ private:
   std::condition_variable AllDoneCv; ///< Signalled when Pending hits 0.
   uint64_t Pending = 0;              ///< Accepted, not yet terminal.
   /// In-flight job count per fairness key, and the configured shares.
-  std::map<std::string, uint64_t> KeyInFlightCount;
-  std::map<std::string, uint64_t> KeyShares;
+  std::map<std::string, uint64_t, std::less<>> KeyInFlightCount;
+  std::map<std::string, uint64_t, std::less<>> KeyShares;
 
   obs::MetricsRegistry *Reg;
   std::string Prefix;

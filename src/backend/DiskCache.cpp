@@ -406,8 +406,9 @@ bool DiskCodeCache::store(const ModuleFingerprint &Key, Backend &B,
   };
   bool Ok = WriteAll(Header, HeaderSize) &&
             WriteAll(BodyBytes.data(), BodyBytes.size());
+  // Through the fd: no path walk, and no swapped path can redirect it.
+  ::fchmod(Fd, 0644);
   Ok = (::close(Fd) == 0) && Ok;
-  ::fchmodat(AT_FDCWD, Tmp.c_str(), 0644, 0);
   if (!Ok || ::rename(Tmp.c_str(), blobPath(Id).c_str()) != 0) {
     ::unlink(Tmp.c_str());
     return false;

@@ -13,10 +13,12 @@
 
 #include "db/Codegen.h"
 #include "backend/Cache.h"
+#include "db/Osr.h"
 #include "qir/Builder.h"
 #include "qir/Print.h"
 #include "qir/Verify.h"
 #include "runtime/Runtime.h"
+#include "support/Hash.h"
 #include <string_view>
 #include <type_traits>
 
@@ -118,8 +120,8 @@ Schema schemaOf(const PlanNode *N, const Catalog &Cat) {
     Schema S;
     const Table *T = Cat.find(N->TableName);
     assert(T && "unknown table");
-    S.Cols.reserve(T->Columns.size());
-    for (const Column &C : T->Columns)
+    S.Cols.reserve(T->columns().size());
+    for (const Column &C : T->columns())
       S.Cols.push_back({C.Name, exprTypeFor(C.Ty)});
     return S;
   }
@@ -175,7 +177,6 @@ class QueryCompiler {
 public:
   QueryCompiler(const Query &Q, const Catalog &Cat) : Q(Q), Cat(Cat) {
     Out.Module = std::make_unique<qir::Module>();
-    Out.QueryName = Q.Name;
     Syms = rt::declareRuntime(*Out.Module);
   }
 
@@ -193,6 +194,8 @@ public:
     }
     Out.Fingerprint = backend::fingerprintModule(*Out.Module);
     Out.NumCtxSlots = NextSlot;
+    for (PipelineDesc &P : Out.Pipelines)
+      P.Contract = osrContract(P.FnName, NextSlot);
     return std::move(Out);
   }
 
@@ -315,9 +318,9 @@ private:
     recordRead(*T);
     PipelineDesc Desc;
     Desc.Src = PipelineDesc::Source::TableScan;
-    Desc.SourceTable = N->TableName;
+    Desc.SourceTable = T;
     openPipeline(std::move(Desc), [this, T, C] {
-      for (const Column &Col : T->Columns)
+      for (const Column &Col : T->columns())
         bind({Col.Name, Binding::Kind::TableColumn}).Col = &Col;
       C();
     });
@@ -330,9 +333,8 @@ private:
       if (R.T == &T)
         return;
     TableRead R{T.Name, &T, {}};
-    R.Columns.reserve(T.Columns.size());
-    for (const Column &Col : T.Columns)
-      R.Columns.push_back({Col.Name, Col.Ty, &Col, Col.raw()});
+    for (const Column &Col : T.columns())
+      R.Raw.push_back(Col.raw());
     Out.Reads.push_back(std::move(R));
   }
 
@@ -1087,22 +1089,18 @@ CompiledPlan db::compileQuery(const Query &Q, const Catalog &Cat) {
 
 bool CompiledPlan::matchesCatalog(const Catalog &Cat) const {
   for (const TableRead &R : Reads) {
-    if (Cat.find(R.TableName) != R.T || R.T->Columns.size() != R.Columns.size())
+    if (Cat.find(R.TableName) != R.T || R.T->columns().size() != R.Raw.size())
       return false;
-    for (size_t I = 0; I != R.Columns.size(); ++I) {
-      const TableRead::ColumnRead &C = R.Columns[I];
-      const Column &Now = R.T->Columns[I];
-      if (&Now != C.Col || Now.Ty != C.Ty || Now.raw() != C.Raw ||
-          Now.Name != C.Name)
+    for (size_t I = 0; I != R.Raw.size(); ++I)
+      if (R.T->columns()[I].raw() != R.Raw[I])
         return false;
-    }
   }
   return true;
 }
 
 namespace {
 
-/// The encoder behind encodeQuery. Each node writes its kind tag, then
+/// The encoder behind queryKey. Each node writes its kind tag, then
 /// exactly the fields compileQuery reads for that kind; strings and
 /// lists carry their lengths, so the encoding is injective.
 struct QueryEncoder {
@@ -1190,10 +1188,19 @@ struct QueryEncoder {
 
 } // namespace
 
-void db::encodeQuery(const Query &Q, std::string &Out) {
-  Out.clear();
-  QueryEncoder Enc{Out};
+std::shared_ptr<const QueryKey> db::queryKey(const Query &Q) {
+  std::shared_ptr<const QueryKey> Memo = Q.KeyMemo.load();
+  if (Memo && Memo->describes(Q))
+    return Memo;
+  auto K = std::make_shared<QueryKey>();
+  QueryEncoder Enc{K->Bytes};
   Enc.str(Q.Name);
   Enc.plan(*Q.Root);
   Enc.exprs(Q.Output);
+  K->Hash = hashBytes(K->Bytes.data(), K->Bytes.size());
+  K->Name = Q.Name;
+  K->Root = Q.Root;
+  K->Output = Q.Output;
+  Q.KeyMemo.store(K);
+  return K;
 }

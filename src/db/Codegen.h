@@ -44,25 +44,29 @@ struct PipelineDesc {
   std::string FnName;
   enum class Source : uint8_t { TableScan, HtScan, SortedScan };
   Source Src;
-  std::string SourceTable; ///< TableScan.
+  const Table *SourceTable = nullptr; ///< TableScan; one of the plan's Reads.
   int SourceObject = -1;   ///< Index into Objects for HtScan/SortedScan.
   int SortObject = -1; ///< Object to sort after this pipeline completes.
+  uint64_t Contract = 0; ///< osrContract(FnName, the plan's NumCtxSlots).
 };
 
 /// One scanned table as lowering saw it. Codegen derives the scan's
 /// schema from the table's column list and bakes each column's base
-/// address into the code, so the plan is only valid while all of this
-/// still holds.
+/// address into the code, so the plan is only valid while both hold (a
+/// column's name and type never change).
 struct TableRead {
-  struct ColumnRead {
-    std::string Name;
-    ColType Ty;
-    const Column *Col;
-    const void *Raw; ///< Col->raw() at lowering time.
-  };
   std::string TableName;
   const Table *T;
-  std::vector<ColumnRead> Columns; ///< Every column, in table order.
+  std::vector<const void *> Raw; ///< Each column's raw(), in table order.
+};
+
+/// A plan's entries in one compiled module, in Pipelines and Objects order
+/// (null for objects without a comparator), found by name on the plan's
+/// first run on that code (db::executeQuery).
+struct PlanBinding {
+  uint64_t CodeId = 0; ///< backend::CompiledModule::CodeId of that code.
+  std::vector<void *> Pipelines;
+  std::vector<void *> Comparators;
 };
 
 /// A compiled query: QIR module plus execution metadata.
@@ -76,12 +80,13 @@ struct CompiledPlan {
   std::vector<PipelineDesc> Pipelines;
   std::vector<RuntimeObject> Objects;
   uint32_t NumCtxSlots = 0;
-  std::string QueryName;
   std::vector<TableRead> Reads; ///< What lowering read from the catalog.
+  /// The binding executeQuery last made or used; concurrent runs share it.
+  mutable SharedSlot<PlanBinding> Binding;
 
-  /// True when every table and column in Reads is unchanged in \p Cat:
-  /// same objects, names, types and base addresses. A plan that fails
-  /// this must be lowered again before it runs.
+  /// True when every table in Reads is \p Cat's table of that name, with
+  /// the same columns at the same base addresses. A plan that fails this
+  /// must be lowered again before it runs.
   bool matchesCatalog(const Catalog &Cat) const;
 };
 
@@ -89,12 +94,11 @@ struct CompiledPlan {
 /// (column base addresses are hard-wired into the generated code).
 CompiledPlan compileQuery(const Query &Q, const Catalog &Cat);
 
-/// Writes the canonical byte encoding of \p Q into \p Out (replacing
-/// its contents): every field compileQuery reads, tagged and
-/// length-prefixed, so two queries encode equal exactly when they lower
-/// to the same plan over the same catalog. Reusing \p Out across calls
-/// makes encoding allocation-free once its capacity suffices.
-void encodeQuery(const Query &Q, std::string &Out);
+/// \p Q's key: its memo (Query::KeyMemo) while that still describes \p Q,
+/// else a fresh one, which becomes the memo. The bytes hold every field
+/// compileQuery reads, tagged and length-prefixed, so two queries encode
+/// equal exactly when they lower to the same plan over the same catalog.
+std::shared_ptr<const QueryKey> queryKey(const Query &Q);
 
 } // namespace qcf::db
 

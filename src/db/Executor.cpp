@@ -26,9 +26,9 @@ namespace {
 /// the install runs optimized code from its first morsel. The driver lives on the query
 /// thread; only the TierUp is shared with the compile worker.
 struct OsrDriver {
-  OsrDriver(TierCell &Cell, backend::TierUp &Up, std::string FnName,
-            uint64_t Contract, const ExecOptions &Opts)
-      : Cell(Cell), Up(Up), FnName(std::move(FnName)), Contract(Contract),
+  OsrDriver(TierCell &Cell, backend::TierUp &Up, const PipelineDesc &P,
+            const ExecOptions &Opts)
+      : Cell(Cell), Up(Up), FnName(P.FnName), Contract(P.Contract),
         ForceMorsel(Opts.OsrForceSwapMorsel), Ctl(Opts.Control),
         // Nothing pending or installed (the compile was cancelled):
         // nothing to drive, and nothing to count at finalize.
@@ -70,7 +70,7 @@ struct OsrDriver {
 
   TierCell &Cell;
   backend::TierUp &Up; ///< Owns the optimized code the pipeline may run.
-  const std::string FnName;
+  const std::string &FnName; ///< The plan's; looked up once, at the swap.
   const uint64_t Contract;
   const int64_t ForceMorsel;
   ExecControl *const Ctl;
@@ -130,9 +130,8 @@ void runPipeline(TierCell &Cell, void *Ctx, uint64_t Rows,
 /// and arena slabs) is recycled blocks of the query thread, so a warm
 /// query reuses the last one's.
 struct QueryRuntime {
-  QueryRuntime(const CompiledPlan &Plan, const Catalog &Cat,
-               rt::OutputBuffer *Out)
-      : Plan(Plan), Cat(Cat), Ctx(Plan.NumCtxSlots, 0),
+  QueryRuntime(const CompiledPlan &Plan, rt::OutputBuffer *Out)
+      : Plan(Plan), Ctx(Plan.NumCtxSlots, 0),
         Tables(Plan.Objects.size()), Buffers(Plan.Objects.size()) {
     Ctx[0] = reinterpret_cast<uint64_t>(Out);
     Ctx[1] = reinterpret_cast<uint64_t>(&QueryArena);
@@ -141,11 +140,8 @@ struct QueryRuntime {
   /// Source row count of pipeline \p P: the range its morsels cover.
   uint64_t sourceRows(const PipelineDesc &P) const {
     switch (P.Src) {
-    case PipelineDesc::Source::TableScan: {
-      const Table *T = Cat.find(P.SourceTable);
-      assert(T && "unknown table at execution");
-      return T->numRows();
-    }
+    case PipelineDesc::Source::TableScan:
+      return P.SourceTable->numRows();
     case PipelineDesc::Source::HtScan:
       return Tables[P.SourceObject]->count();
     case PipelineDesc::Source::SortedScan: {
@@ -201,12 +197,12 @@ struct QueryRuntime {
     }
   }
 
-  /// Runs every pipeline on \p Code's entries, each with a swap driver
-  /// onto \p Up's module when Code carries a pending optimized compile.
-  /// Fills PipeStats with per-pipeline rows, wall time, and morsel/tier
-  /// accounting, and emits one timeline slice per pipeline when a sink is
-  /// attached.
-  rt::TrapCode runAll(const ExecOptions &Opts, backend::CompiledModule &Code,
+  /// Runs every pipeline on the entries of \p B, each with a swap driver
+  /// onto \p Up's module when the code carries a pending optimized
+  /// compile. Fills PipeStats with per-pipeline rows, wall time, and
+  /// morsel/tier accounting, and emits one timeline slice per pipeline
+  /// when a sink is attached.
+  rt::TrapCode runAll(const ExecOptions &Opts, const PlanBinding &B,
                       backend::TierUp *Up) {
     PipeStats.resize(Plan.Pipelines.size());
     ExecControl *Ctl = Opts.Control;
@@ -221,16 +217,15 @@ struct QueryRuntime {
 
         // The entry and cell live while the pipeline runs; a trap's
         // longjmp may skip them, as neither has a destructor.
-        uint64_t Contract = osrContract(P.FnName, Plan.NumCtxSlots);
-        auto *Fn = reinterpret_cast<PipeFn>(Code.entry(P.FnName));
+        auto *Fn = reinterpret_cast<PipeFn>(B.Pipelines[PI]);
         assert(Fn && "missing pipeline entry point");
-        TierEntry FastEntry{Fn, OsrTierFast, Contract};
+        TierEntry FastEntry{Fn, OsrTierFast, P.Contract};
         TierCell Cell(&FastEntry);
         OsrDriver *Osr = nullptr;
         if (Up)
           Osr = Drivers
-                    .emplace_back(std::make_unique<OsrDriver>(
-                        Cell, *Up, P.FnName, Contract, Opts))
+                    .emplace_back(
+                        std::make_unique<OsrDriver>(Cell, *Up, P, Opts))
                     .get();
 
         PipelineStats &S = PipeStats[PI];
@@ -243,9 +238,9 @@ struct QueryRuntime {
         // of the optimized module once it is installed.
         if (P.SortObject >= 0) {
           const RuntimeObject &Obj = Plan.Objects[P.SortObject];
-          backend::CompiledModule *M =
-              Up && Up->installed() ? Up->installed() : &Code;
-          void *Cmp = M->entry(Obj.CmpFnName);
+          backend::CompiledModule *Opt = Up ? Up->installed() : nullptr;
+          void *Cmp = Opt ? Opt->entry(Obj.CmpFnName)
+                          : B.Comparators[P.SortObject];
           assert(Cmp && "missing comparator entry point");
           rt_sort(reinterpret_cast<void *>(Ctx[Obj.Slot]), Ctx[Obj.CountSlot],
                   Obj.RowStride, Cmp);
@@ -268,7 +263,6 @@ struct QueryRuntime {
   }
 
   const CompiledPlan &Plan;
-  const Catalog &Cat;
   BlockVector<uint64_t> Ctx;
   Arena QueryArena;
   BlockVector<std::unique_ptr<rt::HashTable>> Tables;
@@ -279,6 +273,25 @@ struct QueryRuntime {
   /// The swap drivers of the pipelines that started, in pipeline order.
   std::vector<std::unique_ptr<OsrDriver>> Drivers;
 };
+
+/// \p Plan's entries in \p Code: the binding the plan last used when it
+/// was made for this code, else a new one, which becomes the plan's.
+std::shared_ptr<const PlanBinding> bindPlan(const CompiledPlan &Plan,
+                                            backend::CompiledModule &Code) {
+  std::shared_ptr<const PlanBinding> Last = Plan.Binding.load();
+  if (Last && Last->CodeId == Code.CodeId)
+    return Last;
+  auto B = std::make_shared<PlanBinding>();
+  B->CodeId = Code.CodeId;
+  for (const PipelineDesc &P : Plan.Pipelines)
+    B->Pipelines.push_back(Code.entry(P.FnName));
+  for (const RuntimeObject &Obj : Plan.Objects)
+    B->Comparators.push_back(Obj.K == RuntimeObject::Kind::SortBuffer
+                                 ? Code.entry(Obj.CmpFnName)
+                                 : nullptr);
+  Plan.Binding.store(B);
+  return B;
+}
 
 /// The executor's instruments in one registry, resolved once per registry
 /// and thread (a name lookup takes the registry's mutex) and each on its
@@ -419,9 +432,10 @@ ExecResult db::executeQuery(const CompiledPlan &Plan, backend::Backend &BE,
     return Result;
   }
 
-  QueryRuntime RT(Plan, Cat, Out);
+  std::shared_ptr<const PlanBinding> Bound = bindPlan(Plan, *Code);
+  QueryRuntime RT(Plan, Out);
   uint64_t ExecStartNs = nowNs();
-  rt::TrapCode Trap = RT.runAll(Opts, *Code, Code->Optimized.get());
+  rt::TrapCode Trap = RT.runAll(Opts, *Bound, Code->Optimized.get());
   Result.Stats.ExecNs = nowNs() - ExecStartNs;
   if (Trap != rt::TrapCode::None) {
     Result.Trapped = true;

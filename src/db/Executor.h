@@ -62,8 +62,9 @@ struct ExecOptions {
 
   /// Fairness key (CompileOptions::FairnessKey) stamped on every compile
   /// this call submits to a CompileService — the serving layer sets it
-  /// to the tenant name so per-tenant compile-queue shares apply.
-  std::string CompileFairnessKey;
+  /// to the tenant name so per-tenant compile-queue shares apply. The
+  /// characters must outlive the call.
+  std::string_view CompileFairnessKey;
 
   /// Service for AdaptiveExec's optimized compile; AdaptiveExec requires
   /// it. A compile it refuses leaves the query on the fast tier.
@@ -159,6 +160,7 @@ struct ExecResult {
 };
 
 /// Compiles \p Plan with \p BE and runs it; results append to \p Out.
+/// \p Cat is the catalog the plan was lowered against and still matches.
 /// Structural query metrics ("db.query.*") always land in
 /// Opts.Obs.registry(); per-pipeline timeline slices are emitted when
 /// Opts.Obs.Sink is set.

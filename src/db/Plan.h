@@ -10,7 +10,9 @@
 /// (hash-join builds, aggregations and sorts are pipeline breakers).
 /// Expressions are typed trees over named columns; decimals are 128-bit
 /// with overflow-checked arithmetic. A field the code generator reads must
-/// also be written by db::encodeQuery, the serving plan cache's key.
+/// also be encoded by db::queryKey, the serving plan cache's key. Nodes
+/// are frozen once built (shared_ptr<const ...>), so subtrees may be
+/// shared and a query's memoized key can tell a changed query by identity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +22,35 @@
 #include "db/Table.h"
 #include "runtime/Runtime.h"
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace qcf::db {
+
+/// A shared_ptr<const T> threads may load and replace at once, guarded by
+/// a mutex (libstdc++ 12's atomic<shared_ptr> trips ThreadSanitizer).
+template <typename T> class SharedSlot {
+public:
+  SharedSlot() = default;
+  SharedSlot(const SharedSlot &O) : P(O.load()) {}
+  SharedSlot &operator=(const SharedSlot &O) {
+    store(O.load());
+    return *this;
+  }
+  std::shared_ptr<const T> load() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return P;
+  }
+  void store(std::shared_ptr<const T> Next) { // Frees the old one unlocked.
+    std::lock_guard<std::mutex> Lock(Mutex);
+    P.swap(Next);
+  }
+
+private:
+  mutable std::mutex Mutex;
+  std::shared_ptr<const T> P;
+};
 
 /// Expression result types (narrow integer columns promote to I64).
 enum class ExprType : uint8_t { I64, Decimal, Str, Bool, F64 };
@@ -69,33 +96,34 @@ struct Expr {
     CaseWhen, ///< Kids = {cond, then, else}.
   };
 
-  Kind K;
-  ExprType Ty;
-  std::string Name;          ///< ColRef.
+  // Every field has an initializer, so builders name only what they set.
+  Kind K{};
+  ExprType Ty{};
+  std::string Name{};        ///< ColRef.
   int64_t IntVal = 0;        ///< ConstI64.
   Int128 DecVal = 0;         ///< ConstDec.
-  std::string StrVal;        ///< ConstStr.
-  std::vector<std::unique_ptr<Expr>> Kids;
+  std::string StrVal{};      ///< ConstStr.
+  std::vector<std::shared_ptr<const Expr>> Kids{};
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = std::shared_ptr<const Expr>;
+
+/// Freezes a built node: from here on it is shared and never changes.
+template <typename NodeT> std::shared_ptr<const NodeT> freeze(NodeT N) {
+  return std::make_shared<const NodeT>(std::move(N));
+}
 
 // --- Expression builders ------------------------------------------------------
 
 inline ExprPtr col(const std::string &Name) {
-  auto E = std::make_unique<Expr>();
-  E->K = Expr::Kind::ColRef;
-  E->Ty = ExprType::I64; // Resolved against the schema during codegen.
-  E->Name = Name;
-  return E;
+  // The type is resolved against the schema during codegen.
+  return freeze(
+      Expr{.K = Expr::Kind::ColRef, .Ty = ExprType::I64, .Name = Name});
 }
 
 inline ExprPtr litI64(int64_t V) {
-  auto E = std::make_unique<Expr>();
-  E->K = Expr::Kind::ConstI64;
-  E->Ty = ExprType::I64;
-  E->IntVal = V;
-  return E;
+  return freeze(
+      Expr{.K = Expr::Kind::ConstI64, .Ty = ExprType::I64, .IntVal = V});
 }
 
 inline ExprPtr litDate(int Year, unsigned Month, unsigned Day) {
@@ -103,32 +131,23 @@ inline ExprPtr litDate(int Year, unsigned Month, unsigned Day) {
 }
 
 inline ExprPtr litDec(int64_t Cents) {
-  auto E = std::make_unique<Expr>();
-  E->K = Expr::Kind::ConstDec;
-  E->Ty = ExprType::Decimal;
-  E->DecVal = Cents;
-  return E;
+  return freeze(Expr{
+      .K = Expr::Kind::ConstDec, .Ty = ExprType::Decimal, .DecVal = Cents});
 }
 
 inline ExprPtr litStr(const std::string &S) {
-  auto E = std::make_unique<Expr>();
-  E->K = Expr::Kind::ConstStr;
-  E->Ty = ExprType::Str;
-  E->StrVal = S;
-  return E;
+  return freeze(
+      Expr{.K = Expr::Kind::ConstStr, .Ty = ExprType::Str, .StrVal = S});
 }
 
 inline ExprPtr mk(Expr::Kind K, ExprType Ty, ExprPtr A, ExprPtr B = nullptr,
                   ExprPtr C = nullptr) {
-  auto E = std::make_unique<Expr>();
-  E->K = K;
-  E->Ty = Ty;
-  E->Kids.push_back(std::move(A));
+  Expr E{.K = K, .Ty = Ty, .Kids = {std::move(A)}};
   if (B)
-    E->Kids.push_back(std::move(B));
+    E.Kids.push_back(std::move(B));
   if (C)
-    E->Kids.push_back(std::move(C));
-  return E;
+    E.Kids.push_back(std::move(C));
+  return freeze(std::move(E));
 }
 
 inline ExprPtr add(ExprPtr A, ExprPtr B) {
@@ -181,22 +200,15 @@ inline ExprPtr caseWhen(ExprPtr Cond, ExprPtr Then, ExprPtr Else) {
             std::move(Else));
 }
 inline ExprPtr between(ExprPtr V, ExprPtr Lo, ExprPtr Hi) {
-  auto VCopy = std::make_unique<Expr>();
-  // Between duplicates the value reference; restrict to ColRef for
-  // simplicity.
-  assert(V->K == Expr::Kind::ColRef && "between requires a column");
-  *VCopy = Expr{};
-  VCopy->K = Expr::Kind::ColRef;
-  VCopy->Ty = V->Ty;
-  VCopy->Name = V->Name;
+  ExprPtr Again = V; // Nodes are immutable, so both bounds share the value.
   return and_(ge(std::move(V), std::move(Lo)),
-              le(std::move(VCopy), std::move(Hi)));
+              le(std::move(Again), std::move(Hi)));
 }
 
 // --- Plan nodes ---------------------------------------------------------------
 
 struct PlanNode;
-using PlanPtr = std::unique_ptr<PlanNode>;
+using PlanPtr = std::shared_ptr<const PlanNode>;
 
 /// Aggregate function kinds.
 enum class AggKind : uint8_t { Sum, Count, Min, Max, Avg };
@@ -214,91 +226,98 @@ struct SortKey {
 
 struct PlanNode {
   enum class Kind : uint8_t { Scan, Filter, HashJoin, Aggregate, Sort };
-  Kind K;
+  Kind K{};
 
   // Scan.
-  std::string TableName;
+  std::string TableName{};
 
   // Filter.
-  ExprPtr Pred;
+  ExprPtr Pred{};
 
   // HashJoin: probe side is Child, build side is Build.
-  std::vector<ExprPtr> ProbeKeys;
-  std::vector<ExprPtr> BuildKeys;
-  std::vector<std::string> BuildPayload; ///< Build columns carried along.
+  std::vector<ExprPtr> ProbeKeys{};
+  std::vector<ExprPtr> BuildKeys{};
+  std::vector<std::string> BuildPayload{}; ///< Build columns carried along.
 
   // Aggregate.
-  std::vector<ExprPtr> GroupKeys;
-  std::vector<std::string> GroupNames;
-  std::vector<AggSpec> Aggs;
+  std::vector<ExprPtr> GroupKeys{};
+  std::vector<std::string> GroupNames{};
+  std::vector<AggSpec> Aggs{};
 
   // Sort.
-  std::vector<SortKey> SortKeys;
+  std::vector<SortKey> SortKeys{};
   uint64_t Limit = 0; ///< 0 = unlimited.
 
-  PlanPtr Child;
-  PlanPtr Build;
+  PlanPtr Child{};
+  PlanPtr Build{};
 };
 
 inline PlanPtr scan(const std::string &Table) {
-  auto P = std::make_unique<PlanNode>();
-  P->K = PlanNode::Kind::Scan;
-  P->TableName = Table;
-  return P;
+  return freeze(PlanNode{.K = PlanNode::Kind::Scan, .TableName = Table});
 }
 
 inline PlanPtr filter(PlanPtr Child, ExprPtr Pred) {
-  auto P = std::make_unique<PlanNode>();
-  P->K = PlanNode::Kind::Filter;
-  P->Child = std::move(Child);
-  P->Pred = std::move(Pred);
-  return P;
+  return freeze(PlanNode{.K = PlanNode::Kind::Filter, .Pred = std::move(Pred),
+                         .Child = std::move(Child)});
 }
 
 inline PlanPtr hashJoin(PlanPtr Probe, PlanPtr Build,
                         std::vector<ExprPtr> ProbeKeys,
                         std::vector<ExprPtr> BuildKeys,
                         std::vector<std::string> BuildPayload) {
-  auto P = std::make_unique<PlanNode>();
-  P->K = PlanNode::Kind::HashJoin;
-  P->Child = std::move(Probe);
-  P->Build = std::move(Build);
-  P->ProbeKeys = std::move(ProbeKeys);
-  P->BuildKeys = std::move(BuildKeys);
-  P->BuildPayload = std::move(BuildPayload);
-  return P;
+  return freeze(PlanNode{.K = PlanNode::Kind::HashJoin,
+                         .ProbeKeys = std::move(ProbeKeys),
+                         .BuildKeys = std::move(BuildKeys),
+                         .BuildPayload = std::move(BuildPayload),
+                         .Child = std::move(Probe),
+                         .Build = std::move(Build)});
 }
 
 inline PlanPtr aggregate(PlanPtr Child, std::vector<ExprPtr> GroupKeys,
                          std::vector<std::string> GroupNames,
                          std::vector<AggSpec> Aggs) {
-  auto P = std::make_unique<PlanNode>();
-  P->K = PlanNode::Kind::Aggregate;
-  P->Child = std::move(Child);
-  P->GroupKeys = std::move(GroupKeys);
-  P->GroupNames = std::move(GroupNames);
-  P->Aggs = std::move(Aggs);
-  return P;
+  return freeze(PlanNode{.K = PlanNode::Kind::Aggregate,
+                         .GroupKeys = std::move(GroupKeys),
+                         .GroupNames = std::move(GroupNames),
+                         .Aggs = std::move(Aggs),
+                         .Child = std::move(Child)});
 }
 
 inline PlanPtr sortBy(PlanPtr Child, std::vector<SortKey> Keys,
                       uint64_t Limit = 0) {
-  auto P = std::make_unique<PlanNode>();
-  P->K = PlanNode::Kind::Sort;
-  P->Child = std::move(Child);
-  P->SortKeys = std::move(Keys);
-  P->Limit = Limit;
-  return P;
+  return freeze(PlanNode{.K = PlanNode::Kind::Sort,
+                         .SortKeys = std::move(Keys),
+                         .Limit = Limit,
+                         .Child = std::move(Child)});
 }
 
+struct QueryKey;
+
 /// A complete query: a plan plus the output expressions over the root's
-/// schema.
+/// schema. Name, Root and Output may be reassigned; the key memo notices.
 struct Query {
   std::string Name;
   PlanPtr Root;
   std::vector<ExprPtr> Output;
-  /// Output columns rendered as f64 averages: pairs of (sum column
-  /// produced by an Avg agg are finalized during output automatically).
+
+  /// The last key db::queryKey computed for this query, shared by copies.
+  mutable SharedSlot<QueryKey> KeyMemo;
+};
+
+/// A query's plan-cache key: its encoding and the encoding's hash, with
+/// the name and nodes they were computed from. Holding the nodes keeps
+/// their addresses from being reused, and nodes never change, so the key
+/// describes a query exactly when the query still has these.
+struct QueryKey {
+  std::string Bytes;
+  uint64_t Hash = 0;
+  std::string Name;
+  PlanPtr Root;
+  std::vector<ExprPtr> Output;
+
+  bool describes(const Query &Q) const {
+    return Root == Q.Root && Output == Q.Output && Name == Q.Name;
+  }
 };
 
 } // namespace qcf::db

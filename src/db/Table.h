@@ -18,6 +18,9 @@
 #include "runtime/StringVal.h"
 #include "support/Arena.h"
 #include "support/Int128.h"
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -51,17 +54,30 @@ inline unsigned colElemSize(ColType Ty) {
   QCF_UNREACHABLE("invalid column type");
 }
 
+/// A catalog's epoch: a number no other catalog state in the process has
+/// had. Creating a table or a column moves it, and so does growing a
+/// column, the one place its data moves. Nothing else can change what
+/// codegen reads (names and types are const, columns and data private),
+/// so a plan lowered at epoch E matches its catalog while it reads E.
+struct CatalogEpoch {
+  CatalogEpoch() { bump(); }
+  void bump() { V = Next++; }
+
+  std::atomic<uint64_t> V;
+  static inline std::atomic<uint64_t> Next{1};
+};
+
 /// One column: raw bytes plus its type.
 class Column {
 public:
-  Column(std::string Name, ColType Ty) : Name(std::move(Name)), Ty(Ty) {}
+  Column(std::string Name, ColType Ty, CatalogEpoch &Epoch)
+      : Name(std::move(Name)), Ty(Ty), Epoch(Epoch) { Epoch.bump(); }
 
-  std::string Name;
-  ColType Ty;
-  std::vector<uint8_t> Data;
+  const std::string Name;
+  const ColType Ty;
 
-  size_t size() const { return Data.size() / colElemSize(Ty); }
-  const void *raw() const { return Data.data(); }
+  size_t size() const { return Size / colElemSize(Ty); }
+  const void *raw() const { return Data.get(); }
 
   void pushI32(int32_t V) { pushBytes(&V, 4); }
   void pushI64(int64_t V) { pushBytes(&V, 8); }
@@ -75,29 +91,47 @@ public:
 
 private:
   void pushBytes(const void *P, size_t N) {
-    const uint8_t *B = static_cast<const uint8_t *>(P);
-    Data.insert(Data.end(), B, B + N);
+    if (Size + N > Cap) [[unlikely]]
+      grow(Size + N);
+    std::memcpy(Data.get() + Size, P, N);
+    Size += N;
+  }
+  /// Moves the data, so code lowered against the old data must not run.
+  [[gnu::noinline]] void grow(size_t Bytes) {
+    Cap = std::max<size_t>({Bytes, 2 * Cap, 64});
+    auto New = std::make_unique_for_overwrite<uint8_t[]>(Cap);
+    if (Size)
+      std::memcpy(New.get(), Data.get(), Size);
+    Data = std::move(New);
+    Epoch.bump();
   }
   template <typename T> T at(size_t I) const {
     T V;
-    __builtin_memcpy(&V, Data.data() + I * sizeof(T), sizeof(T));
+    __builtin_memcpy(&V, Data.get() + I * sizeof(T), sizeof(T));
     return V;
   }
+
+  std::unique_ptr<uint8_t[]> Data;
+  size_t Size = 0, Cap = 0; ///< In bytes.
+  CatalogEpoch &Epoch;
 };
 
 /// A table: named columns of equal length plus the string arena.
 class Table {
 public:
-  explicit Table(std::string Name) : Name(std::move(Name)) {}
+  Table(std::string Name, CatalogEpoch &Epoch)
+      : Name(std::move(Name)), Epoch(Epoch) { Epoch.bump(); }
 
-  std::string Name;
-  std::deque<Column> Columns; // Stable references across addColumn.
+  const std::string Name;
   Arena StringArena;
 
   Column &addColumn(const std::string &ColName, ColType Ty) {
-    Columns.emplace_back(ColName, Ty);
+    Columns.emplace_back(ColName, Ty, Epoch);
     return Columns.back();
   }
+
+  /// Every column, in creation order.
+  const std::deque<Column> &columns() const { return Columns; }
 
   size_t numRows() const {
     return Columns.empty() ? 0 : Columns.front().size();
@@ -118,13 +152,17 @@ public:
     const char *Copy = StringArena.copyString(S.data(), S.size());
     return rt::StringVal::makeRef(Copy, static_cast<uint32_t>(S.size()));
   }
+
+private:
+  std::deque<Column> Columns; // Stable references across addColumn.
+  CatalogEpoch &Epoch;
 };
 
 /// A set of tables.
 class Catalog {
 public:
   Table &create(const std::string &Name) {
-    Tables.push_back(std::make_unique<Table>(Name));
+    Tables.push_back(std::make_unique<Table>(Name, *Epoch));
     return *Tables.back();
   }
 
@@ -135,7 +173,11 @@ public:
     return nullptr;
   }
 
+  uint64_t epoch() const { return Epoch->V; }
+
 private:
+  /// On the heap, so the catalog can move while its tables point at it.
+  std::unique_ptr<CatalogEpoch> Epoch = std::make_unique<CatalogEpoch>();
   std::vector<std::unique_ptr<Table>> Tables;
 };
 

@@ -628,6 +628,8 @@ bool buildFunction(Module &M, const PFunction &PF,
         ParamTys.push_back(F->valueType(V));
       }
       void *Addr = Resolver ? Resolver(P.Callee) : nullptr;
+      if (Resolver && !Addr)
+        return Fail("unknown runtime symbol @" + P.Callee);
       I.Imm = M.declareRuntime(P.Callee, P.Ty, std::move(ParamTys), Addr);
       break;
     }

@@ -34,7 +34,8 @@ namespace qcf::qir {
 using SymbolResolver = std::function<void *(const std::string &)>;
 
 /// Parses one or more `define` blocks. On failure returns nullptr and, if
-/// \p Error is non-null, stores a "line N: message" description.
+/// \p Error is non-null, stores a "line N: message" description. With a
+/// \p Resolver, a call to a name it does not resolve is such a failure.
 std::unique_ptr<Module> parseModule(std::string_view Text,
                                     std::string *Error = nullptr,
                                     const SymbolResolver &Resolver = {});

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/PlanCache.h"
+#include "support/VerifyOptions.h"
 
 namespace qcf::serve {
 
@@ -12,8 +13,8 @@ namespace {
 
 /// Heap bytes \p P holds: its QIR, string constants and metadata.
 uint64_t planBytes(const db::CompiledPlan &P) {
-  uint64_t N = sizeof(P) + sizeof(qir::Module) + P.StringArena.bytesAllocated() +
-               P.QueryName.size();
+  uint64_t N =
+      sizeof(P) + sizeof(qir::Module) + P.StringArena.bytesAllocated();
   for (const auto &F : P.Module->functions())
     N += sizeof(qir::Function) + F->name().size() +
          F->numParams() * sizeof(qir::Type) +
@@ -25,14 +26,11 @@ uint64_t planBytes(const db::CompiledPlan &P) {
   // The module's runtime-symbol table is the process-wide one that
   // rt::declareRuntime shares with every lowered plan: not the plan's.
   for (const db::PipelineDesc &D : P.Pipelines)
-    N += sizeof(D) + D.FnName.size() + D.SourceTable.size();
+    N += sizeof(D) + D.FnName.size();
   for (const db::RuntimeObject &O : P.Objects)
     N += sizeof(O) + O.CmpFnName.size();
-  for (const db::TableRead &R : P.Reads) {
-    N += sizeof(R) + R.TableName.size();
-    for (const db::TableRead::ColumnRead &C : R.Columns)
-      N += sizeof(C) + C.Name.size();
-  }
+  for (const db::TableRead &R : P.Reads)
+    N += sizeof(R) + R.TableName.size() + R.Raw.size() * sizeof(void *);
   return N;
 }
 
@@ -42,6 +40,7 @@ PlanCache::PlanCache(uint64_t MaxBytes, obs::MetricsRegistry &Reg)
     : MaxBytes(MaxBytes), Hits(Reg.counter("serve.plan_cache.hits")),
       Misses(Reg.counter("serve.plan_cache.misses")),
       Evictions(Reg.counter("serve.plan_cache.evictions")),
+      CatalogChecks(Reg.counter("serve.plan_cache.catalog_checks")),
       BytesG(Reg.gauge("serve.plan_cache.bytes")) {}
 
 // The gauge is shared by every cache on the registry; take back our part.
@@ -50,24 +49,30 @@ PlanCache::~PlanCache() { BytesG.add(-int64_t(Bytes)); }
 void PlanCache::eraseLocked(LruList::iterator It) {
   Bytes -= It->Bytes;
   BytesG.add(-int64_t(It->Bytes));
-  Map.erase(It->Key);
+  Map.erase(It->Hash);
   Lru.erase(It);
 }
 
 std::shared_ptr<const db::CompiledPlan>
 PlanCache::get(const db::Query &Q, const db::Catalog &Cat) {
-  // One key buffer per thread, so a hit encodes and looks up without
-  // allocating.
-  thread_local std::string Key;
-  db::encodeQuery(Q, Key);
+  std::shared_ptr<const db::QueryKey> K = db::queryKey(Q);
+  uint64_t Epoch = Cat.epoch();
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Map.find(Key);
-    if (It != Map.end()) {
-      if (It->second->Plan->matchesCatalog(Cat)) {
+    auto It = Map.find(K->Hash);
+    if (It != Map.end() && It->second->Key == K->Bytes) {
+      Entry &E = *It->second;
+      // Under QCF_VERIFY, every hit checks in full.
+      bool Current = E.Epoch == Epoch && !VerifyOptions::fromEnv().any();
+      if (!Current) {
+        CatalogChecks.inc();
+        Current = E.Plan->matchesCatalog(Cat);
+      }
+      if (Current) {
+        E.Epoch = Epoch;
         Hits.inc();
         Lru.splice(Lru.begin(), Lru, It->second);
-        return It->second->Plan;
+        return E.Plan;
       }
       eraseLocked(It->second); // Its data moved: lower it again.
     }
@@ -76,18 +81,18 @@ PlanCache::get(const db::Query &Q, const db::Catalog &Cat) {
 
   auto Plan =
       std::make_shared<const db::CompiledPlan>(db::compileQuery(Q, Cat));
-  uint64_t EntryBytes = planBytes(*Plan) + sizeof(Entry) + Key.size();
+  uint64_t EntryBytes = planBytes(*Plan) + sizeof(Entry) + K->Bytes.size();
   if (EntryBytes > MaxBytes)
     return Plan;
 
   std::lock_guard<std::mutex> Lock(Mutex);
   // A concurrent miss on the same key may have inserted first; the newer
-  // plan replaces it (both are current).
-  auto It = Map.find(Key);
+  // plan replaces it (both are current), as it does a colliding key's.
+  auto It = Map.find(K->Hash);
   if (It != Map.end())
     eraseLocked(It->second);
-  Lru.push_front({Key, Plan, EntryBytes});
-  Map.emplace(Lru.front().Key, Lru.begin());
+  Lru.push_front({K->Bytes, K->Hash, Plan, EntryBytes, Epoch});
+  Map.emplace(K->Hash, Lru.begin());
   Bytes += EntryBytes;
   BytesG.add(int64_t(EntryBytes));
   while (Bytes > MaxBytes) {

@@ -6,19 +6,22 @@
 ///
 /// \file
 /// Lowers each served query once (DESIGN.md "Serving layer", "Plan
-/// cache"). The key is the query's canonical byte encoding
-/// (db::encodeQuery); hash and equality both run over those bytes, so a
-/// hash collision can never hand out another query's plan. Entries are
-/// shared, immutable plans: concurrent sessions execute one plan at once.
+/// cache"). The key is the query's canonical encoding and its hash,
+/// memoized on the query object (db::queryKey). A hit also compares the
+/// bytes, so a hash collision can never hand out another query's plan.
+/// Entries are shared, immutable plans: concurrent sessions execute one
+/// plan at once.
 ///
 /// Codegen bakes column base addresses into the plan and derives scan
-/// schemas from the catalog, so every hit re-checks the plan's recorded
-/// catalog reads (CompiledPlan::matchesCatalog); a plan whose data moved
-/// is a miss and is replaced. Compiled code is not held here: the plan's
-/// module still goes through CachingBackend on every execution, so the
-/// L1 code cache keeps its own capacity, eviction and disk tier. What the
-/// plan does carry is its module's fingerprint, computed once when it is
-/// lowered (CompiledPlan::Fingerprint), so that lookup hashes nothing.
+/// schemas from the catalog, so a hit compares the catalog's epoch with
+/// the one its entry last matched; only when it moved (or under
+/// QCF_VERIFY) does it re-check the plan's reads in full
+/// (CompiledPlan::matchesCatalog). A plan whose data moved is a miss and is
+/// replaced. Compiled code is not held here: the plan's module still goes
+/// through CachingBackend on every execution, so the L1 code cache keeps
+/// its own capacity, eviction and disk tier. What the plan does carry is
+/// its module's fingerprint, computed once when it is lowered
+/// (CompiledPlan::Fingerprint), so that lookup hashes nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,14 +33,13 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
 
 namespace qcf::serve {
 
 /// A bounded LRU of lowered plans keyed by query bytes. Thread-safe.
-/// Publishes serve.plan_cache.{hits,misses,evictions} counters and the
-/// serve.plan_cache.bytes gauge.
+/// Publishes serve.plan_cache.{hits,misses,evictions,catalog_checks}
+/// counters and the serve.plan_cache.bytes gauge.
 class PlanCache {
 public:
   /// The ceiling a Server's cache uses: about two hundred plans of the
@@ -63,8 +65,10 @@ public:
 private:
   struct Entry {
     std::string Key;
+    uint64_t Hash;
     std::shared_ptr<const db::CompiledPlan> Plan;
     uint64_t Bytes;
+    uint64_t Epoch; ///< Catalog epoch the plan was last found to match at.
   };
   using LruList = std::list<Entry>;
 
@@ -74,11 +78,13 @@ private:
   obs::Counter &Hits;
   obs::Counter &Misses;
   obs::Counter &Evictions;
+  obs::Counter &CatalogChecks; ///< Hits that ran matchesCatalog.
   obs::Gauge &BytesG;
 
   mutable std::mutex Mutex;
-  LruList Lru; ///< Most recent first; Map's views point into its keys.
-  std::unordered_map<std::string_view, LruList::iterator> Map;
+  LruList Lru; ///< Most recent first.
+  /// By key hash; of two keys with one hash, the later replaces the other.
+  std::unordered_map<uint64_t, LruList::iterator> Map;
   uint64_t Bytes = 0;
 };
 

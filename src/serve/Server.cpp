@@ -107,8 +107,8 @@ std::optional<TenantList> tenantsFromEnv(std::string &Err) {
   return Out;
 }
 
-Server::TenantState::TenantState(const std::string &Name, const TenantQuota &Q,
-                                 obs::MetricsRegistry &Reg)
+TenantState::TenantState(const std::string &Name, const TenantQuota &Q,
+                         obs::MetricsRegistry &Reg)
     : Quota(Q), SessionsG(Reg.gauge("serve.tenant." + Name + ".sessions")),
       BytesG(Reg.gauge("serve.tenant." + Name + ".compile_bytes")),
       RejSessions(Reg.counter("serve.tenant." + Name + ".rejected.sessions")),
@@ -116,7 +116,7 @@ Server::TenantState::TenantState(const std::string &Name, const TenantQuota &Q,
       RejCompileQueue(
           Reg.counter("serve.tenant." + Name + ".rejected.compile_queue")) {}
 
-bool Server::TenantState::tryReserveBytes(uint64_t N) {
+bool TenantState::tryReserveBytes(uint64_t N) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Quota.MaxCompileBytes && CompileBytes + N > Quota.MaxCompileBytes) {
     RejBytes.inc();
@@ -127,7 +127,7 @@ bool Server::TenantState::tryReserveBytes(uint64_t N) {
   return true;
 }
 
-void Server::TenantState::releaseBytes(uint64_t N) {
+void TenantState::releaseBytes(uint64_t N) {
   std::lock_guard<std::mutex> Lock(Mutex);
   CompileBytes = CompileBytes >= N ? CompileBytes - N : 0;
   BytesG.set(int64_t(CompileBytes));
@@ -183,12 +183,6 @@ void Server::registerTenant(const std::string &Name, const TenantQuota &Quota) {
   Svc->setKeyQueueShare(Name, Quota.MaxQueuedCompiles);
 }
 
-Server::TenantState *Server::findTenant(const std::string &Name) const {
-  std::lock_guard<std::mutex> Lock(TenantsMutex);
-  auto It = Tenants.find(Name);
-  return It == Tenants.end() ? nullptr : It->second.get();
-}
-
 std::shared_ptr<Session> Server::findSession(uint64_t Sid) const {
   std::lock_guard<std::mutex> Lock(SessionsMutex);
   auto It = Sessions.find(Sid);
@@ -198,9 +192,14 @@ std::shared_ptr<Session> Server::findSession(uint64_t Sid) const {
 OpenOutcome Server::openSession(const std::string &Tenant) {
   if (Stopping.load(std::memory_order_acquire))
     return {Admit::ServerStopped, 0, 0};
-  TenantState *T = findTenant(Tenant);
-  if (!T)
-    return {Admit::UnknownTenant, 0, 0};
+  TenantState *T = nullptr;
+  {
+    std::lock_guard<std::mutex> Lock(TenantsMutex);
+    auto It = Tenants.find(Tenant);
+    if (It == Tenants.end())
+      return {Admit::UnknownTenant, 0, 0};
+    T = It->second.get();
+  }
   {
     std::lock_guard<std::mutex> Lock(T->Mutex);
     if (T->Quota.MaxSessions && T->Sessions >= T->Quota.MaxSessions) {
@@ -214,7 +213,7 @@ OpenOutcome Server::openSession(const std::string &Tenant) {
     T->SessionsG.set(int64_t(T->Sessions));
   }
   uint64_t Sid = NextSid.fetch_add(1, std::memory_order_relaxed);
-  auto S = std::make_shared<Session>(Sid, Tenant, nowNs());
+  auto S = std::make_shared<Session>(Sid, Tenant, *T, nowNs());
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     Sessions.emplace(Sid, std::move(S));
@@ -225,11 +224,12 @@ OpenOutcome Server::openSession(const std::string &Tenant) {
 }
 
 void Server::retireSession(Session &S, bool Evicted) {
-  if (TenantState *T = findTenant(S.Tenant)) {
-    std::lock_guard<std::mutex> Lock(T->Mutex);
-    if (T->Sessions)
-      --T->Sessions;
-    T->SessionsG.set(int64_t(T->Sessions));
+  TenantState &T = S.Account;
+  {
+    std::lock_guard<std::mutex> Lock(T.Mutex);
+    if (T.Sessions)
+      --T.Sessions;
+    T.SessionsG.set(int64_t(T.Sessions));
   }
   SessionsOpenG.add(-1);
   (Evicted ? SessionsEvicted : SessionsClosed).inc();
@@ -308,7 +308,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
                                               : Admit::UnknownSession,
                   0);
 
-  TenantState *T = findTenant(S->Tenant);
+  TenantState &T = S->Account;
   // Epilogue for every path below once the session is Active; \p Now is
   // a clock read taken after the query's last step.
   auto finish = [&](uint64_t Now) {
@@ -327,9 +327,9 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
   };
 
   // Quota point 2: compile-queue share, checked before any work.
-  if (T && T->Quota.MaxQueuedCompiles &&
-      Svc->keyInFlight(S->Tenant) >= T->Quota.MaxQueuedCompiles) {
-    T->RejCompileQueue.inc();
+  if (T.Quota.MaxQueuedCompiles &&
+      Svc->keyInFlight(S->Tenant) >= T.Quota.MaxQueuedCompiles) {
+    T.RejCompileQueue.inc();
     reject(Admit::CompileQueueQuota, 2'000'000);
     finish(nowNs());
     return R;
@@ -337,7 +337,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
 
   // Quota point 3: reserve the fixed per-query compile-byte charge,
   // released when the query ends.
-  if (T && !T->tryReserveBytes(CompileBytesPerQuery)) {
+  if (!T.tryReserveBytes(CompileBytesPerQuery)) {
     reject(Admit::CompileBytesQuota, 2'000'000);
     finish(nowNs());
     return R;
@@ -352,13 +352,12 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     S->Ctl.setDeadlineNs(nowNs() + Deadline);
 
   // Quota point 4: bounded admission.
-  bool LowPriority = T && T->Quota.Background;
+  bool LowPriority = T.Quota.Background;
   AdmissionGate::Decision D = Gate.enter(LowPriority, &S->Ctl);
   uint64_t RunStartNs = nowNs(); // Admitted: the wait ends, the run starts.
   R.AdmitWaitNs = RunStartNs - T0;
   if (D.Outcome != Admit::Ok) {
-    if (T)
-      T->releaseBytes(CompileBytesPerQuery);
+    T.releaseBytes(CompileBytesPerQuery);
     if (D.Outcome == Admit::Cancelled) {
       R.Cancelled = true;
       QueriesCancelled.inc();
@@ -402,8 +401,7 @@ QueryOutcome Server::execute(uint64_t Sid, const db::Query &Q,
     if (!Out)
       LocalOut.clear();
 
-    if (T)
-      T->releaseBytes(CompileBytesPerQuery);
+    T.releaseBytes(CompileBytesPerQuery);
   }
   uint64_t EndNs = nowNs();
   Gate.leave(EndNs - RunStartNs);

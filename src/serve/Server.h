@@ -107,6 +107,27 @@ struct QueryOutcome {
   uint64_t TotalNs = 0;
 };
 
+/// One registered tenant's quota and usage; its sessions hold it
+/// (Session::Account).
+struct TenantState {
+  TenantState(const std::string &Name, const TenantQuota &Q,
+              obs::MetricsRegistry &Reg);
+
+  TenantQuota Quota;
+  std::mutex Mutex;
+  uint64_t Sessions = 0;
+  uint64_t CompileBytes = 0; ///< Currently reserved bytes.
+
+  obs::Gauge &SessionsG;
+  obs::Gauge &BytesG;
+  obs::Counter &RejSessions;
+  obs::Counter &RejBytes;
+  obs::Counter &RejCompileQueue;
+
+  bool tryReserveBytes(uint64_t N);
+  void releaseBytes(uint64_t N);
+};
+
 /// The serving front end; see file comment. Thread-safe: any number of
 /// driver threads may open/execute/close sessions concurrently.
 class Server {
@@ -159,6 +180,7 @@ public:
   backend::CachingBackend &cacheBackend() { return *Cache; }
   backend::DiskCodeCache *diskCache() { return Disk.get(); }
   const PlanCache &planCache() const { return Plans; }
+  PlanCache &planCache() { return Plans; }
   /// The admission gate queries pass. A caller that holds one of its
   /// slots (enter() .. leave()) makes queries queue and overflow
   /// deterministically; `qcf_stress --serve` does so to force overload.
@@ -168,27 +190,7 @@ public:
   std::string statsText() const { return Reg.snapshot().renderText(); }
 
 private:
-  struct TenantState {
-    TenantState(const std::string &Name, const TenantQuota &Q,
-                obs::MetricsRegistry &Reg);
-
-    TenantQuota Quota;
-    std::mutex Mutex;
-    uint64_t Sessions = 0;
-    uint64_t CompileBytes = 0; ///< Currently reserved bytes.
-
-    obs::Gauge &SessionsG;
-    obs::Gauge &BytesG;
-    obs::Counter &RejSessions;
-    obs::Counter &RejBytes;
-    obs::Counter &RejCompileQueue;
-
-    bool tryReserveBytes(uint64_t N);
-    void releaseBytes(uint64_t N);
-  };
-
   std::shared_ptr<Session> findSession(uint64_t Sid) const;
-  TenantState *findTenant(const std::string &Name) const;
   /// Final Closed bookkeeping (tenant slot, gauges). \p Evicted selects
   /// the evicted counter over the closed one.
   void retireSession(Session &S, bool Evicted);

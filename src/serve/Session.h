@@ -35,18 +35,23 @@
 
 namespace qcf::serve {
 
+struct TenantState;
+
 class Session {
 public:
   enum class State : uint8_t { Idle, Active, Closed };
 
-  Session(uint64_t Id, std::string Tenant, uint64_t NowNs)
-      : Id(Id), Tenant(std::move(Tenant)), LastActiveNs(NowNs) {}
+  Session(uint64_t Id, std::string Tenant, TenantState &Account,
+          uint64_t NowNs)
+      : Id(Id), Tenant(std::move(Tenant)), Account(Account),
+        LastActiveNs(NowNs) {}
 
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
   const uint64_t Id;
   const std::string Tenant;
+  TenantState &Account; ///< Found at open; a server keeps every tenant.
 
   /// CAS-owned lifecycle state; see file comment.
   std::atomic<State> St{State::Idle};

@@ -161,6 +161,45 @@ TEST(WarmAlloc, WarmServedQueriesAllocateAlmostNothing) {
   Srv.closeSession(O.SessionId);
 }
 
+TEST(WarmAlloc, LongTenantNameCostsNoAllocation) {
+  // The tenant name reaches the compile options as a view, so a name past
+  // std::string's inline capacity must cost no allocation either.
+  db::Catalog Cat;
+  db::generateTpchLike(Cat, 0.05);
+  std::vector<db::Query> Suite = db::tpchQueries();
+
+  obs::MetricsRegistry Reg;
+  serve::ServerConfig Cfg;
+  Cfg.BackendName = "DirectEmit";
+  Cfg.CompileWorkers = 1;
+  Cfg.StartSweeper = false;
+  Cfg.Reg = &Reg;
+  unsetenv("QCF_CODE_CACHE");
+  serve::Server Srv(Cfg, Cat);
+  uint64_t Total[2] = {};
+  const char *Tenants[2] = {"t", "a-tenant-name-well-past-sixteen-bytes"};
+  for (int K = 0; K != 2; ++K) {
+    Srv.registerTenant(Tenants[K], serve::TenantQuota{});
+    serve::OpenOutcome O = Srv.openSession(Tenants[K]);
+    ASSERT_EQ(O.Outcome, serve::Admit::Ok);
+    for (int Pass = 0; Pass != 2; ++Pass) {
+      for (const db::Query &Q : Suite)
+        ASSERT_TRUE(Srv.execute(O.SessionId, Q).Ok) << Q.Name;
+      Srv.compileService().drain();
+    }
+    for (const db::Query &Q : Suite)
+      Total[K] += countAllocs([&] {
+        ASSERT_TRUE(Srv.execute(O.SessionId, Q).Ok) << Q.Name;
+      });
+    Srv.closeSession(O.SessionId);
+  }
+  std::printf("  %llu allocations with a short tenant name, %llu with a long "
+              "one\n",
+              static_cast<unsigned long long>(Total[0]),
+              static_cast<unsigned long long>(Total[1]));
+  EXPECT_LE(Total[1], Total[0]);
+}
+
 #else
 
 TEST(WarmAlloc, NotBuiltUnderSanitizers) {

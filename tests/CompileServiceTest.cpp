@@ -1217,6 +1217,51 @@ TEST(CacheFastTier, ServedQuerySwapsMidFlight) {
   EXPECT_EQ(C.Svc.stats().JobsQueued, 1u);
 }
 
+/// A plan's binding follows its code: the fast-tier answer's entries (the
+/// forced swap looks up the optimized one by name), then the optimized
+/// module the next run finds in L1, then that module reloaded from disk
+/// once L1 evicted it.
+TEST(CacheFastTier, PlanBindingFollowsSwapAndReload) {
+  const FastTierQuery &Q = fastTierQuery();
+  db::CompiledPlan Plan = db::compileQuery(db::tpchQueries().at(0), Q.Cat);
+  db::CompiledPlan Other = db::compileQuery(db::tpchQueries().at(1), Q.Cat);
+  std::string Dir =
+      (std::filesystem::temp_directory_path() / "qcf_binding_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  {
+    obs::MetricsRegistry Reg;
+    DiskCodeCache Disk(Dir, 0, &Reg);
+    CompileService Svc(1, 0, &Reg);
+    CachingBackend Cache(createBackend("Craneline"), /*Capacity=*/1, &Svc,
+                         &Reg, &Disk, createFastTier("Craneline"));
+    auto Run = [&](const db::CompiledPlan &P, int64_t ForceSwapMorsel) {
+      db::ExecOptions O;
+      O.MorselSize = 8;
+      O.OsrForceSwapMorsel = ForceSwapMorsel;
+      rt::OutputBuffer Out;
+      db::ExecResult R = db::executeQuery(P, Cache, Q.Cat, &Out, O);
+      EXPECT_FALSE(R.Trapped);
+      Svc.drain();
+      return std::make_pair(R.Stats.OsrSwaps, Out.unorderedDigest());
+    };
+    auto Bound = [&] { return Plan.Binding.load()->CodeId; };
+
+    auto [Swaps, Digest] = Run(Plan, 2);
+    EXPECT_GE(Swaps, 1u);
+    EXPECT_EQ(Digest, Q.Digest);
+    uint64_t Fast = Bound();
+    EXPECT_EQ(Run(Plan, -1), std::make_pair(uint64_t(0), Q.Digest));
+    uint64_t Opt = Bound();
+    EXPECT_NE(Opt, Fast);
+    Run(Other, -1); // Its module takes Plan's place in L1.
+    EXPECT_EQ(Run(Plan, -1), std::make_pair(uint64_t(0), Q.Digest));
+    EXPECT_EQ(Disk.stats().Hits, 1u);
+    EXPECT_NE(Bound(), Opt);
+    EXPECT_NE(Bound(), Fast);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
 /// Three lookups of one cold key while its Craneline compile is gated:
 /// the miss compiles the fast tier once, the two lookups after it share
 /// that code and its handle, and all three swap to the one gated module.

@@ -631,10 +631,8 @@ TEST(DbExec, TrapInBuildAndMaterializePipelinesAbortsCleanly) {
   };
   Query Join;
   Join.Name = "overflow_build";
-  PlanPtr J = hashJoin(scan("orders"), filter(scan("lineitem"), Boom()), {},
-                       {}, {});
-  J->ProbeKeys.push_back(col("o_orderkey"));
-  J->BuildKeys.push_back(col("l_orderkey"));
+  PlanPtr J = hashJoin(scan("orders"), filter(scan("lineitem"), Boom()),
+                       {col("o_orderkey")}, {col("l_orderkey")}, {});
   std::vector<AggSpec> Aggs;
   Aggs.push_back(AggSpec{AggKind::Count, nullptr, "n"});
   Join.Root = aggregate(std::move(J), {}, {}, std::move(Aggs));
@@ -742,12 +740,9 @@ TEST(DbExec, JoinBuildSideFanOutHasNoCapacity) {
   Query Q;
   Q.Name = "fanout_join";
   PlanPtr Pairs = hashJoin(scan("lineitem"), scan("lineitem"),
-                           {}, {}, {});
-  Pairs->ProbeKeys.push_back(col("l_linestatus"));
-  Pairs->BuildKeys.push_back(col("l_linestatus"));
-  PlanPtr J = hashJoin(scan("orders"), std::move(Pairs), {}, {}, {});
-  J->ProbeKeys.push_back(col("o_orderkey"));
-  J->BuildKeys.push_back(col("l_orderkey"));
+                           {col("l_linestatus")}, {col("l_linestatus")}, {});
+  PlanPtr J = hashJoin(scan("orders"), std::move(Pairs), {col("o_orderkey")},
+                       {col("l_orderkey")}, {});
   std::vector<AggSpec> Aggs;
   Aggs.push_back(AggSpec{AggKind::Count, nullptr, "n"});
   Q.Root = aggregate(std::move(J), {}, {}, std::move(Aggs));
@@ -766,10 +761,8 @@ TEST(DbExec, SortOfFanOutJoinStaysInItsBuffer) {
 
   Query Q;
   Q.Name = "fanout_sort";
-  PlanPtr J = hashJoin(scan("orders"), scan("lineitem"), {}, {},
-                       {"l_suppkey", "l_quantity"});
-  J->ProbeKeys.push_back(col("o_orderkey"));
-  J->BuildKeys.push_back(col("l_orderkey"));
+  PlanPtr J = hashJoin(scan("orders"), scan("lineitem"), {col("o_orderkey")},
+                       {col("l_orderkey")}, {"l_suppkey", "l_quantity"});
   Q.Root = sortBy(std::move(J), {{"o_orderkey", false}, {"l_suppkey", true}});
   Q.Output.push_back(col("o_orderkey"));
   Q.Output.push_back(col("l_suppkey"));

@@ -192,6 +192,24 @@ TEST(DiskCache, RoundTripCraneline) { roundTrip("Craneline"); }
 TEST(DiskCache, RoundTripMlvmCheap) { roundTrip("MLVM-cheap"); }
 TEST(DiskCache, RoundTripMlvmOpt) { roundTrip("MLVM-opt"); }
 
+TEST(DiskCache, StoredBlobIsReadableByAll) {
+  // mkstemp creates the temp file 0600; store sets 0644 before the rename.
+  TempDir Dir;
+  obs::MetricsRegistry Reg;
+  DiskCodeCache Cache(Dir.Path, /*BudgetBytes=*/0, &Reg);
+  qir::Module M;
+  buildRelocModule(M);
+  std::unique_ptr<Backend> BE = createBackend("DirectEmit");
+  CompileOptions Opts;
+  ASSERT_TRUE(Cache.store(fingerprintModule(M), *BE, *BE->compile(M, Opts),
+                          Opts));
+  std::vector<std::string> Blobs = listBlobs(Dir.Path);
+  ASSERT_EQ(Blobs.size(), 1u);
+  struct stat St;
+  ASSERT_EQ(::stat(Blobs[0].c_str(), &St), 0);
+  EXPECT_EQ(St.st_mode & 0777, 0644u);
+}
+
 TEST(DiskCache, WarmRestartSkipsBackend) {
   TempDir Dir;
   qir::Module A, B;

@@ -241,6 +241,21 @@ TEST(Parse, MalformedValueIdsAreRefusedWithLine) {
   }
 }
 
+TEST(Parse, UnknownRuntimeSymbolIsRefusedWithLine) {
+  // Once declared with a null address, which every back-end then called.
+  const char *Text = "define i64 @main() {\nb0:\n"
+                     "  %0 = call i64 @rt_no_such_symbol()\n  ret %0\n}\n";
+  std::string Error;
+  EXPECT_EQ(qir::parseModule(Text, &Error, rt::runtimeSymbolAddress),
+            nullptr);
+  EXPECT_EQ(Error.rfind("line 3: ", 0), 0u) << "got: " << Error;
+  EXPECT_NE(Error.find("unknown runtime symbol @rt_no_such_symbol"),
+            std::string::npos)
+      << "got: " << Error;
+  // Without a resolver, declarations carry no addresses and any name goes.
+  EXPECT_NE(qir::parseModule(Text, &Error), nullptr) << Error;
+}
+
 namespace {
 class ParseProperty : public ::testing::TestWithParam<uint64_t> {};
 } // namespace

@@ -33,6 +33,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "support/TimeTrace.h"
+#include "support/VerifyOptions.h"
 #include "tests/CountingBackend.h"
 #include "tests/RandomQir.h"
 #include <atomic>
@@ -890,4 +891,199 @@ TEST(Serve, PlanCacheEvictsLruWithinByteCeiling) {
   EXPECT_EQ(uint64_t(Bytes), Srv.planCache().bytes());
   EXPECT_LE(uint64_t(Bytes), PlanCache::ServerMaxBytes);
   EXPECT_EQ(Srv.planCache().size(), corpus().Queries.size());
+}
+
+TEST(Serve, PlanKeyMemoSharedByEqualQueries) {
+  obs::MetricsRegistry Reg;
+  PlanCache PC(~0ull, Reg);
+  db::Query A = knobQuery(Knobs()), B = knobQuery(Knobs());
+  ASSERT_NE(A.Root, B.Root); // Two objects, built apart.
+  std::shared_ptr<const db::CompiledPlan> PA = PC.get(A, corpus().Cat);
+  EXPECT_EQ(PC.get(B, corpus().Cat), PA);
+  EXPECT_EQ(PC.size(), 1u);
+  EXPECT_EQ(planCounter(Reg, "misses"), 1u);
+  EXPECT_EQ(planCounter(Reg, "hits"), 1u);
+
+  // Each object memoizes its own key, equal to the other's, and a later
+  // lookup reuses it instead of encoding again.
+  std::shared_ptr<const db::QueryKey> KA = db::queryKey(A);
+  std::shared_ptr<const db::QueryKey> KB = db::queryKey(B);
+  EXPECT_NE(KA, KB);
+  EXPECT_EQ(KA->Bytes, KB->Bytes);
+  EXPECT_EQ(KA->Hash, KB->Hash);
+  EXPECT_EQ(PC.get(A, corpus().Cat), PA);
+  EXPECT_EQ(db::queryKey(A), KA);
+  // A copy shares the nodes, so it shares the memo too.
+  db::Query C = A;
+  EXPECT_EQ(db::queryKey(C), KA);
+}
+
+TEST(Serve, PlanKeyMemoNoticesReassignedFields) {
+  const db::Catalog &Cat = corpus().Cat;
+  obs::MetricsRegistry Reg;
+  Server Srv(testConfig(&Reg), Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+  uint64_t Sid = Srv.openSession("acme").SessionId;
+
+  db::Query Q = knobQuery(Knobs());
+  auto Serve = [&](const char *What) {
+    std::pair<uint64_t, uint64_t> Ref = freshRun(Q, Cat);
+    QueryOutcome R = Srv.execute(Sid, Q);
+    ASSERT_TRUE(R.Ok) << What;
+    EXPECT_EQ(R.Rows, Ref.first) << What;
+    EXPECT_EQ(R.Digest, Ref.second) << What;
+  };
+  Serve("first run");
+  std::shared_ptr<const db::QueryKey> Memo = db::queryKey(Q);
+  Serve("unchanged");
+  EXPECT_EQ(db::queryKey(Q), Memo);
+  EXPECT_EQ(planCounter(Reg, "hits"), 1u);
+
+  Knobs Other;
+  Other.QtyCents = 1000;
+  Other.Descending = true;
+  Other.OutCol = "l_quantity";
+  Q.Root = knobQuery(Other).Root;
+  Serve("new root");
+  Q.Output = knobQuery(Other).Output;
+  Serve("new output");
+  Q.Output.push_back(db::col("l_discount"));
+  Serve("output appended");
+  Q.Name = "renamed";
+  Serve("new name");
+  EXPECT_NE(db::queryKey(Q), Memo);
+  // Each change was a miss with its own plan; nothing hit a stale one.
+  EXPECT_EQ(planCounter(Reg, "misses"), 5u);
+  EXPECT_EQ(planCounter(Reg, "hits"), 1u);
+  EXPECT_EQ(Srv.planCache().size(), 5u);
+}
+
+TEST(Serve, PlanCacheRechecksCatalogWhenEpochMoves) {
+  db::Catalog Cat;
+  db::Table &T = Cat.create("t");
+  db::Column &A = T.addColumn("a", db::ColType::I64);
+  for (int64_t I = 0; I != 50; ++I)
+    A.pushI64(I);
+  db::Query Q;
+  Q.Name = "epoch";
+  Q.Root = db::filter(db::scan("t"), db::gt(db::col("a"), db::litI64(20)));
+  Q.Output.push_back(db::col("a"));
+
+  obs::MetricsRegistry Reg;
+  PlanCache PC(~0ull, Reg);
+  auto Checks = [&] { return planCounter(Reg, "catalog_checks"); };
+  // Under QCF_VERIFY every hit checks in full.
+  const bool Verify = VerifyOptions::fromEnv().any();
+  std::shared_ptr<const db::CompiledPlan> P = PC.get(Q, Cat);
+  EXPECT_EQ(PC.get(Q, Cat), P);
+  EXPECT_EQ(Checks(), Verify ? 1u : 0u); // One compare.
+
+  // A new table moves the epoch: the next hit checks in full and passes,
+  // and the hit after it is one compare again.
+  Cat.create("u").addColumn("x", db::ColType::I64);
+  EXPECT_EQ(PC.get(Q, Cat), P);
+  EXPECT_EQ(Checks(), Verify ? 2u : 1u);
+  EXPECT_EQ(PC.get(Q, Cat), P);
+  EXPECT_EQ(Checks(), Verify ? 3u : 1u);
+
+  // A new column of the scanned table fails the full check: the scan's
+  // schema changed, so the plan is lowered again.
+  T.addColumn("b", db::ColType::I64);
+  std::shared_ptr<const db::CompiledPlan> P2 = PC.get(Q, Cat);
+  EXPECT_NE(P2, P);
+  EXPECT_EQ(Checks(), Verify ? 4u : 2u);
+  EXPECT_EQ(planCounter(Reg, "misses"), 2u);
+  EXPECT_EQ(planCounter(Reg, "hits"), 3u);
+  EXPECT_EQ(PC.size(), 1u);
+}
+
+TEST(Serve, PlanBindingFollowsL1ReloadFromDisk) {
+  char DirTemplate[] = "/tmp/qcf_serve_binding_XXXXXX";
+  ASSERT_NE(::mkdtemp(DirTemplate), nullptr);
+  const std::string Dir = DirTemplate;
+  ::setenv("QCF_CODE_CACHE", Dir.c_str(), 1);
+  {
+    const db::Catalog &Cat = corpus().Cat;
+    std::vector<db::Query> Suite = db::tpchQueries();
+    const db::Query &Q = Suite[0], &Other = Suite[1];
+    std::pair<uint64_t, uint64_t> Ref = freshRun(Q, Cat);
+
+    obs::MetricsRegistry Reg;
+    ServerConfig Cfg = testConfig(&Reg);
+    Cfg.CacheCapacity = 1; // Serving Other evicts Q's code.
+    Server Srv(Cfg, Cat);
+    ASSERT_NE(Srv.diskCache(), nullptr);
+    Srv.registerTenant("acme", TenantQuota{});
+    uint64_t Sid = Srv.openSession("acme").SessionId;
+    std::shared_ptr<const db::CompiledPlan> Plan = Srv.planCache().get(Q, Cat);
+    auto Serve = [&](const char *What) {
+      QueryOutcome R = Srv.execute(Sid, Q);
+      EXPECT_TRUE(R.Ok) << What;
+      EXPECT_EQ(R.Rows, Ref.first) << What;
+      EXPECT_EQ(R.Digest, Ref.second) << What;
+      Srv.compileService().drain();
+      std::shared_ptr<const db::PlanBinding> B = Plan->Binding.load();
+      return B ? B->CodeId : 0;
+    };
+
+    // Cold: fast-tier code, while the worker compiles, publishes and
+    // stores the DirectEmit module.
+    uint64_t Fast = Serve("fast tier");
+    EXPECT_EQ(Srv.cacheBackend().stats().FastTier, 1u);
+    // Warm: the optimized module from L1, a new binding, then reused.
+    uint64_t Opt = Serve("L1 hit");
+    EXPECT_NE(Opt, Fast);
+    EXPECT_EQ(Serve("L1 hit again"), Opt);
+    // Other's code evicts Q's; Q's next run loads its blob from disk.
+    ASSERT_TRUE(Srv.execute(Sid, Other).Ok);
+    Srv.compileService().drain();
+    uint64_t DiskHits = Srv.diskCache()->stats().Hits;
+    uint64_t Reloaded = Serve("disk reload");
+    EXPECT_EQ(Srv.diskCache()->stats().Hits, DiskHits + 1);
+    EXPECT_NE(Reloaded, Opt);
+    EXPECT_NE(Reloaded, Fast);
+    Srv.shutdown();
+  }
+  ::unsetenv("QCF_CODE_CACHE");
+  [[maybe_unused]] int Rc = std::system(("rm -rf " + Dir).c_str());
+}
+
+TEST(Serve, PlanBindingSharedByConcurrentSessions) {
+  // Two sessions alternate two queries over a one-entry code cache, and
+  // wait for each background compile, so the code under each plan keeps
+  // changing while both sessions run it: each run rebinds or shares the
+  // other's binding, never a stale one.
+  const db::Catalog &Cat = corpus().Cat;
+  std::vector<db::Query> Suite = db::tpchQueries();
+  const db::Query *Qs[2] = {&Suite[0], &Suite[2]};
+  std::pair<uint64_t, uint64_t> Ref[2] = {freshRun(*Qs[0], Cat),
+                                          freshRun(*Qs[1], Cat)};
+
+  obs::MetricsRegistry Reg;
+  ServerConfig Cfg = testConfig(&Reg);
+  Cfg.Admission.Slots = 2;
+  Cfg.CacheCapacity = 1;
+  Server Srv(Cfg, Cat);
+  Srv.registerTenant("acme", TenantQuota{});
+
+  constexpr unsigned Sessions = 2, PerSession = 40;
+  std::atomic<unsigned> Correct{0};
+  std::vector<std::thread> Threads;
+  for (unsigned S = 0; S != Sessions; ++S)
+    Threads.emplace_back([&, S] {
+      uint64_t Sid = Srv.openSession("acme").SessionId;
+      for (unsigned I = 0; I != PerSession; ++I) {
+        unsigned K = (I + S) % 2;
+        QueryOutcome R = Srv.execute(Sid, *Qs[K]);
+        if (R.Ok && R.Rows == Ref[K].first && R.Digest == Ref[K].second)
+          Correct.fetch_add(1, std::memory_order_relaxed);
+        Srv.compileService().drain();
+      }
+      Srv.closeSession(Sid);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Correct.load(), Sessions * PerSession);
+  EXPECT_EQ(Srv.planCache().size(), 2u);
+  EXPECT_GT(Srv.cacheBackend().stats().Evictions, 0u);
 }
